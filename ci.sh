@@ -242,4 +242,20 @@ step "traced fig4 + trace check" sh -c '
 step "perf smoke (3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin perf -- --quick --check results/BENCH_perf_baseline.json
 
+# The two-clock benchmark is a package of its own outside the workspace,
+# so nothing above compiles it: an API change in core/net/cluster could
+# break it silently. Run its unit tests, then three rounds of each
+# workload; the result line must report every operation correct.
+step "benchmark package tests" \
+    cargo test -q --manifest-path benchmark/Cargo.toml --offline
+
+step "benchmark quick runs (correct, 0 failed)" sh -c '
+    set -e
+    for w in paging tier_read tier_write rack; do
+        bash benchmark/run.sh --workload "$w" --quick | tail -n 1 > target/bench_quick.json
+        grep -q "\"correct\": true" target/bench_quick.json
+        grep -q "\"failed\": 0," target/bench_quick.json
+    done
+'
+
 echo "==> ci.sh: all green"

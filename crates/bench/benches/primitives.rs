@@ -121,14 +121,14 @@ fn bench_node_pool(c: &mut Criterion) {
             manager
                 .put(
                     EntryId::new(server, key % 1024),
-                    payload.clone(),
+                    &payload,
                     SizeClass::C2K,
                 )
                 .unwrap()
         })
     });
     manager
-        .put(EntryId::new(server, u64::MAX), payload.clone(), SizeClass::C2K)
+        .put(EntryId::new(server, u64::MAX), &payload, SizeClass::C2K)
         .unwrap();
     group.bench_function("slab_get_2k", |b| {
         b.iter(|| manager.get(EntryId::new(server, u64::MAX)).unwrap())

@@ -29,7 +29,7 @@ fn imbalance(strategy: PlacementStrategy) -> (f64, f64) {
         let candidates = membership.candidates(NodeId::new(0));
         let target = placer.pick(&candidates, 1).unwrap()[0];
         store
-            .store(NodeId::new(0), target, EntryId::new(owner, key), vec![0u8; 4096])
+            .store(NodeId::new(0), target, EntryId::new(owner, key), &[0u8; 4096])
             .unwrap();
     }
     let loads: Vec<u64> = nodes

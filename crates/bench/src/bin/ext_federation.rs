@@ -80,7 +80,7 @@ fn exhaust_group_zero(w: &World) {
                 NodeId::new(7),
                 NodeId::new(n),
                 EntryId::new(filler, (n as u64) << 32 | key),
-                vec![0u8; 4096],
+                &[0u8; 4096],
             )
             .is_ok()
         {

@@ -127,7 +127,7 @@ impl RemoteSlabEvictor {
                     continue;
                 };
                 let len = data.len();
-                if store.store(host, to, entry, data).is_err() {
+                if store.store(host, to, entry, &data).is_err() {
                     continue;
                 }
                 if store.delete(host, host, entry).is_err() {
@@ -208,7 +208,7 @@ mod tests {
         // Fill the 16 KiB pool on node 1 completely.
         for k in 0..4 {
             store
-                .store(NodeId::new(0), host, entry(k), vec![k as u8; 4096])
+                .store(NodeId::new(0), host, entry(k), &[k as u8; 4096])
                 .unwrap();
         }
         assert_eq!(store.stats(host).unwrap().free, ByteSize::ZERO);
@@ -236,11 +236,11 @@ mod tests {
         let host = NodeId::new(1);
         // The same entry already lives on node 2 (a replica).
         store
-            .store(NodeId::new(0), NodeId::new(2), entry(0), vec![1u8; 512])
+            .store(NodeId::new(0), NodeId::new(2), entry(0), &[1u8; 512])
             .unwrap();
         for k in 0..4 {
             store
-                .store(NodeId::new(0), host, entry(k), vec![2u8; 4096])
+                .store(NodeId::new(0), host, entry(k), &[2u8; 4096])
                 .unwrap();
         }
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(16), 8);
@@ -258,7 +258,7 @@ mod tests {
         let host = NodeId::new(1);
         for k in 0..8 {
             store
-                .store(NodeId::new(0), host, entry(k), vec![0u8; 4096])
+                .store(NodeId::new(0), host, entry(k), &[0u8; 4096])
                 .unwrap();
         }
         // Threshold of 16 KiB: only the stuffed host (free = 0) is below;
@@ -275,7 +275,7 @@ mod tests {
         let host = NodeId::new(1);
         for k in 0..8 {
             store
-                .store(NodeId::new(0), host, entry(k), vec![0u8; 4096])
+                .store(NodeId::new(0), host, entry(k), &[0u8; 4096])
                 .unwrap();
         }
         // Entries 0..4 are "high priority" (200), 4..8 are "low" (10).

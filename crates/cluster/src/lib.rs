@@ -35,7 +35,7 @@
 //!
 //! let owner = ServerId::new(nodes[0], 0);
 //! let entry = EntryId::new(owner, 1);
-//! store.store(nodes[0], nodes[1], entry, b"parked page".to_vec())?;
+//! store.store(nodes[0], nodes[1], entry, b"parked page")?;
 //! assert_eq!(store.load(nodes[0], nodes[1], entry)?, b"parked page".to_vec());
 //! # Ok::<(), dmem_types::DmemError>(())
 //! ```

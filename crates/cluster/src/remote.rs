@@ -180,8 +180,8 @@ impl RemoteStore {
     ///
     /// Returns [`DmemError::CapacityExhausted`] when the host pool cannot
     /// fit the entry, plus any fabric path errors.
-    pub fn store(&self, from: NodeId, to: NodeId, entry: EntryId, data: Vec<u8>) -> DmemResult<()> {
-        self.store_batch(from, to, vec![(entry, data)])
+    pub fn store(&self, from: NodeId, to: NodeId, entry: EntryId, data: &[u8]) -> DmemResult<()> {
+        self.store_batch(from, to, &[(entry, data)])
     }
 
     /// Parks a whole window of entries on `to` in one control message and
@@ -196,7 +196,7 @@ impl RemoteStore {
         &self,
         from: NodeId,
         to: NodeId,
-        batch: Vec<(EntryId, Vec<u8>)>,
+        batch: &[(EntryId, &[u8])],
     ) -> DmemResult<()> {
         if batch.is_empty() {
             return Ok(());
@@ -211,11 +211,9 @@ impl RemoteStore {
         // steady-state rewrite of the same window never grows the pool.
         let mut hosts = self.hosts.lock();
         let state = hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
-        let mut replaced: Vec<(EntryId, Extent)> = Vec::new();
-        for (entry, _) in &batch {
+        for (entry, _) in batch {
             if let Some(old) = state.entries.remove(entry) {
                 state.release(old);
-                replaced.push((*entry, old));
             }
         }
         let region = state.region;
@@ -223,47 +221,41 @@ impl RemoteStore {
         // (one RDMA write, batch-loadable in one span read). Fragmented
         // pools fall back to scattered per-entry extents.
         let mut placed: Vec<(EntryId, Extent)> = Vec::with_capacity(batch.len());
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new(); // (offset, bytes)
+        let mut writes: Vec<(u64, &[u8])> = Vec::with_capacity(batch.len()); // (offset, bytes)
+        let mut window = Vec::new();
         if let Some(base) = state.alloc(total) {
-            let mut buf = Vec::with_capacity(total as usize);
             let mut cursor = base;
-            for (entry, data) in &batch {
-                placed.push((
-                    *entry,
-                    Extent {
-                        offset: cursor,
-                        len: data.len() as u64,
-                    },
-                ));
-                cursor += data.len() as u64;
-                buf.extend_from_slice(data);
+            for (entry, data) in batch {
+                let len = data.len() as u64;
+                placed.push((*entry, Extent { offset: cursor, len }));
+                cursor += len;
             }
-            writes.push((base, buf));
+            // A window of one is written from the caller's buffer; only a
+            // real window is gathered into one send buffer.
+            if let [(_, only)] = batch {
+                writes.push((base, only));
+            } else {
+                window.reserve_exact(total as usize);
+                for (_, data) in batch {
+                    window.extend_from_slice(data);
+                }
+                writes.push((base, &window));
+            }
         } else {
-            for (entry, data) in &batch {
-                match state.alloc(data.len() as u64) {
+            for (entry, data) in batch {
+                let len = data.len() as u64;
+                match state.alloc(len) {
                     Some(offset) => {
-                        placed.push((
-                            *entry,
-                            Extent {
-                                offset,
-                                len: data.len() as u64,
-                            },
-                        ));
-                        writes.push((offset, data.clone()));
+                        placed.push((*entry, Extent { offset, len }));
+                        writes.push((offset, data));
                     }
                     None => {
-                        // Roll back allocations; restore replaced entries.
+                        // Roll back this batch's allocations. Entries it
+                        // replaced stay dropped: their space was freed
+                        // above and may be gone after churn, so the
+                        // caller re-stores them elsewhere or on disk.
                         for (_, extent) in &placed {
                             state.release(*extent);
-                        }
-                        for (entry, old) in replaced {
-                            // Space was freed above; re-reserving the same
-                            // extent may not be possible after churn, so
-                            // the entry is simply dropped (the caller
-                            // re-stores it elsewhere or on disk).
-                            let _ = entry;
-                            let _ = old;
                         }
                         return Err(DmemError::CapacityExhausted {
                             pool: format!("remote pool on {to}"),
@@ -276,8 +268,8 @@ impl RemoteStore {
 
         let cm = self.client(from);
         let qp = cm.channel(to, ChannelKind::Data)?;
-        for (offset, bytes) in &writes {
-            if let Err(e) = self.fabric.write(&qp, bytes, &region, *offset) {
+        for &(offset, bytes) in &writes {
+            if let Err(e) = self.fabric.write(&qp, bytes, &region, offset) {
                 // Roll back every allocation of this batch.
                 let mut hosts = self.hosts.lock();
                 if let Some(state) = hosts.get_mut(&to) {
@@ -362,9 +354,13 @@ impl RemoteStore {
             let span = self
                 .fabric
                 .read(&qp, &region, start, (last.offset + last.len - start) as usize)?;
-            for &i in run.iter() {
-                let s = (extents[i].offset - start) as usize;
-                out[i] = span[s..s + extents[i].len as usize].to_vec();
+            if let [only] = run[..] {
+                out[only] = span;
+            } else {
+                for &i in run.iter() {
+                    let s = (extents[i].offset - start) as usize;
+                    out[i] = span[s..s + extents[i].len as usize].to_vec();
+                }
             }
             run.clear();
             Ok(())
@@ -511,7 +507,7 @@ mod tests {
     fn store_load_roundtrip() {
         let (_, _, store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        store.store(a, b, entry(1), vec![7u8; 4096]).unwrap();
+        store.store(a, b, entry(1), &[7u8; 4096]).unwrap();
         assert!(store.hosts_entry(b, entry(1)));
         assert_eq!(store.load(a, b, entry(1)).unwrap(), vec![7u8; 4096]);
     }
@@ -521,7 +517,7 @@ mod tests {
         let (_, _, store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let before = store.membership().free_of(b);
-        store.store(a, b, entry(1), vec![0u8; 4096]).unwrap();
+        store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
         let after = store.membership().free_of(b);
         assert_eq!(before - after, ByteSize::new(4096));
     }
@@ -530,31 +526,32 @@ mod tests {
     fn capacity_exhaustion() {
         let (_, _, store) = setup(2, 8);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        store.store(a, b, entry(1), vec![0u8; 8192]).unwrap();
+        store.store(a, b, entry(1), &[0u8; 8192]).unwrap();
         assert!(matches!(
-            store.store(a, b, entry(2), vec![0u8; 1]),
+            store.store(a, b, entry(2), &[0u8; 1]),
             Err(DmemError::CapacityExhausted { .. })
         ));
         // Deleting frees the space again.
         store.delete(a, b, entry(1)).unwrap();
-        store.store(a, b, entry(2), vec![0u8; 4096]).unwrap();
+        store.store(a, b, entry(2), &[0u8; 4096]).unwrap();
     }
 
     #[test]
     fn batch_store_and_contiguous_batch_load() {
         let (clock, _, store) = setup(2, 256);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let batch: Vec<(EntryId, Vec<u8>)> = (0..16)
-            .map(|k| (entry(k), vec![k as u8; 4096]))
+        let pages: Vec<Vec<u8>> = (0..16).map(|k| vec![k as u8; 4096]).collect();
+        let batch: Vec<(EntryId, &[u8])> = (0..16)
+            .map(|k| (entry(k), pages[k as usize].as_slice()))
             .collect();
-        store.store_batch(a, b, batch).unwrap();
+        store.store_batch(a, b, &batch).unwrap();
 
         let keys: Vec<EntryId> = (0..16).map(entry).collect();
         let t0 = clock.now();
         let loaded = store.load_batch(a, b, &keys).unwrap();
         let batched_time = clock.now() - t0;
         for (k, data) in loaded.iter().enumerate() {
-            assert_eq!(data, &vec![k as u8; 4096]);
+            assert_eq!(data, &[k as u8; 4096]);
         }
 
         // Compare with 16 singleton loads: batching must win.
@@ -574,7 +571,7 @@ mod tests {
         let (_, _, store) = setup(2, 256);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         for k in 0..4 {
-            store.store(a, b, entry(k), vec![k as u8; 1024]).unwrap();
+            store.store(a, b, entry(k), &[k as u8; 1024]).unwrap();
         }
         // Delete one in the middle so remaining extents have a hole.
         store.delete(a, b, entry(1)).unwrap();
@@ -602,8 +599,8 @@ mod tests {
     fn replace_frees_old_extent() {
         let (_, _, store) = setup(2, 8);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        store.store(a, b, entry(1), vec![1u8; 4096]).unwrap();
-        store.store(a, b, entry(1), vec![2u8; 4096]).unwrap();
+        store.store(a, b, entry(1), &[1u8; 4096]).unwrap();
+        store.store(a, b, entry(1), &[2u8; 4096]).unwrap();
         assert_eq!(store.load(a, b, entry(1)).unwrap(), vec![2u8; 4096]);
         let stats = store.stats(b).unwrap();
         assert_eq!(stats.entries, 1);
@@ -615,7 +612,7 @@ mod tests {
         let (_, failures, store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         failures.inject_now(FailureEvent::NodeDown(b));
-        let err = store.store(a, b, entry(1), vec![0u8; 64]).unwrap_err();
+        let err = store.store(a, b, entry(1), &[0u8; 64]).unwrap_err();
         assert!(matches!(err, DmemError::NodeUnavailable(_)));
         failures.inject_now(FailureEvent::NodeUp(b));
         // Nothing leaked: full capacity available after recovery.
@@ -626,7 +623,7 @@ mod tests {
     fn crash_loses_hosted_entries() {
         let (_, failures, store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        store.store(a, b, entry(1), vec![5u8; 512]).unwrap();
+        store.store(a, b, entry(1), &[5u8; 512]).unwrap();
         failures.inject_now(FailureEvent::NodeDown(b));
         failures.inject_now(FailureEvent::NodeUp(b));
         let lost = store.reset_node(b).unwrap();
@@ -642,7 +639,7 @@ mod tests {
     fn shrink_pool_reclaims_only_free_space() {
         let (_, _, store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        store.store(a, b, entry(1), vec![0u8; 4096]).unwrap();
+        store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
         let reclaimed = store.shrink_pool(b, ByteSize::from_kib(128));
         assert_eq!(reclaimed, ByteSize::from_kib(60), "only the free 60 KiB");
         let stats = store.stats(b).unwrap();
@@ -655,13 +652,13 @@ mod tests {
         let (_, _, store) = setup(2, 16);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         for k in 0..4 {
-            store.store(a, b, entry(k), vec![0u8; 4096]).unwrap();
+            store.store(a, b, entry(k), &[0u8; 4096]).unwrap();
         }
         // Free in an order that requires coalescing both directions.
         for k in [1, 3, 0, 2] {
             store.delete(a, b, entry(k)).unwrap();
         }
         // Whole pool available as one extent again: a full-size store fits.
-        store.store(a, b, entry(9), vec![0u8; 16 * 1024]).unwrap();
+        store.store(a, b, entry(9), &[0u8; 16 * 1024]).unwrap();
     }
 }

@@ -109,7 +109,7 @@ impl Replicator {
         while written.len() < self.factor.get() && !remaining.is_empty() {
             let node = self.placer.pick(&remaining, 1)?[0];
             remaining.retain(|&n| n != node);
-            if self.store.store(from, node, entry, data.to_vec()).is_ok() {
+            if self.store.store(from, node, entry, data).is_ok() {
                 written.push(node);
             }
         }
@@ -138,7 +138,7 @@ impl Replicator {
     pub fn store_batch_replicated(
         &self,
         from: NodeId,
-        batch: &[(EntryId, Vec<u8>)],
+        batch: &[(EntryId, &[u8])],
         candidates: &[NodeId],
     ) -> DmemResult<ReplicaSet> {
         let mut remaining: Vec<NodeId> = candidates.to_vec();
@@ -146,7 +146,7 @@ impl Replicator {
         while written.len() < self.factor.get() && !remaining.is_empty() {
             let node = self.placer.pick(&remaining, 1)?[0];
             remaining.retain(|&n| n != node);
-            if self.store.store_batch(from, node, batch.to_vec()).is_ok() {
+            if self.store.store_batch(from, node, batch).is_ok() {
                 written.push(node);
             }
         }
@@ -298,7 +298,7 @@ impl Replicator {
         let new_hosts = self.placer.pick(&candidates, missing)?;
         let mut nodes = survivors;
         for &node in &new_hosts {
-            self.store.store(from, node, entry, data.clone())?;
+            self.store.store(from, node, entry, &data)?;
             nodes.push(node);
         }
         Ok(ReplicaSet { nodes })

@@ -15,7 +15,7 @@ pub struct CompressedPage {
     pub original_len: usize,
     /// `true` if `data` is an LZ stream, `false` if raw.
     pub is_compressed: bool,
-    /// FNV-1a checksum of the original page.
+    /// Integrity checksum ([`dmem_types::checksum`]) of the original page.
     pub checksum: u64,
 }
 

@@ -15,6 +15,12 @@
 //! loop (fig4) and the RDD get path (fig10), decompression dominated the
 //! real CPU profile before this.
 //!
+//! The memo is for pages the codec may shrink. `dmem-core` keeps raw
+//! payloads (compression off, or longer than a page) out of it in both
+//! directions: they are checksummed once on the way in and once on the
+//! way out with the word-parallel [`dmem_types::checksum`], which costs
+//! less than the copies and the `memcmp` a memo round trip would.
+//!
 //! **Soundness.** A compress hit is only taken when the stored original
 //! bytes are equal to the incoming page (a 4 KiB `memcmp`, far cheaper
 //! than the matcher), so the memo is transparent even for callers whose

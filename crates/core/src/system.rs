@@ -12,11 +12,12 @@ use dmem_node::NodeManager;
 use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
 use dmem_sim::shard::ShardMap;
 use dmem_sim::{
-    CostModel, DetRng, FailureInjector, MetricsRegistry, SimClock, SimDuration, TelemetryHub,
+    CostModel, DetRng, FailureInjector, Histogram, MetricsRegistry, SimClock, SimDuration,
+    TelemetryHub,
 };
 use dmem_types::{
     checksum, ByteSize, ClusterConfig, DmemError, DmemResult, EntryId, EntryLocation, EntryRecord,
-    NodeId, ServerId, SizeClass, TenantId, PAGE_SIZE,
+    NodeId, ServerId, TenantId, PAGE_SIZE,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -97,6 +98,9 @@ pub struct DisaggregatedMemory {
     /// atomic load per operation, so single-tenant runs stay byte- and
     /// cycle-identical to the pre-QoS system.
     qos: OnceLock<Arc<QosEngine>>,
+    /// Per-tenant `qos.<name>.get.ns` handles, resolved on a tenant's
+    /// first get so no `qos.*` key exists without an engine.
+    qos_get_ns: Mutex<HashMap<TenantId, Histogram>>,
     /// Optional host→shard partition + fabric router. Uninstalled (the
     /// default) the fabric skips routing entirely, so unsharded runs
     /// stay byte-identical to builds that predate sharding.
@@ -190,6 +194,7 @@ impl DisaggregatedMemory {
             servers,
             metrics,
             qos: OnceLock::new(),
+            qos_get_ns: Mutex::new(HashMap::new()),
             sharding: OnceLock::new(),
             telemetry: OnceLock::new(),
         })
@@ -539,76 +544,64 @@ impl DisaggregatedMemory {
         (server_key, entry.key())
     }
 
-    fn prepare(&self, entry: EntryId, data: &[u8]) -> (Vec<u8>, EntryRecord) {
-        if data.len() <= PAGE_SIZE {
-            let page = self
-                .compress_memo
-                .lock()
-                .get_or_compress(Self::memo_key(entry), &self.codec, data);
-            if page.is_compressed {
-                let span = self.clock.tracer().span("compress", "compress");
-                span.tag("bytes", page.original_len);
-                self.clock.advance(self.cost.compress_page);
-            }
-            let record = EntryRecord {
-                location: EntryLocation::Disk, // placeholder, set by caller
-                len: page.original_len as u64,
-                stored_len: page.data.len() as u64,
-                class: if page.is_compressed {
-                    Some(page.class)
-                } else {
-                    None
-                },
-                version: 0,
-                checksum: page.checksum,
-            };
-            (page.data, record)
-        } else {
-            let record = EntryRecord {
-                location: EntryLocation::Disk,
-                len: data.len() as u64,
-                stored_len: data.len() as u64,
-                class: None,
-                version: 0,
-                checksum: checksum(data),
-            };
-            (data.to_vec(), record)
+    /// Turns a put's payload into its stored form and record. Raw
+    /// payloads (compression off, or longer than a page) are checksummed
+    /// once and moved through untouched; only pages the codec may shrink
+    /// go through the compress memo.
+    fn prepare(&self, entry: EntryId, data: Vec<u8>) -> (Vec<u8>, EntryRecord) {
+        let mut record = EntryRecord {
+            location: EntryLocation::Disk, // placeholder, set by caller
+            len: data.len() as u64,
+            stored_len: data.len() as u64,
+            class: None,
+            version: 0,
+            checksum: 0,
+        };
+        if !self.codec.mode().is_enabled() || data.len() > PAGE_SIZE {
+            record.checksum = checksum(&data);
+            return (data, record);
         }
+        let page = self
+            .compress_memo
+            .lock()
+            .get_or_compress(Self::memo_key(entry), &self.codec, &data);
+        if page.is_compressed {
+            let span = self.clock.tracer().span("compress", "compress");
+            span.tag("bytes", page.original_len);
+            self.clock.advance(self.cost.compress_page);
+            record.class = Some(page.class);
+        }
+        record.stored_len = page.data.len() as u64;
+        record.checksum = page.checksum;
+        (page.data, record)
     }
 
-    fn recover(&self, record: &EntryRecord, stored: Vec<u8>) -> DmemResult<Vec<u8>> {
-        if let Some(class) = record.class {
-            let span = self.clock.tracer().span("compress", "decompress");
-            span.tag("bytes", record.len);
-            self.clock.advance(self.cost.decompress_page);
-            drop(span);
-            let page = CompressedPage {
-                data: stored,
-                class,
-                original_len: record.len as usize,
-                is_compressed: true,
-                checksum: record.checksum,
+    /// Turns the bytes a tier returned back into the payload, verifying
+    /// every byte against the record's checksum.
+    fn recover(&self, entry: EntryId, record: &EntryRecord, stored: Vec<u8>) -> DmemResult<Vec<u8>> {
+        let Some(class) = record.class else {
+            return if checksum(&stored) == record.checksum {
+                Ok(stored)
+            } else {
+                Err(DmemError::Corrupt(entry))
             };
-            self.compress_memo
-                .lock()
-                .get_or_decompress(&self.codec, &page)
-        } else {
-            // Raw entries verify the same way via the memo: a previously
-            // verified identical blob is confirmed with a vectorized
-            // `memcmp` instead of re-walking the byte-serial FNV — this
-            // is the hot path for incompressible pages (random payloads
-            // of the RDD and chaos workloads).
-            let page = CompressedPage {
-                data: stored,
-                class: SizeClass::C4K,
-                original_len: record.len as usize,
-                is_compressed: false,
-                checksum: record.checksum,
-            };
-            self.compress_memo
-                .lock()
-                .get_or_decompress(&self.codec, &page)
-        }
+        };
+        let span = self.clock.tracer().span("compress", "decompress");
+        span.tag("bytes", record.len);
+        self.clock.advance(self.cost.decompress_page);
+        drop(span);
+        let page = CompressedPage {
+            data: stored,
+            class,
+            original_len: record.len as usize,
+            is_compressed: true,
+            checksum: record.checksum,
+        };
+        self.compress_memo
+            .lock()
+            .get_or_decompress(&self.codec, &page)
+            // The codec's only error is `Corrupt` under a placeholder id.
+            .map_err(|_| DmemError::Corrupt(entry))
     }
 
     fn drop_location(&self, entry: EntryId, record: &EntryRecord) {
@@ -685,7 +678,7 @@ impl DisaggregatedMemory {
         if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
             self.drop_location(entry, &old);
         }
-        let (stored, mut record) = self.prepare(entry, &data);
+        let (stored, mut record) = self.prepare(entry, data);
         let node = server.node();
         let stored_len = stored.len() as u64;
         let qos = self.qos.get();
@@ -701,92 +694,49 @@ impl DisaggregatedMemory {
             _ => true,
         };
 
-        let location = match pref {
+        let remote = || {
+            self.metered(qos, tenant, stored_len, || {
+                self.try_remote(node, entry, &stored)
+            })
+        };
+        let placed = match pref {
             _ if !admitted => None,
-            TierPreference::NodeShared | TierPreference::Auto => {
+            TierPreference::Disk => None,
+            TierPreference::NodeShared => {
                 match self.try_shared_qos(qos, tenant, node, entry, &stored, &record) {
                     Ok(loc) => Some(loc),
-                    Err(_) if pref == TierPreference::Auto => None,
-                    Err(e) => {
-                        // NodeShared preference spills to disk (paper: swap
-                        // to hard drive when no disaggregated memory). Both
-                        // a full pool and an entry too large for the pool's
-                        // page-sized blocks take that path.
-                        if matches!(
-                            e,
-                            DmemError::CapacityExhausted { .. } | DmemError::Unsupported { .. }
-                        ) {
-                            self.disk.store(node, entry, stored.clone());
-                            self.metrics.counter("core.put.disk").inc();
-                            Some(EntryLocation::Disk)
-                        } else {
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-        let location = match location {
-            Some(loc) => loc,
-            None if !admitted => {
-                self.disk.store(node, entry, stored.clone());
-                self.metrics.counter("core.put.disk").inc();
-                EntryLocation::Disk
-            }
-            None => match pref {
-                TierPreference::Disk => {
-                    self.disk.store(node, entry, stored.clone());
-                    self.metrics.counter("core.put.disk").inc();
-                    EntryLocation::Disk
-                }
-                TierPreference::Nvm => match self.try_nvm(node, entry, &stored) {
-                    Ok(loc) => loc,
-                    Err(_) => {
-                        self.disk.store(node, entry, stored.clone());
-                        self.metrics.counter("core.put.disk").inc();
-                        EntryLocation::Disk
-                    }
-                },
-                TierPreference::Cxl => {
-                    match self.try_cxl(qos, tenant, node, entry, &stored) {
-                        Ok(loc) => loc,
-                        Err(_) => {
-                            self.disk.store(node, entry, stored.clone());
-                            self.metrics.counter("core.put.disk").inc();
-                            EntryLocation::Disk
-                        }
-                    }
-                }
-                _ => {
-                    // Auto continues down the hierarchy: the CXL pool
-                    // (when configured) is the first stop past the node —
-                    // cacheline far memory one switch hop away — then
-                    // local NVM absorbs overflow before the network, then
-                    // remote memory in the owner's group, then disk.
-                    let nvm = if pref == TierPreference::Auto {
-                        self.try_cxl(qos, tenant, node, entry, &stored)
-                            .or_else(|_| self.try_nvm(node, entry, &stored))
-                            .ok()
-                    } else {
+                    // NodeShared preference spills to disk (paper: swap
+                    // to hard drive when no disaggregated memory). Both
+                    // a full pool and an entry too large for the pool's
+                    // page-sized blocks take that path.
+                    Err(DmemError::CapacityExhausted { .. } | DmemError::Unsupported { .. }) => {
                         None
-                    };
-                    match nvm {
-                        Some(loc) => loc,
-                        None => match self.metered(qos, tenant, stored_len, || {
-                            self.try_remote(node, entry, &stored)
-                        }) {
-                            Ok(loc) => loc,
-                            Err(_) => {
-                                self.disk.store(node, entry, stored.clone());
-                                self.metrics.counter("core.put.disk").inc();
-                                EntryLocation::Disk
-                            }
-                        },
                     }
+                    Err(e) => return Err(e),
                 }
-            },
+            }
+            TierPreference::Nvm => self.try_nvm(node, entry, &stored).ok(),
+            TierPreference::Cxl => self.try_cxl(qos, tenant, node, entry, &stored).ok(),
+            TierPreference::Remote => remote().ok(),
+            // Auto walks down the hierarchy: past the node the CXL pool
+            // (when configured) is the first stop — cacheline far memory
+            // one switch hop away — then local NVM absorbs overflow
+            // before the network, then remote memory in the owner's
+            // group, then disk.
+            TierPreference::Auto => self
+                .try_shared_qos(qos, tenant, node, entry, &stored, &record)
+                .or_else(|_| self.try_cxl(qos, tenant, node, entry, &stored))
+                .or_else(|_| self.try_nvm(node, entry, &stored))
+                .or_else(|_| remote())
+                .ok(),
         };
+        // Every tier above copied what it kept, so the last resort takes
+        // the buffer itself.
+        let location = placed.unwrap_or_else(|| {
+            self.disk.store(node, entry, stored);
+            self.metrics.counter("core.put.disk").inc();
+            EntryLocation::Disk
+        });
         span.tag("tier", Self::tier_name(&location));
         self.metrics
             .histogram("core.put.ns")
@@ -823,7 +773,7 @@ impl DisaggregatedMemory {
             .managers
             .get(&node)
             .ok_or(DmemError::NodeUnavailable(node))?;
-        let block = manager.put(entry, stored.to_vec(), class)?;
+        let block = manager.put(entry, stored, class)?;
         self.metrics.counter("core.put.shared").inc();
         Ok(EntryLocation::NodeShared {
             slab: block.slab,
@@ -923,6 +873,13 @@ impl DisaggregatedMemory {
             .get(&server)
             .and_then(|m| m.get(key).cloned())
             .ok_or(DmemError::EntryNotFound(entry))?;
+        self.read_entry(entry, &record)
+    }
+
+    /// The body of [`DisaggregatedMemory::get`] past the map lookup, for
+    /// callers that already hold the record.
+    fn read_entry(&self, entry: EntryId, record: &EntryRecord) -> DmemResult<Vec<u8>> {
+        let server = entry.owner();
         let span = self.clock.tracer().span("core", "get");
         span.tag("tier", Self::tier_name(&record.location));
         let t0 = self.clock.now();
@@ -968,12 +925,17 @@ impl DisaggregatedMemory {
             }
             EntryLocation::Disk => self.disk.load(server.node(), entry)?,
         };
-        let out = self.recover(&record, stored);
+        let out = self.recover(entry, record, stored);
         let elapsed = (self.clock.now() - t0).as_nanos();
         self.metrics.histogram("core.get.ns").record(elapsed);
         if let Some(engine) = qos {
-            self.metrics
-                .histogram(&format!("qos.{}.get.ns", engine.tenant_name(tenant)))
+            self.qos_get_ns
+                .lock()
+                .entry(tenant)
+                .or_insert_with(|| {
+                    let name = engine.tenant_name(tenant);
+                    self.metrics.histogram(&format!("qos.{name}.get.ns"))
+                })
                 .record(elapsed);
         }
         out
@@ -1006,6 +968,7 @@ impl DisaggregatedMemory {
             }
         }
         let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        let id = |i: usize| EntryId::new(server, keys[i]);
 
         // Remote batches by primary replica. BTreeMap so hosts are read
         // in node order: virtual totals are order-independent, but span
@@ -1019,44 +982,36 @@ impl DisaggregatedMemory {
                     by_primary.entry(replicas[0]).or_default().push(i);
                 }
                 EntryLocation::Disk => disk_idx.push(i),
-                _ => {
-                    let data = self.get(server, keys[i])?;
-                    out[i] = Some(data);
-                }
+                // Local tiers read one by one, under the record cloned above.
+                _ => out[i] = Some(self.read_entry(id(i), record)?),
             }
         }
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
         for (primary, indices) in by_primary {
-            let ids: Vec<EntryId> = indices
-                .iter()
-                .map(|&i| EntryId::new(server, keys[i]))
-                .collect();
+            let ids: Vec<EntryId> = indices.iter().map(|&i| id(i)).collect();
             let batch_bytes: u64 = indices.iter().map(|&i| records[i].stored_len).sum();
             match self.metered(qos, tenant, batch_bytes, || {
                 self.remote.load_batch(server.node(), primary, &ids)
             }) {
                 Ok(blobs) => {
-                    for (slot, blob) in indices.iter().zip(blobs) {
-                        out[*slot] = Some(self.recover(&records[*slot], blob)?);
+                    for (&i, blob) in indices.iter().zip(blobs) {
+                        out[i] = Some(self.recover(id(i), &records[i], blob)?);
                     }
                 }
                 Err(_) => {
                     // Primary unreachable: fall back to per-entry failover.
                     for &i in &indices {
-                        out[i] = Some(self.get(server, keys[i])?);
+                        out[i] = Some(self.read_entry(id(i), &records[i])?);
                     }
                 }
             }
         }
         if !disk_idx.is_empty() {
-            let ids: Vec<EntryId> = disk_idx
-                .iter()
-                .map(|&i| EntryId::new(server, keys[i]))
-                .collect();
+            let ids: Vec<EntryId> = disk_idx.iter().map(|&i| id(i)).collect();
             let blobs = self.disk.load_batch(server.node(), &ids)?;
-            for (slot, blob) in disk_idx.iter().zip(blobs) {
-                out[*slot] = Some(self.recover(&records[*slot], blob)?);
+            for (&i, blob) in disk_idx.iter().zip(blobs) {
+                out[i] = Some(self.recover(id(i), &records[i], blob)?);
             }
         }
         Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
@@ -1090,7 +1045,7 @@ impl DisaggregatedMemory {
             if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
                 self.drop_location(entry, &old);
             }
-            let (stored, mut record) = self.prepare(entry, &data);
+            let (stored, mut record) = self.prepare(entry, data);
             let admitted = match qos {
                 Some(engine) if pref != TierPreference::Disk => matches!(
                     engine.admit_fast(tenant, stored.len() as u64),
@@ -1195,7 +1150,7 @@ impl DisaggregatedMemory {
                     record.location = match placed {
                         Ok(loc) => loc,
                         Err(_) => {
-                            self.disk.store(node, entry, stored.clone());
+                            self.disk.store(node, entry, stored);
                             EntryLocation::Disk
                         }
                     };
@@ -1226,9 +1181,9 @@ impl DisaggregatedMemory {
         if let Some(m) = self.managers.get(&node) {
             m.record_remote_escalation();
         }
-        let id_batch: Vec<(EntryId, Vec<u8>)> = remote_items
+        let id_batch: Vec<(EntryId, &[u8])> = remote_items
             .iter()
-            .map(|(k, d, _)| (EntryId::new(server, *k), d.clone()))
+            .map(|(k, d, _)| (EntryId::new(server, *k), d.as_slice()))
             .collect();
         let batch_bytes: u64 = remote_items.iter().map(|(_, d, _)| d.len() as u64).sum();
         let picked = self
@@ -1255,9 +1210,9 @@ impl DisaggregatedMemory {
                     .add(set.nodes.len() as u64);
             }
             None => {
-                let items: Vec<(EntryId, Vec<u8>)> = remote_items
-                    .iter()
-                    .map(|(k, d, _)| (EntryId::new(server, *k), d.clone()))
+                let items = remote_items
+                    .iter_mut()
+                    .map(|(k, d, _)| (EntryId::new(server, *k), std::mem::take(d)))
                     .collect();
                 self.disk.store_batch(node, items);
                 for (key, _, mut record) in remote_items {
@@ -2123,17 +2078,42 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected() {
-        // White-box: store raw (uncompressed) on disk, then flip bytes by
-        // re-storing via the disk tier directly.
+    fn raw_round_trips_stay_out_of_the_memo() {
+        // Compression off: a page-sized and a multi-page value, through
+        // put/get and put_batch/get_batch.
         let mut config = ClusterConfig::small();
         config.compression = CompressionMode::Off;
         let dm = DisaggregatedMemory::new(config).unwrap();
         let server = dm.servers()[0];
-        dm.put_pref(server, 1, vec![1u8; 64], TierPreference::Disk)
-            .unwrap();
-        dm.disk_tier()
-            .store(server.node(), EntryId::new(server, 1), vec![2u8; 64]);
-        assert!(matches!(dm.get(server, 1), Err(DmemError::Corrupt(_))));
+        dm.put(server, 1, vec![1u8; 4096]).unwrap();
+        dm.put_batch(
+            server,
+            vec![(2, vec![2u8; 4096]), (3, vec![3u8; 3 * 4096])],
+            TierPreference::Remote,
+        )
+        .unwrap();
+        assert_eq!(dm.get(server, 1).unwrap(), vec![1u8; 4096]);
+        assert_eq!(
+            dm.get_batch(server, &[2, 3]).unwrap(),
+            vec![vec![2u8; 4096], vec![3u8; 3 * 4096]]
+        );
+        assert_eq!(dm.compress_memo.lock().stats(), Default::default());
+        assert!(dm.compress_memo.lock().is_empty());
+
+        // Compression on: a multi-page value is raw and bypasses the
+        // memo; an incompressible page is offered to the codec once and
+        // read back by checksum, not through the decode memo.
+        let dm = system();
+        let server = dm.servers()[0];
+        let mut rng = DetRng::new(7);
+        let noise: Vec<u8> = (0..4096).map(|_| rng.below(256) as u8).collect();
+        dm.put(server, 1, vec![9u8; 2 * 4096]).unwrap();
+        dm.put(server, 2, noise.clone()).unwrap();
+        assert!(dm.record(server, 2).unwrap().class.is_none());
+        assert_eq!(dm.get(server, 1).unwrap(), vec![9u8; 2 * 4096]);
+        assert_eq!(dm.get(server, 2).unwrap(), noise);
+        let stats = dm.compress_memo.lock().stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        assert_eq!(stats.decompress_hits + stats.decompress_misses, 0);
     }
 }

@@ -2,7 +2,7 @@
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
 use dmem_sim::SimDuration;
-use dmem_types::{checksum, ByteSize, DmemResult, ServerId};
+use dmem_types::{fnv1a64, ByteSize, DmemResult, ServerId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ impl KvCache {
     }
 
     fn base_of(key: &str) -> u64 {
-        checksum(key.as_bytes()) >> chunked::CHUNK_BITS
+        fnv1a64(key.as_bytes()) >> chunked::CHUNK_BITS
     }
 
     fn frame(key: &str, value: &[u8], expires_at_ns: u64) -> Vec<u8> {
@@ -321,6 +321,14 @@ mod tests {
         let dm = Arc::new(DisaggregatedMemory::new(ClusterConfig::small()).unwrap());
         let server = dm.servers()[0];
         KvCache::new(dm, server, ByteSize::from_kib(hot_kib))
+    }
+
+    #[test]
+    fn key_to_chunk_base_is_pinned() {
+        // Where a key's chunks live in the demoted tier is FNV-1a of the
+        // key above the chunk-index bits. A moved mapping would orphan
+        // every demoted value, so it must not follow the integrity hash.
+        assert_eq!(KvCache::base_of("user:42"), 0x0006_c151_ea4d_cd22);
     }
 
     #[test]

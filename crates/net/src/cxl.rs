@@ -207,7 +207,9 @@ fn lines(bytes: usize) -> usize {
 
 struct Block {
     capacity: usize,
-    data: Vec<u8>,
+    /// `None` until the first store: a fresh block reads as `capacity`
+    /// zero bytes without anyone having written them.
+    data: Option<Vec<u8>>,
 }
 
 struct PoolNodeState {
@@ -361,7 +363,7 @@ impl CxlPool {
             addr.raw(),
             Block {
                 capacity: len,
-                data: vec![0; len],
+                data: None,
             },
         );
         self.metrics.counter("cxl.alloc.ops").inc();
@@ -423,8 +425,9 @@ impl CxlPool {
                     capacity: block.capacity as u64,
                 });
             }
-            block.data.clear();
-            block.data.extend_from_slice(data);
+            let held = block.data.get_or_insert_default();
+            held.clear();
+            held.extend_from_slice(data);
         }
         let elapsed = self.cost.store.transfer(lines(data.len().max(1)));
         self.clock.advance(elapsed);
@@ -446,7 +449,8 @@ impl CxlPool {
         let data = {
             let inner = self.inner.lock();
             Self::check(&inner, addr)?;
-            inner.blocks[&addr.raw()].data.clone()
+            let block = &inner.blocks[&addr.raw()];
+            block.data.clone().unwrap_or_else(|| vec![0; block.capacity])
         };
         span.tag("bytes", data.len() as u64);
         let elapsed = self.cost.load.transfer(lines(data.len().max(1)));
@@ -689,6 +693,14 @@ mod tests {
         assert!(elapsed.as_micros_f64() < 1.5, "cost {elapsed}");
         assert_eq!(pool.metrics().counter("cxl.load.ops").get(), 1);
         assert_eq!(pool.metrics().counter("cxl.store.bytes").get(), 200);
+    }
+
+    #[test]
+    fn fresh_block_loads_as_zeros() {
+        let (_, pool) = pool(2, 64);
+        let addr = pool.alloc(1, 200).unwrap();
+        assert_eq!(pool.load(addr).unwrap(), vec![0u8; 200]);
+        assert_eq!(pool.metrics().counter("cxl.load.bytes").get(), 200);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::faults::{FabricFault, FabricFaults, VerbOutcome};
 use dmem_sim::shard::{ShardId, ShardMap};
-use dmem_sim::{CostModel, FailureInjector, MetricsRegistry, SimClock, SimDuration, SimInstant};
+use dmem_sim::{
+    CostModel, Counter, FailureInjector, MetricsRegistry, SimClock, SimDuration, SimInstant,
+};
 use dmem_types::{ByteSize, DmemError, DmemResult, MrId, NodeId, QpId, TenantId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -198,6 +200,9 @@ pub struct Fabric {
     /// operations; per-tenant counters exist only while a scope is set,
     /// so QoS-disabled runs create no extra metric keys.
     tenant_scope: Arc<AtomicU64>,
+    /// `(ops, bytes)` counter handles per scoped tenant, resolved on the
+    /// tenant's first charged verb.
+    tenant_counters: Arc<Mutex<HashMap<u64, (Counter, Counter)>>>,
     /// Installed-at-most-once fault layer. Absent (the default), verbs
     /// run exactly as they always have: no extra RNG draws, clock
     /// advances or metric keys, so fault-free runs stay byte-identical.
@@ -229,6 +234,7 @@ impl Fabric {
             })),
             next_id: Arc::new(AtomicU64::new(1)),
             tenant_scope: Arc::new(AtomicU64::new(NO_TENANT)),
+            tenant_counters: Arc::new(Mutex::new(HashMap::new())),
             faults: Arc::new(OnceLock::new()),
             shard_router: Arc::new(OnceLock::new()),
         }
@@ -309,12 +315,15 @@ impl Fabric {
         if raw == NO_TENANT {
             return;
         }
-        self.metrics
-            .counter(&format!("net.tenant-{raw}.ops"))
-            .inc();
-        self.metrics
-            .counter(&format!("net.tenant-{raw}.bytes"))
-            .add(bytes);
+        let mut handles = self.tenant_counters.lock();
+        let (ops, moved) = handles.entry(raw).or_insert_with(|| {
+            (
+                self.metrics.counter(&format!("net.tenant-{raw}.ops")),
+                self.metrics.counter(&format!("net.tenant-{raw}.bytes")),
+            )
+        });
+        ops.inc();
+        moved.add(bytes);
     }
 
     /// The fabric's metrics registry (verb counts, bytes moved).

@@ -52,7 +52,7 @@ impl LocalDmc {
     /// Propagates [`NodeManager::put`] errors, notably
     /// [`dmem_types::DmemError::CapacityExhausted`] when the pool is full.
     pub fn put(&self, key: u64, data: Vec<u8>, class: SizeClass) -> DmemResult<()> {
-        self.manager.put(self.entry_id(key), data, class).map(|_| ())
+        self.manager.put(self.entry_id(key), &data, class).map(|_| ())
     }
 
     /// Reads the entry stored under `key`.

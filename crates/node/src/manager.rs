@@ -178,7 +178,7 @@ impl NodeManager {
     /// Returns [`DmemError::CapacityExhausted`] when the pool cannot fit
     /// the entry's class (the caller escalates to cluster level), or
     /// [`DmemError::InvalidConfig`] for payloads exceeding the class.
-    pub fn put(&self, entry: EntryId, data: Vec<u8>, class: SizeClass) -> DmemResult<BlockRef> {
+    pub fn put(&self, entry: EntryId, data: &[u8], class: SizeClass) -> DmemResult<BlockRef> {
         let mut inner = self.inner.lock();
         // Replace semantics: free any previous block first.
         if let Some(old) = inner.page_table.remove(&entry) {
@@ -189,7 +189,7 @@ impl NodeManager {
                 .map(|s| s.remove(&entry.key()));
         }
         let len = data.len();
-        match inner.pool.alloc(class, &data) {
+        match inner.pool.alloc(class, data) {
             Ok(block) => {
                 inner
                     .page_table
@@ -421,7 +421,7 @@ mod tests {
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         let e = entry(server(0), 1);
         let t0 = m.clock.now();
-        m.put(e, vec![9u8; 100], SizeClass::C512).unwrap();
+        m.put(e, &[9u8; 100], SizeClass::C512).unwrap();
         assert!(m.clock.now() > t0, "put charges shared-memory time");
         assert_eq!(m.get(e).unwrap(), vec![9u8; 100]);
         assert!(m.contains(e));
@@ -433,8 +433,8 @@ mod tests {
         let m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         let e = entry(server(0), 1);
-        m.put(e, vec![1u8; 10], SizeClass::C512).unwrap();
-        m.put(e, vec![2u8; 20], SizeClass::C1K).unwrap();
+        m.put(e, &[1u8; 10], SizeClass::C512).unwrap();
+        m.put(e, &[2u8; 20], SizeClass::C1K).unwrap();
         assert_eq!(m.get(e).unwrap(), vec![2u8; 20]);
         assert_eq!(m.stats().entries, 1);
     }
@@ -445,11 +445,11 @@ mod tests {
         // 16 KiB donation = one slab = four 4 KiB blocks.
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         for k in 0..4 {
-            m.put(entry(server(0), k), vec![0u8; 4096], SizeClass::C4K)
+            m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K)
                 .unwrap();
         }
         assert!(matches!(
-            m.put(entry(server(0), 99), vec![0u8; 4096], SizeClass::C4K),
+            m.put(entry(server(0), 99), &[0u8; 4096], SizeClass::C4K),
             Err(DmemError::CapacityExhausted { .. })
         ));
         assert_eq!(m.stats().overflows, 1);
@@ -460,7 +460,7 @@ mod tests {
         let m = manager();
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         let e = entry(server(0), 1);
-        m.put(e, vec![1u8; 4096], SizeClass::C4K).unwrap();
+        m.put(e, &[1u8; 4096], SizeClass::C4K).unwrap();
         m.delete(e).unwrap();
         assert!(!m.contains(e));
         assert!(matches!(m.get(e), Err(DmemError::EntryNotFound(_))));
@@ -473,10 +473,10 @@ mod tests {
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         m.register_server(server(1), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         for k in 0..3 {
-            m.put(entry(server(0), k), vec![0u8; 64], SizeClass::C512)
+            m.put(entry(server(0), k), &[0u8; 64], SizeClass::C512)
                 .unwrap();
         }
-        m.put(entry(server(1), 0), vec![1u8; 64], SizeClass::C512)
+        m.put(entry(server(1), 0), &[1u8; 64], SizeClass::C512)
             .unwrap();
         assert_eq!(m.deregister_server(server(0)), 3);
         assert!(!m.contains(entry(server(0), 0)));
@@ -489,7 +489,7 @@ mod tests {
     fn servers_cannot_read_each_others_entries_by_key() {
         let m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
-        m.put(entry(server(0), 7), vec![1u8; 8], SizeClass::C512)
+        m.put(entry(server(0), 7), &[1u8; 8], SizeClass::C512)
             .unwrap();
         // Same key, different owner: namespaced, not found.
         assert!(m.get(entry(server(1), 7)).is_err());
@@ -502,12 +502,12 @@ mod tests {
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         // Fill the pool, then overflow repeatedly.
         for k in 0..4 {
-            m.put(entry(server(0), k), vec![0u8; 4096], SizeClass::C4K)
+            m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K)
                 .unwrap();
         }
         assert_eq!(m.balloon_advice(server(0)), BalloonAdvice::Steady);
         for k in 100..104 {
-            let _ = m.put(entry(server(0), k), vec![0u8; 4096], SizeClass::C4K);
+            let _ = m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K);
         }
         assert_eq!(
             m.balloon_advice(server(0)),
@@ -550,11 +550,11 @@ mod tests {
 
         // Fill the pool and overflow past the advice threshold.
         for k in 0..4 {
-            m.put(entry(server(0), k), vec![0u8; 4096], SizeClass::C4K)
+            m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K)
                 .unwrap();
         }
         for k in 100..104 {
-            let _ = m.put(entry(server(0), k), vec![0u8; 4096], SizeClass::C4K);
+            let _ = m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K);
         }
         let before = m.capacity();
         let outcome = m.apply_recommendation(server(0), 0.05);

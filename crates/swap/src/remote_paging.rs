@@ -90,7 +90,7 @@ impl RemotePaging {
                 return Ok(());
             }
         };
-        match self.store.store(local, host, self.entry(pfn), data.to_vec()) {
+        match self.store.store(local, host, self.entry(pfn), data) {
             Ok(()) => {
                 self.on_remote.insert(pfn, host);
                 if self.store.fabric().faults_installed() {

@@ -28,7 +28,7 @@ mod ids;
 mod location;
 
 pub use bytesize::ByteSize;
-pub use checksum::checksum;
+pub use checksum::{checksum, fnv1a64};
 pub use config::{
     ClusterConfig, CompressionMode, CxlPoolConfig, DistributionRatio, DonationPolicy,
     NodeConfig, PlacementStrategy, ReplicationFactor, ServerConfig, SwapInMode,
