@@ -5,7 +5,7 @@
 //! HDD cost model to the shared virtual clock. Batched reads pay one seek.
 
 use dmem_sim::{CostModel, DeviceCost, SimClock};
-use dmem_types::{DmemError, DmemResult, EntryId, NodeId};
+use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -16,7 +16,23 @@ pub struct DiskTier {
     device: DeviceCost,
     /// Span category for this tier's device accesses ("disk", "nvm", …).
     label: &'static str,
-    disks: Mutex<HashMap<NodeId, HashMap<EntryId, Vec<u8>>>>,
+    disks: Mutex<HashMap<NodeId, NodeDisk>>,
+}
+
+/// One node's device: the payloads and their running byte total.
+#[derive(Default)]
+struct NodeDisk {
+    entries: HashMap<EntryId, Vec<u8>>,
+    bytes: u64,
+}
+
+impl NodeDisk {
+    fn insert(&mut self, entry: EntryId, data: Vec<u8>) {
+        self.bytes += data.len() as u64;
+        if let Some(old) = self.entries.insert(entry, data) {
+            self.bytes -= old.len() as u64;
+        }
+    }
 }
 
 impl DiskTier {
@@ -42,6 +58,40 @@ impl DiskTier {
             label,
             disks: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Bytes stored on `node`'s device.
+    pub(crate) fn used(&self, node: NodeId) -> ByteSize {
+        ByteSize::new(self.disks.lock().get(&node).map_or(0, |d| d.bytes))
+    }
+
+    /// [`DiskTier::store`] for a tier of `capacity` bytes per node: the
+    /// room is checked and taken under one lock, and a tier of zero
+    /// capacity — not installed — holds nothing, not even an empty entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmemError::CapacityExhausted`] when `data` does not fit.
+    pub(crate) fn try_store(
+        &self,
+        node: NodeId,
+        entry: EntryId,
+        data: &[u8],
+        capacity: ByteSize,
+    ) -> DmemResult<()> {
+        let mut disks = self.disks.lock();
+        let disk = disks.entry(node).or_default();
+        if capacity.is_zero() || disk.bytes + data.len() as u64 > capacity.as_u64() {
+            return Err(DmemError::CapacityExhausted {
+                pool: format!("{} on {node}", self.label),
+            });
+        }
+        disk.insert(entry, data.to_vec());
+        drop(disks);
+        let span = self.clock.tracer().span(self.label, "store");
+        span.tag("bytes", data.len());
+        self.clock.advance(self.device.transfer(data.len()));
+        Ok(())
     }
 
     /// Writes `data` for `entry` on `node`'s disk.
@@ -96,7 +146,7 @@ impl DiskTier {
         let disks = self.disks.lock();
         let data = disks
             .get(&node)
-            .and_then(|d| d.get(&entry))
+            .and_then(|d| d.entries.get(&entry))
             .cloned()
             .ok_or(DmemError::EntryNotFound(entry))?;
         drop(disks);
@@ -120,7 +170,7 @@ impl DiskTier {
         let mut total = 0usize;
         for e in entries {
             let data = disk
-                .and_then(|d| d.get(e))
+                .and_then(|d| d.entries.get(e))
                 .cloned()
                 .ok_or(DmemError::EntryNotFound(*e))?;
             total += data.len();
@@ -141,12 +191,13 @@ impl DiskTier {
     ///
     /// Returns [`DmemError::EntryNotFound`] if absent.
     pub fn delete(&self, node: NodeId, entry: EntryId) -> DmemResult<usize> {
-        self.disks
-            .lock()
-            .get_mut(&node)
-            .and_then(|d| d.remove(&entry))
-            .map(|data| data.len())
-            .ok_or(DmemError::EntryNotFound(entry))
+        let mut disks = self.disks.lock();
+        let disk = disks.get_mut(&node);
+        let disk = disk.ok_or(DmemError::EntryNotFound(entry))?;
+        let data = disk.entries.remove(&entry);
+        let data = data.ok_or(DmemError::EntryNotFound(entry))?;
+        disk.bytes -= data.len() as u64;
+        Ok(data.len())
     }
 
     /// `true` if the entry is on `node`'s disk.
@@ -154,12 +205,12 @@ impl DiskTier {
         self.disks
             .lock()
             .get(&node)
-            .is_some_and(|d| d.contains_key(&entry))
+            .is_some_and(|d| d.entries.contains_key(&entry))
     }
 
     /// Entries stored on `node`'s disk.
     pub fn len(&self, node: NodeId) -> usize {
-        self.disks.lock().get(&node).map(HashMap::len).unwrap_or(0)
+        self.disks.lock().get(&node).map_or(0, |d| d.entries.len())
     }
 
     /// `true` if `node`'s disk holds no entries.
@@ -228,6 +279,26 @@ mod tests {
         assert!(tier.contains(NodeId::new(0), entry(1)));
         assert!(!tier.contains(NodeId::new(1), entry(1)));
         assert!(tier.load(NodeId::new(1), entry(1)).is_err());
+    }
+
+    #[test]
+    fn bounded_tier_counts_bytes_in_and_out() {
+        let node = NodeId::new(0);
+        let (_, tier) = tier();
+        let cap = ByteSize::new(8);
+        tier.try_store(node, entry(1), &[1; 6], cap).unwrap();
+        assert!(matches!(
+            tier.try_store(node, entry(2), &[2; 3], cap),
+            Err(DmemError::CapacityExhausted { .. })
+        ));
+        // A replacement counts the new payload, not both.
+        tier.store(node, entry(1), vec![1; 2]);
+        assert_eq!(tier.used(node), ByteSize::new(2));
+        tier.try_store(node, entry(2), &[2; 6], cap).unwrap();
+        tier.delete(node, entry(1)).unwrap();
+        assert_eq!(tier.used(node), ByteSize::new(6));
+        assert_eq!(tier.used(NodeId::new(1)), ByteSize::ZERO);
+        assert!(tier.try_store(node, entry(3), &[], ByteSize::ZERO).is_err());
     }
 
     #[test]

@@ -33,6 +33,18 @@ impl MemoryMap {
         version
     }
 
+    /// Moves the entry under `key` to `location`, bumping the version
+    /// like an [`upsert`](Self::upsert) of the same record would.
+    /// Returns `false` (changing nothing) when `key` is not tracked.
+    pub(crate) fn set_location(&mut self, key: u64, location: EntryLocation) -> bool {
+        let Some(record) = self.entries.get_mut(&key) else {
+            return false;
+        };
+        record.location = location;
+        record.version += 1;
+        true
+    }
+
     /// Looks up the record for `key`.
     pub fn get(&self, key: u64) -> Option<&EntryRecord> {
         self.entries.get(&key)
@@ -137,6 +149,11 @@ mod tests {
         let v2 = map.upsert(1, record(EntryLocation::Disk));
         assert_eq!((v1, v2), (1, 2));
         assert_eq!(map.get(1).unwrap().version, 2);
+        assert!(map.set_location(1, EntryLocation::Nvm));
+        assert!(!map.set_location(2, EntryLocation::Nvm));
+        let moved = map.get(1).unwrap();
+        assert_eq!((moved.version, moved.location.is_nvm()), (3, true));
+        assert_eq!(map.len(), 1);
     }
 
     #[test]

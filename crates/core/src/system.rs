@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 pub enum TierPreference {
     /// Tier through shared memory → remote → disk (the paper's design).
     Auto,
-    /// Node shared memory only; error when the pool is full.
+    /// Node shared memory only; spills to disk when the pool is full.
     NodeShared,
     /// Local byte-addressable NVM (the §VI extension tier); spills to
     /// disk when the NVM pool is full or absent.
@@ -40,6 +40,42 @@ pub enum TierPreference {
     /// Remote cluster memory only (the FS-RDMA configuration of Fig. 8).
     Remote,
     /// Local disk only (the Linux-baseline path).
+    Disk,
+}
+
+/// A bounded tier a put can stop on. Disk is not a rung: it is where
+/// every walk ends when no rung took the entry.
+#[derive(Clone, Copy)]
+enum Rung {
+    Shared,
+    Cxl,
+    Nvm,
+    Remote,
+}
+
+impl TierPreference {
+    /// The rungs a put with this preference tries, fastest first (the
+    /// crate docs give the reason for each step of `Auto`'s order).
+    fn rungs(self) -> &'static [Rung] {
+        match self {
+            TierPreference::Auto => &[Rung::Shared, Rung::Cxl, Rung::Nvm, Rung::Remote],
+            TierPreference::NodeShared => &[Rung::Shared],
+            TierPreference::Nvm => &[Rung::Nvm],
+            TierPreference::Cxl => &[Rung::Cxl],
+            TierPreference::Remote => &[Rung::Remote],
+            TierPreference::Disk => &[],
+        }
+    }
+}
+
+/// Where [`DisaggregatedMemory::walk`] left an entry.
+enum Walk {
+    /// A local rung stored it.
+    Landed(EntryLocation),
+    /// It reached the remote rung, which the entry point runs itself:
+    /// one replicated write per `put_pref`, one window per `put_batch`.
+    Remote,
+    /// Denied by QoS, or no rung took it.
     Disk,
 }
 
@@ -80,7 +116,6 @@ pub struct DisaggregatedMemory {
     replicator: Replicator,
     disk: DiskTier,
     nvm: DiskTier,
-    nvm_used: Mutex<HashMap<NodeId, u64>>,
     /// The CXL memory pool, present only when `ClusterConfig::cxl`
     /// enables it — absent, no `cxl.*` metric keys exist and the tiering
     /// order is exactly the pre-CXL one.
@@ -186,7 +221,6 @@ impl DisaggregatedMemory {
             replicator,
             disk,
             nvm,
-            nvm_used: Mutex::new(HashMap::new()),
             cxl,
             codec,
             compress_memo: Mutex::new(CompressMemo::with_default_capacity()),
@@ -397,74 +431,41 @@ impl DisaggregatedMemory {
             return false;
         }
         self.disk.store(node, entry, bytes);
-        let mut maps = self.maps.lock();
-        if let Some(record) = maps
-            .get_mut(&server)
-            .and_then(|m| m.get(entry.key()))
-            .cloned()
-        {
-            let mut record = record;
-            record.location = EntryLocation::Disk;
-            if let Some(map) = maps.get_mut(&server) {
-                map.upsert(entry.key(), record);
-            }
+        if let Some(map) = self.maps.lock().get_mut(&server) {
+            map.set_location(entry.key(), EntryLocation::Disk);
         }
-        drop(maps);
         engine.note_dropped(victim.tenant, entry);
         self.metrics.counter("qos.evict.demotions").inc();
         true
     }
 
-    /// [`DisaggregatedMemory::try_shared`] plus the QoS priority-eviction
-    /// retry: when the pool is full and the engine can name a victim of
-    /// no higher priority than `tenant`, the victim is demoted to disk
-    /// and the put retried once.
-    fn try_shared_qos(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        node: NodeId,
-        entry: EntryId,
-        stored: &[u8],
-        record: &EntryRecord,
-    ) -> DmemResult<EntryLocation> {
-        let first = self.try_shared(node, entry, stored, record);
-        let Some(engine) = qos else {
-            return first;
-        };
-        if !matches!(&first, Err(DmemError::CapacityExhausted { .. })) {
-            return first;
-        }
-        let Some(victim) = engine.pick_victim(tenant, node, entry) else {
-            return first;
-        };
-        if !self.demote_victim(engine, &victim) {
-            return first;
-        }
-        engine.note_eviction(tenant, &victim);
-        self.try_shared(node, entry, stored, record).or(first)
-    }
-
-    /// Charges fast-tier residency for a landed put (no-op for disk, or
-    /// without an engine).
-    fn note_landed(
+    /// Records where a put landed: charges fast-tier residency (disk is
+    /// unmetered) and enters the record in the owner's memory map.
+    fn commit(
         &self,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         entry: EntryId,
-        stored_len: u64,
-        location: &EntryLocation,
+        mut record: EntryRecord,
+        location: EntryLocation,
     ) {
-        let Some(engine) = qos else { return };
         let node = entry.owner().node();
-        let tier = match location {
-            EntryLocation::NodeShared { .. } => ResidentTier::Shared(node),
-            EntryLocation::Nvm => ResidentTier::Nvm(node),
-            EntryLocation::Cxl { .. } => ResidentTier::Cxl,
-            EntryLocation::Remote { .. } => ResidentTier::Remote,
-            EntryLocation::Disk => return,
+        let tier = match &location {
+            EntryLocation::NodeShared { .. } => Some(ResidentTier::Shared(node)),
+            EntryLocation::Nvm => Some(ResidentTier::Nvm(node)),
+            EntryLocation::Cxl { .. } => Some(ResidentTier::Cxl),
+            EntryLocation::Remote { .. } => Some(ResidentTier::Remote),
+            EntryLocation::Disk => None,
         };
-        engine.note_fast_resident(tenant, entry, stored_len, tier);
+        if let (Some(engine), Some(tier)) = (qos, tier) {
+            engine.note_fast_resident(tenant, entry, record.stored_len, tier);
+        }
+        record.location = location;
+        self.maps
+            .lock()
+            .get_mut(&entry.owner())
+            .expect("server registered at construction")
+            .upsert(entry.key(), record);
     }
 
     /// The node manager of `node`.
@@ -495,7 +496,7 @@ impl DisaggregatedMemory {
 
     /// NVM bytes in use on `node`.
     pub fn nvm_used(&self, node: NodeId) -> ByteSize {
-        ByteSize::new(self.nvm_used.lock().get(&node).copied().unwrap_or(0))
+        self.nvm.used(node)
     }
 
     /// The CXL memory pool, present when `ClusterConfig::cxl` enables it.
@@ -544,11 +545,20 @@ impl DisaggregatedMemory {
         (server_key, entry.key())
     }
 
-    /// Turns a put's payload into its stored form and record. Raw
-    /// payloads (compression off, or longer than a page) are checksummed
-    /// once and moved through untouched; only pages the codec may shrink
-    /// go through the compress memo.
-    fn prepare(&self, entry: EntryId, data: Vec<u8>) -> (Vec<u8>, EntryRecord) {
+    /// The first half of every put: releases the previous incarnation
+    /// (replace semantics), then turns the payload into its stored form
+    /// and record. Raw payloads (compression off, or longer than a page)
+    /// are checksummed once and moved through untouched; only pages the
+    /// codec may shrink go through the compress memo.
+    fn begin_put(&self, entry: EntryId, data: Vec<u8>) -> (Vec<u8>, EntryRecord) {
+        let mut maps = self.maps.lock();
+        let old = maps
+            .get_mut(&entry.owner())
+            .and_then(|m| m.remove(entry.key()));
+        drop(maps);
+        if let Some(old) = old {
+            self.drop_location(entry, &old.location);
+        }
         let mut record = EntryRecord {
             location: EntryLocation::Disk, // placeholder, set by caller
             len: data.len() as u64,
@@ -604,13 +614,13 @@ impl DisaggregatedMemory {
             .map_err(|_| DmemError::Corrupt(entry))
     }
 
-    fn drop_location(&self, entry: EntryId, record: &EntryRecord) {
-        if let Some(engine) = self.qos.get() {
-            engine.note_dropped(engine.tenant_of(entry.owner()), entry);
-        }
-        match &record.location {
+    /// Releases everything `location` holds for `entry`.
+    fn drop_location(&self, entry: EntryId, location: &EntryLocation) {
+        self.release_local(entry, location);
+        let node = entry.owner().node();
+        match location {
             EntryLocation::NodeShared { .. } => {
-                if let Some(m) = self.managers.get(&entry.owner().node()) {
+                if let Some(m) = self.managers.get(&node) {
                     let _ = m.delete(entry);
                 }
             }
@@ -618,37 +628,85 @@ impl DisaggregatedMemory {
                 let set = dmem_cluster::ReplicaSet {
                     nodes: replicas.clone(),
                 };
-                self.replicator
-                    .delete_replicated(entry.owner().node(), entry, &set);
+                self.replicator.delete_replicated(node, entry, &set);
             }
+            _ => {}
+        }
+    }
+
+    /// Releases what only the memory map keeps track of: `entry`'s QoS
+    /// residency and whatever `location` holds on the devices attached to
+    /// the owner's node. Whoever drops a map record comes through here;
+    /// the shared pool and remote hosts index their own copies.
+    fn release_local(&self, entry: EntryId, location: &EntryLocation) {
+        if let Some(engine) = self.qos.get() {
+            engine.note_dropped(engine.tenant_of(entry.owner()), entry);
+        }
+        let node = entry.owner().node();
+        match location {
             EntryLocation::Nvm => {
-                let node = entry.owner().node();
-                if let Ok(freed) = self.nvm.delete(node, entry) {
-                    let mut used = self.nvm_used.lock();
-                    if let Some(u) = used.get_mut(&node) {
-                        *u = u.saturating_sub(freed as u64);
-                    }
-                }
+                let _ = self.nvm.delete(node, entry);
             }
             EntryLocation::Cxl { addr } => {
                 if let Some(pool) = &self.cxl {
                     let _ = pool.free(CxlAddr::from_raw(*addr));
                 }
                 // The write-behind shadow goes with it.
-                let _ = self.disk.delete(entry.owner().node(), entry);
+                let _ = self.disk.delete(node, entry);
             }
             EntryLocation::Disk => {
-                let _ = self.disk.delete(entry.owner().node(), entry);
+                let _ = self.disk.delete(node, entry);
+            }
+            EntryLocation::NodeShared { .. } | EntryLocation::Remote { .. } => {}
+        }
+    }
+
+    /// Walks `pref`'s rungs for one prepared entry, stopping on the first
+    /// local rung that stores it. This is the only place that knows which
+    /// tiers a preference may use and in which order.
+    fn walk(
+        &self,
+        qos: Option<&Arc<QosEngine>>,
+        tenant: TenantId,
+        pref: TierPreference,
+        entry: EntryId,
+        stored: &[u8],
+        record: &EntryRecord,
+    ) -> Walk {
+        let rungs = pref.rungs();
+        // QoS admission: over-quota and shed tenants degrade to disk
+        // instead of taking fast-tier space (graceful degradation, never
+        // a hard failure). A put with no rungs skips the check — the disk
+        // tier is unmetered.
+        if let (Some(engine), false) = (qos, rungs.is_empty()) {
+            let decision = engine.admit_fast(tenant, stored.len() as u64);
+            if !matches!(decision, AdmitDecision::Admit) {
+                return Walk::Disk;
             }
         }
+        let node = entry.owner().node();
+        for rung in rungs {
+            // Any error sends the entry down: a full pool, an entry too
+            // large for the shared pool's page-sized blocks, a tier that
+            // is not configured, a CXL pool node that is down.
+            let placed = match rung {
+                Rung::Shared => self.try_shared(qos, tenant, node, entry, stored, record),
+                Rung::Cxl => self.try_cxl(qos, tenant, node, entry, stored),
+                Rung::Nvm => self.try_nvm(node, entry, stored),
+                Rung::Remote => return Walk::Remote,
+            };
+            if let Ok(location) = placed {
+                return Walk::Landed(location);
+            }
+        }
+        Walk::Disk
     }
 
     /// Stores `data` under `(server, key)`, tiering automatically.
     ///
     /// # Errors
     ///
-    /// Returns [`DmemError::ServerUnavailable`] if the owner is down, and
-    /// any error of the last tier tried.
+    /// Returns [`DmemError::ServerUnavailable`] if the owner is down.
     pub fn put(&self, server: ServerId, key: u64, data: Vec<u8>) -> DmemResult<()> {
         self.put_pref(server, key, data, TierPreference::Auto)
     }
@@ -658,9 +716,9 @@ impl DisaggregatedMemory {
     ///
     /// # Errors
     ///
-    /// See [`DisaggregatedMemory::put`]; non-`Auto` preferences fail
-    /// without falling through to another tier, except `NodeShared`/
-    /// `Remote` which spill to disk as the paper's last resort.
+    /// Returns [`DmemError::ServerUnavailable`] if the owner is down.
+    /// Placement cannot fail: every preference ends on the owner's disk,
+    /// the paper's last resort.
     pub fn put_pref(
         &self,
         server: ServerId,
@@ -674,61 +732,18 @@ impl DisaggregatedMemory {
         let span = self.clock.tracer().span("core", "put");
         let t0 = self.clock.now();
         let entry = EntryId::new(server, key);
-        // Replace semantics: release the previous incarnation.
-        if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
-            self.drop_location(entry, &old);
-        }
-        let (stored, mut record) = self.prepare(entry, data);
+        let (stored, record) = self.begin_put(entry, data);
         let node = server.node();
-        let stored_len = stored.len() as u64;
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        // QoS admission: over-quota and shed tenants degrade to disk
-        // instead of taking fast-tier space (graceful degradation, never
-        // a hard failure). Disk-preference puts skip the check — the disk
-        // tier is unmetered.
-        let admitted = match qos {
-            Some(engine) if pref != TierPreference::Disk => {
-                matches!(engine.admit_fast(tenant, stored_len), AdmitDecision::Admit)
-            }
-            _ => true,
-        };
-
-        let remote = || {
-            self.metered(qos, tenant, stored_len, || {
-                self.try_remote(node, entry, &stored)
-            })
-        };
-        let placed = match pref {
-            _ if !admitted => None,
-            TierPreference::Disk => None,
-            TierPreference::NodeShared => {
-                match self.try_shared_qos(qos, tenant, node, entry, &stored, &record) {
-                    Ok(loc) => Some(loc),
-                    // NodeShared preference spills to disk (paper: swap
-                    // to hard drive when no disaggregated memory). Both
-                    // a full pool and an entry too large for the pool's
-                    // page-sized blocks take that path.
-                    Err(DmemError::CapacityExhausted { .. } | DmemError::Unsupported { .. }) => {
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            TierPreference::Nvm => self.try_nvm(node, entry, &stored).ok(),
-            TierPreference::Cxl => self.try_cxl(qos, tenant, node, entry, &stored).ok(),
-            TierPreference::Remote => remote().ok(),
-            // Auto walks down the hierarchy: past the node the CXL pool
-            // (when configured) is the first stop — cacheline far memory
-            // one switch hop away — then local NVM absorbs overflow
-            // before the network, then remote memory in the owner's
-            // group, then disk.
-            TierPreference::Auto => self
-                .try_shared_qos(qos, tenant, node, entry, &stored, &record)
-                .or_else(|_| self.try_cxl(qos, tenant, node, entry, &stored))
-                .or_else(|_| self.try_nvm(node, entry, &stored))
-                .or_else(|_| remote())
+        let placed = match self.walk(qos, tenant, pref, entry, &stored, &record) {
+            Walk::Landed(location) => Some(location),
+            Walk::Remote => self
+                .metered(qos, tenant, stored.len() as u64, || {
+                    self.try_remote(node, entry, &stored)
+                })
                 .ok(),
+            Walk::Disk => None,
         };
         // Every tier above copied what it kept, so the last resort takes
         // the buffer itself.
@@ -741,39 +756,43 @@ impl DisaggregatedMemory {
         self.metrics
             .histogram("core.put.ns")
             .record((self.clock.now() - t0).as_nanos());
-        self.note_landed(qos, tenant, entry, stored_len, &location);
-        record.location = location;
-        self.maps
-            .lock()
-            .get_mut(&server)
-            .expect("server registered at construction")
-            .upsert(key, record);
+        self.commit(qos, tenant, entry, record, location);
         Ok(())
     }
 
+    /// Places `entry` in the owner node's shared pool. With a QoS engine,
+    /// a full pool gets one more chance: when the engine can name a
+    /// victim of lower priority than `tenant`, the victim is demoted to
+    /// disk and the put retried once.
     fn try_shared(
         &self,
+        qos: Option<&Arc<QosEngine>>,
+        tenant: TenantId,
         node: NodeId,
         entry: EntryId,
         stored: &[u8],
         record: &EntryRecord,
     ) -> DmemResult<EntryLocation> {
-        if stored.len() > PAGE_SIZE {
-            return Err(DmemError::Unsupported {
-                op: "multi-page entries in the node shared pool".into(),
-            });
-        }
         let class = record
             .class
             .or_else(|| dmem_types::SizeClass::fitting(stored.len()))
-            .ok_or(DmemError::Unsupported {
-                op: "oversized page".into(),
+            .ok_or_else(|| DmemError::Unsupported {
+                op: "multi-page entries in the node shared pool".into(),
             })?;
         let manager = self
             .managers
             .get(&node)
             .ok_or(DmemError::NodeUnavailable(node))?;
-        let block = manager.put(entry, stored, class)?;
+        let mut placed = manager.put(entry, stored, class);
+        if let (Some(engine), Err(DmemError::CapacityExhausted { .. })) = (qos, &placed) {
+            if let Some(victim) = engine.pick_victim(tenant, node, entry) {
+                if self.demote_victim(engine, &victim) {
+                    engine.note_eviction(tenant, &victim);
+                    placed = manager.put(entry, stored, class).or(placed);
+                }
+            }
+        }
+        let block = placed?;
         self.metrics.counter("core.put.shared").inc();
         Ok(EntryLocation::NodeShared {
             slab: block.slab,
@@ -782,23 +801,8 @@ impl DisaggregatedMemory {
     }
 
     fn try_nvm(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
-        let capacity = self.config.node.nvm_pool.as_u64();
-        if capacity == 0 {
-            return Err(DmemError::Unsupported {
-                op: "nvm tier not configured".into(),
-            });
-        }
-        {
-            let mut used = self.nvm_used.lock();
-            let u = used.entry(node).or_insert(0);
-            if *u + stored.len() as u64 > capacity {
-                return Err(DmemError::CapacityExhausted {
-                    pool: format!("nvm on {node}"),
-                });
-            }
-            *u += stored.len() as u64;
-        }
-        self.nvm.store(node, entry, stored.to_vec());
+        self.nvm
+            .try_store(node, entry, stored, self.config.node.nvm_pool)?;
         self.metrics.counter("core.put.nvm").inc();
         Ok(EntryLocation::Nvm)
     }
@@ -868,10 +872,7 @@ impl DisaggregatedMemory {
     pub fn get(&self, server: ServerId, key: u64) -> DmemResult<Vec<u8>> {
         let entry = EntryId::new(server, key);
         let record = self
-            .maps
-            .lock()
-            .get(&server)
-            .and_then(|m| m.get(key).cloned())
+            .record(server, key)
             .ok_or(DmemError::EntryNotFound(entry))?;
         self.read_entry(entry, &record)
     }
@@ -1039,140 +1040,30 @@ impl DisaggregatedMemory {
         let node = server.node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        let mut remote_items: Vec<(u64, Vec<u8>, EntryRecord)> = Vec::new();
+        // Entries that reached the remote rung, held for one shared window.
+        let mut window: Vec<(EntryId, Vec<u8>, EntryRecord)> = Vec::new();
         for (key, data) in batch {
             let entry = EntryId::new(server, key);
-            if let Some(old) = self.maps.lock().get_mut(&server).and_then(|m| m.remove(key)) {
-                self.drop_location(entry, &old);
-            }
-            let (stored, mut record) = self.prepare(entry, data);
-            let admitted = match qos {
-                Some(engine) if pref != TierPreference::Disk => matches!(
-                    engine.admit_fast(tenant, stored.len() as u64),
-                    AdmitDecision::Admit
-                ),
-                _ => true,
-            };
-            if !admitted {
-                // QoS denial: degrade this entry to disk, same terminal
-                // tier as the batch's own last-resort path.
-                record.location = EntryLocation::Disk;
-                self.disk.store(node, entry, stored);
-                self.maps
-                    .lock()
-                    .get_mut(&server)
-                    .expect("registered")
-                    .upsert(key, record);
-                continue;
-            }
-            match pref {
-                TierPreference::Auto | TierPreference::NodeShared => {
-                    match self.try_shared_qos(qos, tenant, node, entry, &stored, &record) {
-                        Ok(loc) => {
-                            record.location = loc;
-                            self.note_landed(
-                                qos,
-                                tenant,
-                                entry,
-                                record.stored_len,
-                                &record.location,
-                            );
-                            self.maps
-                                .lock()
-                                .get_mut(&server)
-                                .expect("registered")
-                                .upsert(key, record);
-                        }
-                        Err(_) if pref == TierPreference::Auto => {
-                            // The CXL pool, then local NVM, absorb Auto
-                            // overflow before the network (no batching
-                            // needed: neither pays a per-verb base).
-                            if let Ok(loc) = self
-                                .try_cxl(qos, tenant, node, entry, &stored)
-                                .or_else(|_| self.try_nvm(node, entry, &stored))
-                            {
-                                record.location = loc;
-                                self.note_landed(
-                                    qos,
-                                    tenant,
-                                    entry,
-                                    record.stored_len,
-                                    &record.location,
-                                );
-                                self.maps
-                                    .lock()
-                                    .get_mut(&server)
-                                    .expect("registered")
-                                    .upsert(key, record);
-                            } else {
-                                // Reserve residency now: later entries in
-                                // this batch are admitted against a quota
-                                // that already includes this one.
-                                if let Some(engine) = qos {
-                                    engine.note_fast_resident(
-                                        tenant,
-                                        entry,
-                                        record.stored_len,
-                                        ResidentTier::Remote,
-                                    );
-                                }
-                                remote_items.push((key, stored, record));
-                            }
-                        }
-                        Err(_) => {
-                            record.location = EntryLocation::Disk;
-                            self.disk.store(node, entry, stored);
-                            self.maps
-                                .lock()
-                                .get_mut(&server)
-                                .expect("registered")
-                                .upsert(key, record);
-                        }
-                    }
-                }
-                TierPreference::Remote => {
+            let (stored, record) = self.begin_put(entry, data);
+            match self.walk(qos, tenant, pref, entry, &stored, &record) {
+                Walk::Landed(location) => self.commit(qos, tenant, entry, record, location),
+                Walk::Remote => {
+                    // Reserve residency now: later entries in this batch
+                    // are admitted against a quota that already includes
+                    // this one.
                     if let Some(engine) = qos {
-                        engine.note_fast_resident(
-                            tenant,
-                            entry,
-                            record.stored_len,
-                            ResidentTier::Remote,
-                        );
+                        let len = record.stored_len;
+                        engine.note_fast_resident(tenant, entry, len, ResidentTier::Remote);
                     }
-                    remote_items.push((key, stored, record));
+                    window.push((entry, stored, record));
                 }
-                TierPreference::Nvm | TierPreference::Cxl => {
-                    let placed = if pref == TierPreference::Nvm {
-                        self.try_nvm(node, entry, &stored)
-                    } else {
-                        self.try_cxl(qos, tenant, node, entry, &stored)
-                    };
-                    record.location = match placed {
-                        Ok(loc) => loc,
-                        Err(_) => {
-                            self.disk.store(node, entry, stored);
-                            EntryLocation::Disk
-                        }
-                    };
-                    self.note_landed(qos, tenant, entry, record.stored_len, &record.location);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
-                }
-                TierPreference::Disk => {
-                    record.location = EntryLocation::Disk;
+                Walk::Disk => {
                     self.disk.store(node, entry, stored);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
+                    self.commit(qos, tenant, entry, record, EntryLocation::Disk);
                 }
             }
         }
-        if remote_items.is_empty() {
+        if window.is_empty() {
             return Ok(());
         }
         // One replica set for the whole window; one batched RDMA write per
@@ -1181,52 +1072,38 @@ impl DisaggregatedMemory {
         if let Some(m) = self.managers.get(&node) {
             m.record_remote_escalation();
         }
-        let id_batch: Vec<(EntryId, &[u8])> = remote_items
-            .iter()
-            .map(|(k, d, _)| (EntryId::new(server, *k), d.as_slice()))
-            .collect();
-        let batch_bytes: u64 = remote_items.iter().map(|(_, d, _)| d.len() as u64).sum();
-        let picked = self
-            .metered(qos, tenant, batch_bytes, || {
-                self.replicator.store_batch_replicated(node, &id_batch, &peers)
-            })
-            .ok();
+        let id_batch: Vec<(EntryId, &[u8])> =
+            window.iter().map(|(e, d, _)| (*e, d.as_slice())).collect();
+        let batch_bytes: u64 = window.iter().map(|(_, d, _)| d.len() as u64).sum();
+        let picked = self.metered(qos, tenant, batch_bytes, || {
+            self.replicator
+                .store_batch_replicated(node, &id_batch, &peers)
+        });
         match picked {
-            Some(set) => {
-                for (key, _, mut record) in remote_items {
-                    record.location = EntryLocation::Remote {
+            Ok(set) => {
+                for (entry, _, record) in window {
+                    let location = EntryLocation::Remote {
                         replicas: set.nodes.clone(),
                     };
-                    let entry = EntryId::new(server, key);
-                    self.note_landed(qos, tenant, entry, record.stored_len, &record.location);
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
+                    self.commit(qos, tenant, entry, record, location);
                 }
                 self.metrics
                     .counter("core.put.remote_batched")
                     .add(set.nodes.len() as u64);
             }
-            None => {
-                let items = remote_items
-                    .iter_mut()
-                    .map(|(k, d, _)| (EntryId::new(server, *k), std::mem::take(d)))
-                    .collect();
+            Err(_) => {
+                let (items, records): (Vec<_>, Vec<_>) = window
+                    .into_iter()
+                    .map(|(entry, stored, record)| ((entry, stored), (entry, record)))
+                    .unzip();
                 self.disk.store_batch(node, items);
-                for (key, _, mut record) in remote_items {
+                for (entry, record) in records {
                     // Credit the residency reserved at admission: the
                     // window fell through to disk, an unmetered tier.
                     if let Some(engine) = qos {
-                        engine.note_dropped(tenant, EntryId::new(server, key));
+                        engine.note_dropped(tenant, entry);
                     }
-                    record.location = EntryLocation::Disk;
-                    self.maps
-                        .lock()
-                        .get_mut(&server)
-                        .expect("registered")
-                        .upsert(key, record);
+                    self.commit(qos, tenant, entry, record, EntryLocation::Disk);
                 }
             }
         }
@@ -1246,7 +1123,7 @@ impl DisaggregatedMemory {
             .get_mut(&server)
             .and_then(|m| m.remove(key))
             .ok_or(DmemError::EntryNotFound(entry))?;
-        self.drop_location(entry, &record);
+        self.drop_location(entry, &record.location);
         Ok(())
     }
 
@@ -1302,40 +1179,22 @@ impl DisaggregatedMemory {
     /// returning how many entries were re-replicated.
     pub fn repair_replicas(&self) -> usize {
         let span = self.clock.tracer().span("cluster", "repair");
-        let mut snapshot: Vec<(ServerId, u64, Vec<NodeId>)> = {
-            let maps = self.maps.lock();
-            maps.iter()
-                .flat_map(|(server, map)| {
-                    map.iter().filter_map(move |(key, record)| {
-                        match &record.location {
-                            EntryLocation::Remote { replicas } => {
-                                Some((*server, key, replicas.clone()))
-                            }
-                            _ => None,
-                        }
-                    })
-                })
-                .collect()
-        };
-        // Repair in (server, key) order: the snapshot above walks two
-        // `HashMap`s, and repair order feeds the placement RNG and every
-        // host's allocator, so map order would make all downstream
-        // placement — and the per-seed metrics digest — vary run-to-run.
-        snapshot.sort_unstable_by_key(|(server, key, _)| (*server, *key));
         let mut repaired = 0;
-        for (server, key, replicas) in snapshot {
+        // The snapshot's (server, key) order matters: repair order feeds
+        // the placement RNG and every host's allocator, so `HashMap` order
+        // would make all downstream placement — and the per-seed metrics
+        // digest — vary run-to-run.
+        for (server, key, record) in self.entries_snapshot() {
+            let EntryLocation::Remote { replicas } = record.location else {
+                continue;
+            };
             let entry = EntryId::new(server, key);
             let set = dmem_cluster::ReplicaSet { nodes: replicas };
             if self.replicator.live_degree(entry, &set) < self.replicator.factor().get() {
                 if let Ok(new_set) = self.replicator.re_replicate(server.node(), entry, &set) {
-                    let mut maps = self.maps.lock();
-                    if let Some(map) = maps.get_mut(&server) {
-                        if let Some(record) = map.get(key).cloned() {
-                            let mut record = record;
-                            record.location = EntryLocation::Remote {
-                                replicas: new_set.nodes,
-                            };
-                            map.upsert(key, record);
+                    let replicas = new_set.nodes;
+                    if let Some(map) = self.maps.lock().get_mut(&server) {
+                        if map.set_location(key, EntryLocation::Remote { replicas }) {
                             repaired += 1;
                         }
                     }
@@ -1400,26 +1259,13 @@ impl DisaggregatedMemory {
         for (&server, map) in maps.iter_mut() {
             if server.node() == node {
                 purged += map.len();
-                // Release the restarted servers' CXL blocks (and their
-                // disk shadows): the maps are cleared wholesale below,
-                // bypassing `drop_location`, and leaked blocks would eat
-                // pool capacity forever.
-                if let Some(pool) = &self.cxl {
-                    for (key, record) in map.iter() {
-                        if let EntryLocation::Cxl { addr } = record.location {
-                            let _ = pool.free(CxlAddr::from_raw(addr));
-                            let _ = self.disk.delete(node, EntryId::new(server, key));
-                        }
-                    }
-                }
-                if let Some(engine) = self.qos.get() {
-                    // The maps are cleared wholesale below, bypassing
-                    // `drop_location`; credit residency entry by entry so
-                    // quota accounting survives the crash.
-                    let tenant = engine.tenant_of(server);
-                    for (key, _) in map.iter() {
-                        engine.note_dropped(tenant, EntryId::new(server, key));
-                    }
+                // The map is cleared wholesale below, so release what
+                // only it tracks entry by entry first: leaked quota, NVM
+                // bytes or CXL blocks would eat capacity forever. The
+                // shared pool goes with `deregister_server`; replicas on
+                // peer hosts stay (ROADMAP item 4).
+                for (key, record) in map.iter() {
+                    self.release_local(EntryId::new(server, key), &record.location);
                 }
                 *map = MemoryMap::new();
                 if let Some(m) = self.managers.get(&node) {
