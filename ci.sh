@@ -109,11 +109,12 @@ step "fig4_rack timeline (workers 1 vs 4 + golden CSV)" sh -c '
 '
 
 # Rack perf smoke: wall-clock at 1 vs 4 workers against the committed
-# baseline (3x tolerance). On a 4+ core machine the binary additionally
+# ledger results/BENCH_rack.json (3x tolerance; --check writes
+# nothing). On a 4+ core machine the binary additionally
 # enforces the >= 2x parallel-speedup acceptance gate; on smaller
 # machines it prints a skip note and still checks the regression bound.
 step "fig4_rack perf smoke (speedup gate + 3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --perf --check results/BENCH_rack_baseline.json
+    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --perf --check
 
 # QoS isolation smoke: the reduced ext_qos sweep must be byte-identical
 # to the committed golden CSV (virtual-clock determinism) and its
@@ -142,9 +143,9 @@ step "ext_llm_serving smoke (golden CSV)" sh -c '
 '
 
 # LLM serving perf smoke: wall-clock of the three engines against the
-# committed baseline with the same gross 3x tolerance as perf.rs.
+# committed ledger results/BENCH_llm.json, same gross 3x tolerance.
 step "ext_llm_serving perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_llm_serving -- --perf --check results/BENCH_llm_baseline.json
+    cargo run --release --quiet -p dmem-bench --bin ext_llm_serving -- --perf --check
 
 # Object-allocator smoke: the reduced granularity sweep must be
 # byte-identical to the committed golden CSV, and the binary
@@ -157,9 +158,9 @@ step "ext_obj_alloc smoke (golden CSV + 10x gate)" sh -c '
 '
 
 # Object-allocator perf smoke: wall-clock of both granularities against
-# the committed baseline with the same gross 3x tolerance as perf.rs.
+# the committed ledger results/BENCH_alloc.json, same 3x tolerance.
 step "ext_obj_alloc perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_obj_alloc -- --perf --check results/BENCH_alloc_baseline.json
+    cargo run --release --quiet -p dmem-bench --bin ext_obj_alloc -- --perf --check
 
 # Crossover smoke: the reduced RDMA/CXL/NVM sweep must be byte-identical
 # to the committed golden CSV, and the binary self-asserts the §VI
@@ -171,9 +172,10 @@ step "ext_crossover smoke (golden CSV + three-way gate)" sh -c '
 '
 
 # Crossover perf smoke: wall-clock of the page-granularity column on all
-# three transports against the committed baseline, same 3x tolerance.
+# three transports against the committed ledger results/BENCH_cxl.json,
+# same 3x tolerance.
 step "ext_crossover perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_crossover -- --perf --check results/BENCH_cxl_baseline.json
+    cargo run --release --quiet -p dmem-bench --bin ext_crossover -- --perf --check
 
 # The chaos sweep with the CXL pool tier armed: pool-node outage windows
 # and remote atomics on every seed, judged by the shadow-read and
@@ -188,43 +190,6 @@ step "cxl chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
     diff target/chaos_cxl_a.txt target/chaos_cxl_b.txt
 '
 
-# dmem_top --cxl: the CXL pool report is pinned byte-for-byte by the
-# dmem_top_cxl_golden test; regenerate the fixture here so drift shows
-# up as a git diff in CI logs too.
-step "dmem_top --cxl (golden report)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin dmem_top -- --cxl \
-        > results/dmem_top_cxl.txt
-    git diff --exit-code -- results/dmem_top_cxl.txt
-'
-
-# dmem_top --alloc: the object-allocator report is pinned byte-for-byte
-# by the dmem_top_alloc_golden test; regenerate the fixture here so
-# drift shows up as a git diff in CI logs too.
-step "dmem_top --alloc (golden report)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin dmem_top -- --alloc \
-        > results/dmem_top_alloc.txt
-    git diff --exit-code -- results/dmem_top_alloc.txt
-'
-
-# dmem_top --kv: the tiered-KV occupancy report is pinned byte-for-byte
-# by the dmem_top_kv_golden test; regenerate the fixture here so drift
-# shows up as a git diff in CI logs too.
-step "dmem_top --kv (golden report)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin dmem_top -- --kv \
-        > results/dmem_top_kv.txt
-    git diff --exit-code -- results/dmem_top_kv.txt
-'
-
-# dmem_top --all: the combined one-pass report (traced qos + tiered KV +
-# rack timeline sparklines + chaos alert log + allocator + CXL pool) is
-# pinned byte-for-byte by the dmem_top_all_golden test; regenerate here
-# so drift shows in CI logs.
-step "dmem_top --all (golden report)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin dmem_top -- --all \
-        > results/dmem_top_all.txt
-    git diff --exit-code -- results/dmem_top_all.txt
-'
-
 # Traced fig4: one telemetry-enabled pass exporting a Chrome-trace JSON,
 # then validate the artifact (parses, trace-event shaped, spans from >= 4
 # simulation layers). Guards the zero-cost-when-disabled contract's other
@@ -237,10 +202,11 @@ step "traced fig4 + trace check" sh -c '
 '
 
 # Perf smoke: quick variants of the three wall-clock scenarios, compared
-# against the checked-in baseline with a 3x tolerance — catches gross
-# algorithmic regressions, not percent-level noise.
+# against the committed quick-mode ledger results/BENCH_perf_quick.json
+# with a 3x tolerance — catches gross algorithmic regressions, not
+# percent-level noise.
 step "perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin perf -- --quick --check results/BENCH_perf_baseline.json
+    cargo run --release --quiet -p dmem-bench --bin perf -- --quick --check
 
 # The two-clock benchmark is a package of its own outside the workspace,
 # so nothing above compiles it: an API change in core/net/cluster could
@@ -257,5 +223,11 @@ step "benchmark quick runs (correct, 0 failed)" sh -c '
         grep -q "\"failed\": 0," target/bench_quick.json
     done
 '
+
+# Every step above either writes only ignored files or regenerates a
+# committed golden byte-for-byte (the dmem_top reports are pinned by the
+# dmem_top_golden test inside `cargo test`), and the perf checks write
+# nothing: a green gate leaves results/ exactly as committed.
+step "results/ unchanged" git diff --exit-code -- results/
 
 echo "==> ci.sh: all green"

@@ -18,35 +18,40 @@
 //! digest. Without the flag the report is byte-identical to the plain
 //! tool.
 //!
-//! `--kv` instead reports on the tiered LLM KV-cache engine: it serves
+//! The remaining flags each name one more report section. Any
+//! combination may be given; requested sections print in the order
+//! below, separated by a blank line, and replace the plain default
+//! report (pass `--qos` as well to keep the fig4 section in front).
+//!
+//! `--kv` reports on the tiered LLM KV-cache engine: it serves
 //! a deterministic conversation stream through `TieredKvEngine` and
 //! prints per-tier KV occupancy (conversations and bytes in local,
 //! remote and disk, plus the prefix cache), serving counters, the
 //! prefix-hit rate and the demotion digest. Byte-identical across
 //! machines and reruns; pinned by `results/dmem_top_kv.txt`.
 //!
-//! `--timeline` instead prints the rack smoke scenario's merged
+//! `--timeline` prints the rack smoke scenario's merged
 //! per-window metric timeline as sparkline rows (one per counter /
 //! histogram series) — `top`'s history strip for the virtual rack.
 //!
-//! `--alerts` instead replays a chaos `--faults` seed and prints the
+//! `--alerts` replays a chaos `--faults` seed and prints the
 //! deterministic alert log: burn-rate / retry-storm / suspect-churn
 //! firing and resolved edges with their FNV digest.
 //!
-//! `--alloc` instead replays one deterministic object-heap schedule at
+//! `--alloc` replays one deterministic object-heap schedule at
 //! both backing granularities and prints the allocator's amplification
 //! and fragmentation accounting plus the armed `alloc.*` counter
 //! family — `top` for the far-memory heap. Pinned byte-for-byte by
 //! `results/dmem_top_alloc.txt`.
 //!
-//! `--cxl` instead drives one deterministic schedule through the CXL
+//! `--cxl` drives one deterministic schedule through the CXL
 //! pooled-memory tier — PGAS puts, remote fetch-add/CAS cells, a
 //! pool-node outage window replayed against the disk shadow — and
 //! prints per-pool-node occupancy, the atomic cells, and the armed
 //! `cxl.*` counter family. Pinned byte-for-byte by
 //! `results/dmem_top_cxl.txt`.
 //!
-//! `--all` runs every section in one pass — qos report, KV report,
+//! `--all` is every flag above at once — qos report, KV report,
 //! timeline, alerts, allocator, CXL pool — and is pinned byte-for-byte
 //! by `results/dmem_top_all.txt`.
 //!
@@ -620,40 +625,30 @@ fn main() -> ExitCode {
             }
         };
     }
-    let qos = args.iter().any(|a| a == "--qos");
-    let kv = args.iter().any(|a| a == "--kv");
-    let timeline = args.iter().any(|a| a == "--timeline");
-    let alerts = args.iter().any(|a| a == "--alerts");
-    let alloc = args.iter().any(|a| a == "--alloc");
-    let cxl = args.iter().any(|a| a == "--cxl");
-    let all = args.iter().any(|a| a == "--all");
-    let telemetry = TelemetryArgs::parse(args.into_iter());
-    let report = if all {
-        // One pass over every section; each is independently
-        // deterministic, so the concatenation is too (pinned by
-        // results/dmem_top_all.txt).
-        [
-            run_report(&telemetry, true),
-            run_kv_report(),
-            run_timeline_report(),
-            run_alerts_report(),
-            run_alloc_report(),
-            run_cxl_report(),
-        ]
-        .join("\n")
-    } else if timeline {
-        run_timeline_report()
-    } else if alerts {
-        run_alerts_report()
-    } else if alloc {
-        run_alloc_report()
-    } else if cxl {
-        run_cxl_report()
-    } else if kv {
-        run_kv_report()
-    } else {
-        run_report(&telemetry, qos)
-    };
+    // One ordered table of report sections. `--all` is every flag set;
+    // with no section flag the report is the plain (tenant-less) base
+    // report. Each section is independently deterministic, so any
+    // concatenation is too (`--all` is pinned by results/dmem_top_all.txt).
+    type Section = fn(&TelemetryArgs) -> String;
+    const SECTIONS: [(&str, Section); 6] = [
+        ("--qos", |telemetry| run_report(telemetry, true)),
+        ("--kv", |_| run_kv_report()),
+        ("--timeline", |_| run_timeline_report()),
+        ("--alerts", |_| run_alerts_report()),
+        ("--alloc", |_| run_alloc_report()),
+        ("--cxl", |_| run_cxl_report()),
+    ];
+    let requested = |flag: &str| args.iter().any(|a| a == flag || a == "--all");
+    let telemetry = TelemetryArgs::parse(args.iter().cloned());
+    let mut sections: Vec<String> = SECTIONS
+        .iter()
+        .filter(|(flag, _)| requested(flag))
+        .map(|(_, section)| section(&telemetry))
+        .collect();
+    if sections.is_empty() {
+        sections.push(run_report(&telemetry, false));
+    }
+    let report = sections.join("\n");
     print!("{report}");
     telemetry.write_metrics(&report);
     ExitCode::SUCCESS

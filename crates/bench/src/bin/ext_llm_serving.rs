@@ -29,12 +29,13 @@
 //!   `results/ext_llm_serving_smoke.csv`; both modes self-assert the
 //!   acceptance bound (tiered p99 TTFT ≥ 5x better than disk-offload at
 //!   the largest session count) and exit nonzero on failure;
-//! * `--perf [--check BASELINE]` — wall-clock of the three engines at a
-//!   fixed scale, written to `results/BENCH_llm.json`; with `--check`,
-//!   fail on a > 3x regression against the committed baseline.
+//! * `--perf [--check]` — wall-clock of the three engines at a fixed
+//!   scale, recorded as `results/BENCH_llm.json`; with `--check`, fail
+//!   on a > 3x regression against that committed ledger instead.
 //!
 //! Run with: `cargo run --release -p dmem-bench --bin ext_llm_serving`
 
+use dmem_bench::perf::{record_or_check, timed, Row};
 use dmem_bench::{par_map, Table};
 use dmem_core::DisaggregatedMemory;
 use dmem_kv::{LlmCostModel, SpillPolicy, TieredKvConfig, TieredKvEngine};
@@ -253,98 +254,41 @@ fn sweep(scale: &Scale) -> ExitCode {
     }
 }
 
-const TOLERANCE: f64 = 3.0;
-
 /// Wall-clock mode: real elapsed time of the three engines at a fixed
-/// scale, `results/BENCH_llm.json`, compared to a committed baseline
-/// with the same gross 3x tolerance as `perf.rs`.
-fn perf_mode(check: Option<&str>) -> ExitCode {
-    let scenarios: [(&str, SpillPolicy); 3] = [
+/// scale, recorded in (or checked against) `results/BENCH_llm.json`.
+fn perf_mode(check: bool) -> ExitCode {
+    let rows = [
         ("llm_tiered", SpillPolicy::RemoteThenDisk),
         ("llm_local_only", SpillPolicy::DropCold),
         ("llm_disk_offload", SpillPolicy::DiskOnly),
-    ];
-    let mut json = String::from("[\n");
-    let mut measured: Vec<(&str, f64)> = Vec::new();
-    for (i, (name, spill)) in scenarios.iter().enumerate() {
-        let t0 = std::time::Instant::now();
-        let result = serve(100.0, 600, *spill);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{name:>16}: {wall_ms:>8.1} ms wall ({} sessions, {:.0} tok/s virtual)",
-            result.sessions, result.tokens_per_s
-        );
-        json.push_str(&format!(
-            "  {{\"scenario\": \"{name}\", \"wall_ms\": {wall_ms:.1}, \"tokens_per_s\": {:.0}}}{}",
-            result.tokens_per_s,
-            if i + 1 < scenarios.len() { ",\n" } else { "\n" }
-        ));
-        measured.push((name, wall_ms));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_llm.json", &json).expect("write llm perf json");
-    println!("[written results/BENCH_llm.json]");
-
-    let Some(baseline_path) = check else {
-        return ExitCode::SUCCESS;
-    };
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let mut failed = false;
-    for (name, wall_ms) in &measured {
-        match baseline_wall_ms(&text, name) {
-            Some(base_ms) => {
-                let factor = wall_ms / base_ms.max(1e-9);
-                let verdict = if factor > TOLERANCE { "REGRESSION" } else { "ok" };
-                println!(
-                    "check {name:>16}: {wall_ms:.1} ms vs baseline {base_ms:.1} ms (limit {TOLERANCE}x): {verdict}"
-                );
-                failed |= factor > TOLERANCE;
-            }
-            None => println!("check {name:>16}: no baseline entry, skipping"),
+    ]
+    .map(|(scenario, spill)| {
+        let (result, wall_ms) = timed(|| serve(100.0, 600, spill));
+        Row {
+            scenario: scenario.into(),
+            wall_ms,
+            metric: ("tokens_per_s", result.tokens_per_s),
         }
-    }
-    if failed {
-        eprintln!("ext_llm_serving: gross wall-clock regression (> {TOLERANCE}x) detected");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Pulls one scenario's `wall_ms` out of a `BENCH_llm.json`-shaped file
-/// (one object per line, `"scenario"` before `"wall_ms"`).
-fn baseline_wall_ms(text: &str, scenario: &str) -> Option<f64> {
-    let line = text
-        .lines()
-        .find(|l| l.contains(&format!("\"{scenario}\"")))?;
-    let after = &line[line.find("\"wall_ms\"")? + "\"wall_ms\"".len()..];
-    let number: String = after
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    number.parse().ok()
+    });
+    record_or_check("llm", &rows, check)
 }
 
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut perf = false;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--perf" => perf = true,
-            "--check" => check = Some(args.next().expect("--check needs a path")),
+            "--check" => check = true,
             other => panic!(
-                "unknown argument {other} (usage: ext_llm_serving [--smoke] [--perf] [--check BASELINE])"
+                "unknown argument {other} (usage: ext_llm_serving [--smoke] [--perf] [--check])"
             ),
         }
     }
     if perf {
-        perf_mode(check.as_deref())
+        perf_mode(check)
     } else {
         sweep(if smoke { &SMOKE } else { &FULL })
     }

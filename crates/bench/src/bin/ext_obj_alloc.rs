@@ -24,13 +24,14 @@
 //!   `results/ext_obj_alloc_smoke.csv`; both modes self-assert the
 //!   acceptance bound (object path moves ≥ 10x fewer fabric bytes than
 //!   the page path on uniform-small) and exit nonzero on failure;
-//! * `--perf [--check BASELINE]` — wall-clock of both granularities,
-//!   written to `results/BENCH_alloc.json`; with `--check`, fail on a
-//!   > 3x regression against the committed baseline.
+//! * `--perf [--check]` — wall-clock of both granularities, recorded
+//!   as `results/BENCH_alloc.json`; with `--check`, fail on a > 3x
+//!   regression against that committed ledger instead.
 //!
 //! Run with: `cargo run --release -p dmem-bench --bin ext_obj_alloc`
 
 use dmem_alloc::{Granularity, HeapConfig, ObjectHeap};
+use dmem_bench::perf::{record_or_check, timed, Row};
 use dmem_bench::{par_map, Table};
 use dmem_core::{DisaggregatedMemory, TierPreference};
 use dmem_sim::DetRng;
@@ -303,96 +304,41 @@ fn sweep(scale: &Scale) -> ExitCode {
     }
 }
 
-const TOLERANCE: f64 = 3.0;
-
 /// Wall-clock mode: real elapsed time of both granularities on the
-/// mixed distribution, `results/BENCH_alloc.json`, compared to a
-/// committed baseline with the same gross 3x tolerance as `perf.rs`.
-fn perf_mode(check: Option<&str>) -> ExitCode {
-    let scenarios: [(&str, Granularity); 2] = [
+/// mixed distribution, recorded in (or checked against)
+/// `results/BENCH_alloc.json`.
+fn perf_mode(check: bool) -> ExitCode {
+    let rows = [
         ("alloc_object", Granularity::Object),
         ("alloc_page", Granularity::Page),
-    ];
-    let mut json = String::from("[\n");
-    let mut measured: Vec<(&str, f64)> = Vec::new();
-    for (i, (name, granularity)) in scenarios.iter().enumerate() {
-        let t0 = std::time::Instant::now();
-        let result = run("mixed", *granularity, &FULL);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{name:>14}: {wall_ms:>8.1} ms wall ({:.1} kops/vs, {} KiB fabric)",
-            result.kops_per_vs,
-            result.fabric_bytes / 1024
-        );
-        json.push_str(&format!(
-            "  {{\"scenario\": \"{name}\", \"wall_ms\": {wall_ms:.1}, \"kops_per_vs\": {:.1}}}{}",
-            result.kops_per_vs,
-            if i + 1 < scenarios.len() { ",\n" } else { "\n" }
-        ));
-        measured.push((name, wall_ms));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_alloc.json", &json).expect("write alloc perf json");
-    println!("[written results/BENCH_alloc.json]");
-
-    let Some(baseline_path) = check else {
-        return ExitCode::SUCCESS;
-    };
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let mut failed = false;
-    for (name, wall_ms) in &measured {
-        match baseline_wall_ms(&text, name) {
-            Some(base_ms) => {
-                let factor = wall_ms / base_ms.max(1e-9);
-                let verdict = if factor > TOLERANCE { "REGRESSION" } else { "ok" };
-                println!(
-                    "check {name:>14}: {wall_ms:.1} ms vs baseline {base_ms:.1} ms (limit {TOLERANCE}x): {verdict}"
-                );
-                failed |= factor > TOLERANCE;
-            }
-            None => println!("check {name:>14}: no baseline entry, skipping"),
+    ]
+    .map(|(scenario, granularity)| {
+        let (result, wall_ms) = timed(|| run("mixed", granularity, &FULL));
+        Row {
+            scenario: scenario.into(),
+            wall_ms,
+            metric: ("kops_per_vs", result.kops_per_vs),
         }
-    }
-    if failed {
-        eprintln!("ext_obj_alloc: gross wall-clock regression (> {TOLERANCE}x) detected");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn baseline_wall_ms(text: &str, scenario: &str) -> Option<f64> {
-    let line = text
-        .lines()
-        .find(|l| l.contains(&format!("\"{scenario}\"")))?;
-    let after = &line[line.find("\"wall_ms\"")? + "\"wall_ms\"".len()..];
-    let number: String = after
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    number.parse().ok()
+    });
+    record_or_check("alloc", &rows, check)
 }
 
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut perf = false;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--perf" => perf = true,
-            "--check" => check = Some(args.next().expect("--check needs a path")),
+            "--check" => check = true,
             other => panic!(
-                "unknown argument {other} (usage: ext_obj_alloc [--smoke] [--perf] [--check BASELINE])"
+                "unknown argument {other} (usage: ext_obj_alloc [--smoke] [--perf] [--check])"
             ),
         }
     }
     if perf {
-        perf_mode(check.as_deref())
+        perf_mode(check)
     } else {
         sweep(if smoke { &SMOKE } else { &FULL })
     }

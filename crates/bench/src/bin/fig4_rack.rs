@@ -16,28 +16,27 @@
 //! * `--shards N` — worker-thread count (the scenario's logical shard
 //!   partition is fixed by its config; this only fans it across threads);
 //! * `--perf` — wall-clock scaling measurement at 1 vs 4 workers,
-//!   written to `results/BENCH_rack.json`; on a 4+ core machine the
+//!   recorded as `results/BENCH_rack.json`; on a 4+ core machine the
 //!   4-worker run must be ≥ 2x faster (exit 1 otherwise; skipped with a
 //!   note on smaller machines);
-//! * `--check BASELINE` — with `--perf`: fail on a > 3x wall-clock
-//!   regression against the named baseline JSON;
+//! * `--check` — with `--perf`: instead of recording, fail on a > 3x
+//!   wall-clock regression against the committed ledger; writes nothing;
 //! * `--trace-out FILE` — write the merged shard trace (JSONL) of the
 //!   last run;
 //! * `--timeline-out FILE` — write the merged per-window metric timeline
 //!   (CSV) of the last run.
 
+use dmem_bench::perf;
 use memory_disaggregation::rack::{run_rack, RackConfig, RackReport};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-/// Gross-regression tolerance for `--check`, matching `perf.rs`.
-const TOLERANCE: f64 = 3.0;
 /// Required parallel speedup at 4 workers on a 4+ core machine.
 const REQUIRED_SPEEDUP: f64 = 2.0;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig4_rack [--smoke] [--shards N] [--perf] [--check BASELINE] [--trace-out FILE] \
+        "usage: fig4_rack [--smoke] [--shards N] [--perf] [--check] [--trace-out FILE] \
          [--timeline-out FILE]"
     );
     std::process::exit(2);
@@ -77,117 +76,54 @@ const HEADER: &[&str] = &[
     "digest",
 ];
 
-/// Times one run, returning the report and wall milliseconds.
-fn timed(config: &RackConfig, workers: usize) -> (RackReport, f64) {
-    let t0 = Instant::now();
-    let report = run_rack(config, workers);
-    (report, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-fn perf_mode(workers_hi: usize, check: Option<&str>) -> i32 {
+fn perf_mode(workers_hi: usize, check: bool) -> ExitCode {
     let config = {
         let mut c = RackConfig::rack_default(256);
         c.accesses_per_host = 400;
         c
     };
-    // Best of two per worker level: absorbs one-off scheduler noise.
-    let (base, w1a) = timed(&config, 1);
-    let (_, w1b) = timed(&config, 1);
-    let (hi, wna) = timed(&config, workers_hi);
-    let (_, wnb) = timed(&config, workers_hi);
-    let (wall1, walln) = (w1a.min(w1b), wna.min(wnb));
+    let (base, wall1) = perf::timed(|| run_rack(&config, 1));
+    let (hi, walln) = perf::timed(|| run_rack(&config, workers_hi));
     assert_eq!(
         base.csv_row(),
         hi.csv_row(),
         "perf runs must stay byte-identical across worker counts"
     );
+    let row = |workers: usize, report: &RackReport, wall_ms: f64| perf::Row {
+        scenario: format!("rack_fabric_workers{workers}"),
+        wall_ms,
+        metric: ("pages_per_s", perf::per_second(report.accesses, wall_ms)),
+    };
+    let ledger = perf::record_or_check(
+        "rack",
+        &[row(1, &base, wall1), row(workers_hi, &hi, walln)],
+        check,
+    );
+
     let ratio = wall1 / walln.max(1e-9);
-    eprintln!(
-        "rack perf: workers=1 {wall1:.1} ms, workers={workers_hi} {walln:.1} ms ({ratio:.2}x)"
-    );
-
-    let mut json = String::from("[\n");
-    let _ = writeln!(
-        json,
-        "  {{\"scenario\": \"rack_fabric_workers1\", \"wall_ms\": {wall1:.1}, \"faults_per_s\": {:.0}, \"pages_per_s\": {:.0}}},",
-        base.remote_reads as f64 / (wall1 / 1e3).max(1e-9),
-        base.accesses as f64 / (wall1 / 1e3).max(1e-9),
-    );
-    let _ = writeln!(
-        json,
-        "  {{\"scenario\": \"rack_fabric_workers{workers_hi}\", \"wall_ms\": {walln:.1}, \"faults_per_s\": {:.0}, \"pages_per_s\": {:.0}}}",
-        hi.remote_reads as f64 / (walln / 1e3).max(1e-9),
-        hi.accesses as f64 / (walln / 1e3).max(1e-9),
-    );
-    json.push_str("]\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_rack.json", &json).expect("write rack perf json");
-    println!("[written results/BENCH_rack.json]");
-
-    let mut failed = false;
     let cores = scoped_pool::available_parallelism();
-    if cores >= 4 && workers_hi >= 4 {
-        if ratio < REQUIRED_SPEEDUP {
-            eprintln!(
-                "rack perf: SPEEDUP REGRESSION — {ratio:.2}x < required {REQUIRED_SPEEDUP:.1}x \
-                 at {workers_hi} workers on {cores} cores"
-            );
-            failed = true;
-        } else {
-            eprintln!("rack perf: speedup gate ok ({ratio:.2}x >= {REQUIRED_SPEEDUP:.1}x)");
-        }
-    } else {
+    if cores < 4 || workers_hi < 4 {
         eprintln!(
-            "rack perf: speedup gate skipped ({cores} cores available, need >= 4)"
+            "rack perf: {ratio:.2}x at {workers_hi} workers; speedup gate skipped \
+             ({cores} cores available, need >= 4)"
         );
+    } else if ratio < REQUIRED_SPEEDUP {
+        eprintln!(
+            "rack perf: SPEEDUP REGRESSION — {ratio:.2}x < required {REQUIRED_SPEEDUP:.1}x \
+             at {workers_hi} workers on {cores} cores"
+        );
+        return ExitCode::FAILURE;
+    } else {
+        eprintln!("rack perf: speedup gate ok ({ratio:.2}x >= {REQUIRED_SPEEDUP:.1}x)");
     }
-
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        for (scenario, wall) in [
-            ("rack_fabric_workers1", wall1),
-            (&format!("rack_fabric_workers{workers_hi}"), walln),
-        ] {
-            match baseline_wall_ms(&text, scenario) {
-                Some(base_ms) => {
-                    let factor = wall / base_ms.max(1e-9);
-                    let verdict = if factor > TOLERANCE { "REGRESSION" } else { "ok" };
-                    println!(
-                        "check {scenario}: {wall:.1} ms vs baseline {base_ms:.1} ms (limit {TOLERANCE}x): {verdict}"
-                    );
-                    failed |= factor > TOLERANCE;
-                }
-                None => println!("check {scenario}: no baseline entry, skipping"),
-            }
-        }
-    }
-    i32::from(failed)
+    ledger
 }
 
-/// Pulls one scenario's `wall_ms` out of a `BENCH_rack.json`-shaped file
-/// (one object per line, `"scenario"` before `"wall_ms"`).
-fn baseline_wall_ms(text: &str, scenario: &str) -> Option<f64> {
-    for line in text.lines() {
-        if !line.contains(&format!("\"{scenario}\"")) {
-            continue;
-        }
-        let after = &line[line.find("\"wall_ms\"")? + "\"wall_ms\"".len()..];
-        let number: String = after
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit())
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        return number.parse().ok();
-    }
-    None
-}
-
-fn main() {
+fn main() -> ExitCode {
     let mut smoke = false;
     let mut perf = false;
     let mut workers: Option<usize> = None;
-    let mut check: Option<String> = None;
+    let mut check = false;
     let mut trace_out: Option<String> = None;
     let mut timeline_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -203,7 +139,7 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--check" => check = Some(args.next().unwrap_or_else(|| usage())),
+            "--check" => check = true,
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--timeline-out" => timeline_out = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
@@ -211,8 +147,7 @@ fn main() {
     }
 
     if perf {
-        let code = perf_mode(workers.unwrap_or(4), check.as_deref());
-        std::process::exit(code);
+        return perf_mode(workers.unwrap_or(4), check);
     }
 
     let workers = workers.unwrap_or_else(dmem_bench::bench_jobs);
@@ -237,10 +172,13 @@ fn main() {
 
     let mut last: Option<RackReport> = None;
     for config in &configs {
-        let (report, wall_ms) = timed(config, workers);
+        let t0 = Instant::now();
+        let report = run_rack(config, workers);
         eprintln!(
-            "fig4_rack: {} hosts / {} shards done in {wall_ms:.1} ms (workers={workers})",
-            report.hosts, report.shards
+            "fig4_rack: {} hosts / {} shards done in {:.1} ms (workers={workers})",
+            report.hosts,
+            report.shards,
+            t0.elapsed().as_secs_f64() * 1e3
         );
         report_row(&mut table, &report);
         last = Some(report);
@@ -255,4 +193,5 @@ fn main() {
         std::fs::write(path, report.timeline.to_csv()).expect("write timeline csv");
         println!("[written {path}]");
     }
+    ExitCode::SUCCESS
 }

@@ -2,8 +2,7 @@
 //!
 //! Unlike the `fig*` binaries — whose output is *virtual* time and thus
 //! independent of host speed — this harness measures real elapsed time
-//! for three representative scenarios and writes
-//! `results/BENCH_perf.json`:
+//! for three representative scenarios:
 //!
 //! * `fig4_paging_sweep` — the Fig. 4 compressibility sweep (paging
 //!   engine + FastSwap backend + compression, the fault-loop hot path);
@@ -12,37 +11,28 @@
 //! * `chaos_32_seeds` — the chaos harness over 32 seeds (whole-cluster
 //!   put/get/failure churn).
 //!
-//! Modes:
+//! Modes (see `dmem_bench::perf` for the ledger rules):
 //!
-//! * default — run the full scenarios and write `results/BENCH_perf.json`;
-//! * `--quick` — smaller variants (same code paths) for CI;
-//! * `--check <baseline.json>` — after running, compare each scenario's
-//!   wall time against the named baseline and fail (exit 1) on a gross
-//!   (> 3x) regression. The wide tolerance absorbs host noise; it exists
-//!   to catch accidental O(n log n) → O(n²) regressions, not percent-level
-//!   drift.
+//! * default — run the full scenarios and record `results/BENCH_perf.json`;
+//! * `--quick` — smaller variants (same code paths) for CI, recorded as
+//!   `results/BENCH_perf_quick.json`;
+//! * `--check` — instead of recording, compare each scenario's wall time
+//!   against the committed ledger of the same mode and fail on a gross
+//!   (> 3x) regression; writes nothing.
 //!
 //! Scenarios always run sequentially (jobs=1) so wall numbers are stable
 //! and comparable across machines with different core counts.
 
-use dmem_bench::speedup;
+use dmem_bench::perf::{per_second, record_or_check, timed, Row};
 use dmem_rdd::job::{run_iterative_job, DatasetSize, JobSpec, SpillTier};
 use dmem_swap::{build_system_with_pages, SwapScale, SystemKind};
 use dmem_types::{ByteSize, CompressionMode, DistributionRatio};
 use dmem_workloads::{catalog, TraceConfig};
 use memory_disaggregation::chaos::{run_seed, ChaosSettings};
 use memory_disaggregation::sim::ChaosConfig;
-use std::fmt::Write as _;
-use std::time::Instant;
+use std::process::ExitCode;
 
-struct Measurement {
-    scenario: &'static str,
-    wall_ms: f64,
-    faults_per_s: f64,
-    pages_per_s: f64,
-}
-
-fn fig4_paging_sweep(quick: bool) -> Measurement {
+fn fig4_paging_sweep(quick: bool) -> Row {
     let ratios: &[f64] = if quick { &[2.0] } else { &[1.3, 2.0, 3.0, 4.5] };
     let mut scale = SwapScale::bench();
     scale.memory_fraction = 0.5;
@@ -52,176 +42,83 @@ fn fig4_paging_sweep(quick: bool) -> Measurement {
         scale.working_set_pages = 512;
     }
 
-    let mut faults = 0u64;
-    let mut accesses = 0u64;
-    let t0 = Instant::now();
-    for &ratio in ratios {
-        let kind = SystemKind::FastSwap {
-            ratio: DistributionRatio::FS_SM,
-            compression: CompressionMode::FourGranularity,
-            pbs: true,
-        };
-        let mut engine = build_system_with_pages(kind, &scale, ratio, 0.4).unwrap();
-        let profile = catalog::by_name("LogisticRegression").unwrap();
-        let trace = TraceConfig::scaled_from(profile, scale.working_set_pages).generate(scale.seed);
-        let (stats, _) = engine.run(trace).unwrap();
-        faults += stats.major_faults;
-        accesses += stats.accesses;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    Measurement {
-        scenario: "fig4_paging_sweep",
-        wall_ms: wall * 1e3,
-        faults_per_s: faults as f64 / wall.max(1e-9),
-        pages_per_s: accesses as f64 / wall.max(1e-9),
+    let (faults, wall_ms) = timed(|| {
+        let mut faults = 0u64;
+        for &ratio in ratios {
+            let kind = SystemKind::FastSwap {
+                ratio: DistributionRatio::FS_SM,
+                compression: CompressionMode::FourGranularity,
+                pbs: true,
+            };
+            let mut engine = build_system_with_pages(kind, &scale, ratio, 0.4).unwrap();
+            let profile = catalog::by_name("LogisticRegression").unwrap();
+            let trace =
+                TraceConfig::scaled_from(profile, scale.working_set_pages).generate(scale.seed);
+            let (stats, _) = engine.run(trace).unwrap();
+            faults += stats.major_faults;
+        }
+        faults
+    });
+    Row {
+        scenario: "fig4_paging_sweep".into(),
+        wall_ms,
+        metric: ("faults_per_s", per_second(faults, wall_ms)),
     }
 }
 
-fn fig10_rdd(quick: bool) -> Measurement {
+fn fig10_rdd(quick: bool) -> Row {
     let sizes: &[DatasetSize] = if quick {
         &[DatasetSize::Small]
     } else {
         &DatasetSize::ALL
     };
-    let mut spill_pages = 0u64;
-    let t0 = Instant::now();
-    for spec in JobSpec::fig10_suite() {
-        for &size in sizes {
-            let vanilla = run_iterative_job(&spec, size, SpillTier::VanillaDisk).unwrap();
-            let dahi = run_iterative_job(&spec, size, SpillTier::Dahi).unwrap();
-            spill_pages += vanilla.cache.spills + dahi.cache.spills;
+    let (jobs, wall_ms) = timed(|| {
+        let mut jobs = 0u64;
+        for spec in JobSpec::fig10_suite() {
+            for &size in sizes {
+                run_iterative_job(&spec, size, SpillTier::VanillaDisk).unwrap();
+                run_iterative_job(&spec, size, SpillTier::Dahi).unwrap();
+                jobs += 2;
+            }
         }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    Measurement {
-        scenario: "fig10_rdd",
-        wall_ms: wall * 1e3,
-        faults_per_s: 0.0,
-        pages_per_s: spill_pages as f64 / wall.max(1e-9),
+        jobs
+    });
+    Row {
+        scenario: "fig10_rdd".into(),
+        wall_ms,
+        metric: ("jobs_per_s", per_second(jobs, wall_ms)),
     }
 }
 
-fn chaos_sweep(quick: bool) -> Measurement {
+fn chaos_sweep(quick: bool) -> Row {
     let seeds: u64 = if quick { 8 } else { 32 };
     let config = ChaosConfig::default();
     let settings = ChaosSettings::default();
-    let t0 = Instant::now();
-    let mut failures = 0u64;
-    for seed in 0..seeds {
-        if run_seed(seed, &config, &settings).is_err() {
-            failures += 1;
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
+    let (failures, wall_ms) = timed(|| {
+        (0..seeds)
+            .filter(|&seed| run_seed(seed, &config, &settings).is_err())
+            .count()
+    });
     assert_eq!(failures, 0, "chaos invariants must hold during perf runs");
-    Measurement {
-        scenario: "chaos_32_seeds",
-        wall_ms: wall * 1e3,
-        faults_per_s: 0.0,
-        pages_per_s: seeds as f64 / wall.max(1e-9),
+    Row {
+        scenario: "chaos_32_seeds".into(),
+        wall_ms,
+        metric: ("seeds_per_s", per_second(seeds, wall_ms)),
     }
 }
 
-fn render_json(results: &[Measurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"scenario\": \"{}\", \"wall_ms\": {:.1}, \"faults_per_s\": {:.0}, \"pages_per_s\": {:.0}}}",
-            m.scenario, m.wall_ms, m.faults_per_s, m.pages_per_s
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Pulls `(scenario, wall_ms)` pairs out of a `BENCH_perf.json`-shaped
-/// file without a JSON dependency: the writer above emits one object per
-/// line with `"scenario"` before `"wall_ms"`.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(s0) = line.find("\"scenario\"") else {
-            continue;
-        };
-        let rest = &line[s0 + "\"scenario\"".len()..];
-        let Some(name) = rest.split('"').nth(1) else {
-            continue;
-        };
-        let Some(w0) = line.find("\"wall_ms\"") else {
-            continue;
-        };
-        let after = &line[w0 + "\"wall_ms\"".len()..];
-        let number: String = after
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit())
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(ms) = number.parse::<f64>() {
-            out.push((name.to_owned(), ms));
-        }
-    }
-    out
-}
-
-const TOLERANCE: f64 = 3.0;
-
-fn main() {
+fn main() -> ExitCode {
     let mut quick = false;
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--check" => baseline_path = Some(args.next().expect("--check needs a path")),
-            other => panic!("unknown argument {other} (usage: perf [--quick] [--check BASELINE])"),
+            "--check" => check = true,
+            other => panic!("unknown argument {other} (usage: perf [--quick] [--check])"),
         }
     }
-
-    let results = vec![fig4_paging_sweep(quick), fig10_rdd(quick), chaos_sweep(quick)];
 
     println!("== perf — wall-clock scenarios{} ==", if quick { " (quick)" } else { "" });
-    for m in &results {
-        println!(
-            "{:>20}: {:>9.1} ms  ({:.0} faults/s, {:.0} pages/s)",
-            m.scenario, m.wall_ms, m.faults_per_s, m.pages_per_s
-        );
-    }
-
-    let out_name = if quick { "BENCH_perf_quick.json" } else { "BENCH_perf.json" };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = format!("results/{out_name}");
-    std::fs::write(&path, render_json(&results)).expect("write perf json");
-    println!("[written {path}]");
-
-    if let Some(baseline_path) = baseline_path {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text);
-        let mut failed = false;
-        for m in &results {
-            match baseline.iter().find(|(name, _)| name == m.scenario) {
-                Some((_, base_ms)) => {
-                    let factor = m.wall_ms / base_ms.max(1e-9);
-                    let verdict = if factor > TOLERANCE { "REGRESSION" } else { "ok" };
-                    println!(
-                        "check {:>20}: {:.1} ms vs baseline {:.1} ms ({} slower-by, limit {TOLERANCE}x): {verdict}",
-                        m.scenario,
-                        m.wall_ms,
-                        base_ms,
-                        speedup((m.wall_ms * 1e6) as u64, (base_ms * 1e6) as u64),
-                    );
-                    failed |= factor > TOLERANCE;
-                }
-                None => {
-                    println!("check {:>20}: no baseline entry, skipping", m.scenario);
-                }
-            }
-        }
-        if failed {
-            eprintln!("perf: gross wall-clock regression (> {TOLERANCE}x) detected");
-            std::process::exit(1);
-        }
-    }
+    let rows = [fig4_paging_sweep(quick), fig10_rdd(quick), chaos_sweep(quick)];
+    record_or_check(if quick { "perf_quick" } else { "perf" }, &rows, check)
 }

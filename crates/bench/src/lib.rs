@@ -7,6 +7,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod perf;
+
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -29,7 +29,7 @@
 //! limited, degraded to disk instead of evicting the veterans.
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
-use dmem_sim::{splitmix64, SimDuration};
+use dmem_sim::{digest, splitmix64, SimDuration};
 use dmem_types::{ByteSize, DmemResult, EntryLocation, ServerId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -242,9 +242,6 @@ fn stream_append(domain: u64, start: usize, len: usize, out: &mut Vec<u8>) {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
 /// The tiered conversation KV-cache engine. See the module docs.
 pub struct TieredKvEngine {
     dm: Arc<DisaggregatedMemory>,
@@ -314,7 +311,7 @@ impl TieredKvEngine {
             prefix_lru: BTreeMap::new(),
             stats: TieredKvStats::default(),
             demotions: 0,
-            demotion_fnv: FNV_OFFSET,
+            demotion_fnv: digest::OFFSET,
         }
     }
 
@@ -360,10 +357,8 @@ impl TieredKvEngine {
 
     fn note_demotion(&mut self, session: u64, target: u8) {
         self.demotions += 1;
-        for byte in session.to_le_bytes().iter().chain(std::iter::once(&target)) {
-            self.demotion_fnv ^= u64::from(*byte);
-            self.demotion_fnv = self.demotion_fnv.wrapping_mul(FNV_PRIME);
-        }
+        let folded = digest::fold(self.demotion_fnv, &session.to_le_bytes());
+        self.demotion_fnv = digest::fold(folded, &[target]);
     }
 
     fn next_tick(&mut self) -> u64 {

@@ -22,6 +22,7 @@
 //!
 //! [`MetricWindow`]: crate::timeseries::MetricWindow
 
+use crate::digest;
 use crate::timeseries::MetricWindow;
 use std::collections::VecDeque;
 use std::fmt;
@@ -126,16 +127,6 @@ struct RuleState {
     history: VecDeque<(u64, u64)>,
 }
 
-/// FNV-1a over a log line, matching the QoS decision-digest constants.
-fn fnv1a_fold(mut hash: u64, line: &str) -> u64 {
-    const PRIME: u64 = 0x1000_0000_01b3;
-    for byte in line.as_bytes().iter().chain(b"\n") {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
 /// Evaluates a fixed rule set against a stream of metric windows.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
@@ -155,7 +146,7 @@ impl AlertEngine {
             states,
             events: Vec::new(),
             log: Vec::new(),
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: digest::OFFSET,
         }
     }
 
@@ -235,7 +226,9 @@ impl AlertEngine {
                     detail,
                 };
                 let line = event.line();
-                self.hash = fnv1a_fold(self.hash, &line);
+                // The house fold over the line and its newline — not the
+                // QoS decision digest, which uses the published FNV prime.
+                self.hash = digest::fold(digest::fold(self.hash, line.as_bytes()), b"\n");
                 self.log.push(line);
                 self.events.push(event);
                 edges += 1;

@@ -12,6 +12,7 @@
 //! * [`cost`] — calibrated latency/bandwidth models for DRAM, node
 //!   shared memory, RDMA, SSD and HDD (DESIGN.md "cost model constants").
 //! * [`rng`] — deterministic per-component random streams.
+//! * [`digest`] — the one byte fold behind stream labels and digests.
 //! * [`failure`] — scheduled node/link failure injection.
 //! * [`metrics`] — counters, gauges and log-bucket histograms.
 //! * [`events`] — a small discrete-event queue for timers (heartbeats,
@@ -46,6 +47,7 @@ pub mod alerts;
 pub mod chaos;
 pub mod clock;
 pub mod cost;
+pub mod digest;
 pub mod events;
 pub mod failure;
 pub mod flight;

@@ -5,6 +5,7 @@
 //! experiments are reproducible and components do not perturb each other's
 //! streams when the call order changes.
 
+use crate::digest;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -46,14 +47,14 @@ impl DetRng {
     /// much of the parent stream has been consumed — so adding draws in one
     /// component never shifts another component's stream.
     pub fn fork(&self, label: &str) -> DetRng {
-        DetRng::new(splitmix(self.seed ^ fnv1a(label.as_bytes())))
+        DetRng::new(splitmix(self.seed ^ digest::fold(digest::OFFSET, label.as_bytes())))
     }
 
     /// Derives an independent child stream from a label and an index,
     /// useful for per-node or per-server streams.
     pub fn fork_indexed(&self, label: &str, index: u64) -> DetRng {
         DetRng::new(splitmix(
-            self.seed ^ fnv1a(label.as_bytes()) ^ splitmix(index),
+            self.seed ^ digest::fold(digest::OFFSET, label.as_bytes()) ^ splitmix(index),
         ))
     }
 
@@ -127,15 +128,6 @@ impl RngCore for DetRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 fn splitmix(mut x: u64) -> u64 {

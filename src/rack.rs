@@ -29,7 +29,7 @@ use dmem_cluster::spread_replicas;
 use dmem_net::{HostOutage, ShardFaultSchedule};
 use dmem_sim::shard::{shard_rng, EngineReport, EpochCtx, ShardWorker, ShardedEngine};
 use dmem_sim::{
-    splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LocalMetrics, ShardClock,
+    digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LocalMetrics, ShardClock,
     ShardEventLog, ShardId, ShardMap, ShardSampler, SimDuration, SimInstant, Timeline,
 };
 use std::collections::HashMap;
@@ -824,15 +824,6 @@ impl fmt::Display for RackReport {
     }
 }
 
-fn fnv1a_str(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 /// Runs one rack scenario with `workers` OS threads.
 ///
 /// The scenario — including its logical shard partition — is fixed by
@@ -942,7 +933,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         .map(|(k, v)| format!("{k}={v}"))
         .collect::<Vec<_>>()
         .join(" ");
-    let digest = format!("{:016x}", fnv1a_str(&metrics_line));
+    let digest = format!("{:016x}", digest::fold(digest::OFFSET, metrics_line.as_bytes()));
 
     RackReport {
         hosts: config.hosts,
