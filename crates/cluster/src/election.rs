@@ -8,9 +8,8 @@
 use crate::group::GroupTable;
 use crate::membership::ClusterMembership;
 use dmem_sim::{SimClock, SimDuration, SimInstant};
-use dmem_types::{DmemError, DmemResult, GroupId, NodeId};
+use dmem_types::{DmemError, DmemResult, GroupId, IdMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +23,7 @@ pub struct LeaderElection {
     membership: ClusterMembership,
     clock: SimClock,
     timeout: SimDuration,
-    leaders: Mutex<HashMap<GroupId, LeaderState>>,
+    leaders: Mutex<IdMap<GroupId, LeaderState>>,
     elections_run: Mutex<u64>,
 }
 
@@ -36,7 +35,7 @@ impl LeaderElection {
             membership,
             clock,
             timeout,
-            leaders: Mutex::new(HashMap::new()),
+            leaders: Mutex::new(IdMap::default()),
             elections_run: Mutex::new(0),
         }
     }

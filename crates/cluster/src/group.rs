@@ -9,8 +9,7 @@
 //! arithmetic; [`GroupTable`] implements the partitioning plus dynamic
 //! re-grouping.
 
-use dmem_types::{ByteSize, DmemError, DmemResult, GroupId, NodeId};
-use std::collections::HashMap;
+use dmem_types::{ByteSize, DmemError, DmemResult, GroupId, IdMap, NodeId};
 use std::fmt;
 
 /// Metadata bytes a node must hold to track `disaggregated` bytes of
@@ -41,8 +40,8 @@ pub fn map_overhead_bytes(
 /// A partition of the cluster's nodes into sharing groups.
 #[derive(Debug, Clone)]
 pub struct GroupTable {
-    groups: HashMap<GroupId, Vec<NodeId>>,
-    node_to_group: HashMap<NodeId, GroupId>,
+    groups: IdMap<GroupId, Vec<NodeId>>,
+    node_to_group: IdMap<NodeId, GroupId>,
     target_size: usize,
 }
 
@@ -67,8 +66,8 @@ impl GroupTable {
                 reason: "cannot group an empty node set".into(),
             });
         }
-        let mut groups: HashMap<GroupId, Vec<NodeId>> = HashMap::new();
-        let mut node_to_group = HashMap::new();
+        let mut groups: IdMap<GroupId, Vec<NodeId>> = IdMap::default();
+        let mut node_to_group = IdMap::default();
         let mut chunks: Vec<Vec<NodeId>> =
             nodes.chunks(target_size).map(|c| c.to_vec()).collect();
         // Merge an undersized trailing group into its predecessor.

@@ -1,9 +1,9 @@
 //! Cluster membership and free-memory advertisement.
 
 use dmem_sim::FailureInjector;
-use dmem_types::{ByteSize, NodeId};
+use dmem_types::{ByteSize, IdMap, NodeId};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use std::sync::Arc;
 pub struct ClusterMembership {
     nodes: Arc<Vec<NodeId>>,
     failures: FailureInjector,
-    free: Arc<RwLock<HashMap<NodeId, ByteSize>>>,
+    free: Arc<RwLock<IdMap<NodeId, ByteSize>>>,
     /// Nodes a failed read had to fail over past: candidates for the
     /// repair path to probe, repair around, or evict. Populated only
     /// under fault injection, so fault-free runs never touch it.
@@ -38,7 +38,7 @@ impl ClusterMembership {
         ClusterMembership {
             nodes: Arc::new(nodes),
             failures,
-            free: Arc::new(RwLock::new(HashMap::new())),
+            free: Arc::new(RwLock::new(IdMap::default())),
             suspects: Arc::new(RwLock::new(BTreeSet::new())),
         }
     }

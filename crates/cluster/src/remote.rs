@@ -8,10 +8,9 @@
 //! entries in a single verb, which is the §IV-H batching optimization.
 
 use crate::membership::ClusterMembership;
-use dmem_net::{ChannelKind, ConnectionManager, Fabric, RegionHandle};
-use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, NodeId};
+use dmem_net::{ChannelKind, ConnectionManager, Fabric, QpHandle, RegionHandle};
+use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Size of a control-plane request/response message (entry id, offsets,
@@ -30,7 +29,7 @@ struct HostState {
     capacity: u64,
     /// Free extents sorted by offset, coalesced on free.
     free: Vec<Extent>,
-    entries: HashMap<EntryId, Extent>,
+    entries: IdMap<EntryId, Extent>,
 }
 
 impl HostState {
@@ -42,7 +41,7 @@ impl HostState {
                 offset: 0,
                 len: capacity,
             }],
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 
@@ -103,8 +102,8 @@ pub struct RemoteStore {
     fabric: Fabric,
     membership: ClusterMembership,
     pool_size: ByteSize,
-    hosts: Mutex<HashMap<NodeId, HostState>>,
-    clients: Mutex<HashMap<NodeId, ConnectionManager>>,
+    hosts: Mutex<IdMap<NodeId, HostState>>,
+    clients: Mutex<IdMap<NodeId, ConnectionManager>>,
 }
 
 impl RemoteStore {
@@ -118,7 +117,7 @@ impl RemoteStore {
         membership: ClusterMembership,
         pool_size: ByteSize,
     ) -> DmemResult<Self> {
-        let mut hosts = HashMap::new();
+        let mut hosts = IdMap::default();
         for &node in membership.nodes() {
             let region = fabric.register(node, pool_size)?;
             hosts.insert(node, HostState::new(region, pool_size.as_u64()));
@@ -129,7 +128,7 @@ impl RemoteStore {
             membership,
             pool_size,
             hosts: Mutex::new(hosts),
-            clients: Mutex::new(HashMap::new()),
+            clients: Mutex::new(IdMap::default()),
         })
     }
 
@@ -143,12 +142,14 @@ impl RemoteStore {
         &self.fabric
     }
 
-    fn client(&self, node: NodeId) -> ConnectionManager {
+    /// The channel of `kind` from `from` to `to`, through `from`'s
+    /// connection manager (created on first use).
+    fn channel(&self, from: NodeId, to: NodeId, kind: ChannelKind) -> DmemResult<QpHandle> {
         self.clients
             .lock()
-            .entry(node)
-            .or_insert_with(|| ConnectionManager::new(node, self.fabric.clone()))
-            .clone()
+            .entry(from)
+            .or_insert_with(|| ConnectionManager::new(from, self.fabric.clone()))
+            .channel(to, kind)
     }
 
     fn control_roundtrip(&self, from: NodeId, to: NodeId) -> DmemResult<()> {
@@ -159,15 +160,14 @@ impl RemoteStore {
             }
             return Ok(());
         }
-        let cm = self.client(from);
-        let qp = cm.channel(to, ChannelKind::Control)?;
+        let qp = self.channel(from, to, ChannelKind::Control)?;
         self.fabric.send(&qp, vec![0u8; CONTROL_MSG_BYTES])?;
         // Drain on the peer side so queues stay bounded.
         let _ = self.fabric.recv(&self.fabric.peer_handle(&qp))?;
         Ok(())
     }
 
-    fn advertise(&self, node: NodeId, hosts: &HashMap<NodeId, HostState>) {
+    fn advertise(&self, node: NodeId, hosts: &IdMap<NodeId, HostState>) {
         if let Some(state) = hosts.get(&node) {
             self.membership
                 .advertise_free(node, ByteSize::new(state.free_bytes()));
@@ -266,8 +266,7 @@ impl RemoteStore {
         }
         drop(hosts);
 
-        let cm = self.client(from);
-        let qp = cm.channel(to, ChannelKind::Data)?;
+        let qp = self.channel(from, to, ChannelKind::Data)?;
         for &(offset, bytes) in &writes {
             if let Err(e) = self.fabric.write(&qp, bytes, &region, offset) {
                 // Roll back every allocation of this batch.
@@ -334,8 +333,7 @@ impl RemoteStore {
             }
             (state.region, extents)
         };
-        let cm = self.client(from);
-        let qp = cm.channel(to, ChannelKind::Data)?;
+        let qp = self.channel(from, to, ChannelKind::Data)?;
 
         // Coalesce maximal contiguous runs of extents into single reads:
         // entries stored by one batched write are adjacent, so a batch
@@ -404,9 +402,9 @@ impl RemoteStore {
 
     /// Entries hosted on `node`, in ascending id order (used by the
     /// eviction handler). The order is load-bearing: the handler migrates
-    /// a bounded batch per scan, and `HashMap` iteration order varies per
-    /// process, which made eviction choices — and every downstream
-    /// placement — nondeterministic across runs.
+    /// a bounded batch per scan, so which entries come first decides what
+    /// moves, and a hash table's iteration order is an accident of its
+    /// insertion history.
     pub fn entries_on(&self, node: NodeId) -> Vec<EntryId> {
         let mut entries: Vec<EntryId> = self
             .hosts

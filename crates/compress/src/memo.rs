@@ -36,9 +36,9 @@
 //! with or without it.
 
 use crate::codec::{CompressedPage, PageCodec};
-use dmem_types::DmemResult;
+use dmem_types::{DmemResult, IdMap};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default capacity: covers the bench working sets (the fig10 RDD spill
 /// set peaks around 7.5k live pages) at roughly 8 KiB per entry (original
@@ -91,12 +91,12 @@ pub struct MemoStats {
 /// ```
 #[derive(Debug)]
 pub struct CompressMemo {
-    map: HashMap<(u64, u64), MemoEntry>,
+    map: IdMap<(u64, u64), MemoEntry>,
     order: VecDeque<(u64, u64)>,
     /// Decompress direction, keyed by the original page's checksum (the
     /// one field present in both the compressed and decompressed form);
     /// a hit additionally requires full `CompressedPage` equality.
-    decomp: HashMap<u64, MemoEntry>,
+    decomp: IdMap<u64, MemoEntry>,
     decomp_order: VecDeque<u64>,
     capacity: usize,
     stats: MemoStats,
@@ -108,9 +108,15 @@ impl CompressMemo {
     /// codec).
     pub fn new(capacity: usize) -> Self {
         CompressMemo {
-            map: HashMap::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
+            map: IdMap::with_capacity_and_hasher(
+                capacity.min(DEFAULT_MEMO_CAPACITY),
+                Default::default(),
+            ),
             order: VecDeque::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
-            decomp: HashMap::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
+            decomp: IdMap::with_capacity_and_hasher(
+                capacity.min(DEFAULT_MEMO_CAPACITY),
+                Default::default(),
+            ),
             decomp_order: VecDeque::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
             capacity,
             stats: MemoStats::default(),

@@ -5,9 +5,8 @@
 //! HDD cost model to the shared virtual clock. Batched reads pay one seek.
 
 use dmem_sim::{CostModel, DeviceCost, SimClock};
-use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, NodeId};
+use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-node simulated disks storing entry payloads.
@@ -16,13 +15,13 @@ pub struct DiskTier {
     device: DeviceCost,
     /// Span category for this tier's device accesses ("disk", "nvm", …).
     label: &'static str,
-    disks: Mutex<HashMap<NodeId, NodeDisk>>,
+    disks: Mutex<IdMap<NodeId, NodeDisk>>,
 }
 
 /// One node's device: the payloads and their running byte total.
 #[derive(Default)]
 struct NodeDisk {
-    entries: HashMap<EntryId, Vec<u8>>,
+    entries: IdMap<EntryId, Vec<u8>>,
     bytes: u64,
 }
 
@@ -56,7 +55,7 @@ impl DiskTier {
             clock,
             device,
             label,
-            disks: Mutex::new(HashMap::new()),
+            disks: Mutex::new(IdMap::default()),
         }
     }
 

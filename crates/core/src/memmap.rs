@@ -5,14 +5,13 @@
 //! data entry is." Each map entry is an [`EntryRecord`]: location, sizes,
 //! compression class, version and checksum.
 
-use dmem_types::{EntryLocation, EntryRecord, NodeId};
-use std::collections::HashMap;
+use dmem_types::{EntryLocation, EntryRecord, IdMap, NodeId};
 use std::fmt;
 
 /// One virtual server's log table of data-entry locations.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryMap {
-    entries: HashMap<u64, EntryRecord>,
+    entries: IdMap<u64, EntryRecord>,
 }
 
 impl MemoryMap {

@@ -12,15 +12,14 @@ use dmem_node::NodeManager;
 use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
 use dmem_sim::shard::ShardMap;
 use dmem_sim::{
-    CostModel, DetRng, FailureInjector, Histogram, MetricsRegistry, SimClock, SimDuration,
-    TelemetryHub,
+    CostModel, DetRng, FailureInjector, Histogram, LazyCounter, LazyHistogram, MetricsRegistry,
+    SimClock, SimDuration, TelemetryHub,
 };
 use dmem_types::{
     checksum, ByteSize, ClusterConfig, DmemError, DmemResult, EntryId, EntryLocation, EntryRecord,
-    NodeId, ServerId, TenantId, PAGE_SIZE,
+    IdMap, IdSet, NodeId, ServerId, TenantId, PAGE_SIZE,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -100,6 +99,43 @@ pub struct DmStats {
     pub remote_free: ByteSize,
 }
 
+/// The `core.*` family and the other keys the put/get paths count into,
+/// resolved on first touch.
+struct CoreMetrics {
+    put_shared: LazyCounter,
+    put_cxl: LazyCounter,
+    put_nvm: LazyCounter,
+    put_remote: LazyCounter,
+    put_remote_batched: LazyCounter,
+    put_disk: LazyCounter,
+    put_ns: LazyHistogram,
+    get_ns: LazyHistogram,
+    cxl_failover_reads: LazyCounter,
+    qos_evict_demotions: LazyCounter,
+    suspect_cleared: LazyCounter,
+    suspect_evicted: LazyCounter,
+}
+
+impl CoreMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &'static str| LazyCounter::new(registry, name);
+        CoreMetrics {
+            put_shared: counter("core.put.shared"),
+            put_cxl: counter("core.put.cxl"),
+            put_nvm: counter("core.put.nvm"),
+            put_remote: counter("core.put.remote"),
+            put_remote_batched: counter("core.put.remote_batched"),
+            put_disk: counter("core.put.disk"),
+            put_ns: LazyHistogram::new(registry, "core.put.ns"),
+            get_ns: LazyHistogram::new(registry, "core.get.ns"),
+            cxl_failover_reads: counter("cxl.failover.reads"),
+            qos_evict_demotions: counter("qos.evict.demotions"),
+            suspect_cleared: counter("cluster.suspect.cleared"),
+            suspect_evicted: counter("cluster.suspect.evicted"),
+        }
+    }
+}
+
 /// The paper's two-level disaggregated memory system over one simulated
 /// cluster. See the crate docs for an overview and example.
 pub struct DisaggregatedMemory {
@@ -111,7 +147,7 @@ pub struct DisaggregatedMemory {
     membership: ClusterMembership,
     groups: Mutex<GroupTable>,
     election: LeaderElection,
-    managers: HashMap<NodeId, Arc<NodeManager>>,
+    managers: IdMap<NodeId, Arc<NodeManager>>,
     remote: Arc<RemoteStore>,
     replicator: Replicator,
     disk: DiskTier,
@@ -125,9 +161,10 @@ pub struct DisaggregatedMemory {
     /// skip the LZ matcher; the simulated compression cost is charged
     /// either way, so virtual-time results are unchanged.
     compress_memo: Mutex<CompressMemo>,
-    maps: Mutex<HashMap<ServerId, MemoryMap>>,
+    maps: Mutex<IdMap<ServerId, MemoryMap>>,
     servers: Vec<ServerId>,
     metrics: MetricsRegistry,
+    handles: CoreMetrics,
     /// Optional multi-tenant QoS control plane. `OnceLock` keeps the
     /// no-QoS hot path lock-free: an uninstalled engine is one relaxed
     /// atomic load per operation, so single-tenant runs stay byte- and
@@ -135,7 +172,7 @@ pub struct DisaggregatedMemory {
     qos: OnceLock<Arc<QosEngine>>,
     /// Per-tenant `qos.<name>.get.ns` handles, resolved on a tenant's
     /// first get so no `qos.*` key exists without an engine.
-    qos_get_ns: Mutex<HashMap<TenantId, Histogram>>,
+    qos_get_ns: Mutex<IdMap<TenantId, Histogram>>,
     /// Optional host→shard partition + fabric router. Uninstalled (the
     /// default) the fabric skips routing entirely, so unsharded runs
     /// stay byte-identical to builds that predate sharding.
@@ -169,7 +206,7 @@ impl DisaggregatedMemory {
         );
         let rng = DetRng::new(config.seed);
 
-        let mut managers = HashMap::new();
+        let mut managers = IdMap::default();
         let mut servers = Vec::new();
         for &node in &nodes {
             let manager = Arc::new(NodeManager::new(node, config.node.slab_size, clock.clone(), cost));
@@ -226,9 +263,10 @@ impl DisaggregatedMemory {
             compress_memo: Mutex::new(CompressMemo::with_default_capacity()),
             maps: Mutex::new(maps),
             servers,
+            handles: CoreMetrics::new(&metrics),
             metrics,
             qos: OnceLock::new(),
-            qos_get_ns: Mutex::new(HashMap::new()),
+            qos_get_ns: Mutex::new(IdMap::default()),
             sharding: OnceLock::new(),
             telemetry: OnceLock::new(),
         })
@@ -435,7 +473,7 @@ impl DisaggregatedMemory {
             map.set_location(entry.key(), EntryLocation::Disk);
         }
         engine.note_dropped(victim.tenant, entry);
-        self.metrics.counter("qos.evict.demotions").inc();
+        self.handles.qos_evict_demotions.inc();
         true
     }
 
@@ -749,13 +787,11 @@ impl DisaggregatedMemory {
         // the buffer itself.
         let location = placed.unwrap_or_else(|| {
             self.disk.store(node, entry, stored);
-            self.metrics.counter("core.put.disk").inc();
+            self.handles.put_disk.inc();
             EntryLocation::Disk
         });
         span.tag("tier", Self::tier_name(&location));
-        self.metrics
-            .histogram("core.put.ns")
-            .record((self.clock.now() - t0).as_nanos());
+        self.handles.put_ns.record((self.clock.now() - t0).as_nanos());
         self.commit(qos, tenant, entry, record, location);
         Ok(())
     }
@@ -793,7 +829,7 @@ impl DisaggregatedMemory {
             }
         }
         let block = placed?;
-        self.metrics.counter("core.put.shared").inc();
+        self.handles.put_shared.inc();
         Ok(EntryLocation::NodeShared {
             slab: block.slab,
             offset: block.offset,
@@ -803,7 +839,7 @@ impl DisaggregatedMemory {
     fn try_nvm(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
         self.nvm
             .try_store(node, entry, stored, self.config.node.nvm_pool)?;
-        self.metrics.counter("core.put.nvm").inc();
+        self.handles.put_nvm.inc();
         Ok(EntryLocation::Nvm)
     }
 
@@ -844,7 +880,7 @@ impl DisaggregatedMemory {
             Ok(addr)
         })?;
         self.disk.store_behind(node, entry, stored.to_vec());
-        self.metrics.counter("core.put.cxl").inc();
+        self.handles.put_cxl.inc();
         Ok(EntryLocation::Cxl { addr: addr.raw() })
     }
 
@@ -856,7 +892,7 @@ impl DisaggregatedMemory {
         let set = self
             .replicator
             .store_replicated(node, entry, stored, Some(&peers))?;
-        self.metrics.counter("core.put.remote").inc();
+        self.handles.put_remote.inc();
         Ok(EntryLocation::Remote {
             replicas: set.nodes,
         })
@@ -918,7 +954,7 @@ impl DisaggregatedMemory {
                         // device cost. `recover` still checksums the
                         // payload, so the failover path can never serve
                         // wrong or stale bytes.
-                        self.metrics.counter("cxl.failover.reads").inc();
+                        self.handles.cxl_failover_reads.inc();
                         self.disk.load(server.node(), entry)?
                     }
                     Err(e) => return Err(e),
@@ -928,7 +964,7 @@ impl DisaggregatedMemory {
         };
         let out = self.recover(entry, record, stored);
         let elapsed = (self.clock.now() - t0).as_nanos();
-        self.metrics.histogram("core.get.ns").record(elapsed);
+        self.handles.get_ns.record(elapsed);
         if let Some(engine) = qos {
             self.qos_get_ns
                 .lock()
@@ -1087,9 +1123,7 @@ impl DisaggregatedMemory {
                     };
                     self.commit(qos, tenant, entry, record, location);
                 }
-                self.metrics
-                    .counter("core.put.remote_batched")
-                    .add(set.nodes.len() as u64);
+                self.handles.put_remote_batched.add(set.nodes.len() as u64);
             }
             Err(_) => {
                 let (items, records): (Vec<_>, Vec<_>) = window
@@ -1181,9 +1215,9 @@ impl DisaggregatedMemory {
         let span = self.clock.tracer().span("cluster", "repair");
         let mut repaired = 0;
         // The snapshot's (server, key) order matters: repair order feeds
-        // the placement RNG and every host's allocator, so `HashMap` order
-        // would make all downstream placement — and the per-seed metrics
-        // digest — vary run-to-run.
+        // the placement RNG and every host's allocator, so the maps' own
+        // iteration order — an accident of insertion history — must never
+        // reach placement or the per-seed metrics digest.
         for (server, key, record) in self.entries_snapshot() {
             let EntryLocation::Remote { replicas } = record.location else {
                 continue;
@@ -1220,7 +1254,7 @@ impl DisaggregatedMemory {
         if suspects.is_empty() {
             return;
         }
-        let referenced: HashSet<NodeId> = self
+        let referenced: IdSet<NodeId> = self
             .entries_snapshot()
             .into_iter()
             .filter_map(|(_, _, record)| match record.location {
@@ -1236,10 +1270,10 @@ impl DisaggregatedMemory {
                     .iter()
                     .all(|&peer| peer == node || self.fabric.is_path_up(peer, node));
                 if reachable && self.membership.clear_suspect(node) {
-                    self.metrics.counter("cluster.suspect.cleared").inc();
+                    self.handles.suspect_cleared.inc();
                 }
             } else if !referenced.contains(&node) && self.membership.clear_suspect(node) {
-                self.metrics.counter("cluster.suspect.evicted").inc();
+                self.handles.suspect_evicted.inc();
             }
         }
     }

@@ -8,9 +8,8 @@
 //! recovery.
 
 use crate::fabric::{Fabric, QpHandle};
-use dmem_types::{DmemResult, NodeId};
+use dmem_types::{DmemResult, IdMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -52,7 +51,7 @@ struct PeerChannels {
 pub struct ConnectionManager {
     local: NodeId,
     fabric: Fabric,
-    peers: Arc<Mutex<HashMap<NodeId, PeerChannels>>>,
+    peers: Arc<Mutex<IdMap<NodeId, PeerChannels>>>,
 }
 
 impl ConnectionManager {
@@ -61,7 +60,7 @@ impl ConnectionManager {
         ConnectionManager {
             local,
             fabric,
-            peers: Arc::new(Mutex::new(HashMap::new())),
+            peers: Arc::new(Mutex::new(IdMap::default())),
         }
     }
 

@@ -24,10 +24,12 @@
 //! enables it; absent a pool, no `cxl.*` metric keys exist and every
 //! pre-CXL run is byte-identical.
 
-use dmem_sim::{CostModel, DeviceCost, MetricsRegistry, SimClock, SimDuration, SimInstant};
-use dmem_types::{ByteSize, DmemError, DmemResult};
+use dmem_sim::{
+    CostModel, DeviceCost, LazyCounter, LazyHistogram, MetricsRegistry, SimClock, SimDuration,
+    SimInstant,
+};
+use dmem_types::{ByteSize, DmemError, DmemResult, IdMap};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 
 /// CXL transfer granularity: accesses are rounded up to 64-byte lines.
@@ -230,8 +232,43 @@ struct AtomicCell {
 
 struct PoolInner {
     nodes: Vec<PoolNodeState>,
-    blocks: HashMap<u64, Block>,
-    atomics: HashMap<u64, AtomicCell>,
+    blocks: IdMap<u64, Block>,
+    atomics: IdMap<u64, AtomicCell>,
+}
+
+/// The `cxl.*` family, resolved on first touch.
+struct CxlMetrics {
+    alloc_ops: LazyCounter,
+    free_ops: LazyCounter,
+    store_ops: LazyCounter,
+    store_bytes: LazyCounter,
+    store_ns: LazyHistogram,
+    load_ops: LazyCounter,
+    load_bytes: LazyCounter,
+    load_ns: LazyHistogram,
+    atomic_ops: LazyCounter,
+    node_down_events: LazyCounter,
+    node_up_events: LazyCounter,
+}
+
+impl CxlMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &'static str| LazyCounter::new(registry, name);
+        let histogram = |name: &'static str| LazyHistogram::new(registry, name);
+        CxlMetrics {
+            alloc_ops: counter("cxl.alloc.ops"),
+            free_ops: counter("cxl.free.ops"),
+            store_ops: counter("cxl.store.ops"),
+            store_bytes: counter("cxl.store.bytes"),
+            store_ns: histogram("cxl.store.ns"),
+            load_ops: counter("cxl.load.ops"),
+            load_bytes: counter("cxl.load.bytes"),
+            load_ns: histogram("cxl.load.ns"),
+            atomic_ops: counter("cxl.atomic.ops"),
+            node_down_events: counter("cxl.node.down.events"),
+            node_up_events: counter("cxl.node.up.events"),
+        }
+    }
 }
 
 /// The simulated CXL memory pool shared by all hosts of a cluster.
@@ -266,6 +303,7 @@ pub struct CxlPool {
     clock: SimClock,
     cost: CxlCostModel,
     metrics: MetricsRegistry,
+    handles: CxlMetrics,
     capacity_per_node: u64,
     ring: CxlRing,
     inner: Mutex<PoolInner>,
@@ -297,13 +335,14 @@ impl CxlPool {
         CxlPool {
             clock,
             cost: CxlCostModel::from_cost_model(&cost),
+            handles: CxlMetrics::new(&metrics),
             metrics,
             capacity_per_node: capacity_per_node.as_u64(),
             ring,
             inner: Mutex::new(PoolInner {
                 nodes,
-                blocks: HashMap::new(),
-                atomics: HashMap::new(),
+                blocks: IdMap::default(),
+                atomics: IdMap::default(),
             }),
         }
     }
@@ -366,7 +405,7 @@ impl CxlPool {
                 data: None,
             },
         );
-        self.metrics.counter("cxl.alloc.ops").inc();
+        self.handles.alloc_ops.inc();
         Ok(addr)
     }
 
@@ -385,7 +424,7 @@ impl CxlPool {
             .ok_or(DmemError::RegionNotRegistered)?;
         let rounded = lines(block.capacity.max(1)) as u64;
         inner.nodes[addr.pool_node() as usize].used -= rounded;
-        self.metrics.counter("cxl.free.ops").inc();
+        self.handles.free_ops.inc();
         Ok(block.capacity)
     }
 
@@ -431,9 +470,9 @@ impl CxlPool {
         }
         let elapsed = self.cost.store.transfer(lines(data.len().max(1)));
         self.clock.advance(elapsed);
-        self.metrics.counter("cxl.store.ops").inc();
-        self.metrics.counter("cxl.store.bytes").add(data.len() as u64);
-        self.metrics.histogram("cxl.store.ns").record(elapsed.as_nanos());
+        self.handles.store_ops.inc();
+        self.handles.store_bytes.add(data.len() as u64);
+        self.handles.store_ns.record(elapsed.as_nanos());
         Ok(())
     }
 
@@ -455,9 +494,9 @@ impl CxlPool {
         span.tag("bytes", data.len() as u64);
         let elapsed = self.cost.load.transfer(lines(data.len().max(1)));
         self.clock.advance(elapsed);
-        self.metrics.counter("cxl.load.ops").inc();
-        self.metrics.counter("cxl.load.bytes").add(data.len() as u64);
-        self.metrics.histogram("cxl.load.ns").record(elapsed.as_nanos());
+        self.handles.load_ops.inc();
+        self.handles.load_bytes.add(data.len() as u64);
+        self.handles.load_ns.record(elapsed.as_nanos());
         Ok(data)
     }
 
@@ -513,7 +552,7 @@ impl CxlPool {
             cell.value = f(old);
             old
         };
-        self.metrics.counter("cxl.atomic.ops").inc();
+        self.handles.atomic_ops.inc();
         Ok(old)
     }
 
@@ -561,9 +600,9 @@ impl CxlPool {
         };
         let elapsed = self.cost.load.transfer(CACHELINE);
         self.clock.advance(elapsed);
-        self.metrics.counter("cxl.load.ops").inc();
-        self.metrics.counter("cxl.load.bytes").add(8);
-        self.metrics.histogram("cxl.load.ns").record(elapsed.as_nanos());
+        self.handles.load_ops.inc();
+        self.handles.load_bytes.add(8);
+        self.handles.load_ns.record(elapsed.as_nanos());
         Ok(value)
     }
 
@@ -587,7 +626,7 @@ impl CxlPool {
         let state = &mut inner.nodes[pool_node as usize];
         if !state.down {
             state.down = true;
-            self.metrics.counter("cxl.node.down.events").inc();
+            self.handles.node_down_events.inc();
         }
     }
 
@@ -597,7 +636,7 @@ impl CxlPool {
         let state = &mut inner.nodes[pool_node as usize];
         if state.down {
             state.down = false;
-            self.metrics.counter("cxl.node.up.events").inc();
+            self.handles.node_up_events.inc();
         }
     }
 

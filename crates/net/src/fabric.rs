@@ -3,11 +3,11 @@
 use crate::faults::{FabricFault, FabricFaults, VerbOutcome};
 use dmem_sim::shard::{ShardId, ShardMap};
 use dmem_sim::{
-    CostModel, Counter, FailureInjector, MetricsRegistry, SimClock, SimDuration, SimInstant,
+    CostModel, Counter, FailureInjector, LazyCounter, LazyHistogram, MetricsRegistry, SimClock,
+    SimDuration, SimInstant,
 };
-use dmem_types::{ByteSize, DmemError, DmemResult, MrId, NodeId, QpId, TenantId};
+use dmem_types::{ByteSize, DmemError, DmemResult, IdMap, MrId, NodeId, QpId, TenantId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,9 +39,9 @@ pub struct ShardRouter {
 #[derive(Debug, Default)]
 struct RouterInner {
     /// Next send sequence number per directed shard pair.
-    next_seq: HashMap<(u32, u32), u64>,
+    next_seq: IdMap<(u32, u32), u64>,
     /// Last observed mailbox key per directed shard pair.
-    last_key: HashMap<(u32, u32), (u64, u64)>,
+    last_key: IdMap<(u32, u32), (u64, u64)>,
     cross: u64,
     local: u64,
 }
@@ -153,15 +153,16 @@ struct QpState {
     error: bool,
 }
 
+#[derive(Default)]
 struct Inner {
-    regions: HashMap<MrId, Region>,
-    qps: HashMap<QpId, QpState>,
-    registered_per_node: HashMap<NodeId, ByteSize>,
+    regions: IdMap<MrId, Region>,
+    qps: IdMap<QpId, QpState>,
+    registered_per_node: IdMap<NodeId, ByteSize>,
     /// Per-QP completion queues for the asynchronous verbs: completions
     /// become visible once the link has delivered them.
-    cqs: HashMap<QpId, Vec<(SimInstant, Completion)>>,
+    cqs: IdMap<QpId, Vec<(SimInstant, Completion)>>,
     /// Per-QP link occupancy: posted transfers serialize on bandwidth.
-    busy_until: HashMap<QpId, SimInstant>,
+    busy_until: IdMap<QpId, SimInstant>,
 }
 
 /// The kind of work a completion reports.
@@ -184,6 +185,72 @@ pub struct Completion {
     pub data: Vec<u8>,
 }
 
+/// Every metric the fabric touches per verb, resolved on first touch:
+/// one table behind an `Arc`, shared by all clones of a [`Fabric`].
+struct FabricMetrics {
+    mr_registered: LazyCounter,
+    mr_deregistered: LazyCounter,
+    qp_connected: LazyCounter,
+    write_ops: LazyCounter,
+    write_bytes: LazyCounter,
+    write_ns: LazyHistogram,
+    read_ops: LazyCounter,
+    read_bytes: LazyCounter,
+    read_ns: LazyHistogram,
+    send_ops: LazyCounter,
+    send_bytes: LazyCounter,
+    recv_ops: LazyCounter,
+    recv_bytes: LazyCounter,
+    partition_begin: LazyCounter,
+    partition_heal: LazyCounter,
+    qp_broken: LazyCounter,
+    retry_attempts: LazyCounter,
+    retry_recovered: LazyCounter,
+    retry_exhausted: LazyCounter,
+    retry_deadline: LazyCounter,
+    retry_wait_ns: LazyHistogram,
+    inject_drop: LazyCounter,
+    inject_delay: LazyCounter,
+    inject_duplicate: LazyCounter,
+    /// `(ops, bytes)` counters per scoped tenant, resolved on the
+    /// tenant's first charged verb.
+    tenants: Mutex<IdMap<u64, (Counter, Counter)>>,
+}
+
+impl FabricMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &'static str| LazyCounter::new(registry, name);
+        let histogram = |name: &'static str| LazyHistogram::new(registry, name);
+        FabricMetrics {
+            mr_registered: counter("net.mr.registered"),
+            mr_deregistered: counter("net.mr.deregistered"),
+            qp_connected: counter("net.qp.connected"),
+            write_ops: counter("net.write.ops"),
+            write_bytes: counter("net.write.bytes"),
+            write_ns: histogram("net.write.ns"),
+            read_ops: counter("net.read.ops"),
+            read_bytes: counter("net.read.bytes"),
+            read_ns: histogram("net.read.ns"),
+            send_ops: counter("net.send.ops"),
+            send_bytes: counter("net.send.bytes"),
+            recv_ops: counter("net.recv.ops"),
+            recv_bytes: counter("net.recv.bytes"),
+            partition_begin: counter("faults.partition.begin"),
+            partition_heal: counter("faults.partition.heal"),
+            qp_broken: counter("faults.qp.broken"),
+            retry_attempts: counter("faults.retry.attempts"),
+            retry_recovered: counter("faults.retry.recovered"),
+            retry_exhausted: counter("faults.retry.exhausted"),
+            retry_deadline: counter("faults.retry.deadline"),
+            retry_wait_ns: histogram("faults.retry.wait.ns"),
+            inject_drop: counter("faults.inject.drop"),
+            inject_delay: counter("faults.inject.delay"),
+            inject_duplicate: counter("faults.inject.duplicate"),
+            tenants: Mutex::new(IdMap::default()),
+        }
+    }
+}
+
 /// The simulated RDMA fabric shared by all nodes of a cluster.
 ///
 /// Cheap to clone; all clones view the same fabric.
@@ -193,6 +260,7 @@ pub struct Fabric {
     cost: CostModel,
     failures: FailureInjector,
     metrics: MetricsRegistry,
+    handles: Arc<FabricMetrics>,
     inner: Arc<Mutex<Inner>>,
     next_id: Arc<AtomicU64>,
     /// Tenant currently charged for verbs ([`NO_TENANT`] = unattributed).
@@ -200,9 +268,6 @@ pub struct Fabric {
     /// operations; per-tenant counters exist only while a scope is set,
     /// so QoS-disabled runs create no extra metric keys.
     tenant_scope: Arc<AtomicU64>,
-    /// `(ops, bytes)` counter handles per scoped tenant, resolved on the
-    /// tenant's first charged verb.
-    tenant_counters: Arc<Mutex<HashMap<u64, (Counter, Counter)>>>,
     /// Installed-at-most-once fault layer. Absent (the default), verbs
     /// run exactly as they always have: no extra RNG draws, clock
     /// advances or metric keys, so fault-free runs stay byte-identical.
@@ -220,21 +285,16 @@ impl Fabric {
     /// Creates a fabric over the given clock, cost model and failure
     /// injector.
     pub fn new(clock: SimClock, cost: CostModel, failures: FailureInjector) -> Self {
+        let metrics = MetricsRegistry::new();
         Fabric {
             clock,
             cost,
             failures,
-            metrics: MetricsRegistry::new(),
-            inner: Arc::new(Mutex::new(Inner {
-                regions: HashMap::new(),
-                qps: HashMap::new(),
-                registered_per_node: HashMap::new(),
-                cqs: HashMap::new(),
-                busy_until: HashMap::new(),
-            })),
+            handles: Arc::new(FabricMetrics::new(&metrics)),
+            metrics,
+            inner: Arc::new(Mutex::new(Inner::default())),
             next_id: Arc::new(AtomicU64::new(1)),
             tenant_scope: Arc::new(AtomicU64::new(NO_TENANT)),
-            tenant_counters: Arc::new(Mutex::new(HashMap::new())),
             faults: Arc::new(OnceLock::new()),
             shard_router: Arc::new(OnceLock::new()),
         }
@@ -315,8 +375,8 @@ impl Fabric {
         if raw == NO_TENANT {
             return;
         }
-        let mut handles = self.tenant_counters.lock();
-        let (ops, moved) = handles.entry(raw).or_insert_with(|| {
+        let mut tenants = self.handles.tenants.lock();
+        let (ops, moved) = tenants.entry(raw).or_insert_with(|| {
             (
                 self.metrics.counter(&format!("net.tenant-{raw}.ops")),
                 self.metrics.counter(&format!("net.tenant-{raw}.bytes")),
@@ -384,7 +444,7 @@ impl Fabric {
             .registered_per_node
             .entry(node)
             .or_insert(ByteSize::ZERO) += len;
-        self.metrics.counter("net.mr.registered").inc();
+        self.handles.mr_registered.inc();
         Ok(RegionHandle { mr, node, rkey })
     }
 
@@ -404,7 +464,7 @@ impl Fabric {
         if let Some(total) = inner.registered_per_node.get_mut(&region.node) {
             *total -= len;
         }
-        self.metrics.counter("net.mr.deregistered").inc();
+        self.handles.mr_deregistered.inc();
         Ok(())
     }
 
@@ -442,7 +502,7 @@ impl Fabric {
                 error: false,
             },
         );
-        self.metrics.counter("net.qp.connected").inc();
+        self.handles.qp_connected.inc();
         Ok(QpHandle { qp, local: a, peer: b })
     }
 
@@ -508,10 +568,10 @@ impl Fabric {
         for fault in faults.take_due(self.clock.now()) {
             match fault {
                 FabricFault::Partition { .. } => {
-                    self.metrics.counter("faults.partition.begin").inc();
+                    self.handles.partition_begin.inc();
                 }
                 FabricFault::Heal { .. } => {
-                    self.metrics.counter("faults.partition.heal").inc();
+                    self.handles.partition_heal.inc();
                 }
                 FabricFault::BreakQps { a, b } => {
                     self.break_qps(a, b);
@@ -538,7 +598,7 @@ impl Fabric {
             }
         }
         if broken > 0 {
-            self.metrics.counter("faults.qp.broken").add(broken as u64);
+            self.handles.qp_broken.add(broken as u64);
         }
         broken
     }
@@ -588,10 +648,8 @@ impl Fabric {
             match attempt_once() {
                 Ok(value) => {
                     if attempt > 0 {
-                        self.metrics.counter("faults.retry.recovered").inc();
-                        self.metrics
-                            .histogram("faults.retry.wait.ns")
-                            .record(waited.as_nanos());
+                        self.handles.retry_recovered.inc();
+                        self.handles.retry_wait_ns.record(waited.as_nanos());
                     }
                     return Ok(value);
                 }
@@ -602,29 +660,25 @@ impl Fabric {
                     );
                     if !transient || attempt + 1 >= policy.attempts.max(1) {
                         if transient {
-                            self.metrics.counter("faults.retry.exhausted").inc();
+                            self.handles.retry_exhausted.inc();
                         }
                         if attempt > 0 {
-                            self.metrics
-                                .histogram("faults.retry.wait.ns")
-                                .record(waited.as_nanos());
+                            self.handles.retry_wait_ns.record(waited.as_nanos());
                         }
                         return Err(e);
                     }
                     let now = self.clock.now();
                     if now >= deadline {
-                        self.metrics.counter("faults.retry.deadline").inc();
+                        self.handles.retry_deadline.inc();
                         if attempt > 0 {
-                            self.metrics
-                                .histogram("faults.retry.wait.ns")
-                                .record(waited.as_nanos());
+                            self.handles.retry_wait_ns.record(waited.as_nanos());
                         }
                         return Err(DmemError::Timeout {
                             what: format!("net.{what} deadline"),
                         });
                     }
                     let wait = faults.jittered_backoff(attempt);
-                    self.metrics.counter("faults.retry.attempts").inc();
+                    self.handles.retry_attempts.inc();
                     waited = waited + wait;
                     self.clock.advance(wait);
                     self.clock.tracer().record_async(
@@ -654,7 +708,7 @@ impl Fabric {
                 // the full transfer before the caller sees the timeout.
                 let t0 = self.clock.now();
                 self.clock.advance(self.cost.rdma.transfer(bytes));
-                self.metrics.counter("faults.inject.drop").inc();
+                self.handles.inject_drop.inc();
                 self.clock.tracer().record_async(
                     "faults",
                     "drop",
@@ -669,7 +723,7 @@ impl Fabric {
             VerbOutcome::Delay(extra) => {
                 let t0 = self.clock.now();
                 self.clock.advance(extra);
-                self.metrics.counter("faults.inject.delay").inc();
+                self.handles.inject_delay.inc();
                 self.clock.tracer().record_async(
                     "faults",
                     "delay",
@@ -684,7 +738,7 @@ impl Fabric {
                 // duplication costs wire time, not correctness.
                 let t0 = self.clock.now();
                 self.clock.advance(self.cost.rdma.transfer(bytes));
-                self.metrics.counter("faults.inject.duplicate").inc();
+                self.handles.inject_duplicate.inc();
                 self.clock.tracer().record_async(
                     "faults",
                     "duplicate",
@@ -733,9 +787,9 @@ impl Fabric {
             .ok_or(DmemError::RegionNotRegistered)?;
         let start = offset as usize;
         r.buf[start..start + data.len()].copy_from_slice(data);
-        self.metrics.counter("net.write.ops").inc();
-        self.metrics.counter("net.write.bytes").add(data.len() as u64);
-        self.metrics.histogram("net.write.ns").record(elapsed.as_nanos());
+        self.handles.write_ops.inc();
+        self.handles.write_bytes.add(data.len() as u64);
+        self.handles.write_ns.record(elapsed.as_nanos());
         self.charge_tenant(data.len() as u64);
         self.route_shard(qp.local, qp.peer);
         Ok(())
@@ -771,9 +825,9 @@ impl Fabric {
             .ok_or(DmemError::RegionNotRegistered)?;
         let start = offset as usize;
         let out = r.buf[start..start + len].to_vec();
-        self.metrics.counter("net.read.ops").inc();
-        self.metrics.counter("net.read.bytes").add(len as u64);
-        self.metrics.histogram("net.read.ns").record(elapsed.as_nanos());
+        self.handles.read_ops.inc();
+        self.handles.read_bytes.add(len as u64);
+        self.handles.read_ns.record(elapsed.as_nanos());
         self.charge_tenant(len as u64);
         self.route_shard(qp.local, qp.peer);
         Ok(out)
@@ -858,8 +912,8 @@ impl Fabric {
             state.seq_from_b += 1;
             state.seq_from_b
         };
-        self.metrics.counter("net.send.ops").inc();
-        self.metrics.counter("net.send.bytes").add(msg_len);
+        self.handles.send_ops.inc();
+        self.handles.send_bytes.add(msg_len);
         self.charge_tenant(msg_len);
         self.route_shard(qp.local, qp.peer);
         Ok(seq)
@@ -886,8 +940,8 @@ impl Fabric {
         };
         if let Some(msg) = &msg {
             // Symmetric to send: count delivered messages and bytes.
-            self.metrics.counter("net.recv.ops").inc();
-            self.metrics.counter("net.recv.bytes").add(msg.len() as u64);
+            self.handles.recv_ops.inc();
+            self.handles.recv_bytes.add(msg.len() as u64);
         }
         Ok(msg)
     }
@@ -963,8 +1017,8 @@ impl Fabric {
             let start = offset as usize;
             r.buf[start..start + data.len()].copy_from_slice(data);
         }
-        self.metrics.counter("net.write.ops").inc();
-        self.metrics.counter("net.write.bytes").add(data.len() as u64);
+        self.handles.write_ops.inc();
+        self.handles.write_bytes.add(data.len() as u64);
         self.charge_tenant(data.len() as u64);
         Ok(self.post_transfer(qp, CompletionKind::Write, Vec::new(), data.len()))
     }
@@ -992,8 +1046,8 @@ impl Fabric {
             let start = offset as usize;
             r.buf[start..start + len].to_vec()
         };
-        self.metrics.counter("net.read.ops").inc();
-        self.metrics.counter("net.read.bytes").add(len as u64);
+        self.handles.read_ops.inc();
+        self.handles.read_bytes.add(len as u64);
         self.charge_tenant(len as u64);
         Ok(self.post_transfer(qp, CompletionKind::Read, data, len))
     }
@@ -1343,6 +1397,22 @@ mod tests {
         let clone = f.clone();
         clone.set_tenant_scope(Some(TenantId::new(7)));
         assert_eq!(f.tenant_scope(), Some(TenantId::new(7)));
+    }
+
+    #[test]
+    fn clones_count_into_one_table() {
+        let (_, _, f) = fabric();
+        let clone = f.clone();
+        let qp_a = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        // Nothing sent yet: the handles exist, the keys do not.
+        assert_eq!(
+            f.metrics().counter_snapshot(),
+            [("net.qp.connected".to_owned(), 1)]
+        );
+        f.send(&qp_a, vec![0; 8]).unwrap();
+        clone.send(&qp_a, vec![0; 8]).unwrap();
+        assert_eq!(clone.metrics().counter("net.send.ops").get(), 2);
+        assert_eq!(f.metrics().counter("net.send.bytes").get(), 16);
     }
 
     #[test]

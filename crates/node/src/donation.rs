@@ -6,8 +6,7 @@
 //! donation returns DRAM to a server under sustained pressure (policy (2)
 //! of §IV-F); growing it enlarges the pool when the server has headroom.
 
-use dmem_types::{ByteSize, DmemError, DmemResult, DonationPolicy, ServerId};
-use std::collections::HashMap;
+use dmem_types::{ByteSize, DmemError, DmemResult, DonationPolicy, IdMap, ServerId};
 use std::fmt;
 
 #[derive(Debug, Clone)]
@@ -20,7 +19,7 @@ struct Donation {
 /// Tracks every server's donation to one node's shared pool.
 #[derive(Debug, Default)]
 pub struct DonationRegistry {
-    servers: HashMap<ServerId, Donation>,
+    servers: IdMap<ServerId, Donation>,
 }
 
 impl DonationRegistry {

@@ -8,12 +8,13 @@
 
 use crate::donation::DonationRegistry;
 use crate::pool::{BlockRef, PoolStats, SharedMemoryPool};
-use dmem_sim::{CostModel, MetricsRegistry, SimClock, SimDuration, SimInstant};
+use dmem_sim::{CostModel, LazyCounter, MetricsRegistry, SimClock, SimDuration, SimInstant};
 use dmem_types::{
-    ByteSize, DmemError, DmemResult, DonationPolicy, EntryId, NodeId, ServerId, SizeClass,
+    ByteSize, DmemError, DmemResult, DonationPolicy, EntryId, IdMap, IdSet, NodeId, ServerId,
+    SizeClass,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Ballooning recommendation for a virtual server (paper §IV-F policies).
@@ -65,10 +66,10 @@ struct StoredEntry {
 struct Inner {
     pool: SharedMemoryPool,
     donations: DonationRegistry,
-    page_table: HashMap<EntryId, StoredEntry>,
-    by_server: HashMap<ServerId, HashSet<u64>>,
+    page_table: IdMap<EntryId, StoredEntry>,
+    by_server: IdMap<ServerId, IdSet<u64>>,
     /// Recent overflow timestamps per server, for balloon advice.
-    overflow_log: HashMap<ServerId, VecDeque<SimInstant>>,
+    overflow_log: IdMap<ServerId, VecDeque<SimInstant>>,
     /// Recent node-level remote escalations.
     remote_log: VecDeque<SimInstant>,
     advice_window: SimDuration,
@@ -83,23 +84,37 @@ pub struct NodeManager {
     clock: SimClock,
     cost: CostModel,
     metrics: MetricsRegistry,
+    handles: NodeMetrics,
     inner: Mutex<Inner>,
+}
+
+/// The `node.*` counters, resolved on first touch.
+struct NodeMetrics {
+    put_shared: LazyCounter,
+    put_overflow: LazyCounter,
+    get_shared: LazyCounter,
 }
 
 impl NodeManager {
     /// Creates a manager with an empty pool carved into `slab_size` slabs.
     pub fn new(node: NodeId, slab_size: ByteSize, clock: SimClock, cost: CostModel) -> Self {
+        let metrics = MetricsRegistry::new();
         NodeManager {
             node,
             clock,
             cost,
-            metrics: MetricsRegistry::new(),
+            handles: NodeMetrics {
+                put_shared: LazyCounter::new(&metrics, "node.put.shared"),
+                put_overflow: LazyCounter::new(&metrics, "node.put.overflow"),
+                get_shared: LazyCounter::new(&metrics, "node.get.shared"),
+            },
+            metrics,
             inner: Mutex::new(Inner {
                 pool: SharedMemoryPool::new(slab_size, ByteSize::ZERO),
                 donations: DonationRegistry::new(),
-                page_table: HashMap::new(),
-                by_server: HashMap::new(),
-                overflow_log: HashMap::new(),
+                page_table: IdMap::default(),
+                by_server: IdMap::default(),
+                overflow_log: IdMap::default(),
                 remote_log: VecDeque::new(),
                 advice_window: SimDuration::from_millis(100),
                 advice_threshold: 32,
@@ -202,7 +217,7 @@ impl NodeManager {
                 inner.shared_puts += 1;
                 drop(inner);
                 self.clock.advance(self.cost.shared_memory.transfer(len));
-                self.metrics.counter("node.put.shared").inc();
+                self.handles.put_shared.inc();
                 Ok(block)
             }
             Err(e @ DmemError::CapacityExhausted { .. }) => {
@@ -214,7 +229,7 @@ impl NodeManager {
                     .or_default()
                     .push_back(now);
                 drop(inner);
-                self.metrics.counter("node.put.overflow").inc();
+                self.handles.put_overflow.inc();
                 Err(e)
             }
             Err(other) => Err(other),
@@ -236,7 +251,7 @@ impl NodeManager {
         drop(inner);
         self.clock
             .advance(self.cost.shared_memory.transfer(stored.len));
-        self.metrics.counter("node.get.shared").inc();
+        self.handles.get_shared.inc();
         Ok(data)
     }
 

@@ -8,8 +8,7 @@
 //! occupy their class footprint, which is what makes the Fig. 3
 //! compression-ratio accounting physical.
 
-use dmem_types::{ByteSize, DmemError, DmemResult, SizeClass, SlabId};
-use std::collections::HashMap;
+use dmem_types::{ByteSize, DmemError, DmemResult, IdMap, SizeClass, SlabId};
 use std::fmt;
 
 /// A reference to an allocated block: slab plus byte offset.
@@ -80,7 +79,7 @@ impl PoolStats {
 pub struct SharedMemoryPool {
     slab_size: usize,
     capacity: ByteSize,
-    slabs: HashMap<SlabId, Slab>,
+    slabs: IdMap<SlabId, Slab>,
     next_slab: u64,
     live_blocks: usize,
 }
@@ -100,7 +99,7 @@ impl SharedMemoryPool {
         SharedMemoryPool {
             slab_size: slab_size.as_usize(),
             capacity,
-            slabs: HashMap::new(),
+            slabs: IdMap::default(),
             next_slab: 1,
             live_blocks: 0,
         }

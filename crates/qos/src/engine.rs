@@ -13,11 +13,11 @@
 
 use crate::bucket::TokenBucket;
 use crate::tenant::TenantSpec;
-use dmem_sim::{AlertRule, Histogram, MetricsRegistry, SimDuration, SimInstant};
-use dmem_types::{ByteSize, EntryId, NodeId, ServerId, TenantId};
+use dmem_sim::{AlertRule, Histogram, LazyCounter, MetricsRegistry, SimDuration, SimInstant};
+use dmem_types::{ByteSize, EntryId, IdMap, NodeId, ServerId, TenantId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Tuning knobs for the engine and its controller.
 #[derive(Debug, Clone)]
@@ -143,6 +143,41 @@ struct Resident {
     tier: FastTier,
 }
 
+/// One tenant's `qos.<name>.*` counters, resolved on first touch.
+#[derive(Debug)]
+struct TenantCounters {
+    admitted_bytes: LazyCounter,
+    rejected_bytes: LazyCounter,
+    shed_bytes: LazyCounter,
+    throttled_bytes: LazyCounter,
+    tokens_waited_ns: LazyCounter,
+}
+
+impl TenantCounters {
+    /// Handles into `registry` under `qos.<tenant>.`; without a registry
+    /// they count nothing.
+    fn bind(registry: Option<&MetricsRegistry>, tenant: &str) -> Self {
+        let counter = |suffix: &str| match registry {
+            Some(registry) => LazyCounter::new(registry, format!("qos.{tenant}.{suffix}")),
+            None => LazyCounter::unbound(),
+        };
+        TenantCounters {
+            admitted_bytes: counter("admitted.bytes"),
+            rejected_bytes: counter("rejected.bytes"),
+            shed_bytes: counter("shed.bytes"),
+            throttled_bytes: counter("throttled.bytes"),
+            tokens_waited_ns: counter("tokens_waited.ns"),
+        }
+    }
+}
+
+/// Adds `by` to `counter`; a zero `by` does not even create the key.
+fn bump(counter: &LazyCounter, by: u64) {
+    if by != 0 {
+        counter.add(by);
+    }
+}
+
 #[derive(Debug)]
 struct TenantState {
     spec: TenantSpec,
@@ -151,14 +186,16 @@ struct TenantState {
     bucket: Option<TokenBucket>,
     throttle: u8,
     slo_prev: [u64; 65],
+    counters: TenantCounters,
 }
 
 impl TenantState {
-    fn new(spec: TenantSpec, burst: u64) -> Self {
+    fn new(spec: TenantSpec, burst: u64, registry: Option<&MetricsRegistry>) -> Self {
         let bucket = spec
             .fabric_rate
             .map(|rate| TokenBucket::new(rate, burst));
         TenantState {
+            counters: TenantCounters::bind(registry, &spec.name),
             spec,
             resident: 0,
             entries: BTreeMap::new(),
@@ -175,13 +212,42 @@ impl TenantState {
 
 struct Inner {
     tenants: Vec<TenantState>,
-    owners: HashMap<ServerId, TenantId>,
+    owners: IdMap<ServerId, TenantId>,
     aggregate: Option<TokenBucket>,
-    log: Vec<String>,
-    log_capacity: usize,
-    log_count: u64,
-    log_hash: u64,
+    log: DecisionLog,
     evictions: Vec<EvictionRecord>,
+    /// Where `qos.*` counters go; `None` until `attach_metrics`.
+    registry: Option<MetricsRegistry>,
+}
+
+/// Every decision, folded into a running FNV-1a digest; the first
+/// `capacity` of them are also kept as text.
+struct DecisionLog {
+    lines: Vec<String>,
+    capacity: usize,
+    count: u64,
+    hash: u64,
+    /// The line being written, reused: once `lines` is full a decision
+    /// costs no allocation.
+    line: String,
+}
+
+fn fnv_fold(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+impl DecisionLog {
+    fn push(&mut self, line: fmt::Arguments<'_>) {
+        self.line.clear();
+        self.line
+            .write_fmt(line)
+            .expect("writing to a String cannot fail");
+        self.hash = fnv_fold(self.line.bytes().fold(self.hash, fnv_fold), b'\n');
+        self.count += 1;
+        if self.lines.len() < self.capacity {
+            self.lines.push(self.line.clone());
+        }
+    }
 }
 
 /// The multi-tenant QoS control plane (paper §IV-F, policies 1 & 2).
@@ -212,7 +278,6 @@ struct Inner {
 pub struct QosEngine {
     config: QosConfig,
     inner: Mutex<Inner>,
-    metrics: Mutex<Option<MetricsRegistry>>,
 }
 
 /// Public alias of the internal tier tag used when charging residency.
@@ -248,30 +313,39 @@ impl QosEngine {
     /// (id 0, unlimited quota, top priority).
     pub fn new(config: QosConfig) -> Self {
         let burst = config.burst.as_u64();
-        let log_capacity = config.log_capacity;
         let aggregate = config
             .aggregate_rate
             .map(|rate| TokenBucket::new(rate, burst));
+        let log = DecisionLog {
+            lines: Vec::new(),
+            capacity: config.log_capacity,
+            count: 0,
+            hash: FNV_OFFSET,
+            line: String::new(),
+        };
         QosEngine {
             config,
             inner: Mutex::new(Inner {
-                tenants: vec![TenantState::new(TenantSpec::system(), burst)],
-                owners: HashMap::new(),
+                tenants: vec![TenantState::new(TenantSpec::system(), burst, None)],
+                owners: IdMap::default(),
                 aggregate,
-                log: Vec::new(),
-                log_capacity,
-                log_count: 0,
-                log_hash: FNV_OFFSET,
+                log,
                 evictions: Vec::new(),
+                registry: None,
             }),
-            metrics: Mutex::new(None),
         }
     }
 
     /// Binds the cluster's metrics registry so the engine can publish
-    /// `qos.*` counters. Called by `dmem-core` on install.
+    /// `qos.*` counters: every tenant's counters, registered already or
+    /// later, count into it from here on. Called by `dmem-core` on
+    /// install.
     pub fn attach_metrics(&self, registry: MetricsRegistry) {
-        *self.metrics.lock() = Some(registry);
+        let mut inner = self.inner.lock();
+        for t in &mut inner.tenants {
+            t.counters = TenantCounters::bind(Some(&registry), &t.spec.name);
+        }
+        inner.registry = Some(registry);
     }
 
     /// Engine configuration.
@@ -294,7 +368,8 @@ impl QosEngine {
         );
         let id = TenantId::new(inner.tenants.len() as u32);
         let burst = self.config.burst.as_u64();
-        inner.tenants.push(TenantState::new(spec, burst));
+        let state = TenantState::new(spec, burst, inner.registry.as_ref());
+        inner.tenants.push(state);
         id
     }
 
@@ -340,8 +415,9 @@ impl QosEngine {
     /// logged and counted.
     pub fn admit_fast(&self, tenant: TenantId, bytes: u64) -> AdmitDecision {
         let mut inner = self.inner.lock();
-        let t = &inner.tenants[tenant.index() as usize];
-        let name = t.spec.name.clone();
+        let Inner { tenants, log, .. } = &mut *inner;
+        let t = &tenants[tenant.index() as usize];
+        let name = &t.spec.name;
         let decision = if t.throttle >= self.config.shed_level && !tenant.is_system() {
             AdmitDecision::Shed
         } else if t.under_quota(bytes) {
@@ -351,26 +427,20 @@ impl QosEngine {
         };
         match decision {
             AdmitDecision::Admit => {
-                let line = format!("admit {name} bytes={bytes}");
-                inner.push_log(line);
-                self.bump(&name, "admitted.bytes", bytes);
+                log.push(format_args!("admit {name} bytes={bytes}"));
+                bump(&t.counters.admitted_bytes, bytes);
             }
             AdmitDecision::RejectQuota => {
-                let (resident, quota) = {
-                    let t = &inner.tenants[tenant.index() as usize];
-                    (t.resident, t.spec.quota.as_u64())
-                };
-                let line = format!(
-                    "reject {name} bytes={bytes} resident={resident} quota={quota}"
-                );
-                inner.push_log(line);
-                self.bump(&name, "rejected.bytes", bytes);
+                log.push(format_args!(
+                    "reject {name} bytes={bytes} resident={} quota={}",
+                    t.resident,
+                    t.spec.quota.as_u64()
+                ));
+                bump(&t.counters.rejected_bytes, bytes);
             }
             AdmitDecision::Shed => {
-                let level = inner.tenants[tenant.index() as usize].throttle;
-                let line = format!("shed {name} bytes={bytes} level={level}");
-                inner.push_log(line);
-                self.bump(&name, "shed.bytes", bytes);
+                log.push(format_args!("shed {name} bytes={bytes} level={}", t.throttle));
+                bump(&t.counters.shed_bytes, bytes);
             }
         }
         decision
@@ -467,7 +537,7 @@ impl QosEngine {
             victim_priority: victim.priority,
             entry: victim.entry,
         };
-        let line = format!(
+        inner.log.push(format_args!(
             "evict benef={}(p{}) victim={}(p{}) entry={} bytes={}",
             record.beneficiary,
             record.beneficiary_priority,
@@ -475,8 +545,7 @@ impl QosEngine {
             record.victim_priority,
             victim.entry,
             victim.bytes
-        );
-        inner.push_log(line);
+        ));
         inner.evictions.push(record);
     }
 
@@ -502,15 +571,15 @@ impl QosEngine {
             wait = wait.max(aggregate.acquire(bytes, now));
         }
         if !wait.is_zero() {
-            let name = inner.tenants[idx].spec.name.clone();
-            let line = format!(
-                "throttle {name} bytes={bytes} level={level} wait_ns={}",
+            let Inner { tenants, log, .. } = &mut *inner;
+            let t = &tenants[idx];
+            log.push(format_args!(
+                "throttle {} bytes={bytes} level={level} wait_ns={}",
+                t.spec.name,
                 wait.as_nanos()
-            );
-            inner.push_log(line);
-            drop(inner);
-            self.bump(&name, "throttled.bytes", bytes);
-            self.bump(&name, "tokens_waited.ns", wait.as_nanos());
+            ));
+            bump(&t.counters.throttled_bytes, bytes);
+            bump(&t.counters.tokens_waited_ns, wait.as_nanos());
         }
         wait
     }
@@ -531,81 +600,68 @@ impl QosEngine {
     /// When *no* SLO is violated, all throttle levels decay one step.
     pub fn controller_tick(&self, metrics: &MetricsRegistry) -> Vec<ControlAction> {
         let mut inner = self.inner.lock();
-        let n = inner.tenants.len();
+        let Inner {
+            tenants,
+            owners,
+            log,
+            ..
+        } = &mut *inner;
         let mut violated: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let (name, target) = {
-                let t = &inner.tenants[i];
-                match t.spec.slo_p99 {
-                    Some(target) => (t.spec.name.clone(), target),
-                    None => continue,
-                }
+        for (i, t) in tenants.iter_mut().enumerate() {
+            let Some(target) = t.spec.slo_p99 else {
+                continue;
             };
+            let name = &t.spec.name;
             let counts = metrics.histogram(&format!("qos.{name}.get.ns")).bucket_counts();
             let mut window = [0u64; 65];
             for b in 0..65 {
-                window[b] = counts[b].saturating_sub(inner.tenants[i].slo_prev[b]);
+                window[b] = counts[b].saturating_sub(t.slo_prev[b]);
             }
-            inner.tenants[i].slo_prev = counts;
+            t.slo_prev = counts;
             let samples: u64 = window.iter().sum();
             if samples < self.config.min_slo_samples {
                 continue;
             }
             let p99 = Histogram::quantile_of_counts(&window, 0.99);
             if SimDuration::from_nanos(p99) > target {
-                let line = format!(
+                log.push(format_args!(
                     "slo-violation {name} p99_ns={p99} target_ns={} samples={samples}",
                     target.as_nanos()
-                );
-                inner.push_log(line);
+                ));
                 violated.push(i);
             }
         }
 
         let mut actions = Vec::new();
         if violated.is_empty() {
-            for i in 0..n {
-                if inner.tenants[i].throttle > 0 {
-                    inner.tenants[i].throttle -= 1;
-                    let line = format!(
-                        "level {} {}",
-                        inner.tenants[i].spec.name, inner.tenants[i].throttle
-                    );
-                    inner.push_log(line);
-                }
+            for t in tenants.iter_mut().filter(|t| t.throttle > 0) {
+                t.throttle -= 1;
+                log.push(format_args!("level {} {}", t.spec.name, t.throttle));
             }
             return actions;
         }
 
         for &v in &violated {
-            let vpri = inner.tenants[v].spec.priority;
-            for i in 0..n {
-                if inner.tenants[i].spec.priority < vpri
-                    && inner.tenants[i].throttle < self.config.max_throttle
-                {
-                    inner.tenants[i].throttle += 1;
-                    let line = format!(
-                        "level {} {}",
-                        inner.tenants[i].spec.name, inner.tenants[i].throttle
-                    );
-                    inner.push_log(line);
+            let vpri = tenants[v].spec.priority;
+            for t in tenants.iter_mut() {
+                if t.spec.priority < vpri && t.throttle < self.config.max_throttle {
+                    t.throttle += 1;
+                    log.push(format_args!("level {} {}", t.spec.name, t.throttle));
                 }
             }
             // Grow donations on the nodes hosting the suffering tenant.
             let tenant = TenantId::new(v as u32);
-            let mut servers: Vec<ServerId> = inner
-                .owners
+            let mut servers: Vec<ServerId> = owners
                 .iter()
                 .filter(|&(_, &t)| t == tenant)
                 .map(|(&s, _)| s)
                 .collect();
             servers.sort();
             for server in servers {
-                let line = format!(
+                log.push(format_args!(
                     "donate server={server} delta={:+.2}",
                     self.config.donation_step
-                );
-                inner.push_log(line);
+                ));
                 actions.push(ControlAction::AdjustDonation {
                     server,
                     delta: self.config.donation_step,
@@ -679,7 +735,7 @@ impl QosEngine {
 
     /// The decision log (up to [`QosConfig::log_capacity`] lines).
     pub fn decision_log(&self) -> Vec<String> {
-        self.inner.lock().log.clone()
+        self.inner.lock().log.lines.clone()
     }
 
     /// Digest over *every* decision ever made: `n=<count> fnv=<hash>`.
@@ -687,7 +743,7 @@ impl QosEngine {
     /// compares these across processes and across `--jobs` threads.
     pub fn decision_digest(&self) -> String {
         let inner = self.inner.lock();
-        format!("n={} fnv={:#018x}", inner.log_count, inner.log_hash)
+        format!("n={} fnv={:#018x}", inner.log.count, inner.log.hash)
     }
 
     /// Renders per-tenant rows for `dmem_top`-style reports: name,
@@ -714,31 +770,6 @@ impl QosEngine {
             .unwrap();
         }
         out
-    }
-
-    /// Bumps `qos.<tenant>.<suffix>` if a registry is attached.
-    fn bump(&self, tenant: &str, suffix: &str, by: u64) {
-        if by == 0 {
-            return;
-        }
-        if let Some(m) = self.metrics.lock().as_ref() {
-            m.counter(&format!("qos.{tenant}.{suffix}")).add(by);
-        }
-    }
-}
-
-impl Inner {
-    fn push_log(&mut self, line: String) {
-        for byte in line.as_bytes() {
-            self.log_hash ^= u64::from(*byte);
-            self.log_hash = self.log_hash.wrapping_mul(FNV_PRIME);
-        }
-        self.log_hash ^= u64::from(b'\n');
-        self.log_hash = self.log_hash.wrapping_mul(FNV_PRIME);
-        self.log_count += 1;
-        if self.log.len() < self.log_capacity {
-            self.log.push(line);
-        }
     }
 }
 
@@ -957,6 +988,39 @@ mod tests {
                 "tick {tick}"
             );
         }
+    }
+
+    #[test]
+    fn counters_follow_the_attached_registry() {
+        let (qos, hi, _) = engine_two_tenants();
+        // Unattached: decisions are made and logged, nothing is counted.
+        assert_eq!(qos.admit_fast(hi, 4096), AdmitDecision::Admit);
+        let metrics = MetricsRegistry::new();
+        qos.attach_metrics(metrics.clone());
+        assert!(metrics.counter_snapshot().is_empty());
+        // A zero-byte decision creates no key; tenants registered before
+        // and after the attach both count into the registry.
+        assert_eq!(qos.admit_fast(hi, 0), AdmitDecision::Admit);
+        assert!(metrics.counter_snapshot().is_empty());
+        let late = qos.register_tenant(TenantSpec::new("late", 50, ByteSize::from_kib(4)));
+        assert_eq!(qos.admit_fast(hi, 100), AdmitDecision::Admit);
+        assert_eq!(qos.admit_fast(late, 8192), AdmitDecision::RejectQuota);
+        assert_eq!(
+            metrics.counter_snapshot(),
+            [
+                ("qos.hi.admitted.bytes".to_owned(), 100),
+                ("qos.late.rejected.bytes".to_owned(), 8192),
+            ]
+        );
+        assert_eq!(
+            qos.decision_log(),
+            [
+                "admit hi bytes=4096",
+                "admit hi bytes=0",
+                "admit hi bytes=100",
+                "reject late bytes=8192 resident=0 quota=4096",
+            ]
+        );
     }
 
     #[test]

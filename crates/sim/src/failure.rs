@@ -8,9 +8,8 @@
 
 use crate::clock::SimClock;
 use crate::time::SimInstant;
-use dmem_types::{NodeId, ServerId};
+use dmem_types::{IdSet, NodeId, ServerId};
 use parking_lot::RwLock;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -49,9 +48,9 @@ struct State {
     /// Events not yet applied, sorted ascending by time.
     pending: Vec<(SimInstant, FailureEvent)>,
     /// Currently failed entities.
-    down_nodes: HashSet<NodeId>,
-    down_servers: HashSet<ServerId>,
-    down_links: HashSet<(NodeId, NodeId)>,
+    down_nodes: IdSet<NodeId>,
+    down_servers: IdSet<ServerId>,
+    down_links: IdSet<(NodeId, NodeId)>,
 }
 
 impl State {

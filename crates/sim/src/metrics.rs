@@ -1,10 +1,11 @@
 //! Lightweight metrics: counters, gauges and log-bucket histograms.
 
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default, Clone)]
@@ -283,11 +284,33 @@ impl Default for Histogram {
 /// A named registry of metrics, shared across components of one cluster.
 ///
 /// Keys are hierarchical strings such as `"fastswap.swap_out.remote"`.
+/// Names are for snapshots, reports and tests; code that runs per
+/// operation holds a [`Lazy`] handle instead, which comes through here
+/// once.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
-    counters: Arc<RwLock<BTreeMap<String, Counter>>>,
-    gauges: Arc<RwLock<BTreeMap<String, Gauge>>>,
-    histograms: Arc<RwLock<BTreeMap<String, Histogram>>>,
+    inner: Arc<RegistryInner>,
+}
+
+#[derive(Debug, Default)]
+struct RegistryInner {
+    counters: RwLock<BTreeMap<String, Counter>>,
+    gauges: RwLock<BTreeMap<String, Gauge>>,
+    histograms: RwLock<BTreeMap<String, Histogram>>,
+    lookups: AtomicU64,
+}
+
+/// Returns the metric named `name` from `map`, creating it on first use.
+fn lookup<M: Clone + Default>(
+    inner: &RegistryInner,
+    map: &RwLock<BTreeMap<String, M>>,
+    name: &str,
+) -> M {
+    inner.lookups.fetch_add(1, Ordering::Relaxed);
+    if let Some(m) = map.read().get(name) {
+        return m.clone();
+    }
+    map.write().entry(name.to_owned()).or_default().clone()
 }
 
 impl MetricsRegistry {
@@ -298,43 +321,32 @@ impl MetricsRegistry {
 
     /// Returns the counter named `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.counters.read().get(name) {
-            return c.clone();
-        }
-        self.counters
-            .write()
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        lookup(&self.inner, &self.inner.counters, name)
     }
 
     /// Returns the gauge named `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        lookup(&self.inner, &self.inner.gauges, name)
     }
 
     /// Returns the histogram named `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.histograms.read().get(name) {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        lookup(&self.inner, &self.inner.histograms, name)
+    }
+
+    /// How many times a metric has been resolved by name so far — every
+    /// [`MetricsRegistry::counter`], [`MetricsRegistry::gauge`] and
+    /// [`MetricsRegistry::histogram`] call, a [`Lazy`] handle's first
+    /// touch included. A per-operation path that holds handles leaves
+    /// this flat once each of its keys has fired.
+    pub fn lookups(&self) -> u64 {
+        self.inner.lookups.load(Ordering::Relaxed)
     }
 
     /// Snapshot of all counter values, sorted by name.
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        self.counters
+        self.inner
+            .counters
             .read()
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
@@ -343,7 +355,8 @@ impl MetricsRegistry {
 
     /// Snapshot of all gauge values, sorted by name.
     pub fn gauge_snapshot(&self) -> Vec<(String, i64)> {
-        self.gauges
+        self.inner
+            .gauges
             .read()
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
@@ -352,7 +365,8 @@ impl MetricsRegistry {
 
     /// Snapshot of all histogram summaries, sorted by name.
     pub fn histogram_snapshot(&self) -> Vec<(String, HistogramSummary)> {
-        self.histograms
+        self.inner
+            .histograms
             .read()
             .iter()
             .map(|(k, v)| (k.clone(), v.summary()))
@@ -363,7 +377,8 @@ impl MetricsRegistry {
     /// the windowed-sampling path: the timeline sampler diffs two of
     /// these to get counts for just the observations inside one window.
     pub fn bucket_snapshot(&self) -> Vec<(String, [u64; 65])> {
-        self.histograms
+        self.inner
+            .histograms
             .read()
             .iter()
             .map(|(k, v)| (k.clone(), v.bucket_counts()))
@@ -383,6 +398,119 @@ impl fmt::Display for MetricsRegistry {
             writeln!(f, "{name} = {summary}")?;
         }
         Ok(())
+    }
+}
+
+/// A metric kind the registry resolves by name.
+pub trait Metric: Sized {
+    /// Returns the metric of this kind named `name`, creating it on
+    /// first use.
+    fn lookup(registry: &MetricsRegistry, name: &str) -> Self;
+}
+
+impl Metric for Counter {
+    fn lookup(registry: &MetricsRegistry, name: &str) -> Self {
+        registry.counter(name)
+    }
+}
+
+impl Metric for Histogram {
+    fn lookup(registry: &MetricsRegistry, name: &str) -> Self {
+        registry.histogram(name)
+    }
+}
+
+/// A handle to a named metric that resolves on first touch.
+///
+/// Building the handle leaves the registry alone: the key appears on the
+/// first [`LazyCounter::add`] / [`LazyHistogram::record`], exactly when a
+/// by-name call at that spot would have created it, so "this run creates
+/// no such key" contracts survive. Every later touch is one atomic load
+/// and the metric's own relaxed add. A [`Lazy::unbound`] handle has no
+/// registry and ignores every touch.
+///
+/// # Examples
+///
+/// ```
+/// use dmem_sim::{LazyCounter, MetricsRegistry};
+///
+/// let registry = MetricsRegistry::new();
+/// let reads = LazyCounter::new(&registry, "net.read.ops");
+/// assert!(registry.counter_snapshot().is_empty());
+/// reads.inc();
+/// reads.add(2);
+/// assert_eq!(registry.counter("net.read.ops").get(), 3);
+/// ```
+#[derive(Debug)]
+pub struct Lazy<M> {
+    registry: Option<MetricsRegistry>,
+    name: Cow<'static, str>,
+    metric: OnceLock<M>,
+}
+
+/// A [`Counter`] handle that registers on first touch.
+pub type LazyCounter = Lazy<Counter>;
+/// A [`Histogram`] handle that registers on first touch.
+pub type LazyHistogram = Lazy<Histogram>;
+
+impl<M: Metric> Lazy<M> {
+    /// A handle to `registry`'s metric named `name` (a literal, or an
+    /// owned string for keys built at run time such as per-tenant ones).
+    pub fn new(registry: &MetricsRegistry, name: impl Into<Cow<'static, str>>) -> Self {
+        Lazy {
+            registry: Some(registry.clone()),
+            name: name.into(),
+            metric: OnceLock::new(),
+        }
+    }
+
+    /// A handle to nothing, for an owner that has no registry (yet).
+    pub fn unbound() -> Self {
+        Lazy {
+            registry: None,
+            name: Cow::Borrowed(""),
+            metric: OnceLock::new(),
+        }
+    }
+
+    #[inline]
+    fn metric(&self) -> Option<&M> {
+        match self.metric.get() {
+            Some(metric) => Some(metric),
+            None => self.first_touch(),
+        }
+    }
+
+    #[cold]
+    fn first_touch(&self) -> Option<&M> {
+        let registry = self.registry.as_ref()?;
+        Some(self.metric.get_or_init(|| M::lookup(registry, &self.name)))
+    }
+}
+
+impl Lazy<Counter> {
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`. Zero registers the key like any other value.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if let Some(counter) = self.metric() {
+            counter.add(n);
+        }
+    }
+}
+
+impl Lazy<Histogram> {
+    /// Records one observation.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        if let Some(histogram) = self.metric() {
+            histogram.record(value);
+        }
     }
 }
 
@@ -861,6 +989,39 @@ mod tests {
         assert_eq!(snap[0].0, "a");
         assert_eq!(snap[1].0, "z");
         assert!(!r.to_string().is_empty());
+    }
+
+    #[test]
+    fn lazy_handle_registers_on_first_touch() {
+        let r = MetricsRegistry::new();
+        let ops = LazyCounter::new(&r, "net.read.ops");
+        let ns = LazyHistogram::new(&r, format!("qos.{}.get.ns", "kv"));
+        assert!(r.counter_snapshot().is_empty() && r.histogram_snapshot().is_empty());
+        assert_eq!(r.lookups(), 0);
+        // A zero add registers the key, as `counter(name).add(0)` does.
+        ops.add(0);
+        assert_eq!(r.counter_snapshot(), [("net.read.ops".to_owned(), 0)]);
+        ops.inc();
+        ops.add(4);
+        ns.record(300);
+        ns.record(900);
+        assert_eq!(r.lookups(), 2, "one lookup per handle, however often it is touched");
+        // The handle and the name reach the same metric, both ways.
+        assert_eq!(r.counter("net.read.ops").get(), 5);
+        r.counter("net.read.ops").inc();
+        ops.inc();
+        assert_eq!(r.counter("net.read.ops").get(), 7);
+        assert_eq!(r.histogram("qos.kv.get.ns").count(), 2);
+        assert_eq!(r.lookups(), 6);
+    }
+
+    #[test]
+    fn unbound_handle_ignores_every_touch() {
+        let ops = LazyCounter::unbound();
+        let ns = LazyHistogram::unbound();
+        ops.inc();
+        ops.add(9);
+        ns.record(1);
     }
 
     #[test]

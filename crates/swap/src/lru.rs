@@ -8,7 +8,7 @@
 //!
 //! * [`FrameLru`] — true-LRU over resident frames as an intrusive doubly
 //!   linked list threaded through a slab of entries, with a
-//!   `HashMap<pfn, slot>` index. Touch, insert, and evict are all O(1),
+//!   `IdMap<pfn, slot>` index. Touch, insert, and evict are all O(1),
 //!   and the eviction order is *bit-identical* to the tick-based
 //!   structure (verified by a differential test below): the list head is
 //!   always the least recently touched page.
@@ -20,7 +20,7 @@
 //!   integers by construction (trace generators draw them from the
 //!   working set), which is what makes a bitset the right shape.
 
-use std::collections::HashMap;
+use dmem_types::IdMap;
 
 const NIL: usize = usize::MAX;
 
@@ -54,7 +54,7 @@ pub struct FrameLru {
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    index: HashMap<u64, usize>,
+    index: IdMap<u64, usize>,
 }
 
 impl FrameLru {
@@ -65,7 +65,7 @@ impl FrameLru {
             free: Vec::with_capacity(frames),
             head: NIL,
             tail: NIL,
-            index: HashMap::with_capacity(frames),
+            index: IdMap::with_capacity_and_hasher(frames, Default::default()),
         }
     }
 
@@ -280,7 +280,7 @@ impl Iterator for BitIter {
 mod tests {
     use super::*;
     use dmem_sim::DetRng;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// The engine's original tick-based structure, kept verbatim as the
     /// reference implementation for the differential test.

@@ -13,8 +13,7 @@ use crate::backend::SwapBackend;
 use dmem_cluster::RemoteStore;
 use dmem_core::DiskTier;
 use dmem_sim::{DetRng, SimDuration};
-use dmem_types::{DmemError, DmemResult, EntryId, NodeId, ServerId};
-use std::collections::{HashMap, HashSet};
+use dmem_types::{DmemError, DmemResult, EntryId, IdMap, IdSet, NodeId, ServerId};
 use std::sync::Arc;
 
 enum Target {
@@ -23,7 +22,7 @@ enum Target {
     /// Infiniswap: slabs of `pages_per_slab` pages placed across peers.
     Slabs {
         pages_per_slab: u64,
-        placed: HashMap<u64, NodeId>,
+        placed: IdMap<u64, NodeId>,
         rng: DetRng,
     },
 }
@@ -32,8 +31,8 @@ struct RemotePaging {
     server: ServerId,
     store: Arc<RemoteStore>,
     disk: DiskTier,
-    on_disk: HashSet<u64>,
-    on_remote: HashMap<u64, NodeId>,
+    on_disk: IdSet<u64>,
+    on_remote: IdMap<u64, NodeId>,
     per_op_overhead: SimDuration,
     target: Target,
 }
@@ -162,8 +161,8 @@ impl NbdxBackend {
             server,
             store,
             disk,
-            on_disk: HashSet::new(),
-            on_remote: HashMap::new(),
+            on_disk: IdSet::default(),
+            on_remote: IdMap::default(),
             per_op_overhead: Self::OVERHEAD,
             target: Target::Fixed(target),
         })
@@ -218,12 +217,12 @@ impl InfiniswapBackend {
             server,
             store,
             disk,
-            on_disk: HashSet::new(),
-            on_remote: HashMap::new(),
+            on_disk: IdSet::default(),
+            on_remote: IdMap::default(),
             per_op_overhead: Self::OVERHEAD,
             target: Target::Slabs {
                 pages_per_slab: Self::PAGES_PER_SLAB,
-                placed: HashMap::new(),
+                placed: IdMap::default(),
                 rng: DetRng::new(seed).fork("infiniswap-placement"),
             },
         })
@@ -267,6 +266,7 @@ mod tests {
     use dmem_net::Fabric;
     use dmem_sim::{CostModel, FailureEvent, FailureInjector, SimClock};
     use dmem_types::ByteSize;
+    use std::collections::HashSet;
 
     fn cluster(n: u32, pool_kib: u64) -> (SimClock, FailureInjector, Arc<RemoteStore>, DiskTier) {
         let clock = SimClock::new();

@@ -24,6 +24,7 @@ mod bytesize;
 mod checksum;
 mod config;
 mod error;
+mod idmap;
 mod ids;
 mod location;
 
@@ -34,6 +35,7 @@ pub use config::{
     NodeConfig, PlacementStrategy, ReplicationFactor, ServerConfig, SwapInMode,
 };
 pub use error::{DmemError, DmemResult};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use ids::{EntryId, GroupId, MrId, NodeId, PageId, QpId, ServerId, SlabId, TenantId};
 pub use location::{EntryLocation, EntryRecord, SizeClass};
 
