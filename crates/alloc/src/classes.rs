@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use dmem_types::PAGE_SIZE;
+use dmem_types::{fnv1a64_fold, FNV1A64_OFFSET, PAGE_SIZE};
 
 /// The small size classes, in bytes. Every class is a multiple of 16 so
 /// slot addresses stay 16-byte aligned (the heap packs `addr >> 4` into
@@ -229,13 +229,8 @@ impl ArenaMap {
     /// map rebuilt from a backing-store scan.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A64_OFFSET;
+        let mut eat = |v: u64| h = fnv1a64_fold(h, &v.to_le_bytes());
         eat(self.break_pages);
         for (addr, obj) in &self.live {
             eat(*addr);

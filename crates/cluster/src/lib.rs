@@ -45,7 +45,6 @@
 
 pub mod election;
 pub mod eviction;
-pub mod federation;
 pub mod group;
 pub mod membership;
 pub mod placement;
@@ -54,7 +53,6 @@ pub mod replication;
 
 pub use election::LeaderElection;
 pub use eviction::{EvictionOutcome, PriorityResolver, RemoteSlabEvictor};
-pub use federation::{Federation, Lease};
 pub use group::{map_overhead_bytes, GroupTable};
 pub use membership::ClusterMembership;
 pub use placement::{spread_replicas, Placer};

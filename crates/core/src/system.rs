@@ -145,7 +145,7 @@ pub struct DisaggregatedMemory {
     failures: FailureInjector,
     fabric: Fabric,
     membership: ClusterMembership,
-    groups: Mutex<GroupTable>,
+    groups: GroupTable,
     election: LeaderElection,
     managers: IdMap<NodeId, Arc<NodeManager>>,
     remote: Arc<RemoteStore>,
@@ -251,7 +251,7 @@ impl DisaggregatedMemory {
             failures,
             fabric,
             membership,
-            groups: Mutex::new(groups),
+            groups,
             election,
             managers,
             remote,
@@ -550,16 +550,15 @@ impl DisaggregatedMemory {
     ///
     /// Returns [`DmemError::NoLeader`] when the whole group is down.
     pub fn group_leader(&self, node: NodeId) -> DmemResult<NodeId> {
-        let groups = self.groups.lock();
-        let gid = groups.group_of(node)?;
-        self.election.leader(&groups, gid)
+        let gid = self.groups.group_of(node)?;
+        self.election.leader(&self.groups, gid)
     }
 
     /// The alive group peers of `node` — the candidate hosts for its
     /// remote entries (group-based sharing, §IV-C).
     pub fn group_peers(&self, node: NodeId) -> DmemResult<Vec<NodeId>> {
-        let groups = self.groups.lock();
-        Ok(groups
+        Ok(self
+            .groups
             .peers(node)?
             .into_iter()
             .filter(|&n| self.membership.is_alive(n))

@@ -158,31 +158,6 @@ struct Inner {
     regions: IdMap<MrId, Region>,
     qps: IdMap<QpId, QpState>,
     registered_per_node: IdMap<NodeId, ByteSize>,
-    /// Per-QP completion queues for the asynchronous verbs: completions
-    /// become visible once the link has delivered them.
-    cqs: IdMap<QpId, Vec<(SimInstant, Completion)>>,
-    /// Per-QP link occupancy: posted transfers serialize on bandwidth.
-    busy_until: IdMap<QpId, SimInstant>,
-}
-
-/// The kind of work a completion reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompletionKind {
-    /// A posted one-sided RDMA WRITE finished.
-    Write,
-    /// A posted one-sided RDMA READ finished; the payload is attached.
-    Read,
-}
-
-/// A completion-queue entry for the asynchronous verbs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completion {
-    /// The work-request id returned at post time.
-    pub wr_id: u64,
-    /// What completed.
-    pub kind: CompletionKind,
-    /// Payload of a completed READ (empty for writes).
-    pub data: Vec<u8>,
 }
 
 /// Every metric the fabric touches per verb, resolved on first touch:
@@ -945,145 +920,6 @@ impl Fabric {
         }
         Ok(msg)
     }
-
-    fn post_transfer(
-        &self,
-        qp: &QpHandle,
-        kind: CompletionKind,
-        data: Vec<u8>,
-        bytes: usize,
-    ) -> u64 {
-        // Submission itself is a doorbell write: ~100 ns of CPU.
-        self.clock.advance(dmem_sim::SimDuration::from_nanos(100));
-        let wr_id = self.fresh_id();
-        let mut inner = self.inner.lock();
-        let now = self.clock.now();
-        let start = inner
-            .busy_until
-            .get(&qp.qp)
-            .copied()
-            .unwrap_or(SimInstant::EPOCH)
-            .max(now);
-        let done = start + self.cost.rdma.transfer(bytes);
-        // Posted transfers overlap the caller's compute, so they become
-        // async spans (timeline-only, excluded from attribution) with the
-        // bandwidth-queueing delay made explicit.
-        self.clock.tracer().record_async(
-            "net",
-            match kind {
-                CompletionKind::Write => "post_write.transfer",
-                CompletionKind::Read => "post_read.transfer",
-            },
-            now,
-            done,
-            &[("bytes", bytes as u64), ("queued_ns", (start - now).as_nanos())],
-        );
-        inner.busy_until.insert(qp.qp, done);
-        inner
-            .cqs
-            .entry(qp.qp)
-            .or_default()
-            .push((done, Completion { wr_id, kind, data }));
-        drop(inner);
-        // Posted verbs enter the mailbox at submission time — the key
-        // stream per shard pair follows doorbell order, like the NIC.
-        self.route_shard(qp.local, qp.peer);
-        wr_id
-    }
-
-    /// Asynchronous one-sided WRITE (§IV-G: "no blocking during a
-    /// transfer"): validates and applies the write, charges only the
-    /// submission cost now, and delivers a [`Completion`] once the link
-    /// has carried the bytes. Posted transfers on one queue pair
-    /// serialize on link bandwidth but overlap with the caller's compute.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fabric::write`].
-    pub fn post_write(
-        &self,
-        qp: &QpHandle,
-        data: &[u8],
-        region: &RegionHandle,
-        offset: u64,
-    ) -> DmemResult<u64> {
-        self.one_sided_access(qp, region, offset, data.len())?;
-        {
-            let mut inner = self.inner.lock();
-            let r = inner
-                .regions
-                .get_mut(&region.mr)
-                .ok_or(DmemError::RegionNotRegistered)?;
-            let start = offset as usize;
-            r.buf[start..start + data.len()].copy_from_slice(data);
-        }
-        self.handles.write_ops.inc();
-        self.handles.write_bytes.add(data.len() as u64);
-        self.charge_tenant(data.len() as u64);
-        Ok(self.post_transfer(qp, CompletionKind::Write, Vec::new(), data.len()))
-    }
-
-    /// Asynchronous one-sided READ: the payload arrives with the
-    /// completion.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fabric::read`].
-    pub fn post_read(
-        &self,
-        qp: &QpHandle,
-        region: &RegionHandle,
-        offset: u64,
-        len: usize,
-    ) -> DmemResult<u64> {
-        self.one_sided_access(qp, region, offset, len)?;
-        let data = {
-            let inner = self.inner.lock();
-            let r = inner
-                .regions
-                .get(&region.mr)
-                .ok_or(DmemError::RegionNotRegistered)?;
-            let start = offset as usize;
-            r.buf[start..start + len].to_vec()
-        };
-        self.handles.read_ops.inc();
-        self.handles.read_bytes.add(len as u64);
-        self.charge_tenant(len as u64);
-        Ok(self.post_transfer(qp, CompletionKind::Read, data, len))
-    }
-
-    /// Drains completions whose transfers have finished by now.
-    pub fn poll_cq(&self, qp: &QpHandle) -> Vec<Completion> {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        let Some(cq) = inner.cqs.get_mut(&qp.qp) else {
-            return Vec::new();
-        };
-        let mut ready = Vec::new();
-        cq.retain(|(at, completion)| {
-            if *at <= now {
-                ready.push(completion.clone());
-                false
-            } else {
-                true
-            }
-        });
-        ready.sort_by_key(|c| c.wr_id);
-        ready
-    }
-
-    /// Blocks (in virtual time) until every posted transfer on `qp` has
-    /// completed, returning the drained completions.
-    pub fn wait_cq(&self, qp: &QpHandle) -> Vec<Completion> {
-        let target = {
-            let inner = self.inner.lock();
-            inner.busy_until.get(&qp.qp).copied()
-        };
-        if let Some(t) = target {
-            self.clock.advance_to(t);
-        }
-        self.poll_cq(qp)
-    }
 }
 
 impl fmt::Debug for Fabric {
@@ -1247,81 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn async_verbs_do_not_block_the_caller() {
-        let (clock, _, f) = fabric();
-        let mr = f.register(NodeId::new(1), ByteSize::from_mib(1)).unwrap();
-        let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
-        let t0 = clock.now();
-        let wr = f.post_write(&qp, &vec![7u8; 64 * 1024], &mr, 0).unwrap();
-        let submit_cost = clock.now() - t0;
-        // Posting costs a doorbell, not the 14+ us transfer.
-        assert!(submit_cost.as_micros_f64() < 1.0, "post blocked: {submit_cost}");
-        // Not complete yet…
-        assert!(f.poll_cq(&qp).is_empty());
-        // …until the transfer time has elapsed.
-        clock.advance(f.cost_model().rdma.transfer(64 * 1024));
-        let completions = f.poll_cq(&qp);
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].wr_id, wr);
-        assert_eq!(completions[0].kind, CompletionKind::Write);
-        // The data landed (applied at post time in the simulator).
-        assert_eq!(f.read(&qp, &mr, 0, 4).unwrap(), vec![7u8; 4]);
-    }
-
-    #[test]
-    fn posted_transfers_serialize_on_link_bandwidth() {
-        let (clock, _, f) = fabric();
-        let mr = f.register(NodeId::new(1), ByteSize::from_mib(4)).unwrap();
-        let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
-        let one = f.cost_model().rdma.transfer(1 << 20);
-        let t0 = clock.now();
-        f.post_write(&qp, &vec![1u8; 1 << 20], &mr, 0).unwrap();
-        f.post_write(&qp, &vec![2u8; 1 << 20], &mr, 1 << 20).unwrap();
-        // After one transfer time only the first is complete.
-        clock.advance(one);
-        assert_eq!(f.poll_cq(&qp).len(), 1);
-        // wait_cq drains the rest, advancing to the link's busy horizon.
-        let rest = f.wait_cq(&qp);
-        assert_eq!(rest.len(), 1);
-        let elapsed = clock.now() - t0;
-        assert!(elapsed >= one * 2, "two 1 MiB transfers share one link");
-    }
-
-    #[test]
-    fn post_read_delivers_payload_with_completion() {
-        let (clock, _, f) = fabric();
-        let mr = f.register(NodeId::new(1), ByteSize::from_kib(8)).unwrap();
-        let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
-        f.write(&qp, b"payload", &mr, 32).unwrap();
-        let wr = f.post_read(&qp, &mr, 32, 7).unwrap();
-        let completions = f.wait_cq(&qp);
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].wr_id, wr);
-        assert_eq!(completions[0].kind, CompletionKind::Read);
-        assert_eq!(completions[0].data, b"payload");
-        let _ = clock;
-    }
-
-    #[test]
-    fn post_validates_like_sync_verbs() {
-        let (_, failures, f) = fabric();
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let mr = f.register(b, ByteSize::from_kib(4)).unwrap();
-        let qp = f.connect(a, b).unwrap();
-        assert!(matches!(
-            f.post_write(&qp, &[0u8; 16], &mr, 4090),
-            Err(DmemError::RegionOutOfBounds { .. })
-        ));
-        let forged = RegionHandle { rkey: mr.rkey ^ 1, ..mr };
-        assert_eq!(f.post_read(&qp, &forged, 0, 1), Err(DmemError::AccessDenied));
-        failures.inject_now(FailureEvent::LinkDown(a, b));
-        assert!(matches!(
-            f.post_write(&qp, &[1], &mr, 0),
-            Err(DmemError::LinkDown { .. })
-        ));
-    }
-
-    #[test]
     fn send_recv_counters_symmetric() {
         let (_, _, f) = fabric();
         let qp_a = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
@@ -1347,14 +1108,11 @@ mod tests {
         let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         f.write(&qp, &[0u8; 4096], &mr, 0).unwrap();
         f.read(&qp, &mr, 0, 4096).unwrap();
-        f.post_write(&qp, &[1u8; 4096], &mr, 0).unwrap();
-        f.wait_cq(&qp);
         let trace = clock.tracer().finish();
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         assert!(names.contains(&"register"));
         assert!(names.contains(&"write"));
         assert!(names.contains(&"read"));
-        assert!(names.contains(&"post_write.transfer"));
         // Sync verb spans carry their virtual cost; histograms agree.
         let write = trace.spans.iter().find(|s| s.name == "write").unwrap();
         assert_eq!(
@@ -1362,12 +1120,6 @@ mod tests {
             1
         );
         assert!(write.duration().as_nanos() > 0);
-        let post = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "post_write.transfer")
-            .unwrap();
-        assert_eq!(post.kind, dmem_sim::SpanKind::Async);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 use crate::bucket::TokenBucket;
 use crate::tenant::TenantSpec;
 use dmem_sim::{AlertRule, Histogram, LazyCounter, MetricsRegistry, SimDuration, SimInstant};
-use dmem_types::{ByteSize, EntryId, IdMap, NodeId, ServerId, TenantId};
+use dmem_types::{
+    fnv1a64_fold, ByteSize, EntryId, IdMap, NodeId, ServerId, TenantId, FNV1A64_OFFSET,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -232,17 +234,13 @@ struct DecisionLog {
     line: String,
 }
 
-fn fnv_fold(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-}
-
 impl DecisionLog {
     fn push(&mut self, line: fmt::Arguments<'_>) {
         self.line.clear();
         self.line
             .write_fmt(line)
             .expect("writing to a String cannot fail");
-        self.hash = fnv_fold(self.line.bytes().fold(self.hash, fnv_fold), b'\n');
+        self.hash = fnv1a64_fold(fnv1a64_fold(self.hash, self.line.as_bytes()), b"\n");
         self.count += 1;
         if self.lines.len() < self.capacity {
             self.lines.push(self.line.clone());
@@ -305,9 +303,6 @@ impl From<ResidentTier> for FastTier {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl QosEngine {
     /// Creates an engine whose only tenant is the implicit system tenant
     /// (id 0, unlimited quota, top priority).
@@ -320,7 +315,7 @@ impl QosEngine {
             lines: Vec::new(),
             capacity: config.log_capacity,
             count: 0,
-            hash: FNV_OFFSET,
+            hash: FNV1A64_OFFSET,
             line: String::new(),
         };
         QosEngine {

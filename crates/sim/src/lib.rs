@@ -68,7 +68,7 @@ pub use events::EventQueue;
 pub use failure::{FailureEvent, FailureInjector};
 pub use metrics::{
     AllocCounterSet, AllocTelemetry, Counter, Gauge, Histogram, HistogramSummary, Lazy,
-    LazyCounter, LazyHistogram, LocalMetrics, Metric, MetricsRegistry,
+    LazyCounter, LazyHistogram, Metric, MetricsRegistry, MetricsSnapshot,
 };
 pub use rng::{splitmix64, DetRng};
 pub use shard::{
@@ -77,7 +77,7 @@ pub use shard::{
 };
 pub use time::{SimDuration, SimInstant};
 pub use timeseries::{
-    sparkline, MetricWindow, ShardSampler, ShardWindow, TelemetryHub, Timeline, WindowHistogram,
+    sparkline, MetricWindow, TelemetryHub, Timeline, WindowHistogram, WindowSampler,
 };
 pub use trace::{
     Attribution, AttributionRow, ShardEventLog, ShardTraceEvent, SpanGuard, SpanKind, SpanRecord,

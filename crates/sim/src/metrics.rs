@@ -120,24 +120,9 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Folds externally accumulated bucket counts (and their value sum)
-    /// into this histogram — the bulk path used when per-shard
-    /// [`LocalMetrics`] buffers publish into the shared registry.
-    pub fn merge_counts(&self, counts: &[u64; 65], sum: u64) {
-        for (bucket, &n) in self.buckets.iter().zip(counts) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of observations.
@@ -160,30 +145,13 @@ impl Histogram {
     /// bucket `i ≥ 1` — see the type docs for the exact edges). Zero when
     /// empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return if i == 0 { 1 } else { 1u64 << i.min(63) };
-            }
-        }
-        u64::MAX
+        Self::quantile_of_counts(&self.bucket_counts(), q)
     }
 
     /// Upper bound of the highest non-empty bucket (an upper bound on the
     /// maximum observation). Zero when empty.
     pub fn max_bound(&self) -> u64 {
-        for i in (0..self.buckets.len()).rev() {
-            if self.buckets[i].load(Ordering::Relaxed) > 0 {
-                return if i == 0 { 1 } else { 1u64 << i.min(63) };
-            }
-        }
-        0
+        Self::max_bound_of_counts(&self.bucket_counts())
     }
 
     /// Raw per-bucket observation counts (see the type docs for edges).
@@ -313,6 +281,14 @@ fn lookup<M: Clone + Default>(
     map.write().entry(name.to_owned()).or_default().clone()
 }
 
+/// `(name, read(metric))` for every metric in `map`, sorted by name.
+fn snapshot<M, T>(map: &RwLock<BTreeMap<String, M>>, read: fn(&M) -> T) -> Vec<(String, T)> {
+    map.read()
+        .iter()
+        .map(|(name, metric)| (name.clone(), read(metric)))
+        .collect()
+}
+
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
@@ -345,44 +321,24 @@ impl MetricsRegistry {
 
     /// Snapshot of all counter values, sorted by name.
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
-            .counters
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        snapshot(&self.inner.counters, Counter::get)
     }
 
     /// Snapshot of all gauge values, sorted by name.
     pub fn gauge_snapshot(&self) -> Vec<(String, i64)> {
-        self.inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        snapshot(&self.inner.gauges, Gauge::get)
     }
 
     /// Snapshot of all histogram summaries, sorted by name.
     pub fn histogram_snapshot(&self) -> Vec<(String, HistogramSummary)> {
-        self.inner
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.summary()))
-            .collect()
+        snapshot(&self.inner.histograms, Histogram::summary)
     }
 
     /// Snapshot of every histogram's raw bucket counts, sorted by name —
     /// the windowed-sampling path: the timeline sampler diffs two of
     /// these to get counts for just the observations inside one window.
     pub fn bucket_snapshot(&self) -> Vec<(String, [u64; 65])> {
-        self.inner
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.bucket_counts()))
-            .collect()
+        snapshot(&self.inner.histograms, Histogram::bucket_counts)
     }
 }
 
@@ -514,188 +470,65 @@ impl Lazy<Histogram> {
     }
 }
 
-/// An unsynchronized per-shard metrics buffer.
-///
-/// Shards of the sharded engine record into a private `LocalMetrics`
-/// (plain integer adds, no atomics, no locks) and the coordinator merges
-/// the buffers in shard order after the run — so the published totals,
-/// like everything else in the engine, are independent of the worker
-/// count. Name iteration is `BTreeMap`-ordered, hence deterministic.
+/// Counter values and histogram bucket counts of one or more registries
+/// at one instant, summed by name. Two of these diffed give a window of
+/// the telemetry timeline; one over every shard's registry, in shard
+/// order, gives a sharded run's totals.
 ///
 /// # Examples
 ///
 /// ```
-/// use dmem_sim::LocalMetrics;
+/// use dmem_sim::{MetricsRegistry, MetricsSnapshot};
 ///
-/// let mut a = LocalMetrics::new();
-/// a.add("reads", 2);
-/// a.record("lat_ns", 4096);
-/// let mut b = LocalMetrics::new();
-/// b.add("reads", 3);
-/// b.merge_from(&a);
-/// assert_eq!(b.counter("reads"), 5);
-/// assert_eq!(b.quantile("lat_ns", 0.5), 4096);
+/// let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
+/// a.counter("reads").add(2);
+/// b.counter("reads").add(3);
+/// b.histogram("lat_ns").record(4096);
+/// let total = MetricsSnapshot::of(&[a, b]);
+/// assert_eq!(total.counter("reads"), 5);
+/// assert_eq!(total.quantile("lat_ns", 0.5), 4096);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct LocalMetrics {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, LocalHistogram>,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Histogram bucket counts by name.
+    pub buckets: BTreeMap<String, [u64; 65]>,
 }
 
-#[derive(Debug, Clone)]
-struct LocalHistogram {
-    buckets: Box<[u64; 65]>,
-    sum: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        LocalHistogram {
-            buckets: Box::new([0; 65]),
-            sum: 0,
-        }
-    }
-}
-
-impl LocalMetrics {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        LocalMetrics::default()
-    }
-
-    /// Adds `n` to the counter named `name`, creating it on first use.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += n;
-        } else {
-            self.counters.insert(name.to_owned(), n);
-        }
-    }
-
-    /// Adds one to the counter named `name`.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Records one observation into the histogram named `name`, using
-    /// the same bucket edges as the shared [`Histogram`].
-    pub fn record(&mut self, name: &str, value: u64) {
-        let h = self.histograms.entry(name.to_owned()).or_default();
-        h.buckets[Histogram::bucket_index(value)] += 1;
-        h.sum += value;
-    }
-
-    /// Current value of the counter named `name` (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Observation count of the histogram named `name` (zero if absent).
-    pub fn histogram_count(&self, name: &str) -> u64 {
-        self.histograms
-            .get(name)
-            .map(|h| h.buckets.iter().sum())
-            .unwrap_or(0)
-    }
-
-    /// Quantile of the histogram named `name`, with [`Histogram`]'s
-    /// bucket-upper-bound semantics; zero if absent or empty.
-    pub fn quantile(&self, name: &str, q: f64) -> u64 {
-        self.histograms
-            .get(name)
-            .map(|h| Histogram::quantile_of_counts(&h.buckets, q))
-            .unwrap_or(0)
-    }
-
-    /// Mean of the histogram named `name`; zero if absent or empty.
-    pub fn histogram_mean(&self, name: &str) -> f64 {
-        let count = self.histogram_count(name);
-        if count == 0 {
-            return 0.0;
-        }
-        self.histograms[name].sum as f64 / count as f64
-    }
-
-    /// Folds `other` into this buffer. Merging is commutative and
-    /// associative, so any deterministic merge order yields the same
-    /// totals.
-    pub fn merge_from(&mut self, other: &LocalMetrics) {
-        for (name, &n) in &other.counters {
-            self.add(name, n);
-        }
-        for (name, theirs) in &other.histograms {
-            let ours = self.histograms.entry(name.clone()).or_default();
-            for (a, b) in ours.buckets.iter_mut().zip(theirs.buckets.iter()) {
-                *a += b;
+impl MetricsSnapshot {
+    /// Snapshots `registries` and sums equal names.
+    pub fn of(registries: &[MetricsRegistry]) -> Self {
+        let mut out = MetricsSnapshot::default();
+        for registry in registries {
+            for (name, v) in registry.counter_snapshot() {
+                *out.counters.entry(name).or_insert(0) += v;
             }
-            ours.sum += theirs.sum;
-        }
-    }
-
-    /// Publishes the buffered values into a shared registry: counters
-    /// add their totals, histograms bulk-merge their buckets.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        for (name, &n) in &self.counters {
-            if n > 0 {
-                registry.counter(name).add(n);
-            }
-        }
-        for (name, h) in &self.histograms {
-            registry.histogram(name).merge_counts(&h.buckets, h.sum);
-        }
-    }
-
-    /// Snapshot of all counter values, sorted by name.
-    pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect()
-    }
-
-    /// `true` when nothing has been recorded (no counter increments, no
-    /// histogram observations).
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self
-                .histograms
-                .values()
-                .all(|h| h.buckets.iter().all(|&b| b == 0))
-    }
-
-    /// The increments recorded since `prev` was cloned from this buffer:
-    /// counter deltas and histogram bucket deltas, with untouched names
-    /// omitted entirely. `prev` must be an earlier snapshot of the same
-    /// buffer — counters and buckets only grow, so the subtraction never
-    /// wraps.
-    pub fn delta_since(&self, prev: &LocalMetrics) -> LocalMetrics {
-        let mut out = LocalMetrics::new();
-        for (name, &now) in &self.counters {
-            let before = prev.counter(name);
-            if now > before {
-                out.counters.insert(name.clone(), now - before);
-            }
-        }
-        for (name, h) in &self.histograms {
-            let before = prev.histograms.get(name);
-            let mut delta = LocalHistogram::default();
-            let mut any = false;
-            for i in 0..65 {
-                let b = before.map_or(0, |p| p.buckets[i]);
-                delta.buckets[i] = h.buckets[i] - b;
-                any |= delta.buckets[i] != 0;
-            }
-            if any {
-                delta.sum = h.sum - before.map_or(0, |p| p.sum);
-                out.histograms.insert(name.clone(), delta);
+            for (name, counts) in registry.bucket_snapshot() {
+                add_counts(out.buckets.entry(name).or_insert([0; 65]), &counts);
             }
         }
         out
     }
 
-    /// Visits every histogram as `(name, bucket_counts)` in name order —
-    /// the export path for callers that cannot see the private buckets.
-    pub fn for_each_histogram(&self, mut f: impl FnMut(&str, &[u64; 65])) {
-        for (name, h) in &self.histograms {
-            f(name, &h.buckets);
-        }
+    /// Value of the counter named `name` (zero if absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Quantile of the histogram named `name`, with [`Histogram`]'s
+    /// bucket-upper-bound semantics; zero if absent or empty.
+    pub fn quantile(&self, name: &str, q: f64) -> u64 {
+        self.buckets
+            .get(name)
+            .map_or(0, |counts| Histogram::quantile_of_counts(counts, q))
+    }
+}
+
+/// Adds `counts` into `total`, bucket by bucket.
+pub(crate) fn add_counts(total: &mut [u64; 65], counts: &[u64; 65]) {
+    for (a, b) in total.iter_mut().zip(counts) {
+        *a += b;
     }
 }
 
@@ -826,49 +659,6 @@ mod tests {
         c.inc();
         c2.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn local_metrics_match_shared_semantics() {
-        // Recording the same values through a LocalMetrics buffer and
-        // publishing must be indistinguishable from recording directly.
-        let shared = MetricsRegistry::new();
-        let mut local = LocalMetrics::new();
-        let direct = MetricsRegistry::new();
-        for v in [1u64, 7, 100, 1024, 1 << 40] {
-            local.record("lat", v);
-            direct.histogram("lat").record(v);
-            local.inc("ops");
-            direct.counter("ops").inc();
-        }
-        local.publish(&shared);
-        assert_eq!(shared.counter_snapshot(), direct.counter_snapshot());
-        let (a, b) = (shared.histogram("lat"), direct.histogram("lat"));
-        assert_eq!(a.bucket_counts(), b.bucket_counts());
-        assert_eq!(a.sum(), b.sum());
-        assert_eq!(a.summary(), b.summary());
-    }
-
-    #[test]
-    fn local_metrics_merge_is_order_independent() {
-        let mut a = LocalMetrics::new();
-        let mut b = LocalMetrics::new();
-        a.add("x", 2);
-        a.record("h", 3);
-        b.add("x", 5);
-        b.add("y", 1);
-        b.record("h", 4000);
-        let mut ab = LocalMetrics::new();
-        ab.merge_from(&a);
-        ab.merge_from(&b);
-        let mut ba = LocalMetrics::new();
-        ba.merge_from(&b);
-        ba.merge_from(&a);
-        assert_eq!(ab.counter_snapshot(), ba.counter_snapshot());
-        assert_eq!(ab.counter("x"), 7);
-        assert_eq!(ab.histogram_count("h"), 2);
-        assert_eq!(ab.quantile("h", 1.0), ba.quantile("h", 1.0));
-        assert!(ab.histogram_mean("h") > 0.0);
     }
 
     #[test]
@@ -1060,9 +850,9 @@ mod tests {
             prop_assert!(Histogram::bucket_index(lo) <= Histogram::bucket_index(hi));
         }
 
-        /// `merge_counts` is commutative and associative — the timeline
-        /// merge folds per-shard windows in `(time, shard)` order and
-        /// leans on both properties for worker-count independence.
+        /// Summing bucket counts is commutative and associative — the
+        /// timeline merge folds per-shard windows in `(time, shard)` order
+        /// and leans on both properties for worker-count independence.
         #[test]
         fn prop_merge_counts_commutative_associative(
             xs in proptest::collection::vec(0u64..1 << 48, 0..60),
@@ -1074,54 +864,47 @@ mod tests {
                 for &v in vals {
                     h.record(v);
                 }
-                (h.bucket_counts(), h.sum())
+                h.bucket_counts()
             };
-            let (cx, sx) = counts_of(&xs);
-            let (cy, sy) = counts_of(&ys);
-            let (cz, sz) = counts_of(&zs);
-            let merge = |parts: &[(&[u64; 65], u64)]| {
-                let h = Histogram::new();
-                for &(c, s) in parts {
-                    h.merge_counts(c, s);
+            let (cx, cy, cz) = (counts_of(&xs), counts_of(&ys), counts_of(&zs));
+            let merge = |parts: &[&[u64; 65]]| {
+                let mut total = [0u64; 65];
+                for &counts in parts {
+                    add_counts(&mut total, counts);
                 }
-                (h.bucket_counts(), h.sum())
+                total
             };
             // Commutative: x⊕y == y⊕x.
-            prop_assert_eq!(merge(&[(&cx, sx), (&cy, sy)]), merge(&[(&cy, sy), (&cx, sx)]));
+            prop_assert_eq!(merge(&[&cx, &cy]), merge(&[&cy, &cx]));
             // Associative: (x⊕y)⊕z == x⊕(y⊕z).
-            let (cxy, sxy) = merge(&[(&cx, sx), (&cy, sy)]);
-            let (cyz, syz) = merge(&[(&cy, sy), (&cz, sz)]);
-            prop_assert_eq!(merge(&[(&cxy, sxy), (&cz, sz)]), merge(&[(&cx, sx), (&cyz, syz)]));
+            let (cxy, cyz) = (merge(&[&cx, &cy]), merge(&[&cy, &cz]));
+            prop_assert_eq!(merge(&[&cxy, &cz]), merge(&[&cx, &cyz]));
         }
 
-        /// Recording two streams separately and bulk-merging the bucket
-        /// counts must be indistinguishable — buckets, quantiles, summary
-        /// — from recording every value into one histogram directly.
+        /// Recording two streams into two registries and summing their
+        /// snapshots must be indistinguishable — buckets, quantiles, max
+        /// bound — from recording every value into one histogram directly.
         #[test]
         fn prop_merge_counts_quantile_consistent(
             xs in proptest::collection::vec(0u64..1 << 48, 1..80),
             ys in proptest::collection::vec(0u64..1 << 48, 1..80),
             q_pct in 0u32..=100,
         ) {
-            let (ha, hb, direct) = (Histogram::new(), Histogram::new(), Histogram::new());
+            let (ra, rb, direct) = (MetricsRegistry::new(), MetricsRegistry::new(), Histogram::new());
             for &v in &xs {
-                ha.record(v);
+                ra.histogram("h").record(v);
                 direct.record(v);
             }
             for &v in &ys {
-                hb.record(v);
+                rb.histogram("h").record(v);
                 direct.record(v);
             }
-            let merged = Histogram::new();
-            merged.merge_counts(&ha.bucket_counts(), ha.sum());
-            merged.merge_counts(&hb.bucket_counts(), hb.sum());
+            let merged = MetricsSnapshot::of(&[ra, rb]);
             let q = f64::from(q_pct) / 100.0;
-            prop_assert_eq!(merged.bucket_counts(), direct.bucket_counts());
-            prop_assert_eq!(merged.sum(), direct.sum());
-            prop_assert_eq!(merged.quantile(q), direct.quantile(q));
-            prop_assert_eq!(merged.summary(), direct.summary());
+            prop_assert_eq!(merged.buckets["h"], direct.bucket_counts());
+            prop_assert_eq!(merged.quantile("h", q), direct.quantile(q));
             prop_assert_eq!(
-                Histogram::max_bound_of_counts(&merged.bucket_counts()),
+                Histogram::max_bound_of_counts(&merged.buckets["h"]),
                 direct.max_bound()
             );
         }

@@ -1,14 +1,16 @@
 //! Windowed time-series telemetry on the virtual clock.
 //!
 //! End-of-run counters (PR 3) answer *how much*; this module answers
-//! *when*. A [`TelemetryHub`] samples one or more [`MetricsRegistry`]
+//! *when*. A [`WindowSampler`] snapshots one or more [`MetricsRegistry`]
 //! instances every configurable virtual-time window, capturing per-window
 //! counter deltas and histogram quantile summaries (p50/p99/max from the
-//! diff of two bucket snapshots), and a [`ShardSampler`] does the same
-//! for a shard's private [`LocalMetrics`] buffer inside the sharded
-//! engine's event loop. Per-shard windows merge in `(window, shard)`
-//! order — the same total order as the engine's mailboxes — so a rack
-//! run produces a byte-identical [`Timeline`] at every worker count.
+//! diff of two bucket snapshots). It has two owners: a [`TelemetryHub`]
+//! keeps one behind its mutex next to the alert engine and the flight
+//! ring, and each shard of the sharded engine owns one over its private
+//! registry and ticks it from its event loop. Per-shard windows merge in
+//! `(window, shard)` order — the same total order as the engine's
+//! mailboxes — so a rack run produces a byte-identical [`Timeline`] at
+//! every worker count.
 //!
 //! Everything is integer math on the virtual clock: window boundaries
 //! are multiples of the window width, quantiles are log₂ bucket upper
@@ -18,11 +20,10 @@
 //! zero-cost-when-off contract.
 //!
 //! [`MetricsRegistry`]: crate::metrics::MetricsRegistry
-//! [`LocalMetrics`]: crate::metrics::LocalMetrics
 
-use crate::alerts::{AlertEngine, AlertEvent, AlertRule};
+use crate::alerts::{AlertEngine, AlertRule};
 use crate::flight::FlightRecorder;
-use crate::metrics::{Histogram, LocalMetrics, MetricsRegistry};
+use crate::metrics::{add_counts, Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::time::{SimDuration, SimInstant};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -136,31 +137,43 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Merges per-shard windows into one timeline in `(window index,
-    /// shard)` order — the sharded engine's mailbox order — folding the
-    /// [`LocalMetrics`] deltas of shards that share a grid slot. The
-    /// fold leans on `merge_counts` being commutative and associative,
-    /// so the result is independent of the input ordering and of how
-    /// the run was parallelised.
-    pub fn merge_shards(window_ns: u64, mut shard_windows: Vec<ShardWindow>) -> Timeline {
-        shard_windows.sort_by_key(|w| (w.index, w.shard));
+    /// Merges per-shard windows into one timeline, folding the windows
+    /// that share a grid slot: counters summed by name, bucket counts
+    /// summed and summarised again. The sort is stable, so windows handed
+    /// over shard by shard fold in `(window index, shard)` order — the
+    /// sharded engine's mailbox order — and since the sums commute the
+    /// result is independent of the input ordering and of how the run
+    /// was parallelised.
+    pub fn merge_shards(window_ns: u64, mut shard_windows: Vec<MetricWindow>) -> Timeline {
+        shard_windows.sort_by_key(|w| w.index);
         let mut out = Timeline::default();
-        let mut i = 0;
-        while i < shard_windows.len() {
-            let index = shard_windows[i].index;
+        for slot in shard_windows.chunk_by(|a, b| a.index == b.index) {
+            let index = slot[0].index;
             let mut start_ns = u64::MAX;
-            let mut merged = LocalMetrics::new();
-            while i < shard_windows.len() && shard_windows[i].index == index {
-                start_ns = start_ns.min(shard_windows[i].start_ns);
-                merged.merge_from(&shard_windows[i].delta);
-                i += 1;
+            let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+            let mut buckets: BTreeMap<&str, [u64; 65]> = BTreeMap::new();
+            for window in slot {
+                start_ns = start_ns.min(window.start_ns);
+                for (name, v) in &window.counters {
+                    *counters.entry(name).or_insert(0) += v;
+                }
+                for h in &window.histograms {
+                    add_counts(buckets.entry(&h.name).or_insert([0; 65]), &h.buckets);
+                }
             }
-            out.windows.push(window_from_local(
+            out.windows.push(MetricWindow {
                 index,
                 start_ns,
-                (index + 1) * window_ns,
-                &merged,
-            ));
+                end_ns: (index + 1) * window_ns,
+                counters: counters
+                    .into_iter()
+                    .map(|(name, v)| (name.to_owned(), v))
+                    .collect(),
+                histograms: buckets
+                    .into_iter()
+                    .map(|(name, counts)| WindowHistogram::from_counts(name, counts))
+                    .collect(),
+            });
         }
         out
     }
@@ -280,128 +293,112 @@ pub fn sparkline(values: &[u64]) -> String {
         .collect()
 }
 
-/// Builds a [`MetricWindow`] from a [`LocalMetrics`] delta buffer.
-fn window_from_local(index: u64, start_ns: u64, end_ns: u64, delta: &LocalMetrics) -> MetricWindow {
-    let mut histograms = Vec::new();
-    delta.for_each_histogram(|name, counts| {
-        if counts.iter().any(|&c| c > 0) {
-            histograms.push(WindowHistogram::from_counts(name, *counts));
-        }
-    });
-    MetricWindow {
-        index,
-        start_ns,
-        end_ns,
-        counters: delta
-            .counter_snapshot()
-            .into_iter()
-            .filter(|&(_, v)| v > 0)
-            .collect(),
-        histograms,
-    }
-}
-
-/// A windowed sampler over one shard's private [`LocalMetrics`] buffer.
+/// The window capture: diffs successive [`MetricsSnapshot`]s of its
+/// registries on a virtual-time grid.
 ///
-/// The shard calls [`ShardSampler::tick`] from its deterministic local
-/// event loop (event times are worker-count independent, so capture
-/// points are too) and [`ShardSampler::finish`] once at quiescence; the
-/// coordinator then merges every shard's windows with
-/// [`Timeline::merge_shards`]. A `window` of zero disables the sampler
-/// entirely — ticks return immediately and no windows are kept.
-#[derive(Debug, Clone)]
-pub struct ShardSampler {
-    shard: u32,
+/// The owner offers the current time with [`WindowSampler::tick`] — a
+/// shard from its deterministic local event loop, where event times and
+/// therefore capture points are worker-count independent — and closes the
+/// run with [`WindowSampler::finish`]. Each capture is handed back, empty
+/// or not; what to keep is the owner's decision. A `window` of zero
+/// disables the sampler: it never captures.
+#[derive(Debug, Default)]
+pub struct WindowSampler {
     window_ns: u64,
+    registries: Vec<MetricsRegistry>,
     last_boundary_ns: u64,
-    prev: LocalMetrics,
-    windows: Vec<ShardWindow>,
+    prev: MetricsSnapshot,
 }
 
-/// One shard-local captured window, merged by `(index, shard)`.
-#[derive(Debug, Clone)]
-pub struct ShardWindow {
-    /// Grid slot of the window's end boundary.
-    pub index: u64,
-    /// Inclusive start of the span, in virtual nanoseconds.
-    pub start_ns: u64,
-    /// Exclusive end of the span, in virtual nanoseconds.
-    pub end_ns: u64,
-    /// The shard that captured it.
-    pub shard: u32,
-    /// Metric increments inside the span.
-    pub delta: LocalMetrics,
-}
-
-impl ShardSampler {
-    /// Creates a sampler for `shard` with the given window width
-    /// (`SimDuration::ZERO` disables).
-    pub fn new(shard: u32, window: SimDuration) -> Self {
-        ShardSampler {
-            shard,
+impl WindowSampler {
+    /// Creates a sampler with the given window width
+    /// (`SimDuration::ZERO` disables) and no registry yet.
+    pub fn new(window: SimDuration) -> Self {
+        WindowSampler {
             window_ns: window.as_nanos(),
-            last_boundary_ns: 0,
-            prev: LocalMetrics::new(),
-            windows: Vec::new(),
+            ..WindowSampler::default()
         }
     }
 
-    /// `true` when the sampler keeps windows.
-    pub fn enabled(&self) -> bool {
-        self.window_ns != 0
+    /// Adds a registry to sample. Metrics with the same name in several
+    /// registries are summed per window.
+    pub fn add_registry(&mut self, registry: MetricsRegistry) {
+        self.registries.push(registry);
     }
 
-    /// Offers the current shard time and metrics buffer; captures a
-    /// window when `now_ns` has crossed a grid boundary.
-    pub fn tick(&mut self, now_ns: u64, metrics: &LocalMetrics) {
+    /// Captures a window when `now_ns` has crossed a grid boundary. A
+    /// capture that observes several elapsed slots at once spans them all.
+    pub fn tick(&mut self, now_ns: u64) -> Option<MetricWindow> {
         if self.window_ns == 0 {
-            return;
+            return None;
         }
-        let boundary = now_ns / self.window_ns * self.window_ns;
-        if boundary > self.last_boundary_ns {
-            self.capture(boundary, metrics);
-        }
+        self.capture(now_ns / self.window_ns * self.window_ns)
     }
 
-    /// Closes the final (possibly partial) window at quiescence and
-    /// returns every captured window. The end boundary rounds *up* to
-    /// the grid so the tail of the run is never dropped.
-    pub fn finish(mut self, now_ns: u64, metrics: &LocalMetrics) -> Vec<ShardWindow> {
-        if self.window_ns != 0 {
-            let end = now_ns.div_ceil(self.window_ns).max(1) * self.window_ns;
-            if end > self.last_boundary_ns {
-                self.capture(end, metrics);
+    /// Closes the final (possibly partial) window. The end boundary
+    /// rounds *up* to the grid so the tail of the run is never dropped.
+    pub fn finish(&mut self, now_ns: u64) -> Option<MetricWindow> {
+        if self.window_ns == 0 {
+            return None;
+        }
+        self.capture(now_ns.div_ceil(self.window_ns).max(1) * self.window_ns)
+    }
+
+    /// The window ending at `boundary_ns`, unless that is already captured.
+    fn capture(&mut self, boundary_ns: u64) -> Option<MetricWindow> {
+        if boundary_ns <= self.last_boundary_ns {
+            return None;
+        }
+        let now = MetricsSnapshot::of(&self.registries);
+        let mut window = MetricWindow {
+            index: boundary_ns / self.window_ns - 1,
+            start_ns: self.last_boundary_ns,
+            end_ns: boundary_ns,
+            counters: Vec::new(),
+            histograms: Vec::new(),
+        };
+        // Counters and buckets only grow, so no subtraction wraps.
+        for (name, &v) in &now.counters {
+            let delta = v - self.prev.counter(name);
+            if delta > 0 {
+                window.counters.push((name.clone(), delta));
             }
         }
-        self.windows
-    }
-
-    fn capture(&mut self, boundary_ns: u64, metrics: &LocalMetrics) {
-        let delta = metrics.delta_since(&self.prev);
-        if !delta.is_empty() {
-            self.windows.push(ShardWindow {
-                index: boundary_ns / self.window_ns - 1,
-                start_ns: self.last_boundary_ns,
-                end_ns: boundary_ns,
-                shard: self.shard,
-                delta,
-            });
+        for (name, counts) in &now.buckets {
+            let mut delta = *counts;
+            if let Some(prev) = self.prev.buckets.get(name) {
+                for (d, p) in delta.iter_mut().zip(prev) {
+                    *d -= p;
+                }
+            }
+            if delta.iter().any(|&d| d != 0) {
+                window
+                    .histograms
+                    .push(WindowHistogram::from_counts(name, delta));
+            }
         }
-        self.prev = metrics.clone();
+        self.prev = now;
         self.last_boundary_ns = boundary_ns;
+        Some(window)
     }
 }
 
 /// Shared state behind the hub's mutex.
 #[derive(Debug, Default)]
 struct HubInner {
-    registries: Vec<MetricsRegistry>,
-    prev_counters: BTreeMap<String, u64>,
-    prev_buckets: BTreeMap<String, [u64; 65]>,
-    last_boundary_ns: u64,
+    sampler: WindowSampler,
     windows: Vec<MetricWindow>,
     alerts: AlertEngine,
     flight: FlightRecorder,
+}
+
+impl HubInner {
+    /// Evaluates the alert rules on a captured window and keeps it.
+    fn keep(&mut self, window: MetricWindow) {
+        self.alerts.observe(&window);
+        self.flight.push_window(&window);
+        self.windows.push(window);
+    }
 }
 
 /// The windowed telemetry sampler for shared [`MetricsRegistry`]
@@ -415,7 +412,7 @@ struct HubInner {
 #[derive(Debug)]
 pub struct TelemetryHub {
     armed: AtomicBool,
-    window_ns: u64,
+    window: SimDuration,
     inner: Mutex<HubInner>,
 }
 
@@ -433,21 +430,24 @@ impl TelemetryHub {
         );
         TelemetryHub {
             armed: AtomicBool::new(true),
-            window_ns: window.as_nanos(),
-            inner: Mutex::new(HubInner::default()),
+            window,
+            inner: Mutex::new(HubInner {
+                sampler: WindowSampler::new(window),
+                ..HubInner::default()
+            }),
         }
     }
 
     /// The configured window width.
     pub fn window(&self) -> SimDuration {
-        SimDuration::from_nanos(self.window_ns)
+        self.window
     }
 
     /// Adds a registry to sample. Metrics with the same name in several
     /// registries are summed per window (registries are disjoint by
     /// convention: `core.*`/`qos.*` vs `net.*`/`faults.*`).
     pub fn add_registry(&self, registry: MetricsRegistry) {
-        self.inner.lock().registries.push(registry);
+        self.inner.lock().sampler.add_registry(registry);
     }
 
     /// Replaces the alert rule set (clearing any rule state).
@@ -468,14 +468,12 @@ impl TelemetryHub {
         if !self.armed.load(Ordering::Relaxed) {
             return 0;
         }
-        let now_ns = now.nanos();
         let mut inner = self.inner.lock();
-        let boundary = now_ns / self.window_ns * self.window_ns;
-        if boundary <= inner.last_boundary_ns {
-            return 0;
-        }
-        self.capture(&mut inner, boundary);
-        1
+        let captured = inner.sampler.tick(now.nanos());
+        captured.map_or(0, |window| {
+            inner.keep(window);
+            1
+        })
     }
 
     /// Closes the final (possibly partial) window, rounding the end
@@ -485,62 +483,9 @@ impl TelemetryHub {
             return;
         }
         let mut inner = self.inner.lock();
-        let end = now.nanos().div_ceil(self.window_ns).max(1) * self.window_ns;
-        if end > inner.last_boundary_ns {
-            self.capture(&mut inner, end);
+        if let Some(window) = inner.sampler.finish(now.nanos()) {
+            inner.keep(window);
         }
-    }
-
-    fn capture(&self, inner: &mut HubInner, boundary_ns: u64) {
-        // Aggregate current counter values and bucket counts across all
-        // registries (each snapshot is name-sorted; the fold is by name,
-        // so registry order does not matter).
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut buckets: BTreeMap<String, [u64; 65]> = BTreeMap::new();
-        for reg in &inner.registries {
-            for (name, v) in reg.counter_snapshot() {
-                *counters.entry(name).or_insert(0) += v;
-            }
-            for (name, counts) in reg.bucket_snapshot() {
-                let slot = buckets.entry(name).or_insert([0; 65]);
-                for (a, b) in slot.iter_mut().zip(counts.iter()) {
-                    *a += b;
-                }
-            }
-        }
-        let mut window = MetricWindow {
-            index: boundary_ns / self.window_ns - 1,
-            start_ns: inner.last_boundary_ns,
-            end_ns: boundary_ns,
-            counters: Vec::new(),
-            histograms: Vec::new(),
-        };
-        for (name, &v) in &counters {
-            let delta = v - inner.prev_counters.get(name).copied().unwrap_or(0);
-            if delta > 0 {
-                window.counters.push((name.clone(), delta));
-            }
-        }
-        for (name, counts) in &buckets {
-            let mut delta = [0u64; 65];
-            let prev = inner.prev_buckets.get(name);
-            let mut any = false;
-            for i in 0..65 {
-                delta[i] = counts[i] - prev.map_or(0, |p| p[i]);
-                any |= delta[i] != 0;
-            }
-            if any {
-                window
-                    .histograms
-                    .push(WindowHistogram::from_counts(name, delta));
-            }
-        }
-        inner.prev_counters = counters;
-        inner.prev_buckets = buckets;
-        inner.last_boundary_ns = boundary_ns;
-        inner.alerts.observe(&window);
-        inner.flight.push_window(&window);
-        inner.windows.push(window);
     }
 
     /// Copy of the captured timeline so far.
@@ -553,11 +498,6 @@ impl TelemetryHub {
     /// Ordered alert log lines emitted so far (firing/resolved edges).
     pub fn alert_log(&self) -> Vec<String> {
         self.inner.lock().alerts.log().to_vec()
-    }
-
-    /// Ordered alert events emitted so far.
-    pub fn alert_events(&self) -> Vec<AlertEvent> {
-        self.inner.lock().alerts.events().to_vec()
     }
 
     /// FNV digest of the alert log (`n=<lines> fnv=<hash>`).
@@ -637,16 +577,16 @@ mod tests {
 
     #[test]
     fn shard_merge_is_input_order_independent() {
-        let window = SimDuration::from_nanos(100);
         let mut shard_windows = Vec::new();
-        for shard in [2u32, 0, 1] {
-            let mut sampler = ShardSampler::new(shard, window);
-            let mut metrics = LocalMetrics::new();
-            metrics.add("ops", u64::from(shard) + 1);
-            metrics.record("lat", 1 << shard);
-            sampler.tick(150, &metrics);
-            metrics.inc("ops");
-            shard_windows.extend(sampler.finish(260, &metrics));
+        for shard in [2u64, 0, 1] {
+            let metrics = MetricsRegistry::new();
+            let mut sampler = WindowSampler::new(SimDuration::from_nanos(100));
+            sampler.add_registry(metrics.clone());
+            metrics.counter("ops").add(shard + 1);
+            metrics.histogram("lat").record(1 << shard);
+            shard_windows.extend(sampler.tick(150));
+            metrics.counter("ops").inc();
+            shard_windows.extend(sampler.finish(260));
         }
         let forward = Timeline::merge_shards(100, shard_windows.clone());
         let mut reversed = shard_windows;
@@ -663,12 +603,47 @@ mod tests {
 
     #[test]
     fn disabled_shard_sampler_keeps_nothing() {
-        let mut sampler = ShardSampler::new(0, SimDuration::ZERO);
-        let mut metrics = LocalMetrics::new();
-        metrics.inc("ops");
-        sampler.tick(1_000_000, &metrics);
-        assert!(!sampler.enabled());
-        assert!(sampler.finish(2_000_000, &metrics).is_empty());
+        let metrics = MetricsRegistry::new();
+        let mut sampler = WindowSampler::new(SimDuration::ZERO);
+        sampler.add_registry(metrics.clone());
+        metrics.counter("ops").inc();
+        assert_eq!(sampler.tick(1_000_000), None);
+        assert_eq!(sampler.finish(2_000_000), None);
+    }
+
+    /// The hub adds alerts and the flight ring around the capture, never
+    /// a second capture: fed the same registry at the same instants, a hub
+    /// and a bare sampler hold the same windows — idle ones, a multi-slot
+    /// jump and the rounded-up tail included.
+    #[test]
+    fn hub_and_bare_sampler_capture_identical_windows() {
+        let reg = MetricsRegistry::new();
+        let window = SimDuration::from_nanos(100);
+        let hub = TelemetryHub::new(window);
+        hub.add_registry(reg.clone());
+        let mut sampler = WindowSampler::new(window);
+        sampler.add_registry(reg.clone());
+        let mut bare = Vec::new();
+        for (step, now_ns) in [40u64, 100, 130, 250, 300, 780, 800].into_iter().enumerate() {
+            if step != 4 {
+                reg.counter("ops").add(step as u64 + 1);
+                reg.histogram("lat").record(now_ns);
+            }
+            if step == 2 {
+                reg.counter("late.key").inc();
+            }
+            let captured = sampler.tick(now_ns);
+            assert_eq!(hub.tick(instant(now_ns)), captured.iter().count(), "t={now_ns}");
+            bare.extend(captured);
+        }
+        reg.counter("ops").inc();
+        bare.extend(sampler.finish(810));
+        hub.flush(instant(810));
+        assert_eq!(hub.timeline().windows, bare);
+        assert_eq!(bare.len(), 6);
+        assert!(bare[2].is_empty(), "an idle window is still handed back");
+        assert_eq!((bare[3].start_ns, bare[3].end_ns), (300, 700), "one window spans the jump");
+        assert_eq!(bare[5].end_ns, 900, "the tail rounds up to the grid");
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub enum SpanKind {
     /// A synchronous RAII span: the caller's virtual time was inside it.
     /// Sync spans nest properly and are counted by [`Trace::attribution`].
     Sync,
-    /// A manually stamped span for work that overlaps the caller (e.g. a
-    /// posted RDMA transfer draining in the background). Shown in the
+    /// A manually stamped span for work that is not a lexical scope of
+    /// the caller (e.g. an injected delay, a failover read). Shown in the
     /// timeline exports but excluded from attribution so overlapping time
     /// is not double-counted.
     Async,
@@ -163,8 +163,8 @@ impl Tracer {
     }
 
     /// Records an already-finished span with explicit virtual timestamps —
-    /// used for asynchronous work (posted transfers) whose lifetime is not
-    /// a lexical scope. Parented under the currently open sync span.
+    /// used for work (injected faults, failover reads) whose lifetime is
+    /// not a lexical scope. Parented under the currently open sync span.
     pub fn record_async(
         &self,
         category: &'static str,

@@ -73,6 +73,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash ^ (hash >> 32)
 }
 
+/// [`fnv1a64`] of nothing: the state a running digest starts from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Computes the FNV-1a 64-bit hash of `bytes`.
 ///
 /// Byte-serial and a published, stable function: used where a hash
@@ -87,12 +90,17 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
+    fnv1a64_fold(FNV1A64_OFFSET, bytes)
+}
+
+/// Folds `bytes` into a running [`fnv1a64`] state. Start from
+/// [`FNV1A64_OFFSET`]; folding in pieces equals hashing the
+/// concatenation, which is how the QoS decision digest and the
+/// allocator's structural digest grow.
+pub fn fnv1a64_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 #[cfg(test)]
@@ -201,6 +209,10 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a64_fold(fnv1a64_fold(FNV1A64_OFFSET, b"foo"), b"bar"),
+            fnv1a64(b"foobar")
+        );
     }
 
     proptest! {

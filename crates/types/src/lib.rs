@@ -29,7 +29,7 @@ mod ids;
 mod location;
 
 pub use bytesize::ByteSize;
-pub use checksum::{checksum, fnv1a64};
+pub use checksum::{checksum, fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
 pub use config::{
     ClusterConfig, CompressionMode, CxlPoolConfig, DistributionRatio, DonationPolicy,
     NodeConfig, PlacementStrategy, ReplicationFactor, ServerConfig, SwapInMode,

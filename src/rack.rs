@@ -27,13 +27,13 @@
 
 use dmem_cluster::spread_replicas;
 use dmem_net::{HostOutage, ShardFaultSchedule};
-use dmem_sim::shard::{shard_rng, EngineReport, EpochCtx, ShardWorker, ShardedEngine};
+use dmem_sim::shard::{shard_rng, EpochCtx, ShardWorker, ShardedEngine};
 use dmem_sim::{
-    digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LocalMetrics, ShardClock,
-    ShardEventLog, ShardId, ShardMap, ShardSampler, SimDuration, SimInstant, Timeline,
+    digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LazyCounter, LazyHistogram,
+    MetricWindow, MetricsRegistry, MetricsSnapshot, ShardClock, ShardEventLog, ShardId, ShardMap,
+    SimDuration, SimInstant, Timeline, WindowSampler,
 };
 use std::collections::HashMap;
-use std::fmt;
 
 /// Configuration of one rack-scale run. All fields shape the *scenario*;
 /// the worker count is a separate argument to [`run_rack`] and never
@@ -239,6 +239,47 @@ struct HostState {
     done: bool,
 }
 
+/// A shard's handles into its private registry. Each resolves on first
+/// touch, so a key exists exactly when the run incremented it.
+struct RackMetrics {
+    access_total: LazyCounter,
+    access_hit: LazyCounter,
+    access_miss: LazyCounter,
+    read_served: LazyCounter,
+    read_remote: LazyCounter,
+    read_nacked: LazyCounter,
+    read_failover: LazyCounter,
+    read_stalled: LazyCounter,
+    write_applied: LazyCounter,
+    writeback_pages: LazyCounter,
+    writeback_acked: LazyCounter,
+    probe_sent: LazyCounter,
+    probe_cleared: LazyCounter,
+    fault_ns: LazyHistogram,
+}
+
+impl RackMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name| LazyCounter::new(registry, name);
+        RackMetrics {
+            access_total: counter("rack.access.total"),
+            access_hit: counter("rack.access.hit"),
+            access_miss: counter("rack.access.miss"),
+            read_served: counter("rack.read.served"),
+            read_remote: counter("rack.read.remote"),
+            read_nacked: counter("rack.read.nacked"),
+            read_failover: counter("rack.read.failover"),
+            read_stalled: counter("rack.read.stalled"),
+            write_applied: counter("rack.write.applied"),
+            writeback_pages: counter("rack.writeback.pages"),
+            writeback_acked: counter("rack.writeback.acked"),
+            probe_sent: counter("rack.probe.sent"),
+            probe_cleared: counter("rack.probe.cleared"),
+            fault_ns: LazyHistogram::new(registry, "rack.fault.ns"),
+        }
+    }
+}
+
 /// One shard of the rack: its hosts, replica store, outage windows.
 struct RackShard {
     shard: ShardId,
@@ -253,13 +294,21 @@ struct RackShard {
     store: HashMap<(usize, u64), u32>,
     /// Outage windows of this shard's hosts.
     outages: Vec<HostOutage>,
-    metrics: LocalMetrics,
+    /// Private to the shard: totals are summed in shard order after the
+    /// run, so they are independent of the worker count.
+    registry: MetricsRegistry,
+    metrics: RackMetrics,
     log: ShardEventLog,
-    sampler: ShardSampler,
+    sampler: WindowSampler,
+    /// Captured windows that saw any increment.
+    windows: Vec<MetricWindow>,
 }
 
 impl RackShard {
     fn new(shard: ShardId, cfg: &RackConfig, map: &ShardMap, outages: Vec<HostOutage>) -> Self {
+        let registry = MetricsRegistry::new();
+        let mut sampler = WindowSampler::new(cfg.timeline_window);
+        sampler.add_registry(registry.clone());
         let mut rack = RackShard {
             shard,
             cfg: cfg.clone(),
@@ -270,9 +319,11 @@ impl RackShard {
             hosts: HashMap::new(),
             store: HashMap::new(),
             outages,
-            metrics: LocalMetrics::new(),
+            metrics: RackMetrics::new(&registry),
+            registry,
             log: ShardEventLog::new(shard.0, cfg.trace_sample),
-            sampler: ShardSampler::new(shard.0, cfg.timeline_window),
+            sampler,
+            windows: Vec::new(),
         };
         // The shard owns its hosts' streams: all derive from the shard's
         // own (root_seed, shard_id)-split stream, never from a shared one.
@@ -297,6 +348,11 @@ impl RackShard {
             rack.queue.schedule(kickoff, LocalEvent::Access { host });
         }
         rack
+    }
+
+    /// Keeps a captured window unless nothing happened inside it.
+    fn keep(&mut self, captured: Option<MetricWindow>) {
+        self.windows.extend(captured.filter(|w| !w.is_empty()));
     }
 
     /// Whether `host` (owned by this shard) is inside an outage window.
@@ -411,19 +467,19 @@ impl RackShard {
                 false
             }
         };
-        self.metrics.inc("rack.access.total");
+        self.metrics.access_total.inc();
         if hit {
-            self.metrics.inc("rack.access.hit");
+            self.metrics.access_hit.inc();
             self.queue
                 .schedule(now + hit_cost + think, LocalEvent::Access { host });
             return;
         }
         // Miss: remote fault.
-        self.metrics.inc("rack.access.miss");
+        self.metrics.access_miss.inc();
         self.log.push(now.nanos(), "fault", host as u64, page);
         if !self.issue_read(ctx, now, host, page, 0) {
             // Every replica suspect: stall and retry the whole access.
-            self.metrics.inc("rack.read.stalled");
+            self.metrics.read_stalled.inc();
             let state = self.hosts.get_mut(&host).unwrap();
             state.inflight = None;
             state.issued -= 1;
@@ -471,7 +527,7 @@ impl RackShard {
         version: u32,
     ) {
         let replicas = self.replicas_of(page, host);
-        self.metrics.inc("rack.writeback.pages");
+        self.metrics.writeback_pages.inc();
         self.log.push(now.nanos(), "writeback", host as u64, page);
         *self
             .hosts
@@ -508,7 +564,7 @@ impl RackShard {
                 if self.cfg.faults && self.host_down(target, now) {
                     // The requester learns after the RC retransmit budget
                     // burns: a penalty on top of the message flight.
-                    self.metrics.inc("rack.read.nacked");
+                    self.metrics.read_nacked.inc();
                     let lat = self.msg_lat() * 4;
                     self.send(
                         ctx,
@@ -532,7 +588,7 @@ impl RackShard {
                 // Serving reads the replica memory and hashes the page:
                 // the owning shard's share of the per-fault compute.
                 let checksum = page_checksum(page, version);
-                self.metrics.inc("rack.read.served");
+                self.metrics.read_served.inc();
                 let lat = self.cost.dram.transfer(4096) + self.page_lat();
                 self.send(
                     ctx,
@@ -567,9 +623,10 @@ impl RackShard {
                     "host {requester} page {page}: stale read (v{version} < acked floor v{})",
                     fault.floor
                 );
-                self.metrics.inc("rack.read.remote");
+                self.metrics.read_remote.inc();
                 self.metrics
-                    .record("rack.fault.ns", (now - fault.started).as_nanos());
+                    .fault_ns
+                    .record((now - fault.started).as_nanos());
                 self.install_frame(ctx, now, requester, page, version, fault.dirty);
                 let state = self.hosts.get_mut(&requester).unwrap();
                 let think = SimDuration::from_nanos(200 + state.rng.below(200) as u64);
@@ -582,7 +639,7 @@ impl RackShard {
                 target,
                 replica_idx,
             } => {
-                self.metrics.inc("rack.read.failover");
+                self.metrics.read_failover.inc();
                 self.log.push(now.nanos(), "failover", requester as u64, target as u64);
                 {
                     let state = self.hosts.get_mut(&requester).expect("requester owned");
@@ -591,7 +648,7 @@ impl RackShard {
                     }
                 }
                 // Arm the probe loop for the suspect.
-                self.metrics.inc("rack.probe.sent");
+                self.metrics.probe_sent.inc();
                 self.send(
                     ctx,
                     now,
@@ -601,7 +658,7 @@ impl RackShard {
                 );
                 // Fail the read over to the next replica.
                 if !self.issue_read(ctx, now, requester, page, replica_idx + 1) {
-                    self.metrics.inc("rack.read.stalled");
+                    self.metrics.read_stalled.inc();
                     let state = self.hosts.get_mut(&requester).unwrap();
                     state.inflight = None;
                     state.issued -= 1;
@@ -619,7 +676,7 @@ impl RackShard {
                 // outages model reachability, not data loss.
                 let slot = self.store.entry((target, page)).or_insert(0);
                 *slot = (*slot).max(version);
-                self.metrics.inc("rack.write.applied");
+                self.metrics.write_applied.inc();
                 let lat = self.cost.dram.transfer(4096) + self.msg_lat();
                 self.send(
                     ctx,
@@ -649,7 +706,7 @@ impl RackShard {
                     // All replicas hold `version`: raise the floor.
                     let slot = state.expected.entry(page).or_insert(0);
                     *slot = (*slot).max(version);
-                    self.metrics.inc("rack.writeback.acked");
+                    self.metrics.writeback_acked.inc();
                 }
             }
             RackMsg::ProbeReq { target, requester } => {
@@ -673,13 +730,13 @@ impl RackShard {
                 up,
             } => {
                 if up {
-                    self.metrics.inc("rack.probe.cleared");
+                    self.metrics.probe_cleared.inc();
                     self.log.push(now.nanos(), "suspect.cleared", requester as u64, target as u64);
                     let state = self.hosts.get_mut(&requester).expect("requester owned");
                     state.suspects.retain(|&s| s != target);
                 } else {
                     // Still down: keep probing.
-                    self.metrics.inc("rack.probe.sent");
+                    self.metrics.probe_sent.inc();
                     self.send(
                         ctx,
                         now,
@@ -712,7 +769,8 @@ impl ShardWorker for RackShard {
             // Sample before handling: whatever this event increments is
             // attributed to the window containing `t`. Event times are
             // worker-count independent, so capture points are too.
-            self.sampler.tick(t.nanos(), &self.metrics);
+            let captured = self.sampler.tick(t.nanos());
+            self.keep(captured);
             match event {
                 LocalEvent::Access { host } => self.access(ctx, t, host),
                 LocalEvent::Deliver { msg } => self.deliver(ctx, t, msg),
@@ -762,7 +820,7 @@ pub struct RackReport {
     pub digest: String,
     /// Merged, canonically ordered trace export (JSONL).
     pub trace_jsonl: String,
-    /// Name-sorted `key=value` pairs of all nonzero counters.
+    /// Name-sorted `key=value` pairs of all counters the run touched.
     pub metrics_line: String,
     /// Per-window counter/histogram timeline, merged from the per-shard
     /// samplers in `(window, shard)` order. Empty when
@@ -782,30 +840,6 @@ impl RackReport {
     pub fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.hosts,
-            self.shards,
-            self.accesses,
-            self.hits,
-            self.remote_reads,
-            self.writebacks,
-            self.failovers,
-            self.probes,
-            self.cross_messages,
-            self.local_messages,
-            self.epochs,
-            self.fault_p50_ns,
-            self.fault_p99_ns,
-            self.digest,
-        )
-    }
-}
-
-impl fmt::Display for RackReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hosts={} shards={} accesses={} hits={} remote_reads={} writebacks={} \
-             failovers={} probes={} cross={} local={} epochs={} p50={}ns p99={}ns digest={}",
             self.hosts,
             self.shards,
             self.accesses,
@@ -861,18 +895,14 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
     let (mut shards, engine) = ShardedEngine::run(workers, shards, epoch, min_latency);
 
     // Deterministic post-run: merge shard-local state in shard order.
-    let mut merged = LocalMetrics::new();
     let mut logs = Vec::with_capacity(shards.len());
     let mut shard_windows = Vec::new();
     let mut quiescence_failures: Vec<String> = Vec::new();
     for shard in shards.iter_mut() {
-        merged.merge_from(&shard.metrics);
         logs.push(shard.log.clone());
-        let sampler = std::mem::replace(
-            &mut shard.sampler,
-            ShardSampler::new(0, SimDuration::ZERO),
-        );
-        shard_windows.extend(sampler.finish(engine.horizon.nanos(), &shard.metrics));
+        let tail = shard.sampler.finish(engine.horizon.nanos());
+        shard.keep(tail);
+        shard_windows.append(&mut shard.windows);
         // Quiescence invariants, per host. Failures are collected instead
         // of asserted inline so a broken run can dump the flight recorder
         // (recent trace events + metric windows) before panicking.
@@ -926,10 +956,11 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         );
     }
 
+    let registries: Vec<_> = shards.iter().map(|s| s.registry.clone()).collect();
+    let merged = MetricsSnapshot::of(&registries);
     let metrics_line = merged
-        .counter_snapshot()
-        .into_iter()
-        .filter(|(_, v)| *v > 0)
+        .counters
+        .iter()
         .map(|(k, v)| format!("{k}={v}"))
         .collect::<Vec<_>>()
         .join(" ");
@@ -947,7 +978,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         cross_messages: engine.cross_messages,
         local_messages: engine.local_messages,
         epochs: engine.epochs,
-        horizon: engine_horizon(&engine),
+        horizon: engine.horizon,
         fault_p50_ns: merged.quantile("rack.fault.ns", 0.5),
         fault_p99_ns: merged.quantile("rack.fault.ns", 0.99),
         digest,
@@ -955,10 +986,6 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         metrics_line,
         timeline,
     }
-}
-
-fn engine_horizon(engine: &EngineReport) -> SimInstant {
-    engine.horizon
 }
 
 #[cfg(test)]
