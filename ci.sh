@@ -12,12 +12,58 @@ set -eu
 cd "$(dirname "$0")"
 
 step() {
-    name="$1"
+    step_name="$1"
     shift
-    echo "==> $name"
+    echo "==> $step_name"
     t0=$(date +%s)
     "$@"
-    echo "==> $name: done in $(( $(date +%s) - t0 ))s"
+    echo "==> $step_name: done in $(( $(date +%s) - t0 ))s"
+}
+
+# No step writes into results/. Goldens are regenerated under target/ —
+# the bench bins from the scratch working directory target/golden, since
+# `Table::write_csv` writes ./results/ relative to the cwd — and diffed
+# against the committed files: a step that wrote the golden itself could
+# only ever be compared with itself.
+root=$(pwd)
+scratch=target/golden
+rm -rf "$scratch"
+mkdir -p "$scratch"
+
+# bench_bin <bin> [args...]: runs a release bin from $scratch, stdout dropped.
+bench_bin() {
+    bin="$1"
+    shift
+    (cd "$scratch" && "$root/target/release/$bin" "$@" > /dev/null)
+}
+
+# same_csv <name>...: each regenerated CSV equals the committed one.
+same_csv() {
+    for name in "$@"; do
+        diff "results/$name.csv" "$scratch/results/$name.csv"
+    done
+}
+
+# golden <csv name> <bin> [args...]: one bin, one golden CSV.
+golden() {
+    csv="$1"
+    shift
+    bench_bin "$@"
+    same_csv "$csv"
+}
+
+# The paper's own table and figures plus the ablations: 14 bins, 16 CSVs
+# (fig7 and ablation_groups write two each). fig10.csv is the only pin of
+# the RDD block manager's eviction order outside its unit tests.
+figures() {
+    for bin in table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
+        ablation_batching ablation_costmodel ablation_groups \
+        ablation_placement ablation_replication; do
+        bench_bin "$bin"
+    done
+    same_csv table3 fig3 fig4 fig5 fig6 fig7_50 fig7_75 fig8 fig9 fig10 \
+        ablation_batching ablation_costmodel ablation_groups \
+        ablation_groups_arithmetic ablation_placement ablation_replication
 }
 
 step "cargo fetch" cargo fetch
@@ -41,8 +87,8 @@ step "qos chaos smoke (seeds 0..32)" \
 # draws, no clock advances, no metric keys — when it is not installed.
 step "chaos fault-free baseline (byte-identical)" sh -c '
     cargo run --release --quiet --bin chaos -- --seeds 0..32 \
-        > results/chaos_smoke_baseline.txt
-    git diff --exit-code -- results/chaos_smoke_baseline.txt
+        > target/chaos_smoke_baseline.txt
+    diff results/chaos_smoke_baseline.txt target/chaos_smoke_baseline.txt
 '
 
 # The same sweep with the fabric fault layer armed: verb drops/delays/
@@ -67,8 +113,8 @@ step "faults chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
 # useless for debugging chaos failures.
 step "chaos flight-recorder fixture (golden dump)" sh -c '
     cargo run --release --quiet --bin chaos -- --flight-fixture \
-        > results/chaos_flight_fixture.txt
-    git diff --exit-code -- results/chaos_flight_fixture.txt
+        > target/chaos_flight_fixture.txt
+    diff results/chaos_flight_fixture.txt target/chaos_flight_fixture.txt
 '
 
 # Sharded-engine determinism gate, chaos side: the same 32-seed sweep
@@ -84,29 +130,34 @@ step "chaos shard determinism (--shards 1 vs 4, byte-diff)" sh -c '
     diff target/chaos_shards_1.txt target/chaos_shards_4.txt
 '
 
+# The reproduction proper: every committed table/figure/ablation CSV must
+# come out of its bin byte for byte.
+step "paper figures (16 golden CSVs)" figures
+
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
 # be byte-identical at 1 vs 4 worker threads (same logical shards,
 # different parallelism) AND match the committed golden CSV.
-step "fig4_rack smoke determinism (workers 1 vs 4 + golden CSV)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards 1 \
-        > target/fig4_rack_smoke_1.txt
-    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards 4 \
-        > target/fig4_rack_smoke_4.txt
-    diff target/fig4_rack_smoke_1.txt target/fig4_rack_smoke_4.txt
-    git diff --exit-code -- results/fig4_rack_smoke.csv
-'
+rack_smoke() {
+    for workers in 1 4; do
+        (cd "$scratch" && "$root/target/release/fig4_rack" --smoke --shards $workers \
+            > fig4_rack_smoke_$workers.txt)
+        same_csv fig4_rack_smoke
+    done
+    diff "$scratch/fig4_rack_smoke_1.txt" "$scratch/fig4_rack_smoke_4.txt"
+}
+step "fig4_rack smoke determinism (workers 1 vs 4 + golden CSV)" rack_smoke
 
 # Rack timeline gate: the merged per-window metric timeline — per-shard
 # samplers stitched in (window, shard) order — must match the committed
-# golden CSV at 1 and at 4 workers. Both runs write under target/: a run
-# that wrote the golden itself could only ever be compared with itself.
-step "fig4_rack timeline (workers 1 and 4 vs golden CSV)" sh -c '
+# golden CSV at 1 and at 4 workers.
+rack_timeline() {
     for workers in 1 4; do
-        cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --smoke --shards $workers \
-            --timeline-out target/fig4_rack_timeline_$workers.csv > /dev/null
-        diff results/fig4_rack_timeline.csv target/fig4_rack_timeline_$workers.csv
+        bench_bin fig4_rack --smoke --shards $workers \
+            --timeline-out fig4_rack_timeline_$workers.csv
+        diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline_$workers.csv"
     done
-'
+}
+step "fig4_rack timeline (workers 1 and 4 vs golden CSV)" rack_timeline
 
 # Rack perf smoke: wall-clock at 1 vs 4 workers against the committed
 # ledger results/BENCH_rack.json (3x tolerance; --check writes
@@ -120,27 +171,19 @@ step "fig4_rack perf smoke (speedup gate + 3x tolerance)" \
 # to the committed golden CSV (virtual-clock determinism) and its
 # built-in acceptance check must pass (high-priority p99 flat under QoS,
 # degrading without it) — the binary exits nonzero otherwise.
-step "ext_qos smoke (golden CSV)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin ext_qos -- --smoke > /dev/null
-    git diff --exit-code -- results/ext_qos_smoke.csv
-'
+step "ext_qos smoke (golden CSV)" golden ext_qos_smoke ext_qos --smoke
 
 # KV-cache smoke: reduced hot-set sweep, byte-diffed against the golden
 # CSV; the binary also self-asserts the overflow-tier speedup (>= 5x at
 # the smallest hot set) and exits nonzero if it regresses.
-step "ext_kv_cache smoke (golden CSV)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin ext_kv_cache -- --smoke > /dev/null
-    git diff --exit-code -- results/ext_kv_cache_smoke.csv
-'
+step "ext_kv_cache smoke (golden CSV)" golden ext_kv_cache_smoke ext_kv_cache --smoke
 
 # LLM serving smoke: the reduced conversation-stream sweep must be
 # byte-identical to the committed golden CSV (virtual-clock determinism)
 # and its built-in acceptance check must pass (tiered p99 TTFT >= 5x
 # better than the disk-offload baseline at the largest session count).
-step "ext_llm_serving smoke (golden CSV)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin ext_llm_serving -- --smoke > /dev/null
-    git diff --exit-code -- results/ext_llm_serving_smoke.csv
-'
+step "ext_llm_serving smoke (golden CSV)" \
+    golden ext_llm_serving_smoke ext_llm_serving --smoke
 
 # LLM serving perf smoke: wall-clock of the three engines against the
 # committed ledger results/BENCH_llm.json, same gross 3x tolerance.
@@ -152,10 +195,8 @@ step "ext_llm_serving perf smoke (3x tolerance)" \
 # self-asserts the amplification acceptance gate (the page path moves
 # >= 10x the fabric bytes of the object path on uniform-small) —
 # nonzero exit otherwise.
-step "ext_obj_alloc smoke (golden CSV + 10x gate)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin ext_obj_alloc -- --smoke > /dev/null
-    git diff --exit-code -- results/ext_obj_alloc_smoke.csv
-'
+step "ext_obj_alloc smoke (golden CSV + 10x gate)" \
+    golden ext_obj_alloc_smoke ext_obj_alloc --smoke
 
 # Object-allocator perf smoke: wall-clock of both granularities against
 # the committed ledger results/BENCH_alloc.json, same 3x tolerance.
@@ -166,10 +207,8 @@ step "ext_obj_alloc perf smoke (3x tolerance)" \
 # to the committed golden CSV, and the binary self-asserts the §VI
 # three-way split (every transport wins at least one working-set x
 # granularity cell) — nonzero exit otherwise.
-step "ext_crossover smoke (golden CSV + three-way gate)" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin ext_crossover -- --smoke > /dev/null
-    git diff --exit-code -- results/ext_crossover_smoke.csv
-'
+step "ext_crossover smoke (golden CSV + three-way gate)" \
+    golden ext_crossover_smoke ext_crossover --smoke
 
 # Crossover perf smoke: wall-clock of the page-granularity column on all
 # three transports against the committed ledger results/BENCH_cxl.json,
@@ -194,12 +233,12 @@ step "cxl chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
 # then validate the artifact (parses, trace-event shaped, spans from >= 4
 # simulation layers). Guards the zero-cost-when-disabled contract's other
 # half: tracing, when on, actually observes the whole stack.
-step "traced fig4 + trace check" sh -c '
-    cargo run --release --quiet -p dmem-bench --bin fig4 -- \
-        --trace-out results/fig4_trace.json --metrics-out results/fig4_metrics.txt
-    cargo run --release --quiet -p dmem-bench --bin dmem_top -- \
-        --check-trace results/fig4_trace.json
-'
+traced_fig4() {
+    bench_bin fig4 --trace-out fig4_trace.json --metrics-out fig4_metrics.txt
+    diff results/fig4_metrics.txt "$scratch/fig4_metrics.txt"
+    target/release/dmem_top --check-trace "$scratch/fig4_trace.json"
+}
+step "traced fig4 + trace check" traced_fig4
 
 # Perf smoke: quick variants of the three wall-clock scenarios, compared
 # against the committed quick-mode ledger results/BENCH_perf_quick.json
@@ -224,10 +263,9 @@ step "benchmark quick runs (correct, 0 failed)" sh -c '
     done
 '
 
-# Every step above either writes only ignored files or regenerates a
-# committed golden byte-for-byte (the dmem_top reports are pinned by the
-# dmem_top_golden test inside `cargo test`), and the perf checks write
-# nothing: a green gate leaves results/ exactly as committed.
+# Backstop: every step above writes under target/ only (the dmem_top
+# reports are pinned by the dmem_top_golden test inside `cargo test`, and
+# the perf checks write nothing), so results/ is exactly as committed.
 step "results/ unchanged" git diff --exit-code -- results/
 
 echo "==> ci.sh: all green"

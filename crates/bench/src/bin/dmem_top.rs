@@ -360,10 +360,7 @@ fn run_alerts_report() -> String {
         fabric_faults: true,
         ..ChaosConfig::default()
     };
-    let settings = ChaosSettings {
-        faults: true,
-        ..ChaosSettings::default()
-    };
+    let settings = ChaosSettings::default();
     let mut out = String::new();
     writeln!(out, "dmem-top — chaos alert log (virtual time)").unwrap();
     writeln!(

@@ -15,7 +15,7 @@
 //!   pages back to the caller for disk writeback.
 
 use crate::codec::CompressedPage;
-use std::collections::HashMap;
+use dmem_types::Lru;
 
 /// Frame payload capacity: 4 KiB minus zbud's per-frame metadata.
 const FRAME_CAPACITY: usize = 4096 - 56;
@@ -28,7 +28,6 @@ const REJECT_THRESHOLD: usize = 4096 * 3 / 4;
 struct Slot {
     key: u64,
     page: CompressedPage,
-    lru_tick: u64,
 }
 
 #[derive(Debug, Default)]
@@ -103,8 +102,8 @@ impl ZswapStats {
 pub struct ZswapCache {
     frames: Vec<Frame>,
     max_frames: usize,
-    index: HashMap<u64, usize>, // key -> frame index
-    tick: u64,
+    /// key -> frame index, in recency order.
+    index: Lru<u64, usize>,
     rejected: u64,
     evicted: u64,
 }
@@ -115,16 +114,10 @@ impl ZswapCache {
         ZswapCache {
             frames: Vec::new(),
             max_frames,
-            index: HashMap::new(),
-            tick: 0,
+            index: Lru::with_capacity(0),
             rejected: 0,
             evicted: 0,
         }
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Inserts a compressed page under `key`, evicting LRU entries if the
@@ -145,12 +138,7 @@ impl ZswapCache {
                 .filter(|(_, f)| f.slots.len() < 2 && f.free() >= page.data.len())
                 .min_by_key(|(_, f)| f.free());
             if let Some((idx, _)) = fit {
-                let tick = self.next_tick();
-                self.frames[idx].slots.push(Slot {
-                    key,
-                    page,
-                    lru_tick: tick,
-                });
+                self.frames[idx].slots.push(Slot { key, page });
                 self.index.insert(key, idx);
                 return ZswapInsert::Stored { evicted };
             }
@@ -171,24 +159,25 @@ impl ZswapCache {
 
     /// Membership probe without LRU side effects.
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+        self.index.contains(&key)
     }
 
     /// Looks up `key`, refreshing its LRU position.
     pub fn get(&mut self, key: u64) -> Option<&CompressedPage> {
-        let frame_idx = *self.index.get(&key)?;
-        let tick = self.next_tick();
-        let slot = self.frames[frame_idx]
-            .slots
-            .iter_mut()
-            .find(|s| s.key == key)?;
-        slot.lru_tick = tick;
+        let frame_idx = *self.index.touch(&key)?;
+        let slot = self.frames[frame_idx].slots.iter().find(|s| s.key == key)?;
         Some(&slot.page)
     }
 
     /// Removes and returns the entry under `key`.
     pub fn remove(&mut self, key: u64) -> Option<CompressedPage> {
         let frame_idx = self.index.remove(&key)?;
+        self.take_slot(key, frame_idx)
+    }
+
+    /// Takes `key`'s page out of frame `frame_idx`, freeing the frame if
+    /// that empties it.
+    fn take_slot(&mut self, key: u64, frame_idx: usize) -> Option<CompressedPage> {
         let frame = &mut self.frames[frame_idx];
         let pos = frame.slots.iter().position(|s| s.key == key)?;
         let slot = frame.slots.remove(pos);
@@ -197,13 +186,8 @@ impl ZswapCache {
     }
 
     fn evict_lru(&mut self) -> Option<(u64, CompressedPage)> {
-        let key = self
-            .frames
-            .iter()
-            .flat_map(|f| f.slots.iter())
-            .min_by_key(|s| s.lru_tick)
-            .map(|s| s.key)?;
-        let page = self.remove(key)?;
+        let (key, frame_idx) = self.index.pop_lru()?;
+        let page = self.take_slot(key, frame_idx)?;
         self.evicted += 1;
         Some((key, page))
     }
@@ -211,19 +195,12 @@ impl ZswapCache {
     /// Drops empty frames (zbud frees frames whose buddies are both gone).
     fn compact(&mut self) {
         if self.frames.iter().any(|f| f.slots.is_empty()) {
-            let mut new_frames = Vec::with_capacity(self.frames.len());
-            let mut new_index = HashMap::with_capacity(self.index.len());
-            for frame in self.frames.drain(..) {
-                if frame.slots.is_empty() {
-                    continue;
-                }
+            self.frames.retain(|f| !f.slots.is_empty());
+            for (idx, frame) in self.frames.iter().enumerate() {
                 for slot in &frame.slots {
-                    new_index.insert(slot.key, new_frames.len());
+                    *self.index.get_mut(&slot.key).expect("stored key is indexed") = idx;
                 }
-                new_frames.push(frame);
             }
-            self.frames = new_frames;
-            self.index = new_index;
         }
     }
 

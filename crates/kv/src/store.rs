@@ -2,8 +2,8 @@
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
 use dmem_sim::SimDuration;
-use dmem_types::{fnv1a64, ByteSize, DmemResult, ServerId};
-use std::collections::{BTreeMap, HashMap};
+use dmem_types::{fnv1a64, ByteSize, DmemResult, Lru, ServerId};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,7 +39,6 @@ impl KvCacheStats {
 struct HotEntry {
     value: Vec<u8>,
     expires_at_ns: u64, // 0 = never
-    tick: u64,
 }
 
 /// A Memcached-style cache with a bounded in-heap hot set and a
@@ -54,9 +53,7 @@ pub struct KvCache {
     server: ServerId,
     capacity: ByteSize,
     used: ByteSize,
-    hot: HashMap<String, HotEntry>,
-    lru: BTreeMap<u64, String>,
-    tick: u64,
+    hot: Lru<String, HotEntry>,
     demoted: HashMap<String, ()>,
     stats: KvCacheStats,
 }
@@ -70,9 +67,7 @@ impl KvCache {
             server,
             capacity: hot_capacity,
             used: ByteSize::ZERO,
-            hot: HashMap::new(),
-            lru: BTreeMap::new(),
-            tick: 0,
+            hot: Lru::with_capacity(0),
             demoted: HashMap::new(),
             stats: KvCacheStats::default(),
         }
@@ -125,25 +120,15 @@ impl KvCache {
         self.dm.clock().now().nanos()
     }
 
-    fn touch(&mut self, key: &str) {
-        self.tick += 1;
-        if let Some(entry) = self.hot.get_mut(key) {
-            self.lru.remove(&entry.tick);
-            entry.tick = self.tick;
-            self.lru.insert(self.tick, key.to_owned());
-        }
-    }
-
     fn demote_until(&mut self, needed: ByteSize) -> DmemResult<()> {
         // Collect every LRU victim first, then spill them in one
         // coalesced batch: per-host fabric verbs are shared across the
         // whole eviction burst instead of paid per value.
         let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
-        while self.used + needed > self.capacity && !self.hot.is_empty() {
-            let (&tick, victim) = self.lru.iter().next().expect("hot set nonempty");
-            let victim = victim.clone();
-            self.lru.remove(&tick);
-            let entry = self.hot.remove(&victim).expect("victim hot");
+        while self.used + needed > self.capacity {
+            let Some((victim, entry)) = self.hot.pop_lru() else {
+                break;
+            };
             self.used -= ByteSize::from(entry.value.len());
             let frame = Self::frame(&victim, &entry.value, entry.expires_at_ns);
             frames.push((Self::base_of(&victim), frame));
@@ -159,10 +144,9 @@ impl KvCache {
     }
 
     fn insert_hot(&mut self, key: &str, value: Vec<u8>, expires_at_ns: u64) -> DmemResult<()> {
-        if let Some(old) = self.hot.remove(key) {
-            self.lru.remove(&old.tick);
-            self.used -= ByteSize::from(old.value.len());
-        }
+        // The old value leaves first, so it is neither a victim of the
+        // demotion below nor counted against the room the new one needs.
+        self.remove_hot(key);
         let size = ByteSize::from(value.len());
         if size > self.capacity {
             // Larger than the whole hot set: straight to the overflow tier.
@@ -179,17 +163,12 @@ impl KvCache {
             return Ok(());
         }
         self.demote_until(size)?;
-        self.tick += 1;
         self.used += size;
-        self.lru.insert(self.tick, key.to_owned());
-        self.hot.insert(
-            key.to_owned(),
-            HotEntry {
-                value,
-                expires_at_ns,
-                tick: self.tick,
-            },
-        );
+        let entry = HotEntry {
+            value,
+            expires_at_ns,
+        };
+        self.hot.insert(key.to_owned(), entry);
         Ok(())
     }
 
@@ -229,17 +208,15 @@ impl KvCache {
     /// Propagates disaggregated-memory failures other than not-found.
     pub fn get(&mut self, key: &str) -> DmemResult<Option<Vec<u8>>> {
         let now = self.now_ns();
-        if let Some(entry) = self.hot.get(key) {
+        if let Some(entry) = self.hot.touch(key) {
             if entry.expires_at_ns != 0 && entry.expires_at_ns <= now {
                 self.remove_hot(key);
                 self.stats.expirations += 1;
                 self.stats.misses += 1;
                 return Ok(None);
             }
-            let value = entry.value.clone();
-            self.touch(key);
             self.stats.hot_hits += 1;
-            return Ok(Some(value));
+            return Ok(Some(entry.value.clone()));
         }
         if self.demoted.contains_key(key) {
             let base = Self::base_of(key);
@@ -279,14 +256,13 @@ impl KvCache {
 
     fn remove_hot(&mut self, key: &str) {
         if let Some(entry) = self.hot.remove(key) {
-            self.lru.remove(&entry.tick);
             self.used -= ByteSize::from(entry.value.len());
         }
     }
 
     /// Removes `key` from every tier. Returns `true` if it existed.
     pub fn delete(&mut self, key: &str) -> bool {
-        let was_hot = self.hot.contains_key(key);
+        let was_hot = self.hot.contains(key);
         self.remove_hot(key);
         let was_demoted = self.demoted.remove(key).is_some();
         if was_demoted {
@@ -297,7 +273,7 @@ impl KvCache {
 
     /// `true` if `key` exists in any tier (ignoring expiry).
     pub fn contains(&self, key: &str) -> bool {
-        self.hot.contains_key(key) || self.demoted.contains_key(key)
+        self.hot.contains(key) || self.demoted.contains_key(key)
     }
 }
 
@@ -356,7 +332,7 @@ mod tests {
         let value = c.get("k0").unwrap();
         assert_eq!(value, Some(vec![0u8; 2048]));
         assert!(c.stats().dm_hits >= 1);
-        assert!(c.hot.contains_key("k0"), "promoted back to hot");
+        assert!(c.hot.contains("k0"), "promoted back to hot");
     }
 
     #[test]
@@ -494,5 +470,47 @@ mod tests {
         let stats = c.stats();
         assert!(stats.dm_hits > 0, "cold keys came from disaggregated memory");
         assert_eq!(stats.misses, 0);
+    }
+
+    /// `digest::fold` of `(op, key)` for every key a fixed 3000-op stream
+    /// demotes (keys that leave in one op fold in key order), captured at
+    /// b8ffcf9 — while `hot` was a `HashMap` with a tick per entry and a
+    /// `BTreeMap<tick, key>` beside it — before any code changed.
+    const DEMOTION_SEQUENCE_FNV: u64 = 0xe0b6_1dc9_81b8_3762;
+
+    #[test]
+    fn demotion_sequence_is_pinned() {
+        use dmem_sim::{digest, DetRng};
+        let mut c = cache(16);
+        let keys: Vec<String> = (0..40).map(|k| format!("k{k}")).collect();
+        let mut was_demoted = vec![false; keys.len()];
+        let mut rng = DetRng::new(0x19);
+        let mut fnv = digest::OFFSET;
+        for op in 0..3000u32 {
+            let k = rng.below(keys.len());
+            match rng.below(10) {
+                0..=3 => {
+                    // 1-in-64 values exceed the whole hot set.
+                    let len = if rng.below(64) == 0 { 20_000 } else { 200 + 900 * rng.below(4) };
+                    c.set(&keys[k], vec![k as u8; len]).unwrap();
+                }
+                4..=8 => {
+                    c.get(&keys[k]).unwrap();
+                }
+                _ => {
+                    c.delete(&keys[k]);
+                }
+            }
+            for (key, was) in keys.iter().zip(&mut was_demoted) {
+                let now = c.demoted.contains_key(key);
+                if now && !*was {
+                    fnv = digest::fold(fnv, &op.to_le_bytes());
+                    fnv = digest::fold(fnv, key.as_bytes());
+                }
+                *was = now;
+            }
+        }
+        assert_eq!(c.stats().demotions, 1567);
+        assert_eq!(fnv, DEMOTION_SEQUENCE_FNV, "{fnv:#018x}");
     }
 }

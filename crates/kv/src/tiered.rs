@@ -30,7 +30,7 @@
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
 use dmem_sim::{digest, splitmix64, SimDuration};
-use dmem_types::{ByteSize, DmemResult, EntryLocation, ServerId};
+use dmem_types::{ByteSize, DmemResult, EntryLocation, Lru, ServerId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -202,11 +202,6 @@ pub struct TierOccupancy {
     pub prefix_bytes: u64,
 }
 
-struct LocalConv {
-    bytes: Vec<u8>,
-    tick: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColdTier {
     Remote,
@@ -215,14 +210,7 @@ enum ColdTier {
 
 struct ColdConv {
     server: ServerId,
-    tier: ColdTier,
     len: usize,
-    tick: u64,
-}
-
-struct PrefixEntry {
-    len: usize,
-    tick: u64,
 }
 
 /// Key-space domains: conversation bases are session ids, prefix bases
@@ -248,20 +236,21 @@ pub struct TieredKvEngine {
     rookie: ServerId,
     veteran: ServerId,
     config: TieredKvConfig,
-    tick: u64,
-    local: HashMap<u64, LocalConv>,
+    /// KV bytes of every conversation in local memory.
+    local: Lru<u64, Vec<u8>>,
     local_used: u64,
-    local_lru: BTreeMap<u64, u64>,
-    cold: HashMap<u64, ColdConv>,
+    /// Cold conversations in remote memory, longest-demoted first.
+    remote: Lru<u64, ColdConv>,
     remote_used: u64,
-    remote_lru: BTreeMap<u64, u64>,
+    /// Cold conversations on disk.
+    disk: HashMap<u64, ColdConv>,
     /// Completed turns per live conversation (tenure → tenant server).
     tenure: HashMap<u64, u32>,
     /// Prefix id of each live conversation, for canonical resynthesis.
     prefix_of: HashMap<u64, u32>,
-    prefix: HashMap<u32, PrefixEntry>,
+    /// Byte length of every cached prefix.
+    prefix: Lru<u32, usize>,
     prefix_used: u64,
-    prefix_lru: BTreeMap<u64, u32>,
     stats: TieredKvStats,
     demotions: u64,
     demotion_fnv: u64,
@@ -297,18 +286,15 @@ impl TieredKvEngine {
             rookie,
             veteran,
             config,
-            tick: 0,
-            local: HashMap::new(),
+            local: Lru::with_capacity(0),
             local_used: 0,
-            local_lru: BTreeMap::new(),
-            cold: HashMap::new(),
+            remote: Lru::with_capacity(0),
             remote_used: 0,
-            remote_lru: BTreeMap::new(),
+            disk: HashMap::new(),
             tenure: HashMap::new(),
             prefix_of: HashMap::new(),
-            prefix: HashMap::new(),
+            prefix: Lru::with_capacity(0),
             prefix_used: 0,
-            prefix_lru: BTreeMap::new(),
             stats: TieredKvStats::default(),
             demotions: 0,
             demotion_fnv: digest::OFFSET,
@@ -327,26 +313,16 @@ impl TieredKvEngine {
 
     /// Point-in-time per-tier occupancy.
     pub fn occupancy(&self) -> TierOccupancy {
-        let mut occ = TierOccupancy {
+        TierOccupancy {
             local_convs: self.local.len(),
             local_bytes: self.local_used,
+            remote_convs: self.remote.len(),
+            remote_bytes: self.remote_used,
+            disk_convs: self.disk.len(),
+            disk_bytes: self.disk.values().map(|cold| cold.len as u64).sum(),
             prefix_entries: self.prefix.len(),
             prefix_bytes: self.prefix_used,
-            ..TierOccupancy::default()
-        };
-        for cold in self.cold.values() {
-            match cold.tier {
-                ColdTier::Remote => {
-                    occ.remote_convs += 1;
-                    occ.remote_bytes += cold.len as u64;
-                }
-                ColdTier::Disk => {
-                    occ.disk_convs += 1;
-                    occ.disk_bytes += cold.len as u64;
-                }
-            }
         }
-        occ
     }
 
     /// Deterministic digest of the demotion sequence `(session, target)`
@@ -361,9 +337,9 @@ impl TieredKvEngine {
         self.demotion_fnv = digest::fold(folded, &[target]);
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Where `session` is stored cold, in either tier.
+    fn cold(&self, session: u64) -> Option<&ColdConv> {
+        self.remote.get(&session).or_else(|| self.disk.get(&session))
     }
 
     fn server_for(&self, session: u64) -> ServerId {
@@ -379,11 +355,7 @@ impl TieredKvEngine {
     /// recompute regenerates exactly these bytes.
     fn synth_context(&self, session: u64, len: usize) -> Vec<u8> {
         let prefix_id = self.prefix_of.get(&session).copied().unwrap_or(0);
-        let prefix_len = self
-            .prefix
-            .get(&prefix_id)
-            .map_or(0, |p| p.len)
-            .min(len);
+        let prefix_len = self.prefix.get(&prefix_id).copied().unwrap_or(0).min(len);
         let mut out = Vec::with_capacity(len);
         stream_append(DOMAIN_PREFIX ^ u64::from(prefix_id), 0, prefix_len, &mut out);
         stream_append(DOMAIN_CONV ^ splitmix64(session), prefix_len, len - prefix_len, &mut out);
@@ -396,21 +368,12 @@ impl TieredKvEngine {
         out
     }
 
-    fn touch_local(&mut self, session: u64) {
-        let tick = self.next_tick();
-        if let Some(conv) = self.local.get_mut(&session) {
-            self.local_lru.remove(&conv.tick);
-            conv.tick = tick;
-            self.local_lru.insert(tick, session);
-        }
-    }
-
     fn insert_local(&mut self, session: u64, bytes: Vec<u8>) -> DmemResult<()> {
         self.make_room(bytes.len() as u64, Some(session))?;
-        let tick = self.next_tick();
         self.local_used += bytes.len() as u64;
-        self.local_lru.insert(tick, session);
-        self.local.insert(session, LocalConv { bytes, tick });
+        if let Some(displaced) = self.local.insert(session, bytes) {
+            self.local_used -= displaced.len() as u64;
+        }
         Ok(())
     }
 
@@ -423,14 +386,14 @@ impl TieredKvEngine {
         let capacity = self.config.local_capacity.as_u64();
         let mut victims: Vec<u64> = Vec::new();
         let mut freed = 0u64;
-        for (_, &session) in &self.local_lru {
+        for (&session, bytes) in self.local.iter() {
             if self.local_used - freed + incoming <= capacity {
                 break;
             }
             if Some(session) == pin {
                 continue;
             }
-            freed += self.local[&session].bytes.len() as u64;
+            freed += bytes.len() as u64;
             victims.push(session);
         }
         self.spill(victims)
@@ -446,10 +409,9 @@ impl TieredKvEngine {
         span.tag("convs", victims.len());
         let mut taken: Vec<(u64, Vec<u8>)> = Vec::with_capacity(victims.len());
         for session in victims {
-            let conv = self.local.remove(&session).expect("victim is local");
-            self.local_lru.remove(&conv.tick);
-            self.local_used -= conv.bytes.len() as u64;
-            taken.push((session, conv.bytes));
+            let bytes = self.local.remove(&session).expect("victim is local");
+            self.local_used -= bytes.len() as u64;
+            taken.push((session, bytes));
         }
         match self.config.spill {
             SpillPolicy::DropCold => {
@@ -488,13 +450,15 @@ impl TieredKvEngine {
     fn shrink_remote(&mut self, incoming: u64) -> DmemResult<()> {
         let capacity = self.config.remote_capacity.as_u64();
         let mut victims: Vec<u64> = Vec::new();
+        let mut by_server: BTreeMap<ServerId, Vec<u64>> = BTreeMap::new();
         let mut freed = 0u64;
-        for (_, &session) in &self.remote_lru {
+        for (&session, cold) in self.remote.iter() {
             if self.remote_used - freed + incoming <= capacity {
                 break;
             }
-            freed += self.cold[&session].len as u64;
+            freed += cold.len as u64;
             victims.push(session);
+            by_server.entry(cold.server).or_default().push(session);
         }
         if victims.is_empty() {
             return Ok(());
@@ -504,13 +468,6 @@ impl TieredKvEngine {
         // Fetch every victim's bytes (coalesced per server), then
         // re-store them to disk; `put_batch` replaces the old remote
         // entries in place.
-        let mut by_server: BTreeMap<ServerId, Vec<u64>> = BTreeMap::new();
-        for &session in &victims {
-            by_server
-                .entry(self.cold[&session].server)
-                .or_default()
-                .push(session);
-        }
         for (server, sessions) in by_server {
             let loaded = chunked::load_chunked_many(&self.dm, server, &sessions)?;
             let items: Vec<(u64, &[u8])> = sessions
@@ -520,10 +477,9 @@ impl TieredKvEngine {
                 .collect();
             chunked::store_chunked_many(&self.dm, server, &items, TierPreference::Disk)?;
             for &session in &sessions {
-                let cold = self.cold.get_mut(&session).expect("victim cold");
-                self.remote_lru.remove(&cold.tick);
+                let cold = self.remote.remove(&session).expect("victim remote");
                 self.remote_used -= cold.len as u64;
-                cold.tier = ColdTier::Disk;
+                self.disk.insert(session, cold);
                 self.stats.demote_to_disk += 1;
                 self.kv_count("kv.demote.disk");
             }
@@ -558,20 +514,13 @@ impl TieredKvEngine {
                     Some(EntryLocation::Disk) => ColdTier::Disk,
                     _ => want,
                 };
-                let tick = self.next_tick();
+                let len = bytes.len();
                 if landed == ColdTier::Remote {
-                    self.remote_used += bytes.len() as u64;
-                    self.remote_lru.insert(tick, session);
+                    self.remote_used += len as u64;
+                    self.remote.insert(session, ColdConv { server, len });
+                } else {
+                    self.disk.insert(session, ColdConv { server, len });
                 }
-                self.cold.insert(
-                    session,
-                    ColdConv {
-                        server,
-                        tier: landed,
-                        len: bytes.len(),
-                        tick,
-                    },
-                );
             }
         }
         Ok(())
@@ -594,10 +543,9 @@ impl TieredKvEngine {
         let mut found: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut by_server: BTreeMap<ServerId, Vec<u64>> = BTreeMap::new();
         for &session in sessions {
-            if let Some(conv) = self.local.get(&session) {
-                found.entry(session).or_insert_with(|| conv.bytes.clone());
-                self.touch_local(session);
-            } else if let Some(cold) = self.cold.get(&session) {
+            if let Some(bytes) = self.local.touch(&session) {
+                found.entry(session).or_insert_with(|| bytes.clone());
+            } else if let Some(cold) = self.cold(session) {
                 by_server.entry(cold.server).or_default().push(session);
             }
         }
@@ -606,13 +554,12 @@ impl TieredKvEngine {
             batch.dedup();
             let loaded = chunked::load_chunked_many(&self.dm, server, &batch)?;
             for (session, bytes) in batch.into_iter().zip(loaded) {
-                let cold = self.cold.remove(&session).expect("requested cold");
-                if cold.tier == ColdTier::Remote {
-                    self.remote_lru.remove(&cold.tick);
+                if let Some(cold) = self.remote.remove(&session) {
                     self.remote_used -= cold.len as u64;
                     self.stats.remote_fetches += 1;
                     self.kv_count("kv.fetch.remote");
                 } else {
+                    self.disk.remove(&session).expect("requested cold");
                     self.stats.disk_fetches += 1;
                     self.kv_count("kv.fetch.disk");
                 }
@@ -645,15 +592,14 @@ impl TieredKvEngine {
     /// Removes any stored copy of `session` without statistics — the
     /// overwrite half of [`put_many`](Self::put_many) and retirement.
     fn forget(&mut self, session: u64) {
-        if let Some(conv) = self.local.remove(&session) {
-            self.local_lru.remove(&conv.tick);
-            self.local_used -= conv.bytes.len() as u64;
+        if let Some(bytes) = self.local.remove(&session) {
+            self.local_used -= bytes.len() as u64;
         }
-        if let Some(cold) = self.cold.remove(&session) {
-            if cold.tier == ColdTier::Remote {
-                self.remote_lru.remove(&cold.tick);
-                self.remote_used -= cold.len as u64;
-            }
+        let remote = self.remote.remove(&session);
+        if let Some(cold) = &remote {
+            self.remote_used -= cold.len as u64;
+        }
+        if let Some(cold) = remote.or_else(|| self.disk.remove(&session)) {
             chunked::delete_chunked(&self.dm, cold.server, session);
         }
     }
@@ -684,12 +630,12 @@ impl TieredKvEngine {
             self.tenure.insert(session, 0);
             self.prefix_of.insert(session, prefix_id);
             let prefix_len = self.config.cost.bytes(context_tokens);
-            if self.prefix.contains_key(&prefix_id) {
+            if self.prefix.contains(&prefix_id) {
                 // Cached prefix: the conversation's opening KV state is
                 // a microsecond fetch instead of a prefix prefill.
                 let bytes =
                     chunked::load_chunked(&self.dm, self.veteran, PREFIX_BASE | u64::from(prefix_id))?;
-                self.touch_prefix(prefix_id);
+                self.prefix.touch(&prefix_id);
                 let mut opening = bytes;
                 opening.truncate(prefix_len);
                 self.insert_local(session, opening)?;
@@ -705,13 +651,12 @@ impl TieredKvEngine {
                 self.kv_count("kv.prefix.miss");
                 TurnServed::PrefixMiss
             }
-        } else if self.local.contains_key(&session) {
-            self.touch_local(session);
+        } else if self.local.touch(&session).is_some() {
             self.stats.local_hits += 1;
             self.kv_count("kv.local.hit");
             TurnServed::Local
-        } else if self.cold.contains_key(&session) {
-            let was_remote = self.cold[&session].tier == ColdTier::Remote;
+        } else if self.cold(session).is_some() {
+            let was_remote = self.remote.contains(&session);
             let span = self.dm.clock().tracer().span("kv", "restore");
             span.tag("convs", 1usize);
             drop(span);
@@ -747,9 +692,9 @@ impl TieredKvEngine {
     /// (i.e. `begin_turn` was called).
     pub fn end_turn(&mut self, session: u64, new_tokens: u32) -> DmemResult<()> {
         let delta = self.config.cost.bytes(new_tokens);
-        let offset = self.local[&session].bytes.len();
+        let offset = self.local.get(&session).expect("resident after begin_turn").len();
         let prefix_id = self.prefix_of.get(&session).copied().unwrap_or(0);
-        let prefix_len = self.prefix.get(&prefix_id).map_or(0, |p| p.len);
+        let prefix_len = self.prefix.get(&prefix_id).copied().unwrap_or(0);
         let mut grown = Vec::new();
         stream_append(
             DOMAIN_CONV ^ splitmix64(session),
@@ -758,11 +703,10 @@ impl TieredKvEngine {
             &mut grown,
         );
         self.make_room(delta as u64, Some(session))?;
-        let conv = self.local.get_mut(&session).expect("resident after begin_turn");
-        conv.bytes.extend_from_slice(&grown);
+        let bytes = self.local.touch(&session).expect("pinned through make_room");
+        bytes.extend_from_slice(&grown);
         self.local_used += delta as u64;
         *self.tenure.entry(session).or_insert(0) += 1;
-        self.touch_local(session);
         Ok(())
     }
 
@@ -771,15 +715,6 @@ impl TieredKvEngine {
         self.forget(session);
         self.tenure.remove(&session);
         self.prefix_of.remove(&session);
-    }
-
-    fn touch_prefix(&mut self, prefix_id: u32) {
-        let tick = self.next_tick();
-        if let Some(entry) = self.prefix.get_mut(&prefix_id) {
-            self.prefix_lru.remove(&entry.tick);
-            entry.tick = tick;
-            self.prefix_lru.insert(tick, prefix_id);
-        }
     }
 
     /// Inserts a prefix into the remote-memory prefix cache, evicting
@@ -791,10 +726,8 @@ impl TieredKvEngine {
             return Ok(());
         }
         while self.prefix_used + bytes.len() as u64 > capacity {
-            let (&tick, &victim) = self.prefix_lru.iter().next().expect("cache nonempty");
-            self.prefix_lru.remove(&tick);
-            let entry = self.prefix.remove(&victim).expect("victim cached");
-            self.prefix_used -= entry.len as u64;
+            let (victim, len) = self.prefix.pop_lru().expect("cache nonempty");
+            self.prefix_used -= len as u64;
             chunked::delete_chunked(&self.dm, self.veteran, PREFIX_BASE | u64::from(victim));
             self.stats.prefix_evictions += 1;
         }
@@ -805,16 +738,10 @@ impl TieredKvEngine {
             bytes,
             TierPreference::Remote,
         )?;
-        let tick = self.next_tick();
         self.prefix_used += bytes.len() as u64;
-        self.prefix_lru.insert(tick, prefix_id);
-        self.prefix.insert(
-            prefix_id,
-            PrefixEntry {
-                len: bytes.len(),
-                tick,
-            },
-        );
+        if let Some(displaced) = self.prefix.insert(prefix_id, bytes.len()) {
+            self.prefix_used -= displaced as u64;
+        }
         Ok(())
     }
 }
@@ -1012,11 +939,34 @@ mod tests {
         // demotion or were demoted early as rookies; at least the final
         // state of long-lived sessions must sit under the veteran server.
         let veteran_cold = e
-            .cold
-            .values()
-            .filter(|c| c.server == e.veteran)
+            .remote
+            .iter()
+            .chain(&e.disk)
+            .filter(|(_, c)| c.server == e.veteran)
             .count();
         assert!(veteran_cold > 0, "long-running conversations use the veteran tenant");
+    }
+
+    #[test]
+    fn opening_a_session_twice_counts_it_once() {
+        let mut e = engine(tight());
+        for _ in 0..2 {
+            e.begin_turn(1, 0, 0, 32, 8).unwrap();
+            e.end_turn(1, 16).unwrap();
+        }
+        let local_sum = |e: &TieredKvEngine| -> u64 {
+            e.local.iter().map(|(_, bytes)| bytes.len() as u64).sum()
+        };
+        assert_eq!(e.occupancy().local_convs, 1);
+        assert_eq!(e.occupancy().local_bytes, local_sum(&e));
+        // Demoting past the doubled session used to find its id twice in
+        // the recency index and panic on the second.
+        for session in 2..202 {
+            e.begin_turn(session, 0, 0, 32, 8).unwrap();
+            e.end_turn(session, 16).unwrap();
+        }
+        assert_eq!(e.occupancy().local_bytes, local_sum(&e));
+        assert!(e.occupancy().local_bytes <= 64 * 1024);
     }
 
     #[test]
@@ -1063,12 +1013,12 @@ mod tests {
                         "each session in exactly one tier"
                     );
                     let local_sum: u64 =
-                        e.local.values().map(|c| c.bytes.len() as u64).sum();
+                        e.local.iter().map(|(_, bytes)| bytes.len() as u64).sum();
                     prop_assert_eq!(occ.local_bytes, local_sum);
                     prop_assert_eq!(e.local_used, local_sum);
-                    for (&session, cold) in &e.cold {
+                    for (&session, cold) in e.remote.iter().chain(&e.disk) {
                         prop_assert!(
-                            !e.local.contains_key(&session),
+                            !e.local.contains(&session),
                             "session {} in two tiers",
                             session
                         );

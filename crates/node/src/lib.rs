@@ -14,39 +14,39 @@
 //!   bounds of §IV-F ([`DonationRegistry`]);
 //! * [`manager`] — the node manager: entry-level put/get/delete over the
 //!   pool, the node's disaggregated-memory page table, and pressure
-//!   signals ([`NodeManager`]);
-//! * [`agent`] — the per-server LDMC/LDMS request path ([`LocalDmc`]).
+//!   signals ([`NodeManager`]).
+//!
+//! The manager is the paper's LDMS (Fig. 1); the LDMC role — a virtual
+//! server's client onto its own node's pool — is played by `dmem-core`'s
+//! shared rung, which calls [`NodeManager`] directly with
+//! `EntryId::new(server, key)`.
 //!
 //! # Examples
 //!
 //! ```
-//! use dmem_node::{LocalDmc, NodeManager};
+//! use dmem_node::NodeManager;
 //! use dmem_sim::{CostModel, SimClock};
-//! use dmem_types::{ByteSize, DonationPolicy, NodeId, ServerId, SizeClass};
-//! use std::sync::Arc;
+//! use dmem_types::{ByteSize, DonationPolicy, EntryId, NodeId, ServerId, SizeClass};
 //!
 //! let clock = SimClock::new();
 //! let node = NodeId::new(0);
-//! let manager = Arc::new(NodeManager::new(node, ByteSize::from_mib(1),
-//!                                          clock, CostModel::paper_default()));
+//! let manager = NodeManager::new(node, ByteSize::from_mib(1), clock, CostModel::paper_default());
 //! let server = ServerId::new(node, 0);
 //! manager.register_server(server, ByteSize::from_mib(16), DonationPolicy::paper_default());
 //!
-//! let ldmc = LocalDmc::new(server, Arc::clone(&manager));
-//! ldmc.put(1, b"swapped page".to_vec(), SizeClass::C512)?;
-//! assert_eq!(ldmc.get(1)?, b"swapped page".to_vec());
+//! let entry = EntryId::new(server, 1);
+//! manager.put(entry, b"swapped page", SizeClass::C512)?;
+//! assert_eq!(manager.get(entry)?, b"swapped page".to_vec());
 //! # Ok::<(), dmem_types::DmemError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
 pub mod donation;
 pub mod manager;
 pub mod pool;
 
-pub use agent::LocalDmc;
 pub use donation::DonationRegistry;
 pub use manager::{AppliedBalloon, BalloonAdvice, NodeManager, NodeStats};
 pub use pool::{BlockRef, PoolStats, SharedMemoryPool};

@@ -2,9 +2,10 @@
 //!
 //! One [`NodeManager`] runs per physical node. It owns the shared memory
 //! pool, the donation registry, and the node's disaggregated-memory page
-//! table mapping entry ids to pool blocks. Virtual servers talk to it via
-//! [`crate::LocalDmc`]; the cluster layer escalates to remote memory when
-//! the manager reports [`DmemError::CapacityExhausted`].
+//! table mapping entry ids to pool blocks. Virtual servers reach it
+//! through `dmem-core`'s shared rung; the cluster layer escalates to
+//! remote memory when the manager reports
+//! [`DmemError::CapacityExhausted`].
 
 use crate::donation::DonationRegistry;
 use crate::pool::{BlockRef, PoolStats, SharedMemoryPool};

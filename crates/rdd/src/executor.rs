@@ -10,8 +10,8 @@
 use crate::record::{deserialize_partition, serialize_partition, Record};
 use dmem_core::{DiskTier, DisaggregatedMemory};
 use dmem_sim::{CostModel, SimClock};
-use dmem_types::{ByteSize, DmemResult, EntryId, NodeId, ServerId, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use dmem_types::{ByteSize, DmemResult, EntryId, Lru, NodeId, ServerId, PAGE_SIZE};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -71,11 +71,6 @@ pub struct BlockStats {
     pub evictions: u64,
 }
 
-struct MemBlock {
-    len: usize,
-    tick: u64,
-}
-
 /// The canonical serialized form of a block plus its parsed records.
 ///
 /// Reads are served as `Arc` clones of `records` instead of re-parsing
@@ -97,9 +92,8 @@ pub struct BlockManager {
     cost: CostModel,
     capacity: ByteSize,
     used: ByteSize,
-    memory: HashMap<BlockId, MemBlock>,
-    lru: BTreeMap<u64, BlockId>,
-    tick: u64,
+    /// Serialized length of every block in executor memory.
+    memory: Lru<BlockId, usize>,
     spilled: HashMap<BlockId, usize>, // serialized length
     /// Parse cache over every block this manager has seen (memory or
     /// spill tier); memory use is bounded by the job's dataset, which a
@@ -117,9 +111,7 @@ impl BlockManager {
             cost,
             capacity,
             used: ByteSize::ZERO,
-            memory: HashMap::new(),
-            lru: BTreeMap::new(),
-            tick: 0,
+            memory: Lru::with_capacity(0),
             spilled: HashMap::new(),
             parsed: HashMap::new(),
             backend,
@@ -140,15 +132,6 @@ impl BlockManager {
     /// Number of blocks in the spill tier.
     pub fn spilled_blocks(&self) -> usize {
         self.spilled.len()
-    }
-
-    fn touch(&mut self, id: BlockId) {
-        self.tick += 1;
-        if let Some(b) = self.memory.get_mut(&id) {
-            self.lru.remove(&b.tick);
-            b.tick = self.tick;
-            self.lru.insert(self.tick, id);
-        }
     }
 
     fn spill_out(&mut self, id: BlockId, bytes: Vec<u8>) -> DmemResult<()> {
@@ -209,11 +192,11 @@ impl BlockManager {
     }
 
     fn evict_until(&mut self, needed: ByteSize) -> DmemResult<()> {
-        while self.used + needed > self.capacity && !self.memory.is_empty() {
-            let (&tick, &victim) = self.lru.iter().next().expect("memory nonempty");
-            self.lru.remove(&tick);
-            let block = self.memory.remove(&victim).expect("victim in memory");
-            self.used -= ByteSize::from(block.len);
+        while self.used + needed > self.capacity {
+            let Some((victim, len)) = self.memory.pop_lru() else {
+                break;
+            };
+            self.used -= ByteSize::from(len);
             self.stats.evictions += 1;
             if !self.spilled.contains_key(&victim) {
                 let bytes = self.parsed[&victim].bytes.clone();
@@ -248,16 +231,10 @@ impl BlockManager {
             return Ok(records);
         }
         self.evict_until(size)?;
-        self.tick += 1;
         self.used += size;
-        self.lru.insert(self.tick, id);
-        self.memory.insert(
-            id,
-            MemBlock {
-                len: bytes.len(),
-                tick: self.tick,
-            },
-        );
+        if let Some(displaced) = self.memory.insert(id, bytes.len()) {
+            self.used -= ByteSize::from(displaced);
+        }
         Ok(records)
     }
 
@@ -268,14 +245,12 @@ impl BlockManager {
     ///
     /// Propagates spill-tier read failures.
     pub fn get(&mut self, id: BlockId) -> DmemResult<Option<Arc<Vec<Record>>>> {
-        if let Some(block) = self.memory.get(&id) {
+        if let Some(&mut len) = self.memory.touch(&id) {
             // The in-memory bytes are exactly what `put` serialized, so
             // the cached parse is served without a guard.
-            self.clock.advance(self.cost.dram.transfer(block.len));
-            let records = Arc::clone(&self.parsed[&id].records);
-            self.touch(id);
+            self.clock.advance(self.cost.dram.transfer(len));
             self.stats.memory_hits += 1;
-            return Ok(Some(records));
+            return Ok(Some(Arc::clone(&self.parsed[&id].records)));
         }
         if self.spilled.contains_key(&id) {
             let bytes = self.spill_in(id)?;
@@ -305,7 +280,7 @@ impl BlockManager {
 
     /// `true` if the block is cached anywhere.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.memory.contains_key(&id) || self.spilled.contains_key(&id)
+        self.memory.contains(&id) || self.spilled.contains_key(&id)
     }
 }
 
@@ -432,8 +407,65 @@ mod tests {
         bm.put(b, records(100, 1.0)).unwrap();
         let _ = bm.get(a).unwrap(); // refresh a
         bm.put(c, records(100, 2.0)).unwrap(); // must evict b
-        assert!(bm.memory.contains_key(&a));
-        assert!(!bm.memory.contains_key(&b));
+        assert!(bm.memory.contains(&a));
+        assert!(!bm.memory.contains(&b));
         assert!(bm.spilled.contains_key(&b));
+    }
+
+    #[test]
+    fn putting_a_block_twice_counts_it_once() {
+        let (_, mut bm) = disk_bm(ByteSize::from_kib(16));
+        let id = BlockId::new(1, 0);
+        bm.put(id, records(100, 0.0)).unwrap();
+        let one_block = bm.memory_used();
+        bm.put(id, records(100, 0.0)).unwrap();
+        assert_eq!(bm.memory_used(), one_block, "the displaced copy's bytes are taken back");
+        // Evicting past the doubled block used to find its id twice in
+        // the recency index and panic on the second.
+        for p in 1..6 {
+            bm.put(BlockId::new(1, p), records(100, p as f64)).unwrap();
+        }
+        assert!(bm.memory_used() <= ByteSize::from_kib(16));
+        assert_eq!(*bm.get(id).unwrap().unwrap(), records(100, 0.0));
+    }
+
+    /// `digest::fold` of `(op, partition)` for every block a fixed 2000-op
+    /// put/get stream evicts from memory (blocks that leave in one op
+    /// fold in id order), captured at b8ffcf9 — while `memory` was a
+    /// `HashMap` with a tick per block and a `BTreeMap<tick, id>` beside
+    /// it — before any code changed.
+    const EVICTION_SEQUENCE_FNV: u64 = 0x3e53_b4d2_fe74_c474;
+
+    #[test]
+    fn eviction_sequence_is_pinned() {
+        use dmem_sim::{digest, DetRng};
+        let (_, mut bm) = disk_bm(ByteSize::from_kib(64));
+        let ids: Vec<BlockId> = (0..24).map(|p| BlockId::new(1 + p as u64 % 3, p)).collect();
+        let mut was_in_memory = vec![false; ids.len()];
+        let mut rng = DetRng::new(0x19);
+        let mut fnv = digest::OFFSET;
+        for op in 0..2000u32 {
+            let b = rng.below(ids.len());
+            // A block already in memory is only read: putting it again
+            // panicked before `put` took the displaced block's bytes back.
+            if !was_in_memory[b] && (!bm.contains(ids[b]) || rng.below(4) == 0) {
+                // 40..=200 records: ~3-15 KiB, so one put evicts up to
+                // five blocks; 1-in-32 exceed the whole cache.
+                let n = if rng.below(32) == 0 { 1200 } else { 40 + 40 * rng.below(5) };
+                bm.put(ids[b], records(n, b as f64)).unwrap();
+            } else {
+                bm.get(ids[b]).unwrap().unwrap();
+            }
+            for (id, was) in ids.iter().zip(&mut was_in_memory) {
+                let now = bm.memory.contains(id);
+                if *was && !now {
+                    fnv = digest::fold(fnv, &op.to_le_bytes());
+                    fnv = digest::fold(fnv, &(id.partition as u32).to_le_bytes());
+                }
+                *was = now;
+            }
+        }
+        assert_eq!((bm.stats().evictions, bm.stats().spills), (374, 35));
+        assert_eq!(fnv, EVICTION_SEQUENCE_FNV, "{fnv:#018x}");
     }
 }

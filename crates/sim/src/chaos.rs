@@ -53,8 +53,13 @@ pub struct ChaosConfig {
     /// ("degree restored within one maintenance window") is fair.
     pub maintain_horizon: SimDuration,
     /// Generate fabric-fault steps (host-pair partitions with matched
-    /// heals, QP breaks) from an independent RNG fork. Off by default, so
-    /// schedules without it are byte-identical to pre-fault builds.
+    /// heals, QP breaks) from an independent RNG fork. The harness reads
+    /// the same flag: it installs the fabric fault-injection layer
+    /// (seeded verb drop/delay/duplication) and checks the fault-mode
+    /// invariants (reads never wrong or stale, suspect primaries repaired
+    /// or evicted) — fault steps mean nothing on a cluster without the
+    /// layer. Off by default, so runs without it are byte-identical to
+    /// pre-fault builds.
     pub fabric_faults: bool,
     /// Probability a step opens a host-pair partition (fabric faults
     /// only; at most one partition is active at a time).
@@ -64,8 +69,11 @@ pub struct ChaosConfig {
     pub qp_break_probability: f64,
     /// Generate CXL pool-tier steps — pool-node outage windows with
     /// matched recoveries plus remote-atomic counter ops — from an
-    /// independent RNG fork. Off by default, so schedules without it are
-    /// byte-identical to pre-CXL builds.
+    /// independent RNG fork. The harness reads the same flag: it
+    /// configures the pool on the chaos cluster and checks the tier's
+    /// invariants (shadow reads exact during outage windows, remote
+    /// atomics exactly-once and sum-exact). Off by default, so runs
+    /// without it are byte-identical to pre-CXL builds.
     pub cxl: bool,
     /// Probability a step opens a pool-node outage window (CXL only; at
     /// most one pool node is down at a time).

@@ -94,64 +94,6 @@ impl SimClock {
     }
 }
 
-/// A single-shard virtual clock: plain, non-atomic, not shared.
-///
-/// Each shard of the sharded engine owns one; time advances only inside
-/// that shard's epoch window, so no synchronization is needed and
-/// advancing is a plain add. Like [`SimClock`], time never goes
-/// backwards.
-///
-/// # Examples
-///
-/// ```
-/// use dmem_sim::{ShardClock, SimDuration, SimInstant};
-///
-/// let mut clock = ShardClock::new();
-/// clock.advance(SimDuration::from_micros(2));
-/// clock.advance_to(SimInstant::from_nanos(500)); // in the past: no-op
-/// assert_eq!(clock.now().nanos(), 2_000);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardClock {
-    now_ns: u64,
-}
-
-impl ShardClock {
-    /// Creates a clock at the simulation epoch.
-    pub fn new() -> Self {
-        ShardClock::default()
-    }
-
-    /// The current virtual time of this shard.
-    pub fn now(&self) -> SimInstant {
-        SimInstant::from_nanos(self.now_ns)
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&mut self, d: SimDuration) -> SimInstant {
-        self.now_ns += d.as_nanos();
-        self.now()
-    }
-
-    /// Advances the clock to `t` if `t` is in the future; otherwise
-    /// leaves it unchanged. Returns the (possibly unchanged) time.
-    pub fn advance_to(&mut self, t: SimInstant) -> SimInstant {
-        self.now_ns = self.now_ns.max(t.nanos());
-        self.now()
-    }
-
-    /// Time elapsed since `start`.
-    pub fn elapsed_since(&self, start: SimInstant) -> SimDuration {
-        self.now() - start
-    }
-}
-
-impl fmt::Display for ShardClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.now())
-    }
-}
-
 impl fmt::Debug for SimClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimClock").field("now", &self.now()).finish()
@@ -213,19 +155,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.now().nanos(), 8_000);
-    }
-
-    #[test]
-    fn shard_clock_monotone() {
-        let mut c = ShardClock::new();
-        assert_eq!(c.now(), SimInstant::EPOCH);
-        c.advance(SimDuration::from_nanos(5));
-        c.advance_to(SimInstant::from_nanos(3)); // past: no-op
-        assert_eq!(c.now().nanos(), 5);
-        c.advance_to(SimInstant::from_nanos(9));
-        assert_eq!(c.now().nanos(), 9);
-        assert_eq!(c.elapsed_since(SimInstant::from_nanos(4)).as_nanos(), 5);
-        assert_eq!(c.to_string(), "t+9ns");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod trace;
 pub use alerts::{AlertEdge, AlertEngine, AlertEvent, AlertRule};
 pub use chaos::{ChaosConfig, ChaosSchedule, ChaosStep};
 pub use flight::{FlightEvent, FlightRecorder};
-pub use clock::{ShardClock, SimClock};
+pub use clock::SimClock;
 pub use cost::{CostModel, DeviceCost};
 pub use events::EventQueue;
 pub use failure::{FailureEvent, FailureInjector};

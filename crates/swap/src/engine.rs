@@ -8,7 +8,7 @@
 //! compute + fault service — the quantity Figs. 4-7 plot.
 //!
 //! The fault loop is the simulator's hottest path, so its bookkeeping is
-//! all O(1) ([`crate::lru::FrameLru`] for recency, [`crate::lru::PfnSet`]
+//! all O(1) ([`dmem_types::Lru`] for recency, [`crate::lru::PfnSet`]
 //! for backend residency) and its buffers are recycled: evicted page
 //! content is generated into pooled 4 KiB buffers that flow through the
 //! write-behind window and back to the pool, so a warmed-up engine
@@ -16,10 +16,10 @@
 //! `alloc_smoke` integration test).
 
 use crate::backend::SwapBackend;
-use crate::lru::{FrameLru, PfnSet};
+use crate::lru::{self, FrameFlags, PfnSet};
 use dmem_compress::synth;
 use dmem_sim::{DetRng, SimClock, SimDuration, SimInstant};
-use dmem_types::{DmemResult, SwapInMode};
+use dmem_types::{DmemResult, Lru, SwapInMode};
 use dmem_workloads::PageAccess;
 use std::fmt;
 
@@ -139,7 +139,7 @@ pub struct PagingEngine {
     clock: SimClock,
     backend: Box<dyn SwapBackend>,
     source: PageSource,
-    frames: FrameLru,
+    frames: Lru<u64, FrameFlags>,
     in_backend: PfnSet,
     writeback: Vec<(u64, Vec<u8>)>,
     /// Recycled 4 KiB page buffers: eviction pops one, fills it via
@@ -167,7 +167,7 @@ impl PagingEngine {
     ) -> Self {
         assert!(config.frames > 0, "at least one resident frame required");
         assert!(config.swap_out_window > 0, "swap-out window must be >= 1");
-        let frames = FrameLru::with_capacity(config.frames);
+        let frames = Lru::with_capacity(config.frames);
         PagingEngine {
             config,
             clock,
@@ -211,7 +211,7 @@ impl PagingEngine {
     }
 
     fn touch(&mut self, pfn: u64, write: bool, prefetched: bool) {
-        self.frames.touch(pfn, write, prefetched);
+        lru::touch(&mut self.frames, pfn, write, prefetched);
         if write {
             // The swap-cache copy (if any) is now stale.
             self.in_backend.remove(pfn);
@@ -275,7 +275,7 @@ impl PagingEngine {
         self.stats.accesses += 1;
         self.clock.advance(self.config.compute_per_access);
 
-        if let Some(flags) = self.frames.flags(pfn) {
+        if let Some(flags) = self.frames.get(&pfn) {
             if flags.prefetched {
                 self.stats.prefetch_hits += 1;
             }
@@ -290,7 +290,9 @@ impl PagingEngine {
             self.ensure_frames(1)?;
             self.touch(pfn, write, false);
             // It never reached the backend; it is dirty again.
-            self.frames.set_dirty(pfn);
+            if let Some(flags) = self.frames.get_mut(&pfn) {
+                flags.dirty = true;
+            }
             return Ok(());
         }
 
@@ -325,7 +327,7 @@ impl PagingEngine {
                     if self.fault_batch.len() >= window {
                         break;
                     }
-                    if self.in_backend.contains(next) && !self.frames.contains(next) {
+                    if self.in_backend.contains(next) && !self.frames.contains(&next) {
                         self.fault_batch.push(next);
                     } else {
                         break;
@@ -375,7 +377,7 @@ impl PagingEngine {
             if self.restore_batch.len() >= budget {
                 break;
             }
-            if !self.frames.contains(pfn) && !self.writeback.iter().any(|(p, _)| *p == pfn) {
+            if !self.frames.contains(&pfn) && !self.writeback.iter().any(|(p, _)| *p == pfn) {
                 self.restore_batch.push(pfn);
             }
         }

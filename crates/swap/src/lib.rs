@@ -54,7 +54,7 @@ pub use backend::SwapBackend;
 pub use disk::LinuxDiskSwap;
 pub use engine::{EngineConfig, EngineStats, PageSource, PagingEngine};
 pub use fastswap::FastSwapBackend;
-pub use lru::{FrameFlags, FrameLru, PfnSet};
-pub use remote_paging::{InfiniswapBackend, NbdxBackend};
+pub use lru::{FrameFlags, PfnSet};
+pub use remote_paging::{InfiniswapBackend, NbdxBackend, RemotePaging};
 pub use systems::{build_system, build_system_with_pages, run_kv_throughput, run_kv_timeline, run_ml_workload, RunResult, SwapScale, SystemKind};
 pub use zswap_backend::ZswapBackend;

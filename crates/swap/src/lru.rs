@@ -1,17 +1,13 @@
 //! O(1) data structures for the paging hot path.
 //!
-//! The engine's original bookkeeping paid O(log n) per page touch: a
-//! `BTreeMap<tick, pfn>` recency index plus a `BTreeSet<u64>` of
-//! backend-resident pages. Every access is a touch and every fault scans
-//! residency, so those logs were the single largest constant in the fault
-//! loop. This module replaces them:
+//! Every access is a touch and every fault scans residency, so recency
+//! and residency bookkeeping are the largest constants in the fault loop:
 //!
-//! * [`FrameLru`] — true-LRU over resident frames as an intrusive doubly
-//!   linked list threaded through a slab of entries, with a
-//!   `IdMap<pfn, slot>` index. Touch, insert, and evict are all O(1),
-//!   and the eviction order is *bit-identical* to the tick-based
-//!   structure (verified by a differential test below): the list head is
-//!   always the least recently touched page.
+//! * Resident frames are a [`dmem_types::Lru`] of [`FrameFlags`] keyed by
+//!   pfn: touch, insert and evict are O(1), the slab recycles its slots
+//!   so a warmed-up engine never allocates for them, and the eviction
+//!   order is that of the tick + `BTreeMap` structure the engine started
+//!   with (held to it by a differential test below).
 //! * [`PfnSet`] — backend residency as a growable bitset. Membership,
 //!   insert and remove are O(1); ordered ascending iteration (which the
 //!   proactive-restore scan relies on for its lowest-address-first
@@ -20,11 +16,9 @@
 //!   integers by construction (trace generators draw them from the
 //!   working set), which is what makes a bitset the right shape.
 
-use dmem_types::IdMap;
+use dmem_types::Lru;
 
-const NIL: usize = usize::MAX;
-
-/// Per-frame metadata carried by the LRU.
+/// Per-frame metadata carried in the resident-frame LRU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameFlags {
     /// The page diverged from its backend copy (needs writeback).
@@ -33,159 +27,24 @@ pub struct FrameFlags {
     pub prefetched: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pfn: u64,
-    prev: usize,
-    next: usize,
-    dirty: bool,
-    prefetched: bool,
-}
-
-/// True-LRU over resident page frames: O(1) touch, insert, evict.
-///
-/// The doubly linked list runs from `head` (least recently used — the
-/// next eviction victim) to `tail` (most recently used). Slots live in a
-/// slab (`Vec`) and are recycled through a free list, so a warmed-up
-/// engine never allocates for LRU maintenance.
-#[derive(Debug, Default)]
-pub struct FrameLru {
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    index: IdMap<u64, usize>,
-}
-
-impl FrameLru {
-    /// An empty LRU with room for `frames` entries before reallocation.
-    pub fn with_capacity(frames: usize) -> Self {
-        FrameLru {
-            slots: Vec::with_capacity(frames),
-            free: Vec::with_capacity(frames),
-            head: NIL,
-            tail: NIL,
-            index: IdMap::with_capacity_and_hasher(frames, Default::default()),
+/// Records an access: moves `pfn` to most-recently-used (inserting it if
+/// absent), ORs `write` into its dirty bit and sets its prefetched flag
+/// to `prefetched`.
+pub(crate) fn touch(frames: &mut Lru<u64, FrameFlags>, pfn: u64, write: bool, prefetched: bool) {
+    match frames.touch(&pfn) {
+        Some(flags) => {
+            flags.dirty |= write;
+            flags.prefetched = prefetched;
         }
-    }
-
-    /// Resident pages.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// `true` when no page is resident.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether `pfn` is resident.
-    pub fn contains(&self, pfn: u64) -> bool {
-        self.index.contains_key(&pfn)
-    }
-
-    /// The flags of a resident page.
-    pub fn flags(&self, pfn: u64) -> Option<FrameFlags> {
-        self.index.get(&pfn).map(|&slot| FrameFlags {
-            dirty: self.slots[slot].dirty,
-            prefetched: self.slots[slot].prefetched,
-        })
-    }
-
-    /// Marks a resident page dirty (the writeback-hit path re-dirties a
-    /// page pulled back from the write-behind buffer).
-    pub fn set_dirty(&mut self, pfn: u64) {
-        if let Some(&slot) = self.index.get(&pfn) {
-            self.slots[slot].dirty = true;
+        None => {
+            frames.insert(
+                pfn,
+                FrameFlags {
+                    dirty: write,
+                    prefetched,
+                },
+            );
         }
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let Slot { prev, next, .. } = self.slots[slot];
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_mru(&mut self, slot: usize) {
-        self.slots[slot].prev = self.tail;
-        self.slots[slot].next = NIL;
-        if self.tail != NIL {
-            self.slots[self.tail].next = slot;
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-    }
-
-    /// Records an access: moves `pfn` to most-recently-used (inserting it
-    /// if absent), ORs `write` into its dirty bit, and sets its
-    /// prefetched flag to `prefetched` — the exact semantics of the old
-    /// tick-based touch. The already-MRU fast path skips the unlink/link
-    /// pair entirely.
-    pub fn touch(&mut self, pfn: u64, write: bool, prefetched: bool) {
-        if let Some(&slot) = self.index.get(&pfn) {
-            let s = &mut self.slots[slot];
-            s.dirty |= write;
-            s.prefetched = prefetched;
-            if self.tail == slot {
-                // Already MRU: flag update only, no list surgery.
-                return;
-            }
-            self.unlink(slot);
-            self.push_mru(slot);
-        } else {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot] = Slot {
-                        pfn,
-                        prev: NIL,
-                        next: NIL,
-                        dirty: write,
-                        prefetched,
-                    };
-                    slot
-                }
-                None => {
-                    self.slots.push(Slot {
-                        pfn,
-                        prev: NIL,
-                        next: NIL,
-                        dirty: write,
-                        prefetched,
-                    });
-                    self.slots.len() - 1
-                }
-            };
-            self.index.insert(pfn, slot);
-            self.push_mru(slot);
-        }
-    }
-
-    /// Removes and returns the least recently used page and its flags.
-    pub fn pop_lru(&mut self) -> Option<(u64, FrameFlags)> {
-        let slot = self.head;
-        if slot == NIL {
-            return None;
-        }
-        let s = self.slots[slot];
-        self.unlink(slot);
-        self.index.remove(&s.pfn);
-        self.free.push(slot);
-        Some((
-            s.pfn,
-            FrameFlags {
-                dirty: s.dirty,
-                prefetched: s.prefetched,
-            },
-        ))
     }
 }
 
@@ -313,7 +172,7 @@ mod tests {
     #[test]
     fn differential_10k_accesses_identical_victim_sequence() {
         let mut rng = DetRng::new(0x1b0);
-        let mut new = FrameLru::with_capacity(64);
+        let mut new = Lru::with_capacity(64);
         let mut old = TickLru::default();
         let mut victims_new = Vec::new();
         let mut victims_old = Vec::new();
@@ -325,7 +184,7 @@ mod tests {
                 let pfn = rng.below(96) as u64;
                 let write = rng.chance(0.4);
                 let prefetched = rng.chance(0.1);
-                new.touch(pfn, write, prefetched);
+                touch(&mut new, pfn, write, prefetched);
                 old.touch(pfn, write, prefetched);
             }
             assert_eq!(new.len(), old.resident.len());
@@ -342,42 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn touch_moves_to_mru() {
-        let mut lru = FrameLru::with_capacity(4);
-        lru.touch(1, false, false);
-        lru.touch(2, false, false);
-        lru.touch(1, false, false); // 2 is now LRU
-        assert_eq!(lru.pop_lru().unwrap().0, 2);
-        assert_eq!(lru.pop_lru().unwrap().0, 1);
-        assert!(lru.pop_lru().is_none());
-    }
-
-    #[test]
     fn mru_fast_path_keeps_flags_fresh() {
-        let mut lru = FrameLru::with_capacity(4);
-        lru.touch(1, false, true);
-        lru.touch(1, true, false); // MRU fast path: still ORs dirty, clears prefetched
-        let flags = lru.flags(1).unwrap();
+        let mut lru = Lru::with_capacity(4);
+        touch(&mut lru, 1, false, true);
+        touch(&mut lru, 1, true, false); // already MRU: still ORs dirty, clears prefetched
+        let flags = lru.get(&1).unwrap();
         assert!(flags.dirty);
         assert!(!flags.prefetched);
-        lru.touch(1, false, false); // dirty stays sticky
-        assert!(lru.flags(1).unwrap().dirty);
-    }
-
-    #[test]
-    fn slab_recycles_slots() {
-        let mut lru = FrameLru::with_capacity(2);
-        for round in 0..100u64 {
-            lru.touch(round, round % 2 == 0, false);
-            if lru.len() > 2 {
-                lru.pop_lru();
-            }
-        }
-        assert!(
-            lru.slots.len() <= 4,
-            "slab must recycle, not grow: {} slots",
-            lru.slots.len()
-        );
+        touch(&mut lru, 1, false, false); // dirty stays sticky
+        assert!(lru.get(&1).unwrap().dirty);
     }
 
     #[test]

@@ -27,17 +27,42 @@ enum Target {
     },
 }
 
-struct RemotePaging {
+/// The data path both baselines share: one 4 KiB page per message to the
+/// peer its target picks, disk when the peer is full or unreachable.
+/// Built by [`NbdxBackend::new`] and [`InfiniswapBackend::new`], which
+/// differ in target, name and per-operation overhead only.
+pub struct RemotePaging {
     server: ServerId,
     store: Arc<RemoteStore>,
     disk: DiskTier,
     on_disk: IdSet<u64>,
     on_remote: IdMap<u64, NodeId>,
+    name: &'static str,
     per_op_overhead: SimDuration,
     target: Target,
 }
 
 impl RemotePaging {
+    fn new(
+        name: &'static str,
+        per_op_overhead: SimDuration,
+        server: ServerId,
+        store: Arc<RemoteStore>,
+        disk: DiskTier,
+        target: Target,
+    ) -> Self {
+        RemotePaging {
+            server,
+            store,
+            disk,
+            on_disk: IdSet::default(),
+            on_remote: IdMap::default(),
+            name,
+            per_op_overhead,
+            target,
+        }
+    }
+
     fn entry(&self, pfn: u64) -> EntryId {
         EntryId::new(self.server, pfn)
     }
@@ -148,58 +173,53 @@ impl RemotePaging {
     }
 }
 
+impl SwapBackend for RemotePaging {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
+        for (pfn, data) in pages {
+            self.store_page(*pfn, data)?;
+        }
+        Ok(())
+    }
+    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
+        pfns.iter().map(|p| self.load_page(*p)).collect()
+    }
+    fn contains(&self, pfn: u64) -> bool {
+        self.on_remote.contains_key(&pfn) || self.on_disk.contains(&pfn)
+    }
+    fn invalidate(&mut self, pfn: u64) {
+        if let Some(host) = self.on_remote.remove(&pfn) {
+            let _ = self.store.delete(self.server.node(), host, self.entry(pfn));
+        }
+        if self.on_disk.remove(&pfn) {
+            let _ = self.disk.delete(self.server.node(), self.entry(pfn));
+        }
+    }
+}
+
 /// NBDX: remote block device over RDMA with a single fixed peer.
-pub struct NbdxBackend(RemotePaging);
+pub enum NbdxBackend {}
 
 impl NbdxBackend {
     /// Per-operation device overhead of the raw block path.
     pub const OVERHEAD: SimDuration = SimDuration::from_micros(5);
 
     /// Creates an NBDX device backed by `target`'s receive pool.
-    pub fn new(server: ServerId, store: Arc<RemoteStore>, target: NodeId, disk: DiskTier) -> Self {
-        NbdxBackend(RemotePaging {
-            server,
-            store,
-            disk,
-            on_disk: IdSet::default(),
-            on_remote: IdMap::default(),
-            per_op_overhead: Self::OVERHEAD,
-            target: Target::Fixed(target),
-        })
-    }
-}
-
-impl SwapBackend for NbdxBackend {
-    fn name(&self) -> &'static str {
-        "NBDX"
-    }
-    fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
-        for (pfn, data) in pages {
-            self.0.store_page(*pfn, data)?;
-        }
-        Ok(())
-    }
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        pfns.iter().map(|p| self.0.load_page(*p)).collect()
-    }
-    fn contains(&self, pfn: u64) -> bool {
-        self.0.on_remote.contains_key(&pfn) || self.0.on_disk.contains(&pfn)
-    }
-    fn invalidate(&mut self, pfn: u64) {
-        if let Some(host) = self.0.on_remote.remove(&pfn) {
-            let _ = self
-                .0
-                .store
-                .delete(self.0.server.node(), host, self.0.entry(pfn));
-        }
-        if self.0.on_disk.remove(&pfn) {
-            let _ = self.0.disk.delete(self.0.server.node(), self.0.entry(pfn));
-        }
+    #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
+    pub fn new(
+        server: ServerId,
+        store: Arc<RemoteStore>,
+        target: NodeId,
+        disk: DiskTier,
+    ) -> RemotePaging {
+        RemotePaging::new("NBDX", Self::OVERHEAD, server, store, disk, Target::Fixed(target))
     }
 }
 
 /// Infiniswap: slab-placed remote paging with disk fallback.
-pub struct InfiniswapBackend(RemotePaging);
+pub enum InfiniswapBackend {}
 
 impl InfiniswapBackend {
     /// Per-operation overhead: NBDX path plus the block-layer request
@@ -212,49 +232,19 @@ impl InfiniswapBackend {
     pub const PAGES_PER_SLAB: u64 = 256;
 
     /// Creates an Infiniswap device over the cluster's remote store.
-    pub fn new(server: ServerId, store: Arc<RemoteStore>, disk: DiskTier, seed: u64) -> Self {
-        InfiniswapBackend(RemotePaging {
-            server,
-            store,
-            disk,
-            on_disk: IdSet::default(),
-            on_remote: IdMap::default(),
-            per_op_overhead: Self::OVERHEAD,
-            target: Target::Slabs {
-                pages_per_slab: Self::PAGES_PER_SLAB,
-                placed: IdMap::default(),
-                rng: DetRng::new(seed).fork("infiniswap-placement"),
-            },
-        })
-    }
-}
-
-impl SwapBackend for InfiniswapBackend {
-    fn name(&self) -> &'static str {
-        "Infiniswap"
-    }
-    fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
-        for (pfn, data) in pages {
-            self.0.store_page(*pfn, data)?;
-        }
-        Ok(())
-    }
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        pfns.iter().map(|p| self.0.load_page(*p)).collect()
-    }
-    fn contains(&self, pfn: u64) -> bool {
-        self.0.on_remote.contains_key(&pfn) || self.0.on_disk.contains(&pfn)
-    }
-    fn invalidate(&mut self, pfn: u64) {
-        if let Some(host) = self.0.on_remote.remove(&pfn) {
-            let _ = self
-                .0
-                .store
-                .delete(self.0.server.node(), host, self.0.entry(pfn));
-        }
-        if self.0.on_disk.remove(&pfn) {
-            let _ = self.0.disk.delete(self.0.server.node(), self.0.entry(pfn));
-        }
+    #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
+    pub fn new(
+        server: ServerId,
+        store: Arc<RemoteStore>,
+        disk: DiskTier,
+        seed: u64,
+    ) -> RemotePaging {
+        let target = Target::Slabs {
+            pages_per_slab: Self::PAGES_PER_SLAB,
+            placed: IdMap::default(),
+            rng: DetRng::new(seed).fork("infiniswap-placement"),
+        };
+        RemotePaging::new("Infiniswap", Self::OVERHEAD, server, store, disk, target)
     }
 }
 
@@ -308,11 +298,11 @@ mod tests {
             let pfn = slab * InfiniswapBackend::PAGES_PER_SLAB;
             store_one(&mut b, pfn, vec![slab as u8; 4096]).unwrap();
         }
-        let hosts: HashSet<NodeId> = b.0.on_remote.values().copied().collect();
+        let hosts: HashSet<NodeId> = b.on_remote.values().copied().collect();
         assert!(hosts.len() >= 2, "slabs should land on multiple peers: {hosts:?}");
         // Pages of the same slab share a host.
         store_one(&mut b, 1, vec![9u8; 4096]).unwrap();
-        assert_eq!(b.0.on_remote[&0], b.0.on_remote[&1]);
+        assert_eq!(b.on_remote[&0], b.on_remote[&1]);
     }
 
     #[test]
@@ -322,9 +312,9 @@ mod tests {
         for pfn in 0..4 {
             store_one(&mut b, pfn, vec![pfn as u8; 4096]).unwrap();
         }
-        assert!(!b.0.on_disk.is_empty(), "overflow must hit the disk");
+        assert!(!b.on_disk.is_empty(), "overflow must hit the disk");
         // Disk-resident pages load at disk latency.
-        let victim = *b.0.on_disk.iter().next().unwrap();
+        let victim = *b.on_disk.iter().next().unwrap();
         let t0 = clock.now();
         assert_eq!(load_one(&mut b, victim).unwrap(), vec![victim as u8; 4096]);
         assert!((clock.now() - t0).as_millis_f64() > 3.0);

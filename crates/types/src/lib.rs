@@ -27,6 +27,7 @@ mod error;
 mod idmap;
 mod ids;
 mod location;
+mod lru;
 
 pub use bytesize::ByteSize;
 pub use checksum::{checksum, fnv1a64, fnv1a64_fold, FNV1A64_OFFSET};
@@ -38,6 +39,7 @@ pub use error::{DmemError, DmemResult};
 pub use idmap::{IdHasher, IdMap, IdSet};
 pub use ids::{EntryId, GroupId, MrId, NodeId, PageId, QpId, ServerId, SlabId, TenantId};
 pub use location::{EntryLocation, EntryRecord, SizeClass};
+pub use lru::Lru;
 
 /// The system page size in bytes. The paper's systems (FastSwap, Infiniswap,
 /// zswap) all operate on standard 4 KiB x86 pages.

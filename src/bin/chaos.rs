@@ -95,8 +95,6 @@ fn run() -> Result<bool, String> {
     let mut seeds: Vec<u64> = Vec::new();
     let mut jobs = scoped_pool::available_parallelism();
     let mut qos = false;
-    let mut faults = false;
-    let mut cxl = false;
     let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -104,8 +102,11 @@ fn run() -> Result<bool, String> {
         match arg.as_str() {
             "--seed" => seeds.push(parse_u64(&value("--seed")?)?),
             "--qos" => qos = true,
-            "--faults" => faults = true,
-            "--cxl" => cxl = true,
+            // Each switches the schedule generator and the harness on
+            // together: fault steps with the fabric fault layer, pool
+            // outages and remote atomics with the CXL pool itself.
+            "--faults" => config.fabric_faults = true,
+            "--cxl" => config.cxl = true,
             "--flight-fixture" => return Ok(run_flight_fixture()),
             "--jobs" => {
                 jobs = parse_u64(&value("--jobs")?)?.max(1) as usize;
@@ -137,19 +138,9 @@ fn run() -> Result<bool, String> {
     if seeds.is_empty() {
         seeds.extend(0..8);
     }
-    // The schedule generator and the harness's fault layer switch on
-    // together: schedules gain partition/heal/QP-break steps, and the
-    // fabric gains seeded verb drops/delays/duplication with retry.
-    config.fabric_faults = faults;
-    // Same pairing for the CXL tier: schedules gain pool-node outage
-    // windows and remote atomics, the cluster gains the pool itself.
-    config.cxl = cxl;
-
     let settings = ChaosSettings {
         qos,
-        faults,
         shards,
-        cxl,
         ..ChaosSettings::default()
     };
     let total = seeds.len();

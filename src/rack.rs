@@ -30,7 +30,7 @@ use dmem_net::{HostOutage, ShardFaultSchedule};
 use dmem_sim::shard::{shard_rng, EpochCtx, ShardWorker, ShardedEngine};
 use dmem_sim::{
     digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LazyCounter, LazyHistogram,
-    MetricWindow, MetricsRegistry, MetricsSnapshot, ShardClock, ShardEventLog, ShardId, ShardMap,
+    MetricWindow, MetricsRegistry, MetricsSnapshot, ShardEventLog, ShardId, ShardMap,
     SimDuration, SimInstant, Timeline, WindowSampler,
 };
 use std::collections::HashMap;
@@ -286,7 +286,6 @@ struct RackShard {
     cfg: RackConfig,
     map: ShardMap,
     cost: CostModel,
-    clock: ShardClock,
     queue: EventQueue<LocalEvent>,
     /// Host id → state, for hosts this shard owns.
     hosts: HashMap<usize, HostState>,
@@ -314,7 +313,6 @@ impl RackShard {
             cfg: cfg.clone(),
             map: map.clone(),
             cost: CostModel::paper_default(),
-            clock: ShardClock::new(),
             queue: EventQueue::new(),
             hosts: HashMap::new(),
             store: HashMap::new(),
@@ -765,7 +763,6 @@ impl ShardWorker for RackShard {
                 .schedule(env.deliver_at, LocalEvent::Deliver { msg: env.msg });
         }
         while let Some((t, event)) = self.queue.pop_before(ctx.epoch_end()) {
-            self.clock.advance_to(t);
             // Sample before handling: whatever this event increments is
             // attributed to the window containing `t`. Event times are
             // worker-count independent, so capture points are too.

@@ -30,13 +30,6 @@ fn faults_config() -> ChaosConfig {
     }
 }
 
-fn faults_settings() -> ChaosSettings {
-    ChaosSettings {
-        faults: true,
-        ..ChaosSettings::default()
-    }
-}
-
 /// A fabric with the fault layer installed, plus its clock — the fixture
 /// for the verb-level tests below.
 fn faulted_fabric(profile: FaultProfile, seed: u64) -> (SimClock, Fabric, Arc<FabricFaults>) {
@@ -59,7 +52,7 @@ fn faulted_fabric(profile: FaultProfile, seed: u64) -> (SimClock, Fabric, Arc<Fa
 #[test]
 fn fault_chaos_invariants_hold_across_32_seeds() {
     let config = faults_config();
-    let settings = faults_settings();
+    let settings = ChaosSettings::default();
     let mut acked_puts = 0usize;
     let mut verified_reads = 0usize;
     let mut retries = 0u64;
@@ -93,7 +86,7 @@ fn fault_chaos_invariants_hold_across_32_seeds() {
 #[test]
 fn fault_runs_are_seed_deterministic_and_parallel_stable() {
     let config = faults_config();
-    let settings = faults_settings();
+    let settings = ChaosSettings::default();
     let a = run_seed(5, &config, &settings).expect("seed 5 holds invariants");
     let b = run_seed(5, &config, &settings).expect("seed 5 holds invariants");
     assert_eq!(a.metrics_digest, b.metrics_digest, "same seed, same counters");
@@ -334,10 +327,10 @@ fn attribution_identity_holds_under_fault_injection() {
 #[test]
 fn sharded_fault_sweep_holds_invariants_and_byte_identity() {
     let config = faults_config();
-    let plain = faults_settings();
+    let plain = ChaosSettings::default();
     let sharded = ChaosSettings {
         shards: 4,
-        ..faults_settings()
+        ..ChaosSettings::default()
     };
     let mut cross = 0u64;
     for seed in 0..8u64 {

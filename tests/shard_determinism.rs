@@ -170,20 +170,13 @@ fn faulted_chaos_is_shard_count_independent() {
         let base = run_seed(
             seed,
             &config,
-            &ChaosSettings {
-                faults: true,
-                ..ChaosSettings::default()
-            },
+            &ChaosSettings::default(),
         )
         .unwrap_or_else(|r| panic!("seed {seed} failed unsharded:\n{r}"));
         let sharded = run_seed(
             seed,
             &config,
-            &ChaosSettings {
-                faults: true,
-                shards: 4,
-                ..ChaosSettings::default()
-            },
+            &settings_with_shards(4),
         )
         .unwrap_or_else(|r| panic!("seed {seed} failed at shards=4:\n{r}"));
         assert_eq!(verdict(seed, &sharded), verdict(seed, &base), "seed {seed}");

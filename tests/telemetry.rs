@@ -21,13 +21,6 @@ fn faults_config() -> ChaosConfig {
     }
 }
 
-fn faults_settings() -> ChaosSettings {
-    ChaosSettings {
-        faults: true,
-        ..ChaosSettings::default()
-    }
-}
-
 /// Parses the `[start..end ns)` window bounds out of an alert log line
 /// (`w3 [150..200ns) FIRING name: detail`).
 fn window_bounds(line: &str) -> (u64, u64) {
@@ -46,7 +39,7 @@ fn window_bounds(line: &str) -> (u64, u64) {
 /// the log pinpoints the injected trouble, not random background noise.
 #[test]
 fn faults_alerts_pinpoint_injected_windows() {
-    let (config, settings) = (faults_config(), faults_settings());
+    let (config, settings) = (faults_config(), ChaosSettings::default());
     for seed in 0..32u64 {
         let stats = run_seed(seed, &config, &settings)
             .unwrap_or_else(|r| panic!("seed {seed:#x} violated an invariant:\n{r}"));
@@ -82,7 +75,7 @@ fn faults_alerts_pinpoint_injected_windows() {
 /// schedule, immune to wall-clock and allocation order.
 #[test]
 fn faults_alert_log_is_reproducible() {
-    let (config, settings) = (faults_config(), faults_settings());
+    let (config, settings) = (faults_config(), ChaosSettings::default());
     let a = run_seed(7, &config, &settings).expect("seed 7 is clean");
     let b = run_seed(7, &config, &settings).expect("seed 7 is clean");
     assert!(a.telemetry_windows > 0, "faults mode must capture windows");
