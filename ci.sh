@@ -117,19 +117,6 @@ step "chaos flight-recorder fixture (golden dump)" sh -c '
     diff results/chaos_flight_fixture.txt target/chaos_flight_fixture.txt
 '
 
-# Sharded-engine determinism gate, chaos side: the same 32-seed sweep
-# with the cluster split into 1 vs 4 host-groups (shard router armed)
-# must produce byte-identical stdout — the router observes every verb's
-# (virtual_time, shard, seq) mailbox key and panics on any misorder, but
-# must never steer a single decision.
-step "chaos shard determinism (--shards 1 vs 4, byte-diff)" sh -c '
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --shards 1 \
-        > target/chaos_shards_1.txt
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --shards 4 \
-        > target/chaos_shards_4.txt
-    diff target/chaos_shards_1.txt target/chaos_shards_4.txt
-'
-
 # The reproduction proper: every committed table/figure/ablation CSV must
 # come out of its bin byte for byte.
 step "paper figures (16 golden CSVs)" figures
@@ -139,7 +126,7 @@ step "paper figures (16 golden CSVs)" figures
 # different parallelism) AND match the committed golden CSV.
 rack_smoke() {
     for workers in 1 4; do
-        (cd "$scratch" && "$root/target/release/fig4_rack" --smoke --shards $workers \
+        (cd "$scratch" && "$root/target/release/fig4_rack" --smoke --workers $workers \
             > fig4_rack_smoke_$workers.txt)
         same_csv fig4_rack_smoke
     done
@@ -152,7 +139,7 @@ step "fig4_rack smoke determinism (workers 1 vs 4 + golden CSV)" rack_smoke
 # golden CSV at 1 and at 4 workers.
 rack_timeline() {
     for workers in 1 4; do
-        bench_bin fig4_rack --smoke --shards $workers \
+        bench_bin fig4_rack --smoke --workers $workers \
             --timeline-out fig4_rack_timeline_$workers.csv
         diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline_$workers.csv"
     done

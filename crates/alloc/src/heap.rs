@@ -29,7 +29,7 @@ use dmem_core::{DisaggregatedMemory, TierPreference};
 use dmem_sim::{AllocTelemetry, MetricsRegistry};
 use dmem_types::{DmemError, DmemResult, EntryId, ServerId, PAGE_SIZE};
 
-use crate::classes::{class_of, ArenaMap, SlotKind, CLASSES, PAGE_BYTES};
+use crate::classes::{ArenaMap, SlotKind, CLASSES, PAGE_BYTES};
 
 /// Frame header: `[kind, aux]` — kind is the class index or
 /// [`RUN_TAG`], aux is the run length in pages (0 for class slots).
@@ -464,12 +464,6 @@ impl ObjectHeap {
         self.arena.digest()
     }
 
-    /// Live object addresses in address order (test/checker probe).
-    #[must_use]
-    pub fn live_addrs(&self) -> Vec<u64> {
-        self.arena.live_objects().map(|(a, _)| a).collect()
-    }
-
     /// Rebuilds a heap's allocator metadata from the backing store
     /// alone — the fault-survival path. The object bytes are already
     /// replicated by the cluster tiers; this recovery scan walks the
@@ -618,10 +612,4 @@ fn unframe(framed: &[u8], kind: SlotKind, stored_len: usize, entry: EntryId) -> 
         return Err(DmemError::Corrupt(entry));
     }
     Ok(framed[HEADER_BYTES..stored_len].to_vec())
-}
-
-/// `class_of` re-exported at heap level for callers sizing workloads.
-#[must_use]
-pub fn slot_class_of(len: usize) -> Option<usize> {
-    class_of(len + HEADER_BYTES)
 }

@@ -65,7 +65,7 @@ use dmem_core::{DisaggregatedMemory, TierPreference};
 use dmem_kv::{LlmCostModel, SpillPolicy, TieredKvConfig, TieredKvEngine};
 use dmem_qos::{QosConfig, QosEngine, TenantSpec};
 use dmem_sim::{jsonlite, sparkline, DetRng, SimDuration};
-use memory_disaggregation::chaos::{run_seed, ChaosSettings};
+use memory_disaggregation::chaos::run_seed;
 use memory_disaggregation::rack::{run_rack, RackConfig};
 use memory_disaggregation::sim::chaos::ChaosConfig;
 use dmem_swap::{build_system_with_pages, SwapScale, SystemKind};
@@ -360,7 +360,6 @@ fn run_alerts_report() -> String {
         fabric_faults: true,
         ..ChaosConfig::default()
     };
-    let settings = ChaosSettings::default();
     let mut out = String::new();
     writeln!(out, "dmem-top — chaos alert log (virtual time)").unwrap();
     writeln!(
@@ -368,7 +367,7 @@ fn run_alerts_report() -> String {
         "run: chaos --faults seed 0x0, default schedule, 50 ms windows"
     )
     .unwrap();
-    match run_seed(0, &config, &settings) {
+    match run_seed(0, &config) {
         Ok(stats) => {
             writeln!(
                 out,

@@ -5,15 +5,15 @@
 //! harnesses — by running `memory_disaggregation::rack` on the
 //! epoch-barrier sharded engine. Every table cell is *virtual* (latency
 //! quantiles, fault counts, digests), so the CSV is byte-identical at
-//! every `--shards` level and on every machine; wall-clock numbers go
+//! every `--workers` count and on every machine; wall-clock numbers go
 //! only to stderr and to the perf JSON.
 //!
 //! Modes:
 //!
 //! * default — host sweep at 256/512/1024, table + `results/fig4_rack.csv`;
 //! * `--smoke` — one small scenario, `results/fig4_rack_smoke.csv`; the
-//!   stdout of two runs at different `--shards` must byte-match (CI gate);
-//! * `--shards N` — worker-thread count (the scenario's logical shard
+//!   stdout of two runs at different `--workers` must byte-match (CI gate);
+//! * `--workers N` — worker-thread count (the scenario's logical shard
 //!   partition is fixed by its config; this only fans it across threads);
 //! * `--perf` — wall-clock scaling measurement at 1 vs 4 workers,
 //!   recorded as `results/BENCH_rack.json`; on a 4+ core machine the
@@ -36,7 +36,7 @@ const REQUIRED_SPEEDUP: f64 = 2.0;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig4_rack [--smoke] [--shards N] [--perf] [--check] [--trace-out FILE] \
+        "usage: fig4_rack [--smoke] [--workers N] [--perf] [--check] [--trace-out FILE] \
          [--timeline-out FILE]"
     );
     std::process::exit(2);
@@ -131,7 +131,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--perf" => perf = true,
-            "--shards" => {
+            "--workers" => {
                 workers = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())

@@ -28,7 +28,7 @@ use dmem_rdd::job::{run_iterative_job, DatasetSize, JobSpec, SpillTier};
 use dmem_swap::{build_system_with_pages, SwapScale, SystemKind};
 use dmem_types::{ByteSize, CompressionMode, DistributionRatio};
 use dmem_workloads::{catalog, TraceConfig};
-use memory_disaggregation::chaos::{run_seed, ChaosSettings};
+use memory_disaggregation::chaos::run_seed;
 use memory_disaggregation::sim::ChaosConfig;
 use std::process::ExitCode;
 
@@ -93,10 +93,9 @@ fn fig10_rdd(quick: bool) -> Row {
 fn chaos_sweep(quick: bool) -> Row {
     let seeds: u64 = if quick { 8 } else { 32 };
     let config = ChaosConfig::default();
-    let settings = ChaosSettings::default();
     let (failures, wall_ms) = timed(|| {
         (0..seeds)
-            .filter(|&seed| run_seed(seed, &config, &settings).is_err())
+            .filter(|&seed| run_seed(seed, &config).is_err())
             .count()
     });
     assert_eq!(failures, 0, "chaos invariants must hold during perf runs");

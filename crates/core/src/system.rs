@@ -7,13 +7,12 @@ use dmem_cluster::{
     RemoteStore, Replicator,
 };
 use dmem_compress::{CompressMemo, CompressedPage, PageCodec};
-use dmem_net::{CxlAddr, CxlPool, Fabric, ShardRouter};
+use dmem_net::{CxlAddr, CxlPool, Fabric};
 use dmem_node::NodeManager;
 use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
-use dmem_sim::shard::ShardMap;
 use dmem_sim::{
-    CostModel, DetRng, FailureInjector, Histogram, LazyCounter, LazyHistogram, MetricsRegistry,
-    SimClock, SimDuration, TelemetryHub,
+    CostModel, DetRng, FailureInjector, LazyCounter, LazyHistogram, MetricsRegistry, SimClock,
+    SimDuration, TelemetryHub,
 };
 use dmem_types::{
     checksum, ByteSize, ClusterConfig, DmemError, DmemResult, EntryId, EntryLocation, EntryRecord,
@@ -170,13 +169,6 @@ pub struct DisaggregatedMemory {
     /// atomic load per operation, so single-tenant runs stay byte- and
     /// cycle-identical to the pre-QoS system.
     qos: OnceLock<Arc<QosEngine>>,
-    /// Per-tenant `qos.<name>.get.ns` handles, resolved on a tenant's
-    /// first get so no `qos.*` key exists without an engine.
-    qos_get_ns: Mutex<IdMap<TenantId, Histogram>>,
-    /// Optional host→shard partition + fabric router. Uninstalled (the
-    /// default) the fabric skips routing entirely, so unsharded runs
-    /// stay byte-identical to builds that predate sharding.
-    sharding: OnceLock<Arc<ShardRouter>>,
     /// Optional windowed telemetry hub (timeline sampler + alert engine
     /// + flight recorder). Same opt-in contract as `qos`: uninstalled,
     /// nothing samples and nothing is scheduled.
@@ -266,8 +258,6 @@ impl DisaggregatedMemory {
             handles: CoreMetrics::new(&metrics),
             metrics,
             qos: OnceLock::new(),
-            qos_get_ns: Mutex::new(IdMap::default()),
-            sharding: OnceLock::new(),
             telemetry: OnceLock::new(),
         })
     }
@@ -310,32 +300,6 @@ impl DisaggregatedMemory {
     /// The underlying RDMA fabric (for advanced wiring, e.g. batch senders).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
-    }
-
-    /// Partitions this cluster's nodes into `shards` contiguous
-    /// host-groups and installs the shard router on the fabric: from
-    /// then on every verb is checked against the inter-shard mailbox
-    /// ordering contract (`(virtual_time, shard_id, seq)` strictly
-    /// increasing per directed pair) and counted as cross- or
-    /// intra-shard. Placement, tiering and verb semantics are untouched
-    /// — the router is an observer, so sharded runs stay byte-identical
-    /// to unsharded ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sharding is already installed.
-    pub fn install_sharding(&self, shards: usize) {
-        let map = ShardMap::grouped(self.config.nodes, shards);
-        let router = Arc::new(ShardRouter::new(map));
-        self.fabric.install_shard_router(Arc::clone(&router));
-        if self.sharding.set(router).is_err() {
-            panic!("sharding already installed");
-        }
-    }
-
-    /// The installed shard router, if any.
-    pub fn shard_router(&self) -> Option<&Arc<ShardRouter>> {
-        self.sharding.get()
     }
 
     /// Installs the multi-tenant QoS control plane (quota admission,
@@ -965,14 +929,7 @@ impl DisaggregatedMemory {
         let elapsed = (self.clock.now() - t0).as_nanos();
         self.handles.get_ns.record(elapsed);
         if let Some(engine) = qos {
-            self.qos_get_ns
-                .lock()
-                .entry(tenant)
-                .or_insert_with(|| {
-                    let name = engine.tenant_name(tenant);
-                    self.metrics.histogram(&format!("qos.{name}.get.ns"))
-                })
-                .record(elapsed);
+            engine.record_get(tenant, elapsed);
         }
         out
     }

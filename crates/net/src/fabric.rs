@@ -1,10 +1,9 @@
 //! The fabric: registered memory regions, queue pairs and verbs.
 
-use crate::faults::{FabricFault, FabricFaults, VerbOutcome};
-use dmem_sim::shard::{ShardId, ShardMap};
+use crate::faults::{FabricFaults, VerbOutcome};
 use dmem_sim::{
     CostModel, Counter, FailureInjector, LazyCounter, LazyHistogram, MetricsRegistry, SimClock,
-    SimDuration, SimInstant,
+    SimDuration,
 };
 use dmem_types::{ByteSize, DmemError, DmemResult, IdMap, MrId, NodeId, QpId, TenantId};
 use parking_lot::Mutex;
@@ -12,102 +11,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Routes fabric verbs through per-shard-pair mailboxes and verifies the
-/// mailbox ordering contract live.
-///
-/// When a cluster runs sharded (`--shards N`), every verb between two
-/// nodes is logically a mailbox envelope between the nodes' shards. The
-/// synchronous fabric already executes verbs in a deterministic global
-/// order (the virtual clock is shared), so the router does not change
-/// delivery — it *observes* each verb, assigns it the mailbox key
-/// `(virtual_time, src_shard, seq)`, and asserts that the key stream of
-/// every directed shard pair is strictly increasing: exactly the order
-/// the sharded engine's merge would produce. A violation panics, which
-/// the chaos harness surfaces as a `NoPanic` invariant failure.
-///
-/// The router keeps its own counters (cross-shard vs. intra-shard verbs)
-/// rather than the fabric's metrics registry, so installing it never
-/// perturbs metric digests — sharded and unsharded runs stay
-/// byte-identical.
-#[derive(Debug)]
-pub struct ShardRouter {
-    map: ShardMap,
-    inner: Mutex<RouterInner>,
-}
-
-#[derive(Debug, Default)]
-struct RouterInner {
-    /// Next send sequence number per directed shard pair.
-    next_seq: IdMap<(u32, u32), u64>,
-    /// Last observed mailbox key per directed shard pair.
-    last_key: IdMap<(u32, u32), (u64, u64)>,
-    cross: u64,
-    local: u64,
-}
-
-impl ShardRouter {
-    /// Creates a router over a fixed host → shard partition.
-    pub fn new(map: ShardMap) -> Self {
-        ShardRouter {
-            map,
-            inner: Mutex::new(RouterInner::default()),
-        }
-    }
-
-    /// The partition this router enforces.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        self.map.shard_of(node.index() as usize)
-    }
-
-    /// Observes one verb from `src` to `dst` at virtual time `now`:
-    /// stamps it with the next `(now, src_shard, seq)` mailbox key and
-    /// checks the per-pair key stream stays strictly increasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mailbox ordering contract is violated (a key not
-    /// strictly greater than its pair's predecessor) — that would mean
-    /// the sharded merge could disagree with synchronous execution.
-    pub fn route(&self, now: SimInstant, src: NodeId, dst: NodeId) {
-        let (s, d) = (self.shard_of(src).0, self.shard_of(dst).0);
-        let mut inner = self.inner.lock();
-        if s == d {
-            inner.local += 1;
-            return;
-        }
-        inner.cross += 1;
-        let seq = inner.next_seq.entry((s, d)).or_insert(0);
-        let key = (now.nanos(), *seq);
-        *seq += 1;
-        if let Some(prev) = inner.last_key.insert((s, d), key) {
-            assert!(
-                key > prev,
-                "mailbox {s}->{d}: key (t={}, seq={}) not after (t={}, seq={}); \
-                 cross-shard verbs must deliver in (time, shard, seq) order",
-                key.0,
-                key.1,
-                prev.0,
-                prev.1,
-            );
-        }
-    }
-
-    /// Verbs observed between distinct shards.
-    pub fn cross_delivered(&self) -> u64 {
-        self.inner.lock().cross
-    }
-
-    /// Verbs observed within one shard.
-    pub fn local_delivered(&self) -> u64 {
-        self.inner.lock().local
-    }
-}
 
 /// Handle to a registered memory region; carries the remote key the owner
 /// hands out to peers.
@@ -176,8 +79,6 @@ struct FabricMetrics {
     send_bytes: LazyCounter,
     recv_ops: LazyCounter,
     recv_bytes: LazyCounter,
-    partition_begin: LazyCounter,
-    partition_heal: LazyCounter,
     qp_broken: LazyCounter,
     retry_attempts: LazyCounter,
     retry_recovered: LazyCounter,
@@ -210,8 +111,6 @@ impl FabricMetrics {
             send_bytes: counter("net.send.bytes"),
             recv_ops: counter("net.recv.ops"),
             recv_bytes: counter("net.recv.bytes"),
-            partition_begin: counter("faults.partition.begin"),
-            partition_heal: counter("faults.partition.heal"),
             qp_broken: counter("faults.qp.broken"),
             retry_attempts: counter("faults.retry.attempts"),
             retry_recovered: counter("faults.retry.recovered"),
@@ -247,10 +146,6 @@ pub struct Fabric {
     /// run exactly as they always have: no extra RNG draws, clock
     /// advances or metric keys, so fault-free runs stay byte-identical.
     faults: Arc<OnceLock<Arc<FabricFaults>>>,
-    /// Installed-at-most-once shard router. Absent (the default), verbs
-    /// skip routing entirely; installed, every verb is checked against
-    /// the inter-shard mailbox ordering contract and counted.
-    shard_router: Arc<OnceLock<Arc<ShardRouter>>>,
 }
 
 /// Sentinel for "no tenant scope in force".
@@ -271,7 +166,6 @@ impl Fabric {
             next_id: Arc::new(AtomicU64::new(1)),
             tenant_scope: Arc::new(AtomicU64::new(NO_TENANT)),
             faults: Arc::new(OnceLock::new()),
-            shard_router: Arc::new(OnceLock::new()),
         }
     }
 
@@ -299,32 +193,6 @@ impl Fabric {
     /// disk write-through) out of fault-free runs.
     pub fn faults_installed(&self) -> bool {
         self.faults.get().is_some()
-    }
-
-    /// Installs the shard router. All clones of this fabric observe it;
-    /// verbs route through it from then on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a router is already installed — re-partitioning hosts
-    /// mid-run would break the mailbox ordering contract.
-    pub fn install_shard_router(&self, router: Arc<ShardRouter>) {
-        if self.shard_router.set(router).is_err() {
-            panic!("shard router already installed for this fabric");
-        }
-    }
-
-    /// The installed shard router, if any.
-    pub fn shard_router(&self) -> Option<&Arc<ShardRouter>> {
-        self.shard_router.get()
-    }
-
-    /// Routes one delivered verb through the shard router, if installed.
-    /// No-op (and no locks taken) otherwise.
-    fn route_shard(&self, src: NodeId, dst: NodeId) {
-        if let Some(router) = self.shard_router.get() {
-            router.route(self.clock.now(), src, dst);
-        }
     }
 
     /// Sets (or clears) the tenant charged for subsequent verbs. All
@@ -517,7 +385,6 @@ impl Fabric {
     }
 
     fn check_path(&self, a: NodeId, b: NodeId) -> DmemResult<()> {
-        self.apply_due_faults();
         if !self.failures.is_node_up(a) {
             return Err(DmemError::NodeUnavailable(a));
         }
@@ -533,26 +400,6 @@ impl Fabric {
             }
         }
         Ok(())
-    }
-
-    /// Applies every scheduled fault whose due time has passed. Called
-    /// from [`Fabric::check_path`], so any verb (or reachability query)
-    /// observes the fault state as of the current virtual instant.
-    fn apply_due_faults(&self) {
-        let Some(faults) = self.faults.get() else { return };
-        for fault in faults.take_due(self.clock.now()) {
-            match fault {
-                FabricFault::Partition { .. } => {
-                    self.handles.partition_begin.inc();
-                }
-                FabricFault::Heal { .. } => {
-                    self.handles.partition_heal.inc();
-                }
-                FabricFault::BreakQps { a, b } => {
-                    self.break_qps(a, b);
-                }
-            }
-        }
     }
 
     /// Drives every established queue pair between `a` and `b` (either
@@ -766,7 +613,6 @@ impl Fabric {
         self.handles.write_bytes.add(data.len() as u64);
         self.handles.write_ns.record(elapsed.as_nanos());
         self.charge_tenant(data.len() as u64);
-        self.route_shard(qp.local, qp.peer);
         Ok(())
     }
 
@@ -804,7 +650,6 @@ impl Fabric {
         self.handles.read_bytes.add(len as u64);
         self.handles.read_ns.record(elapsed.as_nanos());
         self.charge_tenant(len as u64);
-        self.route_shard(qp.local, qp.peer);
         Ok(out)
     }
 
@@ -890,7 +735,6 @@ impl Fabric {
         self.handles.send_ops.inc();
         self.handles.send_bytes.add(msg_len);
         self.charge_tenant(msg_len);
-        self.route_shard(qp.local, qp.peer);
         Ok(seq)
     }
 

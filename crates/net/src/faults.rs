@@ -3,13 +3,16 @@
 //! The paper's survey chapters single out fault tolerance of the
 //! far-memory path as the hardest open problem: a fabric that silently
 //! never fails hides every bug in the recovery code above it. This module
-//! supplies the missing adversary — a seeded, virtual-clock-scheduled
-//! fault layer the [`crate::Fabric`] consults on every verb — plus the
-//! retry policy the fabric uses to survive it.
+//! supplies the missing adversary — a seeded fault layer the
+//! [`crate::Fabric`] consults on every verb — plus the retry policy the
+//! fabric uses to survive it. Verb noise is drawn per attempt; partitions
+//! and QP breaks are injected by the caller at the step it chooses
+//! ([`FabricFaults::partition_now`] / [`FabricFaults::heal_now`],
+//! [`crate::Fabric::break_qps`]).
 //!
 //! Everything is deterministic: outcomes come from a [`DetRng`] fork, so
-//! the same seed produces the same drops, delays, partitions and QP
-//! breaks, run after run and across parallel chaos jobs.
+//! the same seed produces the same drops, delays and jitter, run after
+//! run and across parallel chaos jobs.
 //!
 //! The layer is strictly opt-in. A fabric without an installed
 //! [`FabricFaults`] performs zero extra RNG draws, zero extra clock
@@ -115,45 +118,6 @@ impl RetryPolicy {
     }
 }
 
-/// A scheduled fabric fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricFault {
-    /// Sever all traffic between a host pair (both directions) until the
-    /// matching [`FabricFault::Heal`].
-    Partition {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// Lift a previously injected partition of the pair.
-    Heal {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// Transition every established queue pair between the hosts to the
-    /// error state; traffic resumes only after the connection manager
-    /// re-establishes fresh queue pairs.
-    BreakQps {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-}
-
-impl fmt::Display for FabricFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FabricFault::Partition { a, b } => write!(f, "partition {a}<->{b}"),
-            FabricFault::Heal { a, b } => write!(f, "heal {a}<->{b}"),
-            FabricFault::BreakQps { a, b } => write!(f, "break-qps {a}<->{b}"),
-        }
-    }
-}
-
 /// The fate the fault layer assigns one verb attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerbOutcome {
@@ -167,12 +131,10 @@ pub enum VerbOutcome {
     Duplicate,
 }
 
-/// Interior state behind one mutex so outcome draws, pending events and
-/// the partition set mutate atomically and deterministically.
+/// Interior state behind one mutex so outcome draws and the partition
+/// set mutate atomically and deterministically.
 struct FaultState {
     rng: DetRng,
-    /// Scheduled faults, sorted by due instant (stable for equal times).
-    pending: Vec<(SimInstant, FabricFault)>,
     /// Currently partitioned host pairs, stored with endpoints ordered.
     partitions: BTreeSet<(NodeId, NodeId)>,
 }
@@ -205,7 +167,6 @@ impl FabricFaults {
             retry,
             state: Mutex::new(FaultState {
                 rng,
-                pending: Vec::new(),
                 partitions: BTreeSet::new(),
             }),
         }
@@ -219,46 +180,6 @@ impl FabricFaults {
     /// The verb fault profile in force.
     pub fn profile(&self) -> FaultProfile {
         self.profile
-    }
-
-    /// Schedules `fault` to fire once the virtual clock reaches `at`.
-    /// Faults are applied lazily, the next time the fabric validates a
-    /// path at or after that instant.
-    pub fn schedule(&self, at: SimInstant, fault: FabricFault) {
-        let mut state = self.state.lock();
-        let pos = state.pending.partition_point(|(due, _)| *due <= at);
-        state.pending.insert(pos, (at, fault));
-    }
-
-    /// Drains every fault due at or before `now`, applying partition and
-    /// heal transitions to the layer's own pair set, and returns the
-    /// drained faults in firing order so the fabric can apply QP breaks
-    /// and count what fired.
-    pub fn take_due(&self, now: SimInstant) -> Vec<FabricFault> {
-        let mut state = self.state.lock();
-        if state.pending.is_empty() {
-            return Vec::new();
-        }
-        let upto = state.pending.partition_point(|(due, _)| *due <= now);
-        let due: Vec<FabricFault> =
-            state.pending.drain(..upto).map(|(_, fault)| fault).collect();
-        for fault in &due {
-            match *fault {
-                FabricFault::Partition { a, b } => {
-                    state.partitions.insert(ordered(a, b));
-                }
-                FabricFault::Heal { a, b } => {
-                    state.partitions.remove(&ordered(a, b));
-                }
-                FabricFault::BreakQps { .. } => {}
-            }
-        }
-        due
-    }
-
-    /// Whether faults remain scheduled but not yet applied.
-    pub fn pending_len(&self) -> usize {
-        self.state.lock().pending.len()
     }
 
     /// Partitions the pair immediately. Returns `false` if it already was.
@@ -275,11 +196,6 @@ impl FabricFaults {
     /// Whether the pair is currently partitioned.
     pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
         self.state.lock().partitions.contains(&ordered(a, b))
-    }
-
-    /// Number of host pairs currently partitioned.
-    pub fn active_partitions(&self) -> usize {
-        self.state.lock().partitions.len()
     }
 
     /// Draws the fate of one verb attempt from the seeded stream.
@@ -318,7 +234,6 @@ impl fmt::Debug for FabricFaults {
         f.debug_struct("FabricFaults")
             .field("profile", &self.profile)
             .field("retry", &self.retry)
-            .field("pending", &state.pending.len())
             .field("partitions", &state.partitions.len())
             .finish()
     }
@@ -503,32 +418,6 @@ mod tests {
                 assert!(j <= full, "beyond cap: {j:?} > {full:?}");
             }
         }
-    }
-
-    #[test]
-    fn scheduled_faults_fire_in_time_order() {
-        let layer = FabricFaults::new(
-            DetRng::new(1),
-            FaultProfile::none(),
-            RetryPolicy::default(),
-        );
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        layer.schedule(
-            SimInstant::from_nanos(200),
-            FabricFault::Heal { a, b },
-        );
-        layer.schedule(
-            SimInstant::from_nanos(100),
-            FabricFault::Partition { a, b },
-        );
-        assert!(layer.take_due(SimInstant::from_nanos(50)).is_empty());
-        let first = layer.take_due(SimInstant::from_nanos(150));
-        assert_eq!(first, vec![FabricFault::Partition { a, b }]);
-        assert!(layer.partitioned(b, a), "partition applied, order-blind");
-        let second = layer.take_due(SimInstant::from_nanos(300));
-        assert_eq!(second, vec![FabricFault::Heal { a, b }]);
-        assert!(!layer.partitioned(a, b));
-        assert_eq!(layer.pending_len(), 0);
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub mod faults;
 pub use batch::BatchSender;
 pub use cm::{ChannelKind, ConnectionManager};
 pub use cxl::{CxlAddr, CxlCostModel, CxlPool, CxlRing};
-pub use fabric::{Fabric, QpHandle, RegionHandle, ShardRouter};
+pub use fabric::{Fabric, QpHandle, RegionHandle};
 pub use faults::{
-    FabricFault, FabricFaults, FaultProfile, HostOutage, RetryPolicy, ShardFaultSchedule,
-    VerbOutcome,
+    FabricFaults, FaultProfile, HostOutage, RetryPolicy, ShardFaultSchedule, VerbOutcome,
 };

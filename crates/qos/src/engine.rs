@@ -13,7 +13,10 @@
 
 use crate::bucket::TokenBucket;
 use crate::tenant::TenantSpec;
-use dmem_sim::{AlertRule, Histogram, LazyCounter, MetricsRegistry, SimDuration, SimInstant};
+use dmem_sim::{
+    AlertRule, Histogram, Lazy, LazyCounter, LazyHistogram, Metric, MetricsRegistry, SimDuration,
+    SimInstant,
+};
 use dmem_types::{
     fnv1a64_fold, ByteSize, EntryId, IdMap, NodeId, ServerId, TenantId, FNV1A64_OFFSET,
 };
@@ -130,22 +133,13 @@ pub struct TenantSnapshot {
     pub throttle: u8,
 }
 
-/// Where a resident entry lives, for victim filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FastTier {
-    Shared(NodeId),
-    Nvm(NodeId),
-    Cxl,
-    Remote,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     bytes: u64,
-    tier: FastTier,
+    tier: ResidentTier,
 }
 
-/// One tenant's `qos.<name>.*` counters, resolved on first touch.
+/// One tenant's `qos.<name>.*` metrics, resolved on first touch.
 #[derive(Debug)]
 struct TenantCounters {
     admitted_bytes: LazyCounter,
@@ -153,22 +147,30 @@ struct TenantCounters {
     shed_bytes: LazyCounter,
     throttled_bytes: LazyCounter,
     tokens_waited_ns: LazyCounter,
+    get_ns: LazyHistogram,
 }
 
 impl TenantCounters {
     /// Handles into `registry` under `qos.<tenant>.`; without a registry
     /// they count nothing.
     fn bind(registry: Option<&MetricsRegistry>, tenant: &str) -> Self {
-        let counter = |suffix: &str| match registry {
-            Some(registry) => LazyCounter::new(registry, format!("qos.{tenant}.{suffix}")),
-            None => LazyCounter::unbound(),
-        };
+        fn handle<M: Metric>(
+            registry: Option<&MetricsRegistry>,
+            tenant: &str,
+            suffix: &str,
+        ) -> Lazy<M> {
+            match registry {
+                Some(registry) => Lazy::new(registry, format!("qos.{tenant}.{suffix}")),
+                None => Lazy::unbound(),
+            }
+        }
         TenantCounters {
-            admitted_bytes: counter("admitted.bytes"),
-            rejected_bytes: counter("rejected.bytes"),
-            shed_bytes: counter("shed.bytes"),
-            throttled_bytes: counter("throttled.bytes"),
-            tokens_waited_ns: counter("tokens_waited.ns"),
+            admitted_bytes: handle(registry, tenant, "admitted.bytes"),
+            rejected_bytes: handle(registry, tenant, "rejected.bytes"),
+            shed_bytes: handle(registry, tenant, "shed.bytes"),
+            throttled_bytes: handle(registry, tenant, "throttled.bytes"),
+            tokens_waited_ns: handle(registry, tenant, "tokens_waited.ns"),
+            get_ns: handle(registry, tenant, "get.ns"),
         }
     }
 }
@@ -278,7 +280,7 @@ pub struct QosEngine {
     inner: Mutex<Inner>,
 }
 
-/// Public alias of the internal tier tag used when charging residency.
+/// Which fast tier holds a charged entry, for victim filtering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResidentTier {
     /// Node shared-memory pool on `NodeId`.
@@ -290,17 +292,6 @@ pub enum ResidentTier {
     Cxl,
     /// Cluster remote memory (replicated).
     Remote,
-}
-
-impl From<ResidentTier> for FastTier {
-    fn from(t: ResidentTier) -> FastTier {
-        match t {
-            ResidentTier::Shared(n) => FastTier::Shared(n),
-            ResidentTier::Nvm(n) => FastTier::Nvm(n),
-            ResidentTier::Cxl => FastTier::Cxl,
-            ResidentTier::Remote => FastTier::Remote,
-        }
-    }
 }
 
 impl QosEngine {
@@ -452,13 +443,7 @@ impl QosEngine {
     ) {
         let mut inner = self.inner.lock();
         let t = &mut inner.tenants[tenant.index() as usize];
-        let prev = t.entries.insert(
-            entry,
-            Resident {
-                bytes,
-                tier: tier.into(),
-            },
-        );
+        let prev = t.entries.insert(entry, Resident { bytes, tier });
         if let Some(prev) = prev {
             t.resident = t.resident.saturating_sub(prev.bytes);
         }
@@ -505,7 +490,7 @@ impl QosEngine {
                 if entry == incoming {
                     continue;
                 }
-                if r.tier == FastTier::Shared(node) {
+                if r.tier == ResidentTier::Shared(node) {
                     return Some(Victim {
                         entry,
                         tenant: TenantId::new(i as u32),
@@ -577,6 +562,16 @@ impl QosEngine {
             bump(&t.counters.tokens_waited_ns, wait.as_nanos());
         }
         wait
+    }
+
+    /// Records one get latency into `tenant`'s `qos.<name>.get.ns`
+    /// histogram (the signal [`QosEngine::controller_tick`] reads). The
+    /// key appears in the attached registry on the tenant's first get.
+    pub fn record_get(&self, tenant: TenantId, ns: u64) {
+        self.inner.lock().tenants[tenant.index() as usize]
+            .counters
+            .get_ns
+            .record(ns);
     }
 
     /// One closed-loop controller tick (paper §IV-F feedback loop).
@@ -990,6 +985,7 @@ mod tests {
         let (qos, hi, _) = engine_two_tenants();
         // Unattached: decisions are made and logged, nothing is counted.
         assert_eq!(qos.admit_fast(hi, 4096), AdmitDecision::Admit);
+        qos.record_get(hi, 500);
         let metrics = MetricsRegistry::new();
         qos.attach_metrics(metrics.clone());
         assert!(metrics.counter_snapshot().is_empty());
@@ -1007,6 +1003,13 @@ mod tests {
                 ("qos.late.rejected.bytes".to_owned(), 8192),
             ]
         );
+        // A tenant's latency histogram appears on its first get.
+        assert!(metrics.histogram_snapshot().is_empty());
+        qos.record_get(late, 700);
+        let histograms = metrics.histogram_snapshot();
+        assert_eq!(histograms.len(), 1);
+        assert_eq!(histograms[0].0, "qos.late.get.ns");
+        assert_eq!(histograms[0].1.count, 1);
         assert_eq!(
             qos.decision_log(),
             [

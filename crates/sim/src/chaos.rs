@@ -14,7 +14,7 @@
 use crate::failure::FailureEvent;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
-use dmem_types::{NodeId, ServerId};
+use dmem_types::{NodeId, PlacementStrategy, ReplicationFactor, ServerId};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -52,6 +52,16 @@ pub struct ChaosConfig {
     /// least two repair intervals so the convergence invariant's bound
     /// ("degree restored within one maintenance window") is fair.
     pub maintain_horizon: SimDuration,
+    /// Replication factor of the cluster the harness builds. Read by the
+    /// harness only: the schedule does not depend on it.
+    pub replication: ReplicationFactor,
+    /// Replica placement policy of that cluster (harness only).
+    pub placement: PlacementStrategy,
+    /// Install the multi-tenant QoS control plane on that cluster and
+    /// check its invariants — quota ceilings, priority-eviction ordering
+    /// (harness only). Off by default, so runs without it are
+    /// byte-identical to pre-QoS builds.
+    pub qos: bool,
     /// Generate fabric-fault steps (host-pair partitions with matched
     /// heals, QP breaks) from an independent RNG fork. The harness reads
     /// the same flag: it installs the fabric fault-injection layer
@@ -102,6 +112,9 @@ impl Default for ChaosConfig {
             max_recovery_steps: 20,
             max_concurrent_node_failures: 1,
             maintain_horizon: SimDuration::from_millis(250),
+            replication: ReplicationFactor::TRIPLE,
+            placement: PlacementStrategy::PowerOfTwoChoices,
+            qos: false,
             fabric_faults: false,
             partition_probability: 0.05,
             qp_break_probability: 0.05,

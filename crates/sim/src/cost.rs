@@ -142,19 +142,6 @@ impl CostModel {
             decompress_page: SimDuration::from_nanos(700),
         }
     }
-
-    /// Cost of a 4 KiB page on each tier, useful for sanity checks.
-    pub fn page_costs(&self) -> [(&'static str, SimDuration); 7] {
-        [
-            ("dram", self.dram.transfer(4096)),
-            ("shared", self.shared_memory.transfer(4096)),
-            ("cxl", self.cxl.transfer(4096)),
-            ("nvm", self.nvm.transfer(4096)),
-            ("rdma", self.rdma.transfer(4096)),
-            ("ssd", self.ssd.transfer(4096)),
-            ("hdd", self.hdd.transfer(4096)),
-        ]
-    }
 }
 
 impl Default for CostModel {

@@ -245,11 +245,6 @@ impl<M> EpochCtx<M> {
             },
         ));
     }
-
-    /// Number of envelopes sent so far this epoch.
-    pub fn sent_len(&self) -> usize {
-        self.sent.len()
-    }
 }
 
 /// A shard's behaviour: one epoch of local event processing.

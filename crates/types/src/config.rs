@@ -507,11 +507,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Total number of virtual servers in the cluster.
-    pub fn total_servers(&self) -> usize {
-        self.nodes * self.servers_per_node
-    }
-
     /// Validates every nested configuration plus cross-field invariants.
     ///
     /// # Errors

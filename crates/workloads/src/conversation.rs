@@ -160,16 +160,6 @@ impl ConversationStream {
         &self.config
     }
 
-    /// Conversations opened so far.
-    pub fn sessions_started(&self) -> u64 {
-        self.next_session
-    }
-
-    /// Conversations still live (below `max_turns`).
-    pub fn live_sessions(&self) -> usize {
-        self.live.len()
-    }
-
     /// Token count in `[m/2, 3m/2)`, mean `m` (minimum 1).
     fn token_draw(&mut self, mean: u32) -> u32 {
         let lo = (mean / 2).max(1);

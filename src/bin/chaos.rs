@@ -15,7 +15,7 @@
 //! cargo run --bin chaos -- --seed 0x2a --steps 200 --jobs 4
 //! ```
 
-use memory_disaggregation::chaos::{run_schedule, run_seed, ChaosSettings, InvariantKind};
+use memory_disaggregation::chaos::{run_schedule, run_seed, InvariantKind};
 use memory_disaggregation::sim::chaos::{ChaosConfig, ChaosSchedule, ChaosStep};
 use memory_disaggregation::sim::{FailureEvent, SimDuration};
 use memory_disaggregation::types::{NodeId, ReplicationFactor, ServerId};
@@ -33,7 +33,7 @@ fn parse_u64(text: &str) -> Result<u64, String> {
 
 fn usage() -> String {
     "usage: chaos [--seed N | --seeds A..B] [--steps N] [--keys N] [--nodes N] [--jobs N] \
-     [--qos] [--faults] [--cxl] [--shards N] [--flight-fixture]"
+     [--qos] [--faults] [--cxl] [--flight-fixture]"
         .to_string()
 }
 
@@ -48,11 +48,8 @@ fn run_flight_fixture() -> bool {
         servers_per_node: 1,
         steps: 40,
         keys: 8,
-        ..ChaosConfig::default()
-    };
-    let settings = ChaosSettings {
         replication: ReplicationFactor::SINGLE,
-        ..ChaosSettings::default()
+        ..ChaosConfig::default()
     };
     let s0 = ServerId::new(NodeId::new(0), 0);
     let mut steps = Vec::new();
@@ -76,7 +73,7 @@ fn run_flight_fixture() -> bool {
         seed: 0xBAD_5EED,
         steps,
     };
-    match run_schedule(&schedule, &config, &settings) {
+    match run_schedule(&schedule, &config) {
         Ok(stats) => {
             println!("flight fixture: unexpectedly clean ({stats})");
             false
@@ -94,14 +91,12 @@ fn run() -> Result<bool, String> {
     let mut config = ChaosConfig::default();
     let mut seeds: Vec<u64> = Vec::new();
     let mut jobs = scoped_pool::available_parallelism();
-    let mut qos = false;
-    let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--seed" => seeds.push(parse_u64(&value("--seed")?)?),
-            "--qos" => qos = true,
+            "--qos" => config.qos = true,
             // Each switches the schedule generator and the harness on
             // together: fault steps with the fabric fault layer, pool
             // outages and remote atomics with the CXL pool itself.
@@ -110,12 +105,6 @@ fn run() -> Result<bool, String> {
             "--flight-fixture" => return Ok(run_flight_fixture()),
             "--jobs" => {
                 jobs = parse_u64(&value("--jobs")?)?.max(1) as usize;
-            }
-            // Host-group count for the shard-router conformance layer.
-            // Purely observational: stdout is byte-identical at every
-            // value (the determinism gate in ci.sh diffs 1 vs 4).
-            "--shards" => {
-                shards = parse_u64(&value("--shards")?)?.max(1) as usize;
             }
             "--seeds" => {
                 let spec = value("--seeds")?;
@@ -138,19 +127,12 @@ fn run() -> Result<bool, String> {
     if seeds.is_empty() {
         seeds.extend(0..8);
     }
-    let settings = ChaosSettings {
-        qos,
-        shards,
-        ..ChaosSettings::default()
-    };
     let total = seeds.len();
     let wall = Instant::now();
     // Each seed is an independent deterministic sim; fan across cores and
     // print verdicts in seed order so stdout is byte-identical to a
     // sequential run.
-    let verdicts = scoped_pool::par_map(jobs, seeds.clone(), |_, seed| {
-        run_seed(seed, &config, &settings)
-    });
+    let verdicts = scoped_pool::par_map(jobs, seeds.clone(), |_, seed| run_seed(seed, &config));
     let elapsed = wall.elapsed();
     let mut all_clean = true;
     for (seed, verdict) in seeds.into_iter().zip(verdicts) {

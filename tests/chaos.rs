@@ -5,9 +5,7 @@
 //! configuration (replication factor 1 under node crashes) must be caught
 //! with a seed-addressable, shrunk report.
 
-use memory_disaggregation::chaos::{
-    run_schedule, run_seed, shrink, ChaosSettings, InvariantKind,
-};
+use memory_disaggregation::chaos::{run_schedule, run_seed, shrink, InvariantKind};
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::sim::chaos::{ChaosConfig, ChaosSchedule, ChaosStep};
 use memory_disaggregation::sim::{FailureEvent, SimDuration};
@@ -16,10 +14,9 @@ use memory_disaggregation::sim::{FailureEvent, SimDuration};
 #[test]
 fn chaos_invariants_hold_across_32_seeds() {
     let config = ChaosConfig::default();
-    let settings = ChaosSettings::default();
     let mut total = ChaosStatsRollup::default();
     for seed in 0..32u64 {
-        match run_seed(seed, &config, &settings) {
+        match run_seed(seed, &config) {
             Ok(stats) => total.absorb(seed, stats.acked_puts, stats.verified_reads),
             Err(report) => panic!("seed {seed} violated an invariant:\n{report}"),
         }
@@ -50,15 +47,14 @@ impl ChaosStatsRollup {
 /// control must demonstrably fire (not vacuously pass).
 #[test]
 fn qos_chaos_invariants_hold_across_32_seeds() {
-    let config = ChaosConfig::default();
-    let settings = ChaosSettings {
+    let config = ChaosConfig {
         qos: true,
-        ..ChaosSettings::default()
+        ..ChaosConfig::default()
     };
     let mut decisions = 0usize;
     let mut total = ChaosStatsRollup::default();
     for seed in 0..32u64 {
-        match run_seed(seed, &config, &settings) {
+        match run_seed(seed, &config) {
             Ok(stats) => {
                 assert!(
                     !stats.qos_digest.is_empty(),
@@ -86,13 +82,12 @@ fn qos_chaos_invariants_hold_across_32_seeds() {
 /// (each simulation is self-contained).
 #[test]
 fn qos_decision_log_is_deterministic() {
-    let config = ChaosConfig::default();
-    let settings = ChaosSettings {
+    let config = ChaosConfig {
         qos: true,
-        ..ChaosSettings::default()
+        ..ChaosConfig::default()
     };
-    let a = run_seed(5, &config, &settings).expect("seed 5 is clean");
-    let b = run_seed(5, &config, &settings).expect("seed 5 is clean");
+    let a = run_seed(5, &config).expect("seed 5 is clean");
+    let b = run_seed(5, &config).expect("seed 5 is clean");
     assert_eq!(a.qos_digest, b.qos_digest, "same seed, same decisions");
     assert_eq!(a.metrics_digest, b.metrics_digest);
 
@@ -102,9 +97,8 @@ fn qos_decision_log_is_deterministic() {
         let handles: Vec<_> = (4..8u64)
             .map(|seed| {
                 let config = &config;
-                let settings = &settings;
                 scope.spawn(move || {
-                    let stats = run_seed(seed, config, settings).expect("clean");
+                    let stats = run_seed(seed, config).expect("clean");
                     (seed, stats.qos_digest)
                 })
             })
@@ -126,13 +120,12 @@ fn qos_decision_log_is_deterministic() {
 #[test]
 fn qos_disabled_runs_match_plain_runs_exactly() {
     let config = ChaosConfig::default();
-    let plain = run_seed(9, &config, &ChaosSettings::default()).expect("clean");
+    let plain = run_seed(9, &config).expect("clean");
     let disabled = run_seed(
         9,
-        &config,
-        &ChaosSettings {
+        &ChaosConfig {
             qos: false,
-            ..ChaosSettings::default()
+            ..config.clone()
         },
     )
     .expect("clean");
@@ -152,12 +145,11 @@ fn qos_disabled_runs_match_plain_runs_exactly() {
 #[test]
 fn chaos_runs_are_reproducible_from_the_seed() {
     let config = ChaosConfig::default();
-    let settings = ChaosSettings::default();
     let a = ChaosSchedule::generate(11, &config);
     let b = ChaosSchedule::generate(11, &config);
     assert_eq!(a, b);
-    let ra = run_schedule(&a, &config, &settings).expect("seed 11 is clean");
-    let rb = run_schedule(&b, &config, &settings).expect("seed 11 is clean");
+    let ra = run_schedule(&a, &config).expect("seed 11 is clean");
+    let rb = run_schedule(&b, &config).expect("seed 11 is clean");
     assert_eq!(ra.verified_reads, rb.verified_reads);
     assert_eq!(ra.acked_puts, rb.acked_puts);
 }
@@ -172,11 +164,8 @@ fn broken_replication_factor_is_caught_with_minimal_prefix() {
         nodes: 4,
         servers_per_node: 1,
         keys: 8,
-        ..ChaosConfig::default()
-    };
-    let settings = ChaosSettings {
         replication: ReplicationFactor::SINGLE,
-        ..ChaosSettings::default()
+        ..ChaosConfig::default()
     };
     let owner = ServerId::new(NodeId::new(0), 0);
     let mut steps = Vec::new();
@@ -203,11 +192,11 @@ fn broken_replication_factor_is_caught_with_minimal_prefix() {
         steps,
     };
 
-    let violation = run_schedule(&schedule, &config, &settings)
+    let violation = run_schedule(&schedule, &config)
         .expect_err("single-replica data lost in a crash cannot re-converge");
     assert_eq!(violation.invariant, InvariantKind::Convergence, "{violation}");
 
-    let report = shrink(&schedule, violation, &config, &settings);
+    let report = shrink(&schedule, violation, &config);
     assert_eq!(report.seed, 0xDEAD_BEEF, "report must carry the seed");
     assert!(
         report.minimal.len() < schedule.steps.len(),
@@ -220,7 +209,6 @@ fn broken_replication_factor_is_caught_with_minimal_prefix() {
             steps: report.minimal.clone(),
         },
         &config,
-        &settings,
     );
     assert!(replay.is_err(), "minimal prefix must still reproduce:\n{report}");
     let rendered = format!("{report}");
@@ -257,7 +245,7 @@ fn triple_replication_survives_the_same_crash_pattern() {
         seed: 0xDEAD_BEEF,
         steps,
     };
-    let stats = run_schedule(&schedule, &config, &ChaosSettings::default())
+    let stats = run_schedule(&schedule, &config)
         .unwrap_or_else(|v| panic!("triple replication must survive one crash: {v}"));
     assert_eq!(stats.acked_puts, 8);
 }

@@ -13,10 +13,9 @@
 //! timeout firing on the virtual clock under a 100%-drop profile, and
 //! QP error→re-establish through the connection manager.
 
-use memory_disaggregation::chaos::{run_seed, ChaosSettings};
+use memory_disaggregation::chaos::run_seed;
 use memory_disaggregation::net::{
-    ChannelKind, ConnectionManager, Fabric, FabricFault, FabricFaults, FaultProfile,
-    RetryPolicy,
+    ChannelKind, ConnectionManager, Fabric, FabricFaults, FaultProfile, RetryPolicy,
 };
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::sim::chaos::ChaosConfig;
@@ -52,14 +51,13 @@ fn faulted_fabric(profile: FaultProfile, seed: u64) -> (SimClock, Fabric, Arc<Fa
 #[test]
 fn fault_chaos_invariants_hold_across_32_seeds() {
     let config = faults_config();
-    let settings = ChaosSettings::default();
     let mut acked_puts = 0usize;
     let mut verified_reads = 0usize;
     let mut retries = 0u64;
     let mut failovers = 0u64;
     let mut suspects = 0u64;
     for seed in 0..32u64 {
-        match run_seed(seed, &config, &settings) {
+        match run_seed(seed, &config) {
             Ok(stats) => {
                 assert!(stats.faults_mode, "seed {seed} ran without the fault layer");
                 acked_puts += stats.acked_puts;
@@ -86,9 +84,8 @@ fn fault_chaos_invariants_hold_across_32_seeds() {
 #[test]
 fn fault_runs_are_seed_deterministic_and_parallel_stable() {
     let config = faults_config();
-    let settings = ChaosSettings::default();
-    let a = run_seed(5, &config, &settings).expect("seed 5 holds invariants");
-    let b = run_seed(5, &config, &settings).expect("seed 5 holds invariants");
+    let a = run_seed(5, &config).expect("seed 5 holds invariants");
+    let b = run_seed(5, &config).expect("seed 5 holds invariants");
     assert_eq!(a.metrics_digest, b.metrics_digest, "same seed, same counters");
     assert_eq!(a.fault_retries, b.fault_retries);
     assert_eq!(a.failover_reads, b.failover_reads);
@@ -104,9 +101,9 @@ fn fault_runs_are_seed_deterministic_and_parallel_stable() {
     let from_parallel = std::thread::scope(|scope| {
         let handles: Vec<_> = (4..8u64)
             .map(|seed| {
-                let (config, settings) = (&config, &settings);
+                let config = &config;
                 scope.spawn(move || {
-                    let stats = run_seed(seed, config, settings)
+                    let stats = run_seed(seed, config)
                         .unwrap_or_else(|report| panic!("seed {seed} failed:\n{report}"));
                     (seed, stats.metrics_digest)
                 })
@@ -127,7 +124,7 @@ fn fault_runs_are_seed_deterministic_and_parallel_stable() {
 /// fault-free sweeps stay byte-identical to builds predating the layer.
 #[test]
 fn fault_free_runs_carry_no_fault_state() {
-    let stats = run_seed(0, &ChaosConfig::default(), &ChaosSettings::default())
+    let stats = run_seed(0, &ChaosConfig::default())
         .expect("fault-free seed 0 holds invariants");
     assert!(!stats.faults_mode);
     assert_eq!(stats.fault_retries, 0);
@@ -202,44 +199,29 @@ fn always_drop_profile_times_out_after_the_attempt_budget() {
     );
 }
 
-/// Scheduled faults fire in virtual-time order, lazily, when the fabric
-/// next validates the path: a partition due first severs the pair (verbs
-/// fail without consuming retry budget on a hopeless path is not
-/// promised — they fail with `LinkDown` after exhausting retries), and
-/// the heal due later restores it.
+/// A partition injected at the step severs the pair in both directions
+/// (verbs fail `LinkDown` once the retry budget is spent) and the heal
+/// restores it — the two calls the chaos harness makes per fault step.
 #[test]
-fn scheduled_partition_and_heal_fire_in_clock_order() {
-    let (clock, fabric, layer) = faulted_fabric(FaultProfile::none(), 9);
+fn partition_and_heal_apply_at_the_step() {
+    let (_, fabric, layer) = faulted_fabric(FaultProfile::none(), 9);
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let mr = fabric.register(b, ByteSize::from_kib(8)).unwrap();
     let qp = fabric.connect(a, b).unwrap();
     fabric.write(&qp, b"before", &mr, 0).unwrap();
 
-    let now = clock.now();
-    layer.schedule(now + SimDuration::from_micros(50), FabricFault::Partition { a, b });
-    layer.schedule(now + SimDuration::from_millis(40), FabricFault::Heal { a, b });
-    assert_eq!(layer.pending_len(), 2);
-    assert!(!layer.partitioned(a, b), "faults apply lazily, not at schedule time");
-
-    // Before the partition's due instant the path is clean.
-    fabric.write(&qp, b"still ok", &mr, 0).unwrap();
-
-    // Cross the first due instant: the partition applies on the next
-    // path check and the verb fails link-down (order-blind pair).
-    clock.advance(SimDuration::from_micros(60));
+    assert!(layer.partition_now(a, b));
+    assert!(!layer.partition_now(b, a), "the pair is order-blind");
+    assert!(layer.partitioned(b, a));
     let err = fabric.write(&qp, b"cut", &mr, 0).unwrap_err();
     assert!(
         matches!(err, DmemError::LinkDown { .. } | DmemError::Timeout { .. }),
         "got {err:?}"
     );
-    assert!(layer.partitioned(b, a));
-    assert_eq!(layer.pending_len(), 1, "heal still pending");
 
-    // Cross the heal's due instant: traffic resumes.
-    clock.advance(SimDuration::from_millis(40));
-    fabric.write(&qp, b"healed", &mr, 0).unwrap();
+    assert!(layer.heal_now(b, a));
     assert!(!layer.partitioned(a, b));
-    assert_eq!(layer.pending_len(), 0);
+    fabric.write(&qp, b"healed", &mr, 0).unwrap();
 }
 
 /// QP error→re-establish: breaking the queue pairs drives verbs on the
@@ -315,72 +297,4 @@ fn attribution_identity_holds_under_fault_injection() {
         "fault events are async-only and must not appear as attribution rows"
     );
     assert!(attribution.category_ns("net") > 0, "verb spans still attributed");
-}
-
-/// PR 6: the fault sweep with the shard-router conformance layer
-/// watching every verb. Retried, failed-over, and duplicated traffic is
-/// the adversarial input for the mailbox-order invariant — the router
-/// panics (→ NoPanic violation) if any directed shard pair ever sees a
-/// non-increasing `(virtual_time, seq)` key. Both fault-mode invariants
-/// (reads never wrong or stale, suspects resolved at quiescence) must
-/// hold, and every counter must match the unsharded run exactly.
-#[test]
-fn sharded_fault_sweep_holds_invariants_and_byte_identity() {
-    let config = faults_config();
-    let plain = ChaosSettings::default();
-    let sharded = ChaosSettings {
-        shards: 4,
-        ..ChaosSettings::default()
-    };
-    let mut cross = 0u64;
-    for seed in 0..8u64 {
-        let a = run_seed(seed, &config, &plain)
-            .unwrap_or_else(|r| panic!("seed {seed} failed unsharded:\n{r}"));
-        let b = run_seed(seed, &config, &sharded)
-            .unwrap_or_else(|r| panic!("seed {seed} failed at shards=4:\n{r}"));
-        // Identity: the router observes, never steers.
-        assert_eq!(a.metrics_digest, b.metrics_digest, "seed {seed}: digest diverged");
-        assert_eq!(a.fault_retries, b.fault_retries, "seed {seed}");
-        assert_eq!(a.failover_reads, b.failover_reads, "seed {seed}");
-        assert_eq!(a.suspects_marked, b.suspects_marked, "seed {seed}");
-        assert_eq!(a.verified_reads, b.verified_reads, "seed {seed}");
-        assert!(b.cross_shard_verbs > 0, "seed {seed}: vacuous — no cross-shard verbs");
-        cross += b.cross_shard_verbs;
-    }
-    assert!(cross > 1_000, "too little cross-shard fault traffic: {cross}");
-}
-
-/// PR 6 × PR 3: with the cluster partitioned into shard groups, latency
-/// attribution still accounts for every nanosecond — the router adds no
-/// spans and never advances the virtual clock, so telemetry identities
-/// survive sharding.
-#[test]
-fn sharded_cluster_keeps_attribution_identity() {
-    use memory_disaggregation::chaos::{chaos_cluster, ChaosSettings};
-    use memory_disaggregation::core::DisaggregatedMemory;
-    use memory_disaggregation::sim::chaos::ChaosConfig as SimChaosConfig;
-
-    let cluster = chaos_cluster(&SimChaosConfig::default(), 9, &ChaosSettings::default());
-    let dm = DisaggregatedMemory::new(cluster).expect("cluster config validates");
-    dm.install_sharding(4);
-    dm.clock().tracer().enable();
-    let servers = dm.servers().to_vec();
-    for key in 0..48u64 {
-        let server = servers[key as usize % servers.len()];
-        dm.put(server, key, vec![0xA5; 8 * 1024]).expect("put on healthy cluster");
-        assert_eq!(dm.get(server, key).expect("get back"), vec![0xA5; 8 * 1024]);
-    }
-    let total = dm.clock().elapsed_since(memory_disaggregation::sim::SimInstant::from_nanos(0));
-    let trace = dm.clock().tracer().finish();
-    let attribution = trace.attribution(total);
-    assert_eq!(
-        attribution.accounted_ns(),
-        total.as_nanos(),
-        "attribution identity must hold with shards > 1"
-    );
-    let router = dm.shard_router().expect("router installed");
-    assert!(
-        router.cross_delivered() > 0,
-        "8 KiB puts on a 256 KiB-slab cluster must cross shard boundaries"
-    );
 }

@@ -8,7 +8,7 @@
 //! `dmem_sim::jsonlite`, and a forced invariant violation must produce
 //! the same flight-recorder dump run after run.
 
-use memory_disaggregation::chaos::{run_schedule, run_seed, ChaosSettings};
+use memory_disaggregation::chaos::{run_schedule, run_seed};
 use memory_disaggregation::rack::{run_rack, RackConfig};
 use memory_disaggregation::sim::chaos::{ChaosConfig, ChaosSchedule, ChaosStep};
 use memory_disaggregation::sim::{jsonlite, FailureEvent, SimDuration};
@@ -39,9 +39,9 @@ fn window_bounds(line: &str) -> (u64, u64) {
 /// the log pinpoints the injected trouble, not random background noise.
 #[test]
 fn faults_alerts_pinpoint_injected_windows() {
-    let (config, settings) = (faults_config(), ChaosSettings::default());
+    let config = faults_config();
     for seed in 0..32u64 {
-        let stats = run_seed(seed, &config, &settings)
+        let stats = run_seed(seed, &config)
             .unwrap_or_else(|r| panic!("seed {seed:#x} violated an invariant:\n{r}"));
         assert!(
             !stats.fault_instants.is_empty(),
@@ -75,9 +75,9 @@ fn faults_alerts_pinpoint_injected_windows() {
 /// schedule, immune to wall-clock and allocation order.
 #[test]
 fn faults_alert_log_is_reproducible() {
-    let (config, settings) = (faults_config(), ChaosSettings::default());
-    let a = run_seed(7, &config, &settings).expect("seed 7 is clean");
-    let b = run_seed(7, &config, &settings).expect("seed 7 is clean");
+    let config = faults_config();
+    let a = run_seed(7, &config).expect("seed 7 is clean");
+    let b = run_seed(7, &config).expect("seed 7 is clean");
     assert!(a.telemetry_windows > 0, "faults mode must capture windows");
     assert_eq!(a.alert_digest, b.alert_digest);
     assert_eq!(a.alert_log, b.alert_log);
@@ -172,11 +172,8 @@ fn flight_dump_is_deterministic() {
         servers_per_node: 1,
         steps: 40,
         keys: 8,
-        ..ChaosConfig::default()
-    };
-    let settings = ChaosSettings {
         replication: ReplicationFactor::SINGLE,
-        ..ChaosSettings::default()
+        ..ChaosConfig::default()
     };
     let s0 = ServerId::new(NodeId::new(0), 0);
     let mut steps = Vec::new();
@@ -199,7 +196,7 @@ fn flight_dump_is_deterministic() {
     let schedule = ChaosSchedule { seed: 0xF1, steps };
 
     let dump_of = || {
-        let violation = run_schedule(&schedule, &config, &settings)
+        let violation = run_schedule(&schedule, &config)
             .expect_err("factor-1 data on a crashed node must violate convergence");
         violation.flight_dump.expect("violation carries a dump")
     };
