@@ -122,35 +122,39 @@ step "chaos flight-recorder fixture (golden dump)" sh -c '
 step "paper figures (16 golden CSVs)" figures
 
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
-# be byte-identical at 1 vs 4 worker threads (same logical shards,
-# different parallelism) AND match the committed golden CSV.
+# be byte-identical at 1, 2 and 4 worker threads (same logical shards,
+# different parallelism) AND match the committed golden CSV. Two is the
+# count the benchmark's traced run uses and the first at which the
+# barrier and the parity-buffered mailboxes do anything.
 rack_smoke() {
-    for workers in 1 4; do
+    for workers in 1 2 4; do
         (cd "$scratch" && "$root/target/release/fig4_rack" --smoke --workers $workers \
             > fig4_rack_smoke_$workers.txt)
         same_csv fig4_rack_smoke
+        diff "$scratch/fig4_rack_smoke_1.txt" "$scratch/fig4_rack_smoke_$workers.txt"
     done
-    diff "$scratch/fig4_rack_smoke_1.txt" "$scratch/fig4_rack_smoke_4.txt"
 }
-step "fig4_rack smoke determinism (workers 1 vs 4 + golden CSV)" rack_smoke
+step "fig4_rack smoke determinism (workers 1, 2, 4 + golden CSV)" rack_smoke
 
 # Rack timeline gate: the merged per-window metric timeline — per-shard
 # samplers stitched in (window, shard) order — must match the committed
-# golden CSV at 1 and at 4 workers.
+# golden CSV at 1, 2 and 4 workers.
 rack_timeline() {
-    for workers in 1 4; do
+    for workers in 1 2 4; do
         bench_bin fig4_rack --smoke --workers $workers \
             --timeline-out fig4_rack_timeline_$workers.csv
         diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline_$workers.csv"
     done
 }
-step "fig4_rack timeline (workers 1 and 4 vs golden CSV)" rack_timeline
+step "fig4_rack timeline (workers 1, 2 and 4 vs golden CSV)" rack_timeline
 
-# Rack perf smoke: wall-clock at 1 vs 4 workers against the committed
-# ledger results/BENCH_rack.json (3x tolerance; --check writes
-# nothing). On a 4+ core machine the binary additionally
-# enforces the >= 2x parallel-speedup acceptance gate; on smaller
-# machines it prints a skip note and still checks the regression bound.
+# Rack perf smoke: wall-clock at 1 vs 2 workers against the committed
+# ledger results/BENCH_rack.json (3x tolerance; --check writes nothing),
+# plus the per-worker split of a profiled round, which must account for
+# that round's wall time within 2 %. Where each worker has a core the
+# binary additionally enforces ROADMAP [par]'s >= 1.3x parallel speedup
+# (best of up to eight attempts: a busy neighbour only lowers the ratio);
+# on a 1-core machine it prints a skip note and still checks the rest.
 step "fig4_rack perf smoke (speedup gate + 3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --perf --check
 

@@ -1,4 +1,4 @@
-//! Extension (ROADMAP item 4): the RDMA / CXL / NVM crossover figure.
+//! Extension: the RDMA / CXL / NVM crossover figure.
 //!
 //! The paper's §VI argues no single far-memory transport dominates:
 //! RDMA pays a microsecond verb floor but streams large transfers at
@@ -225,6 +225,7 @@ fn perf_mode(check: bool) -> ExitCode {
             scenario: scenario.into(),
             wall_ms,
             metric: ("cxl_read_us", lat[0] as f64 / 1e3),
+            extra: Vec::new(),
         }
     });
     record_or_check("cxl", &rows, check)

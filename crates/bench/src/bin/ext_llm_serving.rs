@@ -268,6 +268,7 @@ fn perf_mode(check: bool) -> ExitCode {
             scenario: scenario.into(),
             wall_ms,
             metric: ("tokens_per_s", result.tokens_per_s),
+            extra: Vec::new(),
         }
     });
     record_or_check("llm", &rows, check)

@@ -1,4 +1,4 @@
-//! Extension (ROADMAP item 3): object vs page granularity — the
+//! Extension: object vs page granularity — the
 //! Clio-style access-amplification figure.
 //!
 //! The paper charges paging-based disaggregation with moving a whole
@@ -318,6 +318,7 @@ fn perf_mode(check: bool) -> ExitCode {
             scenario: scenario.into(),
             wall_ms,
             metric: ("kops_per_vs", result.kops_per_vs),
+            extra: Vec::new(),
         }
     });
     record_or_check("alloc", &rows, check)

@@ -63,6 +63,7 @@ fn fig4_paging_sweep(quick: bool) -> Row {
         scenario: "fig4_paging_sweep".into(),
         wall_ms,
         metric: ("faults_per_s", per_second(faults, wall_ms)),
+        extra: Vec::new(),
     }
 }
 
@@ -87,6 +88,7 @@ fn fig10_rdd(quick: bool) -> Row {
         scenario: "fig10_rdd".into(),
         wall_ms,
         metric: ("jobs_per_s", per_second(jobs, wall_ms)),
+        extra: Vec::new(),
     }
 }
 
@@ -103,6 +105,7 @@ fn chaos_sweep(quick: bool) -> Row {
         scenario: "chaos_32_seeds".into(),
         wall_ms,
         metric: ("seeds_per_s", per_second(seeds, wall_ms)),
+        extra: Vec::new(),
     }
 }
 

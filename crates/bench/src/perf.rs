@@ -35,6 +35,9 @@ pub struct Row {
     /// One named figure recorded beside the wall time (a rate derived
     /// from it, or the scenario's virtual-clock result). Never checked.
     pub metric: (&'static str, f64),
+    /// Further named figures recorded in the same ledger object, such as
+    /// the core count or a breakdown of `wall_ms`. Never checked.
+    pub extra: Vec<(String, f64)>,
 }
 
 /// Runs `run` twice and returns the second result with the faster of the
@@ -61,10 +64,14 @@ fn render(rows: &[Row]) -> String {
     let lines: Vec<String> = rows
         .iter()
         .map(|row| {
-            format!(
-                "  {{\"scenario\": \"{}\", \"wall_ms\": {:.1}, \"{}\": {:.2}}}",
+            let mut line = format!(
+                "  {{\"scenario\": \"{}\", \"wall_ms\": {:.1}, \"{}\": {:.2}",
                 row.scenario, row.wall_ms, row.metric.0, row.metric.1
-            )
+            );
+            for (name, value) in &row.extra {
+                line.push_str(&format!(", \"{name}\": {value:.2}"));
+            }
+            line + "}"
         })
         .collect();
     format!("[\n{}\n]\n", lines.join(",\n"))
@@ -166,12 +173,16 @@ mod tests {
             scenario: scenario.to_owned(),
             wall_ms,
             metric: ("ops_per_s", 1234.5),
+            extra: Vec::new(),
         }
     }
 
     #[test]
     fn writer_reader_round_trip() {
-        let rows = [row("a", 12.34), row("b", 0.04)];
+        let mut rows = [row("a", 12.34), row("b", 0.04)];
+        rows[1].extra = vec![("cores".to_owned(), 2.0), ("w0.plan_ms".to_owned(), 0.256)];
+        assert!(render(&rows)
+            .contains("\"ops_per_s\": 1234.50, \"cores\": 2.00, \"w0.plan_ms\": 0.26}"));
         let parsed = parse(&render(&rows)).unwrap();
         assert_eq!(parsed, [("a".to_owned(), 12.3), ("b".to_owned(), 0.0)]);
     }

@@ -55,6 +55,6 @@ pub use election::LeaderElection;
 pub use eviction::{EvictionOutcome, PriorityResolver, RemoteSlabEvictor};
 pub use group::{map_overhead_bytes, GroupTable};
 pub use membership::ClusterMembership;
-pub use placement::{spread_replicas, Placer};
+pub use placement::{spread_replicas, spread_replicas_into, Placer};
 pub use remote::{RemoteStore, RemoteStoreStats};
 pub use replication::{ReplicaSet, Replicator};

@@ -147,10 +147,37 @@ pub fn spread_replicas(
     count: usize,
     map: &ShardMap,
 ) -> Vec<usize> {
+    let mut picked = Vec::new();
+    spread_replicas_into(
+        page,
+        avoid_host,
+        hosts,
+        count,
+        map,
+        &mut picked,
+        &mut Vec::new(),
+    );
+    picked
+}
+
+/// [`spread_replicas`] into caller-owned buffers: `picked` receives the
+/// replica set, `used_shards` is scratch. Both are cleared first and keep
+/// their capacity, so a caller that holds on to them places a page
+/// without allocating.
+pub fn spread_replicas_into(
+    page: u64,
+    avoid_host: usize,
+    hosts: usize,
+    count: usize,
+    map: &ShardMap,
+    picked: &mut Vec<usize>,
+    used_shards: &mut Vec<ShardId>,
+) {
     assert!(hosts > 1, "need at least two hosts to place remotely");
     let count = count.min(hosts - 1);
-    let mut picked: Vec<usize> = Vec::with_capacity(count);
-    let mut used_shards: Vec<ShardId> = vec![map.shard_of(avoid_host)];
+    picked.clear();
+    used_shards.clear();
+    used_shards.push(map.shard_of(avoid_host));
     // First pass requires an unused shard; once shards run out, any
     // distinct host qualifies. Probing is derived from the page id only.
     for pass in 0..2 {
@@ -176,7 +203,6 @@ pub fn spread_replicas(
             break;
         }
     }
-    picked
 }
 
 #[cfg(test)]
@@ -235,6 +261,23 @@ mod tests {
                 .chain([map.shard_of(owner)])
                 .collect();
             assert_eq!(shards.len(), 3, "page {page}: replicas must spread shards");
+        }
+    }
+
+    #[test]
+    fn spread_replicas_wrapper_matches_the_buffer_form() {
+        let map = ShardMap::grouped(64, 8);
+        // Dirty on entry, and from then on left as the previous page's
+        // call filled them.
+        let (mut picked, mut used_shards) = (vec![usize::MAX; 5], vec![ShardId(9); 5]);
+        for page in 0..500u64 {
+            let owner = (page % 64) as usize;
+            spread_replicas_into(page, owner, 64, 2, &map, &mut picked, &mut used_shards);
+            assert_eq!(
+                picked,
+                spread_replicas(page, owner, 64, 2, &map),
+                "page {page}"
+            );
         }
     }
 

@@ -105,6 +105,21 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 
+    /// The time of the next scheduled event and its rank among the events
+    /// of that time: the value [`scheduled`](EventQueue::scheduled) had
+    /// when it was queued.
+    pub fn next_key(&self) -> Option<(SimInstant, u64)> {
+        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
+    }
+
+    /// How many events were ever scheduled. Every event queued so far
+    /// ranks below this and every later one at or above it, so a caller
+    /// merging a second, time-ordered source into the pops can place it
+    /// between the two.
+    pub fn scheduled(&self) -> u64 {
+        self.seq
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -160,6 +175,21 @@ mod tests {
         }
         let due: Vec<i32> = q.pop_due(t).into_iter().map(|(_, p)| p).collect();
         assert_eq!(due, (0..10).collect::<Vec<_>>());
+    }
+
+    /// What a merge of a second source into the pops relies on: events
+    /// queued before a `scheduled()` mark rank below it, later ones do not.
+    #[test]
+    fn rank_splits_a_tie_at_the_mark() {
+        let mut q = EventQueue::new();
+        let t = SimInstant::from_nanos(5);
+        q.schedule(t, "before");
+        let mark = q.scheduled();
+        q.schedule(t, "after");
+        assert_eq!(q.next_key(), Some((t, 0)));
+        assert!(q.next_key().unwrap().1 < mark);
+        assert_eq!(q.pop_before(SimInstant::from_nanos(6)), Some((t, "before")));
+        assert!(q.next_key().unwrap().1 >= mark);
     }
 
     #[test]

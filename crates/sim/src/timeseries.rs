@@ -329,7 +329,10 @@ impl WindowSampler {
     /// Captures a window when `now_ns` has crossed a grid boundary. A
     /// capture that observes several elapsed slots at once spans them all.
     pub fn tick(&mut self, now_ns: u64) -> Option<MetricWindow> {
-        if self.window_ns == 0 {
+        // Boundaries are multiples of the width, so a time short of the
+        // next one rounds down to a boundary already captured: the usual
+        // case, answered without the divide.
+        if self.window_ns == 0 || now_ns < self.last_boundary_ns + self.window_ns {
             return None;
         }
         self.capture(now_ns / self.window_ns * self.window_ns)

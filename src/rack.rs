@@ -25,15 +25,17 @@
 //! replica memory keeps applying writes while unreachable, as a
 //! suspected-but-live memory server would.
 
-use dmem_cluster::spread_replicas;
+use dmem_cluster::spread_replicas_into;
 use dmem_net::{HostOutage, ShardFaultSchedule};
-use dmem_sim::shard::{shard_rng, EpochCtx, ShardWorker, ShardedEngine};
+use dmem_sim::shard::{shard_rng, EngineReport, EpochCtx, LaneProfile, ShardWorker, ShardedEngine};
 use dmem_sim::{
     digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LazyCounter, LazyHistogram,
     MetricWindow, MetricsRegistry, MetricsSnapshot, ShardEventLog, ShardId, ShardMap,
     SimDuration, SimInstant, Timeline, WindowSampler,
 };
-use std::collections::HashMap;
+use dmem_types::IdMap;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 /// Configuration of one rack-scale run. All fields shape the *scenario*;
 /// the worker count is a separate argument to [`run_rack`] and never
@@ -188,14 +190,6 @@ enum RackMsg {
     },
 }
 
-/// Local (intra-shard) events.
-enum LocalEvent {
-    /// A host issues its next access.
-    Access { host: usize },
-    /// A mailbox envelope came due.
-    Deliver { msg: RackMsg },
-}
-
 /// A page fault in flight: what was asked for, when, and the version
 /// floor any answer must satisfy.
 #[derive(Debug, Clone, Copy)]
@@ -223,14 +217,14 @@ struct Frame {
 struct HostState {
     rng: DetRng,
     /// Resident pages (global ids) with their version + dirty bit.
-    frames: HashMap<u64, Frame>,
+    frames: IdMap<u64, Frame>,
     /// FIFO eviction order of resident pages.
-    fifo: std::collections::VecDeque<u64>,
+    fifo: VecDeque<u64>,
     /// Lower bound a read of each page must satisfy (raised only after
     /// all replicas acked the writeback).
-    expected: HashMap<u64, u32>,
+    expected: IdMap<u64, u32>,
     /// Writebacks awaiting replica acks: (page, version) → acks left.
-    pending_writes: HashMap<(u64, u32), usize>,
+    pending_writes: IdMap<(u64, u32), usize>,
     /// Replica hosts currently suspected unreachable.
     suspects: Vec<usize>,
     /// The fault currently in flight (one outstanding per host).
@@ -285,12 +279,25 @@ struct RackShard {
     shard: ShardId,
     cfg: RackConfig,
     map: ShardMap,
-    cost: CostModel,
-    queue: EventQueue<LocalEvent>,
-    /// Host id → state, for hosts this shard owns.
-    hosts: HashMap<usize, HostState>,
+    /// Small fixed-size control message latency.
+    msg_lat: SimDuration,
+    /// 4 KiB payload latency.
+    page_lat: SimDuration,
+    /// Reading or writing one 4 KiB page of local DRAM.
+    dram_lat: SimDuration,
+    /// The hosts' next accesses, each queued as its host id. Deliveries
+    /// never enter it: `run_epoch` merges them in from the inbox.
+    queue: EventQueue<usize>,
+    /// The first host this shard owns; it owns a contiguous range.
+    base: usize,
+    /// State of host `base + i` at index `i`.
+    hosts: Vec<HostState>,
     /// Replica memory hosted here: (host, page) → version.
-    store: HashMap<(usize, u64), u32>,
+    store: IdMap<(usize, u64), u32>,
+    /// The replica set of the page being faulted or written back, and
+    /// the scratch `spread_replicas_into` fills beside it.
+    replicas: Vec<usize>,
+    used_shards: Vec<ShardId>,
     /// Outage windows of this shard's hosts.
     outages: Vec<HostOutage>,
     /// Private to the shard: totals are summed in shard order after the
@@ -308,14 +315,21 @@ impl RackShard {
         let registry = MetricsRegistry::new();
         let mut sampler = WindowSampler::new(cfg.timeline_window);
         sampler.add_registry(registry.clone());
+        let cost = CostModel::paper_default();
+        let owned = map.hosts_of(shard);
         let mut rack = RackShard {
             shard,
             cfg: cfg.clone(),
             map: map.clone(),
-            cost: CostModel::paper_default(),
+            msg_lat: cost.rdma.transfer(64),
+            page_lat: cost.rdma.transfer(4096 + 64),
+            dram_lat: cost.dram.transfer(4096),
             queue: EventQueue::new(),
-            hosts: HashMap::new(),
-            store: HashMap::new(),
+            base: owned.start,
+            hosts: Vec::with_capacity(owned.len()),
+            store: IdMap::default(),
+            replicas: Vec::new(),
+            used_shards: Vec::new(),
             outages,
             metrics: RackMetrics::new(&registry),
             registry,
@@ -326,31 +340,44 @@ impl RackShard {
         // The shard owns its hosts' streams: all derive from the shard's
         // own (root_seed, shard_id)-split stream, never from a shared one.
         let stream = shard_rng(cfg.seed, shard);
-        for host in map.hosts_of(shard) {
+        // A cache holds one frame over its capacity while it evicts.
+        let frames = cfg.frames_per_host + 1;
+        for host in owned {
             let mut rng = stream.fork_indexed("rack.host", host as u64);
             let kickoff = SimInstant::from_nanos(rng.below(2_000) as u64);
-            rack.hosts.insert(
-                host,
-                HostState {
-                    rng,
-                    frames: HashMap::new(),
-                    fifo: std::collections::VecDeque::new(),
-                    expected: HashMap::new(),
-                    pending_writes: HashMap::new(),
-                    suspects: Vec::new(),
-                    inflight: None,
-                    issued: 0,
-                    done: false,
-                },
-            );
-            rack.queue.schedule(kickoff, LocalEvent::Access { host });
+            rack.hosts.push(HostState {
+                rng,
+                frames: IdMap::with_capacity_and_hasher(frames, Default::default()),
+                fifo: VecDeque::with_capacity(frames),
+                expected: IdMap::default(),
+                pending_writes: IdMap::default(),
+                suspects: Vec::new(),
+                inflight: None,
+                issued: 0,
+                done: false,
+            });
+            rack.queue.schedule(kickoff, host);
         }
         rack
+    }
+
+    /// The state of `host`, which this shard must own.
+    fn host(&mut self, host: usize) -> &mut HostState {
+        &mut self.hosts[host - self.base]
     }
 
     /// Keeps a captured window unless nothing happened inside it.
     fn keep(&mut self, captured: Option<MetricWindow>) {
         self.windows.extend(captured.filter(|w| !w.is_empty()));
+    }
+
+    /// Offers the sampler the time of the event about to be handled:
+    /// whatever the event increments is attributed to the window
+    /// containing `t`. Event times are worker-count independent, so
+    /// capture points are too.
+    fn sample(&mut self, t: SimInstant) {
+        let captured = self.sampler.tick(t.nanos());
+        self.keep(captured);
     }
 
     /// Whether `host` (owned by this shard) is inside an outage window.
@@ -360,19 +387,18 @@ impl RackShard {
             .any(|o| o.host == host && o.from <= now && now < o.until)
     }
 
-    /// Small fixed-size control message latency.
-    fn msg_lat(&self) -> SimDuration {
-        self.cost.rdma.transfer(64)
-    }
-
-    /// 4 KiB payload latency.
-    fn page_lat(&self) -> SimDuration {
-        self.cost.rdma.transfer(4096 + 64)
-    }
-
-    /// The replica set of `page` for `owner` (pure, shard-local).
-    fn replicas_of(&self, page: u64, owner: usize) -> Vec<usize> {
-        spread_replicas(page, owner, self.cfg.hosts, self.cfg.replicas, &self.map)
+    /// Fills `self.replicas` with the replica set of `page` for `owner`
+    /// (pure, shard-local).
+    fn place(&mut self, page: u64, owner: usize) {
+        spread_replicas_into(
+            page,
+            owner,
+            self.cfg.hosts,
+            self.cfg.replicas,
+            &self.map,
+            &mut self.replicas,
+            &mut self.used_shards,
+        );
     }
 
     fn send(&self, ctx: &mut EpochCtx<RackMsg>, now: SimInstant, to_host: usize, lat: SimDuration, msg: RackMsg) {
@@ -391,9 +417,10 @@ impl RackShard {
         page: u64,
         from_idx: usize,
     ) -> bool {
-        let replicas = self.replicas_of(page, host);
+        self.place(page, host);
         let chosen = {
-            let state = self.hosts.get_mut(&host).expect("host owned by shard");
+            let replicas = &self.replicas;
+            let state = &mut self.hosts[host - self.base];
             let idx =
                 (from_idx..replicas.len()).find(|&i| !state.suspects.contains(&replicas[i]));
             if idx.is_some() {
@@ -408,8 +435,8 @@ impl RackShard {
             idx
         };
         let Some(idx) = chosen else { return false };
-        let target = replicas[idx];
-        let lat = self.msg_lat();
+        let target = self.replicas[idx];
+        let lat = self.msg_lat;
         self.send(
             ctx,
             now,
@@ -430,8 +457,8 @@ impl RackShard {
         let cfg_pages = self.cfg.pages_per_host;
         let (hot_fraction, hot_weight) = (self.cfg.hot_fraction, self.cfg.hot_weight);
         let write_fraction = self.cfg.write_fraction;
-        let hit_cost = self.cost.dram.transfer(4096);
-        let state = self.hosts.get_mut(&host).expect("host owned by shard");
+        let hit_cost = self.dram_lat;
+        let state = &mut self.hosts[host - self.base];
         if state.issued >= self.cfg.accesses_per_host {
             state.done = true;
             return;
@@ -468,8 +495,7 @@ impl RackShard {
         self.metrics.access_total.inc();
         if hit {
             self.metrics.access_hit.inc();
-            self.queue
-                .schedule(now + hit_cost + think, LocalEvent::Access { host });
+            self.queue.schedule(now + hit_cost + think, host);
             return;
         }
         // Miss: remote fault.
@@ -478,11 +504,10 @@ impl RackShard {
         if !self.issue_read(ctx, now, host, page, 0) {
             // Every replica suspect: stall and retry the whole access.
             self.metrics.read_stalled.inc();
-            let state = self.hosts.get_mut(&host).unwrap();
+            let state = self.host(host);
             state.inflight = None;
             state.issued -= 1;
-            self.queue
-                .schedule(now + STALL_RETRY, LocalEvent::Access { host });
+            self.queue.schedule(now + STALL_RETRY, host);
         }
     }
 
@@ -498,7 +523,7 @@ impl RackShard {
     ) {
         let frames_cap = self.cfg.frames_per_host;
         let victim = {
-            let state = self.hosts.get_mut(&host).unwrap();
+            let state = self.host(host);
             state.frames.insert(page, Frame { version, dirty });
             state.fifo.push_back(page);
             if state.frames.len() > frames_cap {
@@ -524,23 +549,19 @@ impl RackShard {
         page: u64,
         version: u32,
     ) {
-        let replicas = self.replicas_of(page, host);
+        self.place(page, host);
         self.metrics.writeback_pages.inc();
         self.log.push(now.nanos(), "writeback", host as u64, page);
-        *self
-            .hosts
-            .get_mut(&host)
-            .unwrap()
+        *self.hosts[host - self.base]
             .pending_writes
             .entry((page, version))
-            .or_insert(0) += replicas.len();
-        for target in replicas {
-            let lat = self.page_lat();
+            .or_insert(0) += self.replicas.len();
+        for &target in &self.replicas {
             self.send(
                 ctx,
                 now,
                 target,
-                lat,
+                self.page_lat,
                 RackMsg::WriteReq {
                     page,
                     target,
@@ -563,7 +584,7 @@ impl RackShard {
                     // The requester learns after the RC retransmit budget
                     // burns: a penalty on top of the message flight.
                     self.metrics.read_nacked.inc();
-                    let lat = self.msg_lat() * 4;
+                    let lat = self.msg_lat * 4;
                     self.send(
                         ctx,
                         now,
@@ -587,7 +608,7 @@ impl RackShard {
                 // the owning shard's share of the per-fault compute.
                 let checksum = page_checksum(page, version);
                 self.metrics.read_served.inc();
-                let lat = self.cost.dram.transfer(4096) + self.page_lat();
+                let lat = self.dram_lat + self.page_lat;
                 self.send(
                     ctx,
                     now,
@@ -613,7 +634,7 @@ impl RackShard {
                     page_checksum(page, version),
                     "host {requester} page {page}: wrong read (content mismatch at v{version})"
                 );
-                let state = self.hosts.get_mut(&requester).expect("requester owned");
+                let state = self.host(requester);
                 let fault = state.inflight.take().expect("fault in flight");
                 assert_eq!(fault.page, page, "response matches the in-flight fault");
                 assert!(
@@ -626,10 +647,9 @@ impl RackShard {
                     .fault_ns
                     .record((now - fault.started).as_nanos());
                 self.install_frame(ctx, now, requester, page, version, fault.dirty);
-                let state = self.hosts.get_mut(&requester).unwrap();
-                let think = SimDuration::from_nanos(200 + state.rng.below(200) as u64);
-                self.queue
-                    .schedule(now + think, LocalEvent::Access { host: requester });
+                let think =
+                    SimDuration::from_nanos(200 + self.host(requester).rng.below(200) as u64);
+                self.queue.schedule(now + think, requester);
             }
             RackMsg::ReadNack {
                 page,
@@ -639,11 +659,9 @@ impl RackShard {
             } => {
                 self.metrics.read_failover.inc();
                 self.log.push(now.nanos(), "failover", requester as u64, target as u64);
-                {
-                    let state = self.hosts.get_mut(&requester).expect("requester owned");
-                    if !state.suspects.contains(&target) {
-                        state.suspects.push(target);
-                    }
+                let suspects = &mut self.host(requester).suspects;
+                if !suspects.contains(&target) {
+                    suspects.push(target);
                 }
                 // Arm the probe loop for the suspect.
                 self.metrics.probe_sent.inc();
@@ -657,11 +675,10 @@ impl RackShard {
                 // Fail the read over to the next replica.
                 if !self.issue_read(ctx, now, requester, page, replica_idx + 1) {
                     self.metrics.read_stalled.inc();
-                    let state = self.hosts.get_mut(&requester).unwrap();
+                    let state = self.host(requester);
                     state.inflight = None;
                     state.issued -= 1;
-                    self.queue
-                        .schedule(now + STALL_RETRY, LocalEvent::Access { host: requester });
+                    self.queue.schedule(now + STALL_RETRY, requester);
                 }
             }
             RackMsg::WriteReq {
@@ -675,7 +692,7 @@ impl RackShard {
                 let slot = self.store.entry((target, page)).or_insert(0);
                 *slot = (*slot).max(version);
                 self.metrics.write_applied.inc();
-                let lat = self.cost.dram.transfer(4096) + self.msg_lat();
+                let lat = self.dram_lat + self.msg_lat;
                 self.send(
                     ctx,
                     now,
@@ -693,7 +710,7 @@ impl RackShard {
                 requester,
                 version,
             } => {
-                let state = self.hosts.get_mut(&requester).expect("requester owned");
+                let state = &mut self.hosts[requester - self.base];
                 let left = state
                     .pending_writes
                     .get_mut(&(page, version))
@@ -709,12 +726,11 @@ impl RackShard {
             }
             RackMsg::ProbeReq { target, requester } => {
                 let up = !(self.cfg.faults && self.host_down(target, now));
-                let lat = self.msg_lat();
                 self.send(
                     ctx,
                     now,
                     requester,
-                    lat,
+                    self.msg_lat,
                     RackMsg::ProbeAck {
                         target,
                         requester,
@@ -730,8 +746,7 @@ impl RackShard {
                 if up {
                     self.metrics.probe_cleared.inc();
                     self.log.push(now.nanos(), "suspect.cleared", requester as u64, target as u64);
-                    let state = self.hosts.get_mut(&requester).expect("requester owned");
-                    state.suspects.retain(|&s| s != target);
+                    self.host(requester).suspects.retain(|&s| s != target);
                 } else {
                     // Still down: keep probing.
                     self.metrics.probe_sent.inc();
@@ -758,19 +773,34 @@ impl ShardWorker for RackShard {
 
     fn run_epoch(&mut self, ctx: &mut EpochCtx<RackMsg>) {
         debug_assert_eq!(ctx.shard(), self.shard, "worker bound to its shard");
-        for env in ctx.take_inbox() {
-            self.queue
-                .schedule(env.deliver_at, LocalEvent::Deliver { msg: env.msg });
-        }
-        while let Some((t, event)) = self.queue.pop_before(ctx.epoch_end()) {
-            // Sample before handling: whatever this event increments is
-            // attributed to the window containing `t`. Event times are
-            // worker-count independent, so capture points are too.
-            let captured = self.sampler.tick(t.nanos());
-            self.keep(captured);
-            match event {
-                LocalEvent::Access { host } => self.access(ctx, t, host),
-                LocalEvent::Deliver { msg } => self.deliver(ctx, t, msg),
+        // Two time-ordered sources, accesses and due envelopes, merged.
+        // At one instant the order is: accesses queued before this epoch
+        // began, then envelopes in mailbox order, then accesses queued
+        // since — what queueing the whole inbox up front would give,
+        // without a second heap for every message to cross.
+        let queued_before = self.queue.scheduled();
+        loop {
+            let access = self
+                .queue
+                .next_key()
+                .filter(|&(at, _)| at < ctx.epoch_end());
+            let deliver = match (access, ctx.due_at()) {
+                (None, None) => break,
+                (Some(_), None) => false,
+                (None, Some(_)) => true,
+                (Some((at, rank)), Some(due)) => due < at || (due == at && rank >= queued_before),
+            };
+            if deliver {
+                let env = ctx.pop_due().expect("an envelope is due");
+                self.sample(env.deliver_at);
+                self.deliver(ctx, env.deliver_at, env.msg);
+            } else {
+                let (t, host) = self
+                    .queue
+                    .pop_before(ctx.epoch_end())
+                    .expect("an access is due");
+                self.sample(t);
+                self.access(ctx, t, host);
             }
         }
     }
@@ -855,6 +885,20 @@ impl RackReport {
     }
 }
 
+/// Where the wall time of one [`run_rack_profiled`] call went: the two
+/// serial ends on the calling thread and, between them, each worker
+/// thread's engine phases. For every worker, `setup` + its lane's four
+/// shares + `report` is the call's wall time.
+#[derive(Debug, Clone)]
+pub struct RackProfile {
+    /// Building the fault schedule and the shards.
+    pub setup: Duration,
+    /// One entry per worker thread the engine used.
+    pub lanes: Vec<LaneProfile>,
+    /// Checking quiescence and merging the shards into the report.
+    pub report: Duration,
+}
+
 /// Runs one rack scenario with `workers` OS threads.
 ///
 /// The scenario — including its logical shard partition — is fixed by
@@ -865,8 +909,34 @@ impl RackReport {
 ///
 /// Panics if an invariant breaks mid-run (wrong read, stale read,
 /// mailbox misorder) or the run ends unquiesced (unfinished hosts,
-/// unacked writebacks, unresolved suspects).
+/// unacked writebacks, unresolved suspects). The unquiesced hosts are
+/// listed in host order, in the message and in the flight-recorder dump
+/// that precedes it, so one broken seed fails with the same bytes on
+/// every run: nothing in this module iterates a hash map into output.
 pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
+    let (shards, epoch) = build_shards(config);
+    let (shards, engine) = ShardedEngine::run(workers, shards, epoch, epoch);
+    merge_shards(config, shards, engine)
+}
+
+/// [`run_rack`], also timing where the call spent its wall time.
+pub fn run_rack_profiled(config: &RackConfig, workers: usize) -> (RackReport, RackProfile) {
+    let started = Instant::now();
+    let (shards, epoch) = build_shards(config);
+    let setup = started.elapsed();
+    let (shards, engine, lanes) = ShardedEngine::run_profiled(workers, shards, epoch, epoch);
+    let merging = Instant::now();
+    let report = merge_shards(config, shards, engine);
+    let profile = RackProfile {
+        setup,
+        lanes,
+        report: merging.elapsed(),
+    };
+    (report, profile)
+}
+
+/// The shards of `config`, ready to run, and the epoch length.
+fn build_shards(config: &RackConfig) -> (Vec<RackShard>, SimDuration) {
     let map = config.shard_map();
     let schedule = if config.faults {
         ShardFaultSchedule::generate(
@@ -878,20 +948,25 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
     } else {
         ShardFaultSchedule::generate(0, 0, SimDuration::from_nanos(1), 0.0)
     };
-    let shards: Vec<RackShard> = (0..map.shards())
+    let shards = (0..map.shards())
         .map(|s| {
             let shard = ShardId(s);
             RackShard::new(shard, config, &map, schedule.for_hosts(map.hosts_of(shard)))
         })
         .collect();
-
     // Conservative lookahead: every rack message rides the RDMA fabric,
-    // so the minimum cross-shard latency is one small-message transfer.
-    let min_latency = CostModel::paper_default().rdma.transfer(64);
-    let epoch = min_latency;
-    let (mut shards, engine) = ShardedEngine::run(workers, shards, epoch, min_latency);
+    // so the minimum cross-shard latency is one small-message transfer,
+    // and the epoch is as long as that allows.
+    (shards, CostModel::paper_default().rdma.transfer(64))
+}
 
-    // Deterministic post-run: merge shard-local state in shard order.
+/// Deterministic post-run: checks quiescence and merges shard-local
+/// state in shard order.
+fn merge_shards(
+    config: &RackConfig,
+    mut shards: Vec<RackShard>,
+    engine: EngineReport,
+) -> RackReport {
     let mut logs = Vec::with_capacity(shards.len());
     let mut shard_windows = Vec::new();
     let mut quiescence_failures: Vec<String> = Vec::new();
@@ -903,7 +978,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
         // Quiescence invariants, per host. Failures are collected instead
         // of asserted inline so a broken run can dump the flight recorder
         // (recent trace events + metric windows) before panicking.
-        for (host, state) in shard.hosts.iter() {
+        for (host, state) in (shard.base..).zip(&shard.hosts) {
             if !(state.done && state.issued == config.accesses_per_host) {
                 quiescence_failures.push(format!(
                     "host {host} finished {}/{} accesses",
@@ -965,7 +1040,7 @@ pub fn run_rack(config: &RackConfig, workers: usize) -> RackReport {
 
     RackReport {
         hosts: config.hosts,
-        shards: map.shards(),
+        shards: shards.len() as u32,
         accesses: merged.counter("rack.access.total"),
         hits: merged.counter("rack.access.hit"),
         remote_reads: merged.counter("rack.read.remote"),

@@ -7,7 +7,7 @@
 //! metrics line and the trace export.
 
 use memory_disaggregation::rack::{run_rack, RackConfig, RackReport};
-use memory_disaggregation::sim::digest;
+use memory_disaggregation::sim::{digest, splitmix64, ShardId};
 use std::collections::HashMap;
 
 const SMOKE_CSV: &str = include_str!("../results/fig4_rack_smoke.csv");
@@ -45,7 +45,7 @@ fn smoke_run_reproduces_the_committed_goldens() {
         .trim_end()
         .split_once('\n')
         .expect("a header and one data row");
-    for workers in [1, 4] {
+    for workers in [1, 2, 4] {
         let report = run_rack(&RackConfig::smoke(), workers);
         assert_eq!(row_for(header, &report), golden_row, "workers={workers}");
         assert_eq!(report.timeline.to_csv(), TIMELINE_CSV, "workers={workers}");
@@ -61,4 +61,54 @@ fn smoke_run_reproduces_the_committed_goldens() {
             "workers={workers}: trace export moved"
         );
     }
+}
+
+/// Asserts the full `csv_row()` of `config` at each worker count.
+fn assert_row(config: &RackConfig, worker_counts: [usize; 3], row: &str) {
+    for workers in worker_counts {
+        assert_eq!(
+            run_rack(config, workers).csv_row(),
+            row,
+            "workers={workers}"
+        );
+    }
+}
+
+/// The benchmark's round — 256 hosts, 400 accesses each, seed 13 as
+/// `benchmark/` derives it — which `smoke()` (64 hosts, 60 accesses) does
+/// not reach. Row captured at d2454ec before any code changed.
+#[test]
+fn benchmark_shaped_run_reproduces_its_pinned_row() {
+    let config = RackConfig {
+        accesses_per_host: 400,
+        seed: splitmix64(13),
+        ..RackConfig::rack_default(256)
+    };
+    assert_row(
+        &config,
+        [1, 2, 4],
+        "256,8,102401,40093,62307,19835,75,81,204266,0,824,8192,8192,b1f44d9d14ab2826",
+    );
+}
+
+/// A partition that does not divide evenly, so a host's index inside its
+/// shard is not its id modulo anything round. Row captured at d2454ec
+/// before any code changed.
+#[test]
+fn uneven_partition_reproduces_its_pinned_row() {
+    let config = RackConfig {
+        hosts_per_shard: 32,
+        accesses_per_host: 120,
+        ..RackConfig::rack_default(70)
+    };
+    let map = config.shard_map();
+    let ranges: Vec<_> = (0..map.shards())
+        .map(|s| map.hosts_of(ShardId(s)))
+        .collect();
+    assert_eq!(ranges, [0..24, 24..47, 47..70]);
+    assert_row(
+        &config,
+        [1, 2, 3],
+        "70,3,8400,2665,5735,524,4,4,13582,0,279,8192,8192,3c1922f1cfa067b3",
+    );
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Alternating-pair benchmark comparison of two checkouts (the rule in
-# ROADMAP item 3 and the choosing-metrics guide, section 8).
+# ROADMAP [bench2] and the choosing-metrics guide, section 8).
 #
-#   tools/bench_pairs.sh <workload> <pairs> <base-checkout> <change-checkout> [--seconds S]
+#   tools/bench_pairs.sh <workload> <pairs> <base-checkout> <change-checkout>
+#                        [--seconds S] [--layers a,b,c]
 #
 # Pair i runs seed 13+i on both sides, each through its own
 # benchmark/run.sh, and the side that goes first alternates. Prints every
@@ -10,6 +11,10 @@
 # side's quartiles and median, the change of the median, the base's own
 # spread (q3 - q1), the benchmark's bound, and how many pairs the change
 # won (ties count for neither side).
+#
+# With --layers the runs are traced ones (--trace 1, which report no
+# end-to-end metric) and the table holds the named per-layer metrics
+# instead, each with the direction BENCHMARK.json gives it and no bound.
 #
 # Exits 1 if any run reports failed != 0 or correct != true, or if
 # virt_ops_per_s / virt_p99_us differ between the sides at any seed: a
@@ -19,7 +24,8 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <workload> <pairs> <base-checkout> <change-checkout> [--seconds S]" >&2
+    echo "usage: $0 <workload> <pairs> <base-checkout> <change-checkout>" \
+        "[--seconds S] [--layers a,b,c]" >&2
     exit 2
 }
 
@@ -30,10 +36,17 @@ base=$3
 change=$4
 shift 4
 extra=()
-if [ $# -gt 0 ]; then
-    { [ $# -eq 2 ] && [ "$1" = --seconds ]; } || usage
-    extra=(--seconds "$2")
-fi
+layers=
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case $1 in
+    --seconds) extra+=(--seconds "$2") ;;
+    --layers) layers=$2 ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+[ -z "$layers" ] || extra+=(--trace 1)
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
 for side in "$base" "$change"; do
     [ -f "$side/benchmark/run.sh" ] || { echo "$side: no benchmark/run.sh" >&2; exit 2; }
@@ -41,16 +54,28 @@ done
 
 FIRST_SEED=13
 
-# The end-to-end metrics with their direction and bound, as the change's
-# benchmark declares them.
+# The metrics of the table with their direction and bound, as the
+# change's benchmark declares them: the end-to-end ones, which are the
+# lines with a bound, or the per-layer ones --layers names.
 names=()
 better=()
 bound=()
+if [ -z "$layers" ]; then
+    declared=$(grep '"bound"' "$change/BENCHMARK.json")
+else
+    declared=
+    for layer in ${layers//,/ }; do
+        line=$(grep -F "\"name\": \"$layer\"" "$change/BENCHMARK.json") ||
+            { echo "$change/BENCHMARK.json: no metric $layer" >&2; exit 2; }
+        declared+=$line$'\n'
+    done
+fi
 while IFS= read -r line; do
+    [ -n "$line" ] || continue
     names+=("$(sed -E 's/.*"name": "([^"]+)".*/\1/' <<<"$line")")
     better+=("$(sed -E 's/.*"better": "([^"]+)".*/\1/' <<<"$line")")
-    bound+=("$(sed -E 's/.*"bound": ([0-9.]+).*/\1/' <<<"$line")")
-done < <(grep '"bound"' "$change/BENCHMARK.json")
+    bound+=("$(sed -nE 's/.*"bound": ([0-9.]+).*/\1/p' <<<"$line")")
+done <<<"$declared"
 [ ${#names[@]} -gt 0 ] || { echo "$change/BENCHMARK.json: no end-to-end metrics" >&2; exit 2; }
 
 # "12.5" -> 12500000. The benchmark prints plain decimals, no exponents.
@@ -177,7 +202,11 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 echo
-printf '%-16s %-6s %12s %12s %12s %10s %10s %8s  %s\n' \
+width=16
+for name in "${names[@]}"; do
+    [ ${#name} -le "$width" ] || width=${#name}
+done
+printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" \
     metric side q1 median q3 'Δmedian' 'base iqr' bound 'wins/pairs'
 for m in "${!names[@]}"; do
     name=${names[m]}
@@ -190,7 +219,7 @@ for m in "${!names[@]}"; do
         q3=$(quartile 3 "${sorted[@]}")
         if [ "$side" = base ]; then
             base_iqr=$((q3 - q1))
-            printf '%-16s %-6s %12s %12s %12s\n' "$name" base \
+            printf "%-${width}s %-6s %12s %12s %12s\n" "$name" base \
                 "$(show "$q1")" "$(show "${med[base]}")" "$(show "$q3")"
             continue
         fi
@@ -201,9 +230,11 @@ for m in "${!names[@]}"; do
             delta=$(percent $(((med[change] - med[base]) * 10000 / med[base])))
             spread=$(percent $((base_iqr * 10000 / med[base])))
         fi
-        printf '%-16s %-6s %12s %12s %12s %10s %10s %8s  %s\n' "" change \
+        limit=-
+        [ -z "${bound[m]}" ] || limit=$(percent $(($(micro "${bound[m]}") / 100)) | tr -d +)
+        printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" "" change \
             "$(show "$q1")" "$(show "${med[change]}")" "$(show "$q3")" \
-            "$delta" "${spread#+}" "$(percent $(($(micro "${bound[m]}") / 100)) | tr -d +)" \
+            "$delta" "${spread#+}" "$limit" \
             "${wins[$name]:-0}/$pairs (${better[m]} is better${ties[$name]:+, ${ties[$name]} tied})"
     done
 done
