@@ -6,10 +6,12 @@
 # path-shimmed under shims/), so `cargo fetch` is a fast no-op that fails
 # loudly if a registry dependency ever sneaks in.
 #
-# Every step is timed so slowdowns are visible in the CI log itself.
+# Every step is timed so slowdowns are visible in the CI log itself, and
+# the last line carries the gate's own wall time as one number.
 set -eu
 
 cd "$(dirname "$0")"
+gate_t0=$(date +%s)
 
 step() {
     step_name="$1"
@@ -259,4 +261,4 @@ step "benchmark quick runs (correct, 0 failed)" sh -c '
 # the perf checks write nothing), so results/ is exactly as committed.
 step "results/ unchanged" git diff --exit-code -- results/
 
-echo "==> ci.sh: all green"
+echo "==> ci.sh: all green in $(( $(date +%s) - gate_t0 ))s"

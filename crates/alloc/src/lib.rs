@@ -3,12 +3,11 @@
 //! The paper charges paging-based disaggregation with **access
 //! amplification**: moving a whole 4 KB page across the fabric to
 //! touch a few dozen bytes. This crate is the object-granularity
-//! answer (ROADMAP item 3, Clio's headline tradeoff): a
-//! dlmalloc-style size-class allocator whose backing "sbrk" is the
-//! existing cluster — every extension of the break claims address
-//! space whose bytes live as [`dmem_core::DisaggregatedMemory`]
-//! entries, placed, replicated, QoS-admitted and fault-retried by the
-//! tiers that already exist.
+//! answer (Clio's headline tradeoff): a dlmalloc-style size-class
+//! allocator whose backing "sbrk" is the existing cluster — every
+//! extension of the break claims address space whose bytes live as
+//! [`dmem_core::DisaggregatedMemory`] entries, placed, replicated,
+//! QoS-admitted and fault-retried by the tiers that already exist.
 //!
 //! Layering:
 //!

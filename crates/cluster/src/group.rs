@@ -6,8 +6,7 @@
 //! The remedy is to partition nodes into groups of similar size; nodes
 //! share disaggregated memory only within their group, bounding each map
 //! to the group's memory. [`map_overhead_bytes`] reproduces the
-//! arithmetic; [`GroupTable`] implements the partitioning plus dynamic
-//! re-grouping.
+//! arithmetic; [`GroupTable`] implements the partitioning.
 
 use dmem_types::{ByteSize, DmemError, DmemResult, GroupId, IdMap, NodeId};
 use std::fmt;
@@ -121,47 +120,9 @@ impl GroupTable {
             .collect())
     }
 
-    /// All group ids, ascending.
-    pub fn group_ids(&self) -> Vec<GroupId> {
-        let mut ids: Vec<GroupId> = self.groups.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Dynamic re-grouping (§IV-C: "a leader can request dynamic
-    /// re-grouping when its group experiences shortage"): merges `starved`
-    /// with `donor` into one group. Returns the id of the merged group
-    /// (the smaller id survives).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DmemError::InvalidConfig`] if the groups are unknown or
-    /// identical.
-    pub fn merge(&mut self, starved: GroupId, donor: GroupId) -> DmemResult<GroupId> {
-        if starved == donor
-            || !self.groups.contains_key(&starved)
-            || !self.groups.contains_key(&donor)
-        {
-            return Err(DmemError::InvalidConfig {
-                reason: format!("cannot merge {starved} with {donor}"),
-            });
-        }
-        let (keep, fold) = if starved < donor {
-            (starved, donor)
-        } else {
-            (donor, starved)
-        };
-        let folded = self.groups.remove(&fold).expect("checked above");
-        for &n in &folded {
-            self.node_to_group.insert(n, keep);
-        }
-        self.groups.get_mut(&keep).expect("checked above").extend(folded);
-        Ok(keep)
     }
 
     /// Worst-case per-node memory-map overhead under this grouping,
@@ -199,11 +160,16 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
+    /// `partition` numbers its groups from zero.
+    fn group_ids(table: &GroupTable) -> impl Iterator<Item = GroupId> {
+        (0..table.group_count() as u32).map(GroupId::new)
+    }
+
     #[test]
     fn partitions_evenly() {
         let table = GroupTable::partition(&nodes(32), 8).unwrap();
         assert_eq!(table.group_count(), 4);
-        for gid in table.group_ids() {
+        for gid in group_ids(&table) {
             assert_eq!(table.members(gid).len(), 8);
         }
     }
@@ -233,19 +199,6 @@ mod tests {
         let table = GroupTable::partition(&nodes(4), 2).unwrap();
         assert!(table.group_of(NodeId::new(77)).is_err());
         assert!(table.peers(NodeId::new(77)).is_err());
-    }
-
-    #[test]
-    fn merge_combines_groups() {
-        let mut table = GroupTable::partition(&nodes(8), 4).unwrap();
-        let merged = table
-            .merge(GroupId::new(1), GroupId::new(0))
-            .unwrap();
-        assert_eq!(merged, GroupId::new(0));
-        assert_eq!(table.group_count(), 1);
-        assert_eq!(table.members(merged).len(), 8);
-        assert_eq!(table.group_of(NodeId::new(7)).unwrap(), merged);
-        assert!(table.merge(merged, merged).is_err());
     }
 
     #[test]
@@ -279,9 +232,7 @@ mod tests {
         fn prop_partition_covers_all_nodes(n in 1u32..100, size in 1usize..20) {
             let ns = nodes(n);
             let table = GroupTable::partition(&ns, size).unwrap();
-            let mut covered: Vec<NodeId> = table
-                .group_ids()
-                .into_iter()
+            let mut covered: Vec<NodeId> = group_ids(&table)
                 .flat_map(|g| table.members(g).to_vec())
                 .collect();
             covered.sort_unstable();
@@ -295,7 +246,7 @@ mod tests {
         #[test]
         fn prop_groups_of_similar_size(n in 2u32..100, size in 2usize..16) {
             let table = GroupTable::partition(&nodes(n), size).unwrap();
-            for gid in table.group_ids() {
+            for gid in group_ids(&table) {
                 let len = table.members(gid).len();
                 prop_assert!(len >= size / 2 || table.group_count() == 1,
                     "group {gid} of {len} too small for target {size}");

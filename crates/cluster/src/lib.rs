@@ -57,4 +57,4 @@ pub use group::{map_overhead_bytes, GroupTable};
 pub use membership::ClusterMembership;
 pub use placement::{spread_replicas, spread_replicas_into, Placer};
 pub use remote::{RemoteStore, RemoteStoreStats};
-pub use replication::{ReplicaSet, Replicator};
+pub use replication::Replicator;

@@ -15,38 +15,6 @@ use dmem_types::{DmemError, DmemResult, EntryId, NodeId, ReplicationFactor};
 use std::fmt;
 use std::sync::Arc;
 
-/// The nodes holding one entry's replicas; the first is the primary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaSet {
-    /// Replica hosts, primary first.
-    pub nodes: Vec<NodeId>,
-}
-
-impl ReplicaSet {
-    /// The primary replica host.
-    pub fn primary(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// Replication degree.
-    pub fn degree(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-impl fmt::Display for ReplicaSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "replicas[")?;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{n}")?;
-        }
-        write!(f, "]")
-    }
-}
-
 /// Replicated store/load/delete over the [`RemoteStore`].
 pub struct Replicator {
     store: Arc<RemoteStore>,
@@ -76,21 +44,19 @@ impl Replicator {
 
     /// Stores `data` on `factor` distinct remote nodes chosen from
     /// `candidates` (or from all alive peers of `from` when `candidates`
-    /// is `None`). All-or-nothing: if any replica write fails, every
-    /// already-written replica is deleted and an error is returned.
+    /// is `None`) and returns them, primary first: a window of one through
+    /// [`Replicator::store_batch_replicated`].
     ///
     /// # Errors
     ///
-    /// Returns [`DmemError::ReplicationFailed`] when the full degree could
-    /// not be committed (after rollback), or placement errors when too few
-    /// candidates exist.
+    /// Same failure modes as [`Replicator::store_batch_replicated`].
     pub fn store_replicated(
         &self,
         from: NodeId,
         entry: EntryId,
         data: &[u8],
         candidates: Option<&[NodeId]>,
-    ) -> DmemResult<ReplicaSet> {
+    ) -> DmemResult<Vec<NodeId>> {
         let default_candidates;
         let candidates = match candidates {
             Some(c) => c,
@@ -99,36 +65,15 @@ impl Replicator {
                 &default_candidates
             }
         };
-        // Try placer-preferred nodes first, falling back to the remaining
-        // candidates when a host is full or unreachable (the node manager
-        // "identif[ies] a subset of remote nodes that are candidates",
-        // §IV-E); only when the whole candidate set cannot host the
-        // required degree does the write roll back.
-        let mut remaining: Vec<NodeId> = candidates.to_vec();
-        let mut written: Vec<NodeId> = Vec::with_capacity(self.factor.get());
-        while written.len() < self.factor.get() && !remaining.is_empty() {
-            let node = self.placer.pick(&remaining, 1)?[0];
-            remaining.retain(|&n| n != node);
-            if self.store.store(from, node, entry, data).is_ok() {
-                written.push(node);
-            }
-        }
-        if written.len() < self.factor.get() {
-            for &w in &written {
-                let _ = self.store.delete(from, w, entry);
-            }
-            return Err(DmemError::ReplicationFailed {
-                reached: written.len(),
-                required: self.factor.get(),
-            });
-        }
-        Ok(ReplicaSet { nodes: written })
+        self.store_batch_replicated(from, &[(entry, data)], candidates)
     }
 
     /// Stores a whole window of entries on one freshly placed replica set,
     /// using one batched RDMA write per replica (§IV-H batching combined
-    /// with §IV-D replication). All-or-nothing across the entire batch and
-    /// every replica.
+    /// with §IV-D replication), and returns the set, primary first.
+    /// All-or-nothing across the entire batch and every replica: if the
+    /// full degree cannot be committed, every already-written copy is
+    /// deleted and an error is returned.
     ///
     /// # Errors
     ///
@@ -140,7 +85,12 @@ impl Replicator {
         from: NodeId,
         batch: &[(EntryId, &[u8])],
         candidates: &[NodeId],
-    ) -> DmemResult<ReplicaSet> {
+    ) -> DmemResult<Vec<NodeId>> {
+        // Try placer-preferred nodes first, falling back to the remaining
+        // candidates when a host is full or unreachable (the node manager
+        // "identif[ies] a subset of remote nodes that are candidates",
+        // §IV-E); only when the whole candidate set cannot host the
+        // required degree does the write roll back.
         let mut remaining: Vec<NodeId> = candidates.to_vec();
         let mut written: Vec<NodeId> = Vec::with_capacity(self.factor.get());
         while written.len() < self.factor.get() && !remaining.is_empty() {
@@ -161,7 +111,7 @@ impl Replicator {
                 required: self.factor.get(),
             });
         }
-        Ok(ReplicaSet { nodes: written })
+        Ok(written)
     }
 
     /// Reads the entry from the replica set, failing over across
@@ -183,11 +133,11 @@ impl Replicator {
         &self,
         from: NodeId,
         entry: EntryId,
-        replicas: &ReplicaSet,
+        replicas: &[NodeId],
     ) -> DmemResult<Vec<u8>> {
         let mut last_err = DmemError::EntryNotFound(entry);
         let mut unresponsive: Vec<NodeId> = Vec::new();
-        for (skipped, &node) in replicas.nodes.iter().enumerate() {
+        for (skipped, &node) in replicas.iter().enumerate() {
             match self.store.load(from, node, entry) {
                 Ok(data) => {
                     if skipped > 0 && self.store.fabric().faults_installed() {
@@ -229,8 +179,8 @@ impl Replicator {
 
     /// Deletes the entry from every reachable replica. Unreachable
     /// replicas are skipped (their pools vanish with the node anyway).
-    pub fn delete_replicated(&self, from: NodeId, entry: EntryId, replicas: &ReplicaSet) {
-        for &node in &replicas.nodes {
+    pub fn delete_replicated(&self, from: NodeId, entry: EntryId, replicas: &[NodeId]) {
+        for &node in replicas {
             let _ = self.store.delete(from, node, entry);
         }
     }
@@ -241,9 +191,9 @@ impl Replicator {
     /// same node twice (however it got that way) provides one copy of
     /// redundancy, not two, and counting it twice would mask a degraded
     /// entry from the repair scan.
-    pub fn live_degree(&self, entry: EntryId, replicas: &ReplicaSet) -> usize {
-        let mut counted: Vec<NodeId> = Vec::with_capacity(replicas.nodes.len());
-        for &node in &replicas.nodes {
+    pub fn live_degree(&self, entry: EntryId, replicas: &[NodeId]) -> usize {
+        let mut counted: Vec<NodeId> = Vec::with_capacity(replicas.len());
+        for &node in replicas {
             if !counted.contains(&node)
                 && self.membership().is_alive(node)
                 && self.store.hosts_entry(node, entry)
@@ -266,8 +216,8 @@ impl Replicator {
         &self,
         from: NodeId,
         entry: EntryId,
-        replicas: &ReplicaSet,
-    ) -> DmemResult<ReplicaSet> {
+        replicas: &[NodeId],
+    ) -> DmemResult<Vec<NodeId>> {
         let span = self
             .store
             .fabric()
@@ -276,7 +226,6 @@ impl Replicator {
             .span("cluster", "re_replicate");
         span.tag("entry", entry);
         let survivors: Vec<NodeId> = replicas
-            .nodes
             .iter()
             .copied()
             .filter(|&n| self.membership().is_alive(n) && self.store.hosts_entry(n, entry))
@@ -286,7 +235,7 @@ impl Replicator {
         }
         let missing = self.factor.get().saturating_sub(survivors.len());
         if missing == 0 {
-            return Ok(ReplicaSet { nodes: survivors });
+            return Ok(survivors);
         }
         let data = self.store.load(from, survivors[0], entry)?;
         let candidates: Vec<NodeId> = self
@@ -301,7 +250,7 @@ impl Replicator {
             self.store.store(from, node, entry, &data)?;
             nodes.push(node);
         }
-        Ok(ReplicaSet { nodes })
+        Ok(nodes)
     }
 }
 
@@ -347,9 +296,9 @@ mod tests {
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[9u8; 256], None)
             .unwrap();
-        assert_eq!(set.degree(), 3);
-        assert!(!set.nodes.contains(&NodeId::new(0)), "never self-hosted");
-        for &n in &set.nodes {
+        assert_eq!(set.len(), 3);
+        assert!(!set.contains(&NodeId::new(0)), "never self-hosted");
+        for &n in &set {
             assert!(store.hosts_entry(n, entry(1)));
         }
         assert_eq!(rep.live_degree(entry(1), &set), 3);
@@ -362,8 +311,8 @@ mod tests {
             .store_replicated(NodeId::new(0), entry(1), &[5u8; 64], None)
             .unwrap();
         // Kill the primary and the second replica: third still serves.
-        failures.inject_now(FailureEvent::NodeDown(set.nodes[0]));
-        failures.inject_now(FailureEvent::NodeDown(set.nodes[1]));
+        failures.inject_now(FailureEvent::NodeDown(set[0]));
+        failures.inject_now(FailureEvent::NodeDown(set[1]));
         assert_eq!(
             rep.load_replicated(NodeId::new(0), entry(1), &set).unwrap(),
             vec![5u8; 64]
@@ -377,7 +326,7 @@ mod tests {
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
-        for &n in &set.nodes {
+        for &n in &set {
             failures.inject_now(FailureEvent::NodeDown(n));
         }
         assert!(rep.load_replicated(NodeId::new(0), entry(1), &set).is_err());
@@ -412,7 +361,7 @@ mod tests {
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[3u8; 128], None)
             .unwrap();
-        let victim = set.nodes[1];
+        let victim = set[1];
         failures.inject_now(FailureEvent::NodeDown(victim));
         store.reset_node(victim).ok(); // crash loses contents
         failures.inject_now(FailureEvent::NodeUp(victim));
@@ -420,7 +369,7 @@ mod tests {
 
         assert_eq!(rep.live_degree(entry(1), &set), 2);
         let repaired = rep.re_replicate(NodeId::new(0), entry(1), &set).unwrap();
-        assert_eq!(repaired.degree(), 3);
+        assert_eq!(repaired.len(), 3);
         assert_eq!(rep.live_degree(entry(1), &repaired), 3);
         // The payload is intact on the repaired set.
         assert_eq!(
@@ -439,29 +388,29 @@ mod tests {
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[8u8; 128], None)
             .unwrap();
-        let victim = set.nodes[0];
+        let victim = set[0];
         failures.inject_now(FailureEvent::NodeDown(victim));
 
         let repaired = rep.re_replicate(NodeId::new(0), entry(1), &set).unwrap();
-        assert_eq!(repaired.degree(), rep.factor().get());
-        let distinct: std::collections::HashSet<_> = repaired.nodes.iter().collect();
-        assert_eq!(distinct.len(), repaired.degree(), "duplicates in {repaired:?}");
+        assert_eq!(repaired.len(), rep.factor().get());
+        let distinct: std::collections::HashSet<_> = repaired.iter().collect();
+        assert_eq!(distinct.len(), repaired.len(), "duplicates in {repaired:?}");
         assert!(
-            !repaired.nodes.contains(&victim),
+            !repaired.contains(&victim),
             "repair re-used dead node {victim}: {repaired:?}"
         );
         assert!(
-            !repaired.nodes.contains(&NodeId::new(0)),
+            !repaired.contains(&NodeId::new(0)),
             "repair placed a replica on the writer: {repaired:?}"
         );
-        for &n in &repaired.nodes {
+        for &n in &repaired {
             assert!(rep.membership().is_alive(n), "{n} is not alive");
             assert!(store.hosts_entry(n, entry(1)), "{n} holds no copy");
         }
         // The survivors were kept — repair copies once, not three times.
-        for &n in &set.nodes {
+        for &n in &set {
             if n != victim {
-                assert!(repaired.nodes.contains(&n), "survivor {n} was dropped");
+                assert!(repaired.contains(&n), "survivor {n} was dropped");
             }
         }
     }
@@ -474,9 +423,7 @@ mod tests {
             .unwrap();
         // A corrupted list mentioning one host twice is one copy of
         // redundancy, not two.
-        let duplicated = ReplicaSet {
-            nodes: vec![set.nodes[0], set.nodes[0], set.nodes[1]],
-        };
+        let duplicated = [set[0], set[0], set[1]];
         assert_eq!(rep.live_degree(entry(1), &duplicated), 2);
     }
 
@@ -487,7 +434,7 @@ mod tests {
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
         let same = rep.re_replicate(NodeId::new(0), entry(1), &set).unwrap();
-        assert_eq!(same.degree(), 3);
+        assert_eq!(same.len(), 3);
     }
 
     #[test]
@@ -497,7 +444,7 @@ mod tests {
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
         rep.delete_replicated(NodeId::new(0), entry(1), &set);
-        for &n in &set.nodes {
+        for &n in &set {
             assert!(!store.hosts_entry(n, entry(1)));
         }
     }
@@ -509,8 +456,61 @@ mod tests {
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], Some(&allowed))
             .unwrap();
-        for n in &set.nodes {
+        for n in &set {
             assert!(allowed.contains(n), "{n} outside the allowed group");
+        }
+    }
+
+    #[test]
+    fn single_and_window_of_one_place_identically() {
+        // Same seed on both sides: the single write and a window of one
+        // draw the same hosts and leave the placer's stream at the same
+        // point, so the write after them lands identically too.
+        let (_, _, single) = setup(8);
+        let (_, _, window) = setup(8);
+        let from = NodeId::new(0);
+        let candidates = single.membership().candidates(from);
+        for k in 1..=4 {
+            let data = [k as u8; 96];
+            let a = single.store_replicated(from, entry(k), &data, None).unwrap();
+            let b = window
+                .store_batch_replicated(from, &[(entry(k), &data[..])], &candidates)
+                .unwrap();
+            assert_eq!(a, b, "write {k} diverged");
+        }
+    }
+
+    #[test]
+    fn full_host_rolls_back_both_paths() {
+        // Candidates of node 0 are {1,2,3}; node 3's pool is full, so the
+        // third copy cannot land and the first two must be taken back.
+        let (_, store, rep) = setup(4);
+        let from = NodeId::new(0);
+        let full = NodeId::new(3);
+        store.store(from, full, entry(99), &vec![0u8; 64 * 1024]).unwrap();
+        let candidates = rep.membership().candidates(from);
+        let data = [7u8; 512];
+        let errs = [
+            rep.store_replicated(from, entry(1), &data, None).unwrap_err(),
+            rep.store_batch_replicated(from, &[(entry(2), &data[..])], &candidates)
+                .unwrap_err(),
+        ];
+        for err in errs {
+            assert_eq!(
+                err,
+                DmemError::ReplicationFailed {
+                    reached: 2,
+                    required: 3
+                }
+            );
+        }
+        for n in 1..=3 {
+            for k in [1, 2] {
+                assert!(
+                    !store.hosts_entry(NodeId::new(n), entry(k)),
+                    "rollback left a copy of entry {k} on node {n}"
+                );
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! [`MAX_CHUNKS`].
 
 use crate::system::{DisaggregatedMemory, TierPreference};
-use dmem_types::{DmemError, DmemResult, ServerId, PAGE_SIZE};
+use dmem_types::{DmemError, DmemResult, EntryId, ServerId, PAGE_SIZE};
 
 /// Bits of the key reserved for the chunk index.
 pub const CHUNK_BITS: u32 = 12;
@@ -23,10 +23,75 @@ fn chunk_key(base: u64, index: u64) -> u64 {
     (base << CHUNK_BITS) | index
 }
 
-/// Stores `data` under `base` as page-sized chunks plus a length chunk.
-///
-/// The value's byte length is encoded in chunk 0 ahead of the payload so
-/// loads need no out-of-band metadata.
+/// Rejects a value too long for [`MAX_CHUNKS`] chunks.
+fn check_len(data: &[u8]) -> DmemResult<()> {
+    if (data.len() + 8).div_ceil(PAGE_SIZE) as u64 >= MAX_CHUNKS {
+        return Err(DmemError::InvalidConfig {
+            reason: format!(
+                "value of {} bytes exceeds chunked capacity ({} chunks max)",
+                data.len(),
+                MAX_CHUNKS
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Frames a checked value for storage under `base`: its byte length, then
+/// the payload, cut into page-sized chunks under derived keys. The length
+/// rides in chunk 0 so loads need no out-of-band metadata.
+fn frame(base: u64, data: &[u8]) -> Vec<(u64, Vec<u8>)> {
+    let mut framed = Vec::with_capacity(8 + data.len());
+    framed.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    framed.extend_from_slice(data);
+    framed
+        .chunks(PAGE_SIZE)
+        .enumerate()
+        .map(|(i, c)| (chunk_key(base, i as u64), c.to_vec()))
+        .collect()
+}
+
+/// Overwriting with a shorter value: drops the stale chunks past the
+/// `chunks` the new value occupies.
+fn drop_stale_tail(dm: &DisaggregatedMemory, server: ServerId, base: u64, chunks: u64) {
+    for index in chunks..MAX_CHUNKS {
+        if dm.delete(server, chunk_key(base, index)).is_err() {
+            break;
+        }
+    }
+}
+
+fn corrupt(server: ServerId, base: u64) -> DmemError {
+    DmemError::Corrupt(EntryId::new(server, chunk_key(base, 0)))
+}
+
+/// The value length that `framed` — chunk 0, alone or with the chunks
+/// after it — declares in its header.
+fn declared_len(server: ServerId, base: u64, framed: &[u8]) -> DmemResult<usize> {
+    let header = framed.get(..8).ok_or_else(|| corrupt(server, base))?;
+    Ok(u64::from_le_bytes(header.try_into().expect("8 bytes")) as usize)
+}
+
+/// The keys of the chunks after chunk 0 of a `len`-byte value.
+fn tail_keys(base: u64, len: usize) -> impl Iterator<Item = u64> {
+    let chunks = (len + 8).div_ceil(PAGE_SIZE) as u64;
+    (1..chunks).map(move |i| chunk_key(base, i))
+}
+
+/// Strips the length header off a value's concatenated chunks, checking
+/// that every byte it declares is there.
+fn unframe(server: ServerId, base: u64, mut framed: Vec<u8>) -> DmemResult<Vec<u8>> {
+    let len = declared_len(server, base, &framed)?;
+    if framed.len() < len + 8 {
+        return Err(corrupt(server, base));
+    }
+    framed.drain(..8);
+    framed.truncate(len);
+    Ok(framed)
+}
+
+/// Stores `data` under `base` as page-sized chunks, the first led by the
+/// value's length.
 ///
 /// # Errors
 ///
@@ -39,33 +104,11 @@ pub fn store_chunked(
     data: &[u8],
     pref: TierPreference,
 ) -> DmemResult<()> {
-    let header = (data.len() as u64).to_le_bytes();
-    let framed_len = header.len() + data.len();
-    let chunks = framed_len.div_ceil(PAGE_SIZE) as u64;
-    if chunks >= MAX_CHUNKS {
-        return Err(DmemError::InvalidConfig {
-            reason: format!(
-                "value of {} bytes exceeds chunked capacity ({} chunks max)",
-                data.len(),
-                MAX_CHUNKS
-            ),
-        });
-    }
-    let mut framed = Vec::with_capacity(framed_len);
-    framed.extend_from_slice(&header);
-    framed.extend_from_slice(data);
-    let batch: Vec<(u64, Vec<u8>)> = framed
-        .chunks(PAGE_SIZE)
-        .enumerate()
-        .map(|(i, c)| (chunk_key(base, i as u64), c.to_vec()))
-        .collect();
+    check_len(data)?;
+    let batch = frame(base, data);
+    let chunks = batch.len() as u64;
     dm.put_batch(server, batch, pref)?;
-    // Overwriting with a shorter value: drop the stale tail chunks.
-    for index in chunks..MAX_CHUNKS {
-        if dm.delete(server, chunk_key(base, index)).is_err() {
-            break;
-        }
-    }
+    drop_stale_tail(dm, server, base, chunks);
     Ok(())
 }
 
@@ -80,32 +123,15 @@ pub fn load_chunked(
     server: ServerId,
     base: u64,
 ) -> DmemResult<Vec<u8>> {
-    let first = dm.get(server, chunk_key(base, 0))?;
-    if first.len() < 8 {
-        return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-            server,
-            chunk_key(base, 0),
-        )));
-    }
-    let len = u64::from_le_bytes(first[..8].try_into().expect("8 bytes")) as usize;
-    let framed_len = len + 8;
-    let chunks = framed_len.div_ceil(PAGE_SIZE) as u64;
-    let mut framed = first;
-    if chunks > 1 {
-        let keys: Vec<u64> = (1..chunks).map(|i| chunk_key(base, i)).collect();
+    let mut framed = dm.get(server, chunk_key(base, 0))?;
+    let len = declared_len(server, base, &framed)?;
+    let keys: Vec<u64> = tail_keys(base, len).collect();
+    if !keys.is_empty() {
         for part in dm.get_batch(server, &keys)? {
             framed.extend_from_slice(&part);
         }
     }
-    if framed.len() < framed_len {
-        return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-            server,
-            chunk_key(base, 0),
-        )));
-    }
-    framed.drain(..8);
-    framed.truncate(len);
-    Ok(framed)
+    unframe(server, base, framed)
 }
 
 /// Upper bound on chunks per [`store_chunked_many`] window.
@@ -141,35 +167,19 @@ pub fn store_chunked_many(
 ) -> DmemResult<()> {
     // Validate sizes up front so no window lands before the error.
     for (_, data) in items {
-        let chunks = (data.len() + 8).div_ceil(PAGE_SIZE) as u64;
-        if chunks >= MAX_CHUNKS {
-            return Err(DmemError::InvalidConfig {
-                reason: format!(
-                    "value of {} bytes exceeds chunked capacity ({} chunks max)",
-                    data.len(),
-                    MAX_CHUNKS
-                ),
-            });
-        }
+        check_len(data)?;
     }
     let mut window: Vec<(u64, Vec<u8>)> = Vec::with_capacity(STORE_WINDOW_CHUNKS);
-    for (base, data) in items {
-        let mut framed = Vec::with_capacity(8 + data.len());
-        framed.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        framed.extend_from_slice(data);
-        let chunks = framed.len().div_ceil(PAGE_SIZE) as u64;
-        for (i, c) in framed.chunks(PAGE_SIZE).enumerate() {
-            window.push((chunk_key(*base, i as u64), c.to_vec()));
+    for &(base, data) in items {
+        let batch = frame(base, data);
+        let chunks = batch.len() as u64;
+        for chunk in batch {
+            window.push(chunk);
             if window.len() >= STORE_WINDOW_CHUNKS {
                 dm.put_batch(server, std::mem::take(&mut window), pref)?;
             }
         }
-        // Overwriting with a shorter value: drop the stale tail chunks.
-        for index in chunks..MAX_CHUNKS {
-            if dm.delete(server, chunk_key(*base, index)).is_err() {
-                break;
-            }
-        }
+        drop_stale_tail(dm, server, base, chunks);
     }
     if !window.is_empty() {
         dm.put_batch(server, window, pref)?;
@@ -197,46 +207,26 @@ pub fn load_chunked_many(
         return Ok(Vec::new());
     }
     let first_keys: Vec<u64> = bases.iter().map(|&b| chunk_key(b, 0)).collect();
-    let firsts = dm.get_batch(server, &first_keys)?;
-    let mut framed_parts: Vec<Vec<u8>> = Vec::with_capacity(bases.len());
-    let mut lens: Vec<usize> = Vec::with_capacity(bases.len());
-    let mut tail_keys: Vec<u64> = Vec::new();
-    let mut tail_owner: Vec<usize> = Vec::new();
-    for (i, (&base, first)) in bases.iter().zip(firsts).enumerate() {
-        if first.len() < 8 {
-            return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-                server,
-                chunk_key(base, 0),
-            )));
-        }
-        let len = u64::from_le_bytes(first[..8].try_into().expect("8 bytes")) as usize;
-        let chunks = (len + 8).div_ceil(PAGE_SIZE) as u64;
-        for c in 1..chunks {
-            tail_keys.push(chunk_key(base, c));
-            tail_owner.push(i);
-        }
-        lens.push(len);
-        framed_parts.push(first);
-    }
-    if !tail_keys.is_empty() {
-        let tails = dm.get_batch(server, &tail_keys)?;
-        for (owner, part) in tail_owner.into_iter().zip(tails) {
-            framed_parts[owner].extend_from_slice(&part);
+    let mut framed = dm.get_batch(server, &first_keys)?;
+    let mut keys: Vec<u64> = Vec::new();
+    let mut owners: Vec<usize> = Vec::new();
+    for (i, (&base, first)) in bases.iter().zip(&framed).enumerate() {
+        for key in tail_keys(base, declared_len(server, base, first)?) {
+            keys.push(key);
+            owners.push(i);
         }
     }
-    let mut out = Vec::with_capacity(bases.len());
-    for ((mut framed, len), &base) in framed_parts.into_iter().zip(lens).zip(bases) {
-        if framed.len() < len + 8 {
-            return Err(DmemError::Corrupt(dmem_types::EntryId::new(
-                server,
-                chunk_key(base, 0),
-            )));
+    if !keys.is_empty() {
+        let tails = dm.get_batch(server, &keys)?;
+        for (owner, part) in owners.into_iter().zip(tails) {
+            framed[owner].extend_from_slice(&part);
         }
-        framed.drain(..8);
-        framed.truncate(len);
-        out.push(framed);
     }
-    Ok(out)
+    bases
+        .iter()
+        .zip(framed)
+        .map(|(&base, framed)| unframe(server, base, framed))
+        .collect()
 }
 
 /// The storage tier currently holding a chunked value's length chunk, or

@@ -1,5 +1,5 @@
-//! The CXL pooled-memory tier (ROADMAP item 4): load/store far memory
-//! behind a switch, addressed PGAS-style, placed by consistent hashing.
+//! The CXL pooled-memory tier: load/store far memory behind a switch,
+//! addressed PGAS-style, placed by consistent hashing.
 //!
 //! Both surveys in PAPERS.md name CXL memory pooling as the successor to
 //! RDMA-based far memory: instead of verbs, queue pairs and retries, a

@@ -132,7 +132,6 @@ struct RuleState {
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     states: Vec<RuleState>,
-    events: Vec<AlertEvent>,
     log: Vec<String>,
     hash: u64,
 }
@@ -144,7 +143,6 @@ impl AlertEngine {
         AlertEngine {
             rules,
             states,
-            events: Vec::new(),
             log: Vec::new(),
             hash: digest::OFFSET,
         }
@@ -230,7 +228,6 @@ impl AlertEngine {
                 // QoS decision digest, which uses the published FNV prime.
                 self.hash = digest::fold(digest::fold(self.hash, line.as_bytes()), b"\n");
                 self.log.push(line);
-                self.events.push(event);
                 edges += 1;
             }
         }
@@ -240,11 +237,6 @@ impl AlertEngine {
     /// The ordered log lines so far.
     pub fn log(&self) -> &[String] {
         &self.log
-    }
-
-    /// The ordered events so far.
-    pub fn events(&self) -> &[AlertEvent] {
-        &self.events
     }
 
     /// `n=<lines> fnv=<hash>` digest of the log, in the QoS decision-log
@@ -322,11 +314,11 @@ mod tests {
         assert_eq!(engine.observe(&window(1, &[], Some(("lat", &[500, 900, 2000])))), 1);
         // Quiet window with traffic: fast burn recovers.
         assert_eq!(engine.observe(&window(2, &[], Some(("lat", &[10, 12])))), 1);
-        let events = engine.events();
-        assert_eq!(events[0].edge, AlertEdge::Firing);
-        assert_eq!(events[0].window, 1);
-        assert_eq!(events[1].edge, AlertEdge::Resolved);
-        assert!(events[0].detail.contains("slo=64ns"), "{}", events[0].detail);
+        let log = engine.log();
+        assert!(log[0].starts_with("w1 "), "{}", log[0]);
+        assert!(log[0].contains("FIRING slo-burn"), "{}", log[0]);
+        assert!(log[0].contains("slo=64ns"), "{}", log[0]);
+        assert!(log[1].contains("resolved slo-burn"), "{}", log[1]);
     }
 
     #[test]

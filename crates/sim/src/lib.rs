@@ -72,7 +72,7 @@ pub use metrics::{
 };
 pub use rng::{splitmix64, DetRng};
 pub use shard::{
-    merge_envelopes, shard_rng, EngineReport, Envelope, EpochCtx, ShardId, ShardMap, ShardWorker,
+    shard_rng, EngineReport, Envelope, EpochCtx, ShardId, ShardMap, ShardWorker,
     ShardedEngine,
 };
 pub use time::{SimDuration, SimInstant};

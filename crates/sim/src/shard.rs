@@ -143,17 +143,6 @@ impl<M> Envelope<M> {
     }
 }
 
-/// Merges per-source envelope batches into the canonical delivery order.
-///
-/// The result is independent of how the batches were interleaved: any
-/// permutation of the same envelopes yields the same total order, because
-/// the `(deliver_at, src, seq)` key is unique per envelope.
-pub fn merge_envelopes<M>(batches: Vec<Vec<Envelope<M>>>) -> Vec<Envelope<M>> {
-    let mut all: Vec<Envelope<M>> = batches.into_iter().flatten().collect();
-    all.sort_by_key(Envelope::key);
-    all
-}
-
 /// Heap adapter ordering envelopes by the merge key (min-heap via
 /// `Reverse`).
 struct InboxEntry<M>(Envelope<M>);
@@ -1074,61 +1063,7 @@ mod tests {
         );
     }
 
-    /// Arbitrary envelopes with deliberately colliding timestamps:
-    /// `(src, seq)` pairs are made unique, times are drawn from a tiny
-    /// range so ties are common.
-    fn arb_envelopes() -> impl Strategy<Value = Vec<Envelope<u64>>> {
-        proptest::collection::vec((0u64..4, 0u32..4, 0u64..1000), 1..60).prop_map(|raw| {
-            let mut seq_per_src = std::collections::HashMap::new();
-            raw.into_iter()
-                .map(|(t, src, payload)| {
-                    let seq = seq_per_src.entry(src).or_insert(0u64);
-                    *seq += 1;
-                    Envelope {
-                        deliver_at: SimInstant::from_nanos(t),
-                        src: ShardId(src),
-                        seq: *seq,
-                        sent_at: SimInstant::EPOCH,
-                        msg: payload,
-                    }
-                })
-                .collect()
-        })
-    }
-
     proptest! {
-        /// Satellite: any interleaving of mailbox deliveries with equal
-        /// timestamps resolves to the same total order under the
-        /// `(time, shard_id, seq)` tiebreak.
-        #[test]
-        fn prop_merge_is_interleaving_independent(
-            envs in arb_envelopes(),
-            shuffle_seed in 0u64..1000,
-            cuts in proptest::collection::vec(0usize..60, 0..6),
-        ) {
-            // Canonical: one batch, sorted.
-            let canonical = merge_envelopes(vec![envs.clone()]);
-            // Adversarial: shuffle, then split into arbitrary batches.
-            let mut shuffled = envs;
-            DetRng::new(shuffle_seed).shuffle(&mut shuffled);
-            let mut batches: Vec<Vec<Envelope<u64>>> = Vec::new();
-            let mut rest = shuffled;
-            for cut in cuts {
-                let cut = cut.min(rest.len());
-                let tail = rest.split_off(cut);
-                batches.push(rest);
-                rest = tail;
-            }
-            batches.push(rest);
-            let merged = merge_envelopes(batches);
-            let keys = |v: &[Envelope<u64>]| v.iter().map(|e| (e.key(), e.msg)).collect::<Vec<_>>();
-            prop_assert_eq!(keys(&canonical), keys(&merged));
-            // And the order is actually sorted by the merge key.
-            for w in merged.windows(2) {
-                prop_assert!(w[0].key() < w[1].key(), "merge key must be strictly increasing");
-            }
-        }
-
         /// Satellite: epoch barriers never deliver an event before its
         /// send time, and always in a strictly later epoch than the send
         /// (asserted inside `RingWorker::run_epoch`). Transcripts are also

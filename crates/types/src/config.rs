@@ -377,9 +377,9 @@ impl Default for NodeConfig {
     }
 }
 
-/// Configuration of the CXL pooled-memory tier (ROADMAP item 4): a rack
-/// of memory-pool nodes reachable by load/store through a CXL switch,
-/// addressed PGAS-style and placed by consistent hashing.
+/// Configuration of the CXL pooled-memory tier: a rack of memory-pool
+/// nodes reachable by load/store through a CXL switch, addressed
+/// PGAS-style and placed by consistent hashing.
 ///
 /// Zero pool nodes (the default) disables the tier entirely: no pool is
 /// constructed, no `cxl.*` metric keys exist, and every pre-CXL run is

@@ -1,4 +1,4 @@
-//! LLM conversation streams (ROADMAP item 2, MemDis-LLM-style).
+//! LLM conversation streams (MemDis-LLM-style).
 //!
 //! An LLM serving front-end sees an **open-loop** stream of turn
 //! requests: users arrive on their own schedule (Poisson, `lambda_rate`
