@@ -54,15 +54,12 @@ golden() {
     same_csv "$csv"
 }
 
-# The paper's own table and figures plus the ablations: 14 bins, 16 CSVs
-# (fig7 and ablation_groups write two each). fig10.csv is the only pin of
-# the RDD block manager's eviction order outside its unit tests.
+# The paper's own table and figures plus the ablations: one `figures` run
+# writes 16 CSVs and exits nonzero if a claim about them fails. fig10.csv
+# is the only pin of the RDD block manager's eviction order outside its
+# unit tests.
 figures() {
-    for bin in table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-        ablation_batching ablation_costmodel ablation_groups \
-        ablation_placement ablation_replication; do
-        bench_bin "$bin"
-    done
+    bench_bin figures
     same_csv table3 fig3 fig4 fig5 fig6 fig7_50 fig7_75 fig8 fig9 fig10 \
         ablation_batching ablation_costmodel ablation_groups \
         ablation_groups_arithmetic ablation_placement ablation_replication
@@ -74,20 +71,19 @@ step "cargo build --release" cargo build --release
 
 step "cargo test -q" cargo test -q
 
-step "chaos smoke (seeds 0..32)" \
-    cargo run --release --quiet --bin chaos -- --seeds 0..32
-
-# The same sweep with the multi-tenant QoS engine installed: the two
+# The chaos sweep with the multi-tenant QoS engine installed: the two
 # extra invariants (tenant-quota, priority-eviction) run on every seed,
 # and admission/eviction decisions are digest-checked for determinism by
 # the test suite.
 step "qos chaos smoke (seeds 0..32)" \
     cargo run --release --quiet --bin chaos -- --seeds 0..32 --qos
 
-# Fault-free chaos output is pinned byte-for-byte against the committed
-# baseline: the fault-injection layer must cost exactly nothing — no RNG
-# draws, no clock advances, no metric keys — when it is not installed.
-step "chaos fault-free baseline (byte-identical)" sh -c '
+# The chaos smoke: every seed passes, and its fault-free output is pinned
+# byte-for-byte against the committed baseline: the fault-injection layer
+# must cost exactly nothing — no RNG draws, no clock advances, no metric
+# keys — when it is not installed.
+step "chaos smoke + fault-free baseline (seeds 0..32, byte-identical)" sh -c '
+    set -e
     cargo run --release --quiet --bin chaos -- --seeds 0..32 \
         > target/chaos_smoke_baseline.txt
     diff results/chaos_smoke_baseline.txt target/chaos_smoke_baseline.txt
@@ -120,8 +116,8 @@ step "chaos flight-recorder fixture (golden dump)" sh -c '
 '
 
 # The reproduction proper: every committed table/figure/ablation CSV must
-# come out of its bin byte for byte.
-step "paper figures (16 golden CSVs)" figures
+# come out of `figures` byte for byte, and every claim must hold.
+step "paper figures (16 golden CSVs + claims)" figures
 
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
 # be byte-identical at 1, 2 and 4 worker threads (same logical shards,
@@ -222,16 +218,16 @@ step "cxl chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
     diff target/chaos_cxl_a.txt target/chaos_cxl_b.txt
 '
 
-# Traced fig4: one telemetry-enabled pass exporting a Chrome-trace JSON,
-# then validate the artifact (parses, trace-event shaped, spans from >= 4
-# simulation layers). Guards the zero-cost-when-disabled contract's other
-# half: tracing, when on, actually observes the whole stack.
-traced_fig4() {
-    bench_bin fig4 --trace-out fig4_trace.json --metrics-out fig4_metrics.txt
-    diff results/fig4_metrics.txt "$scratch/fig4_metrics.txt"
-    target/release/dmem_top --check-trace "$scratch/fig4_trace.json"
+# Traced dmem_top (fig4 (a) at 3.0x; its report is pinned by a test):
+# export the Chrome-trace JSON, then validate the artifact (parses,
+# trace-event shaped, spans from >= 4 simulation layers). Guards the
+# zero-cost-when-disabled contract's other half: tracing, when on,
+# actually observes the whole stack.
+traced_dmem_top() {
+    bench_bin dmem_top --trace-out dmem_top_trace.json
+    target/release/dmem_top --check-trace "$scratch/dmem_top_trace.json"
 }
-step "traced fig4 + trace check" traced_fig4
+step "traced dmem_top + trace check" traced_dmem_top
 
 # Perf smoke: quick variants of the three wall-clock scenarios, compared
 # against the committed quick-mode ledger results/BENCH_perf_quick.json

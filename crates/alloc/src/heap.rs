@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use dmem_core::{DisaggregatedMemory, TierPreference};
-use dmem_sim::{AllocTelemetry, MetricsRegistry};
+use dmem_sim::{Counter, Gauge, MetricsRegistry};
 use dmem_types::{DmemError, DmemResult, EntryId, ServerId, PAGE_SIZE};
 
 use crate::classes::{ArenaMap, SlotKind, CLASSES, PAGE_BYTES};
@@ -161,13 +161,43 @@ impl HeapStats {
     }
 }
 
+/// The `alloc.*` counter family, registered up front so a report lists
+/// `alloc.ops.update 0` for a heap that never updated.
+struct AllocCounters {
+    /// Fetched, useful and amplification (fetched minus useful) bytes.
+    bytes: [Counter; 3],
+    /// Op counts, indexed by [`ObjectHeap::note_op`]'s kind.
+    ops: [Counter; 4],
+    /// Live, slot and reserved bytes, then total fragmentation in basis
+    /// points (integer math, so timelines stay byte-deterministic).
+    footprint: [Gauge; 4],
+}
+
+impl AllocCounters {
+    fn register(registry: &MetricsRegistry) -> Self {
+        AllocCounters {
+            bytes: ["alloc.fetched_bytes", "alloc.useful_bytes", "alloc.amplification_bytes"]
+                .map(|name| registry.counter(name)),
+            ops: ["alloc.ops.alloc", "alloc.ops.free", "alloc.ops.get", "alloc.ops.update"]
+                .map(|name| registry.counter(name)),
+            footprint: [
+                "alloc.live_bytes",
+                "alloc.slot_bytes",
+                "alloc.reserved_bytes",
+                "alloc.fragmentation_bp",
+            ]
+            .map(|name| registry.gauge(name)),
+        }
+    }
+}
+
 /// An object-granularity far-memory heap over one cluster server.
 pub struct ObjectHeap {
     dm: Arc<DisaggregatedMemory>,
     server: ServerId,
     config: HeapConfig,
     arena: ArenaMap,
-    telemetry: AllocTelemetry,
+    counters: Option<AllocCounters>,
     tenant: Option<String>,
     fetched_bytes: u64,
     useful_bytes: u64,
@@ -188,7 +218,7 @@ impl ObjectHeap {
             server,
             config,
             arena: ArenaMap::new(),
-            telemetry: AllocTelemetry::default(),
+            counters: None,
             tenant,
             fetched_bytes: 0,
             useful_bytes: 0,
@@ -198,9 +228,11 @@ impl ObjectHeap {
 
     /// Arms the `alloc.*` counter family on `registry` (normally the
     /// cluster's own, so telemetry windows and `dmem_top` pick it up).
-    /// Until armed, every op pays exactly one relaxed atomic load.
-    pub fn arm_telemetry(&self, registry: &MetricsRegistry) {
-        self.telemetry.arm(registry);
+    /// Until armed, every op pays one `None` check; re-arming is a no-op
+    /// (the first registry wins).
+    pub fn arm_telemetry(&mut self, registry: &MetricsRegistry) {
+        self.counters
+            .get_or_insert_with(|| AllocCounters::register(registry));
     }
 
     /// The heap's server.
@@ -572,15 +604,23 @@ impl ObjectHeap {
 
     /// Telemetry hook: op kind 0=alloc 1=free 2=get 3=update.
     fn note_op(&self, kind: u8, fetched: u64, useful: u64) {
-        if !self.telemetry.is_armed() {
-            return;
+        if let Some(counters) = &self.counters {
+            let bytes = [fetched, useful, fetched.saturating_sub(useful)];
+            for (counter, n) in counters.bytes.iter().zip(bytes) {
+                counter.add(n);
+            }
+            counters.ops[usize::from(kind)].inc();
+            let (live, reserved) = (self.arena.live_bytes(), self.arena.reserved_bytes());
+            let frag_bp = match reserved {
+                0 => 0,
+                _ => 10_000u128 - 10_000u128 * u128::from(live) / u128::from(reserved),
+            };
+            let slot = self.arena.slot_bytes();
+            let footprint = [live as i64, slot as i64, reserved as i64, frag_bp as i64];
+            for (gauge, value) in counters.footprint.iter().zip(footprint) {
+                gauge.set(value);
+            }
         }
-        self.telemetry.note_transfer(kind, fetched, useful);
-        self.telemetry.note_footprint(
-            self.arena.live_bytes(),
-            self.arena.slot_bytes(),
-            self.arena.reserved_bytes(),
-        );
     }
 }
 

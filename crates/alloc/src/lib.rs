@@ -20,10 +20,11 @@
 //!   `update` is a pure write) or **page** granularity (whole 4 KiB
 //!   page images with read-modify-write — the paging baseline).
 //!
-//! Amplification and fragmentation counters flow through
-//! [`dmem_sim::AllocTelemetry`] into the cluster's metrics registry
-//! (one relaxed atomic load when disarmed), so telemetry windows,
-//! timelines and `dmem_top --alloc` observe the heap for free.
+//! Amplification and fragmentation counters flow through the heap's
+//! `alloc.*` counter family into the cluster's metrics registry once
+//! [`ObjectHeap::arm_telemetry`] registers it (one `None` check per op
+//! until then), so telemetry windows, timelines and `dmem_top --alloc`
+//! observe the heap for free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,6 +9,8 @@
 //!   * per-tier latency histograms and operation counters;
 //!   * span counts per category.
 //!
+//! Pinned byte-for-byte by `results/dmem_top.txt`.
+//!
 //! `--trace-out FILE` / `--metrics-out FILE` additionally export the
 //! Chrome-trace JSON (+ `.jsonl` sibling) and the digest text.
 //!
@@ -58,8 +60,10 @@
 //! `--check-trace FILE` instead validates a previously exported
 //! Chrome-trace JSON: it must parse, be shaped like the trace-event
 //! format, and contain spans from at least four simulation layers. Used
-//! by `ci.sh` to gate the traced fig4 artifact. Exits nonzero on failure.
+//! by `ci.sh` to gate the default report's `--trace-out` artifact. Exits
+//! nonzero on failure.
 
+use dmem_bench::figures::{fig4_engine, fig4_remote_scale};
 use dmem_bench::TelemetryArgs;
 use dmem_core::{DisaggregatedMemory, TierPreference};
 use dmem_kv::{LlmCostModel, SpillPolicy, TieredKvConfig, TieredKvEngine};
@@ -68,9 +72,8 @@ use dmem_sim::{jsonlite, sparkline, DetRng, SimDuration};
 use memory_disaggregation::chaos::run_seed;
 use memory_disaggregation::rack::{run_rack, RackConfig};
 use memory_disaggregation::sim::chaos::ChaosConfig;
-use dmem_swap::{build_system_with_pages, SwapScale, SystemKind};
-use dmem_types::{ByteSize, CompressionMode, CxlPoolConfig, DistributionRatio};
-use dmem_workloads::{catalog, ConversationConfig, ConversationStream, TraceConfig};
+use dmem_types::{ByteSize, CompressionMode, CxlPoolConfig};
+use dmem_workloads::{ConversationConfig, ConversationStream};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -130,16 +133,7 @@ fn check_trace(path: &str) -> Result<String, String> {
 fn run_report(telemetry: &TelemetryArgs, qos: bool) -> String {
     // The fig4 (a) scenario at 3.0x: small shared pool that fills
     // immediately, overflow absorbed by a tight remote tier.
-    let mut scale = SwapScale::bench();
-    scale.memory_fraction = 0.5;
-    scale.shared_donation = 0.25;
-    scale.remote_pool = ByteSize::from_mib(1);
-    let kind = SystemKind::FastSwap {
-        ratio: DistributionRatio::FS_SM,
-        compression: CompressionMode::FourGranularity,
-        pbs: true,
-    };
-    let mut engine = build_system_with_pages(kind, &scale, 3.0, 0.4).unwrap();
+    let (mut engine, accesses) = fig4_engine(&fig4_remote_scale(), 3.0);
     // `--qos`: attribute the run to named tenants so the report grows
     // per-tenant rows and `qos.*` metric keys. Off by default, keeping
     // the plain report byte-identical to the pre-QoS tool.
@@ -158,9 +152,6 @@ fn run_report(telemetry: &TelemetryArgs, qos: bool) -> String {
             dm.install_qos(qos_engine);
         }
     }
-    let profile = catalog::by_name("LogisticRegression").unwrap();
-    let accesses = TraceConfig::scaled_from(profile, scale.working_set_pages).generate(scale.seed);
-
     engine.clock().tracer().enable();
     let (stats, completion) = engine.run(accesses).unwrap();
     engine.clock().tracer().disable();

@@ -1,6 +1,6 @@
 //! Wall-clock regression harness for the simulator's hot paths.
 //!
-//! Unlike the `fig*` binaries — whose output is *virtual* time and thus
+//! Unlike the `figures` binary — whose output is *virtual* time and thus
 //! independent of host speed — this harness measures real elapsed time
 //! for three representative scenarios:
 //!
@@ -23,21 +23,16 @@
 //! Scenarios always run sequentially (jobs=1) so wall numbers are stable
 //! and comparable across machines with different core counts.
 
+use dmem_bench::figures::{fig4_engine, fig4_remote_scale};
 use dmem_bench::perf::{per_second, record_or_check, timed, Row};
 use dmem_rdd::job::{run_iterative_job, DatasetSize, JobSpec, SpillTier};
-use dmem_swap::{build_system_with_pages, SwapScale, SystemKind};
-use dmem_types::{ByteSize, CompressionMode, DistributionRatio};
-use dmem_workloads::{catalog, TraceConfig};
 use memory_disaggregation::chaos::run_seed;
 use memory_disaggregation::sim::ChaosConfig;
 use std::process::ExitCode;
 
 fn fig4_paging_sweep(quick: bool) -> Row {
     let ratios: &[f64] = if quick { &[2.0] } else { &[1.3, 2.0, 3.0, 4.5] };
-    let mut scale = SwapScale::bench();
-    scale.memory_fraction = 0.5;
-    scale.shared_donation = 0.25;
-    scale.remote_pool = ByteSize::from_mib(1);
+    let mut scale = fig4_remote_scale();
     if quick {
         scale.working_set_pages = 512;
     }
@@ -45,15 +40,7 @@ fn fig4_paging_sweep(quick: bool) -> Row {
     let (faults, wall_ms) = timed(|| {
         let mut faults = 0u64;
         for &ratio in ratios {
-            let kind = SystemKind::FastSwap {
-                ratio: DistributionRatio::FS_SM,
-                compression: CompressionMode::FourGranularity,
-                pbs: true,
-            };
-            let mut engine = build_system_with_pages(kind, &scale, ratio, 0.4).unwrap();
-            let profile = catalog::by_name("LogisticRegression").unwrap();
-            let trace =
-                TraceConfig::scaled_from(profile, scale.working_set_pages).generate(scale.seed);
+            let (mut engine, trace) = fig4_engine(&scale, ratio);
             let (stats, _) = engine.run(trace).unwrap();
             faults += stats.major_faults;
         }

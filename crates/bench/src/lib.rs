@@ -1,17 +1,20 @@
-//! Shared plumbing for the figure-reproduction binaries.
+//! Shared plumbing for the benchmark binaries.
 //!
-//! Every `fig*` binary prints a human-readable table to stdout **and**
-//! writes the same rows as CSV under `results/` so EXPERIMENTS.md can
-//! reference machine-readable output.
+//! Every table a binary produces is printed to stdout **and** written as
+//! CSV under `results/` so EXPERIMENTS.md can reference machine-readable
+//! output. The paper's own table, figures and ablations are one table,
+//! [`figures::FIGURES`], run by the `figures` binary and checked by
+//! [`claims`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
+pub mod figures;
 pub mod perf;
 
 use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A rendered experiment table: header plus rows of equal arity.
 #[derive(Debug, Clone, Default)]
@@ -23,10 +26,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and column header.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: &str, header: &[S]) -> Self {
         Table {
             title: title.to_owned(),
-            header: header.iter().map(|s| (*s).to_owned()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }
@@ -45,6 +48,11 @@ impl Table {
         assert_eq!(row.len(), self.header.len(), "row arity mismatch");
         self.rows.push(row);
         self
+    }
+
+    /// Index of the column headed `header`.
+    pub fn column(&self, header: &str) -> Option<usize> {
+        self.header.iter().position(|h| h == header)
     }
 
     /// Prints the table to stdout.
@@ -75,38 +83,58 @@ impl Table {
         }
     }
 
+    /// The CSV text [`Self::write_csv`] writes: one line per row, header
+    /// first, a cell holding `,` or `"` quoted with its `"` doubled.
+    pub fn to_csv(&self) -> String {
+        let escape = |cell: &String| {
+            if cell.contains(',') || cell.contains('"') {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.clone()
+            }
+        };
+        let mut out = String::new();
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            out.push_str(&line.iter().map(escape).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Parses [`Self::to_csv`]'s text back into a table titled `title`.
+    ///
+    /// # Errors
+    ///
+    /// An empty text, or a row whose arity differs from the header's.
+    pub fn from_csv(title: &str, text: &str) -> Result<Self, String> {
+        let mut lines = text.lines().map(parse_csv_line);
+        let header = lines.next().ok_or_else(|| format!("{title}: no header line"))?;
+        let rows: Vec<Vec<String>> = lines.collect();
+        match rows.iter().find(|row| row.len() != header.len()) {
+            Some(row) => Err(format!("{title}: row arity mismatch in {row:?}")),
+            None => Ok(Table { title: title.to_owned(), header, rows }),
+        }
+    }
+
+    /// Reads a CSV [`Self::write_csv`] wrote, titled with the file's stem
+    /// (`results/fig3.csv` → `fig3`).
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, or text [`Self::from_csv`] rejects.
+    pub fn read_csv(path: &Path) -> Result<Self, String> {
+        let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+        Table::from_csv(&stem, &text)
+    }
+
     /// Writes the table as `results/<name>.csv`, creating the directory.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors — the bench binaries want loud failures.
     pub fn write_csv(&self, name: &str) {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join(format!("{name}.csv"));
-        let mut file = fs::File::create(&path).expect("create csv");
-        let escape = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        writeln!(
-            file,
-            "{}",
-            self.header.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-        )
-        .expect("write header");
-        for row in &self.rows {
-            writeln!(
-                file,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            )
-            .expect("write row");
-        }
-        println!("[written {}]", path.display());
+        write_file(&Path::new("results").join(format!("{name}.csv")), self.to_csv());
     }
 
     /// Prints and writes in one call.
@@ -116,14 +144,39 @@ impl Table {
     }
 }
 
-/// Telemetry destinations parsed from `--trace-out FILE` and
-/// `--metrics-out FILE` (both also accept `--flag=FILE`).
+/// Writes `body` to `path`, creating its directory, and says so on stdout.
 ///
-/// When either flag is present the figure binary runs one extra traced
-/// pass after its normal table: the regular CSV stays byte-identical
-/// (tracing never advances the virtual clock, and the untraced runs never
-/// even format a span), and the traced pass exports its spans/metrics to
-/// the requested files.
+/// # Panics
+///
+/// Panics on I/O errors — the bench binaries want loud failures.
+fn write_file(path: &Path, body: impl AsRef<[u8]>) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).expect("create output dir");
+    }
+    fs::write(path, body).expect("write output file");
+    println!("[written {}]", path.display());
+}
+
+/// Splits one line [`Table::to_csv`] wrote into its cells, unquoted.
+fn parse_csv_line(line: &str) -> Vec<String> {
+    let (mut cells, mut cell, mut quoted) = (Vec::new(), String::new(), false);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            // Inside quotes `""` is one `"`; a lone `"` opens or closes.
+            '"' if quoted && chars.next_if_eq(&'"').is_some() => cell.push('"'),
+            '"' => quoted = !quoted,
+            ',' if !quoted => cells.push(std::mem::take(&mut cell)),
+            c => cell.push(c),
+        }
+    }
+    cells.push(cell);
+    cells
+}
+
+/// Telemetry destinations parsed from `--trace-out FILE` and
+/// `--metrics-out FILE` (both also accept `--flag=FILE`), for the
+/// binary that exports a traced run (`dmem_top`).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryArgs {
     /// Chrome-trace JSON destination; a compact `.jsonl` span log is
@@ -135,7 +188,7 @@ pub struct TelemetryArgs {
 
 impl TelemetryArgs {
     /// Parses the two flags out of an argument list, ignoring everything
-    /// else (figure binaries have no other flags today).
+    /// else.
     pub fn parse<I>(args: I) -> Self
     where
         I: IntoIterator<Item = String>,
@@ -156,11 +209,6 @@ impl TelemetryArgs {
         out
     }
 
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        TelemetryArgs::parse(std::env::args().skip(1))
-    }
-
     /// `true` when any telemetry output was requested.
     pub fn requested(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some()
@@ -174,14 +222,8 @@ impl TelemetryArgs {
     /// Panics on I/O errors — the bench binaries want loud failures.
     pub fn write_trace(&self, trace: &dmem_sim::Trace) {
         if let Some(path) = &self.trace_out {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fs::create_dir_all(dir).expect("create trace dir");
-            }
-            fs::write(path, trace.to_chrome_json()).expect("write chrome trace");
-            println!("[written {}]", path.display());
-            let jsonl = path.with_extension("jsonl");
-            fs::write(&jsonl, trace.to_jsonl()).expect("write span log");
-            println!("[written {}]", jsonl.display());
+            write_file(path, trace.to_chrome_json());
+            write_file(&path.with_extension("jsonl"), trace.to_jsonl());
         }
     }
 
@@ -192,11 +234,7 @@ impl TelemetryArgs {
     /// Panics on I/O errors — the bench binaries want loud failures.
     pub fn write_metrics(&self, body: &str) {
         if let Some(path) = &self.metrics_out {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fs::create_dir_all(dir).expect("create metrics dir");
-            }
-            fs::write(path, body).expect("write metrics digest");
-            println!("[written {}]", path.display());
+            write_file(path, body);
         }
     }
 }

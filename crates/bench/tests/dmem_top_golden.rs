@@ -17,7 +17,17 @@ use std::process::Command;
 /// spot-checks so a fixture cannot silently pin a degenerate report:
 /// every section present, alerts firing, both allocator rows, every pool
 /// node listed, atomics non-trivial.
-const CASES: [(&[&str], &str, &[&str]); 5] = [
+const CASES: [(&[&str], &str, &[&str]); 6] = [
+    (
+        &[],
+        "dmem_top.txt",
+        &[
+            "run: LogisticRegression @50%, shared pool full, overflow to remote, 3.0x pages",
+            "(untraced)",
+            "spans by layer:",
+            "core.get.ns = count=",
+        ],
+    ),
     (
         &["--qos"],
         "dmem_top_qos.txt",

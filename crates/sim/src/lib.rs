@@ -67,8 +67,8 @@ pub use cost::{CostModel, DeviceCost};
 pub use events::EventQueue;
 pub use failure::{FailureEvent, FailureInjector};
 pub use metrics::{
-    AllocCounterSet, AllocTelemetry, Counter, Gauge, Histogram, HistogramSummary, Lazy,
-    LazyCounter, LazyHistogram, Metric, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, Histogram, HistogramSummary, Lazy, LazyCounter, LazyHistogram, Metric,
+    MetricsRegistry, MetricsSnapshot,
 };
 pub use rng::{splitmix64, DetRng};
 pub use shard::{

@@ -532,121 +532,6 @@ pub(crate) fn add_counts(total: &mut [u64; 65], counts: &[u64; 65]) {
     }
 }
 
-/// The `alloc.*` counter family for the object-granularity allocator:
-/// access-amplification bytes, fragmentation gauges and per-verb op
-/// counts.
-///
-/// Follows the same zero-cost-when-disabled contract the trace and
-/// telemetry layers honour: until [`AllocTelemetry::arm`] registers the
-/// family on a [`MetricsRegistry`], every `note_*` call is exactly one
-/// relaxed atomic load and an early return — no allocation, no lock,
-/// no registry traffic.
-#[derive(Debug, Default)]
-pub struct AllocTelemetry {
-    armed: std::sync::atomic::AtomicBool,
-    slots: std::sync::OnceLock<AllocCounterSet>,
-}
-
-/// Registered handles of the `alloc.*` family (see [`AllocTelemetry`]).
-#[derive(Debug, Clone)]
-pub struct AllocCounterSet {
-    /// `alloc.fetched_bytes` — bytes moved through the cluster by heap ops.
-    pub fetched_bytes: Counter,
-    /// `alloc.useful_bytes` — caller-useful bytes of those ops.
-    pub useful_bytes: Counter,
-    /// `alloc.amplification_bytes` — the waste: fetched minus useful.
-    pub amplification_bytes: Counter,
-    /// `alloc.ops.alloc`
-    pub alloc_ops: Counter,
-    /// `alloc.ops.free`
-    pub free_ops: Counter,
-    /// `alloc.ops.get`
-    pub get_ops: Counter,
-    /// `alloc.ops.update`
-    pub update_ops: Counter,
-    /// `alloc.live_bytes` — caller-requested bytes across live objects.
-    pub live_bytes: Gauge,
-    /// `alloc.slot_bytes` — slot capacity across live objects.
-    pub slot_bytes: Gauge,
-    /// `alloc.reserved_bytes` — address space claimed from the break.
-    pub reserved_bytes: Gauge,
-    /// `alloc.fragmentation_bp` — total fragmentation in basis points
-    /// (integer math, so timelines stay byte-deterministic).
-    pub fragmentation_bp: Gauge,
-}
-
-impl AllocCounterSet {
-    fn register(registry: &MetricsRegistry) -> Self {
-        AllocCounterSet {
-            fetched_bytes: registry.counter("alloc.fetched_bytes"),
-            useful_bytes: registry.counter("alloc.useful_bytes"),
-            amplification_bytes: registry.counter("alloc.amplification_bytes"),
-            alloc_ops: registry.counter("alloc.ops.alloc"),
-            free_ops: registry.counter("alloc.ops.free"),
-            get_ops: registry.counter("alloc.ops.get"),
-            update_ops: registry.counter("alloc.ops.update"),
-            live_bytes: registry.gauge("alloc.live_bytes"),
-            slot_bytes: registry.gauge("alloc.slot_bytes"),
-            reserved_bytes: registry.gauge("alloc.reserved_bytes"),
-            fragmentation_bp: registry.gauge("alloc.fragmentation_bp"),
-        }
-    }
-}
-
-impl AllocTelemetry {
-    /// Registers the family on `registry` and arms the fast-path gate.
-    /// Re-arming is a no-op (the first registry wins).
-    pub fn arm(&self, registry: &MetricsRegistry) {
-        self.slots.get_or_init(|| AllocCounterSet::register(registry));
-        self.armed
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether the family is live. The disarmed path is one relaxed
-    /// atomic load — callers may branch on this before doing any work.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Records one heap op: `kind` 0=alloc 1=free 2=get 3=update,
-    /// `fetched` bytes moved over the backing store, `useful` bytes the
-    /// caller asked for.
-    pub fn note_transfer(&self, kind: u8, fetched: u64, useful: u64) {
-        if !self.is_armed() {
-            return;
-        }
-        let Some(slots) = self.slots.get() else { return };
-        slots.fetched_bytes.add(fetched);
-        slots.useful_bytes.add(useful);
-        slots.amplification_bytes.add(fetched.saturating_sub(useful));
-        match kind {
-            0 => slots.alloc_ops.inc(),
-            1 => slots.free_ops.inc(),
-            2 => slots.get_ops.inc(),
-            _ => slots.update_ops.inc(),
-        }
-    }
-
-    /// Updates the footprint gauges and the derived fragmentation
-    /// basis-point gauge.
-    pub fn note_footprint(&self, live_bytes: u64, slot_bytes: u64, reserved_bytes: u64) {
-        if !self.is_armed() {
-            return;
-        }
-        let Some(slots) = self.slots.get() else { return };
-        slots.live_bytes.set(live_bytes as i64);
-        slots.slot_bytes.set(slot_bytes as i64);
-        slots.reserved_bytes.set(reserved_bytes as i64);
-        let frag_bp = if reserved_bytes == 0 {
-            0
-        } else {
-            (10_000u128 - (10_000u128 * u128::from(live_bytes) / u128::from(reserved_bytes)))
-                as i64
-        };
-        slots.fragmentation_bp.set(frag_bp);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
