@@ -46,23 +46,17 @@ same_csv() {
     done
 }
 
-# golden <csv name> <bin> [args...]: one bin, one golden CSV.
-golden() {
-    csv="$1"
-    shift
-    bench_bin "$@"
-    same_csv "$csv"
-}
-
-# The paper's own table and figures plus the ablations: one `figures` run
-# writes 16 CSVs and exits nonzero if a claim about them fails. fig10.csv
-# is the only pin of the RDD block manager's eviction order outside its
-# unit tests.
+# The paper's own table and figures, the ablations and the extensions:
+# one `figures` run writes 23 CSVs and exits nonzero if a claim about them
+# fails. fig10.csv is the only pin of the RDD block manager's eviction
+# order outside its unit tests.
 figures() {
     bench_bin figures
     same_csv table3 fig3 fig4 fig5 fig6 fig7_50 fig7_75 fig8 fig9 fig10 \
         ablation_batching ablation_costmodel ablation_groups \
-        ablation_groups_arithmetic ablation_placement ablation_replication
+        ablation_groups_arithmetic ablation_placement ablation_replication \
+        ext_qos ext_qos_alerts ext_kv_cache ext_llm_serving ext_obj_alloc \
+        ext_crossover fig4_rack
 }
 
 step "cargo fetch" cargo fetch
@@ -115,9 +109,9 @@ step "chaos flight-recorder fixture (golden dump)" sh -c '
     diff results/chaos_flight_fixture.txt target/chaos_flight_fixture.txt
 '
 
-# The reproduction proper: every committed table/figure/ablation CSV must
-# come out of `figures` byte for byte, and every claim must hold.
-step "paper figures (16 golden CSVs + claims)" figures
+# The reproduction proper: every committed table/figure/ablation/extension
+# CSV must come out of `figures` byte for byte, and every claim must hold.
+step "paper figures and extensions (23 golden CSVs + claims)" figures
 
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
 # be byte-identical at 1, 2 and 4 worker threads (same logical shards,
@@ -126,7 +120,7 @@ step "paper figures (16 golden CSVs + claims)" figures
 # barrier and the parity-buffered mailboxes do anything.
 rack_smoke() {
     for workers in 1 2 4; do
-        (cd "$scratch" && "$root/target/release/fig4_rack" --smoke --workers $workers \
+        (cd "$scratch" && "$root/target/release/fig4_rack" --workers $workers \
             > fig4_rack_smoke_$workers.txt)
         same_csv fig4_rack_smoke
         diff "$scratch/fig4_rack_smoke_1.txt" "$scratch/fig4_rack_smoke_$workers.txt"
@@ -139,7 +133,7 @@ step "fig4_rack smoke determinism (workers 1, 2, 4 + golden CSV)" rack_smoke
 # golden CSV at 1, 2 and 4 workers.
 rack_timeline() {
     for workers in 1 2 4; do
-        bench_bin fig4_rack --smoke --workers $workers \
+        bench_bin fig4_rack --workers $workers \
             --timeline-out fig4_rack_timeline_$workers.csv
         diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline_$workers.csv"
     done
@@ -156,48 +150,15 @@ step "fig4_rack timeline (workers 1, 2 and 4 vs golden CSV)" rack_timeline
 step "fig4_rack perf smoke (speedup gate + 3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --perf --check
 
-# QoS isolation smoke: the reduced ext_qos sweep must be byte-identical
-# to the committed golden CSV (virtual-clock determinism) and its
-# built-in acceptance check must pass (high-priority p99 flat under QoS,
-# degrading without it) — the binary exits nonzero otherwise.
-step "ext_qos smoke (golden CSV)" golden ext_qos_smoke ext_qos --smoke
-
-# KV-cache smoke: reduced hot-set sweep, byte-diffed against the golden
-# CSV; the binary also self-asserts the overflow-tier speedup (>= 5x at
-# the smallest hot set) and exits nonzero if it regresses.
-step "ext_kv_cache smoke (golden CSV)" golden ext_kv_cache_smoke ext_kv_cache --smoke
-
-# LLM serving smoke: the reduced conversation-stream sweep must be
-# byte-identical to the committed golden CSV (virtual-clock determinism)
-# and its built-in acceptance check must pass (tiered p99 TTFT >= 5x
-# better than the disk-offload baseline at the largest session count).
-step "ext_llm_serving smoke (golden CSV)" \
-    golden ext_llm_serving_smoke ext_llm_serving --smoke
-
 # LLM serving perf smoke: wall-clock of the three engines against the
 # committed ledger results/BENCH_llm.json, same gross 3x tolerance.
 step "ext_llm_serving perf smoke (3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin ext_llm_serving -- --perf --check
 
-# Object-allocator smoke: the reduced granularity sweep must be
-# byte-identical to the committed golden CSV, and the binary
-# self-asserts the amplification acceptance gate (the page path moves
-# >= 10x the fabric bytes of the object path on uniform-small) —
-# nonzero exit otherwise.
-step "ext_obj_alloc smoke (golden CSV + 10x gate)" \
-    golden ext_obj_alloc_smoke ext_obj_alloc --smoke
-
 # Object-allocator perf smoke: wall-clock of both granularities against
 # the committed ledger results/BENCH_alloc.json, same 3x tolerance.
 step "ext_obj_alloc perf smoke (3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin ext_obj_alloc -- --perf --check
-
-# Crossover smoke: the reduced RDMA/CXL/NVM sweep must be byte-identical
-# to the committed golden CSV, and the binary self-asserts the §VI
-# three-way split (every transport wins at least one working-set x
-# granularity cell) — nonzero exit otherwise.
-step "ext_crossover smoke (golden CSV + three-way gate)" \
-    golden ext_crossover_smoke ext_crossover --smoke
 
 # Crossover perf smoke: wall-clock of the page-granularity column on all
 # three transports against the committed ledger results/BENCH_cxl.json,

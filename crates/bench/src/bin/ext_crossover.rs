@@ -1,253 +1,25 @@
-//! Extension: the RDMA / CXL / NVM crossover figure.
+//! Wall-clock ledger of the crossover extension: the 4 KiB column on both
+//! working sets through all three transports. `--perf` records
+//! `results/BENCH_cxl.json`; `--perf --check` fails on a > 3x regression
+//! against that committed ledger and writes nothing. The sweep itself is
+//! the `ext_crossover` entry of the `figures` binary.
 //!
-//! The paper's §VI argues no single far-memory transport dominates:
-//! RDMA pays a microsecond verb floor but streams large transfers at
-//! full link bandwidth, a CXL memory pool does cacheline load/stores a
-//! few hundred nanoseconds away but its per-line framing drags on bulk
-//! moves, and local NVM is slower per byte than either yet holds
-//! working sets that blow past what a pool or a donated receive buffer
-//! can absorb. This experiment sweeps working-set size x access
-//! granularity and drives the *same* deterministic fill-then-read
-//! schedule through three clusters that differ only in tier
-//! preference (CXL pool / remote RDMA / local NVM, each spilling to
-//! disk on capacity). The reported metric is average read latency on
-//! the virtual clock; the winner of every cell is named in the table.
-//!
-//! Acceptance: each backend must win at least one cell — CXL at small
-//! granularity, RDMA on bulk transfers, NVM when the working set
-//! exceeds pool and receive-buffer capacity — or the run exits
-//! nonzero. This retires the old `ext_nvm_tier` two-way table, whose
-//! device-model crossover had no self-assertion.
-//!
-//! Modes:
-//!
-//! * default — full sweep, writes `results/ext_crossover.csv`;
-//! * `--smoke` — reduced CI-sized sweep, writes
-//!   `results/ext_crossover_smoke.csv`; both modes self-assert;
-//! * `--perf [--check]` — wall-clock of the 4 KiB column, recorded as
-//!   `results/BENCH_cxl.json`; with `--check`, fail on a > 3x
-//!   regression against that committed ledger instead.
-//!
-//! Run with: `cargo run --release -p dmem-bench --bin ext_crossover`
+//! Run with: `cargo run --release -p dmem-bench --bin ext_crossover -- --perf`
 
-use dmem_bench::perf::{record_or_check, timed, Row};
-use dmem_bench::{par_map, Table};
-use dmem_core::{DisaggregatedMemory, TierPreference};
-use dmem_sim::DetRng;
-use dmem_types::{
-    ByteSize, ClusterConfig, CompressionMode, CxlPoolConfig, DonationPolicy, NodeConfig,
-    ServerConfig,
-};
+use dmem_bench::extensions::{crossover_run, BACKENDS, WORKING_SETS};
+use dmem_bench::perf::{perf_args, record_or_check, timed, Row};
 use std::process::ExitCode;
 
-/// Sweep dimensions; `--smoke` shrinks both the working sets and every
-/// tier capacity in proportion so the winner pattern is preserved.
-struct Scale {
-    /// The working set that fits every fast tier.
-    small_ws: u64,
-    /// The working set that overflows the CXL pool and the donated
-    /// receive buffers but still fits the NVM devices.
-    large_ws: u64,
-    /// Per-pool-node CXL capacity (4 pool nodes).
-    cxl_node: ByteSize,
-    /// Per-node donated RDMA receive pool (4 nodes, triple-replicated
-    /// remote entries).
-    recv_pool: ByteSize,
-    /// Per-node NVM device — sized to hold `large_ws` whole.
-    nvm_pool: ByteSize,
-    csv_name: &'static str,
-}
-
-const FULL: Scale = Scale {
-    small_ws: 256 * 1024,
-    large_ws: 8 * 1024 * 1024,
-    cxl_node: ByteSize::from_kib(512),
-    recv_pool: ByteSize::from_mib(1),
-    nvm_pool: ByteSize::from_mib(16),
-    csv_name: "ext_crossover",
-};
-
-const SMOKE: Scale = Scale {
-    small_ws: 64 * 1024,
-    large_ws: 1024 * 1024,
-    cxl_node: ByteSize::from_kib(64),
-    recv_pool: ByteSize::from_kib(256),
-    nvm_pool: ByteSize::from_mib(2),
-    csv_name: "ext_crossover_smoke",
-};
-
-/// Access granularities under test: a cacheline-scale object, one
-/// page, and a bulk 64 KiB streaming transfer.
-const GRANULARITIES: [usize; 3] = [64, 4096, 65536];
-
-const BACKENDS: [(&str, TierPreference); 3] = [
-    ("cxl", TierPreference::Cxl),
-    ("rdma", TierPreference::Remote),
-    ("nvm", TierPreference::Nvm),
-];
-
-/// Donation zero and compression off, so the tier under test is the
-/// only thing a put or get touches; every tier spills to disk when its
-/// capacity runs out, which is exactly the capacity wall the large
-/// working set is built to hit.
-fn cluster(scale: &Scale) -> ClusterConfig {
-    ClusterConfig {
-        nodes: 4,
-        servers_per_node: 2,
-        node: NodeConfig {
-            dram: ByteSize::from_mib(64),
-            slab_size: ByteSize::from_kib(64),
-            send_pool: ByteSize::from_kib(512),
-            recv_pool: scale.recv_pool,
-            nvm_pool: scale.nvm_pool,
-        },
-        server: ServerConfig {
-            memory: ByteSize::from_mib(2),
-            donation: DonationPolicy::fixed(0.0),
-        },
-        compression: CompressionMode::Off,
-        cxl: CxlPoolConfig::new(4, scale.cxl_node),
-        ..ClusterConfig::small()
-    }
-}
-
-/// Deterministic payload for `key`: derived from a per-sweep salt so
-/// the read pass can verify every byte without storing the fill.
-fn payload(salt: u64, key: u64, len: usize) -> Vec<u8> {
-    let seed = salt ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (0..len)
-        .map(|i| (seed.wrapping_add(i as u64).wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8)
-        .collect()
-}
-
-/// Average read latency (virtual ns) of one fill-then-read pass of
-/// `ws` bytes in `gran`-byte entries through one tier preference.
-fn run(pref: TierPreference, ws: u64, gran: usize, scale: &Scale) -> u64 {
-    let mut rng = DetRng::new(0xc805).fork(&format!("{pref:?}/{ws}/{gran}"));
-    let salt = rng.below(1 << 62) as u64;
-    let entries = (ws / gran as u64).max(1);
-    let dm = DisaggregatedMemory::new(cluster(scale)).expect("cluster");
-    let server = dm.servers()[0];
-    for key in 0..entries {
-        dm.put_pref(server, key, payload(salt, key, gran), pref).expect("fill");
-    }
-    let t0 = dm.clock().now();
-    for key in 0..entries {
-        let got = dm.get(server, key).expect("read");
-        assert_eq!(got, payload(salt, key, gran), "payload integrity at key {key}");
-    }
-    dm.clock().now().duration_since(t0).as_nanos() / entries
-}
-
-fn us(ns: u64) -> String {
-    format!("{:.2}", ns as f64 / 1e3)
-}
-
-fn sweep(scale: &Scale) -> ExitCode {
-    let mut table = Table::new(
-        "Extension — RDMA vs CXL vs NVM crossover: average read latency by working set x granularity (§VI figure)",
-        &[
-            "working set",
-            "granularity",
-            "entries",
-            "cxl us",
-            "rdma us",
-            "nvm us",
-            "winner",
-        ],
-    );
-    let working_sets: [(&str, u64); 2] =
-        [("small", scale.small_ws), ("large", scale.large_ws)];
-    let mut cells: Vec<(usize, usize)> = Vec::new();
-    for ws in 0..working_sets.len() {
-        for gran in GRANULARITIES {
-            cells.push((ws, gran));
-        }
-    }
-    let results = par_map(cells.clone(), |_, (ws, gran)| {
-        BACKENDS.map(|(_, pref)| run(pref, working_sets[ws].1, gran, scale))
-    });
-    let mut wins = [0usize; 3];
-    for ((ws, gran), lat) in cells.iter().zip(&results) {
-        let winner = (0..3).min_by_key(|&b| lat[b]).expect("three backends");
-        wins[winner] += 1;
-        let (ws_name, ws_bytes) = working_sets[*ws];
-        table.row([
-            format!("{} ({} KiB)", ws_name, ws_bytes / 1024),
-            format!("{gran} B"),
-            (ws_bytes / *gran as u64).max(1).to_string(),
-            us(lat[0]),
-            us(lat[1]),
-            us(lat[2]),
-            BACKENDS[winner].0.to_string(),
-        ]);
-    }
-    table.emit(scale.csv_name);
-
-    println!("\nReading: the same fill-then-read schedule runs through three tiers that");
-    println!("differ only in transport. The CXL pool's sub-microsecond line transfers win");
-    println!("small-granularity cells, RDMA's bandwidth amortizes its verb floor on bulk");
-    println!("64 KiB moves, and once the working set overflows both the pool and the");
-    println!("donated receive buffers, their reads degrade to the disk spill path while");
-    println!("the NVM column — slower per byte, but big enough — wins on capacity. That");
-    println!("three-way split is the paper's §VI claim that no transport dominates.");
-
-    // Acceptance (ISSUE 10): every backend must win at least one cell.
-    if wins.iter().all(|&w| w > 0) {
-        println!(
-            "crossover: PASS (cxl wins {}, rdma wins {}, nvm wins {} of {} cells)",
-            wins[0],
-            wins[1],
-            wins[2],
-            results.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for (b, w) in BACKENDS.iter().zip(&wins) {
-            println!("crossover: {} wins {w} cells", b.0);
-        }
-        println!("crossover: FAIL (every backend must win at least one cell)");
-        ExitCode::FAILURE
-    }
-}
-
-/// Wall-clock mode: real elapsed time of the page-granularity column
-/// on both working sets, recorded in (or checked against)
-/// `results/BENCH_cxl.json`.
-fn perf_mode(check: bool) -> ExitCode {
-    let rows = [
-        ("crossover_small_ws", FULL.small_ws),
-        ("crossover_large_ws", FULL.large_ws),
-    ]
-    .map(|(scenario, ws)| {
-        let (lat, wall_ms) = timed(|| BACKENDS.map(|(_, pref)| run(pref, ws, 4096, &FULL)));
+fn main() -> ExitCode {
+    let check = perf_args("ext_crossover");
+    let rows = WORKING_SETS.map(|(name, ws)| {
+        let (lat, wall_ms) = timed(|| BACKENDS.map(|(_, pref)| crossover_run(pref, ws, 4096)));
         Row {
-            scenario: scenario.into(),
+            scenario: format!("crossover_{name}_ws"),
             wall_ms,
             metric: ("cxl_read_us", lat[0] as f64 / 1e3),
             extra: Vec::new(),
         }
     });
     record_or_check("cxl", &rows, check)
-}
-
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut perf = false;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--perf" => perf = true,
-            "--check" => check = true,
-            other => panic!(
-                "unknown argument {other} (usage: ext_crossover [--smoke] [--perf] [--check])"
-            ),
-        }
-    }
-    if perf {
-        perf_mode(check)
-    } else {
-        sweep(if smoke { &SMOKE } else { &FULL })
-    }
 }

@@ -1,34 +1,25 @@
-//! Rack-scale remote-paging sweep on the sharded engine (Fig. 4 class).
+//! What the rack sweep's `figures` entry cannot express: the worker axis
+//! and the rack engine's wall time.
 //!
-//! Scales the paper's remote-memory paging scenario to whole racks —
-//! 256 to 1024 hosts, 50–200× the host counts of the chaos and figure
-//! harnesses — by running `memory_disaggregation::rack` on the
-//! epoch-barrier sharded engine. Every table cell is *virtual* (latency
-//! quantiles, fault counts, digests), so the CSV is byte-identical at
-//! every `--workers` count and on every machine; wall-clock numbers go
-//! only to stderr and to the perf JSON.
+//! * `fig4_rack [--workers N] [--timeline-out FILE]` — the 64-host smoke
+//!   scenario at N worker threads (default `DMEM_BENCH_JOBS`), table +
+//!   `results/fig4_rack_smoke.csv`, and optionally the merged per-window
+//!   metric timeline as CSV. The logical shard partition is fixed by the
+//!   config, so stdout, CSV and timeline must byte-match at every N.
+//! * `fig4_rack --perf [--workers N] [--check]` — wall-clock scaling at 1
+//!   vs N (default 2) workers, recorded as `results/BENCH_rack.json` with
+//!   the core count and, per worker thread, where a round's wall time
+//!   went (setup / `run_epoch` / inbox drain / barrier wait / plan /
+//!   report, also printed to stderr); on a machine with a core per worker
+//!   the N-worker run must be ≥ 1.3x faster (exit 1 otherwise; skipped
+//!   with a note on smaller machines). `--check` instead fails on a > 3x
+//!   wall-clock regression against the committed ledger and writes
+//!   nothing.
 //!
-//! Modes:
-//!
-//! * default — host sweep at 256/512/1024, table + `results/fig4_rack.csv`;
-//! * `--smoke` — one small scenario, `results/fig4_rack_smoke.csv`; the
-//!   stdout of two runs at different `--workers` must byte-match (CI gate);
-//! * `--workers N` — worker-thread count (the scenario's logical shard
-//!   partition is fixed by its config; this only fans it across threads);
-//! * `--perf` — wall-clock scaling measurement at 1 vs `--workers N`
-//!   (default 2) workers, recorded as `results/BENCH_rack.json` with the
-//!   core count and, per worker thread, where a round's wall time went
-//!   (setup / `run_epoch` / inbox drain / barrier wait / plan / report,
-//!   also printed to stderr); on a machine with a core per worker the
-//!   N-worker run must be ≥ 1.3x faster (exit 1 otherwise; skipped with
-//!   a note on smaller machines);
-//! * `--check` — with `--perf`: instead of recording, fail on a > 3x
-//!   wall-clock regression against the committed ledger; writes nothing;
-//! * `--trace-out FILE` — write the merged shard trace (JSONL) of the
-//!   last run;
-//! * `--timeline-out FILE` — write the merged per-window metric timeline
-//!   (CSV) of the last run.
+//! The 256/512/1024-host sweep is the `fig4_rack` entry of the `figures`
+//! binary.
 
+use dmem_bench::extensions::rack_table;
 use dmem_bench::perf;
 use memory_disaggregation::rack::{run_rack, run_rack_profiled, RackConfig, RackReport};
 use std::process::ExitCode;
@@ -50,45 +41,11 @@ const SPLIT_TOLERANCE: f64 = 0.02;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig4_rack [--smoke] [--workers N] [--perf] [--check] [--trace-out FILE] \
-         [--timeline-out FILE]"
+        "usage: fig4_rack [--workers N] [--timeline-out FILE]\n       \
+         fig4_rack --perf [--workers N] [--check]"
     );
     std::process::exit(2);
 }
-
-fn report_row(table: &mut dmem_bench::Table, r: &RackReport) {
-    table.row([
-        r.hosts.to_string(),
-        r.shards.to_string(),
-        r.accesses.to_string(),
-        r.hits.to_string(),
-        r.remote_reads.to_string(),
-        r.writebacks.to_string(),
-        r.failovers.to_string(),
-        r.probes.to_string(),
-        r.cross_messages.to_string(),
-        r.epochs.to_string(),
-        r.fault_p50_ns.to_string(),
-        r.fault_p99_ns.to_string(),
-        r.digest.clone(),
-    ]);
-}
-
-const HEADER: &[&str] = &[
-    "hosts",
-    "shards",
-    "accesses",
-    "hits",
-    "remote_reads",
-    "writebacks",
-    "failovers",
-    "probes",
-    "cross_msgs",
-    "epochs",
-    "fault_p50_ns",
-    "fault_p99_ns",
-    "digest",
-];
 
 /// Runs one profiled round at `workers` threads, prints where each
 /// worker's wall time went and returns the split as ledger columns, or
@@ -205,16 +162,13 @@ fn perf_mode(workers_hi: usize, check: bool) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
     let mut perf = false;
     let mut workers: Option<usize> = None;
     let mut check = false;
-    let mut trace_out: Option<String> = None;
     let mut timeline_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--perf" => perf = true,
             "--workers" => {
                 workers = Some(
@@ -225,57 +179,22 @@ fn main() -> ExitCode {
                 );
             }
             "--check" => check = true,
-            "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--timeline-out" => timeline_out = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
-
+    if (perf && timeline_out.is_some()) || (check && !perf) {
+        usage();
+    }
     if perf {
         return perf_mode(workers.unwrap_or(2), check);
     }
 
-    let workers = workers.unwrap_or_else(dmem_bench::bench_jobs);
-    let mut table = dmem_bench::Table::new(
-        if smoke {
-            "fig4_rack (smoke) — rack-scale remote paging, sharded engine"
-        } else {
-            "fig4_rack — rack-scale remote paging, sharded engine"
-        },
-        HEADER,
-    );
-
-    let configs: Vec<RackConfig> = if smoke {
-        vec![RackConfig::smoke()]
-    } else {
-        vec![
-            RackConfig::rack_default(256),
-            RackConfig::rack_default(512),
-            RackConfig::rack_default(1024),
-        ]
-    };
-
-    let mut last: Option<RackReport> = None;
-    for config in &configs {
-        let t0 = Instant::now();
-        let report = run_rack(config, workers);
-        eprintln!(
-            "fig4_rack: {} hosts / {} shards done in {:.1} ms (workers={workers})",
-            report.hosts,
-            report.shards,
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-        report_row(&mut table, &report);
-        last = Some(report);
-    }
-    table.emit(if smoke { "fig4_rack_smoke" } else { "fig4_rack" });
-
-    if let (Some(path), Some(report)) = (trace_out.as_deref(), last.as_ref()) {
-        std::fs::write(path, &report.trace_jsonl).expect("write trace jsonl");
-        println!("[written {path}]");
-    }
-    if let (Some(path), Some(report)) = (timeline_out.as_deref(), last.as_ref()) {
-        std::fs::write(path, report.timeline.to_csv()).expect("write timeline csv");
+    let report = run_rack(&RackConfig::smoke(), workers.unwrap_or_else(dmem_bench::bench_jobs));
+    let title = "fig4_rack smoke — 64-host rack-scale remote paging, sharded engine";
+    rack_table(title, std::slice::from_ref(&report)).emit("fig4_rack_smoke");
+    if let Some(path) = timeline_out {
+        std::fs::write(&path, report.timeline.to_csv()).expect("write timeline csv");
         println!("[written {path}]");
     }
     ExitCode::SUCCESS

@@ -1,7 +1,8 @@
-//! Runs every `dmem_bench::figures::FIGURES` entry — Table 3, Figs. 3-10
-//! and the five ablations — writing `./results/<csv>.csv` (16 CSVs), then
-//! checks its claims. Exits 1 after every CSV is written if a claim
-//! fails, naming each on stderr; 2 on any argument.
+//! Runs every `dmem_bench::figures::FIGURES` entry — Table 3, Figs. 3-10,
+//! the five ablations and the six extensions — writing
+//! `./results/<csv>.csv` (23 CSVs), then checks its claims. Exits 1 after
+//! every CSV is written if a claim fails, naming each on stderr; 2 on any
+//! argument.
 //!
 //! Run with: `cargo run --release -p dmem-bench --bin figures`
 

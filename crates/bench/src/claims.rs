@@ -50,6 +50,25 @@ impl Table {
         format!("{} row {:?}", self.title, self.rows[i][0])
     }
 
+    /// The number in column `header` of the row whose first cell is `row`.
+    fn at(&self, row: &str, header: &str) -> Result<f64, String> {
+        let i = self.rows.iter().position(|r| r[0] == row);
+        let i = i.ok_or_else(|| format!("{}: no row {row:?}", self.title))?;
+        Ok(self.col(header)?[i])
+    }
+
+    /// The number in column `header` of row `row` is at least `bound`.
+    fn least(&self, row: &str, header: &str, bound: f64) -> Result<(), String> {
+        let x = self.at(row, header)?;
+        check(x >= bound, || format!("{} row {row:?}: {header} {x} < {bound}", self.title))
+    }
+
+    /// `max ≤ (1 + tolerance) × min` over `xs`, named `what`.
+    fn flat(&self, what: &str, xs: &[f64], tolerance: f64) -> Result<(), String> {
+        let (lo, hi) = xs.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        check(hi <= (1.0 + tolerance) * lo, || format!("{}: {what} {xs:?}", self.title))
+    }
+
     /// `ok(x)` for every number `x` of column `header`.
     fn every(&self, header: &str, ok: impl Fn(f64) -> bool) -> Result<(), String> {
         let xs = self.col(header)?;
@@ -198,6 +217,66 @@ pub fn ablation_costmodel(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let order = g.ordered(&["FastSwap", "Infiniswap", "Linux"]);
     claim("FastSwap < Infiniswap < Linux at every compute intensity", order)
+}
+
+/// QoS isolation: the governed KV p99 stays flat as antagonists pile on,
+/// the uncontrolled one does not, and the burn alert sees the difference.
+pub fn ext_qos(t: &[Table]) -> Result<(), String> {
+    let [g, alerts] = tables(t)?;
+    let (one, worst) = (g.at("1", "QoS p99")?, g.at("16", "QoS p99")?);
+    let flat = check(worst <= 2.0 * one, || format!("{}: QoS p99 {one} at 1, {worst} at 16", g.title));
+    claim("governed KV p99 at 16 antagonists is at most 2x its value at 1", flat)?;
+    let uncontrolled = g.at("16", "no-QoS p99")?;
+    let worse = check(uncontrolled > 2.0 * worst, || {
+        format!("{}: p99 at 16 no-QoS {uncontrolled} vs QoS {worst}", g.title)
+    });
+    claim("uncontrolled KV p99 at 16 antagonists is over 2x the governed", worse)?;
+    let firing = |mode| alerts.at(mode, "FIRING edges");
+    let (observed, governed) = (firing("observe-only")?, firing("qos")?);
+    let quieter = check(observed >= 1.0 && governed < observed, || {
+        format!("{}: FIRING edges {observed} observe-only, {governed} governed", alerts.title)
+    });
+    claim("the burn alert fires observe-only and is quieter governed", quieter)
+}
+
+/// KV cache: the overflow tier pays most where the hot set is smallest.
+pub fn ext_kv_cache(t: &[Table]) -> Result<(), String> {
+    let [g] = tables(t)?;
+    let speedup = g.least("64.0 KiB", "speedup", 5.0);
+    claim("the overflow tier beats drop-cold at least 5x at the smallest hot set", speedup)
+}
+
+/// LLM serving: tiered TTFT beats disk offload at the heaviest load.
+pub fn ext_llm_serving(t: &[Table]) -> Result<(), String> {
+    let [g] = tables(t)?;
+    let gap = g.least("200", "p99 vs disk", 5.0);
+    claim("tiered p99 TTFT is at least 5x disk-offload's at the largest session count", gap)
+}
+
+/// Object allocator: Clio's granularity gap on small objects.
+pub fn ext_obj_alloc(t: &[Table]) -> Result<(), String> {
+    let [g] = tables(t)?;
+    let ratio = g.least("uniform-small", "bytes ratio", 10.0);
+    claim("the page path moves at least 10x the object path's fabric bytes on uniform-small", ratio)
+}
+
+/// Crossover: no transport dominates.
+pub fn ext_crossover(t: &[Table]) -> Result<(), String> {
+    let [g] = tables(t)?;
+    let winners = g.cells("winner")?;
+    let loser = ["cxl", "rdma", "nvm"].into_iter().find(|backend| !winners.contains(backend));
+    let why = |backend| format!("{}: {backend} wins no cell", g.title);
+    claim("cxl, rdma and nvm each win at least one cell", loser.map_or(Ok(()), |b| Err(why(b))))
+}
+
+/// Rack sweep: per-host work is fixed, so the engine's costs scale with it.
+pub fn fig4_rack(t: &[Table]) -> Result<(), String> {
+    let [g] = tables(t)?;
+    let (hosts, cross) = (g.col("hosts")?, g.col("cross_msgs")?);
+    let per_host: Vec<f64> = cross.iter().zip(&hosts).map(|(c, h)| c / h).collect();
+    let linear = g.flat("cross_msgs per host", &per_host, 0.01);
+    claim("cross-shard messages per host stay within 1% across host counts", linear)?;
+    claim("epochs stay within 2% across host counts", g.flat("epochs", &g.col("epochs")?, 0.02))
 }
 
 /// For a figure whose expectations are in its doc comment, not claims.

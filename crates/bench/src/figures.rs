@@ -1,9 +1,13 @@
-//! The paper's evaluation as one table: Table 3, Figs. 3-10 and the five
-//! design ablations, each a [`Figure`] pairing the run that produces its
-//! tables with the [`claims`](crate::claims) the paper makes about them.
-//! Every run is deterministic on the virtual clock, so its tables are
-//! byte-identical at any `DMEM_BENCH_JOBS`.
+//! The paper's evaluation as one table: Table 3, Figs. 3-10, the five
+//! design ablations and the six [`extensions`](crate::extensions), each a
+//! [`Figure`] pairing the run that produces its tables with the
+//! [`claims`](crate::claims) made about them. Every run is deterministic
+//! on the virtual clock, so its tables are byte-identical at any
+//! `DMEM_BENCH_JOBS`.
 
+use crate::extensions::{
+    ext_crossover, ext_kv_cache, ext_llm_serving, ext_obj_alloc, ext_qos, fig4_rack,
+};
 use crate::{claims, par_map, speedup, Table};
 use dmem_cluster::{map_overhead_bytes, ClusterMembership, GroupTable, Placer, RemoteStore};
 use dmem_compress::{synth, PageCodec, ZswapCache};
@@ -38,7 +42,7 @@ pub struct Figure {
 
 /// Every figure, in the order the `figures` binary runs them.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 14] = [
+pub const FIGURES: [Figure; 20] = [
     Figure { name: "table3", csvs: &["table3"], run: table3, claims: claims::none },
     Figure { name: "fig3", csvs: &["fig3"], run: fig3, claims: claims::fig3 },
     Figure { name: "fig4", csvs: &["fig4"], run: fig4, claims: claims::fig4 },
@@ -53,6 +57,12 @@ pub const FIGURES: [Figure; 14] = [
     Figure { name: "ablation_groups", csvs: &["ablation_groups_arithmetic", "ablation_groups"], run: ablation_groups, claims: claims::none },
     Figure { name: "ablation_placement", csvs: &["ablation_placement"], run: ablation_placement, claims: claims::none },
     Figure { name: "ablation_replication", csvs: &["ablation_replication"], run: ablation_replication, claims: claims::none },
+    Figure { name: "ext_qos", csvs: &["ext_qos", "ext_qos_alerts"], run: ext_qos, claims: claims::ext_qos },
+    Figure { name: "ext_kv_cache", csvs: &["ext_kv_cache"], run: ext_kv_cache, claims: claims::ext_kv_cache },
+    Figure { name: "ext_llm_serving", csvs: &["ext_llm_serving"], run: ext_llm_serving, claims: claims::ext_llm_serving },
+    Figure { name: "ext_obj_alloc", csvs: &["ext_obj_alloc"], run: ext_obj_alloc, claims: claims::ext_obj_alloc },
+    Figure { name: "ext_crossover", csvs: &["ext_crossover"], run: ext_crossover, claims: claims::ext_crossover },
+    Figure { name: "fig4_rack", csvs: &["fig4_rack"], run: fig4_rack, claims: claims::fig4_rack },
 ];
 
 /// FastSwap at distribution `ratio` with 4-granularity compression.

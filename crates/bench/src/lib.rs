@@ -2,14 +2,15 @@
 //!
 //! Every table a binary produces is printed to stdout **and** written as
 //! CSV under `results/` so EXPERIMENTS.md can reference machine-readable
-//! output. The paper's own table, figures and ablations are one table,
-//! [`figures::FIGURES`], run by the `figures` binary and checked by
-//! [`claims`].
+//! output. The paper's own table, figures and ablations and its
+//! [`extensions`] are one table, [`figures::FIGURES`], whose 23 CSVs the
+//! `figures` binary writes and [`claims`] checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod claims;
+pub mod extensions;
 pub mod figures;
 pub mod perf;
 

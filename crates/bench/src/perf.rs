@@ -54,6 +54,21 @@ pub fn timed<T>(mut run: impl FnMut() -> T) -> (T, f64) {
     (out, first.min(second))
 }
 
+/// The arguments of a binary that has only a perf mode, `--perf
+/// [--check]`: whether `--check` was given. Anything else prints `bin`'s
+/// usage and exits 2.
+pub fn perf_args(bin: &str) -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["--perf"] => false,
+        ["--perf", "--check"] | ["--check", "--perf"] => true,
+        _ => {
+            eprintln!("usage: {bin} --perf [--check]");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// `count` events over `wall_ms`, as a per-second rate for [`Row::metric`].
 pub fn per_second(count: u64, wall_ms: f64) -> f64 {
     count as f64 / (wall_ms / 1e3).max(1e-9)

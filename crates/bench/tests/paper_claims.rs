@@ -1,4 +1,5 @@
-//! The paper's sentences, checked on the committed figure CSVs.
+//! The paper's sentences, checked on the committed figure and extension
+//! CSVs.
 //!
 //! `dmem_bench::figures::FIGURES` pairs every figure with its claims, and
 //! the `figures` binary checks them on the tables it has just written;
@@ -124,6 +125,15 @@ const FLIPS: &[(&str, &str, &str, &str)] = &[
     ("ablation_batching", "ablation_batching", "5.364ms,3.521ms", "5.364ms,5.521ms"),
     ("ablation_batching", "ablation_batching", "64.0 KiB,1.908ms", "64.0 KiB,3.908ms"),
     ("ablation_costmodel", "ablation_costmodel", "1.226s,687.576ms", "1.226s,1.687s"),
+    ("ext_qos", "ext_qos", "16,8.0 us,4027.3 us,0.8 us,0.8 us", "16,8.0 us,4027.3 us,0.8 us,1.8 us"),
+    ("ext_qos", "ext_qos", "16,8.0 us,4027.3 us", "16,8.0 us,1.3 us"),
+    ("ext_qos", "ext_qos_alerts", "observe-only,16,157,5", "observe-only,16,157,0"),
+    ("ext_kv_cache", "ext_kv_cache", "603295,0.0%,344.9x", "603295,0.0%,4.9x"),
+    ("ext_llm_serving", "ext_llm_serving", "99%,12.2x", "99%,4.2x"),
+    ("ext_obj_alloc", "ext_obj_alloc", "166813,26.6x", "166813,6.6x"),
+    ("ext_crossover", "ext_crossover", "20.32,33.12,rdma", "20.32,33.12,cxl"),
+    ("fig4_rack", "fig4_rack", "81,81,94408", "81,81,84408"),
+    ("fig4_rack", "fig4_rack", "94408,440", "94408,400"),
 ];
 
 #[test]

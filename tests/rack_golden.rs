@@ -3,7 +3,7 @@
 //! `shard_determinism.rs` and `telemetry.rs` compare rack runs with each
 //! other (worker counts, reruns), so a change that moves every run the
 //! same way passes them. This suite compares with bytes on disk: the
-//! `fig4_rack --smoke` row, the whole merged timeline, and digests of the
+//! `fig4_rack` smoke row, the whole merged timeline, and digests of the
 //! metrics line and the trace export.
 
 use memory_disaggregation::rack::{run_rack, RackConfig, RackReport};
