@@ -115,30 +115,22 @@ step "paper figures and extensions (23 golden CSVs + claims)" figures
 
 # Sharded-engine determinism gate, rack side: the rack-scale smoke must
 # be byte-identical at 1, 2 and 4 worker threads (same logical shards,
-# different parallelism) AND match the committed golden CSV. Two is the
-# count the benchmark's traced run uses and the first at which the
-# barrier and the parity-buffered mailboxes do anything.
+# different parallelism) AND match the committed golden CSV, and so must
+# its merged per-window metric timeline (per-shard samplers stitched in
+# (window, shard) order). Two is the count the benchmark's traced run
+# uses and the first at which the barrier and the parity-buffered
+# mailboxes do anything. Every run writes the timeline to the same path,
+# because stdout names it.
 rack_smoke() {
     for workers in 1 2 4; do
         (cd "$scratch" && "$root/target/release/fig4_rack" --workers $workers \
-            > fig4_rack_smoke_$workers.txt)
-        same_csv fig4_rack_smoke
+            --timeline-out fig4_rack_timeline.csv > fig4_rack_smoke_$workers.txt)
         diff "$scratch/fig4_rack_smoke_1.txt" "$scratch/fig4_rack_smoke_$workers.txt"
+        same_csv fig4_rack_smoke
+        diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline.csv"
     done
 }
-step "fig4_rack smoke determinism (workers 1, 2, 4 + golden CSV)" rack_smoke
-
-# Rack timeline gate: the merged per-window metric timeline — per-shard
-# samplers stitched in (window, shard) order — must match the committed
-# golden CSV at 1, 2 and 4 workers.
-rack_timeline() {
-    for workers in 1 2 4; do
-        bench_bin fig4_rack --workers $workers \
-            --timeline-out fig4_rack_timeline_$workers.csv
-        diff results/fig4_rack_timeline.csv "$scratch/fig4_rack_timeline_$workers.csv"
-    done
-}
-step "fig4_rack timeline (workers 1, 2 and 4 vs golden CSV)" rack_timeline
+step "fig4_rack smoke + timeline (workers 1, 2, 4 vs golden CSVs)" rack_smoke
 
 # Rack perf smoke: wall-clock at 1 vs 2 workers against the committed
 # ledger results/BENCH_rack.json (3x tolerance; --check writes nothing),

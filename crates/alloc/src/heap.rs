@@ -63,26 +63,25 @@ impl Granularity {
     }
 }
 
+/// Base of a heap's key namespace on its server. Object keys are
+/// `KEY_BASE + (addr >> 4)`, page keys `KEY_BASE + page_index`.
+const KEY_BASE: u64 = 1 << 56;
+
 /// Heap construction knobs.
 #[derive(Debug, Clone)]
 pub struct HeapConfig {
     /// Backing granularity.
     pub granularity: Granularity,
-    /// Base of the heap's key namespace on its server. Object keys are
-    /// `key_base + (addr >> 4)`, page keys `key_base + page_index`.
-    pub key_base: u64,
     /// Tier preference for backing puts.
     pub pref: TierPreference,
 }
 
 impl HeapConfig {
-    /// A config for the given granularity with the default key base
-    /// (`1 << 56`) and `Auto` placement.
+    /// A config for the given granularity with `Auto` placement.
     #[must_use]
     pub fn new(granularity: Granularity) -> Self {
         HeapConfig {
             granularity,
-            key_base: 1 << 56,
             pref: TierPreference::Auto,
         }
     }
@@ -523,10 +522,10 @@ impl ObjectHeap {
         }
         let mut objects: Vec<(u64, SlotKind, u64)> = Vec::new();
         for (owner, key, _record) in dm.entries_snapshot() {
-            if owner != server || key < config.key_base {
+            if owner != server || key < KEY_BASE {
                 continue;
             }
-            let addr = (key - config.key_base) << 4;
+            let addr = (key - KEY_BASE) << 4;
             let bytes = dm.get(server, key)?;
             if bytes.len() < HEADER_BYTES {
                 return Err(DmemError::Corrupt(EntryId::new(server, key)));
@@ -546,11 +545,11 @@ impl ObjectHeap {
 
     fn object_key(&self, addr: u64) -> u64 {
         debug_assert_eq!(addr % 16, 0, "object addresses are 16-byte aligned");
-        self.config.key_base + (addr >> 4)
+        KEY_BASE + (addr >> 4)
     }
 
     fn page_key(&self, page: u64) -> u64 {
-        self.config.key_base + page
+        KEY_BASE + page
     }
 
     fn not_found(&self, addr: u64) -> DmemError {

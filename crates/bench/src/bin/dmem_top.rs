@@ -30,7 +30,7 @@
 //! prints per-tier KV occupancy (conversations and bytes in local,
 //! remote and disk, plus the prefix cache), serving counters, the
 //! prefix-hit rate and the demotion digest. Byte-identical across
-//! machines and reruns; pinned by `results/dmem_top_kv.txt`.
+//! machines and reruns.
 //!
 //! `--timeline` prints the rack smoke scenario's merged
 //! per-window metric timeline as sparkline rows (one per counter /
@@ -43,19 +43,19 @@
 //! `--alloc` replays one deterministic object-heap schedule at
 //! both backing granularities and prints the allocator's amplification
 //! and fragmentation accounting plus the armed `alloc.*` counter
-//! family — `top` for the far-memory heap. Pinned byte-for-byte by
-//! `results/dmem_top_alloc.txt`.
+//! family — `top` for the far-memory heap.
 //!
 //! `--cxl` drives one deterministic schedule through the CXL
 //! pooled-memory tier — PGAS puts, remote fetch-add/CAS cells, a
 //! pool-node outage window replayed against the disk shadow — and
 //! prints per-pool-node occupancy, the atomic cells, and the armed
-//! `cxl.*` counter family. Pinned byte-for-byte by
-//! `results/dmem_top_cxl.txt`.
+//! `cxl.*` counter family.
 //!
 //! `--all` is every flag above at once — qos report, KV report,
 //! timeline, alerts, allocator, CXL pool — and is pinned byte-for-byte
-//! by `results/dmem_top_all.txt`.
+//! by `results/dmem_top_all.txt`, which pins each of those flags run on
+//! its own as well: its sections are their outputs, joined by a blank
+//! line.
 //!
 //! `--check-trace FILE` instead validates a previously exported
 //! Chrome-trace JSON: it must parse, be shaped like the trace-event
@@ -70,9 +70,10 @@ use dmem_kv::{LlmCostModel, SpillPolicy, TieredKvConfig, TieredKvEngine};
 use dmem_qos::{QosConfig, QosEngine, TenantSpec};
 use dmem_sim::{jsonlite, sparkline, DetRng, SimDuration};
 use memory_disaggregation::chaos::run_seed;
-use memory_disaggregation::rack::{run_rack, RackConfig};
+use memory_disaggregation::rack::{run_rack, RackConfig, TIMELINE_WINDOW};
 use memory_disaggregation::sim::chaos::ChaosConfig;
 use dmem_types::{ByteSize, CompressionMode, CxlPoolConfig};
+use dmem_workloads::conversation::MAX_TURNS;
 use dmem_workloads::{ConversationConfig, ConversationStream};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -213,7 +214,6 @@ fn run_kv_report() -> String {
             remote_capacity: ByteSize::from_mib(4),
             prefix_cache_capacity: ByteSize::from_kib(320),
             spill: SpillPolicy::RemoteThenDisk,
-            long_running_turns: 3,
             cost: LlmCostModel {
                 kv_bytes_per_token: 64,
                 ..LlmCostModel::default()
@@ -222,9 +222,7 @@ fn run_kv_report() -> String {
     );
 
     const TURNS: usize = 400;
-    let conv_config = ConversationConfig::default();
-    let max_turns = conv_config.max_turns;
-    let stream = ConversationStream::new(conv_config, 11);
+    let stream = ConversationStream::new(ConversationConfig::default(), 11);
     for event in stream.take(TURNS) {
         engine
             .begin_turn(
@@ -238,7 +236,7 @@ fn run_kv_report() -> String {
         engine
             .end_turn(event.session, event.prompt_tokens + event.output_tokens)
             .unwrap();
-        if event.turn + 1 >= max_turns {
+        if event.turn + 1 >= MAX_TURNS {
             engine.retire(event.session);
         }
     }
@@ -309,8 +307,7 @@ kv serving:").unwrap();
 /// Worker count never changes the merged timeline, so the output is
 /// byte-identical across machines and `bench_jobs` values.
 fn run_timeline_report() -> String {
-    let config = RackConfig::smoke();
-    let report = run_rack(&config, dmem_bench::bench_jobs());
+    let report = run_rack(&RackConfig::smoke(), dmem_bench::bench_jobs());
     let timeline = &report.timeline;
     let mut out = String::new();
     writeln!(out, "dmem-top — rack timeline (virtual time)").unwrap();
@@ -320,7 +317,7 @@ fn run_timeline_report() -> String {
         report.hosts,
         report.shards,
         timeline.windows.len(),
-        config.timeline_window.as_nanos()
+        TIMELINE_WINDOW.as_nanos()
     )
     .unwrap();
     for (name, is_histogram) in timeline.series_names() {

@@ -16,6 +16,7 @@ use dmem_types::{
     ByteSize, ClusterConfig, CompressionMode, CxlPoolConfig, DonationPolicy, NodeConfig,
     ServerConfig,
 };
+use dmem_workloads::conversation::MAX_TURNS;
 use dmem_workloads::{ConversationConfig, ConversationStream, ZipfSampler};
 use memory_disaggregation::rack::{run_rack, RackConfig, RackReport};
 use std::sync::Arc;
@@ -321,14 +322,12 @@ fn engine_config(spill: SpillPolicy) -> TieredKvConfig {
         // All 8 system prompts fit (512 tokens x 64 B each).
         prefix_cache_capacity: ByteSize::from_kib(320),
         spill,
-        long_running_turns: 3,
         // 64 B of KV per token; prefill at 20 us/token makes a
         // recomputed 2k-token history cost ~40 ms of compute — the
         // price the local-only design pays per cold hit.
         cost: LlmCostModel {
             kv_bytes_per_token: 64,
             prefill_per_token: SimDuration::from_micros(20),
-            ..LlmCostModel::default()
         },
     }
 }
@@ -374,7 +373,6 @@ pub fn serve(lambda: f64, turns: usize, spill: SpillPolicy) -> ServingResult {
     let t_start = clock.now();
 
     let config = ConversationConfig { lambda_rate: lambda, ..ConversationConfig::default() };
-    let max_turns = config.max_turns;
     let stream = ConversationStream::new(config, 11);
 
     let mut ttfts: Vec<SimDuration> = Vec::with_capacity(turns);
@@ -395,7 +393,7 @@ pub fn serve(lambda: f64, turns: usize, spill: SpillPolicy) -> ServingResult {
         }
         output_tokens += u64::from(event.output_tokens);
         engine.end_turn(event.session, event.prompt_tokens + event.output_tokens).unwrap();
-        if event.turn + 1 >= max_turns {
+        if event.turn + 1 >= MAX_TURNS {
             engine.retire(event.session);
         }
         if i % 64 == 63 {

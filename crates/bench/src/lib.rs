@@ -210,11 +210,6 @@ impl TelemetryArgs {
         out
     }
 
-    /// `true` when any telemetry output was requested.
-    pub fn requested(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-
     /// Writes the Chrome-trace JSON (plus the `.jsonl` sibling) if
     /// `--trace-out` was given.
     ///
@@ -295,8 +290,8 @@ mod tests {
         let t = TelemetryArgs::parse(args);
         assert_eq!(t.trace_out.as_deref(), Some(std::path::Path::new("a.json")));
         assert_eq!(t.metrics_out.as_deref(), Some(std::path::Path::new("b.txt")));
-        assert!(t.requested());
-        assert!(!TelemetryArgs::parse(std::iter::empty()).requested());
+        let none = TelemetryArgs::parse(std::iter::empty());
+        assert!(none.trace_out.is_none() && none.metrics_out.is_none());
     }
 
     #[test]

@@ -38,18 +38,14 @@ impl DiskTier {
     /// Creates the tier over the shared clock, charging the cost model's
     /// HDD device.
     pub fn new(clock: SimClock, cost: CostModel) -> Self {
-        DiskTier::with_device(clock, cost.hdd)
+        DiskTier::with_device_labeled(clock, cost.hdd, "disk")
     }
 
-    /// Creates a byte-store tier charging an arbitrary device — used for
-    /// the NVM and SSD extension tiers, which share the same per-node
-    /// store-entry semantics with different costs.
-    pub fn with_device(clock: SimClock, device: DeviceCost) -> Self {
-        DiskTier::with_device_labeled(clock, device, "disk")
-    }
-
-    /// [`DiskTier::with_device`] with an explicit trace-span category, so
-    /// NVM accesses are attributed separately from spinning disk.
+    /// Creates a byte-store tier charging an arbitrary device under an
+    /// explicit trace-span category — used for the NVM and SSD extension
+    /// tiers, which share the same per-node store-entry semantics with
+    /// different costs, so NVM accesses are attributed separately from
+    /// spinning disk.
     pub fn with_device_labeled(clock: SimClock, device: DeviceCost, label: &'static str) -> Self {
         DiskTier {
             clock,

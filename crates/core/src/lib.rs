@@ -45,6 +45,6 @@ pub mod memmap;
 pub mod system;
 
 pub use disk::DiskTier;
-pub use maintenance::{Maintenance, MaintenanceConfig, MaintenanceReport};
+pub use maintenance::{Maintenance, MaintenanceReport};
 pub use memmap::MemoryMap;
 pub use system::{DisaggregatedMemory, DmStats, TierPreference};

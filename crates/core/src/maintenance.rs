@@ -21,37 +21,20 @@ use dmem_sim::{EventQueue, SimDuration, SimInstant};
 use dmem_types::{ByteSize, DmemResult};
 use std::sync::Arc;
 
-/// Intervals for the recurring tasks. Zero disables a task.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintenanceConfig {
-    /// How often degraded replica sets are repaired.
-    pub repair_interval: SimDuration,
-    /// How often the eviction handler scans for pressured hosts.
-    pub eviction_interval: SimDuration,
-    /// How often free-memory advertisements are refreshed.
-    pub advertise_interval: SimDuration,
-    /// How often balloon advice (§IV-F policies) is applied.
-    pub balloon_interval: SimDuration,
-    /// Donation-fraction step applied per balloon adjustment.
-    pub balloon_step: f64,
-    /// How often the QoS controller ticks. Only scheduled when a QoS
-    /// engine is installed on the cluster, so QoS-disabled runs execute
-    /// an identical event sequence to pre-QoS builds.
-    pub qos_interval: SimDuration,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        MaintenanceConfig {
-            repair_interval: SimDuration::from_millis(100),
-            eviction_interval: SimDuration::from_millis(50),
-            advertise_interval: SimDuration::from_millis(10),
-            balloon_interval: SimDuration::from_millis(200),
-            balloon_step: 0.05,
-            qos_interval: SimDuration::from_millis(200),
-        }
-    }
-}
+/// How often degraded replica sets are repaired.
+const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// How often the eviction handler scans for pressured hosts.
+const EVICTION_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// How often free-memory advertisements are refreshed.
+const ADVERTISE_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// How often balloon advice (§IV-F policies) is applied.
+const BALLOON_INTERVAL: SimDuration = SimDuration::from_millis(200);
+/// Donation-fraction step applied per balloon adjustment.
+const BALLOON_STEP: f64 = 0.05;
+/// How often the QoS controller ticks. Only scheduled when a QoS engine
+/// is installed on the cluster, so QoS-disabled runs execute an identical
+/// event sequence to pre-QoS builds.
+const QOS_INTERVAL: SimDuration = SimDuration::from_millis(200);
 
 /// What a maintenance window accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,7 +75,6 @@ enum Task {
 /// The periodic-maintenance driver. See the module docs.
 pub struct Maintenance {
     dm: Arc<DisaggregatedMemory>,
-    config: MaintenanceConfig,
     evictor: RemoteSlabEvictor,
     placer: Placer,
     queue: EventQueue<Task>,
@@ -100,28 +82,15 @@ pub struct Maintenance {
 
 impl Maintenance {
     /// Creates a driver and schedules the first round of tasks.
-    pub fn new(
-        dm: Arc<DisaggregatedMemory>,
-        config: MaintenanceConfig,
-        evictor: RemoteSlabEvictor,
-        placer: Placer,
-    ) -> Self {
+    pub fn new(dm: Arc<DisaggregatedMemory>, evictor: RemoteSlabEvictor, placer: Placer) -> Self {
         let mut queue = EventQueue::new();
         let now = dm.clock().now();
-        if !config.repair_interval.is_zero() {
-            queue.schedule(now + config.repair_interval, Task::Repair);
-        }
-        if !config.eviction_interval.is_zero() {
-            queue.schedule(now + config.eviction_interval, Task::Eviction);
-        }
-        if !config.advertise_interval.is_zero() {
-            queue.schedule(now + config.advertise_interval, Task::Advertise);
-        }
-        if !config.balloon_interval.is_zero() {
-            queue.schedule(now + config.balloon_interval, Task::Balloon);
-        }
-        if !config.qos_interval.is_zero() && dm.qos().is_some() {
-            queue.schedule(now + config.qos_interval, Task::QosTick);
+        queue.schedule(now + REPAIR_INTERVAL, Task::Repair);
+        queue.schedule(now + EVICTION_INTERVAL, Task::Eviction);
+        queue.schedule(now + ADVERTISE_INTERVAL, Task::Advertise);
+        queue.schedule(now + BALLOON_INTERVAL, Task::Balloon);
+        if dm.qos().is_some() {
+            queue.schedule(now + QOS_INTERVAL, Task::QosTick);
         }
         // The telemetry sampler ticks on the hub's own window width, so
         // every capture lands exactly on a grid boundary. Like QosTick,
@@ -132,7 +101,6 @@ impl Maintenance {
         }
         Maintenance {
             dm,
-            config,
             evictor,
             placer,
             queue,
@@ -147,11 +115,11 @@ impl Maintenance {
     /// Runs every task due up to `until`, advancing the clock to each
     /// task's scheduled time (like an idle node agent waking on timers).
     ///
-    /// Every window closes with one extra repair scan (when repair is
-    /// enabled): eviction migrations late in the window can lower an
-    /// entry's replica degree after the last interval-scheduled repair
-    /// ran, and the closing scan guarantees no window ever ends with a
-    /// repairable entry still degraded. The chaos harness checks exactly
+    /// Every window closes with one extra repair scan: eviction
+    /// migrations late in the window can lower an entry's replica degree
+    /// after the last interval-scheduled repair ran, and the closing scan
+    /// guarantees no window ever ends with a repairable entry still
+    /// degraded. The chaos harness checks exactly
     /// this bound.
     ///
     /// # Errors
@@ -171,7 +139,7 @@ impl Maintenance {
                         report.repair_scans += 1;
                         report.repaired_entries += self.dm.repair_replicas() as u64;
                         self.queue
-                            .schedule(self.dm.clock().now() + self.config.repair_interval, Task::Repair);
+                            .schedule(self.dm.clock().now() + REPAIR_INTERVAL, Task::Repair);
                     }
                     Task::Eviction => {
                         report.eviction_scans += 1;
@@ -188,10 +156,8 @@ impl Maintenance {
                         };
                         report.evicted_entries += outcome.moves.len() as u64;
                         report.reclaimed += outcome.reclaimed;
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.eviction_interval,
-                            Task::Eviction,
-                        );
+                        self.queue
+                            .schedule(self.dm.clock().now() + EVICTION_INTERVAL, Task::Eviction);
                     }
                     Task::Advertise => {
                         report.advertise_refreshes += 1;
@@ -200,10 +166,8 @@ impl Maintenance {
                                 self.dm.membership().advertise_free(node, stats.free);
                             }
                         }
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.advertise_interval,
-                            Task::Advertise,
-                        );
+                        self.queue
+                            .schedule(self.dm.clock().now() + ADVERTISE_INTERVAL, Task::Advertise);
                     }
                     Task::Balloon => {
                         // §IV-F policy (2): a server that overflows the
@@ -212,24 +176,20 @@ impl Maintenance {
                         for &server in self.dm.servers() {
                             let manager = self.dm.node_manager(server.node());
                             if manager
-                                .apply_recommendation(server, self.config.balloon_step)
+                                .apply_recommendation(server, BALLOON_STEP)
                                 .applied
                             {
                                 report.balloon_adjustments += 1;
                             }
                         }
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.balloon_interval,
-                            Task::Balloon,
-                        );
+                        self.queue
+                            .schedule(self.dm.clock().now() + BALLOON_INTERVAL, Task::Balloon);
                     }
                     Task::QosTick => {
                         report.qos_ticks += 1;
                         report.qos_actions += self.dm.qos_tick() as u64;
-                        self.queue.schedule(
-                            self.dm.clock().now() + self.config.qos_interval,
-                            Task::QosTick,
-                        );
+                        self.queue
+                            .schedule(self.dm.clock().now() + QOS_INTERVAL, Task::QosTick);
                     }
                     Task::Telemetry => {
                         report.telemetry_windows += self.dm.telemetry_tick() as u64;
@@ -246,10 +206,8 @@ impl Maintenance {
                 }
             }
         }
-        if !self.config.repair_interval.is_zero() {
-            report.repair_scans += 1;
-            report.repaired_entries += self.dm.repair_replicas() as u64;
-        }
+        report.repair_scans += 1;
+        report.repaired_entries += self.dm.repair_replicas() as u64;
         Ok(report)
     }
 }
@@ -257,7 +215,6 @@ impl Maintenance {
 impl std::fmt::Debug for Maintenance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Maintenance")
-            .field("config", &self.config)
             .field("pending", &self.queue.len())
             .finish()
     }
@@ -284,7 +241,7 @@ mod tests {
             dm.membership().clone(),
             DetRng::new(11),
         );
-        Maintenance::new(Arc::clone(dm), MaintenanceConfig::default(), evictor, placer)
+        Maintenance::new(Arc::clone(dm), evictor, placer)
     }
 
     #[test]
@@ -439,30 +396,5 @@ mod tests {
             manager.capacity(),
             before
         );
-    }
-
-    #[test]
-    fn disabled_tasks_never_fire() {
-        let dm = remote_cluster();
-        let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(1), 4);
-        let placer = Placer::new(
-            PlacementStrategy::Random,
-            dm.membership().clone(),
-            DetRng::new(1),
-        );
-        let config = MaintenanceConfig {
-            repair_interval: SimDuration::ZERO,
-            eviction_interval: SimDuration::ZERO,
-            balloon_interval: SimDuration::ZERO,
-            advertise_interval: SimDuration::from_millis(10),
-            ..MaintenanceConfig::default()
-        };
-        let mut m = Maintenance::new(Arc::clone(&dm), config, evictor, placer);
-        let report = m
-            .run_until(dm.clock().now() + SimDuration::from_millis(100))
-            .unwrap();
-        assert_eq!(report.repair_scans, 0);
-        assert_eq!(report.eviction_scans, 0);
-        assert!(report.advertise_refreshes > 0);
     }
 }

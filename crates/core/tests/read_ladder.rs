@@ -5,7 +5,7 @@
 //! replaced `get_batch`'s own grouping `match`.
 
 use dmem_core::{DisaggregatedMemory, TierPreference};
-use dmem_net::{FabricFaults, FaultProfile, RetryPolicy};
+use dmem_net::{FabricFaults, FaultProfile};
 use dmem_qos::{QosConfig, QosEngine, TenantSpec};
 use dmem_sim::{DetRng, FailureEvent};
 use dmem_types::{
@@ -179,7 +179,6 @@ fn scripted_reads_cost_what_they_did_at_the_parent() {
     dm.fabric().install_faults(Arc::new(FabricFaults::new(
         DetRng::new(7),
         FaultProfile::none(),
-        RetryPolicy::default(),
     )));
     for key in 0..KEYS {
         dm.put_pref(server, key, payload(case, key), TierPreference::Auto)

@@ -23,7 +23,7 @@
 //!
 //! Multi-tenant wiring: conversations store under one of two virtual
 //! servers — `rookie` until they have completed
-//! [`TieredKvConfig::long_running_turns`] turns, `veteran` after — so a
+//! three turns (`LONG_RUNNING_TURNS`), `veteran` after — so a
 //! PR 4 QoS engine can give long-running conversations a protected
 //! quota/priority while a flash crowd of new sessions is admission-
 //! limited, degraded to disk instead of evicting the veterans.
@@ -47,6 +47,12 @@ pub enum SpillPolicy {
     DropCold,
 }
 
+/// Decode compute per generated token.
+const DECODE_PER_TOKEN: SimDuration = SimDuration::from_micros(5);
+/// Completed turns after which a conversation stores under the veteran
+/// server (and thus its QoS tenant).
+const LONG_RUNNING_TURNS: u32 = 3;
+
 /// Scaled compute/storage cost model for the serving simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct LlmCostModel {
@@ -55,8 +61,6 @@ pub struct LlmCostModel {
     /// Prefill compute per token (recomputing dropped context, new
     /// prompt tokens, uncached prefixes).
     pub prefill_per_token: SimDuration,
-    /// Decode compute per generated token.
-    pub decode_per_token: SimDuration,
 }
 
 impl Default for LlmCostModel {
@@ -64,7 +68,6 @@ impl Default for LlmCostModel {
         LlmCostModel {
             kv_bytes_per_token: 256,
             prefill_per_token: SimDuration::from_micros(1),
-            decode_per_token: SimDuration::from_micros(5),
         }
     }
 }
@@ -82,7 +85,7 @@ impl LlmCostModel {
 
     /// Decode time for `tokens`.
     pub fn decode(&self, tokens: u32) -> SimDuration {
-        self.decode_per_token * tokens as u64
+        DECODE_PER_TOKEN * tokens as u64
     }
 }
 
@@ -98,9 +101,6 @@ pub struct TieredKvConfig {
     pub prefix_cache_capacity: ByteSize,
     /// Spill policy for cold conversations.
     pub spill: SpillPolicy,
-    /// Completed turns after which a conversation stores under the
-    /// veteran server (and thus its QoS tenant).
-    pub long_running_turns: u32,
     /// Compute/KV scaling model.
     pub cost: LlmCostModel,
 }
@@ -112,7 +112,6 @@ impl Default for TieredKvConfig {
             remote_capacity: ByteSize::from_mib(16),
             prefix_cache_capacity: ByteSize::from_mib(1),
             spill: SpillPolicy::RemoteThenDisk,
-            long_running_turns: 3,
             cost: LlmCostModel::default(),
         }
     }
@@ -271,7 +270,7 @@ impl TieredKvEngine {
     }
 
     /// Creates an engine with a tenant split: conversations below
-    /// [`TieredKvConfig::long_running_turns`] completed turns store under
+    /// three completed turns (`LONG_RUNNING_TURNS`) store under
     /// `rookie`, older ones (and the prefix cache) under `veteran`.
     /// Register the two servers with distinct QoS tenants to isolate
     /// long-running conversations from flash crowds.
@@ -343,7 +342,7 @@ impl TieredKvEngine {
     }
 
     fn server_for(&self, session: u64) -> ServerId {
-        if self.tenure.get(&session).copied().unwrap_or(0) >= self.config.long_running_turns {
+        if self.tenure.get(&session).copied().unwrap_or(0) >= LONG_RUNNING_TURNS {
             self.veteran
         } else {
             self.rookie
@@ -934,7 +933,7 @@ mod tests {
         let rookie = dm.servers()[0];
         let veteran = dm.servers()[1];
         let mut e = TieredKvEngine::with_servers(dm, rookie, veteran, tight());
-        drive(&mut e, 24, 4); // 4 completed turns > long_running_turns=3
+        drive(&mut e, 24, 4); // 4 completed turns > LONG_RUNNING_TURNS
         // All spilled conversations completed ≥3 turns by their last
         // demotion or were demoted early as rookies; at least the final
         // state of long-lived sessions must sit under the veteran server.

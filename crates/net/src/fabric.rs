@@ -1,6 +1,6 @@
 //! The fabric: registered memory regions, queue pairs and verbs.
 
-use crate::faults::{FabricFaults, VerbOutcome};
+use crate::faults::{FabricFaults, VerbOutcome, OP_TIMEOUT, RETRY_ATTEMPTS};
 use dmem_sim::{
     CostModel, Counter, FailureInjector, LazyCounter, LazyHistogram, MetricsRegistry, SimClock,
     SimDuration,
@@ -455,8 +455,7 @@ impl Fabric {
         let Some(faults) = self.faults.get() else {
             return attempt_once();
         };
-        let policy = faults.retry();
-        let deadline = self.clock.now() + policy.op_timeout;
+        let deadline = self.clock.now() + OP_TIMEOUT;
         let mut attempt = 0u32;
         // Total backoff wait this verb accumulated, recorded into the
         // `faults.retry.wait.ns` histogram whenever a retry happened —
@@ -480,7 +479,7 @@ impl Fabric {
                         e,
                         DmemError::Timeout { .. } | DmemError::LinkDown { .. }
                     );
-                    if !transient || attempt + 1 >= policy.attempts.max(1) {
+                    if !transient || attempt + 1 >= RETRY_ATTEMPTS {
                         if transient {
                             self.handles.retry_exhausted.inc();
                         }

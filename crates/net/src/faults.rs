@@ -71,51 +71,29 @@ impl FaultProfile {
     }
 }
 
-/// Verb-level retry policy: capped exponential backoff with jitter, all
-/// on the virtual clock.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per verb (first try included). Always ≥ 1.
-    pub attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimDuration,
-    /// Backoff growth cap.
-    pub max_backoff: SimDuration,
-    /// Overall per-verb deadline: once this much virtual time has passed
-    /// since the first attempt, the verb fails with a timeout even if
-    /// attempts remain.
-    pub op_timeout: SimDuration,
-}
+// Verb-level retry policy: capped exponential backoff with jitter, all on
+// the virtual clock. 5 attempts, 10 µs doubling to a 160 µs cap, 2 ms
+// per-verb deadline — roughly the RC retransmit budget of a real NIC
+// scaled to the cost model's microsecond fabric.
 
-impl Default for RetryPolicy {
-    /// 5 attempts, 10 µs doubling to a 160 µs cap, 2 ms per-verb
-    /// deadline — roughly the RC retransmit budget of a real NIC scaled
-    /// to the cost model's microsecond fabric.
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 5,
-            base_backoff: SimDuration::from_micros(10),
-            max_backoff: SimDuration::from_micros(160),
-            op_timeout: SimDuration::from_millis(2),
-        }
-    }
-}
+/// Total attempts per verb (first try included).
+pub const RETRY_ATTEMPTS: u32 = 5;
+/// Backoff before the first retry.
+const BASE_BACKOFF: SimDuration = SimDuration::from_micros(10);
+/// Backoff growth cap.
+const MAX_BACKOFF: SimDuration = SimDuration::from_micros(160);
+/// Overall per-verb deadline: once this much virtual time has passed since
+/// the first attempt, the verb fails with a timeout even if attempts
+/// remain.
+pub(crate) const OP_TIMEOUT: SimDuration = SimDuration::from_millis(2);
 
-impl RetryPolicy {
-    /// The deterministic (un-jittered) backoff before retry number
-    /// `attempt` (0-based): `base · 2^attempt`, capped at
-    /// [`RetryPolicy::max_backoff`].
-    ///
-    /// With the default policy the sequence is 10, 20, 40, 80, 160,
-    /// 160, … µs.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let grown = self
-            .base_backoff
-            .as_nanos()
-            .saturating_shl(attempt.min(32))
-            .max(self.base_backoff.as_nanos());
-        SimDuration::from_nanos(grown.min(self.max_backoff.as_nanos()))
-    }
+/// The deterministic (un-jittered) backoff before retry number `attempt`
+/// (0-based): `base · 2^attempt`, capped at 160 µs — the sequence is 10,
+/// 20, 40, 80, 160, 160, … µs.
+pub fn retry_backoff(attempt: u32) -> SimDuration {
+    // 10 µs << 32 still fits a u64; the cap binds long before.
+    let grown = BASE_BACKOFF.as_nanos() << attempt.min(32);
+    SimDuration::from_nanos(grown.min(MAX_BACKOFF.as_nanos()))
 }
 
 /// The fate the fault layer assigns one verb attempt.
@@ -146,7 +124,6 @@ struct FaultState {
 /// contract).
 pub struct FabricFaults {
     profile: FaultProfile,
-    retry: RetryPolicy,
     state: Mutex<FaultState>,
 }
 
@@ -161,20 +138,14 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 
 impl FabricFaults {
     /// Creates a layer drawing outcomes and jitter from `rng`.
-    pub fn new(rng: DetRng, profile: FaultProfile, retry: RetryPolicy) -> Self {
+    pub fn new(rng: DetRng, profile: FaultProfile) -> Self {
         FabricFaults {
             profile,
-            retry,
             state: Mutex::new(FaultState {
                 rng,
                 partitions: BTreeSet::new(),
             }),
         }
-    }
-
-    /// The retry policy verbs run under while this layer is installed.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// The verb fault profile in force.
@@ -217,11 +188,11 @@ impl FabricFaults {
     }
 
     /// The jittered backoff before retry `attempt` (0-based): half the
-    /// deterministic [`RetryPolicy::backoff`] plus a uniform draw over
+    /// deterministic [`retry_backoff`] plus a uniform draw over
     /// the other half ("equal jitter"), so concurrent retries decorrelate
     /// while the expected wait keeps the exponential shape.
     pub fn jittered_backoff(&self, attempt: u32) -> SimDuration {
-        let full = self.retry.backoff(attempt).as_nanos();
+        let full = retry_backoff(attempt).as_nanos();
         let half = full / 2;
         let jitter = self.state.lock().rng.below((full - half + 1) as usize) as u64;
         SimDuration::from_nanos(half + jitter)
@@ -233,7 +204,6 @@ impl fmt::Debug for FabricFaults {
         let state = self.state.lock();
         f.debug_struct("FabricFaults")
             .field("profile", &self.profile)
-            .field("retry", &self.retry)
             .field("partitions", &state.partitions.len())
             .finish()
     }
@@ -337,18 +307,6 @@ impl ShardFaultSchedule {
     }
 }
 
-/// `u64` has no `saturating_shl`; a helper keeps [`RetryPolicy::backoff`]
-/// readable.
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> Self {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,22 +354,15 @@ mod tests {
 
     #[test]
     fn backoff_sequence_doubles_then_caps() {
-        let policy = RetryPolicy::default();
-        let micros: Vec<u64> = (0..7)
-            .map(|i| policy.backoff(i).as_nanos() / 1_000)
-            .collect();
+        let micros: Vec<u64> = (0..7).map(|i| retry_backoff(i).as_nanos() / 1_000).collect();
         assert_eq!(micros, vec![10, 20, 40, 80, 160, 160, 160]);
     }
 
     #[test]
     fn jittered_backoff_stays_within_the_envelope() {
-        let layer = FabricFaults::new(
-            DetRng::new(7),
-            FaultProfile::chaos_default(),
-            RetryPolicy::default(),
-        );
+        let layer = FabricFaults::new(DetRng::new(7), FaultProfile::chaos_default());
         for attempt in 0..6 {
-            let full = layer.retry().backoff(attempt);
+            let full = retry_backoff(attempt);
             for _ in 0..32 {
                 let j = layer.jittered_backoff(attempt);
                 assert!(j.as_nanos() >= full.as_nanos() / 2, "below half: {j:?}");
@@ -423,11 +374,7 @@ mod tests {
     #[test]
     fn outcomes_are_seed_deterministic() {
         let draw = |seed| {
-            let layer = FabricFaults::new(
-                DetRng::new(seed),
-                FaultProfile::chaos_default(),
-                RetryPolicy::default(),
-            );
+            let layer = FabricFaults::new(DetRng::new(seed), FaultProfile::chaos_default());
             (0..256).map(|_| layer.verb_outcome()).collect::<Vec<_>>()
         };
         assert_eq!(draw(42), draw(42));
@@ -436,11 +383,7 @@ mod tests {
 
     #[test]
     fn none_profile_always_delivers() {
-        let layer = FabricFaults::new(
-            DetRng::new(3),
-            FaultProfile::none(),
-            RetryPolicy::default(),
-        );
+        let layer = FabricFaults::new(DetRng::new(3), FaultProfile::none());
         for _ in 0..100 {
             assert_eq!(layer.verb_outcome(), VerbOutcome::Deliver);
         }

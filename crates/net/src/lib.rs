@@ -54,6 +54,4 @@ pub use batch::BatchSender;
 pub use cm::{ChannelKind, ConnectionManager};
 pub use cxl::{CxlAddr, CxlCostModel, CxlPool, CxlRing};
 pub use fabric::{Fabric, QpHandle, RegionHandle};
-pub use faults::{
-    FabricFaults, FaultProfile, HostOutage, RetryPolicy, ShardFaultSchedule, VerbOutcome,
-};
+pub use faults::{FabricFaults, FaultProfile, HostOutage, ShardFaultSchedule, VerbOutcome};

@@ -24,22 +24,20 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
+/// Donation fraction step the controller requests per violated tick.
+const DONATION_STEP: f64 = 0.05;
+/// Throttle levels cap. Each level halves a tenant's effective fabric
+/// rate (the bucket charge doubles), so level 6 = 1/64 bandwidth.
+const MAX_THROTTLE: u8 = 6;
+/// At or above this throttle level a tenant's new puts are *shed*:
+/// admitted straight to disk instead of competing for fast tiers.
+const SHED_LEVEL: u8 = 4;
+
 /// Tuning knobs for the engine and its controller.
 #[derive(Debug, Clone)]
 pub struct QosConfig {
-    /// Aggregate fabric rate across *all* tenants, bytes per virtual
-    /// second. `None` leaves the aggregate unmetered.
-    pub aggregate_rate: Option<u64>,
     /// Burst allowance for every token bucket.
     pub burst: ByteSize,
-    /// Donation fraction step the controller requests per violated tick.
-    pub donation_step: f64,
-    /// Throttle levels cap. Each level halves a tenant's effective fabric
-    /// rate (the bucket charge doubles), so level 6 = 1/64 bandwidth.
-    pub max_throttle: u8,
-    /// At or above this throttle level a tenant's new puts are *shed*:
-    /// admitted straight to disk instead of competing for fast tiers.
-    pub shed_level: u8,
     /// Minimum windowed get samples before the controller judges an SLO.
     pub min_slo_samples: u64,
     /// Decision-log line cap (the digest always covers every decision).
@@ -49,11 +47,7 @@ pub struct QosConfig {
 impl Default for QosConfig {
     fn default() -> Self {
         QosConfig {
-            aggregate_rate: None,
             burst: ByteSize::from_kib(256),
-            donation_step: 0.05,
-            max_throttle: 6,
-            shed_level: 4,
             min_slo_samples: 8,
             log_capacity: 1 << 16,
         }
@@ -217,7 +211,6 @@ impl TenantState {
 struct Inner {
     tenants: Vec<TenantState>,
     owners: IdMap<ServerId, TenantId>,
-    aggregate: Option<TokenBucket>,
     log: DecisionLog,
     evictions: Vec<EvictionRecord>,
     /// Where `qos.*` counters go; `None` until `attach_metrics`.
@@ -299,9 +292,6 @@ impl QosEngine {
     /// (id 0, unlimited quota, top priority).
     pub fn new(config: QosConfig) -> Self {
         let burst = config.burst.as_u64();
-        let aggregate = config
-            .aggregate_rate
-            .map(|rate| TokenBucket::new(rate, burst));
         let log = DecisionLog {
             lines: Vec::new(),
             capacity: config.log_capacity,
@@ -314,7 +304,6 @@ impl QosEngine {
             inner: Mutex::new(Inner {
                 tenants: vec![TenantState::new(TenantSpec::system(), burst, None)],
                 owners: IdMap::default(),
-                aggregate,
                 log,
                 evictions: Vec::new(),
                 registry: None,
@@ -404,7 +393,7 @@ impl QosEngine {
         let Inner { tenants, log, .. } = &mut *inner;
         let t = &tenants[tenant.index() as usize];
         let name = &t.spec.name;
-        let decision = if t.throttle >= self.config.shed_level && !tenant.is_system() {
+        let decision = if t.throttle >= SHED_LEVEL && !tenant.is_system() {
             AdmitDecision::Shed
         } else if t.under_quota(bytes) {
             AdmitDecision::Admit
@@ -531,25 +520,19 @@ impl QosEngine {
 
     /// Meters `bytes` of fabric traffic for `tenant` at virtual time
     /// `now`; returns how long the caller must advance the clock before
-    /// issuing the verbs. Zero for unmetered tenants at throttle 0.
+    /// issuing the verbs. Zero for tenants without a configured rate.
     ///
     /// Throttling doubles the charge per level, halving effective
-    /// bandwidth; a tenant with no configured rate that gets throttled is
-    /// charged against the aggregate bucket only.
+    /// bandwidth.
     pub fn fabric_acquire(&self, tenant: TenantId, bytes: u64, now: SimInstant) -> SimDuration {
         let mut inner = self.inner.lock();
         let idx = tenant.index() as usize;
-        let level = inner.tenants[idx].throttle.min(self.config.max_throttle);
+        let level = inner.tenants[idx].throttle.min(MAX_THROTTLE);
         let charged = bytes << u64::from(level).min(32);
-        let mut wait = SimDuration::ZERO;
-        if let Some(bucket) = inner.tenants[idx].bucket.as_mut() {
-            wait = wait.max(bucket.acquire(charged, now));
-        }
-        if let Some(aggregate) = inner.aggregate.as_mut() {
-            // The aggregate meters real bytes; throttle scaling is a
-            // per-tenant penalty, not cluster accounting.
-            wait = wait.max(aggregate.acquire(bytes, now));
-        }
+        let wait = match inner.tenants[idx].bucket.as_mut() {
+            Some(bucket) => bucket.acquire(charged, now),
+            None => SimDuration::ZERO,
+        };
         if !wait.is_zero() {
             let Inner { tenants, log, .. } = &mut *inner;
             let t = &tenants[idx];
@@ -581,9 +564,8 @@ impl QosEngine {
     /// previous tick). When a tenant's SLO is violated:
     ///
     /// * every strictly-lower-priority tenant's throttle level rises one
-    ///   step (graceful degradation — shedding starts at
-    ///   [`QosConfig::shed_level`]);
-    /// * an [`ControlAction::AdjustDonation`] of `+donation_step` is
+    ///   step (graceful degradation — shedding starts at level 4);
+    /// * an [`ControlAction::AdjustDonation`] of `+0.05` is
     ///   emitted for each of the suffering tenant's servers, growing the
     ///   node shared pools it lives on.
     ///
@@ -634,7 +616,7 @@ impl QosEngine {
         for &v in &violated {
             let vpri = tenants[v].spec.priority;
             for t in tenants.iter_mut() {
-                if t.spec.priority < vpri && t.throttle < self.config.max_throttle {
+                if t.spec.priority < vpri && t.throttle < MAX_THROTTLE {
                     t.throttle += 1;
                     log.push(format_args!("level {} {}", t.spec.name, t.throttle));
                 }
@@ -649,12 +631,11 @@ impl QosEngine {
             servers.sort();
             for server in servers {
                 log.push(format_args!(
-                    "donate server={server} delta={:+.2}",
-                    self.config.donation_step
+                    "donate server={server} delta={DONATION_STEP:+.2}"
                 ));
                 actions.push(ControlAction::AdjustDonation {
                     server,
-                    delta: self.config.donation_step,
+                    delta: DONATION_STEP,
                 });
             }
         }
@@ -941,7 +922,7 @@ mod tests {
             actions,
             vec![ControlAction::AdjustDonation {
                 server: server(0, 0),
-                delta: qos.config.donation_step,
+                delta: DONATION_STEP,
             }]
         );
         assert_eq!(qos.throttle_level(lo), 1);
@@ -966,12 +947,12 @@ mod tests {
         let lo = qos.register_tenant(TenantSpec::new("lo", 10, ByteSize::from_mib(1)));
         let metrics = MetricsRegistry::new();
         let h = metrics.histogram("qos.hi.get.ns");
-        for tick in 0..qos.config.shed_level {
+        for tick in 0..SHED_LEVEL {
             for _ in 0..32 {
                 h.record(1_000_000);
             }
             qos.controller_tick(&metrics);
-            let expect_shed = tick + 1 >= qos.config.shed_level;
+            let expect_shed = tick + 1 >= SHED_LEVEL;
             assert_eq!(
                 qos.admit_fast(lo, 4096) == AdmitDecision::Shed,
                 expect_shed,

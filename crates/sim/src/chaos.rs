@@ -14,11 +14,53 @@
 use crate::failure::FailureEvent;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
-use dmem_types::{NodeId, PlacementStrategy, ReplicationFactor, ServerId};
+use dmem_types::{NodeId, ReplicationFactor, ServerId};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-/// Shape and intensity of a generated chaos schedule.
+/// Value sizes drawn uniformly per put. They span every tier: sub-page
+/// values land in the node shared pool, page-sized values overflow to
+/// remote memory, multi-page values bypass the shared pool entirely and
+/// large ones spill to disk.
+const VALUE_SIZES: [usize; 5] = [128, 2048, 4096, 16 * 1024, 64 * 1024];
+/// Probability that a step injects a failure instead of workload.
+const FAILURE_PROBABILITY: f64 = 0.08;
+/// Probability that a step runs a background-maintenance window.
+const MAINTAIN_PROBABILITY: f64 = 0.08;
+/// Recovery delay bounds, in schedule steps, for injected failures
+/// (both inclusive).
+const MIN_RECOVERY_STEPS: usize = 3;
+const MAX_RECOVERY_STEPS: usize = 20;
+/// How many nodes may be down at once. Keeping this below
+/// `nodes - replication - 1` leaves re-replication feasible, which is
+/// what the convergence invariant checks at quiescence.
+const MAX_CONCURRENT_NODE_FAILURES: usize = 1;
+/// Virtual-time horizon of one maintenance window; it covers at least
+/// two repair intervals so the convergence invariant's bound ("degree
+/// restored within one maintenance window") is fair.
+const MAINTAIN_HORIZON: SimDuration = SimDuration::from_millis(250);
+/// Probability a step opens a host-pair partition (fabric faults only; at
+/// most one partition is active at a time).
+const PARTITION_PROBABILITY: f64 = 0.05;
+/// Probability a step breaks every QP of a host pair (fabric faults only).
+const QP_BREAK_PROBABILITY: f64 = 0.05;
+/// Probability a step opens a pool-node outage window (CXL only; at most
+/// one pool node is down at a time).
+const CXL_OUTAGE_PROBABILITY: f64 = 0.05;
+/// Probability a step performs a remote atomic fetch-add on one of the
+/// shared counter slots (CXL only).
+const CXL_ATOMIC_PROBABILITY: f64 = 0.10;
+/// Pool nodes of the CXL tier the harness configures (CXL only).
+pub const CXL_POOL_NODES: u16 = 2;
+/// Shared remote-atomic counter slots the schedule hammers (CXL only).
+pub const CXL_ATOMIC_SLOTS: usize = 3;
+
+/// Steps until an injected failure's matched recovery.
+fn recovery_delay(rng: &mut DetRng) -> usize {
+    MIN_RECOVERY_STEPS + rng.below(MAX_RECOVERY_STEPS - MIN_RECOVERY_STEPS + 1)
+}
+
+/// Shape of a generated chaos schedule and of the cluster it runs on.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Physical nodes in the simulated cluster.
@@ -31,32 +73,9 @@ pub struct ChaosConfig {
     /// Per-server key space; small enough that gets and deletes regularly
     /// hit keys that earlier puts acked.
     pub keys: u64,
-    /// Value sizes drawn uniformly per put. The defaults span every tier:
-    /// sub-page values land in the node shared pool, page-sized values
-    /// overflow to remote memory, multi-page values bypass the shared
-    /// pool entirely and large ones spill to disk.
-    pub value_sizes: Vec<usize>,
-    /// Probability that a step injects a failure instead of workload.
-    pub failure_probability: f64,
-    /// Probability that a step runs a background-maintenance window.
-    pub maintain_probability: f64,
-    /// Recovery delay bounds, in schedule steps, for injected failures.
-    pub min_recovery_steps: usize,
-    /// Upper bound of the recovery delay (inclusive).
-    pub max_recovery_steps: usize,
-    /// How many nodes may be down at once. Keeping this below
-    /// `nodes - replication - 1` leaves re-replication feasible, which is
-    /// what the convergence invariant checks at quiescence.
-    pub max_concurrent_node_failures: usize,
-    /// Virtual-time horizon of one maintenance window; must cover at
-    /// least two repair intervals so the convergence invariant's bound
-    /// ("degree restored within one maintenance window") is fair.
-    pub maintain_horizon: SimDuration,
     /// Replication factor of the cluster the harness builds. Read by the
     /// harness only: the schedule does not depend on it.
     pub replication: ReplicationFactor,
-    /// Replica placement policy of that cluster (harness only).
-    pub placement: PlacementStrategy,
     /// Install the multi-tenant QoS control plane on that cluster and
     /// check its invariants — quota ceilings, priority-eviction ordering
     /// (harness only). Off by default, so runs without it are
@@ -71,12 +90,6 @@ pub struct ChaosConfig {
     /// layer. Off by default, so runs without it are byte-identical to
     /// pre-fault builds.
     pub fabric_faults: bool,
-    /// Probability a step opens a host-pair partition (fabric faults
-    /// only; at most one partition is active at a time).
-    pub partition_probability: f64,
-    /// Probability a step breaks every QP of a host pair (fabric faults
-    /// only).
-    pub qp_break_probability: f64,
     /// Generate CXL pool-tier steps — pool-node outage windows with
     /// matched recoveries plus remote-atomic counter ops — from an
     /// independent RNG fork. The harness reads the same flag: it
@@ -85,17 +98,6 @@ pub struct ChaosConfig {
     /// atomics exactly-once and sum-exact). Off by default, so runs
     /// without it are byte-identical to pre-CXL builds.
     pub cxl: bool,
-    /// Probability a step opens a pool-node outage window (CXL only; at
-    /// most one pool node is down at a time).
-    pub cxl_outage_probability: f64,
-    /// Probability a step performs a remote atomic fetch-add on one of
-    /// the shared counter slots (CXL only).
-    pub cxl_atomic_probability: f64,
-    /// Pool nodes of the CXL tier the harness configures (CXL only).
-    pub cxl_pool_nodes: u16,
-    /// Shared remote-atomic counter slots the schedule hammers (CXL
-    /// only).
-    pub cxl_atomic_slots: usize,
 }
 
 impl Default for ChaosConfig {
@@ -105,24 +107,10 @@ impl Default for ChaosConfig {
             servers_per_node: 2,
             steps: 120,
             keys: 24,
-            value_sizes: vec![128, 2048, 4096, 16 * 1024, 64 * 1024],
-            failure_probability: 0.08,
-            maintain_probability: 0.08,
-            min_recovery_steps: 3,
-            max_recovery_steps: 20,
-            max_concurrent_node_failures: 1,
-            maintain_horizon: SimDuration::from_millis(250),
             replication: ReplicationFactor::TRIPLE,
-            placement: PlacementStrategy::PowerOfTwoChoices,
             qos: false,
             fabric_faults: false,
-            partition_probability: 0.05,
-            qp_break_probability: 0.05,
             cxl: false,
-            cxl_outage_probability: 0.05,
-            cxl_atomic_probability: 0.10,
-            cxl_pool_nodes: 2,
-            cxl_atomic_slots: 3,
         }
     }
 }
@@ -302,7 +290,7 @@ impl ChaosSchedule {
                     steps.push(ChaosStep::HealPair { a, b });
                 }
                 let roll = nf.unit();
-                if roll < config.partition_probability {
+                if roll < PARTITION_PROBABILITY {
                     let a = nodes[nf.below(nodes.len())];
                     let b = nodes[nf.below(nodes.len())];
                     let (a, b) = if a <= b { (a, b) } else { (b, a) };
@@ -310,15 +298,11 @@ impl ChaosSchedule {
                     // (plus the allowed node failure) could make triple
                     // replication infeasible outright.
                     if a != b && partitioned.is_empty() && partitioned.insert((a, b)) {
-                        let due = index
-                            + config.min_recovery_steps
-                            + nf.below(
-                                config.max_recovery_steps - config.min_recovery_steps + 1,
-                            );
+                        let due = index + recovery_delay(nf);
                         pending_heals.entry(due).or_default().push((a, b));
                         steps.push(ChaosStep::PartitionPair { a, b });
                     }
-                } else if roll < config.partition_probability + config.qp_break_probability {
+                } else if roll < PARTITION_PROBABILITY + QP_BREAK_PROBABILITY {
                     let a = nodes[nf.below(nodes.len())];
                     let b = nodes[nf.below(nodes.len())];
                     if a != b {
@@ -333,22 +317,18 @@ impl ChaosSchedule {
                     steps.push(ChaosStep::CxlPoolUp { pool_node });
                 }
                 let roll = cx.unit();
-                if roll < config.cxl_outage_probability {
-                    let pool_node = cx.below(config.cxl_pool_nodes.max(1) as usize) as u16;
+                if roll < CXL_OUTAGE_PROBABILITY {
+                    let pool_node = cx.below(CXL_POOL_NODES as usize) as u16;
                     // One outage window at a time: the write-behind shadow
                     // covers a single pool-node loss; concurrent losses are
                     // a capacity story, not a correctness one.
                     if cxl_down.is_empty() && cxl_down.insert(pool_node) {
-                        let due = index
-                            + config.min_recovery_steps
-                            + cx.below(
-                                config.max_recovery_steps - config.min_recovery_steps + 1,
-                            );
+                        let due = index + recovery_delay(cx);
                         pending_pool_ups.entry(due).or_default().push(pool_node);
                         steps.push(ChaosStep::CxlPoolDown { pool_node });
                     }
-                } else if roll < config.cxl_outage_probability + config.cxl_atomic_probability {
-                    let slot = cx.below(config.cxl_atomic_slots.max(1));
+                } else if roll < CXL_OUTAGE_PROBABILITY + CXL_ATOMIC_PROBABILITY {
+                    let slot = cx.below(CXL_ATOMIC_SLOTS);
                     let delta = 1 + cx.below(9) as u64;
                     steps.push(ChaosStep::CxlAtomic { slot, delta });
                 }
@@ -371,14 +351,12 @@ impl ChaosSchedule {
             }
 
             let roll = ops.unit();
-            if roll < config.failure_probability {
-                let due = index
-                    + config.min_recovery_steps
-                    + faults.below(config.max_recovery_steps - config.min_recovery_steps + 1);
+            if roll < FAILURE_PROBABILITY {
+                let due = index + recovery_delay(&mut faults);
                 let injected = match faults.below(3) {
                     0 => {
                         let node = nodes[faults.below(nodes.len())];
-                        if down_nodes.len() < config.max_concurrent_node_failures
+                        if down_nodes.len() < MAX_CONCURRENT_NODE_FAILURES
                             && down_nodes.insert(node)
                         {
                             recoveries.entry(due).or_default().push(FailureEvent::NodeUp(node));
@@ -417,9 +395,9 @@ impl ChaosSchedule {
                 }
                 // Entity already down (or the cap reached): fall through
                 // to a workload step so the schedule keeps its length.
-            } else if roll < config.failure_probability + config.maintain_probability {
+            } else if roll < FAILURE_PROBABILITY + MAINTAIN_PROBABILITY {
                 steps.push(ChaosStep::Maintain {
-                    horizon: config.maintain_horizon,
+                    horizon: MAINTAIN_HORIZON,
                 });
                 continue;
             }
@@ -431,7 +409,7 @@ impl ChaosSchedule {
                 ChaosStep::Put {
                     server,
                     key,
-                    len: config.value_sizes[ops.below(config.value_sizes.len())],
+                    len: VALUE_SIZES[ops.below(VALUE_SIZES.len())],
                 }
             } else if kind < 75 {
                 ChaosStep::Get { server, key }
@@ -459,7 +437,7 @@ impl ChaosSchedule {
             }
         }
         steps.push(ChaosStep::Maintain {
-            horizon: config.maintain_horizon,
+            horizon: MAINTAIN_HORIZON,
         });
         ChaosSchedule { seed, steps }
     }
@@ -524,7 +502,7 @@ mod tests {
                 ChaosStep::Put { server, key, len } => {
                     assert!(servers.contains(server));
                     assert!(*key < cfg.keys);
-                    assert!(cfg.value_sizes.contains(len));
+                    assert!(VALUE_SIZES.contains(len));
                 }
                 ChaosStep::Get { server, key }
                 | ChaosStep::Record { server, key }
@@ -556,25 +534,6 @@ mod tests {
             }
         }
         assert!(puts > 0 && gets > 0 && injects > 0 && maintains > 8);
-    }
-
-    #[test]
-    fn fabric_faults_off_leaves_schedules_byte_identical() {
-        // The flag must be purely additive: disabling it reproduces the
-        // exact schedules older builds generated.
-        let plain = ChaosConfig::default();
-        let off = ChaosConfig {
-            fabric_faults: false,
-            partition_probability: 0.9,
-            qp_break_probability: 0.9,
-            ..ChaosConfig::default()
-        };
-        for seed in 0..16 {
-            assert_eq!(
-                ChaosSchedule::generate(seed, &plain),
-                ChaosSchedule::generate(seed, &off)
-            );
-        }
     }
 
     #[test]
@@ -622,10 +581,10 @@ mod tests {
     fn every_partition_has_a_later_heal_and_one_active_at_a_time() {
         let cfg = ChaosConfig {
             fabric_faults: true,
-            partition_probability: 0.3,
             steps: 300,
             ..ChaosConfig::default()
         };
+        let mut opened = 0usize;
         for seed in 0..8 {
             let schedule = ChaosSchedule::generate(seed, &cfg);
             let mut open = 0usize;
@@ -633,6 +592,7 @@ mod tests {
                 match step {
                     ChaosStep::PartitionPair { a, b } => {
                         open += 1;
+                        opened += 1;
                         assert_eq!(open, 1, "seed {seed}: overlapping partitions");
                         assert!(
                             schedule.steps[i + 1..].iter().any(
@@ -647,26 +607,7 @@ mod tests {
             }
             assert_eq!(open, 0, "seed {seed}: unhealed partition at end");
         }
-    }
-
-    #[test]
-    fn cxl_off_leaves_schedules_byte_identical() {
-        // Like the fabric flag: disabling the CXL stream must reproduce
-        // the exact schedules pre-CXL builds generated, no matter how the
-        // CXL knobs are set.
-        let plain = ChaosConfig::default();
-        let off = ChaosConfig {
-            cxl: false,
-            cxl_outage_probability: 0.9,
-            cxl_atomic_probability: 0.9,
-            ..ChaosConfig::default()
-        };
-        for seed in 0..16 {
-            assert_eq!(
-                ChaosSchedule::generate(seed, &plain),
-                ChaosSchedule::generate(seed, &off)
-            );
-        }
+        assert!(opened > 0, "no partition opened across 8 seeds");
     }
 
     #[test]
@@ -698,11 +639,11 @@ mod tests {
             for step in &b.steps {
                 match step {
                     ChaosStep::CxlPoolDown { pool_node } => {
-                        assert!(*pool_node < with.cxl_pool_nodes, "seed {seed}");
+                        assert!(*pool_node < CXL_POOL_NODES, "seed {seed}");
                         outages += 1;
                     }
                     ChaosStep::CxlAtomic { slot, delta } => {
-                        assert!(*slot < with.cxl_atomic_slots, "seed {seed}");
+                        assert!(*slot < CXL_ATOMIC_SLOTS, "seed {seed}");
                         assert!(*delta > 0, "seed {seed}: zero-delta atomic is vacuous");
                         atomics += 1;
                     }
@@ -718,10 +659,10 @@ mod tests {
     fn every_pool_outage_recovers_and_one_is_down_at_a_time() {
         let cfg = ChaosConfig {
             cxl: true,
-            cxl_outage_probability: 0.3,
             steps: 300,
             ..ChaosConfig::default()
         };
+        let mut opened = 0usize;
         for seed in 0..8 {
             let schedule = ChaosSchedule::generate(seed, &cfg);
             let mut open = 0usize;
@@ -729,6 +670,7 @@ mod tests {
                 match step {
                     ChaosStep::CxlPoolDown { pool_node } => {
                         open += 1;
+                        opened += 1;
                         assert_eq!(open, 1, "seed {seed}: overlapping pool outages");
                         assert!(
                             schedule.steps[i + 1..]
@@ -743,13 +685,16 @@ mod tests {
             }
             assert_eq!(open, 0, "seed {seed}: pool node still down at end");
         }
+        assert!(opened > 0, "no pool outage opened across 8 seeds");
     }
 
     #[test]
     fn node_failures_respect_concurrency_cap() {
-        let mut cfg = ChaosConfig::default();
-        cfg.failure_probability = 0.5;
-        cfg.steps = 400;
+        let cfg = ChaosConfig {
+            steps: 400,
+            ..ChaosConfig::default()
+        };
+        let mut downs = 0usize;
         for seed in 0..4 {
             let schedule = ChaosSchedule::generate(seed, &cfg);
             let mut down = 0usize;
@@ -757,12 +702,14 @@ mod tests {
                 match step {
                     ChaosStep::Inject(FailureEvent::NodeDown(_)) => {
                         down += 1;
-                        assert!(down <= cfg.max_concurrent_node_failures, "seed {seed}");
+                        downs += 1;
+                        assert!(down <= MAX_CONCURRENT_NODE_FAILURES, "seed {seed}");
                     }
                     ChaosStep::Inject(FailureEvent::NodeUp(_)) => down -= 1,
                     _ => {}
                 }
             }
         }
+        assert!(downs > 0, "no node failure fired across 4 seeds");
     }
 }

@@ -97,17 +97,6 @@ impl EngineConfig {
             fault_overhead: SimDuration::from_micros(15),
         }
     }
-
-    /// FastSwap's batched configuration (window 8 both directions).
-    pub fn batched(frames: usize) -> Self {
-        EngineConfig {
-            frames,
-            swap_out_window: 8,
-            swap_in: SwapInMode::ProactiveBatch { window: 8 },
-            compute_per_access: SimDuration::from_micros(2),
-            fault_overhead: SimDuration::from_micros(15),
-        }
-    }
 }
 
 /// Counters the engine maintains.

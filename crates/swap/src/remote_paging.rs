@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn faults_mode_degrades_page_in_to_disk_instead_of_failing() {
-        use dmem_net::{FabricFaults, FaultProfile, RetryPolicy};
+        use dmem_net::{FabricFaults, FaultProfile};
         use dmem_sim::DetRng;
 
         let (_, failures, store, disk) = cluster(2, 256);
@@ -340,7 +340,6 @@ mod tests {
         store.fabric().install_faults(Arc::new(FabricFaults::new(
             DetRng::new(0),
             FaultProfile::none(),
-            RetryPolicy::default(),
         )));
         let mut b = NbdxBackend::new(server(), Arc::clone(&store), NodeId::new(1), disk);
         store_one(&mut b, 1, vec![1u8; 4096]).unwrap();

@@ -412,11 +412,6 @@ impl CxlPoolConfig {
         self.pool_nodes > 0
     }
 
-    /// Total pool capacity across all nodes.
-    pub fn total(&self) -> ByteSize {
-        self.capacity_per_node * self.pool_nodes as u64
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -641,7 +636,6 @@ mod tests {
         assert!(CxlPoolConfig::DISABLED.validate().is_ok());
         let pool = CxlPoolConfig::new(4, ByteSize::from_kib(256));
         assert!(pool.enabled());
-        assert_eq!(pool.total(), ByteSize::from_mib(1));
         assert!(pool.validate().is_ok());
         assert!(CxlPoolConfig::new(2, ByteSize::ZERO).validate().is_err());
         assert!(

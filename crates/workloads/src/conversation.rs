@@ -22,6 +22,19 @@ use crate::zipf::ZipfSampler;
 use dmem_sim::{DetRng, SimDuration};
 use std::collections::HashMap;
 
+/// Distinct system prompts shared across conversations.
+const SYSTEM_PROMPTS: usize = 8;
+/// Zipf skew over system-prompt popularity.
+const PROMPT_SKEW: f64 = 0.9;
+/// Tokens in every system prompt (the reusable prefix).
+const PREFIX_TOKENS: u32 = 512;
+/// Mean user-prompt tokens per turn (uniform in `[m/2, 3m/2)`).
+const MEAN_PROMPT_TOKENS: u32 = 64;
+/// Mean generated tokens per turn (uniform in `[m/2, 3m/2)`).
+const MEAN_OUTPUT_TOKENS: u32 = 192;
+/// Conversations retire after this many turns.
+pub const MAX_TURNS: u32 = 8;
+
 /// Shape of an LLM conversation workload.
 #[derive(Debug, Clone)]
 pub struct ConversationConfig {
@@ -30,18 +43,6 @@ pub struct ConversationConfig {
     /// Probability an arrival opens a new conversation instead of
     /// continuing a live one.
     pub new_conv_prob: f64,
-    /// Distinct system prompts shared across conversations.
-    pub system_prompts: usize,
-    /// Zipf skew over system-prompt popularity.
-    pub prompt_skew: f64,
-    /// Tokens in every system prompt (the reusable prefix).
-    pub prefix_tokens: u32,
-    /// Mean user-prompt tokens per turn (uniform in `[m/2, 3m/2)`).
-    pub mean_prompt_tokens: u32,
-    /// Mean generated tokens per turn (uniform in `[m/2, 3m/2)`).
-    pub mean_output_tokens: u32,
-    /// Conversations retire after this many turns.
-    pub max_turns: u32,
 }
 
 impl Default for ConversationConfig {
@@ -49,12 +50,6 @@ impl Default for ConversationConfig {
         ConversationConfig {
             lambda_rate: 50.0,
             new_conv_prob: 0.3,
-            system_prompts: 8,
-            prompt_skew: 0.9,
-            prefix_tokens: 512,
-            mean_prompt_tokens: 64,
-            mean_output_tokens: 192,
-            max_turns: 8,
         }
     }
 }
@@ -122,7 +117,7 @@ pub struct ConversationStream {
     prompt_sampler: ZipfSampler,
     next_arrival_ns: u64,
     next_session: u64,
-    /// Sessions still below `max_turns`, in creation order so continue
+    /// Sessions still below [`MAX_TURNS`], in creation order so continue
     /// picks are deterministic.
     live: Vec<u64>,
     sessions: HashMap<u64, SessionState>,
@@ -133,17 +128,15 @@ impl ConversationStream {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive arrival rate, a probability outside
-    /// `[0, 1]`, zero system prompts, or zero `max_turns`.
+    /// Panics on a non-positive arrival rate or a probability outside
+    /// `[0, 1]`.
     pub fn new(config: ConversationConfig, seed: u64) -> Self {
         assert!(config.lambda_rate > 0.0, "arrival rate must be positive");
         assert!(
             (0.0..=1.0).contains(&config.new_conv_prob),
             "new_conv_prob outside [0, 1]"
         );
-        assert!(config.system_prompts > 0, "need at least one system prompt");
-        assert!(config.max_turns > 0, "conversations need at least one turn");
-        let prompt_sampler = ZipfSampler::new(config.system_prompts, config.prompt_skew);
+        let prompt_sampler = ZipfSampler::new(SYSTEM_PROMPTS, PROMPT_SKEW);
         ConversationStream {
             config,
             rng: conversation_rng(seed),
@@ -191,7 +184,7 @@ impl Iterator for ConversationStream {
             let state = SessionState {
                 prefix_id,
                 turn: 0,
-                context_tokens: self.config.prefix_tokens,
+                context_tokens: PREFIX_TOKENS,
             };
             self.sessions.insert(session, state);
             self.live.push(session);
@@ -202,8 +195,8 @@ impl Iterator for ConversationStream {
             (session, self.sessions[&session])
         };
 
-        let prompt_tokens = self.token_draw(self.config.mean_prompt_tokens);
-        let output_tokens = self.token_draw(self.config.mean_output_tokens);
+        let prompt_tokens = self.token_draw(MEAN_PROMPT_TOKENS);
+        let output_tokens = self.token_draw(MEAN_OUTPUT_TOKENS);
         let event = TurnEvent {
             at,
             session,
@@ -217,7 +210,7 @@ impl Iterator for ConversationStream {
         let entry = self.sessions.get_mut(&session).expect("session live");
         entry.turn += 1;
         entry.context_tokens = event.context_after();
-        if entry.turn >= self.config.max_turns {
+        if entry.turn >= MAX_TURNS {
             self.live.retain(|&s| s != session);
             self.sessions.remove(&session);
         }
@@ -269,15 +262,14 @@ mod tests {
                 None => {
                     assert_eq!(e.turn, 0);
                     assert_eq!(
-                        e.context_tokens,
-                        ConversationConfig::default().prefix_tokens,
+                        e.context_tokens, PREFIX_TOKENS,
                         "a fresh conversation starts from its system prefix"
                     );
                 }
                 Some(&ctx) => assert_eq!(e.context_tokens, ctx, "cross-turn KV reuse"),
             }
             context.insert(e.session, e.context_after());
-            assert!(e.turn < ConversationConfig::default().max_turns);
+            assert!(e.turn < MAX_TURNS);
         }
     }
 

@@ -33,9 +33,10 @@ pub struct TraceConfig {
     pub hot_access_prob: f64,
     /// Probability an access is a write.
     pub write_fraction: f64,
-    /// Zipf exponent of hot-set popularity.
-    pub hot_skew: f64,
 }
+
+/// Zipf exponent of hot-set popularity.
+const HOT_SKEW: f64 = 0.9;
 
 impl TraceConfig {
     /// Scales a paper-sized profile down to `working_set_pages` while
@@ -53,7 +54,6 @@ impl TraceConfig {
             hot_pages: ((working_set_pages as f64) * profile.hot_fraction).ceil() as u64,
             hot_access_prob: profile.hot_access_prob,
             write_fraction: profile.write_fraction,
-            hot_skew: 0.9,
         }
     }
 
@@ -69,7 +69,7 @@ impl TraceConfig {
     /// hot page. The stream length is [`TraceConfig::total_accesses`].
     pub fn generate(&self, seed: u64) -> Trace {
         let hot = if self.hot_pages > 0 {
-            Some(ZipfSampler::new(self.hot_pages as usize, self.hot_skew))
+            Some(ZipfSampler::new(self.hot_pages as usize, HOT_SKEW))
         } else {
             None
         };

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example self_healing`
 
 use memory_disaggregation::cluster::{Placer, RemoteSlabEvictor};
-use memory_disaggregation::core::{Maintenance, MaintenanceConfig};
+use memory_disaggregation::core::Maintenance;
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::sim::{DetRng, FailureEvent, SimDuration};
 use memory_disaggregation::types::EntryLocation;
@@ -31,12 +31,7 @@ fn main() -> DmemResult<()> {
         dm.membership().clone(),
         DetRng::new(3),
     );
-    let mut maintenance = Maintenance::new(
-        Arc::clone(&dm),
-        MaintenanceConfig::default(),
-        evictor,
-        placer,
-    );
+    let mut maintenance = Maintenance::new(Arc::clone(&dm), evictor, placer);
 
     // Crash a replica host; its DRAM contents are gone on restart.
     let victim = match dm.record(server, 0).expect("tracked").location {

@@ -36,10 +36,10 @@
 //! ```
 
 use dmem_cluster::{Placer, RemoteSlabEvictor};
-use dmem_core::{DisaggregatedMemory, Maintenance, MaintenanceConfig};
-use dmem_net::{CxlAddr, FabricFaults, FaultProfile, RetryPolicy};
+use dmem_core::{DisaggregatedMemory, Maintenance};
+use dmem_net::{CxlAddr, FabricFaults, FaultProfile};
 use dmem_qos::{QosConfig, QosEngine, TenantSpec};
-use dmem_sim::chaos::{ChaosConfig, ChaosSchedule, ChaosStep};
+use dmem_sim::chaos::{ChaosConfig, ChaosSchedule, ChaosStep, CXL_ATOMIC_SLOTS, CXL_POOL_NODES};
 use dmem_sim::{AlertRule, DetRng, FailureEvent, FlightRecorder, SimDuration, TelemetryHub};
 use dmem_types::{
     ByteSize, ClusterConfig, CompressionMode, CxlPoolConfig, DmemError, DonationPolicy, EntryId,
@@ -93,7 +93,6 @@ pub fn chaos_cluster(config: &ChaosConfig, seed: u64) -> ClusterConfig {
     cluster.servers_per_node = config.servers_per_node;
     cluster.group_size = config.nodes;
     cluster.replication = config.replication;
-    cluster.placement = config.placement;
     // Compression off keeps debug-mode runs fast and payload sizes exact.
     cluster.compression = CompressionMode::Off;
     cluster.server.donation = DonationPolicy::fixed(0.02);
@@ -102,7 +101,7 @@ pub fn chaos_cluster(config: &ChaosConfig, seed: u64) -> ClusterConfig {
     // Small pool nodes so the generated workload both lands in the CXL
     // tier and overflows it — outage windows then hit live data.
     if config.cxl {
-        cluster.cxl = CxlPoolConfig::new(config.cxl_pool_nodes as usize, ByteSize::from_kib(256));
+        cluster.cxl = CxlPoolConfig::new(CXL_POOL_NODES as usize, ByteSize::from_kib(256));
     }
     cluster.seed = seed;
     cluster
@@ -458,6 +457,7 @@ impl Harness {
         telemetry: Option<Arc<TelemetryHub>>,
     ) -> Self {
         let cluster = chaos_cluster(config, seed);
+        let placement = cluster.placement;
         let dm = Arc::new(
             DisaggregatedMemory::new(cluster).expect("chaos cluster config must validate"),
         );
@@ -477,7 +477,6 @@ impl Harness {
             let layer = Arc::new(FabricFaults::new(
                 DetRng::new(seed).fork("chaos.fabricfaults"),
                 FaultProfile::chaos_default(),
-                RetryPolicy::default(),
             ));
             dm.fabric().install_faults(Arc::clone(&layer));
             layer
@@ -487,12 +486,11 @@ impl Harness {
             evictor = evictor.with_priority(resolver);
         }
         let placer = Placer::new(
-            config.placement,
+            placement,
             dm.membership().clone(),
             DetRng::new(seed).fork("chaos.maintenance"),
         );
-        let maintenance =
-            Maintenance::new(Arc::clone(&dm), MaintenanceConfig::default(), evictor, placer);
+        let maintenance = Maintenance::new(Arc::clone(&dm), evictor, placer);
         let stats = ChaosStats {
             faults_mode: config.fabric_faults,
             cxl_mode: config.cxl,
@@ -503,7 +501,7 @@ impl Harness {
         // allocation cannot fail.
         let mut atomic_cells = BTreeMap::new();
         if let Some(pool) = dm.cxl_pool() {
-            for slot in 0..config.cxl_atomic_slots {
+            for slot in 0..CXL_ATOMIC_SLOTS {
                 let addr = pool
                     .alloc_counter(CXL_ATOMIC_SALT ^ slot as u64)
                     .expect("counter allocation in an empty pool");

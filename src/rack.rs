@@ -37,6 +37,24 @@ use dmem_types::IdMap;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+/// Replica copies per page.
+const REPLICAS: usize = 2;
+/// Fraction of accesses that dirty the page (trigger writeback on
+/// eviction).
+const WRITE_FRACTION: f64 = 0.3;
+/// Fraction of each host's pages forming its hot set.
+const HOT_FRACTION: f64 = 0.02;
+/// Probability an access lands in the hot set.
+const HOT_WEIGHT: f64 = 0.8;
+/// Fraction of hosts that suffer one outage window (failover and probes
+/// engage).
+const OUTAGE_FRACTION: f64 = 0.05;
+/// Telemetry sampling window: each shard captures its metric deltas on
+/// this virtual-time grid, merged post-run into [`RackReport::timeline`]
+/// in `(window, shard)` order — so the timeline is byte-identical at
+/// every worker count.
+pub const TIMELINE_WINDOW: SimDuration = SimDuration::from_micros(10);
+
 /// Configuration of one rack-scale run. All fields shape the *scenario*;
 /// the worker count is a separate argument to [`run_rack`] and never
 /// changes the output.
@@ -50,29 +68,10 @@ pub struct RackConfig {
     pub frames_per_host: usize,
     /// Accesses each host issues (closed loop, one outstanding fault).
     pub accesses_per_host: u64,
-    /// Replica copies per page (≥ 1).
-    pub replicas: usize,
     /// Hosts per shard (the logical partition; fixed by the scenario).
     pub hosts_per_shard: usize,
-    /// Fraction of accesses that dirty the page (trigger writeback on
-    /// eviction).
-    pub write_fraction: f64,
-    /// Fraction of each host's pages forming its hot set.
-    pub hot_fraction: f64,
-    /// Probability an access lands in the hot set.
-    pub hot_weight: f64,
-    /// Whether hosts suffer outage windows (failover + probes engage).
-    pub faults: bool,
-    /// Fraction of hosts that suffer one outage (when `faults`).
-    pub outage_fraction: f64,
     /// Keep one trace event in this many (0 disables the trace).
     pub trace_sample: u64,
-    /// Telemetry sampling window: each shard captures its metric deltas
-    /// on this virtual-time grid, merged post-run into
-    /// [`RackReport::timeline`] in `(window, shard)` order — so the
-    /// timeline is byte-identical at every worker count.
-    /// `SimDuration::ZERO` disables sampling.
-    pub timeline_window: SimDuration,
     /// Root seed; everything derives from it.
     pub seed: u64,
 }
@@ -85,15 +84,8 @@ impl RackConfig {
             pages_per_host: 4096,
             frames_per_host: 64,
             accesses_per_host: 200,
-            replicas: 2,
             hosts_per_shard: 32,
-            write_fraction: 0.3,
-            hot_fraction: 0.02,
-            hot_weight: 0.8,
-            faults: true,
-            outage_fraction: 0.05,
             trace_sample: 4096,
-            timeline_window: SimDuration::from_micros(10),
             seed: 0x00d1_5a66,
         }
     }
@@ -313,7 +305,7 @@ struct RackShard {
 impl RackShard {
     fn new(shard: ShardId, cfg: &RackConfig, map: &ShardMap, outages: Vec<HostOutage>) -> Self {
         let registry = MetricsRegistry::new();
-        let mut sampler = WindowSampler::new(cfg.timeline_window);
+        let mut sampler = WindowSampler::new(TIMELINE_WINDOW);
         sampler.add_registry(registry.clone());
         let cost = CostModel::paper_default();
         let owned = map.hosts_of(shard);
@@ -394,7 +386,7 @@ impl RackShard {
             page,
             owner,
             self.cfg.hosts,
-            self.cfg.replicas,
+            REPLICAS,
             &self.map,
             &mut self.replicas,
             &mut self.used_shards,
@@ -455,8 +447,6 @@ impl RackShard {
     /// One access of `host`'s workload loop.
     fn access(&mut self, ctx: &mut EpochCtx<RackMsg>, now: SimInstant, host: usize) {
         let cfg_pages = self.cfg.pages_per_host;
-        let (hot_fraction, hot_weight) = (self.cfg.hot_fraction, self.cfg.hot_weight);
-        let write_fraction = self.cfg.write_fraction;
         let hit_cost = self.dram_lat;
         let state = &mut self.hosts[host - self.base];
         if state.issued >= self.cfg.accesses_per_host {
@@ -465,14 +455,14 @@ impl RackShard {
         }
         state.issued += 1;
         // Hot-set skew: a small set of pages absorbs most accesses.
-        let hot_pages = ((cfg_pages as f64 * hot_fraction) as u64).max(1);
-        let local = if state.rng.chance(hot_weight) {
+        let hot_pages = ((cfg_pages as f64 * HOT_FRACTION) as u64).max(1);
+        let local = if state.rng.chance(HOT_WEIGHT) {
             state.rng.below(hot_pages as usize) as u64
         } else {
             state.rng.below(cfg_pages as usize) as u64
         };
         let page = host as u64 * cfg_pages + local;
-        let dirty = state.rng.chance(write_fraction);
+        let dirty = state.rng.chance(WRITE_FRACTION);
         let think = SimDuration::from_nanos(200 + state.rng.below(200) as u64);
         let hit = match state.frames.get_mut(&page) {
             Some(frame) => {
@@ -580,7 +570,7 @@ impl RackShard {
                 target,
                 replica_idx,
             } => {
-                if self.cfg.faults && self.host_down(target, now) {
+                if self.host_down(target, now) {
                     // The requester learns after the RC retransmit budget
                     // burns: a penalty on top of the message flight.
                     self.metrics.read_nacked.inc();
@@ -725,7 +715,7 @@ impl RackShard {
                 }
             }
             RackMsg::ProbeReq { target, requester } => {
-                let up = !(self.cfg.faults && self.host_down(target, now));
+                let up = !self.host_down(target, now);
                 self.send(
                     ctx,
                     now,
@@ -850,8 +840,7 @@ pub struct RackReport {
     /// Name-sorted `key=value` pairs of all counters the run touched.
     pub metrics_line: String,
     /// Per-window counter/histogram timeline, merged from the per-shard
-    /// samplers in `(window, shard)` order. Empty when
-    /// [`RackConfig::timeline_window`] is zero.
+    /// samplers in `(window, shard)` order.
     pub timeline: Timeline,
 }
 
@@ -938,16 +927,12 @@ pub fn run_rack_profiled(config: &RackConfig, workers: usize) -> (RackReport, Ra
 /// The shards of `config`, ready to run, and the epoch length.
 fn build_shards(config: &RackConfig) -> (Vec<RackShard>, SimDuration) {
     let map = config.shard_map();
-    let schedule = if config.faults {
-        ShardFaultSchedule::generate(
-            config.seed ^ 0xfau64,
-            config.hosts,
-            config.outage_horizon(),
-            config.outage_fraction,
-        )
-    } else {
-        ShardFaultSchedule::generate(0, 0, SimDuration::from_nanos(1), 0.0)
-    };
+    let schedule = ShardFaultSchedule::generate(
+        config.seed ^ 0xfau64,
+        config.hosts,
+        config.outage_horizon(),
+        OUTAGE_FRACTION,
+    );
     let shards = (0..map.shards())
         .map(|s| {
             let shard = ShardId(s);
@@ -999,7 +984,7 @@ fn merge_shards(
             }
         }
     }
-    let timeline = Timeline::merge_shards(config.timeline_window.as_nanos(), shard_windows);
+    let timeline = Timeline::merge_shards(TIMELINE_WINDOW.as_nanos(), shard_windows);
     if !quiescence_failures.is_empty() {
         // Recent merged trace events in canonical (at_ns, shard, seq)
         // order, plus the last metric windows — same dump format the
@@ -1098,23 +1083,11 @@ mod tests {
 
     #[test]
     fn rack_faults_engage_failover() {
-        let mut cfg = tiny();
-        cfg.outage_fraction = 0.5;
-        cfg.accesses_per_host = 60;
-        let report = run_rack(&cfg, 2);
+        // 64 hosts: the 5 % outage fraction takes at least one down.
+        let report = run_rack(&RackConfig::smoke(), 2);
         assert!(report.failovers > 0, "outages must force failovers");
         assert!(report.probes > 0, "failovers must arm probes");
         // run_rack asserted quiescence: suspects resolved, writes acked.
-    }
-
-    #[test]
-    fn rack_fault_free_mode_is_quiet() {
-        let mut cfg = tiny();
-        cfg.faults = false;
-        let report = run_rack(&cfg, 1);
-        assert_eq!(report.failovers, 0);
-        assert_eq!(report.probes, 0);
-        assert!(report.remote_reads > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use memory_disaggregation::alloc::{Granularity, HeapConfig, ObjectHeap};
-use memory_disaggregation::net::{FabricFaults, FaultProfile, RetryPolicy};
+use memory_disaggregation::net::{FabricFaults, FaultProfile};
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::qos::{QosConfig, QosEngine, TenantSpec};
 use memory_disaggregation::sim::{splitmix64, DetRng};
@@ -68,7 +68,6 @@ fn run_seed(seed: u64) -> RunOutcome {
     let faults = Arc::new(FabricFaults::new(
         DetRng::new(seed).fork("alloc.chaos.faults"),
         FaultProfile::chaos_default(),
-        RetryPolicy::default(),
     ));
     dm.fabric().install_faults(Arc::clone(&faults));
 

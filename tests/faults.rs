@@ -14,8 +14,9 @@
 //! QP error→re-establish through the connection manager.
 
 use memory_disaggregation::chaos::run_seed;
+use memory_disaggregation::net::faults::{retry_backoff, RETRY_ATTEMPTS};
 use memory_disaggregation::net::{
-    ChannelKind, ConnectionManager, Fabric, FabricFaults, FaultProfile, RetryPolicy,
+    ChannelKind, ConnectionManager, Fabric, FabricFaults, FaultProfile,
 };
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::sim::chaos::ChaosConfig;
@@ -35,11 +36,7 @@ fn faulted_fabric(profile: FaultProfile, seed: u64) -> (SimClock, Fabric, Arc<Fa
     let clock = SimClock::new();
     let failures = FailureInjector::new(clock.clone());
     let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures);
-    let layer = Arc::new(FabricFaults::new(
-        DetRng::new(seed),
-        profile,
-        RetryPolicy::default(),
-    ));
+    let layer = Arc::new(FabricFaults::new(DetRng::new(seed), profile));
     fabric.install_faults(Arc::clone(&layer));
     (clock, fabric, layer)
 }
@@ -144,13 +141,12 @@ fn fault_free_runs_carry_no_fault_state() {
 /// envelope.
 #[test]
 fn backoff_sequence_doubles_to_the_cap_with_bounded_jitter() {
-    let policy = RetryPolicy::default();
-    let micros: Vec<u64> = (0..8).map(|i| policy.backoff(i).as_nanos() / 1_000).collect();
+    let micros: Vec<u64> = (0..8).map(|i| retry_backoff(i).as_nanos() / 1_000).collect();
     assert_eq!(micros, vec![10, 20, 40, 80, 160, 160, 160, 160]);
 
     let (_, _, layer) = faulted_fabric(FaultProfile::chaos_default(), 11);
     for attempt in 0..6 {
-        let full = policy.backoff(attempt);
+        let full = retry_backoff(attempt);
         let j = layer.jittered_backoff(attempt);
         assert!(j.as_nanos() >= full.as_nanos() / 2, "below half-envelope: {j:?}");
         assert!(j <= full, "above the deterministic cap: {j:?}");
@@ -177,8 +173,7 @@ fn always_drop_profile_times_out_after_the_attempt_budget() {
     let err = fabric.write(&qp, &[0u8; 512], &mr, 0).unwrap_err();
     assert!(matches!(err, DmemError::Timeout { .. }), "got {err:?}");
 
-    let policy = RetryPolicy::default();
-    let attempts = u64::from(policy.attempts);
+    let attempts = u64::from(RETRY_ATTEMPTS);
     let metrics = fabric.metrics();
     assert_eq!(metrics.counter("faults.inject.drop").get(), attempts);
     assert_eq!(metrics.counter("faults.retry.attempts").get(), attempts - 1);
@@ -188,7 +183,7 @@ fn always_drop_profile_times_out_after_the_attempt_budget() {
     // Four jittered backoffs (10+20+40+80 µs full) stay inside the
     // [half, full] envelope; the drops additionally burn transfer time.
     let elapsed = clock.elapsed_since(t0);
-    let full_backoff: u64 = (0..4).map(|i| policy.backoff(i).as_nanos()).sum();
+    let full_backoff: u64 = (0..4).map(|i| retry_backoff(i).as_nanos()).sum();
     assert!(
         elapsed.as_nanos() >= full_backoff / 2,
         "clock barely moved: {elapsed:?}"
