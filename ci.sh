@@ -65,13 +65,6 @@ step "cargo build --release" cargo build --release
 
 step "cargo test -q" cargo test -q
 
-# The chaos sweep with the multi-tenant QoS engine installed: the two
-# extra invariants (tenant-quota, priority-eviction) run on every seed,
-# and admission/eviction decisions are digest-checked for determinism by
-# the test suite.
-step "qos chaos smoke (seeds 0..32)" \
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --qos
-
 # The chaos smoke: every seed passes, and its fault-free output is pinned
 # byte-for-byte against the committed baseline: the fault-injection layer
 # must cost exactly nothing — no RNG draws, no clock advances, no metric
@@ -83,20 +76,23 @@ step "chaos smoke + fault-free baseline (seeds 0..32, byte-identical)" sh -c '
     diff results/chaos_smoke_baseline.txt target/chaos_smoke_baseline.txt
 '
 
-# The same sweep with the fabric fault layer armed: verb drops/delays/
-# duplication, partitions and QP breaks on every seed, judged by the
-# fault-reads and suspect-resolution invariants on top of the original
-# five. Run at --jobs 1 vs --jobs 4 and diffed: the whole fault schedule
-# — injections, retries, failovers, suspicions, and the per-seed alert
-# logs with their digests — must be byte-identical regardless of how the
-# seeds fan across cores.
-step "faults chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --faults --jobs 1 \
-        > target/chaos_faults_a.txt
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --faults --jobs 4 \
-        > target/chaos_faults_b.txt
-    diff target/chaos_faults_a.txt target/chaos_faults_b.txt
-'
+# The chaos modes, alone and composed: --qos adds the tenant-quota and
+# priority-eviction invariants; --faults arms the fabric fault layer (verb
+# drops/delays/duplication, partitions, QP breaks) and the fault-reads and
+# suspect-resolution invariants; --cxl adds pool-node outage windows and
+# remote atomics, judged by the shadow-read and atomics-exact invariants.
+# Each mode runs at --jobs 1 and --jobs 4 and the two outputs are diffed:
+# injections, retries, failovers, the per-seed alert logs and every digest
+# must be byte-identical however the seeds fan across cores.
+chaos_modes() {
+    for mode in "--qos" "--faults" "--cxl" "--qos --faults --cxl"; do
+        for jobs in 1 4; do
+            target/release/chaos --seeds 0..32 $mode --jobs $jobs > target/chaos_mode_$jobs.txt
+        done
+        diff target/chaos_mode_1.txt target/chaos_mode_4.txt
+    done
+}
+step "chaos modes, alone and composed (seeds 0..32, --jobs 1 vs 4 determinism gate)" chaos_modes
 
 # Flight-recorder dump smoke: force a known invariant failure (factor-1
 # data lost to a node crash) from a pinned seed and byte-diff the dump —
@@ -157,19 +153,6 @@ step "ext_obj_alloc perf smoke (3x tolerance)" \
 # same 3x tolerance.
 step "ext_crossover perf smoke (3x tolerance)" \
     cargo run --release --quiet -p dmem-bench --bin ext_crossover -- --perf --check
-
-# The chaos sweep with the CXL pool tier armed: pool-node outage windows
-# and remote atomics on every seed, judged by the shadow-read and
-# atomics-exact invariants on top of the originals. Run at --jobs 1 vs
-# --jobs 4 and diffed — outages, failover reads, atomic sums and the
-# cxl.* metric digests must be byte-identical regardless of fan-out.
-step "cxl chaos smoke (seeds 0..32, --jobs 1 vs 4 determinism gate)" sh -c '
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --cxl --jobs 1 \
-        > target/chaos_cxl_a.txt
-    cargo run --release --quiet --bin chaos -- --seeds 0..32 --cxl --jobs 4 \
-        > target/chaos_cxl_b.txt
-    diff target/chaos_cxl_a.txt target/chaos_cxl_b.txt
-'
 
 # Traced dmem_top (fig4 (a) at 3.0x; its report is pinned by a test):
 # export the Chrome-trace JSON, then validate the artifact (parses,

@@ -1,9 +1,11 @@
 //! Leader election (paper §IV-C).
 //!
 //! Each group periodically elects the member that "meets certain
-//! constraints … such as the one with the maximum available memory". The
-//! leader answers placement consultations; if its handshake times out, a
-//! new election is triggered.
+//! constraints … such as the one with the maximum available memory"; if
+//! its handshake times out, a new election is triggered. In the paper the
+//! leader answers placement consultations. Here no placement path
+//! consults it: `DisaggregatedMemory::group_leader` exposes the election,
+//! and only tests call that.
 
 use crate::group::GroupTable;
 use crate::membership::ClusterMembership;

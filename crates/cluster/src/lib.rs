@@ -9,7 +9,8 @@
 //! * [`group`] — hierarchical group sharing, including the memory-map
 //!   metadata arithmetic of §IV-C;
 //! * [`election`] — leader election by maximum available memory with
-//!   handshake-timeout re-election;
+//!   handshake-timeout re-election (no placement path consults the
+//!   leader);
 //! * [`placement`] — random / round-robin / weighted round-robin /
 //!   power-of-two-choices replica placement (§IV-E);
 //! * [`remote`] — the remote memory store: per-node registered regions,

@@ -281,7 +281,8 @@ impl DisaggregatedMemory {
         &self.clock
     }
 
-    /// The failure injector (schedule crashes and link failures here).
+    /// The failure injector: crashes, link cuts and partitions injected
+    /// here take effect at once.
     pub fn failures(&self) -> &FailureInjector {
         &self.failures
     }

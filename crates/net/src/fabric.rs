@@ -171,7 +171,7 @@ impl Fabric {
 
     /// Installs the fault-injection layer. All clones of this fabric
     /// observe it; verbs consult it from then on for drops, delays,
-    /// duplication, partitions and the retry policy.
+    /// duplication and the retry policy.
     ///
     /// # Panics
     ///
@@ -328,7 +328,7 @@ impl Fabric {
     /// Returns [`DmemError::NodeUnavailable`] or [`DmemError::LinkDown`]
     /// if either endpoint or the link is down.
     pub fn connect(&self, a: NodeId, b: NodeId) -> DmemResult<QpHandle> {
-        self.check_path(a, b)?;
+        self.failures.path(a, b)?;
         // Connection establishment is a control-plane round trip.
         self.clock.advance(self.cost.rdma.base * 2);
         let qp = QpId::new(self.fresh_id());
@@ -381,25 +381,7 @@ impl Fabric {
     /// whether a replica *should* be readable before asserting that a
     /// get succeeds.
     pub fn is_path_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.check_path(a, b).is_ok()
-    }
-
-    fn check_path(&self, a: NodeId, b: NodeId) -> DmemResult<()> {
-        if !self.failures.is_node_up(a) {
-            return Err(DmemError::NodeUnavailable(a));
-        }
-        if !self.failures.is_node_up(b) {
-            return Err(DmemError::NodeUnavailable(b));
-        }
-        if !self.failures.is_link_up(a, b) {
-            return Err(DmemError::LinkDown { from: a, to: b });
-        }
-        if let Some(faults) = self.faults.get() {
-            if faults.partitioned(a, b) {
-                return Err(DmemError::LinkDown { from: a, to: b });
-            }
-        }
-        Ok(())
+        self.failures.path(a, b).is_ok()
     }
 
     /// Drives every established queue pair between `a` and `b` (either
@@ -426,7 +408,7 @@ impl Fabric {
     }
 
     fn check_qp(&self, qp: &QpHandle) -> DmemResult<()> {
-        self.check_path(qp.local, qp.peer)?;
+        self.failures.path(qp.local, qp.peer)?;
         let inner = self.inner.lock();
         match inner.qps.get(&qp.qp) {
             Some(state) if state.connected && !state.error => Ok(()),

@@ -5,10 +5,11 @@
 //! never fails hides every bug in the recovery code above it. This module
 //! supplies the missing adversary — a seeded fault layer the
 //! [`crate::Fabric`] consults on every verb — plus the retry policy the
-//! fabric uses to survive it. Verb noise is drawn per attempt; partitions
-//! and QP breaks are injected by the caller at the step it chooses
-//! ([`FabricFaults::partition_now`] / [`FabricFaults::heal_now`],
-//! [`crate::Fabric::break_qps`]).
+//! fabric uses to survive it. The layer holds only verb noise, drawn per
+//! attempt. What is down lives elsewhere: link cuts and host-pair
+//! partitions are one counted set on [`dmem_sim::FailureInjector`], and
+//! QP breaks are [`crate::Fabric::break_qps`]; the caller injects both at
+//! the step it chooses, and they take effect there.
 //!
 //! Everything is deterministic: outcomes come from a [`DetRng`] fork, so
 //! the same seed produces the same drops, delays and jitter, run after
@@ -20,9 +21,7 @@
 //! byte-identical to builds that predate this module.
 
 use dmem_sim::{DetRng, SimDuration, SimInstant};
-use dmem_types::NodeId;
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Per-verb fault probabilities.
@@ -59,8 +58,8 @@ impl FaultProfile {
         }
     }
 
-    /// All probabilities zero: the layer is installed (retries armed, QP
-    /// breaks and partitions honoured) but no verb-level noise fires.
+    /// All probabilities zero: the layer is installed (retries armed) but
+    /// no verb-level noise fires.
     pub fn none() -> Self {
         FaultProfile {
             drop: 0.0,
@@ -109,14 +108,6 @@ pub enum VerbOutcome {
     Duplicate,
 }
 
-/// Interior state behind one mutex so outcome draws and the partition
-/// set mutate atomically and deterministically.
-struct FaultState {
-    rng: DetRng,
-    /// Currently partitioned host pairs, stored with endpoints ordered.
-    partitions: BTreeSet<(NodeId, NodeId)>,
-}
-
 /// The seeded fault layer a [`crate::Fabric`] consults on every verb.
 ///
 /// Install with [`crate::Fabric::install_faults`]; at most one layer per
@@ -124,16 +115,7 @@ struct FaultState {
 /// contract).
 pub struct FabricFaults {
     profile: FaultProfile,
-    state: Mutex<FaultState>,
-}
-
-/// Normalizes a host pair so `(a, b)` and `(b, a)` name the same link.
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+    rng: Mutex<DetRng>,
 }
 
 impl FabricFaults {
@@ -141,10 +123,7 @@ impl FabricFaults {
     pub fn new(rng: DetRng, profile: FaultProfile) -> Self {
         FabricFaults {
             profile,
-            state: Mutex::new(FaultState {
-                rng,
-                partitions: BTreeSet::new(),
-            }),
+            rng: Mutex::new(rng),
         }
     }
 
@@ -153,32 +132,16 @@ impl FabricFaults {
         self.profile
     }
 
-    /// Partitions the pair immediately. Returns `false` if it already was.
-    pub fn partition_now(&self, a: NodeId, b: NodeId) -> bool {
-        self.state.lock().partitions.insert(ordered(a, b))
-    }
-
-    /// Heals the pair immediately. Returns `false` if it was not
-    /// partitioned.
-    pub fn heal_now(&self, a: NodeId, b: NodeId) -> bool {
-        self.state.lock().partitions.remove(&ordered(a, b))
-    }
-
-    /// Whether the pair is currently partitioned.
-    pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.state.lock().partitions.contains(&ordered(a, b))
-    }
-
     /// Draws the fate of one verb attempt from the seeded stream.
     pub fn verb_outcome(&self) -> VerbOutcome {
         let p = self.profile;
-        let mut state = self.state.lock();
-        let roll = state.rng.unit();
+        let mut rng = self.rng.lock();
+        let roll = rng.unit();
         if roll < p.drop {
             VerbOutcome::Drop
         } else if roll < p.drop + p.delay {
             let span = p.max_delay.as_nanos().max(1) as usize;
-            let extra = 1 + state.rng.below(span) as u64;
+            let extra = 1 + rng.below(span) as u64;
             VerbOutcome::Delay(SimDuration::from_nanos(extra))
         } else if roll < p.drop + p.delay + p.duplicate {
             VerbOutcome::Duplicate
@@ -194,17 +157,15 @@ impl FabricFaults {
     pub fn jittered_backoff(&self, attempt: u32) -> SimDuration {
         let full = retry_backoff(attempt).as_nanos();
         let half = full / 2;
-        let jitter = self.state.lock().rng.below((full - half + 1) as usize) as u64;
+        let jitter = self.rng.lock().below((full - half + 1) as usize) as u64;
         SimDuration::from_nanos(half + jitter)
     }
 }
 
 impl fmt::Debug for FabricFaults {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock();
         f.debug_struct("FabricFaults")
             .field("profile", &self.profile)
-            .field("partitions", &state.partitions.len())
             .finish()
     }
 }

@@ -18,7 +18,7 @@
 //! * **zero-copy cost shape** — one large transfer pays one base latency;
 //!   `n` small transfers pay `n` (this is what makes window-based batching
 //!   worthwhile, §IV-H);
-//! * **failure injection** — scheduled node and link failures from
+//! * **failure injection** — node failures and link cuts injected into
 //!   [`dmem_sim::FailureInjector`] are honoured by every verb.
 //!
 //! # Examples

@@ -169,8 +169,9 @@ pub enum ChaosStep {
         /// Window length on the virtual clock.
         horizon: SimDuration,
     },
-    /// Partition the host pair at the fabric fault layer: all verbs
-    /// between `a` and `b` fail until the matching [`ChaosStep::HealPair`].
+    /// Partition the host pair (one more cut on its link in the failure
+    /// injector): all verbs between `a` and `b` fail until the matching
+    /// [`ChaosStep::HealPair`].
     PartitionPair {
         /// One endpoint.
         a: NodeId,

@@ -1,28 +1,30 @@
-//! Scheduled failure injection.
+//! Failure injection.
 //!
 //! The paper's §IV-D enumerates the failure scenarios a disaggregated
 //! memory system must mask: local/remote node crashes, virtual-server
-//! crashes and network-link failures. The injector holds a virtual-time
-//! schedule of such events; mechanism code queries it before every
-//! operation that touches a node or link.
+//! crashes and network-link failures. The injector is the one record of
+//! what is down. Events take effect when they are injected, and mechanism
+//! code queries the injector before every operation that touches a node
+//! or link. Link cuts and host-pair partitions are one counted set: a
+//! pair stays down while at least one cut on it is open.
 
 use crate::clock::SimClock;
-use crate::time::SimInstant;
-use dmem_types::{IdSet, NodeId, ServerId};
+use dmem_types::{DmemError, DmemResult, IdMap, IdSet, NodeId, ServerId};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::Arc;
 
-/// A single scheduled failure or recovery.
+/// A single failure or recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureEvent {
     /// The node crashes (all its servers and donated memory vanish).
     NodeDown(NodeId),
     /// The node recovers (rejoins empty).
     NodeUp(NodeId),
-    /// The bidirectional link between two nodes fails.
+    /// One more cut opens on the bidirectional link between two nodes.
     LinkDown(NodeId, NodeId),
-    /// The link recovers.
+    /// One open cut on the link closes; the link is up once none is left.
     LinkUp(NodeId, NodeId),
     /// A single virtual server crashes.
     ServerDown(ServerId),
@@ -45,43 +47,10 @@ impl fmt::Display for FailureEvent {
 
 #[derive(Debug, Default)]
 struct State {
-    /// Events not yet applied, sorted ascending by time.
-    pending: Vec<(SimInstant, FailureEvent)>,
-    /// Currently failed entities.
     down_nodes: IdSet<NodeId>,
     down_servers: IdSet<ServerId>,
-    down_links: IdSet<(NodeId, NodeId)>,
-}
-
-impl State {
-    fn apply_due(&mut self, now: SimInstant) {
-        let mut i = 0;
-        while i < self.pending.len() && self.pending[i].0 <= now {
-            i += 1;
-        }
-        for (_, event) in self.pending.drain(..i) {
-            match event {
-                FailureEvent::NodeDown(n) => {
-                    self.down_nodes.insert(n);
-                }
-                FailureEvent::NodeUp(n) => {
-                    self.down_nodes.remove(&n);
-                }
-                FailureEvent::LinkDown(a, b) => {
-                    self.down_links.insert(ordered(a, b));
-                }
-                FailureEvent::LinkUp(a, b) => {
-                    self.down_links.remove(&ordered(a, b));
-                }
-                FailureEvent::ServerDown(s) => {
-                    self.down_servers.insert(s);
-                }
-                FailureEvent::ServerUp(s) => {
-                    self.down_servers.remove(&s);
-                }
-            }
-        }
-    }
+    /// Open cuts per link, endpoints ordered; only non-zero counts are kept.
+    link_cuts: IdMap<(NodeId, NodeId), u32>,
 }
 
 fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -92,81 +61,101 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Thread-safe failure injector driven by the virtual clock.
+/// Thread-safe record of the failed nodes, servers and links.
 ///
 /// # Examples
 ///
 /// ```
-/// use dmem_sim::{FailureEvent, FailureInjector, SimClock, SimDuration, SimInstant};
+/// use dmem_sim::{FailureEvent, FailureInjector, SimClock};
 /// use dmem_types::NodeId;
 ///
-/// let clock = SimClock::new();
-/// let injector = FailureInjector::new(clock.clone());
-/// injector.schedule(SimInstant::from_nanos(1_000), FailureEvent::NodeDown(NodeId::new(2)));
-///
-/// assert!(injector.is_node_up(NodeId::new(2)));
-/// clock.advance(SimDuration::from_micros(5));
-/// assert!(!injector.is_node_up(NodeId::new(2)));
+/// let injector = FailureInjector::new(SimClock::new());
+/// let (a, b) = (NodeId::new(1), NodeId::new(2));
+/// injector.inject_now(FailureEvent::LinkDown(a, b));
+/// assert!(injector.path(b, a).is_err());
+/// injector.inject_now(FailureEvent::LinkUp(b, a));
+/// assert!(injector.path(a, b).is_ok());
 /// ```
 #[derive(Clone)]
 pub struct FailureInjector {
-    clock: SimClock,
     state: Arc<RwLock<State>>,
 }
 
 impl FailureInjector {
-    /// Creates an injector with an empty schedule.
-    pub fn new(clock: SimClock) -> Self {
+    /// Creates an injector with everything up. Events take effect when
+    /// they are injected, so the clock is not consulted.
+    pub fn new(_clock: SimClock) -> Self {
         FailureInjector {
-            clock,
             state: Arc::new(RwLock::new(State::default())),
         }
     }
 
-    /// Schedules `event` to take effect at virtual time `at`.
-    ///
-    /// Events scheduled at or before the current time take effect on the
-    /// next query.
-    pub fn schedule(&self, at: SimInstant, event: FailureEvent) {
-        let mut state = self.state.write();
-        let pos = state.pending.partition_point(|(t, _)| *t <= at);
-        state.pending.insert(pos, (at, event));
-    }
-
-    /// Applies `event` immediately.
+    /// Applies `event` immediately. A `LinkUp` on a pair with no open cut
+    /// changes nothing.
     pub fn inject_now(&self, event: FailureEvent) {
-        self.schedule(self.clock.now(), event);
-        self.state.write().apply_due(self.clock.now());
+        let mut state = self.state.write();
+        match event {
+            FailureEvent::NodeDown(n) => {
+                state.down_nodes.insert(n);
+            }
+            FailureEvent::NodeUp(n) => {
+                state.down_nodes.remove(&n);
+            }
+            FailureEvent::LinkDown(a, b) => {
+                *state.link_cuts.entry(ordered(a, b)).or_insert(0) += 1;
+            }
+            FailureEvent::LinkUp(a, b) => {
+                if let Entry::Occupied(mut cuts) = state.link_cuts.entry(ordered(a, b)) {
+                    *cuts.get_mut() -= 1;
+                    if *cuts.get() == 0 {
+                        cuts.remove();
+                    }
+                }
+            }
+            FailureEvent::ServerDown(s) => {
+                state.down_servers.insert(s);
+            }
+            FailureEvent::ServerUp(s) => {
+                state.down_servers.remove(&s);
+            }
+        }
     }
 
     /// `true` if the node is currently up.
     pub fn is_node_up(&self, node: NodeId) -> bool {
-        let mut state = self.state.write();
-        state.apply_due(self.clock.now());
-        !state.down_nodes.contains(&node)
+        !self.state.read().down_nodes.contains(&node)
     }
 
     /// `true` if the virtual server (and its hosting node) is currently up.
     pub fn is_server_up(&self, server: ServerId) -> bool {
-        let mut state = self.state.write();
-        state.apply_due(self.clock.now());
+        let state = self.state.read();
         !state.down_servers.contains(&server) && !state.down_nodes.contains(&server.node())
     }
 
-    /// `true` if both endpoints and the link between them are up.
-    pub fn is_link_up(&self, a: NodeId, b: NodeId) -> bool {
-        let mut state = self.state.write();
-        state.apply_due(self.clock.now());
-        !state.down_links.contains(&ordered(a, b))
-            && !state.down_nodes.contains(&a)
-            && !state.down_nodes.contains(&b)
+    /// Whether traffic can flow from `a` to `b`: both endpoints up and no
+    /// cut open on the link between them.
+    ///
+    /// # Errors
+    ///
+    /// [`DmemError::NodeUnavailable`] for the first endpoint found down
+    /// (`a` before `b`), else [`DmemError::LinkDown`] if the link is cut.
+    pub fn path(&self, a: NodeId, b: NodeId) -> DmemResult<()> {
+        let state = self.state.read();
+        if state.down_nodes.contains(&a) {
+            return Err(DmemError::NodeUnavailable(a));
+        }
+        if state.down_nodes.contains(&b) {
+            return Err(DmemError::NodeUnavailable(b));
+        }
+        if state.link_cuts.contains_key(&ordered(a, b)) {
+            return Err(DmemError::LinkDown { from: a, to: b });
+        }
+        Ok(())
     }
 
     /// Number of nodes currently marked down.
     pub fn down_node_count(&self) -> usize {
-        let mut state = self.state.write();
-        state.apply_due(self.clock.now());
-        state.down_nodes.len()
+        self.state.read().down_nodes.len()
     }
 }
 
@@ -174,9 +163,8 @@ impl fmt::Debug for FailureInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.state.read();
         f.debug_struct("FailureInjector")
-            .field("pending", &state.pending.len())
             .field("down_nodes", &state.down_nodes.len())
-            .field("down_links", &state.down_links.len())
+            .field("down_links", &state.link_cuts.len())
             .field("down_servers", &state.down_servers.len())
             .finish()
     }
@@ -185,88 +173,80 @@ impl fmt::Debug for FailureInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
-    fn setup() -> (SimClock, FailureInjector) {
-        let clock = SimClock::new();
-        let injector = FailureInjector::new(clock.clone());
-        (clock, injector)
+    fn setup() -> FailureInjector {
+        FailureInjector::new(SimClock::new())
     }
 
     #[test]
     fn everything_up_initially() {
-        let (_, inj) = setup();
+        let inj = setup();
         assert!(inj.is_node_up(NodeId::new(0)));
-        assert!(inj.is_link_up(NodeId::new(0), NodeId::new(1)));
+        assert_eq!(inj.path(NodeId::new(0), NodeId::new(1)), Ok(()));
         assert!(inj.is_server_up(ServerId::new(NodeId::new(0), 0)));
         assert_eq!(inj.down_node_count(), 0);
     }
 
     #[test]
-    fn scheduled_failure_fires_at_time() {
-        let (clock, inj) = setup();
-        let n = NodeId::new(1);
-        inj.schedule(SimInstant::from_nanos(100), FailureEvent::NodeDown(n));
-        assert!(inj.is_node_up(n), "future failure must not apply early");
-        clock.advance(SimDuration::from_nanos(100));
-        assert!(!inj.is_node_up(n));
-    }
-
-    #[test]
     fn recovery_restores_node() {
-        let (clock, inj) = setup();
+        let inj = setup();
         let n = NodeId::new(2);
-        inj.schedule(SimInstant::from_nanos(10), FailureEvent::NodeDown(n));
-        inj.schedule(SimInstant::from_nanos(20), FailureEvent::NodeUp(n));
-        clock.advance(SimDuration::from_nanos(15));
+        inj.inject_now(FailureEvent::NodeDown(n));
         assert!(!inj.is_node_up(n));
-        clock.advance(SimDuration::from_nanos(10));
+        inj.inject_now(FailureEvent::NodeUp(n));
         assert!(inj.is_node_up(n));
     }
 
     #[test]
     fn link_failures_are_symmetric() {
-        let (_, inj) = setup();
+        let inj = setup();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         inj.inject_now(FailureEvent::LinkDown(b, a));
-        assert!(!inj.is_link_up(a, b));
-        assert!(!inj.is_link_up(b, a));
+        assert_eq!(inj.path(a, b), Err(DmemError::LinkDown { from: a, to: b }));
+        assert_eq!(inj.path(b, a), Err(DmemError::LinkDown { from: b, to: a }));
         // Nodes themselves remain up.
         assert!(inj.is_node_up(a) && inj.is_node_up(b));
         inj.inject_now(FailureEvent::LinkUp(a, b));
-        assert!(inj.is_link_up(b, a));
+        assert_eq!(inj.path(b, a), Ok(()));
+    }
+
+    #[test]
+    fn link_stays_down_until_every_cut_heals() {
+        let inj = setup();
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        inj.inject_now(FailureEvent::LinkDown(a, b));
+        inj.inject_now(FailureEvent::LinkDown(b, a));
+        inj.inject_now(FailureEvent::LinkUp(a, b));
+        assert!(inj.path(a, b).is_err(), "one cut is still open");
+        inj.inject_now(FailureEvent::LinkUp(b, a));
+        assert_eq!(inj.path(a, b), Ok(()));
+        // A heal on an uncut pair is a no-op: it banks nothing against
+        // the next cut.
+        inj.inject_now(FailureEvent::LinkUp(a, b));
+        assert_eq!(inj.path(a, b), Ok(()));
+        inj.inject_now(FailureEvent::LinkDown(a, b));
+        assert!(inj.path(a, b).is_err());
     }
 
     #[test]
     fn node_down_implies_links_and_servers_down() {
-        let (_, inj) = setup();
+        let inj = setup();
         let n = NodeId::new(3);
         inj.inject_now(FailureEvent::NodeDown(n));
-        assert!(!inj.is_link_up(n, NodeId::new(4)));
+        let m = NodeId::new(4);
+        assert_eq!(inj.path(n, m), Err(DmemError::NodeUnavailable(n)));
+        assert_eq!(inj.path(m, n), Err(DmemError::NodeUnavailable(n)));
         assert!(!inj.is_server_up(ServerId::new(n, 0)));
         assert_eq!(inj.down_node_count(), 1);
     }
 
     #[test]
     fn server_failure_is_isolated() {
-        let (_, inj) = setup();
+        let inj = setup();
         let s = ServerId::new(NodeId::new(5), 1);
         inj.inject_now(FailureEvent::ServerDown(s));
         assert!(!inj.is_server_up(s));
         assert!(inj.is_server_up(ServerId::new(NodeId::new(5), 0)));
         assert!(inj.is_node_up(NodeId::new(5)));
-    }
-
-    #[test]
-    fn out_of_order_scheduling_applies_in_time_order() {
-        let (clock, inj) = setup();
-        let n = NodeId::new(6);
-        // Schedule recovery before failure, at later time.
-        inj.schedule(SimInstant::from_nanos(200), FailureEvent::NodeUp(n));
-        inj.schedule(SimInstant::from_nanos(100), FailureEvent::NodeDown(n));
-        clock.advance(SimDuration::from_nanos(150));
-        assert!(!inj.is_node_up(n));
-        clock.advance(SimDuration::from_nanos(100));
-        assert!(inj.is_node_up(n));
     }
 }

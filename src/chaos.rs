@@ -671,16 +671,12 @@ impl Harness {
             }
             ChaosStep::PartitionPair { a, b } => {
                 self.stats.injected_events += 1;
-                if let Some(f) = &self.faults {
-                    f.partition_now(*a, *b);
-                }
+                self.dm.failures().inject_now(FailureEvent::LinkDown(*a, *b));
                 self.partitions.insert(ordered_pair(*a, *b));
             }
             ChaosStep::HealPair { a, b } => {
                 self.stats.injected_events += 1;
-                if let Some(f) = &self.faults {
-                    f.heal_now(*a, *b);
-                }
+                self.dm.failures().inject_now(FailureEvent::LinkUp(*a, *b));
                 self.partitions.remove(&ordered_pair(*a, *b));
             }
             ChaosStep::BreakQps { a, b } => {

@@ -20,7 +20,7 @@ use memory_disaggregation::net::{
 };
 use memory_disaggregation::prelude::*;
 use memory_disaggregation::sim::chaos::ChaosConfig;
-use memory_disaggregation::sim::{DetRng, FailureInjector};
+use memory_disaggregation::sim::{DetRng, FailureEvent, FailureInjector};
 use std::sync::Arc;
 
 fn faults_config() -> ChaosConfig {
@@ -196,26 +196,24 @@ fn always_drop_profile_times_out_after_the_attempt_budget() {
 
 /// A partition injected at the step severs the pair in both directions
 /// (verbs fail `LinkDown` once the retry budget is spent) and the heal
-/// restores it — the two calls the chaos harness makes per fault step.
+/// restores it — the link cut and heal the chaos harness injects per
+/// fault step.
 #[test]
 fn partition_and_heal_apply_at_the_step() {
-    let (_, fabric, layer) = faulted_fabric(FaultProfile::none(), 9);
+    let (_, fabric, _) = faulted_fabric(FaultProfile::none(), 9);
+    let failures = fabric.failures();
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let mr = fabric.register(b, ByteSize::from_kib(8)).unwrap();
     let qp = fabric.connect(a, b).unwrap();
     fabric.write(&qp, b"before", &mr, 0).unwrap();
 
-    assert!(layer.partition_now(a, b));
-    assert!(!layer.partition_now(b, a), "the pair is order-blind");
-    assert!(layer.partitioned(b, a));
+    failures.inject_now(FailureEvent::LinkDown(a, b));
+    assert!(!fabric.is_path_up(b, a), "the cut is order-blind");
     let err = fabric.write(&qp, b"cut", &mr, 0).unwrap_err();
-    assert!(
-        matches!(err, DmemError::LinkDown { .. } | DmemError::Timeout { .. }),
-        "got {err:?}"
-    );
+    assert_eq!(err, DmemError::LinkDown { from: a, to: b });
 
-    assert!(layer.heal_now(b, a));
-    assert!(!layer.partitioned(a, b));
+    failures.inject_now(FailureEvent::LinkUp(b, a));
+    assert!(fabric.is_path_up(a, b));
     fabric.write(&qp, b"healed", &mr, 0).unwrap();
 }
 
