@@ -8,9 +8,6 @@
 //! * [`membership`] — node liveness and free-memory advertisement;
 //! * [`group`] — hierarchical group sharing, including the memory-map
 //!   metadata arithmetic of §IV-C;
-//! * [`election`] — leader election by maximum available memory with
-//!   handshake-timeout re-election (no placement path consults the
-//!   leader);
 //! * [`placement`] — random / round-robin / weighted round-robin /
 //!   power-of-two-choices replica placement (§IV-E);
 //! * [`remote`] — the remote memory store: per-node registered regions,
@@ -44,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod election;
 pub mod eviction;
 pub mod group;
 pub mod membership;
@@ -52,7 +48,6 @@ pub mod placement;
 pub mod remote;
 pub mod replication;
 
-pub use election::LeaderElection;
 pub use eviction::{EvictionOutcome, PriorityResolver, RemoteSlabEvictor};
 pub use group::{map_overhead_bytes, GroupTable};
 pub use membership::ClusterMembership;

@@ -26,9 +26,9 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 12;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
+/// Hash of a 4-byte prefix, read as one little-endian `u32`.
 #[inline]
-fn hash4(window: &[u8]) -> usize {
-    let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
@@ -57,15 +57,65 @@ fn match_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
     len
 }
 
+/// Hash-chain tables reused across calls without ever being cleared.
+///
+/// `head[h]` is the most recent position with hash `h`; `prev[p]` is the
+/// position before `p` in its chain. Both store `position + base`, and
+/// each call moves `base` past its input, so every value an earlier call
+/// left behind is below the current `base` and reads as an empty slot.
+/// `prev[p]` is only read for positions inserted by the same call (chains
+/// start at `head`), so `prev` never needs clearing at all, and `head`
+/// only when `base` would overflow `u32`.
+struct Matcher {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    base: u32,
+}
+
+impl Matcher {
+    fn new() -> Self {
+        // Zeroed tables with `base = 1`: every slot starts out empty.
+        Matcher {
+            head: vec![0; HASH_SIZE],
+            prev: Vec::new(),
+            base: 1,
+        }
+    }
+
+    /// Readies the tables for an input of `len` bytes.
+    fn begin(&mut self, len: usize) {
+        let len = u32::try_from(len).expect("lz input below 4 GiB");
+        if self.base.checked_add(len).is_none() {
+            self.head.fill(0);
+            self.base = 1;
+        }
+        if self.prev.len() < len as usize {
+            self.prev.resize(len as usize, 0);
+        }
+    }
+
+    /// Retires the input of `len` bytes just compressed: its entries go
+    /// stale.
+    fn end(&mut self, len: usize) {
+        self.base += len as u32;
+    }
+
+    /// The position `slot` holds, if it was stored by the current call.
+    #[inline]
+    fn position(&self, slot: u32) -> Option<usize> {
+        slot.checked_sub(self.base).map(|p| p as usize)
+    }
+
+    /// Links position `p`, whose hash is `h`, in at the head of its chain.
+    #[inline]
+    fn insert(&mut self, h: usize, p: usize) {
+        self.prev[p] = self.head[h];
+        self.head[h] = p as u32 + self.base;
+    }
+}
+
 std::thread_local! {
-    // Matcher state reused across calls: head[h] = most recent position
-    // with hash h; prev[i] = previous position in the chain for position
-    // i. `head` is reset per call; `prev[x]` is only ever read for
-    // positions inserted during the same call (chains start at `head`),
-    // so stale entries from earlier inputs are unreachable and `prev`
-    // only needs resizing, not clearing.
-    static SCRATCH: std::cell::RefCell<(Vec<usize>, Vec<usize>)> =
-        std::cell::RefCell::new((Vec::new(), Vec::new()));
+    static MATCHER: std::cell::RefCell<Matcher> = std::cell::RefCell::new(Matcher::new());
 }
 
 /// Compresses `input`, returning the token stream.
@@ -112,24 +162,16 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
 /// completion and comparing lengths.
 pub fn compress_within(input: &[u8], max_len: usize, out: &mut Vec<u8>) -> bool {
     out.clear();
-    SCRATCH.with(|scratch| {
-        let (head, prev) = &mut *scratch.borrow_mut();
-        head.clear();
-        head.resize(HASH_SIZE, usize::MAX);
-        if prev.len() < input.len() {
-            prev.resize(input.len(), usize::MAX);
-        }
-        compress_with(input, out, head, prev, max_len)
+    MATCHER.with(|matcher| {
+        let matcher = &mut *matcher.borrow_mut();
+        matcher.begin(input.len());
+        let fits = compress_with(input, out, matcher, max_len);
+        matcher.end(input.len());
+        fits
     })
 }
 
-fn compress_with(
-    input: &[u8],
-    out: &mut Vec<u8>,
-    head: &mut [usize],
-    prev: &mut [usize],
-    max_len: usize,
-) -> bool {
+fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usize) -> bool {
     let mut literal_start = 0usize;
     let mut i = 0usize;
 
@@ -151,34 +193,36 @@ fn compress_with(
         if out.len() + (i - literal_start) > max_len {
             return false;
         }
-        let h = hash4(&input[i..]);
-        // Walk the chain looking for the longest match.
         let cur4 = read_u32(input, i);
+        let h = hash4(cur4);
+        // Walk the chain looking for the longest match.
         let mut best_len = 0usize;
-        let mut best_pos = usize::MAX;
-        let mut candidate = head[h];
+        let mut best_pos = 0usize;
+        let mut slot = m.head[h];
         let mut probes = 16; // bounded effort per position
-        while candidate != usize::MAX && probes > 0 {
-            if i - candidate <= MAX_OFFSET {
-                // An accepted match needs at least MIN_MATCH = 4 leading
-                // bytes; a candidate failing the 4-byte probe could only
-                // score a sub-minimum length, which never changes the
-                // emitted stream — skip its byte scan.
-                if read_u32(input, candidate) == cur4 {
-                    let limit = (input.len() - i).min(MAX_MATCH);
-                    let len = match_len(input, candidate, i, limit);
-                    if len > best_len {
-                        best_len = len;
-                        best_pos = candidate;
-                        if len == limit {
-                            break;
-                        }
-                    }
-                }
-            } else {
+        while probes > 0 {
+            let Some(candidate) = m.position(slot) else {
+                break;
+            };
+            if i - candidate > MAX_OFFSET {
                 break; // chains are position-ordered; older is farther
             }
-            candidate = prev[candidate];
+            // An accepted match needs at least MIN_MATCH = 4 leading
+            // bytes; a candidate failing the 4-byte probe could only score
+            // a sub-minimum length, which never changes the emitted
+            // stream — skip its byte scan.
+            if read_u32(input, candidate) == cur4 {
+                let limit = (input.len() - i).min(MAX_MATCH);
+                let len = match_len(input, candidate, i, limit);
+                if len > best_len {
+                    best_len = len;
+                    best_pos = candidate;
+                    if len == limit {
+                        break;
+                    }
+                }
+            }
+            slot = m.prev[candidate];
             probes -= 1;
         }
 
@@ -190,16 +234,14 @@ fn compress_with(
             // Insert the covered positions into the hash chains so later
             // matches can reference them.
             let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
-            for p in i..end {
-                let hp = hash4(&input[p..]);
-                prev[p] = head[hp];
-                head[hp] = p;
+            m.insert(h, i);
+            for p in i + 1..end {
+                m.insert(hash4(read_u32(input, p)), p);
             }
             i += best_len;
             literal_start = i;
         } else {
-            prev[i] = head[h];
-            head[h] = i;
+            m.insert(h, i);
             i += 1;
         }
     }
@@ -297,11 +339,16 @@ pub fn decompress_into(
                     have: out.len(),
                 });
             }
-            // Overlapping copies are legal (e.g. offset 1 repeats a byte).
             let start = out.len() - offset;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if offset >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Overlapping copies are legal (e.g. offset 1 repeats a
+                // byte): each byte may be one this copy just wrote.
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
             }
         }
     }
@@ -356,6 +403,21 @@ mod tests {
         assert!(compress(&page).len() > 2048, "noise page must overflow");
         let mut bounded = Vec::new();
         assert!(!compress_within(&page, 2048, &mut bounded));
+    }
+
+    #[test]
+    fn base_wrap_leaves_streams_unchanged() {
+        let inputs: Vec<Vec<u8>> = (0..6usize)
+            .map(|k| (0..4096usize).map(|i| ((i / (k + 3)) ^ (i % 7)) as u8).collect())
+            .collect();
+        let expected: Vec<Vec<u8>> = inputs.iter().map(|d| compress(d)).collect();
+        // Two inputs still fit below u32::MAX; the third forces the reset.
+        let near_wrap = u32::MAX - 2 * 4096 - 100;
+        MATCHER.with(|m| m.borrow_mut().base = near_wrap);
+        let streams: Vec<Vec<u8>> = inputs.iter().map(|d| compress(d)).collect();
+        let base = MATCHER.with(|m| m.borrow().base);
+        assert!(base < near_wrap, "the tables must have been reset");
+        assert_eq!(streams, expected);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Compressed-page memoization, both directions.
+//! Compressed-page memoization, both directions, one entry per page.
 //!
 //! The swap engine's page contents are a pure function of `(seed, pfn)`
 //! ([`PageSource`](../../dmem_swap/engine/struct.PageSource.html)): every
@@ -15,6 +15,13 @@
 //! loop (fig4) and the RDD get path (fig10), decompression dominated the
 //! real CPU profile before this.
 //!
+//! **One entry per page.** An entry holds the page's original bytes and,
+//! when the codec shrank it, the stream. Both directions share it: the
+//! decompress side indexes the entry the compress side made, it does not
+//! copy it. A page the codec kept raw holds only its original (its stored
+//! form *is* the original, rebuilt on a hit) and never enters the
+//! decompress side: nothing decodes a raw page but a checksum pass.
+//!
 //! The memo is for pages the codec may shrink. `dmem-core` keeps raw
 //! payloads (compression off, or longer than a page) out of it in both
 //! directions: they are checksummed once on the way in and once on the
@@ -25,9 +32,9 @@
 //! bytes are equal to the incoming page (a 4 KiB `memcmp`, far cheaper
 //! than the matcher), so the memo is transparent even for callers whose
 //! values mutate under a key (the chaos harness, KV overwrites): changed
-//! bytes miss and replace the entry. A decompress hit requires the whole
+//! bytes miss and get a new entry. A decompress hit requires the whole
 //! `CompressedPage` (stream bytes, class, lengths, checksum) to equal one
-//! that previously decoded successfully; decompression is a pure
+//! that was produced or decoded successfully; decompression is a pure
 //! function, so equal inputs are guaranteed the equal — already
 //! checksum-verified — output, and corrupted streams can never match a
 //! good entry. Simulated compression/decompression *cost* is charged by
@@ -36,21 +43,69 @@
 //! with or without it.
 
 use crate::codec::{CompressedPage, PageCodec};
-use dmem_types::{DmemResult, IdMap};
+use dmem_types::{DmemResult, IdMap, SizeClass};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Default capacity: covers the bench working sets (the fig10 RDD spill
-/// set peaks around 7.5k live pages) at roughly 8 KiB per entry (original
-/// + compressed copy) ≈ 128 MiB per direction worst case. Sized with
-/// headroom: a FIFO memo smaller than a sequentially-scanned working set
-/// degrades to a 0% hit rate.
+/// set peaks around 7.5k live pages). An entry is the 4 KiB original plus
+/// a stream of at most 2 KiB (the largest class below a page), so each
+/// side holds at most 16384 × 6 KiB = 96 MiB. The decompress side shares
+/// the compress side's entries; only those the compress side has since
+/// evicted or replaced cost memory of their own, so the worst case is
+/// 192 MiB and a page that is written once and read back costs 6 KiB.
+/// Sized with headroom: a FIFO memo smaller than a sequentially-scanned
+/// working set degrades to a 0% hit rate.
 pub const DEFAULT_MEMO_CAPACITY: usize = 16384;
 
+/// One memoized page: its original bytes and, when the codec shrank it,
+/// the stream and size class it is stored in.
 #[derive(Debug)]
 struct MemoEntry {
     original: Vec<u8>,
-    page: CompressedPage,
+    checksum: u64,
+    /// `None` for a page stored raw, whose stored bytes are `original`.
+    compressed: Option<(Vec<u8>, SizeClass)>,
+}
+
+impl MemoEntry {
+    fn new(original: &[u8], page: &CompressedPage) -> Self {
+        MemoEntry {
+            original: original.to_vec(),
+            checksum: page.checksum,
+            compressed: page
+                .is_compressed
+                .then(|| (page.data.clone(), page.class)),
+        }
+    }
+
+    /// The stored form, equal to what the codec returned for `original`.
+    fn page(&self) -> CompressedPage {
+        let (data, class) = match &self.compressed {
+            Some((stream, class)) => (stream.clone(), *class),
+            None => (self.original.clone(), SizeClass::C4K),
+        };
+        CompressedPage {
+            data,
+            class,
+            original_len: self.original.len(),
+            is_compressed: self.compressed.is_some(),
+            checksum: self.checksum,
+        }
+    }
+
+    /// `true` when `stored` is this entry's compressed form.
+    fn decodes(&self, stored: &CompressedPage) -> bool {
+        let Some((stream, class)) = &self.compressed else {
+            return false;
+        };
+        stored.is_compressed
+            && stored.checksum == self.checksum
+            && stored.original_len == self.original.len()
+            && stored.class == *class
+            && stored.data == *stream
+    }
 }
 
 /// Aggregate hit/miss counters of a [`CompressMemo`].
@@ -91,12 +146,13 @@ pub struct MemoStats {
 /// ```
 #[derive(Debug)]
 pub struct CompressMemo {
-    map: IdMap<(u64, u64), MemoEntry>,
+    map: IdMap<(u64, u64), Arc<MemoEntry>>,
     order: VecDeque<(u64, u64)>,
     /// Decompress direction, keyed by the original page's checksum (the
     /// one field present in both the compressed and decompressed form);
-    /// a hit additionally requires full `CompressedPage` equality.
-    decomp: IdMap<u64, MemoEntry>,
+    /// a hit additionally requires full `CompressedPage` equality. Holds
+    /// compressed entries only.
+    decomp: IdMap<u64, Arc<MemoEntry>>,
     decomp_order: VecDeque<u64>,
     capacity: usize,
     stats: MemoStats,
@@ -107,17 +163,12 @@ impl CompressMemo {
     /// capacity of zero disables memoization (every lookup runs the
     /// codec).
     pub fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(DEFAULT_MEMO_CAPACITY);
         CompressMemo {
-            map: IdMap::with_capacity_and_hasher(
-                capacity.min(DEFAULT_MEMO_CAPACITY),
-                Default::default(),
-            ),
-            order: VecDeque::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
-            decomp: IdMap::with_capacity_and_hasher(
-                capacity.min(DEFAULT_MEMO_CAPACITY),
-                Default::default(),
-            ),
-            decomp_order: VecDeque::with_capacity(capacity.min(DEFAULT_MEMO_CAPACITY)),
+            map: IdMap::with_capacity_and_hasher(reserve, Default::default()),
+            order: VecDeque::with_capacity(reserve),
+            decomp: IdMap::with_capacity_and_hasher(reserve, Default::default()),
+            decomp_order: VecDeque::with_capacity(reserve),
             capacity,
             stats: MemoStats::default(),
         }
@@ -157,42 +208,27 @@ impl CompressMemo {
             self.stats.misses += 1;
             return codec.compress(data);
         }
-        match self.map.entry(key) {
-            Entry::Occupied(mut occupied) => {
-                if occupied.get().original == data {
-                    self.stats.hits += 1;
-                    return occupied.get().page.clone();
-                }
-                // Same key, new bytes (a versioned overwrite): recompress
-                // and replace in place, keeping the FIFO position.
-                self.stats.misses += 1;
-                let page = codec.compress(data);
-                let entry = occupied.get_mut();
-                entry.original.clear();
-                entry.original.extend_from_slice(data);
-                entry.page = page.clone();
-                self.remember_decompressed(page.clone(), data.to_vec());
-                page
-            }
-            Entry::Vacant(vacant) => {
-                self.stats.misses += 1;
-                let page = codec.compress(data);
-                vacant.insert(MemoEntry {
-                    original: data.to_vec(),
-                    page: page.clone(),
-                });
-                self.order.push_back(key);
-                while self.map.len() > self.capacity {
-                    if let Some(victim) = self.order.pop_front() {
-                        self.map.remove(&victim);
-                    } else {
-                        break;
-                    }
-                }
-                self.remember_decompressed(page.clone(), data.to_vec());
-                page
+        if let Some(entry) = self.map.get(&key) {
+            if entry.original == data {
+                self.stats.hits += 1;
+                return entry.page();
             }
         }
+        self.stats.misses += 1;
+        let page = codec.compress(data);
+        let entry = Arc::new(MemoEntry::new(data, &page));
+        // Same key, new bytes (a versioned overwrite) replaces the entry
+        // and keeps its FIFO position; the decompress side keeps the old
+        // one, so the old stream still decodes from the memo.
+        if self.map.insert(key, Arc::clone(&entry)).is_none() {
+            self.order.push_back(key);
+            while self.map.len() > self.capacity {
+                let Some(victim) = self.order.pop_front() else { break };
+                self.map.remove(&victim);
+            }
+        }
+        self.remember_decompressed(entry);
+        page
     }
 
     /// Returns the original bytes of `stored`, reusing the cached result
@@ -211,56 +247,56 @@ impl CompressMemo {
         codec: &PageCodec,
         stored: &CompressedPage,
     ) -> DmemResult<Vec<u8>> {
-        if self.capacity == 0 {
-            self.stats.decompress_misses += 1;
-            return codec.decompress(stored);
-        }
         if let Some(entry) = self.decomp.get(&stored.checksum) {
-            if entry.page == *stored {
+            if entry.decodes(stored) {
                 self.stats.decompress_hits += 1;
                 return Ok(entry.original.clone());
             }
         }
         self.stats.decompress_misses += 1;
         let original = codec.decompress(stored)?;
-        self.remember_decompressed(stored.clone(), original.clone());
+        self.remember_decompressed(Arc::new(MemoEntry::new(&original, stored)));
         Ok(original)
     }
 
-    /// Records a known (compressed, original) pair on the decompress
-    /// side. Compressing seeds this too, so the first read of a freshly
-    /// written entry is already a hit.
-    fn remember_decompressed(&mut self, page: CompressedPage, original: Vec<u8>) {
-        if self.capacity == 0 {
+    /// Indexes a compressed entry on the decompress side; raw entries and
+    /// a disabled memo keep nothing. Compressing seeds this too, so the
+    /// first read of a freshly written entry is already a hit.
+    fn remember_decompressed(&mut self, entry: Arc<MemoEntry>) {
+        if self.capacity == 0 || entry.compressed.is_none() {
             return;
         }
-        let key = page.checksum;
+        let key = entry.checksum;
         match self.decomp.entry(key) {
             Entry::Occupied(mut occupied) => {
                 // Checksum collision or re-learned pair: replace in
                 // place, keeping the FIFO position.
-                *occupied.get_mut() = MemoEntry { original, page };
+                *occupied.get_mut() = entry;
             }
             Entry::Vacant(vacant) => {
-                vacant.insert(MemoEntry { original, page });
+                vacant.insert(entry);
                 self.decomp_order.push_back(key);
                 while self.decomp.len() > self.capacity {
-                    if let Some(victim) = self.decomp_order.pop_front() {
-                        self.decomp.remove(&victim);
-                    } else {
-                        break;
-                    }
+                    let Some(victim) = self.decomp_order.pop_front() else { break };
+                    self.decomp.remove(&victim);
                 }
             }
         }
     }
 
-    /// Drops a cached entry (e.g. when the caller knows the key's content
-    /// is gone for good). Stale entries are harmless — the byte guard
-    /// catches them — so calling this is an optimization, not a
-    /// correctness requirement.
-    pub fn invalidate(&mut self, key: (u64, u64)) {
-        self.map.remove(&key);
+    /// Bytes the memo holds for page data, counting an entry both sides
+    /// share once.
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        self.map
+            .values()
+            .chain(self.decomp.values())
+            .filter(|entry| seen.insert(Arc::as_ptr(entry)))
+            .map(|entry| {
+                entry.original.len() + entry.compressed.as_ref().map_or(0, |(s, _)| s.len())
+            })
+            .sum()
     }
 }
 
@@ -273,6 +309,11 @@ mod tests {
 
     fn codec() -> PageCodec {
         PageCodec::new(CompressionMode::FourGranularity)
+    }
+
+    fn noise_page(seed: u64) -> Vec<u8> {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        synth::random_page(&mut rng)
     }
 
     #[test]
@@ -315,6 +356,7 @@ mod tests {
         for pfn in 0..32u64 {
             memo.get_or_compress((0, pfn), &codec, &vec![pfn as u8; 4096]);
             assert!(memo.len() <= 4);
+            assert!(memo.decomp.len() <= 4);
         }
     }
 
@@ -359,6 +401,59 @@ mod tests {
     }
 
     #[test]
+    fn both_directions_share_one_entry() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let page = vec![6u8; 4096];
+        let stored = memo.get_or_compress((0, 1), &codec, &page);
+        assert!(stored.is_compressed);
+        assert_eq!(memo.held_bytes(), page.len() + stored.data.len());
+    }
+
+    #[test]
+    fn raw_page_is_held_once_and_rebuilt_exactly() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let page = noise_page(3);
+        let direct = codec.compress(&page);
+        assert!(!direct.is_compressed);
+        assert_eq!(memo.get_or_compress((0, 1), &codec, &page), direct);
+        assert_eq!(memo.get_or_compress((0, 1), &codec, &page), direct);
+        assert_eq!(memo.stats().hits, 1);
+        assert_eq!(memo.held_bytes(), page.len(), "only the original is kept");
+    }
+
+    #[test]
+    fn raw_pages_never_enter_the_decompress_side() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let page = noise_page(4);
+        let stored = memo.get_or_compress((0, 1), &codec, &page);
+        assert!(memo.decomp.is_empty());
+        // Decoding it still works, and still leaves the side empty.
+        for _ in 0..2 {
+            assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+        }
+        assert!(memo.decomp.is_empty());
+        assert_eq!(memo.stats().decompress_misses, 2);
+    }
+
+    #[test]
+    fn old_stream_decodes_after_a_versioned_overwrite() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let old = synth::page_with_ratio(4.0, &mut rng);
+        let new = synth::page_with_ratio(4.0, &mut rng);
+        let old_stored = memo.get_or_compress((0, 1), &codec, &old);
+        let new_stored = memo.get_or_compress((0, 1), &codec, &new);
+        assert!(old_stored.is_compressed && new_stored.is_compressed);
+        assert_eq!(memo.get_or_decompress(&codec, &old_stored).unwrap(), old);
+        assert_eq!(memo.get_or_decompress(&codec, &new_stored).unwrap(), new);
+        assert_eq!(memo.stats().decompress_hits, 2);
+    }
+
+    #[test]
     fn corrupt_stream_never_matches_cached_entry() {
         let codec = codec();
         let mut memo = CompressMemo::new(8);
@@ -378,16 +473,5 @@ mod tests {
         memo.get_or_decompress(&codec, &stored).unwrap();
         assert_eq!(memo.stats().decompress_hits, 0);
         assert_eq!(memo.stats().decompress_misses, 2);
-    }
-
-    #[test]
-    fn invalidate_forces_miss() {
-        let codec = codec();
-        let mut memo = CompressMemo::new(8);
-        let page = vec![5u8; 4096];
-        memo.get_or_compress((0, 1), &codec, &page);
-        memo.invalidate((0, 1));
-        memo.get_or_compress((0, 1), &codec, &page);
-        assert_eq!(memo.stats().misses, 2);
     }
 }

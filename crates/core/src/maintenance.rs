@@ -9,7 +9,7 @@
 //! * **eviction scans** run the remote slab eviction handler so hosts
 //!   whose pools run hot get their DRAM back (§IV-F);
 //! * **advertisement refreshes** re-publish free-memory gauges so
-//!   placement and election act on fresh data.
+//!   placement acts on fresh data.
 //!
 //! Drive it with [`Maintenance::run_until`]: the driver advances the
 //! shared clock to each due task, performs it, and reschedules — exactly

@@ -3,8 +3,8 @@
 use crate::disk::DiskTier;
 use crate::memmap::MemoryMap;
 use dmem_cluster::{
-    ClusterMembership, EvictionOutcome, GroupTable, LeaderElection, Placer, RemoteSlabEvictor,
-    RemoteStore, Replicator,
+    ClusterMembership, EvictionOutcome, GroupTable, Placer, RemoteSlabEvictor, RemoteStore,
+    Replicator,
 };
 use dmem_compress::{CompressMemo, CompressedPage, PageCodec};
 use dmem_net::{CxlAddr, CxlPool, Fabric};
@@ -12,7 +12,7 @@ use dmem_node::NodeManager;
 use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
 use dmem_sim::{
     CostModel, DetRng, FailureInjector, LazyCounter, LazyHistogram, MetricsRegistry, SimClock,
-    SimDuration, TelemetryHub,
+    TelemetryHub,
 };
 use dmem_types::{
     checksum, ByteSize, ClusterConfig, DmemError, DmemResult, EntryId, EntryLocation, EntryRecord,
@@ -159,7 +159,6 @@ pub struct DisaggregatedMemory {
     fabric: Fabric,
     membership: ClusterMembership,
     groups: GroupTable,
-    election: LeaderElection,
     managers: IdMap<NodeId, Arc<NodeManager>>,
     remote: Arc<RemoteStore>,
     replicator: Replicator,
@@ -205,11 +204,6 @@ impl DisaggregatedMemory {
         let nodes: Vec<NodeId> = (0..config.nodes as u32).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes.clone(), failures.clone());
         let groups = GroupTable::partition(&nodes, config.group_size)?;
-        let election = LeaderElection::new(
-            membership.clone(),
-            clock.clone(),
-            SimDuration::from_millis(50),
-        );
         let rng = DetRng::new(config.seed);
 
         let mut managers = IdMap::default();
@@ -258,7 +252,6 @@ impl DisaggregatedMemory {
             fabric,
             membership,
             groups,
-            election,
             managers,
             remote,
             replicator,
@@ -521,16 +514,6 @@ impl DisaggregatedMemory {
     /// pool-node outage control go through this handle.
     pub fn cxl_pool(&self) -> Option<&Arc<CxlPool>> {
         self.cxl.as_ref()
-    }
-
-    /// The leader of `node`'s sharing group (§IV-C election).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DmemError::NoLeader`] when the whole group is down.
-    pub fn group_leader(&self, node: NodeId) -> DmemResult<NodeId> {
-        let gid = self.groups.group_of(node)?;
-        self.election.leader(&self.groups, gid)
     }
 
     /// The alive group peers of `node` — the candidate hosts for its
@@ -1571,8 +1554,6 @@ mod tests {
     #[test]
     fn group_leadership_is_exposed() {
         let dm = system();
-        let leader = dm.group_leader(NodeId::new(0)).unwrap();
-        assert!(dm.membership().is_alive(leader));
         let peers = dm.group_peers(NodeId::new(0)).unwrap();
         assert!(!peers.contains(&NodeId::new(0)));
     }

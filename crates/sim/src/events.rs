@@ -1,7 +1,7 @@
 //! A minimal discrete-event queue.
 //!
-//! Used for periodic background work in the cluster layer: leader
-//! heartbeats, idle-memory monitoring, re-replication scans. Events at the
+//! Used for periodic background work in the cluster layer: free-memory
+//! advertisement, idle-memory monitoring, re-replication scans. Events at the
 //! same instant pop in scheduling order (FIFO), which keeps simulations
 //! deterministic.
 

@@ -175,6 +175,35 @@ mod tests {
     }
 
     #[test]
+    fn writeback_decodes_overwritten_and_raw_neighbours() {
+        // Victims written back to disk decode to their latest bytes even
+        // after their key was overwritten, with incompressible pages (kept
+        // raw, sent straight to disk) interleaved.
+        let (_, mut b) = backend(2);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut latest = std::collections::BTreeMap::new();
+        for pfn in 0..4 {
+            latest.insert(pfn, compressible_page(100 + pfn));
+            latest.insert(10 + pfn, synth::random_page(&mut rng));
+        }
+        for pfn in 20..28 {
+            latest.insert(pfn, compressible_page(pfn));
+        }
+        // First versions of pfns 0..4, overwritten below.
+        for pfn in 0..4 {
+            store_one(&mut b, pfn, compressible_page(pfn)).unwrap();
+        }
+        for pfn in [0, 10, 1, 11, 2, 12, 3, 13].into_iter().chain(20..28) {
+            store_one(&mut b, pfn, latest[&pfn].clone()).unwrap();
+        }
+        assert!(b.pool_stats().evicted > 0);
+        assert_eq!(b.pool_stats().rejected, 4);
+        for (pfn, page) in &latest {
+            assert_eq!(&load_one(&mut b, *pfn).unwrap(), page, "pfn {pfn}");
+        }
+    }
+
+    #[test]
     fn invalidate_clears_both_tiers() {
         let (_, mut b) = backend(4);
         store_one(&mut b, 1, compressible_page(1)).unwrap();

@@ -66,8 +66,6 @@ pub enum DmemError {
         /// Explanation of the rejected value.
         reason: String,
     },
-    /// The group has no eligible leader (all members down).
-    NoLeader,
     /// The operation is not supported by this backend or tier.
     Unsupported {
         /// The unsupported operation.
@@ -109,7 +107,6 @@ impl fmt::Display for DmemError {
             DmemError::Timeout { what } => write!(f, "timed out waiting for {what}"),
             DmemError::Corrupt(id) => write!(f, "entry {id} failed integrity verification"),
             DmemError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            DmemError::NoLeader => write!(f, "no eligible group leader"),
             DmemError::Unsupported { op } => write!(f, "operation not supported: {op}"),
             DmemError::CxlPoolNodeDown { pool_node } => {
                 write!(f, "cxl pool node {pool_node} unreachable")
@@ -160,7 +157,6 @@ mod tests {
             DmemError::InvalidConfig {
                 reason: "donation fraction above 1.0".into(),
             },
-            DmemError::NoLeader,
             DmemError::Unsupported { op: "batch".into() },
             DmemError::CxlPoolNodeDown { pool_node: 2 },
         ];
@@ -187,6 +183,6 @@ mod tests {
             DmemError::EntryNotFound(sample_entry()),
             DmemError::EntryNotFound(sample_entry())
         );
-        assert_ne!(DmemError::NoLeader, DmemError::AccessDenied);
+        assert_ne!(DmemError::RegionNotRegistered, DmemError::AccessDenied);
     }
 }

@@ -40,7 +40,7 @@
 //! | [`kv`] | Memcached-style cache with a disaggregated overflow tier |
 //! | [`node`] | node-level shared memory pool (LDMC/LDMS) |
 //! | [`qos`] | multi-tenant QoS: quotas, priority eviction, rate limits |
-//! | [`cluster`] | groups, election, placement, replication, eviction |
+//! | [`cluster`] | groups, placement, replication, eviction |
 //! | [`core`] | the tiered [`prelude::DisaggregatedMemory`] facade |
 //! | [`swap`] | FastSwap + swap baselines over a paging engine |
 //! | [`rdd`] | mini dataflow engine + DAHI off-heap cache |

@@ -145,9 +145,7 @@ fn group_leadership_and_map_arithmetic() {
     let mut config = ClusterConfig::paper_testbed();
     config.group_size = 8;
     let dm = DisaggregatedMemory::new(config).unwrap();
-    // 32 nodes in groups of 8: leaders exist and are group members.
-    let leader = dm.group_leader(NodeId::new(0)).unwrap();
-    assert!(leader.index() < 8, "leader of group 0 must be in nodes 0..8");
+    // 32 nodes in groups of 8: a node's peers are the rest of its group.
     let peers = dm.group_peers(NodeId::new(9)).unwrap();
     assert_eq!(peers.len(), 7);
     assert!(peers.iter().all(|n| (8..16).contains(&n.index())));

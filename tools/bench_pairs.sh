@@ -2,15 +2,17 @@
 # Alternating-pair benchmark comparison of two checkouts (the rule in
 # ROADMAP [bench2] and the choosing-metrics guide, section 8).
 #
-#   tools/bench_pairs.sh <workload> <pairs> <base-checkout> <change-checkout>
-#                        [--seconds S] [--layers a,b,c]
+#   tools/bench_pairs.sh <workload>[,<workload>...] <pairs> <base-checkout>
+#                        <change-checkout> [--seconds S] [--layers a,b,c]
 #
 # Pair i runs seed 13+i on both sides, each through its own
 # benchmark/run.sh, and the side that goes first alternates. Prints every
 # run, then for each end-to-end metric of the change's BENCHMARK.json each
 # side's quartiles and median, the change of the median, the base's own
 # spread (q3 - q1), the benchmark's bound, and how many pairs the change
-# won (ties count for neither side).
+# won (ties count for neither side). A comma-separated list of workloads
+# (paging,tier_read,tier_write,rack) runs them one after another, with
+# one table each.
 #
 # With --layers the runs are traced ones (--trace 1, which report no
 # end-to-end metric) and the table holds the named per-layer metrics
@@ -24,13 +26,13 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <workload> <pairs> <base-checkout> <change-checkout>" \
-        "[--seconds S] [--layers a,b,c]" >&2
+    echo "usage: $0 <workload>[,<workload>...] <pairs> <base-checkout>" \
+        "<change-checkout> [--seconds S] [--layers a,b,c]" >&2
     exit 2
 }
 
 [ $# -ge 4 ] || usage
-workload=$1
+workloads=$1
 pairs=$2
 base=$3
 change=$4
@@ -48,6 +50,7 @@ while [ $# -gt 0 ]; do
 done
 [ -z "$layers" ] || extra+=(--trace 1)
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+case ,$workloads, in *,,*) usage ;; esac
 for side in "$base" "$change"; do
     [ -f "$side/benchmark/run.sh" ] || { echo "$side: no benchmark/run.sh" >&2; exit 2; }
 done
@@ -132,7 +135,6 @@ field() {
     sed -nE "s/.*\"$2\": \\{\"value\": ([0-9.]+).*/\\1/p" <<<"$1"
 }
 
-echo "# $workload, $pairs alternating pairs from seed $FIRST_SEED, $(nproc) cores${extra[*]:+, ${extra[*]}}"
 echo "# base   = $base"
 echo "# change = $change"
 # Build both sides before anything is timed.
@@ -143,99 +145,104 @@ status=0
 declare -A values # values[side,metric] = space-separated millionths
 declare -A wins   # wins[metric] = pairs the change won
 declare -A ties
-for ((i = 0; i < pairs; i++)); do
-    seed=$((FIRST_SEED + i))
-    if ((i % 2 == 0)); then
-        order="base change"
-    else
-        order="change base"
-    fi
-    declare -A result=()
-    for side in $order; do
-        if [ "$side" = base ]; then dir=$base; else dir=$change; fi
-        result[$side]=$(run_side "$dir" "$seed")
-    done
-    echo "seed $seed (${order%% *} first)"
-    for side in base change; do
-        line=${result[$side]}
-        printf '  %-6s' "$side"
-        for name in "${names[@]}"; do
-            printf ' %s=%s' "$name" "$(field "$line" "$name")"
+for workload in ${workloads//,/ }; do
+    values=() wins=() ties=()
+    echo
+    echo "# $workload, $pairs alternating pairs from seed $FIRST_SEED, $(nproc) cores${extra[*]:+, ${extra[*]}}"
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((FIRST_SEED + i))
+        if ((i % 2 == 0)); then
+            order="base change"
+        else
+            order="change base"
+        fi
+        declare -A result=()
+        for side in $order; do
+            if [ "$side" = base ]; then dir=$base; else dir=$change; fi
+            result[$side]=$(run_side "$dir" "$seed")
         done
-        echo
-        case $line in
-        *'"correct": true'*'"failed": 0,'*) ;;
-        *)
-            echo "  FAIL: $side run is not correct with failed = 0: $line"
-            status=1
-            ;;
-        esac
+        echo "seed $seed (${order%% *} first)"
+        for side in base change; do
+            line=${result[$side]}
+            printf '  %-6s' "$side"
+            for name in "${names[@]}"; do
+                printf ' %s=%s' "$name" "$(field "$line" "$name")"
+            done
+            echo
+            case $line in
+            *'"correct": true'*'"failed": 0,'*) ;;
+            *)
+                echo "  FAIL: $side run is not correct with failed = 0: $line"
+                status=1
+                ;;
+            esac
+        done
+        for m in "${!names[@]}"; do
+            name=${names[m]}
+            b=$(field "${result[base]}" "$name")
+            c=$(field "${result[change]}" "$name")
+            if [ -z "$b" ] || [ -z "$c" ]; then
+                echo "  FAIL: $name missing from a result line"
+                status=1
+                continue
+            fi
+            case $name in
+            virt_*)
+                if [ "$b" != "$c" ]; then
+                    echo "  FAIL: $name differs at seed $seed: base $b, change $c"
+                    status=1
+                fi
+                ;;
+            esac
+            bm=$(micro "$b")
+            cm=$(micro "$c")
+            values[base,$name]+=" $bm"
+            values[change,$name]+=" $cm"
+            if [ "$bm" -eq "$cm" ]; then
+                ties[$name]=$((${ties[$name]:-0} + 1))
+            elif { [ "${better[m]}" = higher ] && [ "$cm" -gt "$bm" ]; } ||
+                { [ "${better[m]}" = lower ] && [ "$cm" -lt "$bm" ]; }; then
+                wins[$name]=$((${wins[$name]:-0} + 1))
+            fi
+        done
     done
+
+    echo
+    width=16
+    for name in "${names[@]}"; do
+        [ ${#name} -le "$width" ] || width=${#name}
+    done
+    printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" \
+        metric side q1 median q3 'Δmedian' 'base iqr' bound 'wins/pairs'
     for m in "${!names[@]}"; do
         name=${names[m]}
-        b=$(field "${result[base]}" "$name")
-        c=$(field "${result[change]}" "$name")
-        if [ -z "$b" ] || [ -z "$c" ]; then
-            echo "  FAIL: $name missing from a result line"
-            status=1
-            continue
-        fi
-        case $name in
-        virt_*)
-            if [ "$b" != "$c" ]; then
-                echo "  FAIL: $name differs at seed $seed: base $b, change $c"
-                status=1
+        declare -A med=()
+        for side in base change; do
+            # shellcheck disable=SC2086
+            sorted=($(printf '%s\n' ${values[$side,$name]} | sort -n))
+            q1=$(quartile 1 "${sorted[@]}")
+            med[$side]=$(quartile 2 "${sorted[@]}")
+            q3=$(quartile 3 "${sorted[@]}")
+            if [ "$side" = base ]; then
+                base_iqr=$((q3 - q1))
+                printf "%-${width}s %-6s %12s %12s %12s\n" "$name" base \
+                    "$(show "$q1")" "$(show "${med[base]}")" "$(show "$q3")"
+                continue
             fi
-            ;;
-        esac
-        bm=$(micro "$b")
-        cm=$(micro "$c")
-        values[base,$name]+=" $bm"
-        values[change,$name]+=" $cm"
-        if [ "$bm" -eq "$cm" ]; then
-            ties[$name]=$((${ties[$name]:-0} + 1))
-        elif { [ "${better[m]}" = higher ] && [ "$cm" -gt "$bm" ]; } ||
-            { [ "${better[m]}" = lower ] && [ "$cm" -lt "$bm" ]; }; then
-            wins[$name]=$((${wins[$name]:-0} + 1))
-        fi
-    done
-done
-
-echo
-width=16
-for name in "${names[@]}"; do
-    [ ${#name} -le "$width" ] || width=${#name}
-done
-printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" \
-    metric side q1 median q3 'Δmedian' 'base iqr' bound 'wins/pairs'
-for m in "${!names[@]}"; do
-    name=${names[m]}
-    declare -A med=()
-    for side in base change; do
-        # shellcheck disable=SC2086
-        sorted=($(printf '%s\n' ${values[$side,$name]} | sort -n))
-        q1=$(quartile 1 "${sorted[@]}")
-        med[$side]=$(quartile 2 "${sorted[@]}")
-        q3=$(quartile 3 "${sorted[@]}")
-        if [ "$side" = base ]; then
-            base_iqr=$((q3 - q1))
-            printf "%-${width}s %-6s %12s %12s %12s\n" "$name" base \
-                "$(show "$q1")" "$(show "${med[base]}")" "$(show "$q3")"
-            continue
-        fi
-        if [ "${med[base]}" -eq 0 ]; then
-            delta=n/a
-            spread=n/a
-        else
-            delta=$(percent $(((med[change] - med[base]) * 10000 / med[base])))
-            spread=$(percent $((base_iqr * 10000 / med[base])))
-        fi
-        limit=-
-        [ -z "${bound[m]}" ] || limit=$(percent $(($(micro "${bound[m]}") / 100)) | tr -d +)
-        printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" "" change \
-            "$(show "$q1")" "$(show "${med[change]}")" "$(show "$q3")" \
-            "$delta" "${spread#+}" "$limit" \
-            "${wins[$name]:-0}/$pairs (${better[m]} is better${ties[$name]:+, ${ties[$name]} tied})"
+            if [ "${med[base]}" -eq 0 ]; then
+                delta=n/a
+                spread=n/a
+            else
+                delta=$(percent $(((med[change] - med[base]) * 10000 / med[base])))
+                spread=$(percent $((base_iqr * 10000 / med[base])))
+            fi
+            limit=-
+            [ -z "${bound[m]}" ] || limit=$(percent $(($(micro "${bound[m]}") / 100)) | tr -d +)
+            printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" "" change \
+                "$(show "$q1")" "$(show "${med[change]}")" "$(show "$q3")" \
+                "$delta" "${spread#+}" "$limit" \
+                "${wins[$name]:-0}/$pairs (${better[m]} is better${ties[$name]:+, ${ties[$name]} tied})"
+        done
     done
 done
 [ "$status" -eq 0 ] || echo "FAILED: see the FAIL lines above"
