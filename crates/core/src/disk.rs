@@ -8,6 +8,7 @@ use dmem_sim::{CostModel, DeviceCost, SimClock};
 use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::Arc;
 
 /// Per-node simulated disks storing entry payloads.
 pub struct DiskTier {
@@ -18,15 +19,17 @@ pub struct DiskTier {
     disks: Mutex<IdMap<NodeId, NodeDisk>>,
 }
 
-/// One node's device: the payloads and their running byte total.
+/// One node's device: the payloads and their running byte total. A
+/// payload is an immutable shared buffer, so a CXL block and its
+/// write-behind shadow here are one allocation.
 #[derive(Default)]
 struct NodeDisk {
-    entries: IdMap<EntryId, Vec<u8>>,
+    entries: IdMap<EntryId, Arc<Vec<u8>>>,
     bytes: u64,
 }
 
 impl NodeDisk {
-    fn insert(&mut self, entry: EntryId, data: Vec<u8>) {
+    fn insert(&mut self, entry: EntryId, data: Arc<Vec<u8>>) {
         self.bytes += data.len() as u64;
         if let Some(old) = self.entries.insert(entry, data) {
             self.bytes -= old.len() as u64;
@@ -81,7 +84,7 @@ impl DiskTier {
                 pool: format!("{} on {node}", self.label),
             });
         }
-        disk.insert(entry, data.to_vec());
+        disk.insert(entry, Arc::new(data.to_vec()));
         drop(disks);
         let span = self.clock.tracer().span(self.label, "store");
         span.tag("bytes", data.len());
@@ -89,7 +92,8 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Writes `data` for `entry` on `node`'s disk.
+    /// Writes `data` for `entry` on `node`'s disk, keeping the caller's
+    /// buffer rather than a copy of it.
     pub fn store(&self, node: NodeId, entry: EntryId, data: Vec<u8>) {
         let span = self.clock.tracer().span(self.label, "store");
         span.tag("bytes", data.len());
@@ -98,7 +102,7 @@ impl DiskTier {
             .lock()
             .entry(node)
             .or_default()
-            .insert(entry, data);
+            .insert(entry, Arc::new(data));
     }
 
     /// Writes `data` for `entry` on `node`'s disk **without charging the
@@ -107,8 +111,9 @@ impl DiskTier {
     /// the flush happens off the critical path, overlapping later
     /// foreground work (which the virtual clock models as free), and the
     /// copy is only ever read on the slow failover path, which does pay
-    /// the full device cost.
-    pub fn store_behind(&self, node: NodeId, entry: EntryId, data: Vec<u8>) {
+    /// the full device cost. The shadow is the buffer the pool block
+    /// holds, shared, not a second copy of it.
+    pub fn store_behind(&self, node: NodeId, entry: EntryId, data: Arc<Vec<u8>>) {
         let span = self.clock.tracer().span(self.label, "store_behind");
         span.tag("bytes", data.len());
         self.disks
@@ -128,7 +133,7 @@ impl DiskTier {
         let mut disks = self.disks.lock();
         let disk = disks.entry(node).or_default();
         for (entry, data) in batch {
-            disk.insert(entry, data);
+            disk.insert(entry, Arc::new(data));
         }
     }
 
@@ -142,7 +147,7 @@ impl DiskTier {
         let data = disks
             .get(&node)
             .and_then(|d| d.entries.get(&entry))
-            .cloned()
+            .map(|data| data.to_vec())
             .ok_or(DmemError::EntryNotFound(entry))?;
         drop(disks);
         let span = self.clock.tracer().span(self.label, "load");
@@ -166,7 +171,7 @@ impl DiskTier {
         for e in entries {
             let data = disk
                 .and_then(|d| d.entries.get(e))
-                .cloned()
+                .map(|data| data.to_vec())
                 .ok_or(DmemError::EntryNotFound(*e))?;
             total += data.len();
             out.push(data);
@@ -193,6 +198,12 @@ impl DiskTier {
         let data = data.ok_or(DmemError::EntryNotFound(entry))?;
         disk.bytes -= data.len() as u64;
         Ok(data.len())
+    }
+
+    /// The buffer held for `entry` on `node`'s disk, as held.
+    #[cfg(test)]
+    pub(crate) fn held(&self, node: NodeId, entry: EntryId) -> Option<Arc<Vec<u8>>> {
+        self.disks.lock().get(&node)?.entries.get(&entry).cloned()
     }
 
     /// `true` if the entry is on `node`'s disk.
@@ -245,6 +256,29 @@ mod tests {
         assert!(after_store.nanos() > 3_000_000, "store pays a ~4ms seek");
         assert_eq!(tier.load(NodeId::new(0), entry(1)).unwrap(), vec![1u8; 4096]);
         assert!((clock.now() - after_store).as_millis_f64() > 3.0);
+    }
+
+    #[test]
+    fn stores_keep_the_callers_buffer() {
+        let (_, tier) = tier();
+        let node = NodeId::new(0);
+        let data = vec![9u8; 4096];
+        let at = data.as_ptr();
+        tier.store(node, entry(1), data);
+        assert_eq!(
+            tier.held(node, entry(1)).unwrap().as_ptr(),
+            at,
+            "moved, not copied"
+        );
+        let batch = vec![(entry(2), vec![8u8; 64])];
+        let at = batch[0].1.as_ptr();
+        tier.store_batch(node, batch);
+        assert_eq!(tier.held(node, entry(2)).unwrap().as_ptr(), at);
+        let shared = Arc::new(vec![7u8; 64]);
+        tier.store_behind(node, entry(3), Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&tier.held(node, entry(3)).unwrap(), &shared));
+        tier.delete(node, entry(3)).unwrap();
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

@@ -812,10 +812,11 @@ impl DisaggregatedMemory {
     }
 
     /// Places `entry` in the CXL pool: ring placement, allocation, one
-    /// cacheline-granular store, and a write-behind shadow copy on the
-    /// owner's disk so pool-node loss degrades to disk instead of losing
-    /// the entry. Fabric bytes are metered against the tenant's QoS
-    /// token bucket, same as remote traffic.
+    /// cacheline-granular store, and a write-behind shadow on the owner's
+    /// disk so pool-node loss degrades to disk instead of losing the
+    /// entry. The block and the shadow share one copy of `stored`. Fabric
+    /// bytes are metered against the tenant's QoS token bucket, same as
+    /// remote traffic.
     fn try_cxl(
         &self,
         qos: Option<&Arc<QosEngine>>,
@@ -829,15 +830,16 @@ impl DisaggregatedMemory {
                 op: "cxl tier not configured".into(),
             });
         };
-        let addr = self.metered(qos, tenant, stored.len() as u64, || {
+        let (addr, shared) = self.metered(qos, tenant, stored.len() as u64, || {
             let addr = pool.alloc(Self::cxl_key(entry), stored.len())?;
-            if let Err(e) = pool.store(addr, stored) {
+            let shared = Arc::new(stored.to_vec());
+            if let Err(e) = pool.store_shared(addr, Arc::clone(&shared)) {
                 let _ = pool.free(addr);
                 return Err(e);
             }
-            Ok(addr)
+            Ok((addr, shared))
         })?;
-        self.disk.store_behind(node, entry, stored.to_vec());
+        self.disk.store_behind(node, entry, shared);
         self.handles.put_cxl.inc();
         Ok(EntryLocation::Cxl { addr: addr.raw() })
     }
@@ -1704,6 +1706,32 @@ mod tests {
         dm.put_pref(server, 2, vec![7u8; 4096], TierPreference::Cxl)
             .unwrap();
         assert!(dm.record(server, 2).unwrap().location.is_disk());
+        pool.set_pool_node_up(0);
+
+        // An overwritten CXL entry fails over to its new bytes: the
+        // block and the shadow are one buffer, and the overwrite lets go
+        // of the old one everywhere.
+        let (node, entry) = (server.node(), EntryId::new(server, 3));
+        let v1: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
+        let v2: Vec<u8> = v1.iter().map(|b| b ^ 0x5A).collect();
+        dm.put_pref(server, 3, v1, TierPreference::Cxl).unwrap();
+        let old = dm.disk.held(node, entry).unwrap();
+        assert_eq!(
+            Arc::strong_count(&old),
+            3,
+            "shadow, pool block and this handle"
+        );
+        dm.put_pref(server, 3, v2.clone(), TierPreference::Cxl)
+            .unwrap();
+        assert!(dm.record(server, 3).unwrap().location.is_cxl());
+        assert_eq!(Arc::strong_count(&old), 1, "no tier still holds v1");
+        let new = dm.disk.held(node, entry).unwrap();
+        assert_eq!(Arc::strong_count(&new), 3);
+        assert_eq!(*new, v2);
+        drop(new);
+        pool.set_pool_node_down(0);
+        assert_eq!(dm.get(server, 3).unwrap(), v2);
+        assert_eq!(dm.metrics().counter("cxl.failover.reads").get(), 2);
     }
 
     #[test]

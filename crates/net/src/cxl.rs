@@ -31,6 +31,7 @@ use dmem_sim::{
 use dmem_types::{ByteSize, DmemError, DmemResult, IdMap};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::Arc;
 
 /// CXL transfer granularity: accesses are rounded up to 64-byte lines.
 pub const CACHELINE: usize = 64;
@@ -210,8 +211,10 @@ fn lines(bytes: usize) -> usize {
 struct Block {
     capacity: usize,
     /// `None` until the first store: a fresh block reads as `capacity`
-    /// zero bytes without anyone having written them.
-    data: Option<Vec<u8>>,
+    /// zero bytes without anyone having written them. A store hands the
+    /// block an immutable buffer, which the caller may go on sharing
+    /// (the core keeps it as the block's disk shadow) instead of copying.
+    data: Option<Arc<Vec<u8>>>,
 }
 
 struct PoolNodeState {
@@ -446,32 +449,42 @@ impl CxlPool {
     ///
     /// # Errors
     ///
+    /// As [`CxlPool::store_shared`].
+    pub fn store(&self, addr: CxlAddr, data: &[u8]) -> DmemResult<()> {
+        self.store_shared(addr, Arc::new(data.to_vec()))
+    }
+
+    /// [`CxlPool::store`] of a buffer the caller keeps a handle on: the
+    /// block holds `data` itself, so the caller's other copy of these
+    /// bytes and the block's are one allocation.
+    ///
+    /// # Errors
+    ///
     /// [`DmemError::CxlPoolNodeDown`] during an outage window (the
     /// caller fails over); [`DmemError::RegionNotRegistered`] for a
     /// never-allocated address; [`DmemError::RegionOutOfBounds`] when
     /// `data` exceeds the block's capacity.
-    pub fn store(&self, addr: CxlAddr, data: &[u8]) -> DmemResult<()> {
+    pub fn store_shared(&self, addr: CxlAddr, data: Arc<Vec<u8>>) -> DmemResult<()> {
+        let len = data.len();
         let span = self.clock.tracer().span("net", "cxl.store");
-        span.tag("bytes", data.len() as u64);
+        span.tag("bytes", len as u64);
         {
             let mut inner = self.inner.lock();
             Self::check(&inner, addr)?;
             let block = inner.blocks.get_mut(&addr.raw()).expect("checked");
-            if data.len() > block.capacity {
+            if len > block.capacity {
                 return Err(DmemError::RegionOutOfBounds {
                     offset: addr.offset(),
-                    len: data.len() as u64,
+                    len: len as u64,
                     capacity: block.capacity as u64,
                 });
             }
-            let held = block.data.get_or_insert_default();
-            held.clear();
-            held.extend_from_slice(data);
+            block.data = Some(data);
         }
-        let elapsed = self.cost.store.transfer(lines(data.len().max(1)));
+        let elapsed = self.cost.store.transfer(lines(len.max(1)));
         self.clock.advance(elapsed);
         self.handles.store_ops.inc();
-        self.handles.store_bytes.add(data.len() as u64);
+        self.handles.store_bytes.add(len as u64);
         self.handles.store_ns.record(elapsed.as_nanos());
         Ok(())
     }
@@ -489,7 +502,10 @@ impl CxlPool {
             let inner = self.inner.lock();
             Self::check(&inner, addr)?;
             let block = &inner.blocks[&addr.raw()];
-            block.data.clone().unwrap_or_else(|| vec![0; block.capacity])
+            block
+                .data
+                .as_ref()
+                .map_or_else(|| vec![0; block.capacity], |data| data.to_vec())
         };
         span.tag("bytes", data.len() as u64);
         let elapsed = self.cost.load.transfer(lines(data.len().max(1)));
@@ -740,6 +756,35 @@ mod tests {
         let addr = pool.alloc(1, 200).unwrap();
         assert_eq!(pool.load(addr).unwrap(), vec![0u8; 200]);
         assert_eq!(pool.metrics().counter("cxl.load.bytes").get(), 200);
+    }
+
+    #[test]
+    fn a_shared_store_holds_the_callers_buffer() {
+        let (_, pool) = pool(1, 64);
+        let addr = pool.alloc(1, 128).unwrap();
+        let first = Arc::new(vec![3u8; 100]);
+        pool.store_shared(addr, Arc::clone(&first)).unwrap();
+        // The block holds the caller's allocation, not a copy of it.
+        assert_eq!(Arc::strong_count(&first), 2);
+        assert_eq!(pool.load(addr).unwrap(), vec![3u8; 100]);
+        // An overwrite lets go of the old buffer; a rejected store
+        // keeps the current one.
+        let second = Arc::new(vec![4u8; 128]);
+        pool.store_shared(addr, Arc::clone(&second)).unwrap();
+        assert_eq!(Arc::strong_count(&first), 1);
+        let too_big = Arc::new(vec![5u8; 129]);
+        assert!(matches!(
+            pool.store_shared(addr, Arc::clone(&too_big)),
+            Err(DmemError::RegionOutOfBounds { .. })
+        ));
+        assert_eq!(Arc::strong_count(&too_big), 1);
+        assert_eq!(pool.load(addr).unwrap(), vec![4u8; 128]);
+        pool.free(addr).unwrap();
+        assert_eq!(
+            Arc::strong_count(&second),
+            1,
+            "freeing drops the block's handle"
+        );
     }
 
     #[test]

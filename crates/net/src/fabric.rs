@@ -35,10 +35,65 @@ pub struct QpHandle {
     pub peer: NodeId,
 }
 
+/// Bytes per backing chunk of a region. A chunk is allocated on the
+/// first write that touches it; until then its range reads as zeros.
+const CHUNK: usize = 64 * 1024;
+
+/// A registered region. Registered memory costs physical pages only
+/// where it has been written, so the bytes live in [`CHUNK`]-sized
+/// pieces allocated on first write: a receive pool that peers have
+/// filled a third of holds a third of its length in host RAM.
 struct Region {
     node: NodeId,
     rkey: u64,
-    buf: Vec<u8>,
+    len: usize,
+    chunks: Vec<Option<Box<[u8]>>>,
+}
+
+impl Region {
+    fn new(node: NodeId, rkey: u64, len: usize) -> Self {
+        Region {
+            node,
+            rkey,
+            len,
+            chunks: (0..len.div_ceil(CHUNK)).map(|_| None).collect(),
+        }
+    }
+
+    /// Copies `data` in at `start`, allocating each chunk it touches
+    /// that was never written. The caller has checked the bounds.
+    fn write(&mut self, start: usize, data: &[u8]) {
+        let mut at = start;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let (index, offset) = (at / CHUNK, at % CHUNK);
+            let take = rest.len().min(CHUNK - offset);
+            // The last chunk covers only what is left of the region.
+            let size = CHUNK.min(self.len - index * CHUNK);
+            let chunk = self.chunks[index].get_or_insert_with(|| vec![0; size].into_boxed_slice());
+            chunk[offset..offset + take].copy_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            at += take;
+        }
+    }
+
+    /// The `len` bytes at `start`, zeros where nothing was written. The
+    /// caller has checked the bounds.
+    fn read(&self, start: usize, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let end = start + len;
+        let mut at = start;
+        while at < end {
+            let (index, offset) = (at / CHUNK, at % CHUNK);
+            let take = (end - at).min(CHUNK - offset);
+            match &self.chunks[index] {
+                Some(chunk) => out.extend_from_slice(&chunk[offset..offset + take]),
+                None => out.resize(out.len() + take, 0),
+            }
+            at += take;
+        }
+        out
+    }
 }
 
 struct QpState {
@@ -275,14 +330,9 @@ impl Fabric {
         let mr = MrId::new(self.fresh_id());
         let rkey = self.fresh_id() ^ u64_rotate(mr.as_u64());
         let mut inner = self.inner.lock();
-        inner.regions.insert(
-            mr,
-            Region {
-                node,
-                rkey,
-                buf: vec![0; len.as_usize()],
-            },
-        );
+        inner
+            .regions
+            .insert(mr, Region::new(node, rkey, len.as_usize()));
         *inner
             .registered_per_node
             .entry(node)
@@ -303,7 +353,7 @@ impl Fabric {
             .regions
             .remove(&handle.mr)
             .ok_or(DmemError::RegionNotRegistered)?;
-        let len = ByteSize::from(region.buf.len());
+        let len = ByteSize::from(region.len);
         if let Some(total) = inner.registered_per_node.get_mut(&region.node) {
             *total -= len;
         }
@@ -588,8 +638,7 @@ impl Fabric {
             .regions
             .get_mut(&region.mr)
             .ok_or(DmemError::RegionNotRegistered)?;
-        let start = offset as usize;
-        r.buf[start..start + data.len()].copy_from_slice(data);
+        r.write(offset as usize, data);
         self.handles.write_ops.inc();
         self.handles.write_bytes.add(data.len() as u64);
         self.handles.write_ns.record(elapsed.as_nanos());
@@ -625,8 +674,7 @@ impl Fabric {
             .regions
             .get(&region.mr)
             .ok_or(DmemError::RegionNotRegistered)?;
-        let start = offset as usize;
-        let out = r.buf[start..start + len].to_vec();
+        let out = r.read(offset as usize, len);
         self.handles.read_ops.inc();
         self.handles.read_bytes.add(len as u64);
         self.handles.read_ns.record(elapsed.as_nanos());
@@ -659,13 +707,13 @@ impl Fabric {
             .ok_or(DmemError::RegionOutOfBounds {
                 offset,
                 len: len as u64,
-                capacity: r.buf.len() as u64,
+                capacity: r.len as u64,
             })?;
-        if end > r.buf.len() as u64 {
+        if end > r.len as u64 {
             return Err(DmemError::RegionOutOfBounds {
                 offset,
                 len: len as u64,
-                capacity: r.buf.len() as u64,
+                capacity: r.len as u64,
             });
         }
         Ok(())
@@ -990,6 +1038,110 @@ mod tests {
         clone.send(&qp_a, vec![0; 8]).unwrap();
         assert_eq!(clone.metrics().counter("net.send.ops").get(), 2);
         assert_eq!(f.metrics().counter("net.send.bytes").get(), 16);
+    }
+
+    /// A region whose length is not a whole number of chunks, on node 1,
+    /// with a queue pair from node 0.
+    fn sparse_region(f: &Fabric) -> (RegionHandle, QpHandle, usize) {
+        let len = 3 * CHUNK + 100;
+        let mr = f.register(NodeId::new(1), ByteSize::from(len)).unwrap();
+        let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        (mr, qp, len)
+    }
+
+    /// How many of `mr`'s chunks hold bytes.
+    fn backed_chunks(f: &Fabric, mr: &RegionHandle) -> usize {
+        let inner = f.inner.lock();
+        inner.regions[&mr.mr]
+            .chunks
+            .iter()
+            .filter(|c| c.is_some())
+            .count()
+    }
+
+    #[test]
+    fn write_straddling_a_chunk_boundary_round_trips() {
+        let (_, _, f) = fabric();
+        let (mr, qp, _) = sparse_region(&f);
+        let data: Vec<u8> = (0..300u16).map(|i| (i % 251) as u8 + 1).collect();
+        let at = (CHUNK - 100) as u64;
+        f.write(&qp, &data, &mr, at).unwrap();
+        assert_eq!(f.read(&qp, &mr, at, data.len()).unwrap(), data);
+        // Both chunks the write touched are backed, and only those.
+        assert_eq!(backed_chunks(&f, &mr), 2);
+        // A read wider than the write sees zeros on either side.
+        let wide = f.read(&qp, &mr, at - 8, data.len() + 16).unwrap();
+        assert_eq!(&wide[..8], &[0; 8]);
+        assert_eq!(&wide[8..8 + data.len()], &data[..]);
+        assert_eq!(&wide[8 + data.len()..], &[0; 8]);
+    }
+
+    #[test]
+    fn never_written_bytes_read_as_zeros() {
+        let (_, _, f) = fabric();
+        let (mr, qp, len) = sparse_region(&f);
+        assert_eq!(f.read(&qp, &mr, 0, len).unwrap(), vec![0; len]);
+        assert_eq!(backed_chunks(&f, &mr), 0, "reads back nothing");
+        // Chunks 0 and 2 written, chunk 1 between them never touched.
+        f.write(&qp, &[0xAA; 16], &mr, 8).unwrap();
+        f.write(&qp, &[0xBB; 16], &mr, (2 * CHUNK + 8) as u64)
+            .unwrap();
+        assert_eq!(backed_chunks(&f, &mr), 2);
+        let all = f.read(&qp, &mr, 0, len).unwrap();
+        assert_eq!(all.len(), len);
+        for (i, &b) in all.iter().enumerate() {
+            let want = match i {
+                8..24 => 0xAA,
+                i if (2 * CHUNK + 8..2 * CHUNK + 24).contains(&i) => 0xBB,
+                _ => 0,
+            };
+            assert_eq!(b, want, "byte {i}");
+        }
+        assert_eq!(
+            f.read(&qp, &mr, CHUNK as u64, CHUNK).unwrap(),
+            vec![0; CHUNK]
+        );
+    }
+
+    #[test]
+    fn write_ending_on_the_last_byte_works() {
+        let (_, _, f) = fabric();
+        let (mr, qp, len) = sparse_region(&f);
+        // The tail chunk is only 100 bytes long; fill it to the end.
+        let at = (len - 150) as u64;
+        f.write(&qp, &[7; 150], &mr, at).unwrap();
+        assert_eq!(f.read(&qp, &mr, at, 150).unwrap(), vec![7; 150]);
+        assert_eq!(f.read(&qp, &mr, (len - 1) as u64, 1).unwrap(), vec![7]);
+        assert_eq!(f.read(&qp, &mr, len as u64, 0).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn sparse_region_bounds_and_registration_are_unchanged() {
+        let (_, _, f) = fabric();
+        let (mr, qp, len) = sparse_region(&f);
+        assert_eq!(f.registered_bytes(NodeId::new(1)), ByteSize::from(len));
+        for (offset, n) in [(len as u64 - 1, 2), (len as u64, 1), (u64::MAX, 1)] {
+            assert_eq!(
+                f.write(&qp, &vec![1; n], &mr, offset),
+                Err(DmemError::RegionOutOfBounds {
+                    offset,
+                    len: n as u64,
+                    capacity: len as u64,
+                })
+            );
+            assert!(matches!(
+                f.read(&qp, &mr, offset, n),
+                Err(DmemError::RegionOutOfBounds { .. })
+            ));
+        }
+        // Rejected writes back nothing; accepted ones leave the
+        // registered total where registration put it.
+        assert_eq!(backed_chunks(&f, &mr), 0);
+        f.write(&qp, &vec![1; len], &mr, 0).unwrap();
+        assert_eq!(backed_chunks(&f, &mr), 4);
+        assert_eq!(f.registered_bytes(NodeId::new(1)), ByteSize::from(len));
+        f.deregister(&mr).unwrap();
+        assert_eq!(f.registered_bytes(NodeId::new(1)), ByteSize::ZERO);
     }
 
     #[test]

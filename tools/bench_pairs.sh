@@ -22,8 +22,14 @@
 # virt_ops_per_s / virt_p99_us differ between the sides at any seed: a
 # host-only change must leave them identical to the last digit.
 #
+# Each side is built with CARGO_TARGET_DIR unset, so each uses its own
+# benchmark/target. With it set, both checkouts would build into one
+# target directory and overwrite one binary, rebuilding on every run;
+# with it set but empty, every run would abort with a cargo error.
+#
 # Bash and coreutils only; arithmetic is integer, in millionths.
 set -euo pipefail
+unset CARGO_TARGET_DIR
 
 usage() {
     echo "usage: $0 <workload>[,<workload>...] <pairs> <base-checkout>" \
