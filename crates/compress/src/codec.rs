@@ -31,6 +31,11 @@ impl CompressedPage {
     }
 }
 
+std::thread_local! {
+    /// Scratch for [`PageCodec::compress`]'s LZ attempt.
+    static STREAM: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Compresses and decompresses pages under a [`CompressionMode`] policy.
 ///
 /// With [`CompressionMode::Off`] every page is stored raw in the 4 KiB
@@ -92,21 +97,27 @@ impl PageCodec {
                 .filter(|c| **c < SizeClass::C4K)
                 .map(|c| c.bytes().as_u64() as usize)
                 .max();
-            let mut stream = Vec::new();
-            if let Some(budget) = budget {
-                if lz::compress_within(page, budget, &mut stream) {
-                    // Pick the smallest allowed class that fits the
-                    // stream (within budget, so below 4 KiB).
-                    let class = SizeClass::fitting_among(stream.len(), self.mode.classes())
-                        .expect("stream within budget fits a class");
-                    return CompressedPage {
-                        data: stream,
-                        class,
-                        original_len: page.len(),
-                        is_compressed: true,
-                        checksum: sum,
-                    };
-                }
+            // The attempt runs in a reused buffer, so a page kept raw
+            // allocates no stream; an accepted stream is copied out at its
+            // exact length, carrying no spare capacity into the tiers.
+            let stream = budget.and_then(|budget| {
+                STREAM.with(|stream| {
+                    let stream = &mut *stream.borrow_mut();
+                    lz::compress_within(page, budget, stream).then(|| stream.to_vec())
+                })
+            });
+            if let Some(stream) = stream {
+                // Pick the smallest allowed class that fits the stream
+                // (within budget, so below 4 KiB).
+                let class = SizeClass::fitting_among(stream.len(), self.mode.classes())
+                    .expect("stream within budget fits a class");
+                return CompressedPage {
+                    data: stream,
+                    class,
+                    original_len: page.len(),
+                    is_compressed: true,
+                    checksum: sum,
+                };
             }
         }
         CompressedPage {
@@ -191,6 +202,17 @@ mod tests {
         let codec = PageCodec::new(CompressionMode::TwoGranularity);
         let stored = codec.compress(&vec![0u8; PAGE_SIZE]);
         assert_eq!(stored.class, SizeClass::C2K);
+    }
+
+    #[test]
+    fn accepted_streams_carry_no_spare_capacity() {
+        let codec = PageCodec::new(CompressionMode::FourGranularity);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        for ratio in [2.5, 4.0, 8.0] {
+            let stored = codec.compress(&synth::page_with_ratio(ratio, &mut rng));
+            assert!(stored.is_compressed, "ratio {ratio} must compress");
+            assert_eq!(stored.data.capacity(), stored.data.len(), "ratio {ratio}");
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn match_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
 /// start at `head`), so `prev` never needs clearing at all, and `head`
 /// only when `base` would overflow `u32`.
 struct Matcher {
-    head: Vec<u32>,
+    head: Box<[u32; HASH_SIZE]>,
     prev: Vec<u32>,
     base: u32,
 }
@@ -76,7 +76,7 @@ impl Matcher {
     fn new() -> Self {
         // Zeroed tables with `base = 1`: every slot starts out empty.
         Matcher {
-            head: vec![0; HASH_SIZE],
+            head: Box::new([0; HASH_SIZE]),
             prev: Vec::new(),
             base: 1,
         }
@@ -98,19 +98,6 @@ impl Matcher {
     /// stale.
     fn end(&mut self, len: usize) {
         self.base += len as u32;
-    }
-
-    /// The position `slot` holds, if it was stored by the current call.
-    #[inline]
-    fn position(&self, slot: u32) -> Option<usize> {
-        slot.checked_sub(self.base).map(|p| p as usize)
-    }
-
-    /// Links position `p`, whose hash is `h`, in at the head of its chain.
-    #[inline]
-    fn insert(&mut self, h: usize, p: usize) {
-        self.prev[p] = self.head[h];
-        self.head[h] = p as u32 + self.base;
     }
 }
 
@@ -172,6 +159,10 @@ pub fn compress_within(input: &[u8], max_len: usize, out: &mut Vec<u8>) -> bool 
 }
 
 fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usize) -> bool {
+    let Matcher { head, prev, base } = m;
+    let base = *base;
+    // Sliced to the input once, so `prev[i]` needs no bounds check.
+    let prev = &mut prev[..input.len()];
     let mut literal_start = 0usize;
     let mut i = 0usize;
 
@@ -195,24 +186,24 @@ fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usiz
         }
         let cur4 = read_u32(input, i);
         let h = hash4(cur4);
-        // Walk the chain looking for the longest match.
+        let limit = (input.len() - i).min(MAX_MATCH);
+        // Walk the chain looking for the longest match. Slots below
+        // `floor` are stale or farther back than an offset can reach, and
+        // chains are position-ordered, so the first one ends the walk.
+        let floor = base + i.saturating_sub(MAX_OFFSET) as u32;
         let mut best_len = 0usize;
         let mut best_pos = 0usize;
-        let mut slot = m.head[h];
+        let mut slot = head[h];
         let mut probes = 16; // bounded effort per position
-        while probes > 0 {
-            let Some(candidate) = m.position(slot) else {
-                break;
-            };
-            if i - candidate > MAX_OFFSET {
-                break; // chains are position-ordered; older is farther
-            }
-            // An accepted match needs at least MIN_MATCH = 4 leading
-            // bytes; a candidate failing the 4-byte probe could only score
-            // a sub-minimum length, which never changes the emitted
-            // stream — skip its byte scan.
-            if read_u32(input, candidate) == cur4 {
-                let limit = (input.len() - i).min(MAX_MATCH);
+        while probes > 0 && slot >= floor {
+            let candidate = (slot - base) as usize;
+            // Only a strictly longer match replaces the best, so a
+            // candidate that differs at byte `best_len` cannot win; one
+            // failing the 4-byte probe scores below MIN_MATCH, which never
+            // changes the stream. Either way its byte scan is skipped.
+            if input[candidate + best_len] == input[i + best_len]
+                && read_u32(input, candidate) == cur4
+            {
                 let len = match_len(input, candidate, i, limit);
                 if len > best_len {
                     best_len = len;
@@ -222,31 +213,148 @@ fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usiz
                     }
                 }
             }
-            slot = m.prev[candidate];
+            slot = prev[candidate];
             probes -= 1;
         }
 
+        prev[i] = head[h];
+        head[h] = i as u32 + base;
         if best_len >= MIN_MATCH {
             flush_literals(out, literal_start, i, input);
             let offset = (i - best_pos) as u16;
             out.push(0x80 | (best_len - MIN_MATCH) as u8);
             out.extend_from_slice(&offset.to_le_bytes());
             // Insert the covered positions into the hash chains so later
-            // matches can reference them.
-            let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
-            m.insert(h, i);
-            for p in i + 1..end {
-                m.insert(hash4(read_u32(input, p)), p);
+            // matches can reference them: each position's 4-byte window,
+            // up to the last one that fits in the input.
+            let end = (i + best_len).min(input.len() - (MIN_MATCH - 1));
+            let windows = input[i + 1..end + MIN_MATCH - 1].windows(MIN_MATCH);
+            for ((p, window), link) in (i + 1..).zip(windows).zip(&mut prev[i + 1..end]) {
+                let h = hash4(u32::from_le_bytes(window.try_into().expect("4-byte window")));
+                *link = head[h];
+                head[h] = p as u32 + base;
             }
             i += best_len;
             literal_start = i;
         } else {
-            m.insert(h, i);
             i += 1;
         }
     }
     flush_literals(out, literal_start, input.len(), input);
     out.len() <= max_len
+}
+
+/// The matcher as it was before its loop was tightened, kept verbatim as
+/// the differential oracle for [`compress_within`]: the same decisions
+/// and streams, from tables built fresh for every call.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) struct Matcher {
+        head: Vec<u32>,
+        prev: Vec<u32>,
+        base: u32,
+    }
+
+    impl Matcher {
+        fn position(&self, slot: u32) -> Option<usize> {
+            slot.checked_sub(self.base).map(|p| p as usize)
+        }
+
+        fn insert(&mut self, h: usize, p: usize) {
+            self.prev[p] = self.head[h];
+            self.head[h] = p as u32 + self.base;
+        }
+    }
+
+    pub(super) fn compress_within(input: &[u8], max_len: usize, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        let mut matcher = Matcher {
+            head: vec![0; HASH_SIZE],
+            prev: vec![0; input.len()],
+            base: 1,
+        };
+        compress_with(input, out, &mut matcher, max_len)
+    }
+
+    fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usize) -> bool {
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+
+        let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
+            let mut start = from;
+            while start < to {
+                let run = (to - start).min(MAX_LITERAL_RUN);
+                out.push((run - 1) as u8);
+                out.extend_from_slice(&input[start..start + run]);
+                start += run;
+            }
+        };
+
+        while i + MIN_MATCH <= input.len() {
+            // Emitted bytes plus pending literals (everything before `i` not
+            // covered by a match is committed to literal emission) is a lower
+            // bound on the final stream length — once past the budget, stop
+            // searching.
+            if out.len() + (i - literal_start) > max_len {
+                return false;
+            }
+            let cur4 = read_u32(input, i);
+            let h = hash4(cur4);
+            // Walk the chain looking for the longest match.
+            let mut best_len = 0usize;
+            let mut best_pos = 0usize;
+            let mut slot = m.head[h];
+            let mut probes = 16; // bounded effort per position
+            while probes > 0 {
+                let Some(candidate) = m.position(slot) else {
+                    break;
+                };
+                if i - candidate > MAX_OFFSET {
+                    break; // chains are position-ordered; older is farther
+                }
+                // An accepted match needs at least MIN_MATCH = 4 leading
+                // bytes; a candidate failing the 4-byte probe could only score
+                // a sub-minimum length, which never changes the emitted
+                // stream — skip its byte scan.
+                if read_u32(input, candidate) == cur4 {
+                    let limit = (input.len() - i).min(MAX_MATCH);
+                    let len = match_len(input, candidate, i, limit);
+                    if len > best_len {
+                        best_len = len;
+                        best_pos = candidate;
+                        if len == limit {
+                            break;
+                        }
+                    }
+                }
+                slot = m.prev[candidate];
+                probes -= 1;
+            }
+
+            if best_len >= MIN_MATCH {
+                flush_literals(out, literal_start, i, input);
+                let offset = (i - best_pos) as u16;
+                out.push(0x80 | (best_len - MIN_MATCH) as u8);
+                out.extend_from_slice(&offset.to_le_bytes());
+                // Insert the covered positions into the hash chains so later
+                // matches can reference them.
+                let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
+                m.insert(h, i);
+                for p in i + 1..end {
+                    m.insert(hash4(read_u32(input, p)), p);
+                }
+                i += best_len;
+                literal_start = i;
+            } else {
+                m.insert(h, i);
+                i += 1;
+            }
+        }
+        flush_literals(out, literal_start, input.len(), input);
+        out.len() <= max_len
+    }
 }
 
 /// Errors produced by [`decompress`].
@@ -518,7 +626,89 @@ mod tests {
         }
     }
 
+    /// An input built from `segments` of `(kind, len, seed)`, taken in
+    /// turn until `len` bytes: random bytes, an 8-byte motif, a
+    /// same-filled run, or a copy of earlier input (a match at an offset
+    /// the seed picks).
+    fn mixed_input(segments: &[(u8, usize, u64)], len: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(len);
+        for &(kind, seg_len, seed) in segments.iter().cycle() {
+            if data.len() == len {
+                break;
+            }
+            let seg_len = seg_len.min(len - data.len());
+            match kind {
+                0 => {
+                    let mut state = seed | 1;
+                    data.extend((0..seg_len).map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    }));
+                }
+                1 => data.extend(seed.to_le_bytes().iter().cycle().take(seg_len)),
+                2 => data.extend(std::iter::repeat_n(seed as u8, seg_len)),
+                _ => {
+                    let from = if data.is_empty() { 0 } else { seed as usize % data.len() };
+                    for k in 0..seg_len {
+                        let b = data.get(from + k).copied().unwrap_or(seed as u8);
+                        data.push(b);
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    /// `compress_within` against the verbatim reference matcher: the same
+    /// accept/reject decision at every budget, and the same stream when
+    /// accepted.
+    fn assert_matches_reference(input: &[u8]) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for budget in [512, 1024, 2048, usize::MAX] {
+            let accepted = compress_within(input, budget, &mut got);
+            assert_eq!(
+                accepted,
+                reference::compress_within(input, budget, &mut want),
+                "decision at budget {budget}, input of {}",
+                input.len()
+            );
+            if accepted {
+                assert!(got == want, "stream at budget {budget}, input of {}", input.len());
+            }
+        }
+    }
+
+    #[test]
+    fn matches_reference_past_the_window() {
+        // 160 KiB, with copies both inside and beyond the 64 KiB window.
+        let segments = [
+            (0, 20_000, 7),
+            (3, 3_000, 1_234),
+            (1, 9_000, 0x0102_0304_0506_0708),
+            (0, 30_000, 99),
+            (3, 5_000, 11),
+            (2, 4_000, 0xAB),
+        ];
+        let mut input = mixed_input(&segments, 160 * 1024);
+        // Random bytes repeated at exactly the largest offset and at one
+        // past it, across a same-filled gap that keeps their chains short.
+        input[1_200..70_000].fill(0x5A);
+        input.copy_within(1_000..1_100, 1_000 + MAX_OFFSET);
+        input.copy_within(1_100..1_200, 1_101 + MAX_OFFSET);
+        assert_matches_reference(&input);
+    }
+
     proptest! {
+        #[test]
+        fn prop_matches_reference(
+            segments in proptest::collection::vec((0u8..4, 1usize..2500, any::<u64>()), 1..10),
+            len in 0usize..=9000,
+        ) {
+            assert_matches_reference(&mixed_input(&segments, len));
+        }
+
         #[test]
         fn prop_roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
             prop_assert_eq!(roundtrip(&data), data);

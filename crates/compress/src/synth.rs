@@ -58,8 +58,8 @@ pub fn page_with_ratio_into<R: Rng>(target_ratio: f64, rng: &mut R, page: &mut V
     // Repeated motif for the compressible tail. An 8-byte motif keeps the
     // matcher in long-match territory without degenerate RLE behaviour.
     let motif: [u8; 8] = rng.gen();
-    for (i, byte) in page[random_len..].iter_mut().enumerate() {
-        *byte = motif[i % motif.len()];
+    for chunk in page[random_len..].chunks_mut(motif.len()) {
+        chunk.copy_from_slice(&motif[..chunk.len()]);
     }
 }
 
@@ -95,7 +95,9 @@ pub fn page_around_ratio_into<R: Rng>(
     page: &mut Vec<u8>,
 ) {
     let lo = (mean_ratio - spread).max(1.0);
-    let hi = (mean_ratio + spread).max(lo + f64::EPSILON);
+    // `next_up`, not `lo + EPSILON`: from 2.0 up the sum rounds back to
+    // `lo` and a zero spread would hand `gen_range` an empty range.
+    let hi = (mean_ratio + spread).max(lo.next_up());
     let target = rng.gen_range(lo..hi);
     page_with_ratio_into(target, rng, page);
 }

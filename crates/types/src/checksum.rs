@@ -4,29 +4,45 @@ const PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
 const PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
 
-/// Lane seeds: distinct, so the four lanes are not interchangeable.
-const SEEDS: [u64; 4] = [
+/// Lane seeds: distinct, so the eight lanes are not interchangeable.
+const SEEDS: [u64; 8] = [
     0x6a09_e667_f3bc_c908,
     0xbb67_ae85_84ca_a73b,
     0x3c6e_f372_fe94_f82b,
     0xa54f_f53a_5f1d_36f1,
+    0x510e_527f_ade6_82d1,
+    0x9b05_688c_2b3e_6c1f,
+    0x1f83_d9ab_fb41_bd6b,
+    0x5be0_cd19_137e_2179,
 ];
 
-/// Absorbs one little-endian word into a lane. For a fixed lane this is
-/// a bijection of the word and for a fixed word a bijection of the lane,
-/// so a change confined to one word always changes the lane's final
-/// state.
 #[inline(always)]
-fn absorb(lane: u64, word: &[u8]) -> u64 {
-    let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
-    (lane ^ word.wrapping_mul(PRIME_2))
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
+}
+
+/// Absorbs one word into a block lane with one multiply. Like
+/// [`absorb`], a bijection of the word for a fixed lane and of the lane
+/// for a fixed word.
+#[inline(always)]
+fn step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).rotate_left(31).wrapping_mul(PRIME_1)
+}
+
+/// Absorbs one word into the serial state. For a fixed state this is a
+/// bijection of the word and for a fixed word a bijection of the state,
+/// so a change confined to one word always changes the final state.
+#[inline(always)]
+fn absorb(hash: u64, word: u64) -> u64 {
+    (hash ^ word.wrapping_mul(PRIME_2))
         .rotate_left(31)
         .wrapping_mul(PRIME_1)
 }
 
-/// Computes the 64-bit integrity checksum of `bytes`: four independent
-/// `u64` lanes over 32-byte blocks (so the multiplies of one block
-/// overlap), the remaining words and bytes absorbed serially, the length
+/// Computes the 64-bit integrity checksum of `bytes`: eight independent
+/// `u64` lanes over 64-byte blocks with one multiply per word (so the
+/// eight dependency chains of a block overlap), the lanes folded
+/// pairwise, the remaining words and bytes absorbed serially, the length
 /// folded in, and a final avalanche.
 ///
 /// Stored in [`crate::EntryRecord`] and verified after decompression or
@@ -46,21 +62,23 @@ fn absorb(lane: u64, word: &[u8]) -> u64 {
 /// ```
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = SEEDS;
-    let mut blocks = bytes.chunks_exact(32);
+    let mut blocks = bytes.chunks_exact(64);
     for block in &mut blocks {
-        lanes[0] = absorb(lanes[0], &block[..8]);
-        lanes[1] = absorb(lanes[1], &block[8..16]);
-        lanes[2] = absorb(lanes[2], &block[16..24]);
-        lanes[3] = absorb(lanes[3], &block[24..]);
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, le_word(word));
+        }
     }
-    // Xor of distinct rotations: one changed lane always changes `hash`.
-    let mut hash = lanes[0]
-        ^ lanes[1].rotate_left(16)
-        ^ lanes[2].rotate_left(32)
-        ^ lanes[3].rotate_left(48);
+    // A pairwise tree (three absorbs deep, not eight): each absorb is a
+    // bijection of either input, so one changed lane always changes
+    // `hash`.
+    let [a, b, c, d, e, f, g, h] = lanes;
+    let mut hash = absorb(
+        absorb(absorb(a, b), absorb(c, d)),
+        absorb(absorb(e, f), absorb(g, h)),
+    );
     let mut words = blocks.remainder().chunks_exact(8);
     for word in &mut words {
-        hash = absorb(hash, word);
+        hash = absorb(hash, le_word(word));
     }
     for &b in words.remainder() {
         hash = (hash ^ u64::from(b)).wrapping_mul(PRIME_1);
@@ -141,9 +159,27 @@ mod tests {
 
     #[test]
     fn single_bit_flips_change_hash_at_every_short_length() {
-        // 0..=100 crosses the lane (8), block (32) and tail boundaries.
-        for len in 0..=100 {
+        // 0..=200 crosses the 64-byte block boundary three times, with
+        // every tail of words and bytes in between.
+        for len in 0..=200 {
             assert_every_flip_detected(&mut filler(len));
+        }
+    }
+
+    #[test]
+    fn any_change_to_one_page_word_is_detected() {
+        // The certainty claim: each step is a bijection of the word, so a
+        // nonzero xor into any one of a page's 512 words changes the hash.
+        let data = filler(4096);
+        let before = checksum(&data);
+        for delta in [1u64, 1 << 63, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
+            for word in 0..512 {
+                let mut changed = data.clone();
+                let at = word * 8..word * 8 + 8;
+                let value = u64::from_le_bytes(changed[at.clone()].try_into().unwrap()) ^ delta;
+                changed[at].copy_from_slice(&value.to_le_bytes());
+                assert_ne!(before, checksum(&changed), "xor {delta:#x} into word {word}");
+            }
         }
     }
 
@@ -183,21 +219,45 @@ mod tests {
         }
     }
 
+    /// `data` with its words `a` and `b` (8-byte indices) exchanged.
+    fn swap_words(data: &[u8], a: usize, b: usize) -> Vec<u8> {
+        let mut swapped = data.to_vec();
+        for i in 0..8 {
+            swapped.swap(a * 8 + i, b * 8 + i);
+        }
+        swapped
+    }
+
     #[test]
     fn lanes_are_not_interchangeable() {
-        let data = filler(96);
+        // Two distinct words in different lanes of one 64-byte block.
+        let data = filler(3 * 64);
         let before = checksum(&data);
         for block in 0..3 {
-            for a in 0..4 {
-                for b in a + 1..4 {
-                    let mut swapped = data.clone();
-                    for i in 0..8 {
-                        swapped.swap(block * 32 + a * 8 + i, block * 32 + b * 8 + i);
-                    }
+            for a in 0..8 {
+                for b in a + 1..8 {
                     assert_ne!(
                         before,
-                        checksum(&swapped),
-                        "swap of words {a} and {b} in block {block} undetected"
+                        checksum(&swap_words(&data, block * 8 + a, block * 8 + b)),
+                        "swap of lanes {a} and {b} in block {block} undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_are_not_interchangeable_within_a_lane() {
+        // Two distinct words in one lane, in two different blocks.
+        let data = filler(4 * 64);
+        let before = checksum(&data);
+        for lane in 0..8 {
+            for x in 0..4 {
+                for y in x + 1..4 {
+                    assert_ne!(
+                        before,
+                        checksum(&swap_words(&data, x * 8 + lane, y * 8 + lane)),
+                        "swap of lane {lane} between blocks {x} and {y} undetected"
                     );
                 }
             }

@@ -9,10 +9,16 @@
 # benchmark/run.sh, and the side that goes first alternates. Prints every
 # run, then for each end-to-end metric of the change's BENCHMARK.json each
 # side's quartiles and median, the change of the median, the base's own
-# spread (q3 - q1), the benchmark's bound, and how many pairs the change
-# won (ties count for neither side). A comma-separated list of workloads
-# (paging,tier_read,tier_write,rack) runs them one after another, with
-# one table each.
+# spread (q3 - q1), the benchmark's bound, how many pairs the change won
+# (ties count for neither side), and the verdict:
+#   gain        the change won at least 9 pairs in 10 and its median is
+#               better by more than the base's spread;
+#   worse       the median is worse by more than the bound;
+#   unresolved  the base's spread is wider than the bound;
+#   flat        none of these.
+# A metric with no bound (--layers) reads gain or -. A comma-separated
+# list of workloads (paging,tier_read,tier_write,rack) runs them one
+# after another, with one table each.
 #
 # With --layers the runs are traced ones (--trace 1, which report no
 # end-to-end metric) and the table holds the named per-layer metrics
@@ -218,8 +224,8 @@ for workload in ${workloads//,/ }; do
     for name in "${names[@]}"; do
         [ ${#name} -le "$width" ] || width=${#name}
     done
-    printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" \
-        metric side q1 median q3 'Δmedian' 'base iqr' bound 'wins/pairs'
+    printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %-34s %s\n" \
+        metric side q1 median q3 'Δmedian' 'base iqr' bound 'wins/pairs' verdict
     for m in "${!names[@]}"; do
         name=${names[m]}
         declare -A med=()
@@ -244,10 +250,32 @@ for workload in ${workloads//,/ }; do
             fi
             limit=-
             [ -z "${bound[m]}" ] || limit=$(percent $(($(micro "${bound[m]}") / 100)) | tr -d +)
-            printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %s\n" "" change \
+            # How much better the change's median is, in the metric's
+            # millionths; negative when it is worse.
+            gained=$((med[change] - med[base]))
+            [ "${better[m]}" = higher ] || gained=$((-gained))
+            if [ $((${wins[$name]:-0} * 10)) -ge $((pairs * 9)) ] && [ "$gained" -gt "$base_iqr" ]; then
+                verdict=gain
+            elif [ -z "${bound[m]}" ]; then
+                verdict=-
+            else
+                # The bound as a distance from the base median, in
+                # millionths: median × bound, scaled down by 10^3 on each
+                # side of the product so it stays within 64 bits.
+                allowed=$((med[base] / 1000 * $(micro "${bound[m]}") / 1000))
+                if [ $((-gained)) -gt "$allowed" ]; then
+                    verdict=worse
+                elif [ "$base_iqr" -gt "$allowed" ]; then
+                    verdict=unresolved
+                else
+                    verdict=flat
+                fi
+            fi
+            printf "%-${width}s %-6s %12s %12s %12s %10s %10s %8s  %-34s %s\n" "" change \
                 "$(show "$q1")" "$(show "${med[change]}")" "$(show "$q3")" \
                 "$delta" "${spread#+}" "$limit" \
-                "${wins[$name]:-0}/$pairs (${better[m]} is better${ties[$name]:+, ${ties[$name]} tied})"
+                "${wins[$name]:-0}/$pairs (${better[m]} is better${ties[$name]:+, ${ties[$name]} tied})" \
+                "$verdict"
         done
     done
 done
