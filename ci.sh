@@ -59,11 +59,27 @@ figures() {
         ext_crossover fig4_rack
 }
 
+# no_warnings <cmd...>: runs a cargo command, prints its output, and fails
+# if the output holds a compiler warning. Cargo replays the warnings of
+# crates it does not rebuild, so a cached build is checked as well; the
+# workspace builds warning-free, and this keeps dead code from coming back.
+no_warnings() {
+    log=target/ci_step.log
+    status=0
+    "$@" > "$log" 2>&1 || status=$?
+    cat "$log"
+    if grep -q '^warning:' "$log"; then
+        echo "==> compiler warnings above; the build must be warning-free"
+        return 1
+    fi
+    return "$status"
+}
+
 step "cargo fetch" cargo fetch
 
-step "cargo build --release" cargo build --release
+step "cargo build --release (no warnings)" no_warnings cargo build --release
 
-step "cargo test -q" cargo test -q
+step "cargo test -q (no warnings)" no_warnings cargo test -q
 
 # The chaos smoke: every seed passes, and its fault-free output is pinned
 # byte-for-byte against the committed baseline: the fault-injection layer

@@ -130,7 +130,7 @@ impl ArenaMap {
     /// live slots). The heap's page-granularity free path uses this to
     /// decide between zeroing a slot and dropping the whole page image.
     #[must_use]
-    pub fn page_carved(&self, page: u64) -> bool {
+    pub(crate) fn page_carved(&self, page: u64) -> bool {
         self.class_pages.contains_key(&page)
     }
 
@@ -170,7 +170,7 @@ impl ArenaMap {
 
     /// The live object at `addr`, if any.
     #[must_use]
-    pub fn lookup(&self, addr: u64) -> Option<&LiveObject> {
+    pub(crate) fn lookup(&self, addr: u64) -> Option<&LiveObject> {
         self.live.get(&addr)
     }
 
@@ -182,7 +182,7 @@ impl ArenaMap {
     /// Updates the recorded caller-visible length of a live object
     /// (slot shape is unchanged; the heap enforces that the new stored
     /// footprint still fits).
-    pub fn set_len(&mut self, addr: u64, len: u64) {
+    pub(crate) fn set_len(&mut self, addr: u64, len: u64) {
         if let Some(obj) = self.live.get_mut(&addr) {
             obj.len = len;
         }
@@ -190,20 +190,20 @@ impl ArenaMap {
 
     /// Number of live objects.
     #[must_use]
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live.len()
     }
 
     /// Total caller-requested bytes across live objects.
     #[must_use]
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.live.values().map(|o| o.len).sum()
     }
 
     /// Total slot capacity across live objects — the internal
     /// fragmentation denominator.
     #[must_use]
-    pub fn slot_bytes(&self) -> u64 {
+    pub(crate) fn slot_bytes(&self) -> u64 {
         self.live.values().map(|o| o.kind.capacity()).sum()
     }
 
@@ -212,14 +212,15 @@ impl ArenaMap {
     /// free ones) plus live runs — the external fragmentation
     /// denominator.
     #[must_use]
-    pub fn reserved_bytes(&self) -> u64 {
+    pub(crate) fn reserved_bytes(&self) -> u64 {
         let free: u64 = self.free_runs.values().sum();
         (self.break_pages - free) * PAGE_BYTES
     }
 
     /// Current break, in pages.
+    #[cfg(test)]
     #[must_use]
-    pub fn break_pages(&self) -> u64 {
+    pub(crate) fn break_pages(&self) -> u64 {
         self.break_pages
     }
 
@@ -260,7 +261,7 @@ impl ArenaMap {
     /// out address-ordered). The structural [`Self::digest`] of the
     /// rebuilt map equals the original's.
     #[must_use]
-    pub fn rebuild(objects: &[(u64, SlotKind, u64)]) -> Self {
+    pub(crate) fn rebuild(objects: &[(u64, SlotKind, u64)]) -> Self {
         let mut map = ArenaMap::new();
         for &(addr, kind, len) in objects {
             map.live.insert(addr, LiveObject { kind, len });

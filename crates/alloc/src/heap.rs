@@ -234,12 +234,6 @@ impl ObjectHeap {
             .get_or_insert_with(|| AllocCounters::register(registry));
     }
 
-    /// The heap's server.
-    #[must_use]
-    pub fn server(&self) -> ServerId {
-        self.server
-    }
-
     /// Allocates `data` into the heap, returning the object address.
     ///
     /// # Errors
@@ -419,15 +413,6 @@ impl ObjectHeap {
         self.ops.update += 1;
         self.note_op(3, stored_len as u64, data.len() as u64);
         Ok(())
-    }
-
-    /// Alias for [`Self::update`] — the heap's store verb.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::update`].
-    pub fn put(&mut self, addr: u64, data: &[u8]) -> DmemResult<()> {
-        self.update(addr, data)
     }
 
     /// Frees the object at `addr`, returning its slot to the bins (and

@@ -106,7 +106,7 @@ fn perf_mode(workers_hi: usize, check: bool) -> ExitCode {
         c.accesses_per_host = 400;
         c
     };
-    let cores = scoped_pool::available_parallelism();
+    let cores = dmem_sim::par::available_parallelism();
     let gated = workers_hi >= 2 && cores >= workers_hi;
     let (mut base, mut wall1) = perf::timed(|| run_rack(&config, 1));
     let (mut hi, mut walln) = perf::timed(|| run_rack(&config, workers_hi));

@@ -97,7 +97,7 @@ impl Table {
 }
 
 /// Fig. 3: 4-granularity wins; zswap ties 2-granularity (deviation 5).
-pub fn fig3(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig3(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     claim("4-granularity beats 2-granularity", g.ordered(&["FastSwap 2-gran", "FastSwap 4-gran"]))?;
     let tie = g.pairs("FastSwap 2-gran", "zswap (zbud)", |two, zswap| two >= zswap - 0.02);
@@ -105,7 +105,7 @@ pub fn fig3(t: &[Table]) -> Result<(), String> {
 }
 
 /// Fig. 4: compressibility pays on both overflow paths, remote beats disk.
-pub fn fig4(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig4(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let (remote, disk) = ("(a) overflow to remote", "(b) overflow to disk");
     claim("time falls with compressibility", g.falls(remote).and(g.falls(disk)))?;
@@ -113,13 +113,13 @@ pub fn fig4(t: &[Table]) -> Result<(), String> {
 }
 
 /// Fig. 5: compression improves every workload.
-pub fn fig5(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig5(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     claim("compression improves every workload", g.every("improvement", |x| x > 1.0))
 }
 
 /// Fig. 6: the swap-in ordering at every working-set size.
-pub fn fig6(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig6(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let order = g.ordered(&["FastSwap (PBS)", "FastSwap w/o PBS", "Infiniswap", "Linux"]);
     claim("PBS fastest at every size, then w/o PBS, Infiniswap, Linux", order)?;
@@ -129,7 +129,7 @@ pub fn fig6(t: &[Table]) -> Result<(), String> {
 
 /// Fig. 7: the ordering at both pressures, the growing means and the
 /// @75 % bands of deviations 2 and 3.
-pub fn fig7(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig7(t: &[Table]) -> Result<(), String> {
     let [at75, at50] = tables(t)?;
     let [(linux75, inf75), (linux50, inf50)] = [fig7_means(at75)?, fig7_means(at50)?];
     claim("the speedups grow with memory pressure", check(linux50 > linux75 && inf50 > inf75, || {
@@ -153,7 +153,7 @@ fn fig7_means(g: &Table) -> Result<(f64, f64), String> {
 }
 
 /// Fig. 8: throughput by distribution ratio and baseline.
-pub fn fig8(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig8(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let order = g.ordered(&[
         "Linux (ops/s)", "Infiniswap (ops/s)", "NBDX (ops/s)", "FS-RDMA (ops/s)",
@@ -164,7 +164,7 @@ pub fn fig8(t: &[Table]) -> Result<(), String> {
 }
 
 /// Fig. 9: FastSwap recovers ahead of Infiniswap (running totals).
-pub fn fig9(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig9(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let infiniswap = g.col("Infiniswap")?;
     for column in ["FastSwap+PBS", "FastSwap w/o PBS"] {
@@ -181,7 +181,7 @@ pub fn fig9(t: &[Table]) -> Result<(), String> {
 }
 
 /// Fig. 10: DAHI ties in memory, wins and pulls ahead once it spills.
-pub fn fig10(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig10(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let (jobs, sizes) = (g.cells("workload")?, g.cells("dataset")?);
     let (vanilla_cells, dahi_cells) = (g.cells("vanilla")?, g.cells("DAHI")?);
@@ -205,7 +205,7 @@ pub fn fig10(t: &[Table]) -> Result<(), String> {
 }
 
 /// Batching ablation: larger windows and messages amortize verb latency.
-pub fn ablation_batching(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ablation_batching(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let windows = ["d=32", "d=16", "d=8", "d=4", "d=2", "d=1"];
     claim("time falls as the window d grows", g.ordered(&windows))?;
@@ -213,7 +213,7 @@ pub fn ablation_batching(t: &[Table]) -> Result<(), String> {
 }
 
 /// Cost-model ablation: the ordering holds at every compute intensity.
-pub fn ablation_costmodel(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ablation_costmodel(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let order = g.ordered(&["FastSwap", "Infiniswap", "Linux"]);
     claim("FastSwap < Infiniswap < Linux at every compute intensity", order)
@@ -221,7 +221,7 @@ pub fn ablation_costmodel(t: &[Table]) -> Result<(), String> {
 
 /// QoS isolation: the governed KV p99 stays flat as antagonists pile on,
 /// the uncontrolled one does not, and the burn alert sees the difference.
-pub fn ext_qos(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ext_qos(t: &[Table]) -> Result<(), String> {
     let [g, alerts] = tables(t)?;
     let (one, worst) = (g.at("1", "QoS p99")?, g.at("16", "QoS p99")?);
     let flat = check(worst <= 2.0 * one, || format!("{}: QoS p99 {one} at 1, {worst} at 16", g.title));
@@ -240,28 +240,28 @@ pub fn ext_qos(t: &[Table]) -> Result<(), String> {
 }
 
 /// KV cache: the overflow tier pays most where the hot set is smallest.
-pub fn ext_kv_cache(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ext_kv_cache(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let speedup = g.least("64.0 KiB", "speedup", 5.0);
     claim("the overflow tier beats drop-cold at least 5x at the smallest hot set", speedup)
 }
 
 /// LLM serving: tiered TTFT beats disk offload at the heaviest load.
-pub fn ext_llm_serving(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ext_llm_serving(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let gap = g.least("200", "p99 vs disk", 5.0);
     claim("tiered p99 TTFT is at least 5x disk-offload's at the largest session count", gap)
 }
 
 /// Object allocator: Clio's granularity gap on small objects.
-pub fn ext_obj_alloc(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ext_obj_alloc(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let ratio = g.least("uniform-small", "bytes ratio", 10.0);
     claim("the page path moves at least 10x the object path's fabric bytes on uniform-small", ratio)
 }
 
 /// Crossover: no transport dominates.
-pub fn ext_crossover(t: &[Table]) -> Result<(), String> {
+pub(crate) fn ext_crossover(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let winners = g.cells("winner")?;
     let loser = ["cxl", "rdma", "nvm"].into_iter().find(|backend| !winners.contains(backend));
@@ -270,7 +270,7 @@ pub fn ext_crossover(t: &[Table]) -> Result<(), String> {
 }
 
 /// Rack sweep: per-host work is fixed, so the engine's costs scale with it.
-pub fn fig4_rack(t: &[Table]) -> Result<(), String> {
+pub(crate) fn fig4_rack(t: &[Table]) -> Result<(), String> {
     let [g] = tables(t)?;
     let (hosts, cross) = (g.col("hosts")?, g.col("cross_msgs")?);
     let per_host: Vec<f64> = cross.iter().zip(&hosts).map(|(c, h)| c / h).collect();
@@ -280,6 +280,6 @@ pub fn fig4_rack(t: &[Table]) -> Result<(), String> {
 }
 
 /// For a figure whose expectations are in its doc comment, not claims.
-pub fn none(_: &[Table]) -> Result<(), String> {
+pub(crate) fn none(_: &[Table]) -> Result<(), String> {
     Ok(())
 }

@@ -24,7 +24,6 @@ use dmem_types::{
     PageId, PlacementStrategy, ReplicationFactor, ServerId,
 };
 use dmem_workloads::{catalog, traces::Trace, AppKind, KvWorkload, TraceConfig};
-use rand::RngCore;
 
 /// One table or figure of the evaluation.
 #[derive(Debug, Clone, Copy)]

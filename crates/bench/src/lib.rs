@@ -27,7 +27,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and column header.
-    pub fn new<S: AsRef<str>>(title: &str, header: &[S]) -> Self {
+    pub(crate) fn new<S: AsRef<str>>(title: &str, header: &[S]) -> Self {
         Table {
             title: title.to_owned(),
             header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
@@ -40,7 +40,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the arity differs from the header.
-    pub fn row<I, S>(&mut self, cells: I) -> &mut Self
+    pub(crate) fn row<I, S>(&mut self, cells: I) -> &mut Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -52,12 +52,12 @@ impl Table {
     }
 
     /// Index of the column headed `header`.
-    pub fn column(&self, header: &str) -> Option<usize> {
+    pub(crate) fn column(&self, header: &str) -> Option<usize> {
         self.header.iter().position(|h| h == header)
     }
 
     /// Prints the table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -134,7 +134,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics on I/O errors — the bench binaries want loud failures.
-    pub fn write_csv(&self, name: &str) {
+    pub(crate) fn write_csv(&self, name: &str) {
         write_file(&Path::new("results").join(format!("{name}.csv")), self.to_csv());
     }
 
@@ -236,7 +236,7 @@ impl TelemetryArgs {
 }
 
 /// Formats a speedup like the paper quotes them.
-pub fn speedup(baseline_ns: u64, system_ns: u64) -> String {
+pub(crate) fn speedup(baseline_ns: u64, system_ns: u64) -> String {
     format!("{:.1}x", baseline_ns as f64 / system_ns.max(1) as f64)
 }
 
@@ -248,20 +248,20 @@ pub fn bench_jobs() -> usize {
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(scoped_pool::available_parallelism)
+        .unwrap_or_else(dmem_sim::par::available_parallelism)
 }
 
 /// Fans independent deterministic sims across cores and returns results
 /// in input order, so tables built from them are byte-identical to a
 /// sequential run. Each sim owns its virtual clock and rng, so
 /// interleaving cannot perturb results — only wall-clock time changes.
-pub fn par_map<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
+pub(crate) fn par_map<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
     R: Send,
     F: Fn(usize, I) -> R + Sync,
 {
-    scoped_pool::par_map(bench_jobs(), items, f)
+    dmem_sim::par::par_map(bench_jobs(), items, f)
 }
 
 #[cfg(test)]

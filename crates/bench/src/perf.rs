@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// A measured scenario may be this many times slower than its ledger row.
-pub const TOLERANCE: f64 = 3.0;
+pub(crate) const TOLERANCE: f64 = 3.0;
 
 /// The writer's `wall_ms` resolution: a recorded 0.0 means "under this",
 /// so the limit is computed from at least this much.

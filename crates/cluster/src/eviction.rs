@@ -35,7 +35,8 @@ pub struct EvictionOutcome {
 
 impl EvictionOutcome {
     /// `true` if the scan found nothing to do.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.moves.is_empty() && self.reclaimed.is_zero()
     }
 }
@@ -73,11 +74,6 @@ impl RemoteSlabEvictor {
     pub fn with_priority(mut self, resolver: PriorityResolver) -> Self {
         self.priority = Some(resolver);
         self
-    }
-
-    /// The low-water threshold.
-    pub fn threshold(&self) -> ByteSize {
-        self.threshold
     }
 
     /// Scans every node and relieves those below the threshold.

@@ -96,7 +96,7 @@ impl GroupTable {
     /// # Errors
     ///
     /// Returns [`DmemError::NodeUnavailable`] for unknown nodes.
-    pub fn group_of(&self, node: NodeId) -> DmemResult<GroupId> {
+    pub(crate) fn group_of(&self, node: NodeId) -> DmemResult<GroupId> {
         self.node_to_group
             .get(&node)
             .copied()
@@ -104,7 +104,7 @@ impl GroupTable {
     }
 
     /// Members of `group`, in partition order; empty for unknown groups.
-    pub fn members(&self, group: GroupId) -> &[NodeId] {
+    pub(crate) fn members(&self, group: GroupId) -> &[NodeId] {
         self.groups.get(&group).map(Vec::as_slice).unwrap_or(&[])
     }
 

@@ -45,7 +45,7 @@ impl ClusterMembership {
 
     /// Marks `node` suspect after a read had to fail over past it.
     /// Returns `true` if it was not already suspect.
-    pub fn mark_suspect(&self, node: NodeId) -> bool {
+    pub(crate) fn mark_suspect(&self, node: NodeId) -> bool {
         self.suspects.write().insert(node)
     }
 
@@ -57,7 +57,8 @@ impl ClusterMembership {
     }
 
     /// Whether `node` is currently suspect.
-    pub fn is_suspect(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_suspect(&self, node: NodeId) -> bool {
         self.suspects.read().contains(&node)
     }
 
@@ -107,11 +108,6 @@ impl ClusterMembership {
             .into_iter()
             .filter(|&n| n != exclude)
             .collect()
-    }
-
-    /// The failure injector backing liveness.
-    pub fn failures(&self) -> &FailureInjector {
-        &self.failures
     }
 }
 

@@ -33,11 +33,6 @@ impl Placer {
         }
     }
 
-    /// The active strategy.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
-    }
-
     /// Picks `count` distinct nodes from `candidates` to host a replica
     /// set (first pick is the primary).
     ///

@@ -192,7 +192,7 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Same failure modes as [`RemoteStore::store`].
-    pub fn store_batch(
+    pub(crate) fn store_batch(
         &self,
         from: NodeId,
         to: NodeId,
@@ -405,7 +405,7 @@ impl RemoteStore {
     /// a bounded batch per scan, so which entries come first decides what
     /// moves, and a hash table's iteration order is an accident of its
     /// insertion history.
-    pub fn entries_on(&self, node: NodeId) -> Vec<EntryId> {
+    pub(crate) fn entries_on(&self, node: NodeId) -> Vec<EntryId> {
         let mut entries: Vec<EntryId> = self
             .hosts
             .lock()
@@ -447,7 +447,7 @@ impl RemoteStore {
     /// Shrinks `node`'s pool by deregistering `bytes` of slack capacity
     /// (the §IV-F "deregister preemptively" path). Only unallocated space
     /// can be reclaimed; returns the bytes actually reclaimed.
-    pub fn shrink_pool(&self, node: NodeId, bytes: ByteSize) -> ByteSize {
+    pub(crate) fn shrink_pool(&self, node: NodeId, bytes: ByteSize) -> ByteSize {
         let mut hosts = self.hosts.lock();
         let Some(state) = hosts.get_mut(&node) else {
             return ByteSize::ZERO;

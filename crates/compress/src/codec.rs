@@ -21,13 +21,8 @@ pub struct CompressedPage {
 
 impl CompressedPage {
     /// Bytes of slab storage this page consumes (its class footprint).
-    pub fn stored_bytes(&self) -> usize {
+    pub(crate) fn stored_bytes(&self) -> usize {
         self.class.bytes().as_u64() as usize
-    }
-
-    /// Per-page compression ratio: original size over class footprint.
-    pub fn ratio(&self) -> f64 {
-        self.original_len as f64 / self.stored_bytes() as f64
     }
 }
 
@@ -176,7 +171,6 @@ mod tests {
     use super::*;
     use crate::synth;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     #[test]
     fn off_mode_stores_raw() {
@@ -185,7 +179,6 @@ mod tests {
         let stored = codec.compress(&page);
         assert_eq!(stored.class, SizeClass::C4K);
         assert!(!stored.is_compressed);
-        assert_eq!(stored.ratio(), 1.0);
         assert_eq!(codec.decompress(&stored).unwrap(), page);
     }
 
@@ -194,7 +187,6 @@ mod tests {
         let codec = PageCodec::new(CompressionMode::FourGranularity);
         let stored = codec.compress(&vec![0u8; PAGE_SIZE]);
         assert_eq!(stored.class, SizeClass::C512);
-        assert!((stored.ratio() - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -207,7 +199,7 @@ mod tests {
     #[test]
     fn accepted_streams_carry_no_spare_capacity() {
         let codec = PageCodec::new(CompressionMode::FourGranularity);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut rng = dmem_sim::DetRng::new(5);
         for ratio in [2.5, 4.0, 8.0] {
             let stored = codec.compress(&synth::page_with_ratio(ratio, &mut rng));
             assert!(stored.is_compressed, "ratio {ratio} must compress");
@@ -217,8 +209,7 @@ mod tests {
 
     #[test]
     fn incompressible_page_stored_raw() {
-        use rand::RngCore;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let mut rng = dmem_sim::DetRng::new(3);
         let mut page = vec![0u8; PAGE_SIZE];
         rng.fill_bytes(&mut page);
         let codec = PageCodec::new(CompressionMode::FourGranularity);
@@ -252,7 +243,7 @@ mod tests {
     fn four_granularity_never_worse_than_two() {
         let four = PageCodec::new(CompressionMode::FourGranularity);
         let two = PageCodec::new(CompressionMode::TwoGranularity);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let mut rng = dmem_sim::DetRng::new(11);
         for ratio in [1.0, 1.5, 2.0, 3.0, 5.0, 8.0] {
             let pages: Vec<Vec<u8>> = (0..16)
                 .map(|_| synth::page_with_ratio(ratio, &mut rng))
@@ -281,7 +272,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_roundtrip_all_modes(seed in 0u64..200, ratio in 1.0f64..8.0) {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = dmem_sim::DetRng::new(seed);
             let page = synth::page_with_ratio(ratio, &mut rng);
             for mode in [CompressionMode::Off, CompressionMode::TwoGranularity, CompressionMode::FourGranularity] {
                 let codec = PageCodec::new(mode);

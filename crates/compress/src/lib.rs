@@ -24,10 +24,10 @@
 //! ```
 //! use dmem_compress::{PageCodec, synth};
 //! use dmem_types::{CompressionMode, SizeClass};
-//! use rand::SeedableRng;
+//! use dmem_sim::DetRng;
 //!
 //! let codec = PageCodec::new(CompressionMode::FourGranularity);
-//! let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+//! let mut rng = DetRng::new(7);
 //! let page = synth::page_with_ratio(4.0, &mut rng);
 //! let stored = codec.compress(&page);
 //! assert!(stored.class <= SizeClass::C2K, "4x-compressible page fits a small class");

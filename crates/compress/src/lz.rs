@@ -15,9 +15,9 @@
 //! workloads, which this codec preserves.
 
 /// Minimum back-reference length; shorter matches are emitted as literals.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 /// Maximum back-reference length encodable in one token.
-pub const MAX_MATCH: usize = MIN_MATCH + 0x7f;
+pub(crate) const MAX_MATCH: usize = MIN_MATCH + 0x7f;
 /// Maximum literal run per token.
 const MAX_LITERAL_RUN: usize = 128;
 /// Window: the full page (offsets are 16-bit).
@@ -133,7 +133,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// stream. Together with the thread-local matcher scratch this makes
 /// steady-state compression allocation-free once buffers have grown to
 /// their working size.
-pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn compress_into(input: &[u8], out: &mut Vec<u8>) {
     compress_within(input, usize::MAX, out);
 }
 
@@ -417,7 +417,7 @@ pub fn decompress(stream: &[u8], expected_len: usize) -> Result<Vec<u8>, LzError
 /// # Errors
 ///
 /// Same as [`decompress`].
-pub fn decompress_into(
+pub(crate) fn decompress_into(
     stream: &[u8],
     expected_len: usize,
     out: &mut Vec<u8>,
@@ -546,8 +546,7 @@ mod tests {
 
     #[test]
     fn random_data_still_roundtrips() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut rng = dmem_sim::DetRng::new(1);
         let mut page = vec![0u8; 4096];
         rng.fill_bytes(&mut page);
         let packed = compress(&page);
@@ -722,8 +721,7 @@ mod tests {
 
         #[test]
         fn prop_structured_beats_random_size(seed in 0u64..100) {
-            use rand::{RngCore, SeedableRng};
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = dmem_sim::DetRng::new(seed);
             let mut random = vec![0u8; 1024];
             rng.fill_bytes(&mut random);
             let structured: Vec<u8> = (0..1024).map(|i| (i / 64) as u8).collect();

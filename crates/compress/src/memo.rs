@@ -57,7 +57,7 @@ use std::sync::Arc;
 /// 192 MiB and a page that is written once and read back costs 6 KiB.
 /// Sized with headroom: a FIFO memo smaller than a sequentially-scanned
 /// working set degrades to a 0% hit rate.
-pub const DEFAULT_MEMO_CAPACITY: usize = 16384;
+pub(crate) const DEFAULT_MEMO_CAPACITY: usize = 16384;
 
 /// One memoized page: its original bytes and, when the codec shrank it,
 /// the stream and size class it is stored in.
@@ -185,7 +185,8 @@ impl CompressMemo {
     }
 
     /// Entries currently cached.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
@@ -305,14 +306,13 @@ mod tests {
     use super::*;
     use crate::synth;
     use dmem_types::CompressionMode;
-    use rand::SeedableRng;
 
     fn codec() -> PageCodec {
         PageCodec::new(CompressionMode::FourGranularity)
     }
 
     fn noise_page(seed: u64) -> Vec<u8> {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut rng = dmem_sim::DetRng::new(seed);
         synth::random_page(&mut rng)
     }
 
@@ -320,7 +320,7 @@ mod tests {
     fn memo_matches_direct_compression() {
         let codec = codec();
         let mut memo = CompressMemo::new(8);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut rng = dmem_sim::DetRng::new(1);
         for pfn in 0..4u64 {
             let page = synth::page_around_ratio(3.0, 0.5, &mut rng);
             for _ in 0..3 {
@@ -376,7 +376,7 @@ mod tests {
     fn decompress_memo_matches_direct_decode() {
         let codec = codec();
         let mut memo = CompressMemo::new(8);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        let mut rng = dmem_sim::DetRng::new(9);
         for _ in 0..4 {
             let page = synth::page_around_ratio(3.0, 0.5, &mut rng);
             let stored = codec.compress(&page);
@@ -442,7 +442,7 @@ mod tests {
     fn old_stream_decodes_after_a_versioned_overwrite() {
         let codec = codec();
         let mut memo = CompressMemo::new(8);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut rng = dmem_sim::DetRng::new(5);
         let old = synth::page_with_ratio(4.0, &mut rng);
         let new = synth::page_with_ratio(4.0, &mut rng);
         let old_stored = memo.get_or_compress((0, 1), &codec, &old);

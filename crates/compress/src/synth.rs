@@ -7,8 +7,8 @@
 //! a repeated motif, with the split point solved from the codec's token
 //! economics.
 
+use dmem_sim::DetRng;
 use dmem_types::PAGE_SIZE;
-use rand::Rng;
 
 /// Bytes of LZ output per motif byte covered (3-byte match tokens covering
 /// up to 131 bytes).
@@ -28,14 +28,14 @@ const LITERAL_COST_PER_BYTE: f64 = 1.0 + 1.0 / 128.0;
 ///
 /// ```
 /// use dmem_compress::{lz, synth};
-/// use rand::SeedableRng;
+/// use dmem_sim::DetRng;
 ///
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+/// let mut rng = DetRng::new(1);
 /// let page = synth::page_with_ratio(4.0, &mut rng);
 /// let achieved = page.len() as f64 / lz::compress(&page).len() as f64;
 /// assert!(achieved > 2.5 && achieved < 6.0);
 /// ```
-pub fn page_with_ratio<R: Rng>(target_ratio: f64, rng: &mut R) -> Vec<u8> {
+pub fn page_with_ratio(target_ratio: f64, rng: &mut DetRng) -> Vec<u8> {
     let mut page = Vec::new();
     page_with_ratio_into(target_ratio, rng, &mut page);
     page
@@ -44,7 +44,7 @@ pub fn page_with_ratio<R: Rng>(target_ratio: f64, rng: &mut R) -> Vec<u8> {
 /// [`page_with_ratio`] into a caller-provided buffer, reusing its
 /// capacity. Every byte of the buffer is overwritten, so the result is
 /// identical to the allocating variant for the same rng state.
-pub fn page_with_ratio_into<R: Rng>(target_ratio: f64, rng: &mut R, page: &mut Vec<u8>) {
+pub(crate) fn page_with_ratio_into(target_ratio: f64, rng: &mut DetRng, page: &mut Vec<u8>) {
     let ratio = target_ratio.max(1.0);
     let target_compressed = PAGE_SIZE as f64 / ratio;
     // Solve: L*literal_cost + (PAGE_SIZE - L)*match_cost = target.
@@ -54,25 +54,26 @@ pub fn page_with_ratio_into<R: Rng>(target_ratio: f64, rng: &mut R, page: &mut V
 
     page.clear();
     page.resize(PAGE_SIZE, 0);
-    rng.fill(&mut page[..random_len]);
+    rng.fill_bytes(&mut page[..random_len]);
     // Repeated motif for the compressible tail. An 8-byte motif keeps the
     // matcher in long-match territory without degenerate RLE behaviour.
-    let motif: [u8; 8] = rng.gen();
+    let motif = rng.next_u64().to_le_bytes();
     for chunk in page[random_len..].chunks_mut(motif.len()) {
         chunk.copy_from_slice(&motif[..chunk.len()]);
     }
 }
 
 /// A fully random, incompressible page.
-pub fn random_page<R: Rng>(rng: &mut R) -> Vec<u8> {
+pub fn random_page(rng: &mut DetRng) -> Vec<u8> {
     let mut page = vec![0u8; PAGE_SIZE];
-    rng.fill(&mut page[..]);
+    rng.fill_bytes(&mut page);
     page
 }
 
 /// An all-zero page (the most compressible case; common in practice for
 /// freshly touched heap).
-pub fn zero_page() -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn zero_page() -> Vec<u8> {
     vec![0u8; PAGE_SIZE]
 }
 
@@ -81,24 +82,24 @@ pub fn zero_page() -> Vec<u8> {
 ///
 /// Workload models use this to produce a realistic per-page
 /// compressibility distribution around a workload's profile mean.
-pub fn page_around_ratio<R: Rng>(mean_ratio: f64, spread: f64, rng: &mut R) -> Vec<u8> {
+pub fn page_around_ratio(mean_ratio: f64, spread: f64, rng: &mut DetRng) -> Vec<u8> {
     let mut page = Vec::new();
     page_around_ratio_into(mean_ratio, spread, rng, &mut page);
     page
 }
 
 /// [`page_around_ratio`] into a caller-provided buffer.
-pub fn page_around_ratio_into<R: Rng>(
+pub(crate) fn page_around_ratio_into(
     mean_ratio: f64,
     spread: f64,
-    rng: &mut R,
+    rng: &mut DetRng,
     page: &mut Vec<u8>,
 ) {
     let lo = (mean_ratio - spread).max(1.0);
     // `next_up`, not `lo + EPSILON`: from 2.0 up the sum rounds back to
-    // `lo` and a zero spread would hand `gen_range` an empty range.
+    // `lo` and a zero spread would leave the range empty.
     let hi = (mean_ratio + spread).max(lo.next_up());
-    let target = rng.gen_range(lo..hi);
+    let target = lo + rng.unit() * (hi - lo);
     page_with_ratio_into(target, rng, page);
 }
 
@@ -114,12 +115,7 @@ pub const DEFAULT_ZERO_FRACTION: f64 = 0.15;
 /// Multi-granularity size classes profit from the same-filled mode
 /// (512 B class, 8x) in a way zbud's two-buddies-per-frame cap cannot,
 /// which is the structural gap Fig. 3 plots.
-pub fn page_mixture<R: Rng>(
-    mean_ratio: f64,
-    spread: f64,
-    zero_fraction: f64,
-    rng: &mut R,
-) -> Vec<u8> {
+pub fn page_mixture(mean_ratio: f64, spread: f64, zero_fraction: f64, rng: &mut DetRng) -> Vec<u8> {
     let mut page = Vec::new();
     page_mixture_into(mean_ratio, spread, zero_fraction, rng, &mut page);
     page
@@ -128,16 +124,16 @@ pub fn page_mixture<R: Rng>(
 /// [`page_mixture`] into a caller-provided buffer, reusing its capacity.
 /// The swap engine's eviction loop routes every page generation through
 /// this variant so steady-state swap-outs do no heap allocation.
-pub fn page_mixture_into<R: Rng>(
+pub fn page_mixture_into(
     mean_ratio: f64,
     spread: f64,
     zero_fraction: f64,
-    rng: &mut R,
+    rng: &mut DetRng,
     page: &mut Vec<u8>,
 ) {
-    if rng.gen_bool(zero_fraction.clamp(0.0, 1.0)) {
+    if rng.chance(zero_fraction) {
         // Same-filled, not all-zero: a repeated word, still ~max class.
-        let word: u8 = rng.gen();
+        let word = rng.next_u64() as u8;
         page.clear();
         page.resize(PAGE_SIZE, word);
     } else {
@@ -150,7 +146,6 @@ mod tests {
     use super::*;
     use crate::lz;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     fn achieved_ratio(page: &[u8]) -> f64 {
         page.len() as f64 / lz::compress(page).len() as f64
@@ -158,7 +153,7 @@ mod tests {
 
     #[test]
     fn extreme_targets() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut rng = DetRng::new(5);
         let incompressible = page_with_ratio(1.0, &mut rng);
         assert!(achieved_ratio(&incompressible) < 1.2);
         let constant = page_with_ratio(20.0, &mut rng);
@@ -167,7 +162,7 @@ mod tests {
 
     #[test]
     fn mid_targets_land_near() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
+        let mut rng = DetRng::new(6);
         for target in [1.5, 2.0, 3.0, 4.0, 6.0] {
             let mut total = 0.0;
             const N: usize = 8;
@@ -192,13 +187,13 @@ mod tests {
 
     #[test]
     fn random_page_incompressible() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut rng = DetRng::new(7);
         assert!(achieved_ratio(&random_page(&mut rng)) < 1.1);
     }
 
     #[test]
     fn page_mixture_has_same_filled_mode() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let mut rng = DetRng::new(11);
         let mut same_filled = 0;
         const N: usize = 200;
         for _ in 0..N {
@@ -218,8 +213,8 @@ mod tests {
 
     #[test]
     fn into_variant_matches_allocating_bytewise() {
-        let mut a = rand::rngs::SmallRng::seed_from_u64(3);
-        let mut b = rand::rngs::SmallRng::seed_from_u64(3);
+        let mut a = DetRng::new(3);
+        let mut b = DetRng::new(3);
         let mut buf = vec![9u8; 17]; // dirty, wrong-sized reusable buffer
         for _ in 0..16 {
             let fresh = page_mixture(2.5, 0.7, 0.3, &mut a);
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn page_around_ratio_within_band() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
+        let mut rng = DetRng::new(8);
         for _ in 0..10 {
             let p = page_around_ratio(3.0, 1.0, &mut rng);
             let r = achieved_ratio(&p);
@@ -243,15 +238,15 @@ mod tests {
 
         #[test]
         fn prop_pages_are_page_sized(target in 1.0f64..10.0, seed in 0u64..1000) {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut rng = DetRng::new(seed);
             prop_assert_eq!(page_with_ratio(target, &mut rng).len(), PAGE_SIZE);
         }
 
         #[test]
         fn prop_achieved_monotone_in_target(seed in 0u64..200) {
             // Averaged over a few pages, higher targets compress better.
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let mean = |t: f64, rng: &mut rand::rngs::SmallRng| -> f64 {
+            let mut rng = DetRng::new(seed);
+            let mean = |t: f64, rng: &mut DetRng| -> f64 {
                 (0..4).map(|_| achieved_ratio(&page_with_ratio(t, rng))).sum::<f64>() / 4.0
             };
             let low = mean(1.5, &mut rng);

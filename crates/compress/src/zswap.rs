@@ -74,7 +74,8 @@ pub struct ZswapStats {
 impl ZswapStats {
     /// Effective compression ratio: original bytes stored per frame byte.
     /// At most 2.0 by construction of zbud.
-    pub fn effective_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn effective_ratio(&self) -> f64 {
         if self.frames == 0 {
             1.0
         } else {
@@ -222,14 +223,13 @@ mod tests {
     use crate::synth;
     use dmem_types::CompressionMode;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     fn codec() -> PageCodec {
         PageCodec::new(CompressionMode::FourGranularity)
     }
 
     fn compressible_page(seed: u64) -> CompressedPage {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut rng = dmem_sim::DetRng::new(seed);
         codec().compress(&synth::page_with_ratio(6.0, &mut rng))
     }
 
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn incompressible_pages_rejected() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        let mut rng = dmem_sim::DetRng::new(9);
         let raw = codec().compress(&synth::random_page(&mut rng));
         let mut cache = ZswapCache::new(8);
         assert!(matches!(cache.insert(1, raw), ZswapInsert::Rejected(_)));

@@ -17,7 +17,7 @@ use dmem_types::{DmemError, DmemResult, EntryId, ServerId, PAGE_SIZE};
 /// Bits of the key reserved for the chunk index.
 pub const CHUNK_BITS: u32 = 12;
 /// Maximum chunks (and therefore `4 KiB × 4096 = 16 MiB` max value size).
-pub const MAX_CHUNKS: u64 = 1 << CHUNK_BITS;
+pub(crate) const MAX_CHUNKS: u64 = 1 << CHUNK_BITS;
 
 fn chunk_key(base: u64, index: u64) -> u64 {
     (base << CHUNK_BITS) | index
@@ -140,7 +140,7 @@ pub fn load_chunked(
 /// window must stay small enough for a single replica group to host it;
 /// oversized windows would trip the wholesale disk fallback and defeat
 /// the point of coalescing.
-pub const STORE_WINDOW_CHUNKS: usize = 32;
+pub(crate) const STORE_WINDOW_CHUNKS: usize = 32;
 
 /// Stores several values in coalesced batches: all chunks of all values
 /// are gathered into windows of at most [`STORE_WINDOW_CHUNKS`] pages and

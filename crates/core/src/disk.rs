@@ -49,7 +49,7 @@ impl DiskTier {
     /// tiers, which share the same per-node store-entry semantics with
     /// different costs, so NVM accesses are attributed separately from
     /// spinning disk.
-    pub fn with_device_labeled(clock: SimClock, device: DeviceCost, label: &'static str) -> Self {
+    pub(crate) fn with_device_labeled(clock: SimClock, device: DeviceCost, label: &'static str) -> Self {
         DiskTier {
             clock,
             device,
@@ -113,7 +113,7 @@ impl DiskTier {
     /// copy is only ever read on the slow failover path, which does pay
     /// the full device cost. The shadow is the buffer the pool block
     /// holds, shared, not a second copy of it.
-    pub fn store_behind(&self, node: NodeId, entry: EntryId, data: Arc<Vec<u8>>) {
+    pub(crate) fn store_behind(&self, node: NodeId, entry: EntryId, data: Arc<Vec<u8>>) {
         let span = self.clock.tracer().span(self.label, "store_behind");
         span.tag("bytes", data.len());
         self.disks
@@ -220,7 +220,8 @@ impl DiskTier {
     }
 
     /// `true` if `node`'s disk holds no entries.
-    pub fn is_empty(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self, node: NodeId) -> bool {
         self.len(node) == 0
     }
 }

@@ -108,7 +108,8 @@ impl Maintenance {
     }
 
     /// Virtual time of the next pending task, if any.
-    pub fn next_task_at(&self) -> Option<SimInstant> {
+    #[cfg(test)]
+    pub(crate) fn next_task_at(&self) -> Option<SimInstant> {
         self.queue.next_at()
     }
 

@@ -16,12 +16,12 @@ pub struct MemoryMap {
 
 impl MemoryMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoryMap::default()
     }
 
     /// Records (or replaces) the entry under `key`, bumping the version.
-    pub fn upsert(&mut self, key: u64, mut record: EntryRecord) -> u64 {
+    pub(crate) fn upsert(&mut self, key: u64, mut record: EntryRecord) -> u64 {
         let version = self
             .entries
             .get(&key)
@@ -45,34 +45,35 @@ impl MemoryMap {
     }
 
     /// Looks up the record for `key`.
-    pub fn get(&self, key: u64) -> Option<&EntryRecord> {
+    pub(crate) fn get(&self, key: u64) -> Option<&EntryRecord> {
         self.entries.get(&key)
     }
 
     /// Removes the record for `key`.
-    pub fn remove(&mut self, key: u64) -> Option<EntryRecord> {
+    pub(crate) fn remove(&mut self, key: u64) -> Option<EntryRecord> {
         self.entries.remove(&key)
     }
 
     /// Number of tracked entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when no entries are tracked.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Iterates over `(key, record)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &EntryRecord)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &EntryRecord)> {
         self.entries.iter().map(|(k, r)| (*k, r))
     }
 
     /// Rewrites replica lists after an eviction migration: every remote
     /// record referencing `from` now references `to` instead. Returns how
     /// many records changed.
-    pub fn relocate_replica(&mut self, key: u64, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn relocate_replica(&mut self, key: u64, from: NodeId, to: NodeId) -> bool {
         if let Some(record) = self.entries.get_mut(&key) {
             if let EntryLocation::Remote { replicas } = &mut record.location {
                 if let Some(slot) = replicas.iter().position(|&n| n == from) {
@@ -93,7 +94,7 @@ impl MemoryMap {
     }
 
     /// Counts entries by tier: `(node_shared, nvm, remote, cxl, disk)`.
-    pub fn tier_census(&self) -> (usize, usize, usize, usize, usize) {
+    pub(crate) fn tier_census(&self) -> (usize, usize, usize, usize, usize) {
         let mut census = (0, 0, 0, 0, 0);
         for record in self.entries.values() {
             match record.location {
@@ -105,12 +106,6 @@ impl MemoryMap {
             }
         }
         census
-    }
-
-    /// Approximate metadata footprint of this map in bytes, using the
-    /// paper's §IV-C model of 8 bytes of location metadata per entry.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 8
     }
 }
 
@@ -217,15 +212,6 @@ mod tests {
             }
             other => panic!("unexpected location {other:?}"),
         }
-    }
-
-    #[test]
-    fn metadata_footprint_model() {
-        let mut map = MemoryMap::new();
-        for k in 0..1000 {
-            map.upsert(k, record(EntryLocation::Disk));
-        }
-        assert_eq!(map.metadata_bytes(), 8000);
     }
 
     #[test]

@@ -300,11 +300,6 @@ impl DisaggregatedMemory {
         &self.metrics
     }
 
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The underlying RDMA fabric (for advanced wiring, e.g. batch senders).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
@@ -349,7 +344,7 @@ impl DisaggregatedMemory {
     }
 
     /// The installed telemetry hub, if any.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
+    pub(crate) fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
         self.telemetry.get()
     }
 

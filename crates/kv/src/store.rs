@@ -1,7 +1,6 @@
 //! The cache implementation.
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
-use dmem_sim::SimDuration;
 use dmem_types::{fnv1a64, ByteSize, DmemResult, Lru, ServerId};
 use std::collections::HashMap;
 use std::fmt;
@@ -186,7 +185,13 @@ impl KvCache {
     /// # Errors
     ///
     /// See [`KvCache::set`].
-    pub fn set_with_ttl(&mut self, key: &str, value: Vec<u8>, ttl: SimDuration) -> DmemResult<()> {
+    #[cfg(test)]
+    pub(crate) fn set_with_ttl(
+        &mut self,
+        key: &str,
+        value: Vec<u8>,
+        ttl: dmem_sim::SimDuration,
+    ) -> DmemResult<()> {
         let expires = self.now_ns() + ttl.as_nanos();
         self.set_inner(key, value, expires)
     }
@@ -261,7 +266,8 @@ impl KvCache {
     }
 
     /// Removes `key` from every tier. Returns `true` if it existed.
-    pub fn delete(&mut self, key: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn delete(&mut self, key: &str) -> bool {
         let was_hot = self.hot.contains(key);
         self.remove_hot(key);
         let was_demoted = self.demoted.remove(key).is_some();
@@ -272,7 +278,8 @@ impl KvCache {
     }
 
     /// `true` if `key` exists in any tier (ignoring expiry).
-    pub fn contains(&self, key: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &str) -> bool {
         self.hot.contains(key) || self.demoted.contains_key(key)
     }
 }
@@ -291,6 +298,7 @@ impl fmt::Debug for KvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmem_sim::SimDuration;
     use dmem_types::ClusterConfig;
 
     fn cache(hot_kib: u64) -> KvCache {

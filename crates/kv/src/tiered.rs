@@ -74,12 +74,12 @@ impl Default for LlmCostModel {
 
 impl LlmCostModel {
     /// KV bytes for `tokens` of context.
-    pub fn bytes(&self, tokens: u32) -> usize {
+    pub(crate) fn bytes(&self, tokens: u32) -> usize {
         tokens as usize * self.kv_bytes_per_token
     }
 
     /// Prefill time for `tokens`.
-    pub fn prefill(&self, tokens: u32) -> SimDuration {
+    pub(crate) fn prefill(&self, tokens: u32) -> SimDuration {
         self.prefill_per_token * tokens as u64
     }
 
@@ -257,7 +257,8 @@ pub struct TieredKvEngine {
 
 impl TieredKvEngine {
     /// Creates an engine storing every conversation under one server.
-    pub fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, config: TieredKvConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, config: TieredKvConfig) -> Self {
         Self::with_servers(dm, server, server, config)
     }
 
@@ -534,7 +535,7 @@ impl TieredKvEngine {
     /// # Errors
     ///
     /// Propagates disaggregated-memory failures.
-    pub fn get_many(&mut self, sessions: &[u64]) -> DmemResult<Vec<Option<Vec<u8>>>> {
+    pub(crate) fn get_many(&mut self, sessions: &[u64]) -> DmemResult<Vec<Option<Vec<u8>>>> {
         let span = self.dm.clock().tracer().span("kv", "get_many");
         span.tag("convs", sessions.len());
         // Snapshot local hits before promotions can evict them, then
@@ -578,7 +579,8 @@ impl TieredKvEngine {
     /// # Errors
     ///
     /// Propagates disaggregated-memory failures from demotions.
-    pub fn put_many(&mut self, items: Vec<(u64, Vec<u8>)>) -> DmemResult<()> {
+    #[cfg(test)]
+    pub(crate) fn put_many(&mut self, items: Vec<(u64, Vec<u8>)>) -> DmemResult<()> {
         let span = self.dm.clock().tracer().span("kv", "put_many");
         span.tag("convs", items.len());
         for (session, bytes) in items {

@@ -77,17 +77,20 @@ impl BatchSender {
     }
 
     /// Total messages transmitted (flushed) so far.
-    pub fn messages_sent(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn messages_sent(&self) -> u64 {
         self.messages_sent
     }
 
     /// Messages currently waiting for the window to fill.
-    pub fn pending_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// Next write offset in the remote region.
-    pub fn next_offset(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn next_offset(&self) -> u64 {
         self.next_offset
     }
 

@@ -64,11 +64,6 @@ impl ConnectionManager {
         }
     }
 
-    /// The local node this manager belongs to.
-    pub fn local(&self) -> NodeId {
-        self.local
-    }
-
     /// Returns the channel of `kind` to `peer`, establishing both channels
     /// on first use and re-establishing them if the cached queue pairs are
     /// no longer usable (e.g. after the peer recovered from a crash).
@@ -107,7 +102,7 @@ impl ConnectionManager {
     ///
     /// Returns the underlying fabric error when the peer is unreachable;
     /// the stale channels stay dropped in that case.
-    pub fn reconnect(&self, peer: NodeId) -> DmemResult<()> {
+    pub(crate) fn reconnect(&self, peer: NodeId) -> DmemResult<()> {
         let mut peers = self.peers.lock();
         if let Some(old) = peers.remove(&peer) {
             let _ = self.fabric.disconnect(&old.data);
@@ -120,7 +115,7 @@ impl ConnectionManager {
     }
 
     /// Number of peers with established channels.
-    pub fn connected_peers(&self) -> usize {
+    pub(crate) fn connected_peers(&self) -> usize {
         self.peers.lock().len()
     }
 }

@@ -34,12 +34,10 @@ use std::fmt;
 use std::sync::Arc;
 
 /// CXL transfer granularity: accesses are rounded up to 64-byte lines.
-pub const CACHELINE: usize = 64;
+pub(crate) const CACHELINE: usize = 64;
 
-/// Bits of a [`CxlAddr`] carrying the pool-node id.
-pub const NODE_BITS: u32 = 16;
 /// Bits of a [`CxlAddr`] carrying the byte offset within a pool node.
-pub const OFFSET_BITS: u32 = 48;
+pub(crate) const OFFSET_BITS: u32 = 48;
 const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 
 /// A PGAS-style 64-bit global address into the CXL pool: the top 16 bits
@@ -169,7 +167,7 @@ impl CxlRing {
     }
 
     /// Number of pool nodes on the ring.
-    pub fn nodes(&self) -> u16 {
+    pub(crate) fn nodes(&self) -> u16 {
         self.nodes
     }
 }
@@ -193,7 +191,7 @@ impl CxlCostModel {
     /// Derives the tier's costs from the cluster cost model: loads at
     /// [`CostModel::cxl`], stores 20% cheaper to the first line, atomics
     /// at twice the load base (the controller's RMW turnaround).
-    pub fn from_cost_model(m: &CostModel) -> Self {
+    pub(crate) fn from_cost_model(m: &CostModel) -> Self {
         CxlCostModel {
             load: m.cxl,
             store: m.cxl.with_base_scaled(0.8),
@@ -305,6 +303,7 @@ impl CxlMetrics {
 pub struct CxlPool {
     clock: SimClock,
     cost: CxlCostModel,
+    #[cfg(test)]
     metrics: MetricsRegistry,
     handles: CxlMetrics,
     capacity_per_node: u64,
@@ -339,6 +338,7 @@ impl CxlPool {
             clock,
             cost: CxlCostModel::from_cost_model(&cost),
             handles: CxlMetrics::new(&metrics),
+            #[cfg(test)]
             metrics,
             capacity_per_node: capacity_per_node.as_u64(),
             ring,
@@ -351,13 +351,9 @@ impl CxlPool {
     }
 
     /// The cost model in force.
-    pub fn cost_model(&self) -> &CxlCostModel {
+    #[cfg(test)]
+    pub(crate) fn cost_model(&self) -> &CxlCostModel {
         &self.cost
-    }
-
-    /// The placement ring.
-    pub fn ring(&self) -> &CxlRing {
-        &self.ring
     }
 
     /// Number of pool nodes.
@@ -371,7 +367,8 @@ impl CxlPool {
     }
 
     /// The metrics registry the `cxl.*` family counts into.
-    pub fn metrics(&self) -> &MetricsRegistry {
+    #[cfg(test)]
+    pub(crate) fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
@@ -657,7 +654,8 @@ impl CxlPool {
     }
 
     /// Whether `pool_node` is currently in an outage window.
-    pub fn pool_node_down(&self, pool_node: u16) -> bool {
+    #[cfg(test)]
+    pub(crate) fn pool_node_down(&self, pool_node: u16) -> bool {
         self.inner.lock().nodes[pool_node as usize].down
     }
 

@@ -127,13 +127,8 @@ impl FabricFaults {
         }
     }
 
-    /// The verb fault profile in force.
-    pub fn profile(&self) -> FaultProfile {
-        self.profile
-    }
-
     /// Draws the fate of one verb attempt from the seeded stream.
-    pub fn verb_outcome(&self) -> VerbOutcome {
+    pub(crate) fn verb_outcome(&self) -> VerbOutcome {
         let p = self.profile;
         let mut rng = self.rng.lock();
         let roll = rng.unit();
@@ -258,12 +253,14 @@ impl ShardFaultSchedule {
     }
 
     /// Number of scheduled outages.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.outages.len()
     }
 
     /// `true` when no outages are scheduled.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.outages.is_empty()
     }
 }

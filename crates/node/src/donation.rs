@@ -24,7 +24,7 @@ pub struct DonationRegistry {
 
 impl DonationRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DonationRegistry::default()
     }
 
@@ -33,7 +33,7 @@ impl DonationRegistry {
     /// # Errors
     ///
     /// Returns [`DmemError::InvalidConfig`] if the policy is invalid.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         server: ServerId,
         allocated: ByteSize,
@@ -52,12 +52,13 @@ impl DonationRegistry {
     }
 
     /// Removes a server (e.g. on failure); its donation leaves the pool.
-    pub fn deregister(&mut self, server: ServerId) -> bool {
+    pub(crate) fn deregister(&mut self, server: ServerId) -> bool {
         self.servers.remove(&server).is_some()
     }
 
     /// The server's current donation in bytes.
-    pub fn donated(&self, server: ServerId) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn donated(&self, server: ServerId) -> ByteSize {
         self.servers
             .get(&server)
             .map(|d| d.allocated.scaled(d.fraction))
@@ -65,12 +66,13 @@ impl DonationRegistry {
     }
 
     /// The server's current donation fraction, if registered.
-    pub fn fraction(&self, server: ServerId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn fraction(&self, server: ServerId) -> Option<f64> {
         self.servers.get(&server).map(|d| d.fraction)
     }
 
     /// Sum of all donations: the shared pool's capacity.
-    pub fn total_donated(&self) -> ByteSize {
+    pub(crate) fn total_donated(&self) -> ByteSize {
         self.servers
             .values()
             .map(|d| d.allocated.scaled(d.fraction))
@@ -78,7 +80,7 @@ impl DonationRegistry {
     }
 
     /// Number of registered servers.
-    pub fn server_count(&self) -> usize {
+    pub(crate) fn server_count(&self) -> usize {
         self.servers.len()
     }
 
@@ -89,7 +91,7 @@ impl DonationRegistry {
     /// # Errors
     ///
     /// Returns [`DmemError::ServerUnavailable`] for an unknown server.
-    pub fn adjust(&mut self, server: ServerId, delta: f64) -> DmemResult<f64> {
+    pub(crate) fn adjust(&mut self, server: ServerId, delta: f64) -> DmemResult<f64> {
         let d = self
             .servers
             .get_mut(&server)
@@ -99,7 +101,8 @@ impl DonationRegistry {
     }
 
     /// Iterates over `(server, donated_bytes)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (ServerId, ByteSize)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ServerId, ByteSize)> + '_ {
         self.servers
             .iter()
             .map(|(s, d)| (*s, d.allocated.scaled(d.fraction)))

@@ -125,11 +125,6 @@ impl NodeManager {
         }
     }
 
-    /// The node this manager coordinates.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The manager's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -281,7 +276,8 @@ impl NodeManager {
     }
 
     /// `true` if the entry is resident in this node's shared pool.
-    pub fn contains(&self, entry: EntryId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, entry: EntryId) -> bool {
         self.inner.lock().page_table.contains_key(&entry)
     }
 
@@ -309,7 +305,7 @@ impl NodeManager {
     /// Ballooning recommendation for `server`, per the §IV-F policies:
     /// frequent per-server overflows → balloon DRAM back to the server;
     /// frequent node-level remote escalations → shrink the receive pool.
-    pub fn balloon_advice(&self, server: ServerId) -> BalloonAdvice {
+    pub(crate) fn balloon_advice(&self, server: ServerId) -> BalloonAdvice {
         let now = self.clock.now();
         let mut inner = self.inner.lock();
         let window = inner.advice_window;

@@ -60,17 +60,6 @@ pub struct PoolStats {
     pub slabs: usize,
 }
 
-impl PoolStats {
-    /// Fraction of capacity held in live blocks.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity.is_zero() {
-            0.0
-        } else {
-            self.live_bytes.as_u64() as f64 / self.capacity.as_u64() as f64
-        }
-    }
-}
-
 /// The node shared-memory pool.
 ///
 /// Purely an allocator plus storage: time costs are charged by
@@ -91,7 +80,7 @@ impl SharedMemoryPool {
     ///
     /// Panics if `slab_size` is smaller than the largest size class
     /// (4 KiB) — such slabs could never hold a raw page.
-    pub fn new(slab_size: ByteSize, capacity: ByteSize) -> Self {
+    pub(crate) fn new(slab_size: ByteSize, capacity: ByteSize) -> Self {
         assert!(
             slab_size.as_u64() >= SizeClass::C4K.bytes().as_u64(),
             "slab size must hold at least one 4 KiB block"
@@ -106,14 +95,14 @@ impl SharedMemoryPool {
     }
 
     /// Current capacity (the donation total).
-    pub fn capacity(&self) -> ByteSize {
+    pub(crate) fn capacity(&self) -> ByteSize {
         self.capacity
     }
 
     /// Adjusts capacity (called when donations change). Shrinking below
     /// the currently carved slab bytes is allowed; the pool simply stops
     /// carving new slabs until usage falls back under the limit.
-    pub fn set_capacity(&mut self, capacity: ByteSize) {
+    pub(crate) fn set_capacity(&mut self, capacity: ByteSize) {
         self.capacity = capacity;
     }
 
@@ -124,7 +113,7 @@ impl SharedMemoryPool {
     /// Returns [`DmemError::CapacityExhausted`] when no free block exists
     /// and carving another slab would exceed capacity, and
     /// [`DmemError::InvalidConfig`] if `data` exceeds the class footprint.
-    pub fn alloc(&mut self, class: SizeClass, data: &[u8]) -> DmemResult<BlockRef> {
+    pub(crate) fn alloc(&mut self, class: SizeClass, data: &[u8]) -> DmemResult<BlockRef> {
         if data.len() > class.bytes().as_u64() as usize {
             return Err(DmemError::InvalidConfig {
                 reason: format!("{} bytes do not fit class {class}", data.len()),
@@ -175,7 +164,7 @@ impl SharedMemoryPool {
     ///
     /// Returns [`DmemError::RegionNotRegistered`] for an unknown slab and
     /// [`DmemError::RegionOutOfBounds`] for a bad offset/length.
-    pub fn read(&self, block: BlockRef, len: usize) -> DmemResult<Vec<u8>> {
+    pub(crate) fn read(&self, block: BlockRef, len: usize) -> DmemResult<Vec<u8>> {
         let slab = self
             .slabs
             .get(&block.slab)
@@ -197,7 +186,7 @@ impl SharedMemoryPool {
     /// # Errors
     ///
     /// Returns [`DmemError::RegionNotRegistered`] for an unknown slab.
-    pub fn free(&mut self, block: BlockRef) -> DmemResult<()> {
+    pub(crate) fn free(&mut self, block: BlockRef) -> DmemResult<()> {
         let slab = self
             .slabs
             .get_mut(&block.slab)
@@ -214,7 +203,7 @@ impl SharedMemoryPool {
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         let slab_bytes = ByteSize::from(self.slabs.len() * self.slab_size);
         let live_bytes: u64 = self
             .slabs
@@ -228,14 +217,6 @@ impl SharedMemoryPool {
             live_blocks: self.live_blocks,
             slabs: self.slabs.len(),
         }
-    }
-
-    /// `true` if a block of `class` could be allocated right now.
-    pub fn can_fit(&self, class: SizeClass) -> bool {
-        self.slabs
-            .values()
-            .any(|s| s.class == class && !s.free.is_empty())
-            || (self.slabs.len() + 1) * self.slab_size <= self.capacity.as_u64() as usize
     }
 }
 
@@ -348,19 +329,6 @@ mod tests {
         assert!(p.alloc(SizeClass::C512, b"y").is_err(), "no room for 2nd slab");
         p.free(block).unwrap();
         assert!(p.alloc(SizeClass::C512, b"y").is_ok());
-    }
-
-    #[test]
-    fn utilization_and_can_fit() {
-        let mut p = pool(16);
-        assert_eq!(p.stats().utilization(), 0.0);
-        assert!(p.can_fit(SizeClass::C4K));
-        for _ in 0..4 {
-            p.alloc(SizeClass::C4K, b"x").unwrap();
-        }
-        assert!(!p.can_fit(SizeClass::C4K));
-        assert!((p.stats().utilization() - 1.0).abs() < 1e-9);
-        assert!(!p.to_string().is_empty());
     }
 
     proptest! {

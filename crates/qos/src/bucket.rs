@@ -59,11 +59,6 @@ impl TokenBucket {
         }
     }
 
-    /// Sustained rate in bytes per virtual second.
-    pub fn rate(&self) -> u64 {
-        self.rate
-    }
-
     /// Brings the token count up to date at `now_ns`.
     fn refill(&mut self, now_ns: u64) {
         if now_ns <= self.last_ns {

@@ -323,11 +323,6 @@ impl QosEngine {
         inner.registry = Some(registry);
     }
 
-    /// Engine configuration.
-    pub fn config(&self) -> &QosConfig {
-        &self.config
-    }
-
     /// Registers a tenant and returns its id. Names must be unique.
     ///
     /// # Panics
@@ -643,7 +638,8 @@ impl QosEngine {
     }
 
     /// Current throttle level of `tenant`.
-    pub fn throttle_level(&self, tenant: TenantId) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn throttle_level(&self, tenant: TenantId) -> u8 {
         self.inner.lock().tenants[tenant.index() as usize].throttle
     }
 
@@ -705,7 +701,8 @@ impl QosEngine {
     }
 
     /// The decision log (up to [`QosConfig::log_capacity`] lines).
-    pub fn decision_log(&self) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn decision_log(&self) -> Vec<String> {
         self.inner.lock().log.lines.clone()
     }
 

@@ -61,7 +61,7 @@ impl TenantSpec {
     /// The implicit system tenant: unlimited quota, top priority, never
     /// throttled. All servers belong to it until assigned elsewhere, which
     /// is what keeps every pre-QoS caller byte-identical.
-    pub fn system() -> Self {
+    pub(crate) fn system() -> Self {
         TenantSpec::new("system", u8::MAX, ByteSize::new(u64::MAX))
     }
 

@@ -26,7 +26,7 @@ pub struct BlockId {
 
 impl BlockId {
     /// Creates a block id.
-    pub fn new(rdd: u64, partition: usize) -> Self {
+    pub(crate) fn new(rdd: u64, partition: usize) -> Self {
         BlockId { rdd, partition }
     }
 
@@ -105,7 +105,7 @@ pub struct BlockManager {
 
 impl BlockManager {
     /// Creates a block manager with `capacity` of executor cache memory.
-    pub fn new(capacity: ByteSize, clock: SimClock, cost: CostModel, backend: SpillBackend) -> Self {
+    pub(crate) fn new(capacity: ByteSize, clock: SimClock, cost: CostModel, backend: SpillBackend) -> Self {
         BlockManager {
             clock,
             cost,
@@ -120,18 +120,14 @@ impl BlockManager {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> BlockStats {
+    pub(crate) fn stats(&self) -> BlockStats {
         self.stats
     }
 
     /// Bytes currently cached in executor memory.
-    pub fn memory_used(&self) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn memory_used(&self) -> ByteSize {
         self.used
-    }
-
-    /// Number of blocks in the spill tier.
-    pub fn spilled_blocks(&self) -> usize {
-        self.spilled.len()
     }
 
     fn spill_out(&mut self, id: BlockId, bytes: Vec<u8>) -> DmemResult<()> {
@@ -213,7 +209,7 @@ impl BlockManager {
     /// # Errors
     ///
     /// Propagates spill-tier failures.
-    pub fn put(&mut self, id: BlockId, records: Vec<Record>) -> DmemResult<Arc<Vec<Record>>> {
+    pub(crate) fn put(&mut self, id: BlockId, records: Vec<Record>) -> DmemResult<Arc<Vec<Record>>> {
         let bytes = serialize_partition(&records);
         // Serialization cost: one memory pass over the payload.
         self.clock.advance(self.cost.dram.transfer(bytes.len()));
@@ -244,7 +240,7 @@ impl BlockManager {
     /// # Errors
     ///
     /// Propagates spill-tier read failures.
-    pub fn get(&mut self, id: BlockId) -> DmemResult<Option<Arc<Vec<Record>>>> {
+    pub(crate) fn get(&mut self, id: BlockId) -> DmemResult<Option<Arc<Vec<Record>>>> {
         if let Some(&mut len) = self.memory.touch(&id) {
             // The in-memory bytes are exactly what `put` serialized, so
             // the cached parse is served without a guard.
@@ -279,7 +275,8 @@ impl BlockManager {
     }
 
     /// `true` if the block is cached anywhere.
-    pub fn contains(&self, id: BlockId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: BlockId) -> bool {
         self.memory.contains(&id) || self.spilled.contains_key(&id)
     }
 }

@@ -33,7 +33,7 @@ impl DatasetSize {
     pub const ALL: [DatasetSize; 3] = [DatasetSize::Small, DatasetSize::Medium, DatasetSize::Large];
 
     /// Records-per-partition multiplier relative to [`DatasetSize::Small`].
-    pub fn scale(self) -> usize {
+    pub(crate) fn scale(self) -> usize {
         match self {
             DatasetSize::Small => 1,
             DatasetSize::Medium => 4,
@@ -142,7 +142,7 @@ impl JobSpec {
     }
 
     /// Serialized bytes of one partition at `size`.
-    pub fn partition_bytes(&self, size: DatasetSize) -> ByteSize {
+    pub(crate) fn partition_bytes(&self, size: DatasetSize) -> ByteSize {
         let per_record = 8 + 4 + 8 * self.values_per_record;
         ByteSize::from(4 + self.base_records * size.scale() * per_record)
     }

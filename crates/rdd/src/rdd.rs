@@ -40,7 +40,7 @@ pub struct Rdd {
 impl Rdd {
     /// Creates a source RDD of `partitions` partitions whose contents are
     /// produced by `gen(partition, rng)`.
-    pub fn source<F>(partitions: usize, seed: u64, gen: F) -> Arc<Rdd>
+    pub(crate) fn source<F>(partitions: usize, seed: u64, gen: F) -> Arc<Rdd>
     where
         F: Fn(usize, &mut DetRng) -> Vec<Record> + Send + Sync + 'static,
     {
@@ -102,12 +102,13 @@ impl Rdd {
     }
 
     /// This RDD's unique id.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Number of partitions.
-    pub fn partitions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn partitions(&self) -> usize {
         self.partitions
     }
 
@@ -128,7 +129,7 @@ impl Rdd {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
-    pub fn compute(
+    pub(crate) fn compute(
         &self,
         p: usize,
         cached: &dyn Fn(u64, usize) -> Option<Vec<Record>>,

@@ -15,17 +15,17 @@ pub struct Record {
 
 impl Record {
     /// Creates a record.
-    pub fn new(key: u64, values: Vec<f64>) -> Self {
+    pub(crate) fn new(key: u64, values: Vec<f64>) -> Self {
         Record { key, values }
     }
 
     /// Serialized size in bytes: 8 (key) + 4 (len) + 8 per value.
-    pub fn serialized_len(&self) -> usize {
+    pub(crate) fn serialized_len(&self) -> usize {
         8 + 4 + 8 * self.values.len()
     }
 
     /// Appends this record's wire form to `out`.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.key.to_le_bytes());
         out.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
         for v in &self.values {
@@ -56,7 +56,7 @@ impl Record {
 }
 
 /// Serializes a whole partition.
-pub fn serialize_partition(records: &[Record]) -> Vec<u8> {
+pub(crate) fn serialize_partition(records: &[Record]) -> Vec<u8> {
     let total: usize = 4 + records.iter().map(Record::serialized_len).sum::<usize>();
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&(records.len() as u32).to_le_bytes());
@@ -71,7 +71,7 @@ pub fn serialize_partition(records: &[Record]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`DmemError::Corrupt`] on truncated or malformed bytes.
-pub fn deserialize_partition(buf: &[u8]) -> DmemResult<Vec<Record>> {
+pub(crate) fn deserialize_partition(buf: &[u8]) -> DmemResult<Vec<Record>> {
     if buf.len() < 4 {
         return Err(DmemError::Corrupt(EntryId::default()));
     }

@@ -29,7 +29,7 @@ use std::fmt;
 
 /// Burn fractions are integer basis points (1/100 of a percent), so
 /// threshold comparisons never touch floating point.
-pub const BASIS_POINTS: u64 = 10_000;
+pub(crate) const BASIS_POINTS: u64 = 10_000;
 
 /// One declarative alert rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub enum AlertRule {
 
 impl AlertRule {
     /// The rule's alert name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             AlertRule::BurnRate { name, .. } | AlertRule::CounterStorm { name, .. } => name,
         }
@@ -110,7 +110,7 @@ pub struct AlertEvent {
 
 impl AlertEvent {
     /// The deterministic log line for this event.
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         format!(
             "w{} [{}..{}ns) {} {}: {}",
             self.window, self.start_ns, self.end_ns, self.edge, self.name, self.detail
@@ -138,7 +138,7 @@ pub struct AlertEngine {
 
 impl AlertEngine {
     /// Creates an engine over `rules` (evaluated in the given order).
-    pub fn new(rules: Vec<AlertRule>) -> Self {
+    pub(crate) fn new(rules: Vec<AlertRule>) -> Self {
         let states = vec![RuleState::default(); rules.len()];
         AlertEngine {
             rules,
@@ -150,7 +150,7 @@ impl AlertEngine {
 
     /// Evaluates every rule against one captured window, appending any
     /// firing/resolved edges to the log. Returns how many edges fired.
-    pub fn observe(&mut self, window: &MetricWindow) -> usize {
+    pub(crate) fn observe(&mut self, window: &MetricWindow) -> usize {
         let mut edges = 0;
         for (rule, state) in self.rules.iter().zip(self.states.iter_mut()) {
             let (now_firing, detail) = match rule {
@@ -235,13 +235,13 @@ impl AlertEngine {
     }
 
     /// The ordered log lines so far.
-    pub fn log(&self) -> &[String] {
+    pub(crate) fn log(&self) -> &[String] {
         &self.log
     }
 
     /// `n=<lines> fnv=<hash>` digest of the log, in the QoS decision-log
     /// format.
-    pub fn digest(&self) -> String {
+    pub(crate) fn digest(&self) -> String {
         format!("n={} fnv={:#018x}", self.log.len(), self.hash)
     }
 }

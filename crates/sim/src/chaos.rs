@@ -117,7 +117,7 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     /// Every virtual server of the configured cluster, in id order.
-    pub fn servers(&self) -> Vec<ServerId> {
+    pub(crate) fn servers(&self) -> Vec<ServerId> {
         let mut out = Vec::with_capacity(self.nodes * self.servers_per_node);
         for node in 0..self.nodes as u32 {
             for local in 0..self.servers_per_node as u32 {

@@ -82,16 +82,6 @@ impl SimClock {
         }
         SimInstant::from_nanos(cur)
     }
-
-    /// Time elapsed since `start`.
-    pub fn elapsed_since(&self, start: SimInstant) -> SimDuration {
-        self.now() - start
-    }
-
-    /// `true` if both handles view the same underlying clock.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.now_ns, &other.now_ns)
-    }
 }
 
 impl fmt::Debug for SimClock {
@@ -124,8 +114,6 @@ mod tests {
         let b = a.clone();
         a.advance(SimDuration::from_micros(1));
         assert_eq!(b.now().nanos(), 1_000);
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&SimClock::new()));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct DeviceCost {
 
 impl DeviceCost {
     /// Creates a cost model from a base latency and a bandwidth.
-    pub fn new(base: SimDuration, bytes_per_sec: f64) -> Self {
+    pub(crate) fn new(base: SimDuration, bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
         DeviceCost {
             base,
@@ -54,7 +54,8 @@ impl DeviceCost {
     }
 
     /// Cost of `n` separate operations of `bytes` each (pays base `n` times).
-    pub fn transfer_each(&self, n: usize, bytes: usize) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn transfer_each(&self, n: usize, bytes: usize) -> SimDuration {
         self.transfer(bytes) * n as u64
     }
 
@@ -63,15 +64,6 @@ impl DeviceCost {
         DeviceCost {
             base: self.base * factor,
             bytes_per_sec: self.bytes_per_sec,
-        }
-    }
-
-    /// Returns this model with bandwidth scaled by `factor`.
-    pub fn with_bandwidth_scaled(self, factor: f64) -> Self {
-        assert!(factor > 0.0, "bandwidth scale must be positive");
-        DeviceCost {
-            base: self.base,
-            bytes_per_sec: self.bytes_per_sec * factor,
         }
     }
 }
@@ -226,8 +218,6 @@ mod tests {
     fn scaling_helpers() {
         let d = DeviceCost::new_us_gbps(2.0, 1.0);
         assert_eq!(d.with_base_scaled(2.0).base, SimDuration::from_micros(4));
-        let fast = d.with_bandwidth_scaled(2.0);
-        assert!(fast.transfer(1 << 20) < d.transfer(1 << 20));
     }
 
     #[test]

@@ -126,7 +126,8 @@ impl<T> EventQueue<T> {
     }
 
     /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

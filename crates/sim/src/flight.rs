@@ -44,9 +44,9 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Events kept in the ring; older notes fall off the front.
-    pub const EVENT_CAPACITY: usize = 64;
+    pub(crate) const EVENT_CAPACITY: usize = 64;
     /// Metric-window briefs kept in the ring.
-    pub const WINDOW_CAPACITY: usize = 8;
+    pub(crate) const WINDOW_CAPACITY: usize = 8;
 
     /// Creates an empty recorder.
     pub fn new() -> Self {
@@ -72,12 +72,14 @@ impl FlightRecorder {
     }
 
     /// Number of notes currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty() && self.windows.is_empty()
     }
 

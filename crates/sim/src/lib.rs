@@ -26,6 +26,8 @@
 //! * [`flight`] — a bounded flight recorder dumped when invariants fail.
 //! * [`jsonlite`] — a dependency-free JSON parser used to validate
 //!   exported traces.
+//! * [`par`] — an input-order parallel map over scoped threads, for the
+//!   drivers that run independent seeds or figures side by side.
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@ pub mod failure;
 pub mod flight;
 pub mod jsonlite;
 pub mod metrics;
+pub mod par;
 pub mod rng;
 pub mod shard;
 pub mod time;
@@ -72,7 +75,7 @@ pub use metrics::{
 };
 pub use rng::{splitmix64, DetRng};
 pub use shard::{
-    shard_rng, EngineReport, Envelope, EpochCtx, ShardId, ShardMap, ShardWorker,
+    EngineReport, Envelope, EpochCtx, ShardId, ShardMap, ShardWorker,
     ShardedEngine,
 };
 pub use time::{SimDuration, SimInstant};

@@ -12,11 +12,6 @@ use std::sync::{Arc, OnceLock};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -38,13 +33,9 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
     /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
+    #[cfg(test)]
+    pub(crate) fn add(&self, delta: i64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -54,7 +45,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -126,7 +117,7 @@ impl Histogram {
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
@@ -150,7 +141,7 @@ impl Histogram {
 
     /// Upper bound of the highest non-empty bucket (an upper bound on the
     /// maximum observation). Zero when empty.
-    pub fn max_bound(&self) -> u64 {
+    pub(crate) fn max_bound(&self) -> u64 {
         Self::max_bound_of_counts(&self.bucket_counts())
     }
 
@@ -187,7 +178,7 @@ impl Histogram {
     /// Upper bound of the highest non-empty bucket of an externally
     /// supplied count array (same semantics as [`Histogram::max_bound`]);
     /// zero when all counts are zero.
-    pub fn max_bound_of_counts(counts: &[u64; 65]) -> u64 {
+    pub(crate) fn max_bound_of_counts(counts: &[u64; 65]) -> u64 {
         for i in (0..counts.len()).rev() {
             if counts[i] > 0 {
                 return if i == 0 { 1 } else { 1u64 << i.min(63) };
@@ -201,13 +192,13 @@ impl Histogram {
     /// or above it. Observations sharing the threshold's own bucket are
     /// not counted, so the bound is conservative — the burn-rate path
     /// picks SLOs on bucket edges to make it exact.
-    pub fn count_over_counts(counts: &[u64; 65], threshold: u64) -> u64 {
+    pub(crate) fn count_over_counts(counts: &[u64; 65], threshold: u64) -> u64 {
         let first = (Self::bucket_index(threshold) + 1).min(counts.len());
         counts[first..].iter().sum()
     }
 
     /// Compact summary for dumps and reports.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
             mean: self.mean(),
@@ -337,7 +328,7 @@ impl MetricsRegistry {
     /// Snapshot of every histogram's raw bucket counts, sorted by name —
     /// the windowed-sampling path: the timeline sampler diffs two of
     /// these to get counts for just the observations inside one window.
-    pub fn bucket_snapshot(&self) -> Vec<(String, [u64; 65])> {
+    pub(crate) fn bucket_snapshot(&self) -> Vec<(String, [u64; 65])> {
         snapshot(&self.inner.histograms, Histogram::bucket_counts)
     }
 }
@@ -539,7 +530,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates_across_clones() {
-        let c = Counter::new();
+        let c = Counter::default();
         let c2 = c.clone();
         c.inc();
         c2.add(4);
@@ -548,7 +539,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(10);
         g.add(-4);
         assert_eq!(g.get(), 6);

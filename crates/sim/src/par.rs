@@ -1,8 +1,8 @@
 //! A minimal scoped-thread worker pool.
 //!
-//! The build environment has no registry access, so instead of `rayon`
-//! the workspace vendors the one primitive the bench and chaos drivers
-//! need: a **deterministic-order parallel map** over independent jobs.
+//! The one primitive the bench and chaos drivers need, on
+//! `std::thread::scope` alone: a **deterministic-order parallel map**
+//! over independent jobs.
 //!
 //! `par_map` fans the items of a `Vec` across `jobs` scoped threads and
 //! returns the results *in input order*, so a driver that renders results
@@ -12,11 +12,9 @@
 //! uneven job costs still load-balance.
 //!
 //! ```
-//! let squares = scoped_pool::par_map(4, (0u64..100).collect(), |_, n| n * n);
+//! let squares = dmem_sim::par::par_map(4, (0u64..100).collect(), |_, n| n * n);
 //! assert_eq!(squares[7], 49);
 //! ```
-
-#![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -27,7 +27,6 @@
 //! same published instants. The worker count only changes which OS
 //! thread executes a shard, never the order in which envelopes merge.
 
-use crate::rng::DetRng;
 use crate::time::{SimDuration, SimInstant};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,7 +42,7 @@ pub struct ShardId(pub u32);
 
 impl ShardId {
     /// The shard's index as a `usize`, for slot lookups.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -94,11 +93,6 @@ impl ShardMap {
         self.shards
     }
 
-    /// Number of hosts in the partition.
-    pub fn hosts(&self) -> usize {
-        self.hosts
-    }
-
     /// The shard owning `host` (host indices at or past the end clamp
     /// into the last shard, so foreign ids never panic).
     pub fn shard_of(&self, host: usize) -> ShardId {
@@ -138,7 +132,7 @@ pub struct Envelope<M> {
 
 impl<M> Envelope<M> {
     /// The merge key: `(deliver_at, src shard, seq)`.
-    pub fn key(&self) -> (SimInstant, u32, u64) {
+    pub(crate) fn key(&self) -> (SimInstant, u32, u64) {
         (self.deliver_at, self.src.0, self.seq)
     }
 }
@@ -185,7 +179,8 @@ impl<M> EpochCtx<M> {
     }
 
     /// Inclusive start of the epoch window.
-    pub fn epoch_start(&self) -> SimInstant {
+    #[cfg(test)]
+    pub(crate) fn epoch_start(&self) -> SimInstant {
         self.epoch_start
     }
 
@@ -769,20 +764,12 @@ fn epoch_window(epoch: SimDuration, index: u64) -> (SimInstant, SimInstant) {
     (start, start + epoch)
 }
 
-/// Derives the per-shard RNG stream for `shard` under `root_seed`.
-///
-/// Thin convenience over [`DetRng::for_shard`] so engine callers and
-/// tests agree on one spelling.
-pub fn shard_rng(root_seed: u64, shard: ShardId) -> DetRng {
-    DetRng::for_shard(root_seed, shard.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::EventQueue;
+    use crate::rng::DetRng;
     use proptest::prelude::*;
-    use rand::RngCore;
 
     #[test]
     fn grouped_map_is_contiguous_and_total() {
@@ -832,7 +819,7 @@ mod tests {
                 pending_kick: Some(SimInstant::EPOCH),
                 sends_left: 8,
                 latency: SimDuration::from_nanos(100),
-                rng: shard_rng(seed, shard),
+                rng: DetRng::for_shard(seed, shard.0),
             log: Vec::new(),
             }
         }

@@ -43,12 +43,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding down.
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0);
-        SimDuration((s * 1e9) as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -75,18 +69,8 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// Larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -214,7 +198,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis_f64(), 500.0);
     }
 
     #[test]

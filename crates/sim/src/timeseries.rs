@@ -52,7 +52,7 @@ pub struct WindowHistogram {
 
 impl WindowHistogram {
     /// Builds a summary from a window's bucket-count diff.
-    pub fn from_counts(name: &str, counts: [u64; 65]) -> Self {
+    pub(crate) fn from_counts(name: &str, counts: [u64; 65]) -> Self {
         WindowHistogram {
             name: name.to_owned(),
             count: counts.iter().sum(),
@@ -65,7 +65,7 @@ impl WindowHistogram {
 
     /// Observations in this window certainly above `threshold` (total of
     /// every bucket whose lower bound is at or above it).
-    pub fn count_over(&self, threshold: u64) -> u64 {
+    pub(crate) fn count_over(&self, threshold: u64) -> u64 {
         Histogram::count_over_counts(&self.buckets, threshold)
     }
 }
@@ -100,7 +100,7 @@ impl MetricWindow {
     }
 
     /// Delta of the named counter in this window (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .map(|i| self.counters[i].1)
@@ -116,7 +116,7 @@ impl MetricWindow {
     }
 
     /// One-line rendering used by the flight recorder's window ring.
-    pub fn brief(&self) -> String {
+    pub(crate) fn brief(&self) -> String {
         let mut line = format!("w{} [{}..{}ns)", self.index, self.start_ns, self.end_ns);
         for (name, v) in &self.counters {
             write!(line, " {name}=+{v}").unwrap();
@@ -460,7 +460,8 @@ impl TelemetryHub {
 
     /// Pauses/resumes sampling. While disarmed, `tick` costs exactly
     /// one relaxed atomic load.
-    pub fn arm(&self, on: bool) {
+    #[cfg(test)]
+    pub(crate) fn arm(&self, on: bool) {
         self.armed.store(on, Ordering::Relaxed);
     }
 
@@ -506,16 +507,6 @@ impl TelemetryHub {
     /// FNV digest of the alert log (`n=<lines> fnv=<hash>`).
     pub fn alert_digest(&self) -> String {
         self.inner.lock().alerts.digest()
-    }
-
-    /// Appends a note to the embedded flight recorder's event ring.
-    pub fn flight_note(&self, at_ns: u64, kind: &'static str, detail: String) {
-        self.inner.lock().flight.note(at_ns, kind, detail);
-    }
-
-    /// Renders the embedded flight recorder's dump.
-    pub fn flight_dump(&self, reason: &str) -> String {
-        self.inner.lock().flight.dump(reason)
     }
 }
 

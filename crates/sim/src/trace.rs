@@ -125,7 +125,7 @@ impl Tracer {
     }
 
     /// `true` while spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
@@ -192,12 +192,13 @@ impl Tracer {
     }
 
     /// Number of spans collected so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.state.lock().spans.len()
     }
 
     /// `true` if no spans have been collected.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -332,17 +333,20 @@ impl ShardEventLog {
     }
 
     /// The shard this log belongs to.
-    pub fn shard(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn shard(&self) -> u32 {
         self.shard
     }
 
     /// Number of events kept (after sampling).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// `true` when no events were kept.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 

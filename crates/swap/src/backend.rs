@@ -50,7 +50,8 @@ pub trait SwapBackend {
 /// # Errors
 ///
 /// See [`SwapBackend::store_batch`].
-pub fn store_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64, page: Vec<u8>) -> DmemResult<()> {
+#[cfg(test)]
+pub(crate) fn store_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64, page: Vec<u8>) -> DmemResult<()> {
     backend.store_batch(&[(pfn, page)])
 }
 
@@ -59,7 +60,8 @@ pub fn store_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64, page: Vec<u
 /// # Errors
 ///
 /// See [`SwapBackend::load_batch`].
-pub fn load_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64) -> DmemResult<Vec<u8>> {
+#[cfg(test)]
+pub(crate) fn load_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64) -> DmemResult<Vec<u8>> {
     Ok(backend.load_batch(&[pfn])?.remove(0))
 }
 

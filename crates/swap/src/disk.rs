@@ -15,7 +15,7 @@ pub struct LinuxDiskSwap {
 
 impl LinuxDiskSwap {
     /// Creates the backend over its own simulated disk.
-    pub fn new(server: ServerId, clock: SimClock, cost: CostModel) -> Self {
+    pub(crate) fn new(server: ServerId, clock: SimClock, cost: CostModel) -> Self {
         LinuxDiskSwap {
             server,
             disk: DiskTier::new(clock, cost),

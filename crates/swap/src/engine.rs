@@ -18,7 +18,7 @@
 use crate::backend::SwapBackend;
 use crate::lru::{self, FrameFlags, PfnSet};
 use dmem_compress::synth;
-use dmem_sim::{DetRng, SimClock, SimDuration, SimInstant};
+use dmem_sim::{DetRng, SimClock, SimDuration};
 use dmem_types::{DmemResult, Lru, SwapInMode};
 use dmem_workloads::PageAccess;
 use std::fmt;
@@ -53,7 +53,7 @@ impl PageSource {
     /// [`PageSource::page`] into a caller-provided buffer, reusing its
     /// capacity. The content is a pure function of `(seed, pfn)`, so
     /// repeated calls for the same pfn yield identical bytes.
-    pub fn page_into(&self, pfn: u64, page: &mut Vec<u8>) {
+    pub(crate) fn page_into(&self, pfn: u64, page: &mut Vec<u8>) {
         let mut rng = DetRng::new(self.seed).fork_indexed("page", pfn);
         synth::page_mixture_into(
             self.mean_ratio,
@@ -411,7 +411,7 @@ impl PagingEngine {
     /// # Errors
     ///
     /// Propagates the first backend failure.
-    pub fn run_with_timeline<I: IntoIterator<Item = PageAccess>>(
+    pub(crate) fn run_with_timeline<I: IntoIterator<Item = PageAccess>>(
         &mut self,
         trace: I,
         horizon: SimDuration,
@@ -462,11 +462,6 @@ impl PagingEngine {
             }
         }
         Ok(())
-    }
-
-    /// Reference to the stats of the current instant, as `SimInstant`.
-    pub fn now(&self) -> SimInstant {
-        self.clock.now()
     }
 }
 

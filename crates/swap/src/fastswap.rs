@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// How the backend routes swap-out traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FastSwapMode {
+pub(crate) enum FastSwapMode {
     /// The hybrid system: `ratio` of traffic to the node shared pool
     /// (falling through to remote/disk when full), the rest directly to
     /// remote memory.
@@ -35,23 +35,13 @@ pub struct FastSwapBackend {
 
 impl FastSwapBackend {
     /// Creates the backend for `server` on an assembled cluster.
-    pub fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, mode: FastSwapMode) -> Self {
+    pub(crate) fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, mode: FastSwapMode) -> Self {
         FastSwapBackend {
             dm,
             server,
             mode,
             accumulator: 0.0,
         }
-    }
-
-    /// The cluster this backend swaps into.
-    pub fn cluster(&self) -> &Arc<DisaggregatedMemory> {
-        &self.dm
-    }
-
-    /// The active mode.
-    pub fn mode(&self) -> FastSwapMode {
-        self.mode
     }
 
     /// Deterministic traffic split: returns `true` when the next page

@@ -57,22 +57,23 @@ pub struct PfnSet {
 
 impl PfnSet {
     /// An empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PfnSet::default()
     }
 
     /// Members.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// `true` when no pfn is present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `pfn` is in the set.
-    pub fn contains(&self, pfn: u64) -> bool {
+    pub(crate) fn contains(&self, pfn: u64) -> bool {
         let block = (pfn / 64) as usize;
         self.blocks
             .get(block)
@@ -80,7 +81,7 @@ impl PfnSet {
     }
 
     /// Inserts `pfn`; returns `true` if it was absent.
-    pub fn insert(&mut self, pfn: u64) -> bool {
+    pub(crate) fn insert(&mut self, pfn: u64) -> bool {
         let block = (pfn / 64) as usize;
         if block >= self.blocks.len() {
             self.blocks.resize(block + 1, 0);
@@ -93,7 +94,7 @@ impl PfnSet {
     }
 
     /// Removes `pfn`; returns `true` if it was present.
-    pub fn remove(&mut self, pfn: u64) -> bool {
+    pub(crate) fn remove(&mut self, pfn: u64) -> bool {
         let block = (pfn / 64) as usize;
         let Some(b) = self.blocks.get_mut(block) else {
             return false;
@@ -106,7 +107,7 @@ impl PfnSet {
     }
 
     /// Iterates members in ascending order (the old `BTreeSet` order).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.blocks
             .iter()
             .enumerate()

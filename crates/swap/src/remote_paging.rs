@@ -204,11 +204,11 @@ pub enum NbdxBackend {}
 
 impl NbdxBackend {
     /// Per-operation device overhead of the raw block path.
-    pub const OVERHEAD: SimDuration = SimDuration::from_micros(5);
+    pub(crate) const OVERHEAD: SimDuration = SimDuration::from_micros(5);
 
     /// Creates an NBDX device backed by `target`'s receive pool.
     #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
-    pub fn new(
+    pub(crate) fn new(
         server: ServerId,
         store: Arc<RemoteStore>,
         target: NodeId,
@@ -226,14 +226,14 @@ impl InfiniswapBackend {
     /// queue, bio handling and slab-bitmap bookkeeping Infiniswap adds
     /// on every 4 KiB page (it demand-pages through the full block
     /// stack, which is the overhead FastSwap's batched paths avoid).
-    pub const OVERHEAD: SimDuration = SimDuration::from_micros(10);
+    pub(crate) const OVERHEAD: SimDuration = SimDuration::from_micros(10);
     /// Infiniswap's slab granularity, scaled down with the simulation
     /// (the real system uses 1 GB slabs for TB-scale memory).
-    pub const PAGES_PER_SLAB: u64 = 256;
+    pub(crate) const PAGES_PER_SLAB: u64 = 256;
 
     /// Creates an Infiniswap device over the cluster's remote store.
     #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
-    pub fn new(
+    pub(crate) fn new(
         server: ServerId,
         store: Arc<RemoteStore>,
         disk: DiskTier,

@@ -58,7 +58,7 @@ impl SystemKind {
     }
 
     /// Display name matching the paper's figures.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             SystemKind::Linux => "Linux".into(),
             SystemKind::Zswap => "zswap".into(),

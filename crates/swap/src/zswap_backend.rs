@@ -6,7 +6,7 @@
 //! clock; pool hits avoid the disk entirely.
 
 use crate::backend::SwapBackend;
-use dmem_compress::{zswap::ZswapInsert, CompressMemo, PageCodec, ZswapCache, ZswapStats};
+use dmem_compress::{zswap::ZswapInsert, CompressMemo, PageCodec, ZswapCache};
 use dmem_core::DiskTier;
 use dmem_sim::{CostModel, SimClock};
 use dmem_types::{CompressionMode, DmemResult, EntryId, ServerId};
@@ -28,7 +28,7 @@ pub struct ZswapBackend {
 
 impl ZswapBackend {
     /// Creates a zswap backend with a pool of `pool_frames` 4 KiB frames.
-    pub fn new(server: ServerId, pool_frames: usize, clock: SimClock, cost: CostModel) -> Self {
+    pub(crate) fn new(server: ServerId, pool_frames: usize, clock: SimClock, cost: CostModel) -> Self {
         ZswapBackend {
             server,
             clock: clock.clone(),
@@ -47,7 +47,8 @@ impl ZswapBackend {
     }
 
     /// Pool statistics (the Fig. 3 effective-ratio accounting).
-    pub fn pool_stats(&self) -> ZswapStats {
+    #[cfg(test)]
+    pub(crate) fn pool_stats(&self) -> dmem_compress::ZswapStats {
         self.cache.stats()
     }
 }
@@ -118,7 +119,6 @@ mod tests {
     use dmem_compress::synth;
     use dmem_sim::DetRng;
     use dmem_types::NodeId;
-    use rand::SeedableRng;
 
     fn backend(frames: usize) -> (SimClock, ZswapBackend) {
         let clock = SimClock::new();
@@ -149,8 +149,7 @@ mod tests {
     #[test]
     fn incompressible_pages_go_to_disk() {
         let (clock, mut b) = backend(16);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
-        use rand::RngCore;
+        let mut rng = dmem_sim::DetRng::new(2);
         let mut page = vec![0u8; 4096];
         rng.fill_bytes(&mut page);
         store_one(&mut b, 1, page.clone()).unwrap();
@@ -180,7 +179,7 @@ mod tests {
         // after their key was overwritten, with incompressible pages (kept
         // raw, sent straight to disk) interleaved.
         let (_, mut b) = backend(2);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut rng = dmem_sim::DetRng::new(5);
         let mut latest = std::collections::BTreeMap::new();
         for pfn in 0..4 {
             latest.insert(pfn, compressible_page(100 + pfn));

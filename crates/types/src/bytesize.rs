@@ -79,13 +79,8 @@ impl ByteSize {
     }
 
     /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
+    pub(crate) const fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked subtraction; `None` if `rhs > self`.
-    pub fn checked_sub(self, rhs: ByteSize) -> Option<ByteSize> {
-        self.0.checked_sub(rhs.0).map(ByteSize)
     }
 
     /// Multiplies by a ratio in `[0.0, 1.0+]`, rounding down.
@@ -102,16 +97,6 @@ impl ByteSize {
     pub fn pages(self, page_size: usize) -> u64 {
         let ps = page_size as u64;
         self.0.div_ceil(ps)
-    }
-
-    /// Smaller of two sizes.
-    pub fn min(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.min(other.0))
-    }
-
-    /// Larger of two sizes.
-    pub fn max(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.max(other.0))
     }
 }
 
@@ -215,8 +200,6 @@ mod tests {
         let small = ByteSize::new(10);
         let big = ByteSize::new(100);
         assert_eq!(small - big, ByteSize::ZERO);
-        assert_eq!(small.checked_sub(big), None);
-        assert_eq!(big.checked_sub(small), Some(ByteSize::new(90)));
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl DistributionRatio {
     /// FS-SM: 100% node-level shared memory.
     pub const FS_SM: DistributionRatio = DistributionRatio(1.0);
     /// FS-9:1: 90% shared memory, 10% remote.
-    pub const FS_9_1: DistributionRatio = DistributionRatio(0.9);
+    pub(crate) const FS_9_1: DistributionRatio = DistributionRatio(0.9);
     /// FS-7:3: 70% shared memory, 30% remote.
     pub const FS_7_3: DistributionRatio = DistributionRatio(0.7);
     /// FS-5:5: 50% shared memory, 50% remote.
@@ -196,28 +196,9 @@ impl DistributionRatio {
     /// FS-RDMA: 100% remote memory.
     pub const FS_RDMA: DistributionRatio = DistributionRatio(0.0);
 
-    /// Creates a ratio from the shared-memory fraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DmemError::InvalidConfig`] unless `0 <= fraction <= 1`.
-    pub fn new(shared_fraction: f64) -> DmemResult<Self> {
-        if !(0.0..=1.0).contains(&shared_fraction) {
-            return Err(DmemError::InvalidConfig {
-                reason: format!("distribution ratio {shared_fraction} outside [0, 1]"),
-            });
-        }
-        Ok(DistributionRatio(shared_fraction))
-    }
-
     /// Fraction of traffic served from node shared memory.
     pub const fn shared_fraction(self) -> f64 {
         self.0
-    }
-
-    /// Fraction of traffic sent to remote memory.
-    pub fn remote_fraction(self) -> f64 {
-        1.0 - self.0
     }
 
     /// The five configurations evaluated in Fig. 8, in the paper's order.
@@ -311,7 +292,7 @@ impl ServerConfig {
     ///
     /// Returns [`DmemError::InvalidConfig`] on zero memory or a bad
     /// donation policy.
-    pub fn validate(&self) -> DmemResult<()> {
+    pub(crate) fn validate(&self) -> DmemResult<()> {
         if self.memory.is_zero() {
             return Err(DmemError::InvalidConfig {
                 reason: "server memory must be nonzero".into(),
@@ -345,7 +326,7 @@ impl NodeConfig {
     ///
     /// Returns [`DmemError::InvalidConfig`] if any size is zero or the
     /// buffer pools exceed the node's DRAM.
-    pub fn validate(&self) -> DmemResult<()> {
+    pub(crate) fn validate(&self) -> DmemResult<()> {
         if self.dram.is_zero() || self.slab_size.is_zero() {
             return Err(DmemError::InvalidConfig {
                 reason: "node dram and slab size must be nonzero".into(),
@@ -418,7 +399,7 @@ impl CxlPoolConfig {
     ///
     /// Returns [`DmemError::InvalidConfig`] when pool nodes exist but have
     /// zero capacity, or the node count exceeds the 16-bit PGAS node field.
-    pub fn validate(&self) -> DmemResult<()> {
+    pub(crate) fn validate(&self) -> DmemResult<()> {
         if self.pool_nodes > 0 && self.capacity_per_node.is_zero() {
             return Err(DmemError::InvalidConfig {
                 reason: "cxl pool nodes must have nonzero capacity".into(),
@@ -554,7 +535,6 @@ impl Default for ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn default_configs_validate() {
@@ -602,12 +582,9 @@ mod tests {
     #[test]
     fn distribution_ratio_constants() {
         assert_eq!(DistributionRatio::FS_SM.shared_fraction(), 1.0);
-        assert_eq!(DistributionRatio::FS_RDMA.remote_fraction(), 1.0);
         assert_eq!(DistributionRatio::FS_7_3.to_string(), "FS-7:3");
         assert_eq!(DistributionRatio::FS_SM.to_string(), "FS-SM");
         assert_eq!(DistributionRatio::FS_RDMA.to_string(), "FS-RDMA");
-        assert!(DistributionRatio::new(1.2).is_err());
-        assert!(DistributionRatio::new(-0.1).is_err());
     }
 
     #[test]
@@ -652,13 +629,5 @@ mod tests {
         let mut cfg = ClusterConfig::small();
         cfg.server.memory = ByteSize::from_gib(1);
         assert!(cfg.validate().is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_distribution_fractions_sum_to_one(f in 0.0f64..=1.0) {
-            let r = DistributionRatio::new(f).unwrap();
-            prop_assert!((r.shared_fraction() + r.remote_fraction() - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -132,11 +132,6 @@ impl SlabId {
     pub const fn new(raw: u64) -> Self {
         SlabId(raw)
     }
-
-    /// Returns the raw value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for SlabId {
@@ -257,11 +252,6 @@ impl GroupId {
     pub const fn new(raw: u32) -> Self {
         GroupId(raw)
     }
-
-    /// Returns the raw value.
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for GroupId {
@@ -304,11 +294,6 @@ impl QpId {
     /// Creates a queue-pair identifier.
     pub const fn new(raw: u64) -> Self {
         QpId(raw)
-    }
-
-    /// Returns the raw value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
     }
 }
 

@@ -73,7 +73,8 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// `true` when nothing is held.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
@@ -206,8 +207,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, HashMap};
     use std::fmt::Debug;
 
@@ -269,13 +268,13 @@ mod tests {
     /// distinct keys and compares every return value, the full `iter()`
     /// order every 64 ops, and the closing drain.
     fn differential<K: Hash + Eq + Clone + Debug>(seed: u64, keys: u64, key_of: fn(u64) -> K) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = proptest::TestRng::seed_from_u64(seed);
         let mut new: Lru<K, u64> = Lru::with_capacity(8);
         let mut old: TickLru<K, u64> = TickLru::new();
         let mut peak = 0;
         for op in 0..20_000u64 {
-            let key = key_of(rng.gen_range(0..keys));
-            match rng.gen_range(0..10u32) {
+            let key = key_of(rng.next_u64() % keys);
+            match rng.next_u64() % 10 {
                 0..=3 => assert_eq!(new.insert(key.clone(), op), old.insert(key, op), "op {op}"),
                 4..=6 => {
                     let (a, b) = (new.touch(&key), old.touch(&key));

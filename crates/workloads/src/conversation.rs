@@ -76,7 +76,7 @@ pub struct TurnEvent {
 
 impl TurnEvent {
     /// KV-state tokens the conversation holds *after* this turn.
-    pub fn context_after(&self) -> u32 {
+    pub(crate) fn context_after(&self) -> u32 {
         self.context_tokens + self.prompt_tokens + self.output_tokens
     }
 }
@@ -92,9 +92,9 @@ struct SessionState {
 ///
 /// Derived by a labelled fork of the seed — label-stable, independent of
 /// parent consumption — and pinned by a first-draws regression test in
-/// the `shard_rng` style, so a refactor that re-couples or re-derives
+/// the `DetRng::for_shard` style, so a refactor that re-couples or re-derives
 /// the stream is caught loudly.
-pub fn conversation_rng(seed: u64) -> DetRng {
+pub(crate) fn conversation_rng(seed: u64) -> DetRng {
     DetRng::new(seed).fork("conversations")
 }
 
@@ -146,11 +146,6 @@ impl ConversationStream {
             live: Vec::new(),
             sessions: HashMap::new(),
         }
-    }
-
-    /// The configuration the stream was built from.
-    pub fn config(&self) -> &ConversationConfig {
-        &self.config
     }
 
     /// Token count in `[m/2, 3m/2)`, mean `m` (minimum 1).
@@ -221,7 +216,6 @@ impl Iterator for ConversationStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     fn stream(seed: u64) -> ConversationStream {
         ConversationStream::new(ConversationConfig::default(), seed)
@@ -300,7 +294,7 @@ mod tests {
         );
     }
 
-    /// Regression pin (ISSUE 7, `shard_rng` style): the first 8 draws of
+    /// Regression pin (`DetRng::for_shard` style): the first 8 draws of
     /// the conversation RNG stream for seeds 0..4. A refactor that
     /// re-derives the stream (different fork label, shared stream,
     /// draw-order change in `conversation_rng`) changes these constants

@@ -44,7 +44,6 @@ impl KvOp {
 /// A deterministic generator of KV operations.
 #[derive(Debug, Clone)]
 pub struct KvWorkload {
-    keys: u64,
     read_fraction: f64,
     sampler: ZipfSampler,
     rng: DetRng,
@@ -55,7 +54,7 @@ pub struct KvWorkload {
 
 impl KvWorkload {
     /// ETC-like skew exponent.
-    pub const ETC_SKEW: f64 = 0.99;
+    pub(crate) const ETC_SKEW: f64 = 0.99;
 
     /// Creates a workload over `keys` keys from an application profile.
     ///
@@ -75,30 +74,19 @@ impl KvWorkload {
     /// # Panics
     ///
     /// Panics if `keys` is zero or `read_fraction` is outside `[0, 1]`.
-    pub fn new(keys: u64, read_fraction: f64, seed: u64) -> Self {
+    pub(crate) fn new(keys: u64, read_fraction: f64, seed: u64) -> Self {
         assert!(keys > 0, "key space must be nonempty");
         assert!(
             (0.0..=1.0).contains(&read_fraction),
             "read fraction outside [0, 1]"
         );
         KvWorkload {
-            keys,
             read_fraction,
             sampler: ZipfSampler::new(keys as usize, Self::ETC_SKEW),
             rng: DetRng::new(seed),
             // ETC: dominated by sub-KB objects with a page-sized tail.
             value_cdf: vec![(64, 0.40), (256, 0.70), (1024, 0.90), (4096, 1.0)],
         }
-    }
-
-    /// Number of keys in the key space.
-    pub fn keys(&self) -> u64 {
-        self.keys
-    }
-
-    /// The configured read fraction.
-    pub fn read_fraction(&self) -> f64 {
-        self.read_fraction
     }
 
     /// Draws the next operation.
@@ -119,7 +107,8 @@ impl KvWorkload {
     }
 
     /// Generates `n` operations.
-    pub fn ops(&mut self, n: usize) -> Vec<KvOp> {
+    #[cfg(test)]
+    pub(crate) fn ops(&mut self, n: usize) -> Vec<KvOp> {
         (0..n).map(|_| self.next_op()).collect()
     }
 }

@@ -38,13 +38,9 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// `true` if the sampler has exactly one rank (always returns 0).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         false // construction guarantees n > 0
     }
 

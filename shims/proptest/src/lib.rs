@@ -17,14 +17,50 @@
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
 /// The deterministic RNG handed to strategies.
-pub type TestRng = SmallRng;
+///
+/// xoshiro256++ seeded by SplitMix64 expansion: a private copy of
+/// `dmem_sim::DetRng`'s generator, since this crate is `dmem-sim`'s
+/// dev-dependency and cannot use it. `dmem-sim`'s
+/// `proptest_rng_is_the_same_stream` test holds the two to one stream.
+#[derive(Debug, Clone)]
+pub struct TestRng {
+    s: [u64; 4],
+}
+
+impl TestRng {
+    /// A generator whose state is the first four outputs of the
+    /// SplitMix64 stream that starts at `seed`.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let s = std::array::from_fn(|i| {
+            test_runner::splitmix(seed.wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        });
+        TestRng { s }
+    }
+
+    /// The next 64 random bits (one xoshiro256++ step).
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform integer in `[lo, lo + span)`.
+    fn offset(&mut self, lo: i128, span: u128) -> i128 {
+        lo + (u128::from(self.next_u64()) % span) as i128
+    }
+}
 
 /// A generator of values of one type.
 ///
@@ -105,7 +141,7 @@ impl<T: fmt::Debug> Strategy for OneOf<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> T {
         assert!(!self.0.is_empty(), "prop_oneof! needs at least one arm");
-        let idx = rng.gen_range(0..self.0.len());
+        let idx = rng.offset(0, self.0.len() as u128) as usize;
         self.0[idx].sample(rng)
     }
 }
@@ -115,36 +151,42 @@ macro_rules! impl_range_strategy {
         impl Strategy for Range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                assert!(self.start < self.end, "empty range strategy");
+                let span = (self.end as i128 - self.start as i128) as u128;
+                rng.offset(self.start as i128, span) as $t
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                let (start, end) = (*self.start(), *self.end());
+                assert!(start <= end, "empty range strategy");
+                let span = (end as i128 - start as i128) as u128 + 1;
+                rng.offset(start as i128, span) as $t
             }
         }
     )*};
 }
 impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-macro_rules! impl_float_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
-            }
-        }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(*self.start()..*self.end())
-            }
-        }
-    )*};
+/// `start + unit * (end - start)` for `unit` uniform in `[0, 1)` (53
+/// mantissa bits).
+impl Strategy for Range<f64> {
+    type Value = f64;
+    fn sample(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "empty range strategy");
+        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.start + unit * (self.end - self.start)
+    }
 }
-impl_float_range_strategy!(f32, f64);
+
+/// Samples the half-open counterpart of the range.
+impl Strategy for RangeInclusive<f64> {
+    type Value = f64;
+    fn sample(&self, rng: &mut TestRng) -> f64 {
+        (*self.start()..*self.end()).sample(rng)
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+))*) => {$(
@@ -175,7 +217,7 @@ macro_rules! impl_arbitrary_int {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
             fn arbitrary(rng: &mut TestRng) -> Self {
-                rand::RngCore::next_u64(rng) as $t
+                rng.next_u64() as $t
             }
         }
     )*};
@@ -184,7 +226,7 @@ impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rand::RngCore::next_u64(rng) & 1 == 1
+        rng.next_u64() & 1 == 1
     }
 }
 
@@ -207,7 +249,6 @@ pub fn any<A: Arbitrary>() -> Any<A> {
 /// Collection strategies.
 pub mod collection {
     use super::{Strategy, TestRng};
-    use rand::Rng;
     use std::ops::Range;
 
     /// A length specification for [`vec`].
@@ -239,7 +280,7 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            let len = rng.gen_range(self.size.lo..self.size.hi);
+            let len = (self.size.lo..self.size.hi).sample(rng);
             (0..len).map(|_| self.element.sample(rng)).collect()
         }
     }
@@ -256,7 +297,6 @@ pub mod collection {
 /// Test execution: configuration, case derivation and failure reporting.
 pub mod test_runner {
     use super::{Strategy, TestRng};
-    use rand::SeedableRng;
     use std::fmt;
 
     /// Seed used when neither [`Config::seed`] nor `DMEM_PROPTEST_SEED`
@@ -353,7 +393,7 @@ pub mod test_runner {
         hash
     }
 
-    fn splitmix(mut x: u64) -> u64 {
+    pub(crate) fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = x;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -564,6 +604,40 @@ macro_rules! prop_oneof {
 mod tests {
     use crate::prelude::*;
     use crate::test_runner::{Config, TestCaseError, TestRunner};
+    use crate::TestRng;
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = TestRng::seed_from_u64(7);
+        let mut b = TestRng::seed_from_u64(7);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = TestRng::seed_from_u64(8);
+        assert_ne!(TestRng::seed_from_u64(7).next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn gen_range_bounds() {
+        let mut rng = TestRng::seed_from_u64(1);
+        for _ in 0..1000 {
+            let v = (10u64..20).sample(&mut rng);
+            assert!((10..20).contains(&v));
+            let w = (0usize..=3).sample(&mut rng);
+            assert!(w <= 3);
+            let f = (-2.0f64..2.0).sample(&mut rng);
+            assert!((-2.0..2.0).contains(&f));
+        }
+    }
+
+    #[test]
+    fn unit_floats_in_range() {
+        let mut rng = TestRng::seed_from_u64(2);
+        for _ in 0..1000 {
+            let u = (0.0f64..1.0).sample(&mut rng);
+            assert!((0.0..1.0).contains(&u));
+        }
+    }
 
     #[test]
     fn runner_is_deterministic() {

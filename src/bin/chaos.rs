@@ -90,7 +90,7 @@ fn run_flight_fixture() -> bool {
 fn run() -> Result<bool, String> {
     let mut config = ChaosConfig::default();
     let mut seeds: Vec<u64> = Vec::new();
-    let mut jobs = scoped_pool::available_parallelism();
+    let mut jobs = dmem_sim::par::available_parallelism();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
@@ -132,7 +132,7 @@ fn run() -> Result<bool, String> {
     // Each seed is an independent deterministic sim; fan across cores and
     // print verdicts in seed order so stdout is byte-identical to a
     // sequential run.
-    let verdicts = scoped_pool::par_map(jobs, seeds.clone(), |_, seed| run_seed(seed, &config));
+    let verdicts = dmem_sim::par::par_map(jobs, seeds.clone(), |_, seed| run_seed(seed, &config));
     let elapsed = wall.elapsed();
     let mut all_clean = true;
     for (seed, verdict) in seeds.into_iter().zip(verdicts) {

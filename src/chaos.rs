@@ -87,7 +87,7 @@ fn install_chaos_qos(dm: &DisaggregatedMemory) -> Arc<QosEngine> {
 /// Sized so the generated value palette genuinely spans tiers: a small
 /// fixed donation funds a node shared pool that fills up, a deliberately
 /// small receive pool pushes overflow through remote memory into disk.
-pub fn chaos_cluster(config: &ChaosConfig, seed: u64) -> ClusterConfig {
+pub(crate) fn chaos_cluster(config: &ChaosConfig, seed: u64) -> ClusterConfig {
     let mut cluster = ClusterConfig::small();
     cluster.nodes = config.nodes;
     cluster.servers_per_node = config.servers_per_node;

@@ -27,7 +27,7 @@
 
 use dmem_cluster::spread_replicas_into;
 use dmem_net::{HostOutage, ShardFaultSchedule};
-use dmem_sim::shard::{shard_rng, EngineReport, EpochCtx, LaneProfile, ShardWorker, ShardedEngine};
+use dmem_sim::shard::{EngineReport, EpochCtx, LaneProfile, ShardWorker, ShardedEngine};
 use dmem_sim::{
     digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LazyCounter, LazyHistogram,
     MetricWindow, MetricsRegistry, MetricsSnapshot, ShardEventLog, ShardId, ShardMap,
@@ -331,7 +331,7 @@ impl RackShard {
         };
         // The shard owns its hosts' streams: all derive from the shard's
         // own (root_seed, shard_id)-split stream, never from a shared one.
-        let stream = shard_rng(cfg.seed, shard);
+        let stream = DetRng::for_shard(cfg.seed, shard.0);
         // A cache holds one frame over its capacity while it evicts.
         let frames = cfg.frames_per_host + 1;
         for host in owned {

@@ -75,10 +75,9 @@ fn compressible_data_is_stored_compressed_everywhere() {
 
 #[test]
 fn incompressible_data_roundtrips_uncompressed() {
-    use rand::{RngCore, SeedableRng};
     let dm = cluster();
     let server = dm.servers()[0];
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+    let mut rng = dmem_sim::DetRng::new(3);
     let mut page = vec![0u8; 4096];
     rng.fill_bytes(&mut page);
     dm.put(server, 1, page.clone()).unwrap();

@@ -182,7 +182,7 @@ fn always_drop_profile_times_out_after_the_attempt_budget() {
 
     // Four jittered backoffs (10+20+40+80 µs full) stay inside the
     // [half, full] envelope; the drops additionally burn transfer time.
-    let elapsed = clock.elapsed_since(t0);
+    let elapsed = clock.now() - t0;
     let full_backoff: u64 = (0..4).map(|i| retry_backoff(i).as_nanos()).sum();
     assert!(
         elapsed.as_nanos() >= full_backoff / 2,
@@ -278,7 +278,7 @@ fn attribution_identity_holds_under_fault_injection() {
     assert!(injected > 0, "profile fired no faults in 400 verbs");
     assert!(metrics.counter("faults.retry.attempts").get() > 0);
 
-    let attribution = trace.attribution(clock.elapsed_since(t0));
+    let attribution = trace.attribution(clock.now() - t0);
     assert_eq!(
         attribution.accounted_ns(),
         attribution.total_ns,
