@@ -99,7 +99,10 @@ step "chaos smoke + fault-free baseline (seeds 0..32, byte-identical)" sh -c '
 # remote atomics, judged by the shadow-read and atomics-exact invariants.
 # Each mode runs at --jobs 1 and --jobs 4 and the two outputs are diffed:
 # injections, retries, failovers, the per-seed alert logs and every digest
-# must be byte-identical however the seeds fan across cores.
+# must be byte-identical however the seeds fan across cores. The composed
+# mode, run last, is also pinned byte-for-byte against its committed
+# baseline, so a change under all three layers at once cannot move it
+# unseen.
 chaos_modes() {
     for mode in "--qos" "--faults" "--cxl" "--qos --faults --cxl"; do
         for jobs in 1 4; do
@@ -107,8 +110,9 @@ chaos_modes() {
         done
         diff target/chaos_mode_1.txt target/chaos_mode_4.txt
     done
+    diff results/chaos_composed_baseline.txt target/chaos_mode_1.txt
 }
-step "chaos modes, alone and composed (seeds 0..32, --jobs 1 vs 4 determinism gate)" chaos_modes
+step "chaos modes, alone and composed (seeds 0..32, --jobs 1 vs 4 determinism gate, composed baseline)" chaos_modes
 
 # Flight-recorder dump smoke: force a known invariant failure (factor-1
 # data lost to a node crash) from a pinned seed and byte-diff the dump —

@@ -6,7 +6,6 @@
 
 use dmem_sim::{CostModel, DeviceCost, SimClock};
 use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ pub struct DiskTier {
     device: DeviceCost,
     /// Span category for this tier's device accesses ("disk", "nvm", …).
     label: &'static str,
-    disks: Mutex<IdMap<NodeId, NodeDisk>>,
+    disks: IdMap<NodeId, NodeDisk>,
 }
 
 /// One node's device: the payloads and their running byte total. A
@@ -54,38 +53,36 @@ impl DiskTier {
             clock,
             device,
             label,
-            disks: Mutex::new(IdMap::default()),
+            disks: IdMap::default(),
         }
     }
 
     /// Bytes stored on `node`'s device.
     pub(crate) fn used(&self, node: NodeId) -> ByteSize {
-        ByteSize::new(self.disks.lock().get(&node).map_or(0, |d| d.bytes))
+        ByteSize::new(self.disks.get(&node).map_or(0, |d| d.bytes))
     }
 
     /// [`DiskTier::store`] for a tier of `capacity` bytes per node: the
-    /// room is checked and taken under one lock, and a tier of zero
+    /// room is checked and taken in one step, and a tier of zero
     /// capacity — not installed — holds nothing, not even an empty entry.
     ///
     /// # Errors
     ///
     /// Returns [`DmemError::CapacityExhausted`] when `data` does not fit.
     pub(crate) fn try_store(
-        &self,
+        &mut self,
         node: NodeId,
         entry: EntryId,
         data: &[u8],
         capacity: ByteSize,
     ) -> DmemResult<()> {
-        let mut disks = self.disks.lock();
-        let disk = disks.entry(node).or_default();
+        let disk = self.disks.entry(node).or_default();
         if capacity.is_zero() || disk.bytes + data.len() as u64 > capacity.as_u64() {
             return Err(DmemError::CapacityExhausted {
                 pool: format!("{} on {node}", self.label),
             });
         }
         disk.insert(entry, Arc::new(data.to_vec()));
-        drop(disks);
         let span = self.clock.tracer().span(self.label, "store");
         span.tag("bytes", data.len());
         self.clock.advance(self.device.transfer(data.len()));
@@ -94,15 +91,11 @@ impl DiskTier {
 
     /// Writes `data` for `entry` on `node`'s disk, keeping the caller's
     /// buffer rather than a copy of it.
-    pub fn store(&self, node: NodeId, entry: EntryId, data: Vec<u8>) {
+    pub fn store(&mut self, node: NodeId, entry: EntryId, data: Vec<u8>) {
         let span = self.clock.tracer().span(self.label, "store");
         span.tag("bytes", data.len());
         self.clock.advance(self.device.transfer(data.len()));
-        self.disks
-            .lock()
-            .entry(node)
-            .or_default()
-            .insert(entry, Arc::new(data));
+        self.disks.entry(node).or_default().insert(entry, Arc::new(data));
     }
 
     /// Writes `data` for `entry` on `node`'s disk **without charging the
@@ -113,25 +106,20 @@ impl DiskTier {
     /// copy is only ever read on the slow failover path, which does pay
     /// the full device cost. The shadow is the buffer the pool block
     /// holds, shared, not a second copy of it.
-    pub(crate) fn store_behind(&self, node: NodeId, entry: EntryId, data: Arc<Vec<u8>>) {
+    pub(crate) fn store_behind(&mut self, node: NodeId, entry: EntryId, data: Arc<Vec<u8>>) {
         let span = self.clock.tracer().span(self.label, "store_behind");
         span.tag("bytes", data.len());
-        self.disks
-            .lock()
-            .entry(node)
-            .or_default()
-            .insert(entry, data);
+        self.disks.entry(node).or_default().insert(entry, data);
     }
 
     /// Writes a batch in one sequential disk operation (single seek).
-    pub fn store_batch(&self, node: NodeId, batch: Vec<(EntryId, Vec<u8>)>) {
+    pub fn store_batch(&mut self, node: NodeId, batch: Vec<(EntryId, Vec<u8>)>) {
         let total: usize = batch.iter().map(|(_, d)| d.len()).sum();
         let span = self.clock.tracer().span(self.label, "store_batch");
         span.tag("bytes", total);
         span.tag("entries", batch.len());
         self.clock.advance(self.device.transfer(total));
-        let mut disks = self.disks.lock();
-        let disk = disks.entry(node).or_default();
+        let disk = self.disks.entry(node).or_default();
         for (entry, data) in batch {
             disk.insert(entry, Arc::new(data));
         }
@@ -143,13 +131,7 @@ impl DiskTier {
     ///
     /// Returns [`DmemError::EntryNotFound`] if absent.
     pub fn load(&self, node: NodeId, entry: EntryId) -> DmemResult<Vec<u8>> {
-        let disks = self.disks.lock();
-        let data = disks
-            .get(&node)
-            .and_then(|d| d.entries.get(&entry))
-            .map(|data| data.to_vec())
-            .ok_or(DmemError::EntryNotFound(entry))?;
-        drop(disks);
+        let data = self.held(node, entry).ok_or(DmemError::EntryNotFound(entry))?.to_vec();
         let span = self.clock.tracer().span(self.label, "load");
         span.tag("bytes", data.len());
         self.clock.advance(self.device.transfer(data.len()));
@@ -164,19 +146,13 @@ impl DiskTier {
     /// Returns [`DmemError::EntryNotFound`] if any entry is absent (no
     /// partial results, matching the remote batch semantics).
     pub fn load_batch(&self, node: NodeId, entries: &[EntryId]) -> DmemResult<Vec<Vec<u8>>> {
-        let disks = self.disks.lock();
-        let disk = disks.get(&node);
         let mut out = Vec::with_capacity(entries.len());
         let mut total = 0usize;
-        for e in entries {
-            let data = disk
-                .and_then(|d| d.entries.get(e))
-                .map(|data| data.to_vec())
-                .ok_or(DmemError::EntryNotFound(*e))?;
+        for &e in entries {
+            let data = self.held(node, e).ok_or(DmemError::EntryNotFound(e))?.to_vec();
             total += data.len();
             out.push(data);
         }
-        drop(disks);
         let span = self.clock.tracer().span(self.label, "load_batch");
         span.tag("bytes", total);
         span.tag("entries", entries.len());
@@ -190,9 +166,8 @@ impl DiskTier {
     /// # Errors
     ///
     /// Returns [`DmemError::EntryNotFound`] if absent.
-    pub fn delete(&self, node: NodeId, entry: EntryId) -> DmemResult<usize> {
-        let mut disks = self.disks.lock();
-        let disk = disks.get_mut(&node);
+    pub fn delete(&mut self, node: NodeId, entry: EntryId) -> DmemResult<usize> {
+        let disk = self.disks.get_mut(&node);
         let disk = disk.ok_or(DmemError::EntryNotFound(entry))?;
         let data = disk.entries.remove(&entry);
         let data = data.ok_or(DmemError::EntryNotFound(entry))?;
@@ -201,36 +176,25 @@ impl DiskTier {
     }
 
     /// The buffer held for `entry` on `node`'s disk, as held.
-    #[cfg(test)]
-    pub(crate) fn held(&self, node: NodeId, entry: EntryId) -> Option<Arc<Vec<u8>>> {
-        self.disks.lock().get(&node)?.entries.get(&entry).cloned()
+    pub(crate) fn held(&self, node: NodeId, entry: EntryId) -> Option<&Arc<Vec<u8>>> {
+        self.disks.get(&node)?.entries.get(&entry)
     }
 
     /// `true` if the entry is on `node`'s disk.
     pub fn contains(&self, node: NodeId, entry: EntryId) -> bool {
-        self.disks
-            .lock()
-            .get(&node)
-            .is_some_and(|d| d.entries.contains_key(&entry))
+        self.held(node, entry).is_some()
     }
 
     /// Entries stored on `node`'s disk.
     pub fn len(&self, node: NodeId) -> usize {
-        self.disks.lock().get(&node).map_or(0, |d| d.entries.len())
-    }
-
-    /// `true` if `node`'s disk holds no entries.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self, node: NodeId) -> bool {
-        self.len(node) == 0
+        self.disks.get(&node).map_or(0, |d| d.entries.len())
     }
 }
 
 impl fmt::Debug for DiskTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let disks = self.disks.lock();
         f.debug_struct("DiskTier")
-            .field("nodes", &disks.len())
+            .field("nodes", &self.disks.len())
             .finish()
     }
 }
@@ -251,7 +215,7 @@ mod tests {
 
     #[test]
     fn store_load_roundtrip_charges_hdd_cost() {
-        let (clock, tier) = tier();
+        let (clock, mut tier) = tier();
         tier.store(NodeId::new(0), entry(1), vec![1u8; 4096]);
         let after_store = clock.now();
         assert!(after_store.nanos() > 3_000_000, "store pays a ~4ms seek");
@@ -261,7 +225,7 @@ mod tests {
 
     #[test]
     fn stores_keep_the_callers_buffer() {
-        let (_, tier) = tier();
+        let (_, mut tier) = tier();
         let node = NodeId::new(0);
         let data = vec![9u8; 4096];
         let at = data.as_ptr();
@@ -277,14 +241,14 @@ mod tests {
         assert_eq!(tier.held(node, entry(2)).unwrap().as_ptr(), at);
         let shared = Arc::new(vec![7u8; 64]);
         tier.store_behind(node, entry(3), Arc::clone(&shared));
-        assert!(Arc::ptr_eq(&tier.held(node, entry(3)).unwrap(), &shared));
+        assert!(Arc::ptr_eq(tier.held(node, entry(3)).unwrap(), &shared));
         tier.delete(node, entry(3)).unwrap();
         assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]
     fn batched_io_single_seek() {
-        let (clock, tier) = tier();
+        let (clock, mut tier) = tier();
         let batch: Vec<_> = (0..8).map(|k| (entry(k), vec![0u8; 4096])).collect();
         let t0 = clock.now();
         tier.store_batch(NodeId::new(0), batch);
@@ -304,7 +268,7 @@ mod tests {
 
     #[test]
     fn disks_are_per_node() {
-        let (_, tier) = tier();
+        let (_, mut tier) = tier();
         tier.store(NodeId::new(0), entry(1), vec![1]);
         assert!(tier.contains(NodeId::new(0), entry(1)));
         assert!(!tier.contains(NodeId::new(1), entry(1)));
@@ -314,7 +278,7 @@ mod tests {
     #[test]
     fn bounded_tier_counts_bytes_in_and_out() {
         let node = NodeId::new(0);
-        let (_, tier) = tier();
+        let (_, mut tier) = tier();
         let cap = ByteSize::new(8);
         tier.try_store(node, entry(1), &[1; 6], cap).unwrap();
         assert!(matches!(
@@ -333,10 +297,10 @@ mod tests {
 
     #[test]
     fn delete_and_missing() {
-        let (_, tier) = tier();
+        let (_, mut tier) = tier();
         tier.store(NodeId::new(0), entry(1), vec![1]);
         tier.delete(NodeId::new(0), entry(1)).unwrap();
-        assert!(tier.is_empty(NodeId::new(0)));
+        assert_eq!(tier.len(NodeId::new(0)), 0);
         assert!(matches!(
             tier.delete(NodeId::new(0), entry(1)),
             Err(DmemError::EntryNotFound(_))

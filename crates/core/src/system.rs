@@ -18,9 +18,10 @@ use dmem_types::{
     checksum, ByteSize, ClusterConfig, DmemError, DmemResult, EntryId, EntryLocation, EntryRecord,
     IdMap, IdSet, NodeId, ServerId, TenantId, PAGE_SIZE,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 /// Where a `put` is allowed to land.
@@ -149,6 +150,88 @@ impl CoreMetrics {
     }
 }
 
+/// The state only this facade owns: the memory maps, the compress memo,
+/// and the disk and NVM tiers. It sits behind the cluster's one lock;
+/// each public verb takes that lock once and hands `&mut Core` down, so
+/// no helper ever locks.
+struct Core {
+    maps: IdMap<ServerId, MemoryMap>,
+    /// Byte-guarded compressed-page memo keyed by `(server, key)`. Hits
+    /// skip the LZ matcher; the simulated compression cost is charged
+    /// either way, so virtual-time results are unchanged.
+    memo: CompressMemo,
+    disk: DiskTier,
+    nvm: DiskTier,
+}
+
+impl Core {
+    fn record(&self, server: ServerId, key: u64) -> Option<EntryRecord> {
+        self.maps.get(&server).and_then(|m| m.get(key).cloned())
+    }
+
+    /// Records where a put landed: charges fast-tier residency (disk is
+    /// unmetered) and enters the record in the owner's memory map.
+    fn commit(
+        &mut self,
+        qos: Option<&Arc<QosEngine>>,
+        tenant: TenantId,
+        entry: EntryId,
+        mut record: EntryRecord,
+        location: EntryLocation,
+    ) {
+        let node = entry.owner().node();
+        let tier = match &location {
+            EntryLocation::NodeShared { .. } => Some(ResidentTier::Shared(node)),
+            EntryLocation::Nvm => Some(ResidentTier::Nvm(node)),
+            EntryLocation::Cxl { .. } => Some(ResidentTier::Cxl),
+            EntryLocation::Remote { .. } => Some(ResidentTier::Remote),
+            EntryLocation::Disk => None,
+        };
+        if let (Some(engine), Some(tier)) = (qos, tier) {
+            engine.note_fast_resident(tenant, entry, record.stored_len, tier);
+        }
+        record.location = location;
+        self.maps
+            .get_mut(&entry.owner())
+            .expect("server registered at construction")
+            .upsert(entry.key(), record);
+    }
+
+    /// Every tracked entry, sorted by owner and key.
+    fn snapshot(&self) -> Vec<(ServerId, u64, EntryRecord)> {
+        let mut out: Vec<(ServerId, u64, EntryRecord)> = self
+            .maps
+            .iter()
+            .flat_map(|(server, map)| {
+                map.iter().map(move |(key, record)| (*server, key, record.clone()))
+            })
+            .collect();
+        out.sort_by_key(|(server, key, _)| (*server, *key));
+        out
+    }
+}
+
+/// The disk or NVM tier, reached under the cluster lock: the lock is held
+/// for as long as the guard lives.
+pub struct TierGuard<'a> {
+    core: MutexGuard<'a, Core>,
+    nvm: bool,
+}
+
+impl Deref for TierGuard<'_> {
+    type Target = DiskTier;
+
+    fn deref(&self) -> &DiskTier {
+        if self.nvm { &self.core.nvm } else { &self.core.disk }
+    }
+}
+
+impl DerefMut for TierGuard<'_> {
+    fn deref_mut(&mut self) -> &mut DiskTier {
+        if self.nvm { &mut self.core.nvm } else { &mut self.core.disk }
+    }
+}
+
 /// The paper's two-level disaggregated memory system over one simulated
 /// cluster. See the crate docs for an overview and example.
 pub struct DisaggregatedMemory {
@@ -162,18 +245,12 @@ pub struct DisaggregatedMemory {
     managers: IdMap<NodeId, Arc<NodeManager>>,
     remote: Arc<RemoteStore>,
     replicator: Replicator,
-    disk: DiskTier,
-    nvm: DiskTier,
     /// The CXL memory pool, present only when `ClusterConfig::cxl`
     /// enables it — absent, no `cxl.*` metric keys exist and the tiering
     /// order is exactly the pre-CXL one.
     cxl: Option<Arc<CxlPool>>,
     codec: PageCodec,
-    /// Byte-guarded compressed-page memo keyed by `(server, key)`. Hits
-    /// skip the LZ matcher; the simulated compression cost is charged
-    /// either way, so virtual-time results are unchanged.
-    compress_memo: Mutex<CompressMemo>,
-    maps: Mutex<IdMap<ServerId, MemoryMap>>,
+    core: Mutex<Core>,
     servers: Vec<ServerId>,
     metrics: MetricsRegistry,
     handles: CoreMetrics,
@@ -225,8 +302,12 @@ impl DisaggregatedMemory {
         )?);
         let placer = Placer::new(config.placement, membership.clone(), rng.fork("placement"));
         let replicator = Replicator::new(Arc::clone(&remote), placer, config.replication);
-        let disk = DiskTier::new(clock.clone(), cost);
-        let nvm = DiskTier::with_device_labeled(clock.clone(), cost.nvm, "nvm");
+        let core = Core {
+            maps: servers.iter().map(|&s| (s, MemoryMap::new())).collect(),
+            memo: CompressMemo::with_default_capacity(),
+            disk: DiskTier::new(clock.clone(), cost),
+            nvm: DiskTier::with_device_labeled(clock.clone(), cost.nvm, "nvm"),
+        };
         let codec = PageCodec::new(config.compression);
         let metrics = MetricsRegistry::new();
         let cxl = config.cxl.enabled().then(|| {
@@ -239,11 +320,6 @@ impl DisaggregatedMemory {
             ))
         });
 
-        let maps = servers
-            .iter()
-            .map(|&s| (s, MemoryMap::new()))
-            .collect();
-
         Ok(DisaggregatedMemory {
             config,
             clock,
@@ -255,12 +331,9 @@ impl DisaggregatedMemory {
             managers,
             remote,
             replicator,
-            disk,
-            nvm,
             cxl,
             codec,
-            compress_memo: Mutex::new(CompressMemo::with_default_capacity()),
-            maps: Mutex::new(maps),
+            core: Mutex::new(core),
             servers,
             handles: CoreMetrics::new(&metrics),
             metrics,
@@ -422,7 +495,7 @@ impl DisaggregatedMemory {
     /// Demotes a shared-pool victim to disk so a higher-or-equal-priority
     /// put can take its place. Returns `false` (leaving the victim alone)
     /// if any step fails; residency is credited on success.
-    fn demote_victim(&self, engine: &QosEngine, victim: &Victim) -> bool {
+    fn demote_victim(&self, core: &mut Core, engine: &QosEngine, victim: &Victim) -> bool {
         let entry = victim.entry;
         let server = entry.owner();
         let node = server.node();
@@ -435,42 +508,13 @@ impl DisaggregatedMemory {
         if manager.delete(entry).is_err() {
             return false;
         }
-        self.disk.store(node, entry, bytes);
-        if let Some(map) = self.maps.lock().get_mut(&server) {
+        core.disk.store(node, entry, bytes);
+        if let Some(map) = core.maps.get_mut(&server) {
             map.set_location(entry.key(), EntryLocation::Disk);
         }
         engine.note_dropped(victim.tenant, entry);
         self.handles.qos_evict_demotions.inc();
         true
-    }
-
-    /// Records where a put landed: charges fast-tier residency (disk is
-    /// unmetered) and enters the record in the owner's memory map.
-    fn commit(
-        &self,
-        qos: Option<&Arc<QosEngine>>,
-        tenant: TenantId,
-        entry: EntryId,
-        mut record: EntryRecord,
-        location: EntryLocation,
-    ) {
-        let node = entry.owner().node();
-        let tier = match &location {
-            EntryLocation::NodeShared { .. } => Some(ResidentTier::Shared(node)),
-            EntryLocation::Nvm => Some(ResidentTier::Nvm(node)),
-            EntryLocation::Cxl { .. } => Some(ResidentTier::Cxl),
-            EntryLocation::Remote { .. } => Some(ResidentTier::Remote),
-            EntryLocation::Disk => None,
-        };
-        if let (Some(engine), Some(tier)) = (qos, tier) {
-            engine.note_fast_resident(tenant, entry, record.stored_len, tier);
-        }
-        record.location = location;
-        self.maps
-            .lock()
-            .get_mut(&entry.owner())
-            .expect("server registered at construction")
-            .upsert(entry.key(), record);
     }
 
     /// The node manager of `node`.
@@ -489,19 +533,20 @@ impl DisaggregatedMemory {
         &self.remote
     }
 
-    /// The disk tier.
-    pub fn disk_tier(&self) -> &DiskTier {
-        &self.disk
+    /// The disk tier, under the cluster lock until the guard drops.
+    pub fn disk_tier(&self) -> TierGuard<'_> {
+        TierGuard { core: self.core.lock(), nvm: false }
     }
 
-    /// The NVM tier (empty unless `NodeConfig::nvm_pool` is nonzero).
-    pub fn nvm_tier(&self) -> &DiskTier {
-        &self.nvm
+    /// The NVM tier (empty unless `NodeConfig::nvm_pool` is nonzero),
+    /// under the cluster lock until the guard drops.
+    pub fn nvm_tier(&self) -> TierGuard<'_> {
+        TierGuard { core: self.core.lock(), nvm: true }
     }
 
     /// NVM bytes in use on `node`.
     pub fn nvm_used(&self, node: NodeId) -> ByteSize {
-        self.nvm.used(node)
+        self.nvm_tier().used(node)
     }
 
     /// The CXL memory pool, present when `ClusterConfig::cxl` enables it.
@@ -544,14 +589,10 @@ impl DisaggregatedMemory {
     /// and record. Raw payloads (compression off, or longer than a page)
     /// are checksummed once and moved through untouched; only pages the
     /// codec may shrink go through the compress memo.
-    fn begin_put(&self, entry: EntryId, data: Vec<u8>) -> (Vec<u8>, EntryRecord) {
-        let mut maps = self.maps.lock();
-        let old = maps
-            .get_mut(&entry.owner())
-            .and_then(|m| m.remove(entry.key()));
-        drop(maps);
+    fn begin_put(&self, core: &mut Core, entry: EntryId, data: Vec<u8>) -> (Vec<u8>, EntryRecord) {
+        let old = core.maps.get_mut(&entry.owner()).and_then(|m| m.remove(entry.key()));
         if let Some(old) = old {
-            self.drop_location(entry, &old.location);
+            self.drop_location(core, entry, &old.location);
         }
         let mut record = EntryRecord {
             location: EntryLocation::Disk, // placeholder, set by caller
@@ -565,10 +606,7 @@ impl DisaggregatedMemory {
             record.checksum = checksum(&data);
             return (data, record);
         }
-        let page = self
-            .compress_memo
-            .lock()
-            .get_or_compress(Self::memo_key(entry), &self.codec, &data);
+        let page = core.memo.get_or_compress(Self::memo_key(entry), &self.codec, &data);
         if page.is_compressed {
             let span = self.clock.tracer().span("compress", "compress");
             span.tag("bytes", page.original_len);
@@ -582,7 +620,13 @@ impl DisaggregatedMemory {
 
     /// Turns the bytes a tier returned back into the payload, verifying
     /// every byte against the record's checksum.
-    fn recover(&self, entry: EntryId, record: &EntryRecord, stored: Vec<u8>) -> DmemResult<Vec<u8>> {
+    fn recover(
+        &self,
+        memo: &mut CompressMemo,
+        entry: EntryId,
+        record: &EntryRecord,
+        stored: Vec<u8>,
+    ) -> DmemResult<Vec<u8>> {
         let Some(class) = record.class else {
             return if checksum(&stored) == record.checksum {
                 Ok(stored)
@@ -601,16 +645,14 @@ impl DisaggregatedMemory {
             is_compressed: true,
             checksum: record.checksum,
         };
-        self.compress_memo
-            .lock()
-            .get_or_decompress(&self.codec, &page)
+        memo.get_or_decompress(&self.codec, &page)
             // The codec's only error is `Corrupt` under a placeholder id.
             .map_err(|_| DmemError::Corrupt(entry))
     }
 
     /// Releases everything `location` holds for `entry`.
-    fn drop_location(&self, entry: EntryId, location: &EntryLocation) {
-        self.release_local(entry, location);
+    fn drop_location(&self, core: &mut Core, entry: EntryId, location: &EntryLocation) {
+        self.release_local(core, entry, location);
         let node = entry.owner().node();
         match location {
             EntryLocation::NodeShared { .. } => {
@@ -629,24 +671,24 @@ impl DisaggregatedMemory {
     /// residency and whatever `location` holds on the devices attached to
     /// the owner's node. Whoever drops a map record comes through here;
     /// the shared pool and remote hosts index their own copies.
-    fn release_local(&self, entry: EntryId, location: &EntryLocation) {
+    fn release_local(&self, core: &mut Core, entry: EntryId, location: &EntryLocation) {
         if let Some(engine) = self.qos.get() {
             engine.note_dropped(engine.tenant_of(entry.owner()), entry);
         }
         let node = entry.owner().node();
         match location {
             EntryLocation::Nvm => {
-                let _ = self.nvm.delete(node, entry);
+                let _ = core.nvm.delete(node, entry);
             }
             EntryLocation::Cxl { addr } => {
                 if let Some(pool) = &self.cxl {
                     let _ = pool.free(CxlAddr::from_raw(*addr));
                 }
                 // The write-behind shadow goes with it.
-                let _ = self.disk.delete(node, entry);
+                let _ = core.disk.delete(node, entry);
             }
             EntryLocation::Disk => {
-                let _ = self.disk.delete(node, entry);
+                let _ = core.disk.delete(node, entry);
             }
             EntryLocation::NodeShared { .. } | EntryLocation::Remote { .. } => {}
         }
@@ -655,8 +697,10 @@ impl DisaggregatedMemory {
     /// Walks `pref`'s rungs for one prepared entry, stopping on the first
     /// local rung that stores it. This is the only place that knows which
     /// tiers a preference may use and in which order.
+    #[allow(clippy::too_many_arguments)] // `core` leaves with the lock (ROADMAP `[core]` step 1)
     fn walk(
         &self,
+        core: &mut Core,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         pref: TierPreference,
@@ -681,9 +725,9 @@ impl DisaggregatedMemory {
             // large for the shared pool's page-sized blocks, a tier that
             // is not configured, a CXL pool node that is down.
             let placed = match rung {
-                Rung::Shared => self.try_shared(qos, tenant, node, entry, stored, record),
-                Rung::Cxl => self.try_cxl(qos, tenant, node, entry, stored),
-                Rung::Nvm => self.try_nvm(node, entry, stored),
+                Rung::Shared => self.try_shared(core, qos, tenant, node, entry, stored, record),
+                Rung::Cxl => self.try_cxl(core, qos, tenant, node, entry, stored),
+                Rung::Nvm => self.try_nvm(core, node, entry, stored),
                 Rung::Remote => return Walk::Remote,
             };
             if let Ok(location) = placed {
@@ -722,12 +766,13 @@ impl DisaggregatedMemory {
         }
         let span = self.clock.tracer().span("core", "put");
         let t0 = self.clock.now();
+        let core = &mut *self.core.lock();
         let entry = EntryId::new(server, key);
-        let (stored, record) = self.begin_put(entry, data);
+        let (stored, record) = self.begin_put(core, entry, data);
         let node = server.node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        let placed = match self.walk(qos, tenant, pref, entry, &stored, &record) {
+        let placed = match self.walk(core, qos, tenant, pref, entry, &stored, &record) {
             Walk::Landed(location) => Some(location),
             Walk::Remote => self
                 .metered(qos, tenant, stored.len() as u64, || {
@@ -739,13 +784,13 @@ impl DisaggregatedMemory {
         // Every tier above copied what it kept, so the last resort takes
         // the buffer itself.
         let location = placed.unwrap_or_else(|| {
-            self.disk.store(node, entry, stored);
+            core.disk.store(node, entry, stored);
             self.handles.put_disk.inc();
             EntryLocation::Disk
         });
         span.tag("tier", Self::tier_name(&location));
         self.handles.put_ns.record((self.clock.now() - t0).as_nanos());
-        self.commit(qos, tenant, entry, record, location);
+        core.commit(qos, tenant, entry, record, location);
         Ok(())
     }
 
@@ -753,8 +798,10 @@ impl DisaggregatedMemory {
     /// a full pool gets one more chance: when the engine can name a
     /// victim of lower priority than `tenant`, the victim is demoted to
     /// disk and the put retried once.
+    #[allow(clippy::too_many_arguments)] // `core` leaves with the lock (ROADMAP `[core]` step 1)
     fn try_shared(
         &self,
+        core: &mut Core,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         node: NodeId,
@@ -775,7 +822,7 @@ impl DisaggregatedMemory {
         let mut placed = manager.put(entry, stored, class);
         if let (Some(engine), Err(DmemError::CapacityExhausted { .. })) = (qos, &placed) {
             if let Some(victim) = engine.pick_victim(tenant, node, entry) {
-                if self.demote_victim(engine, &victim) {
+                if self.demote_victim(core, engine, &victim) {
                     engine.note_eviction(tenant, &victim);
                     placed = manager.put(entry, stored, class).or(placed);
                 }
@@ -789,9 +836,8 @@ impl DisaggregatedMemory {
         })
     }
 
-    fn try_nvm(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
-        self.nvm
-            .try_store(node, entry, stored, self.config.node.nvm_pool)?;
+    fn try_nvm(&self, core: &mut Core, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
+        core.nvm.try_store(node, entry, stored, self.config.node.nvm_pool)?;
         self.handles.put_nvm.inc();
         Ok(EntryLocation::Nvm)
     }
@@ -814,6 +860,7 @@ impl DisaggregatedMemory {
     /// remote traffic.
     fn try_cxl(
         &self,
+        core: &mut Core,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         node: NodeId,
@@ -834,7 +881,7 @@ impl DisaggregatedMemory {
             }
             Ok((addr, shared))
         })?;
-        self.disk.store_behind(node, entry, shared);
+        core.disk.store_behind(node, entry, shared);
         self.handles.put_cxl.inc();
         Ok(EntryLocation::Cxl { addr: addr.raw() })
     }
@@ -860,29 +907,28 @@ impl DisaggregatedMemory {
     /// every replica of a remote entry is unreachable.
     pub fn get(&self, server: ServerId, key: u64) -> DmemResult<Vec<u8>> {
         let entry = EntryId::new(server, key);
-        let record = self
-            .record(server, key)
-            .ok_or(DmemError::EntryNotFound(entry))?;
-        self.read_entry(entry, &record)
+        let core = &mut *self.core.lock();
+        let record = core.record(server, key).ok_or(DmemError::EntryNotFound(entry))?;
+        self.read_entry(core, entry, &record)
     }
 
     /// The body of [`DisaggregatedMemory::get`] past the map lookup: what
     /// `fetch` hands back is read here one entry at a time — a failover
     /// read across the replicas, or one disk read.
-    fn read_entry(&self, entry: EntryId, record: &EntryRecord) -> DmemResult<Vec<u8>> {
+    fn read_entry(&self, core: &mut Core, entry: EntryId, record: &EntryRecord) -> DmemResult<Vec<u8>> {
         let node = entry.owner().node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(entry.owner()));
-        match self.fetch(qos, tenant, entry, record)? {
+        match self.fetch(core, qos, tenant, entry, record)? {
             Fetch::Served(payload) => Ok(payload),
-            Fetch::Remote(replicas) => self.timed_get(qos, tenant, entry, record, || {
+            Fetch::Remote(replicas) => self.timed_get(core, qos, tenant, entry, record, |_| {
                 self.metered(qos, tenant, record.stored_len, || {
                     self.replicator.load_replicated(node, entry, replicas)
                 })
             }),
-            Fetch::Disk => {
-                self.timed_get(qos, tenant, entry, record, || self.disk.load(node, entry))
-            }
+            Fetch::Disk => self.timed_get(core, qos, tenant, entry, record, |core| {
+                core.disk.load(node, entry)
+            }),
         }
     }
 
@@ -896,17 +942,18 @@ impl DisaggregatedMemory {
     #[inline(always)]
     fn timed_get(
         &self,
+        core: &mut Core,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         entry: EntryId,
         record: &EntryRecord,
-        load: impl FnOnce() -> DmemResult<Vec<u8>>,
+        load: impl FnOnce(&Core) -> DmemResult<Vec<u8>>,
     ) -> DmemResult<Vec<u8>> {
         let span = self.clock.tracer().span("core", "get");
         span.tag("tier", Self::tier_name(&record.location));
         let t0 = self.clock.now();
-        let stored = load()?;
-        let out = self.recover(entry, record, stored);
+        let stored = load(core)?;
+        let out = self.recover(&mut core.memo, entry, record, stored);
         let elapsed = (self.clock.now() - t0).as_nanos();
         self.handles.get_ns.record(elapsed);
         if let Some(engine) = qos {
@@ -923,6 +970,7 @@ impl DisaggregatedMemory {
     #[inline(always)]
     fn fetch<'a>(
         &self,
+        core: &mut Core,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         entry: EntryId,
@@ -932,7 +980,7 @@ impl DisaggregatedMemory {
         let served = match &record.location {
             EntryLocation::Remote { replicas } => return Ok(Fetch::Remote(replicas)),
             EntryLocation::Disk => return Ok(Fetch::Disk),
-            EntryLocation::NodeShared { .. } => self.timed_get(qos, tenant, entry, record, || {
+            EntryLocation::NodeShared { .. } => self.timed_get(core, qos, tenant, entry, record, |_| {
                 let manager = self
                     .managers
                     .get(&node)
@@ -940,9 +988,9 @@ impl DisaggregatedMemory {
                 manager.get(entry)
             }),
             EntryLocation::Nvm => {
-                self.timed_get(qos, tenant, entry, record, || self.nvm.load(node, entry))
+                self.timed_get(core, qos, tenant, entry, record, |core| core.nvm.load(node, entry))
             }
-            EntryLocation::Cxl { addr } => self.timed_get(qos, tenant, entry, record, || {
+            EntryLocation::Cxl { addr } => self.timed_get(core, qos, tenant, entry, record, |core| {
                 let pool = self.cxl.as_ref().ok_or(DmemError::Unsupported {
                     op: "cxl tier not configured".into(),
                 })?;
@@ -957,7 +1005,7 @@ impl DisaggregatedMemory {
                         // payload, so the failover path can never serve
                         // wrong or stale bytes.
                         self.handles.cxl_failover_reads.inc();
-                        self.disk.load(node, entry)
+                        core.disk.load(node, entry)
                     }
                     loaded => loaded,
                 }
@@ -977,20 +1025,12 @@ impl DisaggregatedMemory {
     pub fn get_batch(&self, server: ServerId, keys: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
         let span = self.clock.tracer().span("core", "get_batch");
         span.tag("entries", keys.len());
-        let mut records = Vec::with_capacity(keys.len());
-        {
-            let maps = self.maps.lock();
-            let map = maps
-                .get(&server)
-                .ok_or(DmemError::ServerUnavailable(server))?;
-            for &key in keys {
-                let record = map
-                    .get(key)
-                    .cloned()
-                    .ok_or(DmemError::EntryNotFound(EntryId::new(server, key)))?;
-                records.push(record);
-            }
-        }
+        let core = &mut *self.core.lock();
+        let map = core.maps.get(&server).ok_or(DmemError::ServerUnavailable(server))?;
+        let records = keys
+            .iter()
+            .map(|&key| map.get(key).cloned().ok_or(DmemError::EntryNotFound(EntryId::new(server, key))))
+            .collect::<DmemResult<Vec<_>>>()?;
         let node = server.node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
@@ -1005,7 +1045,7 @@ impl DisaggregatedMemory {
         let mut by_primary: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
         let mut disk_idx: Vec<usize> = Vec::new();
         for (i, record) in records.iter().enumerate() {
-            match self.fetch(qos, tenant, id(i), record)? {
+            match self.fetch(core, qos, tenant, id(i), record)? {
                 Fetch::Served(payload) => out[i] = Some(payload),
                 Fetch::Remote(replicas) => {
                     let primary = *replicas.first().ok_or(DmemError::EntryNotFound(id(i)))?;
@@ -1022,22 +1062,22 @@ impl DisaggregatedMemory {
             }) {
                 Ok(blobs) => {
                     for (&i, blob) in indices.iter().zip(blobs) {
-                        out[i] = Some(self.recover(id(i), &records[i], blob)?);
+                        out[i] = Some(self.recover(&mut core.memo, id(i), &records[i], blob)?);
                     }
                 }
                 Err(_) => {
                     // Primary unreachable: fall back to per-entry failover.
                     for &i in &indices {
-                        out[i] = Some(self.read_entry(id(i), &records[i])?);
+                        out[i] = Some(self.read_entry(core, id(i), &records[i])?);
                     }
                 }
             }
         }
         if !disk_idx.is_empty() {
             let ids: Vec<EntryId> = disk_idx.iter().map(|&i| id(i)).collect();
-            let blobs = self.disk.load_batch(node, &ids)?;
+            let blobs = core.disk.load_batch(node, &ids)?;
             for (&i, blob) in disk_idx.iter().zip(blobs) {
-                out[i] = Some(self.recover(id(i), &records[i], blob)?);
+                out[i] = Some(self.recover(&mut core.memo, id(i), &records[i], blob)?);
             }
         }
         Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
@@ -1062,6 +1102,7 @@ impl DisaggregatedMemory {
         }
         let span = self.clock.tracer().span("core", "put_batch");
         span.tag("entries", batch.len());
+        let core = &mut *self.core.lock();
         let node = server.node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
@@ -1069,9 +1110,9 @@ impl DisaggregatedMemory {
         let mut window: Vec<(EntryId, Vec<u8>, EntryRecord)> = Vec::new();
         for (key, data) in batch {
             let entry = EntryId::new(server, key);
-            let (stored, record) = self.begin_put(entry, data);
-            match self.walk(qos, tenant, pref, entry, &stored, &record) {
-                Walk::Landed(location) => self.commit(qos, tenant, entry, record, location),
+            let (stored, record) = self.begin_put(core, entry, data);
+            match self.walk(core, qos, tenant, pref, entry, &stored, &record) {
+                Walk::Landed(location) => core.commit(qos, tenant, entry, record, location),
                 Walk::Remote => {
                     // Reserve residency now: later entries in this batch
                     // are admitted against a quota that already includes
@@ -1083,8 +1124,8 @@ impl DisaggregatedMemory {
                     window.push((entry, stored, record));
                 }
                 Walk::Disk => {
-                    self.disk.store(node, entry, stored);
-                    self.commit(qos, tenant, entry, record, EntryLocation::Disk);
+                    core.disk.store(node, entry, stored);
+                    core.commit(qos, tenant, entry, record, EntryLocation::Disk);
                 }
             }
         }
@@ -1110,7 +1151,7 @@ impl DisaggregatedMemory {
                     let location = EntryLocation::Remote {
                         replicas: set.clone(),
                     };
-                    self.commit(qos, tenant, entry, record, location);
+                    core.commit(qos, tenant, entry, record, location);
                 }
                 self.handles.put_remote_batched.add(set.len() as u64);
             }
@@ -1119,14 +1160,14 @@ impl DisaggregatedMemory {
                     .into_iter()
                     .map(|(entry, stored, record)| ((entry, stored), (entry, record)))
                     .unzip();
-                self.disk.store_batch(node, items);
+                core.disk.store_batch(node, items);
                 for (entry, record) in records {
                     // Credit the residency reserved at admission: the
                     // window fell through to disk, an unmetered tier.
                     if let Some(engine) = qos {
                         engine.note_dropped(tenant, entry);
                     }
-                    self.commit(qos, tenant, entry, record, EntryLocation::Disk);
+                    core.commit(qos, tenant, entry, record, EntryLocation::Disk);
                 }
             }
         }
@@ -1140,19 +1181,19 @@ impl DisaggregatedMemory {
     /// Returns [`DmemError::EntryNotFound`] for unknown keys.
     pub fn delete(&self, server: ServerId, key: u64) -> DmemResult<()> {
         let entry = EntryId::new(server, key);
-        let record = self
+        let core = &mut *self.core.lock();
+        let record = core
             .maps
-            .lock()
             .get_mut(&server)
             .and_then(|m| m.remove(key))
             .ok_or(DmemError::EntryNotFound(entry))?;
-        self.drop_location(entry, &record.location);
+        self.drop_location(core, entry, &record.location);
         Ok(())
     }
 
     /// The memory-map record of `(server, key)`, if tracked.
     pub fn record(&self, server: ServerId, key: u64) -> Option<EntryRecord> {
-        self.maps.lock().get(&server).and_then(|m| m.get(key).cloned())
+        self.core.lock().record(server, key)
     }
 
     /// The replication manager, exposed so invariant checkers can probe
@@ -1166,17 +1207,9 @@ impl DisaggregatedMemory {
     ///
     /// This is the invariant-probe API: external checkers (the chaos
     /// harness, debugging tools) sweep the whole map without holding the
-    /// map lock across their own per-entry work.
+    /// cluster lock across their own per-entry work.
     pub fn entries_snapshot(&self) -> Vec<(ServerId, u64, EntryRecord)> {
-        let maps = self.maps.lock();
-        let mut out: Vec<(ServerId, u64, EntryRecord)> = maps
-            .iter()
-            .flat_map(|(server, map)| {
-                map.iter().map(move |(key, record)| (*server, key, record.clone()))
-            })
-            .collect();
-        out.sort_by_key(|(server, key, _)| (*server, *key));
-        out
+        self.core.lock().snapshot()
     }
 
     /// Runs one eviction scan (§IV-F) and applies the resulting moves to
@@ -1189,9 +1222,9 @@ impl DisaggregatedMemory {
         let span = self.clock.tracer().span("cluster", "evict_scan");
         let outcome = evictor.scan(&self.remote, placer)?;
         span.tag("moves", outcome.moves.len());
-        let mut maps = self.maps.lock();
+        let mut core = self.core.lock();
         for (entry, from, to) in &outcome.moves {
-            if let Some(map) = maps.get_mut(&entry.owner()) {
+            if let Some(map) = core.maps.get_mut(&entry.owner()) {
                 map.relocate_replica(entry.key(), *from, *to);
             }
         }
@@ -1202,19 +1235,20 @@ impl DisaggregatedMemory {
     /// returning how many entries were re-replicated.
     pub fn repair_replicas(&self) -> usize {
         let span = self.clock.tracer().span("cluster", "repair");
+        let core = &mut *self.core.lock();
         let mut repaired = 0;
         // The snapshot's (server, key) order matters: repair order feeds
         // the placement RNG and every host's allocator, so the maps' own
         // iteration order — an accident of insertion history — must never
         // reach placement or the per-seed metrics digest.
-        for (server, key, record) in self.entries_snapshot() {
+        for (server, key, record) in core.snapshot() {
             let EntryLocation::Remote { replicas } = record.location else {
                 continue;
             };
             let entry = EntryId::new(server, key);
             if self.replicator.live_degree(entry, &replicas) < self.replicator.factor().get() {
                 if let Ok(replicas) = self.replicator.re_replicate(server.node(), entry, &replicas) {
-                    if let Some(map) = self.maps.lock().get_mut(&server) {
+                    if let Some(map) = core.maps.get_mut(&server) {
                         if map.set_location(key, EntryLocation::Remote { replicas }) {
                             repaired += 1;
                         }
@@ -1223,7 +1257,7 @@ impl DisaggregatedMemory {
             }
         }
         span.tag("repaired", repaired);
-        self.resolve_suspects();
+        self.settle_suspects(&core.maps);
         repaired
     }
 
@@ -1237,15 +1271,20 @@ impl DisaggregatedMemory {
     /// so fault-free runs take the empty early-return and create no
     /// metric keys.
     pub(crate) fn resolve_suspects(&self) {
+        self.settle_suspects(&self.core.lock().maps);
+    }
+
+    /// [`DisaggregatedMemory::resolve_suspects`] over maps the caller holds.
+    fn settle_suspects(&self, maps: &IdMap<ServerId, MemoryMap>) {
         let suspects = self.membership.suspects();
         if suspects.is_empty() {
             return;
         }
-        let referenced: IdSet<NodeId> = self
-            .entries_snapshot()
-            .into_iter()
-            .filter_map(|(_, _, record)| match record.location {
-                EntryLocation::Remote { replicas } => Some(replicas),
+        let referenced: IdSet<NodeId> = maps
+            .values()
+            .flat_map(MemoryMap::iter)
+            .filter_map(|(_, record)| match &record.location {
+                EntryLocation::Remote { replicas } => Some(replicas.iter().copied()),
                 _ => None,
             })
             .flatten()
@@ -1276,23 +1315,22 @@ impl DisaggregatedMemory {
     pub fn handle_node_restart(&self, node: NodeId) -> DmemResult<(usize, usize)> {
         let lost_remote = self.remote.reset_node(node)?;
         let mut purged = 0;
-        let mut maps = self.maps.lock();
-        for (&server, map) in maps.iter_mut() {
-            if server.node() == node {
-                purged += map.len();
-                // The map is cleared wholesale below, so release what
-                // only it tracks entry by entry first: leaked quota, NVM
-                // bytes or CXL blocks would eat capacity forever. The
-                // shared pool goes with `deregister_server`; replicas on
-                // peer hosts stay (ROADMAP `[bugs]` B1).
-                for (key, record) in map.iter() {
-                    self.release_local(EntryId::new(server, key), &record.location);
-                }
-                *map = MemoryMap::new();
-                if let Some(m) = self.managers.get(&node) {
-                    m.deregister_server(server);
-                    m.register_server(server, self.config.server.memory, self.config.server.donation);
-                }
+        let core = &mut *self.core.lock();
+        let servers: Vec<ServerId> = core.maps.keys().copied().filter(|s| s.node() == node).collect();
+        for server in servers {
+            // The map goes wholesale, so release what only it tracks
+            // entry by entry: leaked quota, NVM bytes or CXL blocks would
+            // eat capacity forever. The shared pool goes with
+            // `deregister_server`; replicas on peer hosts stay (ROADMAP
+            // `[bugs]` B1).
+            let map = core.maps.insert(server, MemoryMap::new()).expect("listed above");
+            purged += map.len();
+            for (key, record) in map.iter() {
+                self.release_local(core, EntryId::new(server, key), &record.location);
+            }
+            if let Some(m) = self.managers.get(&node) {
+                m.deregister_server(server);
+                m.register_server(server, self.config.server.memory, self.config.server.donation);
             }
         }
         Ok((lost_remote, purged))
@@ -1300,9 +1338,9 @@ impl DisaggregatedMemory {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> DmStats {
-        let maps = self.maps.lock();
+        let core = self.core.lock();
         let mut stats = DmStats::default();
-        for map in maps.values() {
+        for map in core.maps.values() {
             let (s, n, r, c, d) = map.tier_census();
             stats.entries += map.len();
             stats.shared += s;
@@ -1710,7 +1748,7 @@ mod tests {
         let v1: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
         let v2: Vec<u8> = v1.iter().map(|b| b ^ 0x5A).collect();
         dm.put_pref(server, 3, v1, TierPreference::Cxl).unwrap();
-        let old = dm.disk.held(node, entry).unwrap();
+        let old = dm.disk_tier().held(node, entry).cloned().unwrap();
         assert_eq!(
             Arc::strong_count(&old),
             3,
@@ -1720,7 +1758,7 @@ mod tests {
             .unwrap();
         assert!(dm.record(server, 3).unwrap().location.is_cxl());
         assert_eq!(Arc::strong_count(&old), 1, "no tier still holds v1");
-        let new = dm.disk.held(node, entry).unwrap();
+        let new = dm.disk_tier().held(node, entry).cloned().unwrap();
         assert_eq!(Arc::strong_count(&new), 3);
         assert_eq!(*new, v2);
         drop(new);
@@ -1988,8 +2026,8 @@ mod tests {
             dm.get_batch(server, &[2, 3]).unwrap(),
             vec![vec![2u8; 4096], vec![3u8; 3 * 4096]]
         );
-        assert_eq!(dm.compress_memo.lock().stats(), Default::default());
-        assert!(dm.compress_memo.lock().is_empty());
+        assert_eq!(dm.core.lock().memo.stats(), Default::default());
+        assert!(dm.core.lock().memo.is_empty());
 
         // Compression on: a multi-page value is raw and bypasses the
         // memo; an incompressible page is offered to the codec once and
@@ -2003,7 +2041,7 @@ mod tests {
         assert!(dm.record(server, 2).unwrap().class.is_none());
         assert_eq!(dm.get(server, 1).unwrap(), vec![9u8; 2 * 4096]);
         assert_eq!(dm.get(server, 2).unwrap(), noise);
-        let stats = dm.compress_memo.lock().stats();
+        let stats = dm.core.lock().memo.stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
         assert_eq!(stats.decompress_hits + stats.decompress_misses, 0);
     }

@@ -654,8 +654,7 @@ impl CxlPool {
     }
 
     /// Whether `pool_node` is currently in an outage window.
-    #[cfg(test)]
-    pub(crate) fn pool_node_down(&self, pool_node: u16) -> bool {
+    pub fn pool_node_down(&self, pool_node: u16) -> bool {
         self.inner.lock().nodes[pool_node as usize].down
     }
 

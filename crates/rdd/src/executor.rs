@@ -141,7 +141,7 @@ impl BlockManager {
                 SpillBackend::Dahi { .. } => "dmem",
             },
         );
-        match &self.backend {
+        match &mut self.backend {
             SpillBackend::VanillaDisk { disk, node, server } => {
                 disk.store(*node, EntryId::new(*server, id.chunk_key(0)), bytes);
             }
@@ -187,6 +187,24 @@ impl BlockManager {
         }
     }
 
+    /// Deletes the block's spilled copy, if it has one: the entry on the
+    /// local disk, or every chunk on the cluster.
+    fn drop_spilled(&mut self, id: BlockId) {
+        let Some(len) = self.spilled.remove(&id) else {
+            return;
+        };
+        match &mut self.backend {
+            SpillBackend::VanillaDisk { disk, node, server } => {
+                let _ = disk.delete(*node, EntryId::new(*server, id.chunk_key(0)));
+            }
+            SpillBackend::Dahi { dm, server } => {
+                for chunk in 0..len.div_ceil(PAGE_SIZE) as u64 {
+                    let _ = dm.delete(*server, id.chunk_key(chunk));
+                }
+            }
+        }
+    }
+
     fn evict_until(&mut self, needed: ByteSize) -> DmemResult<()> {
         while self.used + needed > self.capacity {
             let Some((victim, len)) = self.memory.pop_lru() else {
@@ -194,10 +212,10 @@ impl BlockManager {
             };
             self.used -= ByteSize::from(len);
             self.stats.evictions += 1;
-            if !self.spilled.contains_key(&victim) {
-                let bytes = self.parsed[&victim].bytes.clone();
-                self.spill_out(victim, bytes)?;
-            }
+            // A block is in memory or spilled, never both (see `put`).
+            debug_assert!(!self.spilled.contains_key(&victim), "{victim:?} is in memory and spilled");
+            let bytes = self.parsed[&victim].bytes.clone();
+            self.spill_out(victim, bytes)?;
         }
         Ok(())
     }
@@ -206,10 +224,18 @@ impl BlockManager {
     /// reads will serve. Blocks larger than the whole cache go straight
     /// to the spill tier.
     ///
+    /// A put replaces the block: its previous copy leaves memory and the
+    /// spill tier first. So a block is in memory or spilled, never both,
+    /// and a spilled copy is always the bytes of the block's last put.
+    ///
     /// # Errors
     ///
     /// Propagates spill-tier failures.
     pub(crate) fn put(&mut self, id: BlockId, records: Vec<Record>) -> DmemResult<Arc<Vec<Record>>> {
+        if let Some(displaced) = self.memory.remove(&id) {
+            self.used -= ByteSize::from(displaced);
+        }
+        self.drop_spilled(id);
         let bytes = serialize_partition(&records);
         // Serialization cost: one memory pass over the payload.
         self.clock.advance(self.cost.dram.transfer(bytes.len()));
@@ -228,9 +254,7 @@ impl BlockManager {
         }
         self.evict_until(size)?;
         self.used += size;
-        if let Some(displaced) = self.memory.insert(id, bytes.len()) {
-            self.used -= ByteSize::from(displaced);
-        }
+        self.memory.insert(id, bytes.len());
         Ok(records)
     }
 
@@ -426,6 +450,40 @@ mod tests {
         assert_eq!(*bm.get(id).unwrap().unwrap(), records(100, 0.0));
     }
 
+    /// Differential test against a map of each block's last put, over
+    /// put / re-put / get / evict on both spill backends: whichever tier
+    /// serves a read, it returns the records of the block's latest put.
+    #[test]
+    fn reads_match_a_model_of_last_puts() {
+        use dmem_sim::DetRng;
+        for dahi in [false, true] {
+            let capacity = ByteSize::from_kib(16);
+            let mut bm = if dahi { dahi_bm(capacity).1 } else { disk_bm(capacity).1 };
+            let mut model: HashMap<BlockId, Vec<Record>> = HashMap::new();
+            let mut rng = DetRng::new(0xb3);
+            for op in 0..600u32 {
+                let id = BlockId::new(1, rng.below(6));
+                match rng.below(8) {
+                    // Put or re-put fresh records: 40..=200 records
+                    // (~3-15 KiB), and 1 in 8 larger than the cache.
+                    0..=2 => {
+                        let n = if rng.below(8) == 0 { 300 } else { 40 + 40 * rng.below(5) };
+                        let fresh = records(n, f64::from(op));
+                        bm.put(id, fresh.clone()).unwrap();
+                        model.insert(id, fresh);
+                    }
+                    3 => bm.evict_until(capacity).unwrap(),
+                    _ => {
+                        let got = bm.get(id).unwrap();
+                        let current = got.as_deref() == model.get(&id);
+                        assert!(current, "op {op}: {id:?} read stale records (dahi {dahi})");
+                    }
+                }
+            }
+            assert!(bm.stats().spill_hits > 0 && bm.stats().memory_hits > 0);
+        }
+    }
+
     /// `digest::fold` of `(op, partition)` for every block a fixed 2000-op
     /// put/get stream evicts from memory (blocks that leave in one op
     /// fold in id order), captured at b8ffcf9 — while `memory` was a
@@ -462,7 +520,9 @@ mod tests {
                 *was = now;
             }
         }
-        assert_eq!((bm.stats().evictions, bm.stats().spills), (374, 35));
+        // Every eviction writes its victim out (374), plus 11 puts larger
+        // than the whole cache.
+        assert_eq!((bm.stats().evictions, bm.stats().spills), (374, 385));
         assert_eq!(fnv, EVICTION_SEQUENCE_FNV, "{fnv:#018x}");
     }
 }

@@ -157,6 +157,11 @@ impl FailureInjector {
     pub fn down_node_count(&self) -> usize {
         self.state.read().down_nodes.len()
     }
+
+    /// Number of host pairs with at least one link cut in force.
+    pub fn cut_link_count(&self) -> usize {
+        self.state.read().link_cuts.len()
+    }
 }
 
 impl fmt::Debug for FailureInjector {

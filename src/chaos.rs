@@ -315,15 +315,8 @@ struct Harness {
     maintenance: Maintenance,
     /// Reference model of every acked entry's exact bytes.
     model: BTreeMap<(ServerId, u64), Vec<u8>>,
-    /// Links currently failed by the schedule (for quiescence checks).
-    link_downs: HashSet<(NodeId, NodeId)>,
-    /// Nodes currently failed by the schedule (restart bookkeeping).
-    down_nodes: HashSet<NodeId>,
     /// The installed fault layer, when [`ChaosConfig::fabric_faults`] is on.
     faults: Option<Arc<FabricFaults>>,
-    /// Host pairs currently partitioned by the schedule (for quiescence
-    /// checks, mirroring `link_downs`).
-    partitions: HashSet<(NodeId, NodeId)>,
     /// Bounded ring of recent steps/injections/violations, shared with
     /// [`run_schedule`] so even a panicking run can be dumped.
     flight: Arc<Mutex<FlightRecorder>>,
@@ -331,8 +324,6 @@ struct Harness {
     /// shared with [`run_schedule`] for the same reason. `None` outside
     /// faults mode, keeping fault-free runs hub-free and byte-identical.
     telemetry: Option<Arc<TelemetryHub>>,
-    /// CXL pool nodes currently in a schedule-driven outage window.
-    cxl_down: HashSet<u16>,
     /// Shared remote-atomic counter cells: slot -> (address, modelled
     /// exact sum, modelled op count). Allocated eagerly at construction
     /// (the pool is empty then, so allocation cannot fail) and verified
@@ -512,13 +503,9 @@ impl Harness {
             dm,
             maintenance,
             model: BTreeMap::new(),
-            link_downs: HashSet::new(),
-            down_nodes: HashSet::new(),
             faults,
-            partitions: HashSet::new(),
             flight,
             telemetry,
-            cxl_down: HashSet::new(),
             atomic_cells,
             stats,
         }
@@ -638,46 +625,35 @@ impl Harness {
             }
             ChaosStep::Inject(event) => {
                 self.stats.injected_events += 1;
-                self.dm.failures().inject_now(*event);
-                match *event {
-                    FailureEvent::NodeDown(node) => {
-                        self.down_nodes.insert(node);
+                let failures = self.dm.failures();
+                // A restart only follows an actual crash; NodeUp on a live
+                // node is a no-op (matters to shrinking, which may drop the
+                // NodeDown but keep the NodeUp).
+                let restart = match *event {
+                    FailureEvent::NodeUp(node) if !failures.is_node_up(node) => Some(node),
+                    _ => None,
+                };
+                failures.inject_now(*event);
+                if let Some(node) = restart {
+                    if let Err(e) = self.dm.handle_node_restart(node) {
+                        return Err(self.violation(
+                            InvariantKind::NoPanic,
+                            index,
+                            format!("restart of {node} failed: {e}"),
+                        ));
                     }
-                    FailureEvent::NodeUp(node) => {
-                        // A restart only follows an actual crash; NodeUp
-                        // on a live node is a no-op (matters to shrinking,
-                        // which may drop the NodeDown but keep the NodeUp).
-                        if self.down_nodes.remove(&node) {
-                            if let Err(e) = self.dm.handle_node_restart(node) {
-                                return Err(self.violation(
-                                    InvariantKind::NoPanic,
-                                    index,
-                                    format!("restart of {node} failed: {e}"),
-                                ));
-                            }
-                            // The node came back empty: everything its
-                            // servers owned is gone by design.
-                            self.model.retain(|(server, _), _| server.node() != node);
-                        }
-                    }
-                    FailureEvent::LinkDown(a, b) => {
-                        self.link_downs.insert((a, b));
-                    }
-                    FailureEvent::LinkUp(a, b) => {
-                        self.link_downs.remove(&(a, b));
-                    }
-                    FailureEvent::ServerDown(_) | FailureEvent::ServerUp(_) => {}
+                    // The node came back empty: everything its servers
+                    // owned is gone by design.
+                    self.model.retain(|(server, _), _| server.node() != node);
                 }
             }
             ChaosStep::PartitionPair { a, b } => {
                 self.stats.injected_events += 1;
                 self.dm.failures().inject_now(FailureEvent::LinkDown(*a, *b));
-                self.partitions.insert(ordered_pair(*a, *b));
             }
             ChaosStep::HealPair { a, b } => {
                 self.stats.injected_events += 1;
                 self.dm.failures().inject_now(FailureEvent::LinkUp(*a, *b));
-                self.partitions.remove(&ordered_pair(*a, *b));
             }
             ChaosStep::BreakQps { a, b } => {
                 self.stats.injected_events += 1;
@@ -703,14 +679,12 @@ impl Harness {
                 if let Some(pool) = self.dm.cxl_pool() {
                     pool.set_pool_node_down(*pool_node);
                 }
-                self.cxl_down.insert(*pool_node);
             }
             ChaosStep::CxlPoolUp { pool_node } => {
                 self.stats.injected_events += 1;
                 if let Some(pool) = self.dm.cxl_pool() {
                     pool.set_pool_node_up(*pool_node);
                 }
-                self.cxl_down.remove(pool_node);
             }
             ChaosStep::CxlAtomic { slot, delta } => {
                 self.cxl_atomic(index, *slot, *delta)?;
@@ -730,7 +704,7 @@ impl Harness {
         let Some(&(addr, sum, ops)) = self.atomic_cells.get(&slot) else {
             return Ok(());
         };
-        let node_down = self.cxl_down.contains(&addr.pool_node());
+        let node_down = pool.pool_node_down(addr.pool_node());
         match pool.fetch_add(addr, delta) {
             Ok(old) if node_down => Err(self.violation(
                 InvariantKind::CxlAtomicExact,
@@ -772,7 +746,7 @@ impl Harness {
             return Ok(());
         };
         for (&slot, &(addr, sum, ops)) in &self.atomic_cells {
-            if self.cxl_down.contains(&addr.pool_node()) {
+            if pool.pool_node_down(addr.pool_node()) {
                 continue;
             }
             match pool.counter_value(addr) {
@@ -1011,10 +985,7 @@ impl Harness {
     /// remote entry owned by a live node must be back at full, distinct,
     /// all-live replication degree.
     fn check_convergence(&mut self, index: usize) -> Result<(), ChaosViolation> {
-        if self.dm.failures().down_node_count() > 0
-            || !self.link_downs.is_empty()
-            || !self.partitions.is_empty()
-        {
+        if !self.quiescent() {
             return Ok(());
         }
         let factor = self.dm.replicator().factor().get();
@@ -1082,11 +1053,20 @@ impl Harness {
     /// exact.
     fn read_invariant_for(&self, location: &EntryLocation) -> InvariantKind {
         if let EntryLocation::Cxl { addr } = location {
-            if self.cxl_down.contains(&CxlAddr::from_raw(*addr).pool_node()) {
+            let pool_node = CxlAddr::from_raw(*addr).pool_node();
+            if self.dm.cxl_pool().is_some_and(|pool| pool.pool_node_down(pool_node)) {
                 return InvariantKind::CxlShadowRead;
             }
         }
         self.read_invariant()
+    }
+
+    /// No node down and no link cut: the one record of what is down is
+    /// the failure injector, which counts partitions and `LinkDown`s
+    /// alike.
+    fn quiescent(&self) -> bool {
+        let failures = self.dm.failures();
+        failures.down_node_count() == 0 && failures.cut_link_count() == 0
     }
 
     /// Suspect resolution: at quiescence (no failed nodes, links, or
@@ -1096,10 +1076,7 @@ impl Harness {
         if self.faults.is_none() {
             return Ok(());
         }
-        let quiescent = self.dm.failures().down_node_count() == 0
-            && self.link_downs.is_empty()
-            && self.partitions.is_empty();
-        if !quiescent {
+        if !self.quiescent() {
             return Ok(());
         }
         let suspects = self.dm.membership().suspects();
@@ -1116,15 +1093,6 @@ impl Harness {
                 listed.join(", ")
             ),
         ))
-    }
-}
-
-/// Normalizes an unordered host pair for partition bookkeeping.
-fn ordered_pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
     }
 }
 
