@@ -99,20 +99,26 @@ step "chaos smoke + fault-free baseline (seeds 0..32, byte-identical)" sh -c '
 # remote atomics, judged by the shadow-read and atomics-exact invariants.
 # Each mode runs at --jobs 1 and --jobs 4 and the two outputs are diffed:
 # injections, retries, failovers, the per-seed alert logs and every digest
-# must be byte-identical however the seeds fan across cores. The composed
-# mode, run last, is also pinned byte-for-byte against its committed
-# baseline, so a change under all three layers at once cannot move it
-# unseen.
+# must be byte-identical however the seeds fan across cores. Every mode's
+# --jobs 1 output is also pinned byte-for-byte against a committed
+# baseline: the three single modes, each under a `## <mode>` header, in
+# one file, and the composed mode, run last, in its own, so a change under
+# any layer cannot move them unseen.
 chaos_modes() {
+    : > target/chaos_modes.txt
     for mode in "--qos" "--faults" "--cxl" "--qos --faults --cxl"; do
         for jobs in 1 4; do
             target/release/chaos --seeds 0..32 $mode --jobs $jobs > target/chaos_mode_$jobs.txt
         done
         diff target/chaos_mode_1.txt target/chaos_mode_4.txt
+        if [ "$mode" != "--qos --faults --cxl" ]; then
+            { echo "## $mode"; cat target/chaos_mode_1.txt; } >> target/chaos_modes.txt
+        fi
     done
+    diff results/chaos_modes_baseline.txt target/chaos_modes.txt
     diff results/chaos_composed_baseline.txt target/chaos_mode_1.txt
 }
-step "chaos modes, alone and composed (seeds 0..32, --jobs 1 vs 4 determinism gate, composed baseline)" chaos_modes
+step "chaos modes, alone and composed (seeds 0..32, --jobs 1 vs 4 determinism gate, single-mode and composed baselines)" chaos_modes
 
 # Flight-recorder dump smoke: force a known invariant failure (factor-1
 # data lost to a node crash) from a pinned seed and byte-diff the dump —

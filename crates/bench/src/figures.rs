@@ -689,8 +689,8 @@ fn ablation_placement() -> Vec<Table> {
         let fabric = Fabric::new(clock, CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..NODES).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes.clone(), failures);
-        let store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_mib(16)).unwrap();
-        let placer = Placer::new(strategy, membership.clone(), DetRng::new(7));
+        let mut store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_mib(16)).unwrap();
+        let mut placer = Placer::new(strategy, membership.clone(), DetRng::new(7));
         let owner = ServerId::new(NodeId::new(0), 0);
 
         for key in 0..ENTRIES {

@@ -83,7 +83,7 @@ impl RemoteSlabEvictor {
     /// Individual migration failures are skipped (the entry stays on its
     /// old host); only infrastructure-level failures (no destination at
     /// all) abort the scan.
-    pub fn scan(&self, store: &RemoteStore, placer: &Placer) -> DmemResult<EvictionOutcome> {
+    pub fn scan(&self, store: &mut RemoteStore, placer: &mut Placer) -> DmemResult<EvictionOutcome> {
         let mut outcome = EvictionOutcome::default();
         let nodes: Vec<NodeId> = store.membership().nodes().to_vec();
         for host in nodes {
@@ -191,15 +191,15 @@ mod tests {
 
     #[test]
     fn healthy_cluster_is_left_alone() {
-        let (store, placer) = setup(3, 64);
+        let (mut store, mut placer) = setup(3, 64);
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(4), 8);
-        let outcome = evictor.scan(&store, &placer).unwrap();
+        let outcome = evictor.scan(&mut store, &mut placer).unwrap();
         assert!(outcome.is_empty());
     }
 
     #[test]
     fn overloaded_host_gets_relieved() {
-        let (store, placer) = setup(4, 16);
+        let (mut store, mut placer) = setup(4, 16);
         let host = NodeId::new(1);
         // Fill the 16 KiB pool on node 1 completely.
         for k in 0..4 {
@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(store.stats(host).unwrap().free, ByteSize::ZERO);
 
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(8), 8);
-        let outcome = evictor.scan(&store, &placer).unwrap();
+        let outcome = evictor.scan(&mut store, &mut placer).unwrap();
         assert!(!outcome.moves.is_empty());
         // Every moved entry still readable from its new host, intact.
         for (e, from, to) in &outcome.moves {
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn destination_never_already_hosts_the_entry() {
-        let (store, placer) = setup(3, 16);
+        let (mut store, mut placer) = setup(3, 16);
         let host = NodeId::new(1);
         // The same entry already lives on node 2 (a replica).
         store
@@ -240,7 +240,7 @@ mod tests {
                 .unwrap();
         }
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(16), 8);
-        let outcome = evictor.scan(&store, &placer).unwrap();
+        let outcome = evictor.scan(&mut store, &mut placer).unwrap();
         for (e, _, to) in &outcome.moves {
             if e.key() == 0 {
                 assert_ne!(*to, NodeId::new(2), "entry 0 must avoid its replica host");
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn batch_limit_caps_migrations() {
-        let (store, placer) = setup(4, 32);
+        let (mut store, mut placer) = setup(4, 32);
         let host = NodeId::new(1);
         for k in 0..8 {
             store
@@ -260,14 +260,14 @@ mod tests {
         // Threshold of 16 KiB: only the stuffed host (free = 0) is below;
         // destinations keep ≥ 28 KiB free and stay out of scope.
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(16), 2);
-        let outcome = evictor.scan(&store, &placer).unwrap();
+        let outcome = evictor.scan(&mut store, &mut placer).unwrap();
         assert!(!outcome.moves.is_empty());
         assert!(outcome.moves.len() <= 2);
     }
 
     #[test]
     fn priority_resolver_orders_low_priority_first() {
-        let (store, placer) = setup(4, 32);
+        let (mut store, mut placer) = setup(4, 32);
         let host = NodeId::new(1);
         for k in 0..8 {
             store
@@ -278,7 +278,7 @@ mod tests {
         let resolver: PriorityResolver = Arc::new(|e| if e.key() < 4 { 200 } else { 10 });
         let evictor =
             RemoteSlabEvictor::new(ByteSize::from_kib(16), 4).with_priority(resolver);
-        let outcome = evictor.scan(&store, &placer).unwrap();
+        let outcome = evictor.scan(&mut store, &mut placer).unwrap();
         assert!(!outcome.moves.is_empty());
         for (e, _, _) in &outcome.moves {
             assert!(

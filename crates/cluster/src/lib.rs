@@ -29,7 +29,7 @@
 //! let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures.clone());
 //! let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
 //! let membership = ClusterMembership::new(nodes.clone(), failures);
-//! let store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_mib(1))?;
+//! let mut store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_mib(1))?;
 //!
 //! let owner = ServerId::new(nodes[0], 0);
 //! let entry = EntryId::new(owner, 1);

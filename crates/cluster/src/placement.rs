@@ -10,15 +10,14 @@ use crate::membership::ClusterMembership;
 use dmem_sim::shard::{ShardId, ShardMap};
 use dmem_sim::{splitmix64, DetRng};
 use dmem_types::{DmemError, DmemResult, NodeId, PlacementStrategy};
-use parking_lot::Mutex;
 use std::fmt;
 
 /// Chooses the nodes that will host a replicated remote write.
 pub struct Placer {
     strategy: PlacementStrategy,
     membership: ClusterMembership,
-    rng: Mutex<DetRng>,
-    rr_cursor: Mutex<usize>,
+    rng: DetRng,
+    rr_cursor: usize,
 }
 
 impl Placer {
@@ -28,8 +27,8 @@ impl Placer {
         Placer {
             strategy,
             membership,
-            rng: Mutex::new(rng),
-            rr_cursor: Mutex::new(0),
+            rng,
+            rr_cursor: 0,
         }
     }
 
@@ -40,7 +39,7 @@ impl Placer {
     ///
     /// Returns [`DmemError::CapacityExhausted`] when fewer than `count`
     /// candidates exist.
-    pub fn pick(&self, candidates: &[NodeId], count: usize) -> DmemResult<Vec<NodeId>> {
+    pub fn pick(&mut self, candidates: &[NodeId], count: usize) -> DmemResult<Vec<NodeId>> {
         if candidates.len() < count {
             return Err(DmemError::CapacityExhausted {
                 pool: format!(
@@ -58,14 +57,13 @@ impl Placer {
         Ok(picked)
     }
 
-    fn pick_one(&self, remaining: &[NodeId]) -> DmemResult<usize> {
+    fn pick_one(&mut self, remaining: &[NodeId]) -> DmemResult<usize> {
         debug_assert!(!remaining.is_empty());
         let idx = match self.strategy {
-            PlacementStrategy::Random => self.rng.lock().below(remaining.len()),
+            PlacementStrategy::Random => self.rng.below(remaining.len()),
             PlacementStrategy::RoundRobin => {
-                let mut cursor = self.rr_cursor.lock();
-                let idx = *cursor % remaining.len();
-                *cursor = cursor.wrapping_add(1);
+                let idx = self.rr_cursor % remaining.len();
+                self.rr_cursor = self.rr_cursor.wrapping_add(1);
                 idx
             }
             PlacementStrategy::WeightedRoundRobin => {
@@ -76,8 +74,7 @@ impl Placer {
                     .map(|&n| self.membership.free_of(n).as_u64().max(1))
                     .collect();
                 let total: u64 = weights.iter().sum();
-                let mut rng = self.rng.lock();
-                let mut draw = (rng.unit() * total as f64) as u64;
+                let mut draw = (self.rng.unit() * total as f64) as u64;
                 let mut chosen = remaining.len() - 1;
                 for (i, w) in weights.iter().enumerate() {
                     if draw < *w {
@@ -89,10 +86,8 @@ impl Placer {
                 chosen
             }
             PlacementStrategy::PowerOfTwoChoices => {
-                let mut rng = self.rng.lock();
-                let a = rng.below(remaining.len());
-                let b = rng.below(remaining.len());
-                drop(rng);
+                let a = self.rng.below(remaining.len());
+                let b = self.rng.below(remaining.len());
                 if self.membership.free_of(remaining[a]) >= self.membership.free_of(remaining[b]) {
                     a
                 } else {
@@ -230,7 +225,7 @@ mod tests {
             PlacementStrategy::WeightedRoundRobin,
             PlacementStrategy::PowerOfTwoChoices,
         ] {
-            let p = placer(strategy, &m);
+            let mut p = placer(strategy, &m);
             for _ in 0..20 {
                 let picked = p.pick(&candidates(8), 3).unwrap();
                 let set: HashSet<_> = picked.iter().collect();
@@ -291,7 +286,7 @@ mod tests {
     #[test]
     fn insufficient_candidates_rejected() {
         let m = membership(2);
-        let p = placer(PlacementStrategy::Random, &m);
+        let mut p = placer(PlacementStrategy::Random, &m);
         assert!(matches!(
             p.pick(&candidates(2), 3),
             Err(DmemError::CapacityExhausted { .. })
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let m = membership(4);
-        let p = placer(PlacementStrategy::RoundRobin, &m);
+        let mut p = placer(PlacementStrategy::RoundRobin, &m);
         let firsts: Vec<NodeId> = (0..4)
             .map(|_| p.pick(&candidates(4), 1).unwrap()[0])
             .collect();
@@ -317,7 +312,7 @@ mod tests {
         for n in 0..3 {
             m.advertise_free(NodeId::new(n), ByteSize::from_mib(1));
         }
-        let p = placer(PlacementStrategy::PowerOfTwoChoices, &m);
+        let mut p = placer(PlacementStrategy::PowerOfTwoChoices, &m);
         let mut wins = 0;
         const TRIALS: usize = 200;
         for _ in 0..TRIALS {
@@ -337,7 +332,7 @@ mod tests {
         let m = membership(2);
         m.advertise_free(NodeId::new(0), ByteSize::from_mib(9));
         m.advertise_free(NodeId::new(1), ByteSize::from_mib(1));
-        let p = placer(PlacementStrategy::WeightedRoundRobin, &m);
+        let mut p = placer(PlacementStrategy::WeightedRoundRobin, &m);
         let mut zero_wins = 0;
         const TRIALS: usize = 300;
         for _ in 0..TRIALS {
@@ -364,7 +359,7 @@ mod tests {
         for n in 0..NODES {
             m.advertise_free(NodeId::new(n), ByteSize::from(capacity));
         }
-        let p = Placer::new(strategy, m.clone(), DetRng::new(seed));
+        let mut p = Placer::new(strategy, m.clone(), DetRng::new(seed));
         let mut stream = DetRng::new(seed ^ 0x5EED);
         let mut load = vec![0u64; NODES as usize];
         for _ in 0..600 {
@@ -403,7 +398,7 @@ mod tests {
         m.advertise_free(NodeId::new(0), ByteSize::from_mib(6));
         m.advertise_free(NodeId::new(1), ByteSize::from_mib(3));
         m.advertise_free(NodeId::new(2), ByteSize::from_mib(1));
-        let p = placer(PlacementStrategy::WeightedRoundRobin, &m);
+        let mut p = placer(PlacementStrategy::WeightedRoundRobin, &m);
         let mut counts = [0usize; 3];
         const TRIALS: usize = 1000;
         for _ in 0..TRIALS {
@@ -428,7 +423,7 @@ mod tests {
     #[test]
     fn random_is_roughly_uniform() {
         let m = membership(4);
-        let p = placer(PlacementStrategy::Random, &m);
+        let mut p = placer(PlacementStrategy::Random, &m);
         let mut counts: HashMap<NodeId, usize> = HashMap::new();
         const TRIALS: usize = 400;
         for _ in 0..TRIALS {

@@ -10,7 +10,6 @@
 use crate::membership::ClusterMembership;
 use dmem_net::{ChannelKind, ConnectionManager, Fabric, QpHandle, RegionHandle};
 use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
-use parking_lot::Mutex;
 use std::fmt;
 
 /// Size of a control-plane request/response message (entry id, offsets,
@@ -102,8 +101,8 @@ pub struct RemoteStore {
     fabric: Fabric,
     membership: ClusterMembership,
     pool_size: ByteSize,
-    hosts: Mutex<IdMap<NodeId, HostState>>,
-    clients: Mutex<IdMap<NodeId, ConnectionManager>>,
+    hosts: IdMap<NodeId, HostState>,
+    clients: IdMap<NodeId, ConnectionManager>,
 }
 
 impl RemoteStore {
@@ -127,8 +126,8 @@ impl RemoteStore {
             fabric,
             membership,
             pool_size,
-            hosts: Mutex::new(hosts),
-            clients: Mutex::new(IdMap::default()),
+            hosts,
+            clients: IdMap::default(),
         })
     }
 
@@ -144,15 +143,14 @@ impl RemoteStore {
 
     /// The channel of `kind` from `from` to `to`, through `from`'s
     /// connection manager (created on first use).
-    fn channel(&self, from: NodeId, to: NodeId, kind: ChannelKind) -> DmemResult<QpHandle> {
+    fn channel(&mut self, from: NodeId, to: NodeId, kind: ChannelKind) -> DmemResult<QpHandle> {
         self.clients
-            .lock()
             .entry(from)
             .or_insert_with(|| ConnectionManager::new(from, self.fabric.clone()))
             .channel(to, kind)
     }
 
-    fn control_roundtrip(&self, from: NodeId, to: NodeId) -> DmemResult<()> {
+    fn control_roundtrip(&mut self, from: NodeId, to: NodeId) -> DmemResult<()> {
         if from == to {
             // Loopback control requests stay on-node and skip the NIC.
             if !self.membership.is_alive(to) {
@@ -167,8 +165,8 @@ impl RemoteStore {
         Ok(())
     }
 
-    fn advertise(&self, node: NodeId, hosts: &IdMap<NodeId, HostState>) {
-        if let Some(state) = hosts.get(&node) {
+    fn advertise(&self, node: NodeId) {
+        if let Some(state) = self.hosts.get(&node) {
             self.membership
                 .advertise_free(node, ByteSize::new(state.free_bytes()));
         }
@@ -180,7 +178,7 @@ impl RemoteStore {
     ///
     /// Returns [`DmemError::CapacityExhausted`] when the host pool cannot
     /// fit the entry, plus any fabric path errors.
-    pub fn store(&self, from: NodeId, to: NodeId, entry: EntryId, data: &[u8]) -> DmemResult<()> {
+    pub fn store(&mut self, from: NodeId, to: NodeId, entry: EntryId, data: &[u8]) -> DmemResult<()> {
         self.store_batch(from, to, &[(entry, data)])
     }
 
@@ -193,7 +191,7 @@ impl RemoteStore {
     ///
     /// Same failure modes as [`RemoteStore::store`].
     pub(crate) fn store_batch(
-        &self,
+        &mut self,
         from: NodeId,
         to: NodeId,
         batch: &[(EntryId, &[u8])],
@@ -209,8 +207,7 @@ impl RemoteStore {
         self.control_roundtrip(from, to)?;
         // Replacing existing entries frees their old extents first so a
         // steady-state rewrite of the same window never grows the pool.
-        let mut hosts = self.hosts.lock();
-        let state = hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
+        let state = self.hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
         for (entry, _) in batch {
             if let Some(old) = state.entries.remove(entry) {
                 state.release(old);
@@ -264,14 +261,12 @@ impl RemoteStore {
                 }
             }
         }
-        drop(hosts);
 
         let qp = self.channel(from, to, ChannelKind::Data)?;
         for &(offset, bytes) in &writes {
             if let Err(e) = self.fabric.write(&qp, bytes, &region, offset) {
                 // Roll back every allocation of this batch.
-                let mut hosts = self.hosts.lock();
-                if let Some(state) = hosts.get_mut(&to) {
+                if let Some(state) = self.hosts.get_mut(&to) {
                     for (_, extent) in &placed {
                         state.release(*extent);
                     }
@@ -280,14 +275,13 @@ impl RemoteStore {
             }
         }
 
-        let mut hosts = self.hosts.lock();
-        let state = hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
+        let state = self.hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
         for (entry, extent) in placed {
             if let Some(old) = state.entries.insert(entry, extent) {
                 state.release(old);
             }
         }
-        self.advertise(to, &hosts);
+        self.advertise(to);
         Ok(())
     }
 
@@ -297,7 +291,7 @@ impl RemoteStore {
     ///
     /// Returns [`DmemError::EntryNotFound`] if the host does not hold the
     /// entry, plus fabric path errors.
-    pub fn load(&self, from: NodeId, to: NodeId, entry: EntryId) -> DmemResult<Vec<u8>> {
+    pub fn load(&mut self, from: NodeId, to: NodeId, entry: EntryId) -> DmemResult<Vec<u8>> {
         let mut out = self.load_batch(from, to, &[entry])?;
         Ok(out.remove(0))
     }
@@ -312,7 +306,7 @@ impl RemoteStore {
     /// Returns [`DmemError::EntryNotFound`] if any entry is missing (no
     /// partial results), plus fabric path errors.
     pub fn load_batch(
-        &self,
+        &mut self,
         from: NodeId,
         to: NodeId,
         entries: &[EntryId],
@@ -324,15 +318,12 @@ impl RemoteStore {
         span.tag("host", to);
         span.tag("entries", entries.len());
         self.control_roundtrip(from, to)?;
-        let (region, extents) = {
-            let hosts = self.hosts.lock();
-            let state = hosts.get(&to).ok_or(DmemError::NodeUnavailable(to))?;
-            let mut extents = Vec::with_capacity(entries.len());
-            for e in entries {
-                extents.push(*state.entries.get(e).ok_or(DmemError::EntryNotFound(*e))?);
-            }
-            (state.region, extents)
-        };
+        let state = self.hosts.get(&to).ok_or(DmemError::NodeUnavailable(to))?;
+        let region = state.region;
+        let extents = entries
+            .iter()
+            .map(|e| state.entries.get(e).copied().ok_or(DmemError::EntryNotFound(*e)))
+            .collect::<DmemResult<Vec<Extent>>>()?;
         let qp = self.channel(from, to, ChannelKind::Data)?;
 
         // Coalesce maximal contiguous runs of extents into single reads:
@@ -379,23 +370,21 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Returns [`DmemError::EntryNotFound`] if absent.
-    pub fn delete(&self, from: NodeId, to: NodeId, entry: EntryId) -> DmemResult<()> {
+    pub fn delete(&mut self, from: NodeId, to: NodeId, entry: EntryId) -> DmemResult<()> {
         self.control_roundtrip(from, to)?;
-        let mut hosts = self.hosts.lock();
-        let state = hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
+        let state = self.hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
         let extent = state
             .entries
             .remove(&entry)
             .ok_or(DmemError::EntryNotFound(entry))?;
         state.release(extent);
-        self.advertise(to, &hosts);
+        self.advertise(to);
         Ok(())
     }
 
     /// `true` if node `to` currently hosts `entry`.
     pub fn hosts_entry(&self, to: NodeId, entry: EntryId) -> bool {
         self.hosts
-            .lock()
             .get(&to)
             .is_some_and(|s| s.entries.contains_key(&entry))
     }
@@ -408,7 +397,6 @@ impl RemoteStore {
     pub(crate) fn entries_on(&self, node: NodeId) -> Vec<EntryId> {
         let mut entries: Vec<EntryId> = self
             .hosts
-            .lock()
             .get(&node)
             .map(|s| s.entries.keys().copied().collect())
             .unwrap_or_default();
@@ -418,7 +406,7 @@ impl RemoteStore {
 
     /// Pool statistics for `node`.
     pub fn stats(&self, node: NodeId) -> Option<RemoteStoreStats> {
-        self.hosts.lock().get(&node).map(|s| RemoteStoreStats {
+        self.hosts.get(&node).map(|s| RemoteStoreStats {
             capacity: ByteSize::new(s.capacity),
             free: ByteSize::new(s.free_bytes()),
             entries: s.entries.len(),
@@ -431,25 +419,24 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Propagates registration failures if the node is still down.
-    pub fn reset_node(&self, node: NodeId) -> DmemResult<usize> {
-        let mut hosts = self.hosts.lock();
-        let old = hosts.remove(&node);
+    pub fn reset_node(&mut self, node: NodeId) -> DmemResult<usize> {
+        let old = self.hosts.remove(&node);
         let lost = old.as_ref().map(|s| s.entries.len()).unwrap_or(0);
         if let Some(state) = old {
             let _ = self.fabric.deregister(&state.region);
         }
         let region = self.fabric.register(node, self.pool_size)?;
-        hosts.insert(node, HostState::new(region, self.pool_size.as_u64()));
-        self.advertise(node, &hosts);
+        self.hosts
+            .insert(node, HostState::new(region, self.pool_size.as_u64()));
+        self.advertise(node);
         Ok(lost)
     }
 
     /// Shrinks `node`'s pool by deregistering `bytes` of slack capacity
     /// (the §IV-F "deregister preemptively" path). Only unallocated space
     /// can be reclaimed; returns the bytes actually reclaimed.
-    pub(crate) fn shrink_pool(&self, node: NodeId, bytes: ByteSize) -> ByteSize {
-        let mut hosts = self.hosts.lock();
-        let Some(state) = hosts.get_mut(&node) else {
+    pub(crate) fn shrink_pool(&mut self, node: NodeId, bytes: ByteSize) -> ByteSize {
+        let Some(state) = self.hosts.get_mut(&node) else {
             return ByteSize::ZERO;
         };
         let mut to_reclaim = bytes.as_u64();
@@ -466,16 +453,15 @@ impl RemoteStore {
                 state.free.pop();
             }
         }
-        self.advertise(node, &hosts);
+        self.advertise(node);
         ByteSize::new(reclaimed)
     }
 }
 
 impl fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let hosts = self.hosts.lock();
         f.debug_struct("RemoteStore")
-            .field("nodes", &hosts.len())
+            .field("nodes", &self.hosts.len())
             .field("pool_size", &self.pool_size)
             .finish()
     }
@@ -503,7 +489,7 @@ mod tests {
 
     #[test]
     fn store_load_roundtrip() {
-        let (_, _, store) = setup(2, 64);
+        let (_, _, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         store.store(a, b, entry(1), &[7u8; 4096]).unwrap();
         assert!(store.hosts_entry(b, entry(1)));
@@ -512,7 +498,7 @@ mod tests {
 
     #[test]
     fn store_updates_advertised_free() {
-        let (_, _, store) = setup(2, 64);
+        let (_, _, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let before = store.membership().free_of(b);
         store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
@@ -522,7 +508,7 @@ mod tests {
 
     #[test]
     fn capacity_exhaustion() {
-        let (_, _, store) = setup(2, 8);
+        let (_, _, mut store) = setup(2, 8);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         store.store(a, b, entry(1), &[0u8; 8192]).unwrap();
         assert!(matches!(
@@ -536,7 +522,7 @@ mod tests {
 
     #[test]
     fn batch_store_and_contiguous_batch_load() {
-        let (clock, _, store) = setup(2, 256);
+        let (clock, _, mut store) = setup(2, 256);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let pages: Vec<Vec<u8>> = (0..16).map(|k| vec![k as u8; 4096]).collect();
         let batch: Vec<(EntryId, &[u8])> = (0..16)
@@ -566,7 +552,7 @@ mod tests {
 
     #[test]
     fn non_contiguous_batch_load_still_correct() {
-        let (_, _, store) = setup(2, 256);
+        let (_, _, mut store) = setup(2, 256);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         for k in 0..4 {
             store.store(a, b, entry(k), &[k as u8; 1024]).unwrap();
@@ -581,7 +567,7 @@ mod tests {
 
     #[test]
     fn missing_entry_not_found() {
-        let (_, _, store) = setup(2, 64);
+        let (_, _, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         assert!(matches!(
             store.load(a, b, entry(9)),
@@ -595,7 +581,7 @@ mod tests {
 
     #[test]
     fn replace_frees_old_extent() {
-        let (_, _, store) = setup(2, 8);
+        let (_, _, mut store) = setup(2, 8);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         store.store(a, b, entry(1), &[1u8; 4096]).unwrap();
         store.store(a, b, entry(1), &[2u8; 4096]).unwrap();
@@ -607,7 +593,7 @@ mod tests {
 
     #[test]
     fn dead_host_rejected_and_rolled_back() {
-        let (_, failures, store) = setup(2, 64);
+        let (_, failures, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         failures.inject_now(FailureEvent::NodeDown(b));
         let err = store.store(a, b, entry(1), &[0u8; 64]).unwrap_err();
@@ -619,7 +605,7 @@ mod tests {
 
     #[test]
     fn crash_loses_hosted_entries() {
-        let (_, failures, store) = setup(2, 64);
+        let (_, failures, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         store.store(a, b, entry(1), &[5u8; 512]).unwrap();
         failures.inject_now(FailureEvent::NodeDown(b));
@@ -635,7 +621,7 @@ mod tests {
 
     #[test]
     fn shrink_pool_reclaims_only_free_space() {
-        let (_, _, store) = setup(2, 64);
+        let (_, _, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
         let reclaimed = store.shrink_pool(b, ByteSize::from_kib(128));
@@ -647,7 +633,7 @@ mod tests {
 
     #[test]
     fn free_list_coalesces() {
-        let (_, _, store) = setup(2, 16);
+        let (_, _, mut store) = setup(2, 16);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         for k in 0..4 {
             store.store(a, b, entry(k), &[0u8; 4096]).unwrap();

@@ -13,18 +13,17 @@ use crate::placement::Placer;
 use crate::remote::RemoteStore;
 use dmem_types::{DmemError, DmemResult, EntryId, NodeId, ReplicationFactor};
 use std::fmt;
-use std::sync::Arc;
 
-/// Replicated store/load/delete over the [`RemoteStore`].
+/// Replicated store/load/delete over the [`RemoteStore`] it owns.
 pub struct Replicator {
-    store: Arc<RemoteStore>,
+    store: RemoteStore,
     placer: Placer,
     factor: ReplicationFactor,
 }
 
 impl Replicator {
     /// Creates a replicator writing `factor` copies placed by `placer`.
-    pub fn new(store: Arc<RemoteStore>, placer: Placer, factor: ReplicationFactor) -> Self {
+    pub fn new(store: RemoteStore, placer: Placer, factor: ReplicationFactor) -> Self {
         Replicator {
             store,
             placer,
@@ -35,6 +34,16 @@ impl Replicator {
     /// The configured replication factor.
     pub fn factor(&self) -> ReplicationFactor {
         self.factor
+    }
+
+    /// The remote store the replicas live in.
+    pub fn store(&self) -> &RemoteStore {
+        &self.store
+    }
+
+    /// The remote store, for writers outside the replicated paths.
+    pub fn store_mut(&mut self) -> &mut RemoteStore {
+        &mut self.store
     }
 
     /// The membership used for candidate selection.
@@ -51,7 +60,7 @@ impl Replicator {
     ///
     /// Same failure modes as [`Replicator::store_batch_replicated`].
     pub fn store_replicated(
-        &self,
+        &mut self,
         from: NodeId,
         entry: EntryId,
         data: &[u8],
@@ -81,7 +90,7 @@ impl Replicator {
     /// replica write fails, or placement errors when too few candidates
     /// exist.
     pub fn store_batch_replicated(
-        &self,
+        &mut self,
         from: NodeId,
         batch: &[(EntryId, &[u8])],
         candidates: &[NodeId],
@@ -130,7 +139,7 @@ impl Replicator {
     ///
     /// Returns the last replica's error if every replica fails.
     pub fn load_replicated(
-        &self,
+        &mut self,
         from: NodeId,
         entry: EntryId,
         replicas: &[NodeId],
@@ -179,7 +188,7 @@ impl Replicator {
 
     /// Deletes the entry from every reachable replica. Unreachable
     /// replicas are skipped (their pools vanish with the node anyway).
-    pub fn delete_replicated(&self, from: NodeId, entry: EntryId, replicas: &[NodeId]) {
+    pub fn delete_replicated(&mut self, from: NodeId, entry: EntryId, replicas: &[NodeId]) {
         for &node in replicas {
             let _ = self.store.delete(from, node, entry);
         }
@@ -213,7 +222,7 @@ impl Replicator {
     /// Returns [`DmemError::EntryNotFound`] if no replica survives, or
     /// placement errors if the cluster is too small to restore the degree.
     pub fn re_replicate(
-        &self,
+        &mut self,
         from: NodeId,
         entry: EntryId,
         replicas: &[NodeId],
@@ -269,21 +278,19 @@ mod tests {
     use dmem_sim::{CostModel, DetRng, FailureEvent, FailureInjector, SimClock};
     use dmem_types::{ByteSize, PlacementStrategy, ServerId};
 
-    fn setup(n: u32) -> (FailureInjector, Arc<RemoteStore>, Replicator) {
+    fn setup(n: u32) -> (FailureInjector, Replicator) {
         let clock = SimClock::new();
         let failures = FailureInjector::new(clock.clone());
         let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes, failures.clone());
-        let store =
-            Arc::new(RemoteStore::new(fabric, membership.clone(), ByteSize::from_kib(64)).unwrap());
+        let store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_kib(64)).unwrap();
         let placer = Placer::new(
             PlacementStrategy::PowerOfTwoChoices,
             membership,
             DetRng::new(1),
         );
-        let replicator = Replicator::new(Arc::clone(&store), placer, ReplicationFactor::TRIPLE);
-        (failures, store, replicator)
+        (failures, Replicator::new(store, placer, ReplicationFactor::TRIPLE))
     }
 
     fn entry(k: u64) -> EntryId {
@@ -292,21 +299,21 @@ mod tests {
 
     #[test]
     fn writes_land_on_three_distinct_nodes() {
-        let (_, store, rep) = setup(5);
+        let (_, mut rep) = setup(5);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[9u8; 256], None)
             .unwrap();
         assert_eq!(set.len(), 3);
         assert!(!set.contains(&NodeId::new(0)), "never self-hosted");
         for &n in &set {
-            assert!(store.hosts_entry(n, entry(1)));
+            assert!(rep.store().hosts_entry(n, entry(1)));
         }
         assert_eq!(rep.live_degree(entry(1), &set), 3);
     }
 
     #[test]
     fn read_fails_over_across_replicas() {
-        let (failures, _, rep) = setup(5);
+        let (failures, mut rep) = setup(5);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[5u8; 64], None)
             .unwrap();
@@ -322,7 +329,7 @@ mod tests {
 
     #[test]
     fn all_replicas_down_errors() {
-        let (failures, _, rep) = setup(5);
+        let (failures, mut rep) = setup(5);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
@@ -334,7 +341,7 @@ mod tests {
 
     #[test]
     fn failed_write_rolls_back_all_copies() {
-        let (failures, store, rep) = setup(4);
+        let (failures, mut rep) = setup(4);
         // With 4 nodes, candidates for node 0 are {1,2,3}; kill node 3 so
         // the triple write must fail partway (placement can't avoid it).
         failures.inject_now(FailureEvent::NodeDown(NodeId::new(3)));
@@ -349,7 +356,7 @@ mod tests {
         ));
         for n in 1..3 {
             assert!(
-                !store.hosts_entry(NodeId::new(n), entry(1)),
+                !rep.store().hosts_entry(NodeId::new(n), entry(1)),
                 "rollback must leave no copy on node {n}"
             );
         }
@@ -357,15 +364,15 @@ mod tests {
 
     #[test]
     fn re_replication_restores_degree() {
-        let (failures, store, rep) = setup(6);
+        let (failures, mut rep) = setup(6);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[3u8; 128], None)
             .unwrap();
         let victim = set[1];
         failures.inject_now(FailureEvent::NodeDown(victim));
-        store.reset_node(victim).ok(); // crash loses contents
+        rep.store_mut().reset_node(victim).ok(); // crash loses contents
         failures.inject_now(FailureEvent::NodeUp(victim));
-        store.reset_node(victim).unwrap();
+        rep.store_mut().reset_node(victim).unwrap();
 
         assert_eq!(rep.live_degree(entry(1), &set), 2);
         let repaired = rep.re_replicate(NodeId::new(0), entry(1), &set).unwrap();
@@ -384,7 +391,7 @@ mod tests {
         // be back at factor with a replacement that is (a) not the dead
         // node, (b) not a duplicate of a survivor, (c) alive, and (d) a
         // legal placement candidate (never the writing node itself).
-        let (failures, store, rep) = setup(6);
+        let (failures, mut rep) = setup(6);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[8u8; 128], None)
             .unwrap();
@@ -405,7 +412,7 @@ mod tests {
         );
         for &n in &repaired {
             assert!(rep.membership().is_alive(n), "{n} is not alive");
-            assert!(store.hosts_entry(n, entry(1)), "{n} holds no copy");
+            assert!(rep.store().hosts_entry(n, entry(1)), "{n} holds no copy");
         }
         // The survivors were kept — repair copies once, not three times.
         for &n in &set {
@@ -417,7 +424,7 @@ mod tests {
 
     #[test]
     fn live_degree_counts_distinct_replicas_once() {
-        let (_, _, rep) = setup(6);
+        let (_, mut rep) = setup(6);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1u8; 32], None)
             .unwrap();
@@ -429,7 +436,7 @@ mod tests {
 
     #[test]
     fn re_replicate_noop_when_healthy() {
-        let (_, _, rep) = setup(6);
+        let (_, mut rep) = setup(6);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
@@ -439,19 +446,19 @@ mod tests {
 
     #[test]
     fn delete_removes_reachable_copies() {
-        let (_, store, rep) = setup(5);
+        let (_, mut rep) = setup(5);
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], None)
             .unwrap();
         rep.delete_replicated(NodeId::new(0), entry(1), &set);
         for &n in &set {
-            assert!(!store.hosts_entry(n, entry(1)));
+            assert!(!rep.store().hosts_entry(n, entry(1)));
         }
     }
 
     #[test]
     fn candidate_restriction_respected() {
-        let (_, _, rep) = setup(8);
+        let (_, mut rep) = setup(8);
         let allowed = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
         let set = rep
             .store_replicated(NodeId::new(0), entry(1), &[1], Some(&allowed))
@@ -466,8 +473,8 @@ mod tests {
         // Same seed on both sides: the single write and a window of one
         // draw the same hosts and leave the placer's stream at the same
         // point, so the write after them lands identically too.
-        let (_, _, single) = setup(8);
-        let (_, _, window) = setup(8);
+        let (_, mut single) = setup(8);
+        let (_, mut window) = setup(8);
         let from = NodeId::new(0);
         let candidates = single.membership().candidates(from);
         for k in 1..=4 {
@@ -484,10 +491,10 @@ mod tests {
     fn full_host_rolls_back_both_paths() {
         // Candidates of node 0 are {1,2,3}; node 3's pool is full, so the
         // third copy cannot land and the first two must be taken back.
-        let (_, store, rep) = setup(4);
+        let (_, mut rep) = setup(4);
         let from = NodeId::new(0);
         let full = NodeId::new(3);
-        store.store(from, full, entry(99), &vec![0u8; 64 * 1024]).unwrap();
+        rep.store_mut().store(from, full, entry(99), &vec![0u8; 64 * 1024]).unwrap();
         let candidates = rep.membership().candidates(from);
         let data = [7u8; 512];
         let errs = [
@@ -507,7 +514,7 @@ mod tests {
         for n in 1..=3 {
             for k in [1, 2] {
                 assert!(
-                    !store.hosts_entry(NodeId::new(n), entry(k)),
+                    !rep.store().hosts_entry(NodeId::new(n), entry(k)),
                     "rollback left a copy of entry {k} on node {n}"
                 );
             }

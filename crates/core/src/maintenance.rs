@@ -144,7 +144,7 @@ impl Maintenance {
                     }
                     Task::Eviction => {
                         report.eviction_scans += 1;
-                        let outcome = match self.dm.run_eviction(&self.evictor, &self.placer) {
+                        let outcome = match self.dm.run_eviction(&self.evictor, &mut self.placer) {
                             Ok(outcome) => outcome,
                             Err(e) => {
                                 // An aborted window must still resolve
@@ -162,8 +162,9 @@ impl Maintenance {
                     }
                     Task::Advertise => {
                         report.advertise_refreshes += 1;
+                        let store = self.dm.remote_store();
                         for &node in self.dm.membership().nodes() {
-                            if let Some(stats) = self.dm.remote_store().stats(node) {
+                            if let Some(stats) = store.stats(node) {
                                 self.dm.membership().advertise_free(node, stats.free);
                             }
                         }
@@ -175,11 +176,8 @@ impl Maintenance {
                         // shared pool repeatedly gets DRAM ballooned back
                         // by shrinking its donation.
                         for &server in self.dm.servers() {
-                            let manager = self.dm.node_manager(server.node());
-                            if manager
-                                .apply_recommendation(server, BALLOON_STEP)
-                                .applied
-                            {
+                            let mut manager = self.dm.node_manager(server.node());
+                            if manager.apply_recommendation(server, BALLOON_STEP).applied {
                                 report.balloon_adjustments += 1;
                             }
                         }
@@ -376,11 +374,11 @@ mod tests {
         config.node.dram = ByteSize::from_mib(16);
         let dm = Arc::new(DisaggregatedMemory::new(config).unwrap());
         let server = dm.servers()[0];
-        let manager = dm.node_manager(server.node());
         // Overflows spread across disk-speed fallbacks; widen the advice
-        // window so the pressure signal accumulates.
-        manager.set_advice_policy(SimDuration::from_secs(10), 16);
-        let before = manager.capacity();
+        // window so the pressure signal accumulates. Each guard holds the
+        // cluster lock, so none outlives its statement.
+        dm.node_manager(server.node()).set_advice_policy(SimDuration::from_secs(10), 16);
+        let before = dm.node_manager(server.node()).capacity();
 
         // Hammer the shared pool until it overflows repeatedly.
         for key in 0..128 {
@@ -391,11 +389,7 @@ mod tests {
             .run_until(dm.clock().now() + SimDuration::from_secs(1))
             .unwrap();
         assert!(report.balloon_adjustments >= 1, "{report:?}");
-        assert!(
-            manager.capacity() < before,
-            "donation should shrink: {} !< {}",
-            manager.capacity(),
-            before
-        );
+        let after = dm.node_manager(server.node()).capacity();
+        assert!(after < before, "donation should shrink: {after} !< {before}");
     }
 }

@@ -151,9 +151,10 @@ impl CoreMetrics {
 }
 
 /// The state only this facade owns: the memory maps, the compress memo,
-/// and the disk and NVM tiers. It sits behind the cluster's one lock;
-/// each public verb takes that lock once and hands `&mut Core` down, so
-/// no helper ever locks.
+/// the disk and NVM tiers, every node's manager, and the replicator with
+/// the remote store it writes through. It sits behind the cluster's one
+/// lock; each public verb takes that lock once and hands `&mut Core`
+/// down, so no helper ever locks.
 struct Core {
     maps: IdMap<ServerId, MemoryMap>,
     /// Byte-guarded compressed-page memo keyed by `(server, key)`. Hits
@@ -162,6 +163,8 @@ struct Core {
     memo: CompressMemo,
     disk: DiskTier,
     nvm: DiskTier,
+    managers: IdMap<NodeId, NodeManager>,
+    replicator: Replicator,
 }
 
 impl Core {
@@ -211,24 +214,28 @@ impl Core {
     }
 }
 
-/// The disk or NVM tier, reached under the cluster lock: the lock is held
-/// for as long as the guard lives.
-pub struct TierGuard<'a> {
+/// One part of the cluster's state — a node's manager, the remote store,
+/// the replicator, the disk or the NVM tier — reached under the cluster
+/// lock, which is held for as long as the guard lives. `node` keys the
+/// part when there is one per node.
+pub struct CoreGuard<'a, T> {
     core: MutexGuard<'a, Core>,
-    nvm: bool,
+    node: NodeId,
+    part: fn(&Core, NodeId) -> &T,
+    part_mut: fn(&mut Core, NodeId) -> &mut T,
 }
 
-impl Deref for TierGuard<'_> {
-    type Target = DiskTier;
+impl<T> Deref for CoreGuard<'_, T> {
+    type Target = T;
 
-    fn deref(&self) -> &DiskTier {
-        if self.nvm { &self.core.nvm } else { &self.core.disk }
+    fn deref(&self) -> &T {
+        (self.part)(&self.core, self.node)
     }
 }
 
-impl DerefMut for TierGuard<'_> {
-    fn deref_mut(&mut self) -> &mut DiskTier {
-        if self.nvm { &mut self.core.nvm } else { &mut self.core.disk }
+impl<T> DerefMut for CoreGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        (self.part_mut)(&mut self.core, self.node)
     }
 }
 
@@ -242,9 +249,6 @@ pub struct DisaggregatedMemory {
     fabric: Fabric,
     membership: ClusterMembership,
     groups: GroupTable,
-    managers: IdMap<NodeId, Arc<NodeManager>>,
-    remote: Arc<RemoteStore>,
-    replicator: Replicator,
     /// The CXL memory pool, present only when `ClusterConfig::cxl`
     /// enables it — absent, no `cxl.*` metric keys exist and the tiering
     /// order is exactly the pre-CXL one.
@@ -286,7 +290,7 @@ impl DisaggregatedMemory {
         let mut managers = IdMap::default();
         let mut servers = Vec::new();
         for &node in &nodes {
-            let manager = Arc::new(NodeManager::new(node, config.node.slab_size, clock.clone(), cost));
+            let mut manager = NodeManager::new(node, config.node.slab_size, clock.clone(), cost);
             for local in 0..config.servers_per_node as u32 {
                 let server = ServerId::new(node, local);
                 manager.register_server(server, config.server.memory, config.server.donation);
@@ -295,18 +299,15 @@ impl DisaggregatedMemory {
             managers.insert(node, manager);
         }
 
-        let remote = Arc::new(RemoteStore::new(
-            fabric.clone(),
-            membership.clone(),
-            config.node.recv_pool,
-        )?);
+        let remote = RemoteStore::new(fabric.clone(), membership.clone(), config.node.recv_pool)?;
         let placer = Placer::new(config.placement, membership.clone(), rng.fork("placement"));
-        let replicator = Replicator::new(Arc::clone(&remote), placer, config.replication);
         let core = Core {
             maps: servers.iter().map(|&s| (s, MemoryMap::new())).collect(),
             memo: CompressMemo::with_default_capacity(),
             disk: DiskTier::new(clock.clone(), cost),
             nvm: DiskTier::with_device_labeled(clock.clone(), cost.nvm, "nvm"),
+            managers,
+            replicator: Replicator::new(remote, placer, config.replication),
         };
         let codec = PageCodec::new(config.compression);
         let metrics = MetricsRegistry::new();
@@ -328,9 +329,6 @@ impl DisaggregatedMemory {
             fabric,
             membership,
             groups,
-            managers,
-            remote,
-            replicator,
             cxl,
             codec,
             core: Mutex::new(core),
@@ -450,10 +448,11 @@ impl DisaggregatedMemory {
         let Some(engine) = self.qos.get() else {
             return 0;
         };
+        let core = &mut *self.core.lock();
         let mut applied = 0;
         for action in engine.controller_tick(&self.metrics) {
             let ControlAction::AdjustDonation { server, delta } = action;
-            if let Some(manager) = self.managers.get(&server.node()) {
+            if let Some(manager) = core.managers.get_mut(&server.node()) {
                 // Honor local memory pressure first (ballooning advice);
                 // only grow the donation when the node is not squeezed.
                 let balloon = manager.apply_recommendation(server, delta.abs());
@@ -499,7 +498,7 @@ impl DisaggregatedMemory {
         let entry = victim.entry;
         let server = entry.owner();
         let node = server.node();
-        let Some(manager) = self.managers.get(&node) else {
+        let Some(manager) = core.managers.get_mut(&node) else {
             return false;
         };
         let Ok(bytes) = manager.get(entry) else {
@@ -517,31 +516,48 @@ impl DisaggregatedMemory {
         true
     }
 
-    /// The node manager of `node`.
+    fn guard<T>(
+        &self,
+        node: NodeId,
+        part: fn(&Core, NodeId) -> &T,
+        part_mut: fn(&mut Core, NodeId) -> &mut T,
+    ) -> CoreGuard<'_, T> {
+        CoreGuard { core: self.core.lock(), node, part, part_mut }
+    }
+
+    /// The node manager of `node`, under the cluster lock until the guard
+    /// drops.
     ///
     /// # Panics
     ///
     /// Panics for nodes outside the configured cluster.
-    pub fn node_manager(&self, node: NodeId) -> &Arc<NodeManager> {
-        self.managers
-            .get(&node)
-            .expect("node is part of the configured cluster")
+    pub fn node_manager(&self, node: NodeId) -> CoreGuard<'_, NodeManager> {
+        assert!(node.index() < self.config.nodes as u32, "node is part of the configured cluster");
+        self.guard(node, |c, n| &c.managers[&n], |c, n| c.managers.get_mut(&n).expect("asserted"))
     }
 
-    /// The remote memory store.
-    pub fn remote_store(&self) -> &Arc<RemoteStore> {
-        &self.remote
+    /// The remote memory store, under the cluster lock until the guard
+    /// drops.
+    pub fn remote_store(&self) -> CoreGuard<'_, RemoteStore> {
+        self.guard(NodeId::new(0), |c, _| c.replicator.store(), |c, _| c.replicator.store_mut())
+    }
+
+    /// The replication manager, under the cluster lock until the guard
+    /// drops: invariant checkers probe live replica degree through it
+    /// without re-deriving cluster state.
+    pub fn replicator(&self) -> CoreGuard<'_, Replicator> {
+        self.guard(NodeId::new(0), |c, _| &c.replicator, |c, _| &mut c.replicator)
     }
 
     /// The disk tier, under the cluster lock until the guard drops.
-    pub fn disk_tier(&self) -> TierGuard<'_> {
-        TierGuard { core: self.core.lock(), nvm: false }
+    pub fn disk_tier(&self) -> CoreGuard<'_, DiskTier> {
+        self.guard(NodeId::new(0), |c, _| &c.disk, |c, _| &mut c.disk)
     }
 
     /// The NVM tier (empty unless `NodeConfig::nvm_pool` is nonzero),
     /// under the cluster lock until the guard drops.
-    pub fn nvm_tier(&self) -> TierGuard<'_> {
-        TierGuard { core: self.core.lock(), nvm: true }
+    pub fn nvm_tier(&self) -> CoreGuard<'_, DiskTier> {
+        self.guard(NodeId::new(0), |c, _| &c.nvm, |c, _| &mut c.nvm)
     }
 
     /// NVM bytes in use on `node`.
@@ -656,12 +672,12 @@ impl DisaggregatedMemory {
         let node = entry.owner().node();
         match location {
             EntryLocation::NodeShared { .. } => {
-                if let Some(m) = self.managers.get(&node) {
+                if let Some(m) = core.managers.get_mut(&node) {
                     let _ = m.delete(entry);
                 }
             }
             EntryLocation::Remote { replicas } => {
-                self.replicator.delete_replicated(node, entry, replicas);
+                core.replicator.delete_replicated(node, entry, replicas);
             }
             _ => {}
         }
@@ -776,7 +792,7 @@ impl DisaggregatedMemory {
             Walk::Landed(location) => Some(location),
             Walk::Remote => self
                 .metered(qos, tenant, stored.len() as u64, || {
-                    self.try_remote(node, entry, &stored)
+                    self.try_remote(core, node, entry, &stored)
                 })
                 .ok(),
             Walk::Disk => None,
@@ -815,15 +831,16 @@ impl DisaggregatedMemory {
             .ok_or_else(|| DmemError::Unsupported {
                 op: "multi-page entries in the node shared pool".into(),
             })?;
-        let manager = self
+        let manager = core
             .managers
-            .get(&node)
+            .get_mut(&node)
             .ok_or(DmemError::NodeUnavailable(node))?;
         let mut placed = manager.put(entry, stored, class);
         if let (Some(engine), Err(DmemError::CapacityExhausted { .. })) = (qos, &placed) {
             if let Some(victim) = engine.pick_victim(tenant, node, entry) {
                 if self.demote_victim(core, engine, &victim) {
                     engine.note_eviction(tenant, &victim);
+                    let manager = core.managers.get_mut(&node).expect("found above");
                     placed = manager.put(entry, stored, class).or(placed);
                 }
             }
@@ -886,12 +903,12 @@ impl DisaggregatedMemory {
         Ok(EntryLocation::Cxl { addr: addr.raw() })
     }
 
-    fn try_remote(&self, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
+    fn try_remote(&self, core: &mut Core, node: NodeId, entry: EntryId, stored: &[u8]) -> DmemResult<EntryLocation> {
         let peers = self.group_peers(node)?;
-        if let Some(m) = self.managers.get(&node) {
+        if let Some(m) = core.managers.get_mut(&node) {
             m.record_remote_escalation();
         }
-        let replicas = self
+        let replicas = core
             .replicator
             .store_replicated(node, entry, stored, Some(&peers))?;
         self.handles.put_remote.inc();
@@ -921,9 +938,9 @@ impl DisaggregatedMemory {
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(entry.owner()));
         match self.fetch(core, qos, tenant, entry, record)? {
             Fetch::Served(payload) => Ok(payload),
-            Fetch::Remote(replicas) => self.timed_get(core, qos, tenant, entry, record, |_| {
+            Fetch::Remote(replicas) => self.timed_get(core, qos, tenant, entry, record, |core| {
                 self.metered(qos, tenant, record.stored_len, || {
-                    self.replicator.load_replicated(node, entry, replicas)
+                    core.replicator.load_replicated(node, entry, replicas)
                 })
             }),
             Fetch::Disk => self.timed_get(core, qos, tenant, entry, record, |core| {
@@ -947,7 +964,7 @@ impl DisaggregatedMemory {
         tenant: TenantId,
         entry: EntryId,
         record: &EntryRecord,
-        load: impl FnOnce(&Core) -> DmemResult<Vec<u8>>,
+        load: impl FnOnce(&mut Core) -> DmemResult<Vec<u8>>,
     ) -> DmemResult<Vec<u8>> {
         let span = self.clock.tracer().span("core", "get");
         span.tag("tier", Self::tier_name(&record.location));
@@ -980,11 +997,8 @@ impl DisaggregatedMemory {
         let served = match &record.location {
             EntryLocation::Remote { replicas } => return Ok(Fetch::Remote(replicas)),
             EntryLocation::Disk => return Ok(Fetch::Disk),
-            EntryLocation::NodeShared { .. } => self.timed_get(core, qos, tenant, entry, record, |_| {
-                let manager = self
-                    .managers
-                    .get(&node)
-                    .ok_or(DmemError::NodeUnavailable(node))?;
+            EntryLocation::NodeShared { .. } => self.timed_get(core, qos, tenant, entry, record, |core| {
+                let manager = core.managers.get(&node).ok_or(DmemError::NodeUnavailable(node))?;
                 manager.get(entry)
             }),
             EntryLocation::Nvm => {
@@ -1058,7 +1072,7 @@ impl DisaggregatedMemory {
             let ids: Vec<EntryId> = indices.iter().map(|&i| id(i)).collect();
             let batch_bytes: u64 = indices.iter().map(|&i| records[i].stored_len).sum();
             match self.metered(qos, tenant, batch_bytes, || {
-                self.remote.load_batch(node, primary, &ids)
+                core.replicator.store_mut().load_batch(node, primary, &ids)
             }) {
                 Ok(blobs) => {
                     for (&i, blob) in indices.iter().zip(blobs) {
@@ -1135,14 +1149,14 @@ impl DisaggregatedMemory {
         // One replica set for the whole window; one batched RDMA write per
         // replica. Falls back to disk when the group cannot host it.
         let peers = self.group_peers(node)?;
-        if let Some(m) = self.managers.get(&node) {
+        if let Some(m) = core.managers.get_mut(&node) {
             m.record_remote_escalation();
         }
         let id_batch: Vec<(EntryId, &[u8])> =
             window.iter().map(|(e, d, _)| (*e, d.as_slice())).collect();
         let batch_bytes: u64 = window.iter().map(|(_, d, _)| d.len() as u64).sum();
         let picked = self.metered(qos, tenant, batch_bytes, || {
-            self.replicator
+            core.replicator
                 .store_batch_replicated(node, &id_batch, &peers)
         });
         match picked {
@@ -1196,12 +1210,6 @@ impl DisaggregatedMemory {
         self.core.lock().record(server, key)
     }
 
-    /// The replication manager, exposed so invariant checkers can probe
-    /// live replica degree without re-deriving cluster state.
-    pub fn replicator(&self) -> &Replicator {
-        &self.replicator
-    }
-
     /// A point-in-time copy of every tracked entry across all memory
     /// maps, as `(owner, key, record)` triples sorted by owner and key.
     ///
@@ -1218,11 +1226,11 @@ impl DisaggregatedMemory {
     /// # Errors
     ///
     /// Propagates evictor-level failures.
-    pub fn run_eviction(&self, evictor: &RemoteSlabEvictor, placer: &Placer) -> DmemResult<EvictionOutcome> {
+    pub fn run_eviction(&self, evictor: &RemoteSlabEvictor, placer: &mut Placer) -> DmemResult<EvictionOutcome> {
         let span = self.clock.tracer().span("cluster", "evict_scan");
-        let outcome = evictor.scan(&self.remote, placer)?;
+        let core = &mut *self.core.lock();
+        let outcome = evictor.scan(core.replicator.store_mut(), placer)?;
         span.tag("moves", outcome.moves.len());
-        let mut core = self.core.lock();
         for (entry, from, to) in &outcome.moves {
             if let Some(map) = core.maps.get_mut(&entry.owner()) {
                 map.relocate_replica(entry.key(), *from, *to);
@@ -1246,8 +1254,8 @@ impl DisaggregatedMemory {
                 continue;
             };
             let entry = EntryId::new(server, key);
-            if self.replicator.live_degree(entry, &replicas) < self.replicator.factor().get() {
-                if let Ok(replicas) = self.replicator.re_replicate(server.node(), entry, &replicas) {
+            if core.replicator.live_degree(entry, &replicas) < core.replicator.factor().get() {
+                if let Ok(replicas) = core.replicator.re_replicate(server.node(), entry, &replicas) {
                     if let Some(map) = core.maps.get_mut(&server) {
                         if map.set_location(key, EntryLocation::Remote { replicas }) {
                             repaired += 1;
@@ -1313,9 +1321,9 @@ impl DisaggregatedMemory {
     ///
     /// Propagates region re-registration failures if the node is still down.
     pub fn handle_node_restart(&self, node: NodeId) -> DmemResult<(usize, usize)> {
-        let lost_remote = self.remote.reset_node(node)?;
-        let mut purged = 0;
         let core = &mut *self.core.lock();
+        let lost_remote = core.replicator.store_mut().reset_node(node)?;
+        let mut purged = 0;
         let servers: Vec<ServerId> = core.maps.keys().copied().filter(|s| s.node() == node).collect();
         for server in servers {
             // The map goes wholesale, so release what only it tracks
@@ -1328,7 +1336,7 @@ impl DisaggregatedMemory {
             for (key, record) in map.iter() {
                 self.release_local(core, EntryId::new(server, key), &record.location);
             }
-            if let Some(m) = self.managers.get(&node) {
+            if let Some(m) = core.managers.get_mut(&node) {
                 m.deregister_server(server);
                 m.register_server(server, self.config.server.memory, self.config.server.donation);
             }
@@ -1349,7 +1357,7 @@ impl DisaggregatedMemory {
             stats.cxl += c;
             stats.disk += d;
         }
-        for manager in self.managers.values() {
+        for manager in core.managers.values() {
             stats.shared_capacity += manager.capacity();
         }
         for &node in self.membership.nodes() {

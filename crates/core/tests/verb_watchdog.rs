@@ -1,9 +1,12 @@
-//! No verb deadlocks. `DisaggregatedMemory` keeps its maps, compress memo
-//! and disk and NVM tiers behind one non-reentrant lock, which each public
-//! verb takes once. A verb that took it twice would hang (or panic)
-//! instead of returning. So this drives every locked entry point once, on
-//! a cluster with every optional layer installed, from a spawned thread.
-//! A watchdog fails the test when the driver has not finished in 10 s.
+//! No verb deadlocks. `DisaggregatedMemory` keeps its maps, compress memo,
+//! disk and NVM tiers, node managers and replicator (with the remote
+//! store) behind one non-reentrant lock, which each public verb takes
+//! once. A verb that took it twice would hang (or panic) instead of
+//! returning, and so would a caller that held one of the guards the
+//! accessors return across a verb. So this drives every locked entry
+//! point once, on a cluster with every optional layer installed, from a
+//! spawned thread, and drops each guard at the end of its statement. A
+//! watchdog fails the test when the driver has not finished in 10 s.
 
 use dmem_cluster::{Placer, RemoteSlabEvictor};
 use dmem_core::{DisaggregatedMemory, Maintenance, TierPreference};
@@ -11,8 +14,8 @@ use dmem_net::{CxlAddr, FabricFaults, FaultProfile};
 use dmem_qos::{QosConfig, QosEngine, TenantSpec};
 use dmem_sim::{DetRng, FailureEvent, SimDuration, TelemetryHub};
 use dmem_types::{
-    ByteSize, ClusterConfig, CompressionMode, CxlPoolConfig, DonationPolicy, EntryLocation, NodeId,
-    PlacementStrategy,
+    ByteSize, ClusterConfig, CompressionMode, CxlPoolConfig, DonationPolicy, EntryId,
+    EntryLocation, NodeId, PlacementStrategy,
 };
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -148,10 +151,18 @@ fn drive_every_verb() {
     dm.handle_node_restart(primary).unwrap();
     assert!(dm.repair_replicas() >= 3);
 
-    // The read-only verbs, the tier guards and delete.
+    // The read-only verbs, the five guards and delete.
     assert!(dm.nvm_used(node) > ByteSize::ZERO);
     assert_eq!(dm.nvm_tier().len(node), 1);
     assert!(dm.disk_tier().len(node) > 0);
+    assert!(dm.node_manager(node).stats().shared_puts > 0);
+    dm.node_manager(node).record_remote_escalation();
+    assert!(dm.remote_store().stats(primary).is_some());
+    let EntryLocation::Remote { replicas } = dm.record(low, 30).unwrap().location else {
+        panic!("repair keeps the window remote")
+    };
+    let factor = dm.replicator().factor().get();
+    assert_eq!(dm.replicator().live_degree(EntryId::new(low, 30), &replicas), factor);
     let entries = dm.entries_snapshot().len();
     assert_eq!(dm.stats().entries, entries);
     dm.delete(low, 6).unwrap();
@@ -159,7 +170,9 @@ fn drive_every_verb() {
     assert!(dm.record(low, 6).is_none());
     assert_eq!(dm.stats().entries, entries - 2);
 
-    // Eviction, the control loops and one maintenance window.
+    // Eviction, the control loops and one maintenance window long enough
+    // to run every task: Eviction (every 50 ms), Advertise (10 ms), and
+    // Balloon, which shares its 200 ms tick with QosTick.
     let placer = || {
         Placer::new(
             PlacementStrategy::PowerOfTwoChoices,
@@ -168,11 +181,15 @@ fn drive_every_verb() {
         )
     };
     let evictor = || RemoteSlabEvictor::new(ByteSize::from_kib(4), 8);
-    let _ = dm.run_eviction(&evictor(), &placer());
+    let _ = dm.run_eviction(&evictor(), &mut placer());
     dm.qos_tick();
     dm.telemetry_tick();
     let mut maintenance = Maintenance::new(Arc::clone(&dm), evictor(), placer());
-    let _ = maintenance.run_until(dm.clock().now() + SimDuration::from_secs(1));
+    let report = maintenance
+        .run_until(dm.clock().now() + SimDuration::from_secs(1))
+        .unwrap();
+    assert!(report.eviction_scans >= 1 && report.advertise_refreshes >= 1, "{report:?}");
+    assert!(report.qos_ticks >= 1, "the balloon tick has passed: {report:?}");
     assert_eq!(dm.get(low, 5).unwrap(), page(5));
 }
 

@@ -596,6 +596,12 @@ impl TieredKvEngine {
         if let Some(bytes) = self.local.remove(&session) {
             self.local_used -= bytes.len() as u64;
         }
+        self.forget_cold(session);
+    }
+
+    /// Removes `session`'s cold copy, in either tier, with its stored
+    /// bytes.
+    fn forget_cold(&mut self, session: u64) {
         let remote = self.remote.remove(&session);
         if let Some(cold) = &remote {
             self.remote_used -= cold.len as u64;
@@ -627,6 +633,8 @@ impl TieredKvEngine {
         let clock = self.dm.clock().clone();
         self.stats.turns += 1;
         let served = if turn == 0 {
+            // A re-opened session starts over: its old cold copy goes.
+            self.forget_cold(session);
             self.stats.conversations += 1;
             self.tenure.insert(session, 0);
             self.prefix_of.insert(session, prefix_id);
@@ -680,7 +688,14 @@ impl TieredKvEngine {
         };
         // New prompt tokens always prefill.
         clock.advance(self.config.cost.prefill(prompt_tokens));
+        debug_assert!(self.in_one_tier(), "a session is in two tiers after turn {turn} of {session}");
         Ok(served)
+    }
+
+    /// The standing invariant: every session is in at most one tier.
+    fn in_one_tier(&self) -> bool {
+        self.local.iter().all(|(session, _)| self.cold(*session).is_none())
+            && self.remote.iter().all(|(session, _)| !self.disk.contains_key(session))
     }
 
     /// Finishes a turn: appends the KV state of the tokens it added.
@@ -971,13 +986,41 @@ mod tests {
     }
 
     #[test]
+    fn reopening_a_cold_session_keeps_one_copy() {
+        let mut e = engine(TieredKvConfig {
+            remote_capacity: ByteSize::from_kib(32),
+            ..tight()
+        });
+        let open = |e: &mut TieredKvEngine, session: u64| {
+            e.begin_turn(session, 0, 0, 32, 8).unwrap();
+            e.end_turn(session, 16).unwrap();
+        };
+        open(&mut e, 1);
+        // Open others until session 1 has gone to remote and on to disk.
+        let mut was_remote = false;
+        for session in 2..400 {
+            was_remote |= e.remote.contains(&1);
+            if e.disk.contains_key(&1) {
+                break;
+            }
+            open(&mut e, session);
+        }
+        assert!(was_remote && e.disk.contains_key(&1), "session 1 demoted twice");
+        // Re-open it: the fresh opening state is the only copy left.
+        e.begin_turn(1, 0, 0, 32, 8).unwrap();
+        assert!(e.local.contains(&1));
+        assert!(e.cold(1).is_none(), "session 1 is local and still cold");
+        assert!(!chunked::contains_chunked(&e.dm, e.rookie, 1), "its cold bytes stay stored");
+    }
+
+    #[test]
     fn put_get_many_roundtrip_under_churn() {
         use proptest::prelude::*;
         let mut runner = proptest::test_runner::TestRunner::new(
             proptest::test_runner::Config::with_cases(16),
         );
         let ops = proptest::collection::vec(
-            (0u8..3, 0u64..16, 1usize..32_000),
+            (0u8..4, 0u64..16, 1usize..32_000),
             1..60,
         );
         runner
@@ -1000,6 +1043,12 @@ mod tests {
                         1 => {
                             let got = e.get_many(&[session]).unwrap();
                             prop_assert_eq!(got[0].as_ref(), model.get(&session));
+                        }
+                        2 => {
+                            // Re-open (or open): turn 0 replaces whatever
+                            // the session held with its 32-token prefix.
+                            e.begin_turn(session, 0, 0, 32, 0).unwrap();
+                            model.insert(session, e.synth_prefix(0, e.cost().bytes(32)));
                         }
                         _ => {
                             e.retire(session);

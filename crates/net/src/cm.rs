@@ -9,9 +9,7 @@
 
 use crate::fabric::{Fabric, QpHandle};
 use dmem_types::{DmemResult, IdMap, NodeId};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
 
 /// Which of the two per-peer channels an operation wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,6 +26,15 @@ struct PeerChannels {
     control: QpHandle,
 }
 
+impl PeerChannels {
+    fn of(self, kind: ChannelKind) -> QpHandle {
+        match kind {
+            ChannelKind::Data => self.data,
+            ChannelKind::Control => self.control,
+        }
+    }
+}
+
 /// Lazily established, self-healing channel pairs from one local node to
 /// its peers.
 ///
@@ -41,17 +48,16 @@ struct PeerChannels {
 /// let clock = SimClock::new();
 /// let fabric = Fabric::new(clock.clone(), CostModel::paper_default(),
 ///                          FailureInjector::new(clock.clone()));
-/// let cm = ConnectionManager::new(NodeId::new(0), fabric.clone());
+/// let mut cm = ConnectionManager::new(NodeId::new(0), fabric.clone());
 /// let data = cm.channel(NodeId::new(1), ChannelKind::Data)?;
 /// let ctrl = cm.channel(NodeId::new(1), ChannelKind::Control)?;
 /// assert_ne!(data.qp, ctrl.qp, "data and control use separate queue pairs");
 /// # Ok::<(), dmem_types::DmemError>(())
 /// ```
-#[derive(Clone)]
 pub struct ConnectionManager {
     local: NodeId,
     fabric: Fabric,
-    peers: Arc<Mutex<IdMap<NodeId, PeerChannels>>>,
+    peers: IdMap<NodeId, PeerChannels>,
 }
 
 impl ConnectionManager {
@@ -60,7 +66,7 @@ impl ConnectionManager {
         ConnectionManager {
             local,
             fabric,
-            peers: Arc::new(Mutex::new(IdMap::default())),
+            peers: IdMap::default(),
         }
     }
 
@@ -71,29 +77,17 @@ impl ConnectionManager {
     /// # Errors
     ///
     /// Returns the underlying fabric error when the peer is unreachable.
-    pub fn channel(&self, peer: NodeId, kind: ChannelKind) -> DmemResult<QpHandle> {
-        {
-            let peers = self.peers.lock();
-            if let Some(ch) = peers.get(&peer) {
-                let qp = match kind {
-                    ChannelKind::Data => ch.data,
-                    ChannelKind::Control => ch.control,
-                };
-                // Cheap liveness probe: a zero-byte send exercises the
-                // same path checks as real traffic.
-                if self.fabric.send(&qp, Vec::new()).is_ok() {
-                    let _ = self.fabric.recv(&self.fabric.peer_handle(&qp));
-                    return Ok(qp);
-                }
+    pub fn channel(&mut self, peer: NodeId, kind: ChannelKind) -> DmemResult<QpHandle> {
+        if let Some(&ch) = self.peers.get(&peer) {
+            let qp = ch.of(kind);
+            // Cheap liveness probe: a zero-byte send exercises the
+            // same path checks as real traffic.
+            if self.fabric.send(&qp, Vec::new()).is_ok() {
+                let _ = self.fabric.recv(&self.fabric.peer_handle(&qp));
+                return Ok(qp);
             }
         }
-        self.reconnect(peer)?;
-        let peers = self.peers.lock();
-        let ch = peers.get(&peer).expect("just reconnected");
-        Ok(match kind {
-            ChannelKind::Data => ch.data,
-            ChannelKind::Control => ch.control,
-        })
+        Ok(self.reconnect(peer)?.of(kind))
     }
 
     /// Drops and re-establishes both channels to `peer`.
@@ -102,21 +96,16 @@ impl ConnectionManager {
     ///
     /// Returns the underlying fabric error when the peer is unreachable;
     /// the stale channels stay dropped in that case.
-    pub(crate) fn reconnect(&self, peer: NodeId) -> DmemResult<()> {
-        let mut peers = self.peers.lock();
-        if let Some(old) = peers.remove(&peer) {
+    fn reconnect(&mut self, peer: NodeId) -> DmemResult<PeerChannels> {
+        if let Some(old) = self.peers.remove(&peer) {
             let _ = self.fabric.disconnect(&old.data);
             let _ = self.fabric.disconnect(&old.control);
         }
         let data = self.fabric.connect(self.local, peer)?;
         let control = self.fabric.connect(self.local, peer)?;
-        peers.insert(peer, PeerChannels { data, control });
-        Ok(())
-    }
-
-    /// Number of peers with established channels.
-    pub(crate) fn connected_peers(&self) -> usize {
-        self.peers.lock().len()
+        let ch = PeerChannels { data, control };
+        self.peers.insert(peer, ch);
+        Ok(ch)
     }
 }
 
@@ -124,7 +113,7 @@ impl fmt::Debug for ConnectionManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConnectionManager")
             .field("local", &self.local)
-            .field("peers", &self.connected_peers())
+            .field("peers", &self.peers.len())
             .finish()
     }
 }
@@ -145,25 +134,25 @@ mod tests {
 
     #[test]
     fn channels_are_cached() {
-        let (_, _, cm) = setup();
+        let (_, _, mut cm) = setup();
         let d1 = cm.channel(NodeId::new(1), ChannelKind::Data).unwrap();
         let d2 = cm.channel(NodeId::new(1), ChannelKind::Data).unwrap();
         assert_eq!(d1.qp, d2.qp);
-        assert_eq!(cm.connected_peers(), 1);
+        assert_eq!(cm.peers.len(), 1);
     }
 
     #[test]
     fn data_and_control_distinct() {
-        let (_, _, cm) = setup();
+        let (_, _, mut cm) = setup();
         let d = cm.channel(NodeId::new(2), ChannelKind::Data).unwrap();
         let c = cm.channel(NodeId::new(2), ChannelKind::Control).unwrap();
         assert_ne!(d.qp, c.qp);
-        assert_eq!(cm.connected_peers(), 1, "one peer, two channels");
+        assert_eq!(cm.peers.len(), 1, "one peer, two channels");
     }
 
     #[test]
     fn unreachable_peer_propagates_error() {
-        let (failures, _, cm) = setup();
+        let (failures, _, mut cm) = setup();
         failures.inject_now(FailureEvent::NodeDown(NodeId::new(3)));
         assert_eq!(
             cm.channel(NodeId::new(3), ChannelKind::Data).unwrap_err(),
@@ -173,7 +162,7 @@ mod tests {
 
     #[test]
     fn reconnects_after_recovery() {
-        let (failures, _, cm) = setup();
+        let (failures, _, mut cm) = setup();
         let peer = NodeId::new(1);
         let before = cm.channel(peer, ChannelKind::Data).unwrap();
         failures.inject_now(FailureEvent::NodeDown(peer));
@@ -185,10 +174,10 @@ mod tests {
 
     #[test]
     fn multiple_peers_tracked() {
-        let (_, _, cm) = setup();
+        let (_, _, mut cm) = setup();
         for i in 1..=4 {
             cm.channel(NodeId::new(i), ChannelKind::Data).unwrap();
         }
-        assert_eq!(cm.connected_peers(), 4);
+        assert_eq!(cm.peers.len(), 4);
     }
 }

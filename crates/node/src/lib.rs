@@ -30,7 +30,7 @@
 //!
 //! let clock = SimClock::new();
 //! let node = NodeId::new(0);
-//! let manager = NodeManager::new(node, ByteSize::from_mib(1), clock, CostModel::paper_default());
+//! let mut manager = NodeManager::new(node, ByteSize::from_mib(1), clock, CostModel::paper_default());
 //! let server = ServerId::new(node, 0);
 //! manager.register_server(server, ByteSize::from_mib(16), DonationPolicy::paper_default());
 //!

@@ -14,7 +14,6 @@ use dmem_types::{
     ByteSize, DmemError, DmemResult, DonationPolicy, EntryId, IdMap, IdSet, NodeId, ServerId,
     SizeClass,
 };
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -64,7 +63,13 @@ struct StoredEntry {
     class: SizeClass,
 }
 
-struct Inner {
+/// The per-node coordinator of the shared memory pool.
+pub struct NodeManager {
+    node: NodeId,
+    clock: SimClock,
+    cost: CostModel,
+    metrics: MetricsRegistry,
+    handles: NodeMetrics,
     pool: SharedMemoryPool,
     donations: DonationRegistry,
     page_table: IdMap<EntryId, StoredEntry>,
@@ -77,16 +82,6 @@ struct Inner {
     advice_threshold: usize,
     shared_puts: u64,
     overflows: u64,
-}
-
-/// The per-node coordinator of the shared memory pool.
-pub struct NodeManager {
-    node: NodeId,
-    clock: SimClock,
-    cost: CostModel,
-    metrics: MetricsRegistry,
-    handles: NodeMetrics,
-    inner: Mutex<Inner>,
 }
 
 /// The `node.*` counters, resolved on first touch.
@@ -110,18 +105,16 @@ impl NodeManager {
                 get_shared: LazyCounter::new(&metrics, "node.get.shared"),
             },
             metrics,
-            inner: Mutex::new(Inner {
-                pool: SharedMemoryPool::new(slab_size, ByteSize::ZERO),
-                donations: DonationRegistry::new(),
-                page_table: IdMap::default(),
-                by_server: IdMap::default(),
-                overflow_log: IdMap::default(),
-                remote_log: VecDeque::new(),
-                advice_window: SimDuration::from_millis(100),
-                advice_threshold: 32,
-                shared_puts: 0,
-                overflows: 0,
-            }),
+            pool: SharedMemoryPool::new(slab_size, ByteSize::ZERO),
+            donations: DonationRegistry::new(),
+            page_table: IdMap::default(),
+            by_server: IdMap::default(),
+            overflow_log: IdMap::default(),
+            remote_log: VecDeque::new(),
+            advice_window: SimDuration::from_millis(100),
+            advice_threshold: 32,
+            shared_puts: 0,
+            overflows: 0,
         }
     }
 
@@ -132,28 +125,25 @@ impl NodeManager {
 
     /// Configures the sliding window and count threshold used by
     /// [`NodeManager::balloon_advice`].
-    pub fn set_advice_policy(&self, window: SimDuration, threshold: usize) {
-        let mut inner = self.inner.lock();
-        inner.advice_window = window;
-        inner.advice_threshold = threshold.max(1);
+    pub fn set_advice_policy(&mut self, window: SimDuration, threshold: usize) {
+        self.advice_window = window;
+        self.advice_threshold = threshold.max(1);
     }
 
     /// Registers a virtual server; its donation immediately grows the pool.
     ///
     /// Returns the new pool capacity.
     pub fn register_server(
-        &self,
+        &mut self,
         server: ServerId,
         allocated: ByteSize,
         policy: DonationPolicy,
     ) -> ByteSize {
-        let mut inner = self.inner.lock();
-        inner
-            .donations
+        self.donations
             .register(server, allocated, policy)
             .expect("validated policy");
-        let capacity = inner.donations.total_donated();
-        inner.pool.set_capacity(capacity);
+        let capacity = self.donations.total_donated();
+        self.pool.set_capacity(capacity);
         capacity
     }
 
@@ -162,20 +152,14 @@ impl NodeManager {
     /// same as losing OS swap).
     ///
     /// Returns the number of purged entries.
-    pub fn deregister_server(&self, server: ServerId) -> usize {
-        let mut inner = self.inner.lock();
-        inner.donations.deregister(server);
-        let capacity = inner.donations.total_donated();
-        inner.pool.set_capacity(capacity);
-        let keys: Vec<u64> = inner
-            .by_server
-            .remove(&server)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default();
-        for key in &keys {
-            let id = EntryId::new(server, *key);
-            if let Some(stored) = inner.page_table.remove(&id) {
-                let _ = inner.pool.free(stored.block);
+    pub fn deregister_server(&mut self, server: ServerId) -> usize {
+        self.donations.deregister(server);
+        let capacity = self.donations.total_donated();
+        self.pool.set_capacity(capacity);
+        let keys = self.by_server.remove(&server).unwrap_or_default();
+        for &key in &keys {
+            if let Some(stored) = self.page_table.remove(&EntryId::new(server, key)) {
+                let _ = self.pool.free(stored.block);
             }
         }
         keys.len()
@@ -189,42 +173,35 @@ impl NodeManager {
     /// Returns [`DmemError::CapacityExhausted`] when the pool cannot fit
     /// the entry's class (the caller escalates to cluster level), or
     /// [`DmemError::InvalidConfig`] for payloads exceeding the class.
-    pub fn put(&self, entry: EntryId, data: &[u8], class: SizeClass) -> DmemResult<BlockRef> {
-        let mut inner = self.inner.lock();
+    pub fn put(&mut self, entry: EntryId, data: &[u8], class: SizeClass) -> DmemResult<BlockRef> {
         // Replace semantics: free any previous block first.
-        if let Some(old) = inner.page_table.remove(&entry) {
-            let _ = inner.pool.free(old.block);
-            inner
-                .by_server
+        if let Some(old) = self.page_table.remove(&entry) {
+            let _ = self.pool.free(old.block);
+            self.by_server
                 .get_mut(&entry.owner())
                 .map(|s| s.remove(&entry.key()));
         }
         let len = data.len();
-        match inner.pool.alloc(class, data) {
+        match self.pool.alloc(class, data) {
             Ok(block) => {
-                inner
-                    .page_table
+                self.page_table
                     .insert(entry, StoredEntry { block, len, class });
-                inner
-                    .by_server
+                self.by_server
                     .entry(entry.owner())
                     .or_default()
                     .insert(entry.key());
-                inner.shared_puts += 1;
-                drop(inner);
+                self.shared_puts += 1;
                 self.clock.advance(self.cost.shared_memory.transfer(len));
                 self.handles.put_shared.inc();
                 Ok(block)
             }
             Err(e @ DmemError::CapacityExhausted { .. }) => {
-                inner.overflows += 1;
+                self.overflows += 1;
                 let now = self.clock.now();
-                inner
-                    .overflow_log
+                self.overflow_log
                     .entry(entry.owner())
                     .or_default()
                     .push_back(now);
-                drop(inner);
                 self.handles.put_overflow.inc();
                 Err(e)
             }
@@ -238,13 +215,11 @@ impl NodeManager {
     ///
     /// Returns [`DmemError::EntryNotFound`] if the entry is not resident.
     pub fn get(&self, entry: EntryId) -> DmemResult<Vec<u8>> {
-        let inner = self.inner.lock();
-        let stored = *inner
+        let stored = *self
             .page_table
             .get(&entry)
             .ok_or(DmemError::EntryNotFound(entry))?;
-        let data = inner.pool.read(stored.block, stored.len)?;
-        drop(inner);
+        let data = self.pool.read(stored.block, stored.len)?;
         self.clock
             .advance(self.cost.shared_memory.transfer(stored.len));
         self.handles.get_shared.inc();
@@ -253,7 +228,7 @@ impl NodeManager {
 
     /// The stored size class of an entry, if resident.
     pub fn class_of(&self, entry: EntryId) -> Option<SizeClass> {
-        self.inner.lock().page_table.get(&entry).map(|s| s.class)
+        self.page_table.get(&entry).map(|s| s.class)
     }
 
     /// Removes an entry, freeing its block.
@@ -261,15 +236,13 @@ impl NodeManager {
     /// # Errors
     ///
     /// Returns [`DmemError::EntryNotFound`] if the entry is not resident.
-    pub fn delete(&self, entry: EntryId) -> DmemResult<()> {
-        let mut inner = self.inner.lock();
-        let stored = inner
+    pub fn delete(&mut self, entry: EntryId) -> DmemResult<()> {
+        let stored = self
             .page_table
             .remove(&entry)
             .ok_or(DmemError::EntryNotFound(entry))?;
-        inner.pool.free(stored.block)?;
-        inner
-            .by_server
+        self.pool.free(stored.block)?;
+        self.by_server
             .get_mut(&entry.owner())
             .map(|s| s.remove(&entry.key()));
         Ok(())
@@ -278,14 +251,13 @@ impl NodeManager {
     /// `true` if the entry is resident in this node's shared pool.
     #[cfg(test)]
     pub(crate) fn contains(&self, entry: EntryId) -> bool {
-        self.inner.lock().page_table.contains_key(&entry)
+        self.page_table.contains_key(&entry)
     }
 
     /// Records that this node escalated a put to remote memory (used by
     /// the §IV-F policy (1) signal).
-    pub fn record_remote_escalation(&self) {
-        let now = self.clock.now();
-        self.inner.lock().remote_log.push_back(now);
+    pub fn record_remote_escalation(&mut self) {
+        self.remote_log.push_back(self.clock.now());
     }
 
     /// Adjusts a server's donation fraction (ballooning), resizing the
@@ -294,22 +266,19 @@ impl NodeManager {
     /// # Errors
     ///
     /// Returns [`DmemError::ServerUnavailable`] for unknown servers.
-    pub fn adjust_donation(&self, server: ServerId, delta: f64) -> DmemResult<f64> {
-        let mut inner = self.inner.lock();
-        let fraction = inner.donations.adjust(server, delta)?;
-        let capacity = inner.donations.total_donated();
-        inner.pool.set_capacity(capacity);
+    pub fn adjust_donation(&mut self, server: ServerId, delta: f64) -> DmemResult<f64> {
+        let fraction = self.donations.adjust(server, delta)?;
+        let capacity = self.donations.total_donated();
+        self.pool.set_capacity(capacity);
         Ok(fraction)
     }
 
     /// Ballooning recommendation for `server`, per the §IV-F policies:
     /// frequent per-server overflows → balloon DRAM back to the server;
     /// frequent node-level remote escalations → shrink the receive pool.
-    pub(crate) fn balloon_advice(&self, server: ServerId) -> BalloonAdvice {
+    pub(crate) fn balloon_advice(&mut self, server: ServerId) -> BalloonAdvice {
         let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        let window = inner.advice_window;
-        let threshold = inner.advice_threshold;
+        let window = self.advice_window;
         let horizon = |log: &mut VecDeque<SimInstant>| {
             while let Some(&front) = log.front() {
                 if now - front > window {
@@ -320,18 +289,14 @@ impl NodeManager {
             }
             log.len()
         };
-        let server_overflows = inner
+        let server_overflows = self
             .overflow_log
             .get_mut(&server)
             .map(&horizon)
             .unwrap_or(0);
-        if server_overflows >= threshold {
-            return BalloonAdvice::BalloonToServer;
-        }
-        let mut remote_log = std::mem::take(&mut inner.remote_log);
-        let remote = horizon(&mut remote_log);
-        inner.remote_log = remote_log;
-        if remote >= threshold {
+        if server_overflows >= self.advice_threshold {
+            BalloonAdvice::BalloonToServer
+        } else if horizon(&mut self.remote_log) >= self.advice_threshold {
             BalloonAdvice::ShrinkRecvPool
         } else {
             BalloonAdvice::Steady
@@ -343,47 +308,33 @@ impl NodeManager {
     /// donation by `step` via [`NodeManager::adjust_donation`] (§IV-F
     /// policy (2), promoted from a returned recommendation to an acted-on
     /// path). Other advice leaves the donation untouched.
-    pub fn apply_recommendation(&self, server: ServerId, step: f64) -> AppliedBalloon {
+    pub fn apply_recommendation(&mut self, server: ServerId, step: f64) -> AppliedBalloon {
         let advice = self.balloon_advice(server);
-        if advice == BalloonAdvice::BalloonToServer {
-            match self.adjust_donation(server, -step) {
-                Ok(fraction) => {
-                    return AppliedBalloon {
-                        advice,
-                        applied: true,
-                        fraction: Some(fraction),
-                    }
-                }
-                Err(_) => {
-                    return AppliedBalloon {
-                        advice,
-                        applied: false,
-                        fraction: None,
-                    }
-                }
-            }
-        }
+        let fraction = if advice == BalloonAdvice::BalloonToServer {
+            self.adjust_donation(server, -step).ok()
+        } else {
+            None
+        };
         AppliedBalloon {
             advice,
-            applied: false,
-            fraction: None,
+            applied: fraction.is_some(),
+            fraction,
         }
     }
 
     /// Node statistics snapshot.
     pub fn stats(&self) -> NodeStats {
-        let inner = self.inner.lock();
         NodeStats {
-            pool: inner.pool.stats(),
-            entries: inner.page_table.len(),
-            shared_puts: inner.shared_puts,
-            overflows: inner.overflows,
+            pool: self.pool.stats(),
+            entries: self.page_table.len(),
+            shared_puts: self.shared_puts,
+            overflows: self.overflows,
         }
     }
 
     /// Current pool capacity (total donations).
     pub fn capacity(&self) -> ByteSize {
-        self.inner.lock().pool.capacity()
+        self.pool.capacity()
     }
 }
 
@@ -421,7 +372,7 @@ mod tests {
 
     #[test]
     fn donation_sets_capacity() {
-        let m = manager();
+        let mut m = manager();
         let cap = m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.25));
         assert_eq!(cap, ByteSize::from_mib(1).scaled(0.25));
         assert_eq!(m.capacity(), cap);
@@ -429,7 +380,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_charges_time() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         let e = entry(server(0), 1);
         let t0 = m.clock.now();
@@ -442,7 +393,7 @@ mod tests {
 
     #[test]
     fn put_replaces_existing() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         let e = entry(server(0), 1);
         m.put(e, &[1u8; 10], SizeClass::C512).unwrap();
@@ -453,7 +404,7 @@ mod tests {
 
     #[test]
     fn overflow_reports_capacity_exhausted() {
-        let m = manager();
+        let mut m = manager();
         // 16 KiB donation = one slab = four 4 KiB blocks.
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         for k in 0..4 {
@@ -469,7 +420,7 @@ mod tests {
 
     #[test]
     fn delete_frees_space() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         let e = entry(server(0), 1);
         m.put(e, &[1u8; 4096], SizeClass::C4K).unwrap();
@@ -481,7 +432,7 @@ mod tests {
 
     #[test]
     fn deregister_purges_server_entries() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         m.register_server(server(1), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         for k in 0..3 {
@@ -499,7 +450,7 @@ mod tests {
 
     #[test]
     fn servers_cannot_read_each_others_entries_by_key() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         m.put(entry(server(0), 7), &[1u8; 8], SizeClass::C512)
             .unwrap();
@@ -509,7 +460,7 @@ mod tests {
 
     #[test]
     fn balloon_advice_fires_on_repeated_overflow() {
-        let m = manager();
+        let mut m = manager();
         m.set_advice_policy(SimDuration::from_secs(10), 4);
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
         // Fill the pool, then overflow repeatedly.
@@ -532,7 +483,7 @@ mod tests {
 
     #[test]
     fn remote_escalations_advise_shrinking_recv_pool() {
-        let m = manager();
+        let mut m = manager();
         m.set_advice_policy(SimDuration::from_secs(10), 3);
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
         for _ in 0..3 {
@@ -543,7 +494,7 @@ mod tests {
 
     #[test]
     fn apply_recommendation_shrinks_donation_under_pressure() {
-        let m = manager();
+        let mut m = manager();
         m.set_advice_policy(SimDuration::from_secs(10), 4);
         m.register_server(
             server(0),
@@ -578,7 +529,7 @@ mod tests {
 
     #[test]
     fn ballooning_resizes_pool() {
-        let m = manager();
+        let mut m = manager();
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::paper_default());
         let before = m.capacity();
         m.adjust_donation(server(0), 0.30).unwrap(); // 0.10 -> 0.40

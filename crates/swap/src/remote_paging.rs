@@ -14,7 +14,6 @@ use dmem_cluster::RemoteStore;
 use dmem_core::DiskTier;
 use dmem_sim::{DetRng, SimDuration};
 use dmem_types::{DmemError, DmemResult, EntryId, IdMap, IdSet, NodeId, ServerId};
-use std::sync::Arc;
 
 enum Target {
     /// NBDX: one fixed remote peer is the block device.
@@ -33,7 +32,7 @@ enum Target {
 /// differ in target, name and per-operation overhead only.
 pub struct RemotePaging {
     server: ServerId,
-    store: Arc<RemoteStore>,
+    store: RemoteStore,
     disk: DiskTier,
     on_disk: IdSet<u64>,
     on_remote: IdMap<u64, NodeId>,
@@ -47,7 +46,7 @@ impl RemotePaging {
         name: &'static str,
         per_op_overhead: SimDuration,
         server: ServerId,
-        store: Arc<RemoteStore>,
+        store: RemoteStore,
         disk: DiskTier,
         target: Target,
     ) -> Self {
@@ -210,7 +209,7 @@ impl NbdxBackend {
     #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
     pub(crate) fn new(
         server: ServerId,
-        store: Arc<RemoteStore>,
+        store: RemoteStore,
         target: NodeId,
         disk: DiskTier,
     ) -> RemotePaging {
@@ -235,7 +234,7 @@ impl InfiniswapBackend {
     #[allow(clippy::new_ret_no_self)] // a configuration of `RemotePaging`, not a type of its own
     pub(crate) fn new(
         server: ServerId,
-        store: Arc<RemoteStore>,
+        store: RemoteStore,
         disk: DiskTier,
         seed: u64,
     ) -> RemotePaging {
@@ -257,15 +256,15 @@ mod tests {
     use dmem_sim::{CostModel, FailureEvent, FailureInjector, SimClock};
     use dmem_types::ByteSize;
     use std::collections::HashSet;
+    use std::sync::Arc;
 
-    fn cluster(n: u32, pool_kib: u64) -> (SimClock, FailureInjector, Arc<RemoteStore>, DiskTier) {
+    fn cluster(n: u32, pool_kib: u64) -> (SimClock, FailureInjector, RemoteStore, DiskTier) {
         let clock = SimClock::new();
         let failures = FailureInjector::new(clock.clone());
         let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes, failures.clone());
-        let store =
-            Arc::new(RemoteStore::new(fabric, membership, ByteSize::from_kib(pool_kib)).unwrap());
+        let store = RemoteStore::new(fabric, membership, ByteSize::from_kib(pool_kib)).unwrap();
         let disk = DiskTier::new(clock.clone(), CostModel::paper_default());
         (clock, failures, store, disk)
     }
@@ -292,7 +291,7 @@ mod tests {
     #[test]
     fn infiniswap_spreads_slabs_across_peers() {
         let (_, _, store, disk) = cluster(5, 4096);
-        let mut b = InfiniswapBackend::new(server(), Arc::clone(&store), disk, 7);
+        let mut b = InfiniswapBackend::new(server(), store, disk, 7);
         // Touch pages across many slabs.
         for slab in 0..8u64 {
             let pfn = slab * InfiniswapBackend::PAGES_PER_SLAB;
@@ -323,7 +322,7 @@ mod tests {
     #[test]
     fn remote_node_crash_loses_undisked_pages() {
         let (_, failures, store, disk) = cluster(2, 256);
-        let mut b = NbdxBackend::new(server(), Arc::clone(&store), NodeId::new(1), disk);
+        let mut b = NbdxBackend::new(server(), store, NodeId::new(1), disk);
         store_one(&mut b, 1, vec![1u8; 4096]).unwrap();
         failures.inject_now(FailureEvent::NodeDown(NodeId::new(1)));
         assert!(load_one(&mut b, 1).is_err(), "no disk copy: page lost");
@@ -335,23 +334,24 @@ mod tests {
         use dmem_sim::DetRng;
 
         let (_, failures, store, disk) = cluster(2, 256);
+        let fabric = store.fabric().clone();
         // Installing the layer (even with a silent profile) switches the
         // backend to write-through, the graceful-degradation contract.
-        store.fabric().install_faults(Arc::new(FabricFaults::new(
+        fabric.install_faults(Arc::new(FabricFaults::new(
             DetRng::new(0),
             FaultProfile::none(),
         )));
-        let mut b = NbdxBackend::new(server(), Arc::clone(&store), NodeId::new(1), disk);
+        let mut b = NbdxBackend::new(server(), store, NodeId::new(1), disk);
         store_one(&mut b, 1, vec![1u8; 4096]).unwrap();
         assert_eq!(
-            store.fabric().metrics().counter("swap.faults.writethrough").get(),
+            fabric.metrics().counter("swap.faults.writethrough").get(),
             1
         );
         failures.inject_now(FailureEvent::NodeDown(NodeId::new(1)));
         // Same crash as above, but the page-in survives via the disk copy.
         assert_eq!(load_one(&mut b, 1).unwrap(), vec![1u8; 4096]);
         assert_eq!(
-            store.fabric().metrics().counter("swap.faults.disk_degrade").get(),
+            fabric.metrics().counter("swap.faults.disk_degrade").get(),
             1
         );
     }

@@ -151,14 +151,14 @@ pub struct RunResult {
     pub stats: EngineStats,
 }
 
-fn remote_env(scale: &SwapScale) -> DmemResult<(SimClock, Arc<RemoteStore>, DiskTier)> {
+fn remote_env(scale: &SwapScale) -> DmemResult<(SimClock, RemoteStore, DiskTier)> {
     let clock = SimClock::new();
     let cost = CostModel::paper_default();
     let failures = FailureInjector::new(clock.clone());
     let fabric = Fabric::new(clock.clone(), cost, failures.clone());
     let nodes: Vec<NodeId> = (0..scale.nodes).map(NodeId::new).collect();
     let membership = ClusterMembership::new(nodes, failures);
-    let store = Arc::new(RemoteStore::new(fabric, membership, scale.remote_pool)?);
+    let store = RemoteStore::new(fabric, membership, scale.remote_pool)?;
     let disk = DiskTier::new(clock.clone(), cost);
     Ok((clock, store, disk))
 }

@@ -85,7 +85,7 @@ fn overwrite(dm: &DisaggregatedMemory, entry: EntryId, record: &EntryRecord, byt
     let node = entry.owner().node();
     match &record.location {
         EntryLocation::NodeShared { .. } => {
-            let manager = dm.node_manager(node);
+            let mut manager = dm.node_manager(node);
             let class = manager.class_of(entry).expect("resident");
             manager.put(entry, &bytes, class).expect("same class fits");
         }

@@ -225,7 +225,7 @@ fn broken_qps_are_reestablished_through_the_connection_manager() {
     let clock = SimClock::new();
     let failures = FailureInjector::new(clock.clone());
     let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures);
-    let cm = ConnectionManager::new(NodeId::new(0), fabric.clone());
+    let mut cm = ConnectionManager::new(NodeId::new(0), fabric.clone());
     let peer = NodeId::new(2);
 
     let before = cm.channel(peer, ChannelKind::Data).unwrap();
