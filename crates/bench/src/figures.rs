@@ -689,13 +689,13 @@ fn ablation_placement() -> Vec<Table> {
         let fabric = Fabric::new(clock, CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..NODES).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes.clone(), failures);
-        let mut store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_mib(16)).unwrap();
-        let mut placer = Placer::new(strategy, membership.clone(), DetRng::new(7));
+        let mut store = RemoteStore::new(fabric, membership, ByteSize::from_mib(16)).unwrap();
+        let mut placer = Placer::new(strategy, DetRng::new(7));
         let owner = ServerId::new(NodeId::new(0), 0);
 
         for key in 0..ENTRIES {
-            let candidates = membership.candidates(NodeId::new(0));
-            let target = placer.pick(&candidates, 1).unwrap()[0];
+            let candidates = store.membership().candidates(NodeId::new(0));
+            let target = placer.pick(&store, &candidates, 1).unwrap()[0];
             store
                 .store(NodeId::new(0), target, EntryId::new(owner, key), &[0u8; 4096])
                 .unwrap();

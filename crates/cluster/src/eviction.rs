@@ -114,7 +114,7 @@ impl RemoteSlabEvictor {
                 if candidates.is_empty() {
                     continue;
                 }
-                let Ok(picked) = placer.pick(&candidates, 1) else {
+                let Ok(picked) = placer.pick(store, &candidates, 1) else {
                     continue;
                 };
                 let to = picked[0];
@@ -176,12 +176,8 @@ mod tests {
         let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes, failures);
-        let store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_kib(pool_kib)).unwrap();
-        let placer = Placer::new(
-            PlacementStrategy::WeightedRoundRobin,
-            membership,
-            DetRng::new(3),
-        );
+        let store = RemoteStore::new(fabric, membership, ByteSize::from_kib(pool_kib)).unwrap();
+        let placer = Placer::new(PlacementStrategy::WeightedRoundRobin, DetRng::new(3));
         (store, placer)
     }
 

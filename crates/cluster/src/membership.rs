@@ -1,26 +1,21 @@
-//! Cluster membership and free-memory advertisement.
+//! Cluster membership: the configured nodes and their liveness.
 
 use dmem_sim::FailureInjector;
-use dmem_types::{ByteSize, IdMap, NodeId};
-use parking_lot::RwLock;
-use std::collections::BTreeSet;
+use dmem_types::NodeId;
 use std::fmt;
 use std::sync::Arc;
 
-/// The set of nodes participating in the disaggregated memory system,
-/// their liveness (via the failure injector) and their advertised free
-/// remote memory.
+/// The set of nodes participating in the disaggregated memory system and
+/// their liveness (via the failure injector).
 ///
-/// Cheap to clone; clones share state.
+/// Cheap to clone. A clone shares only the fixed node list and the
+/// failure injector: the advertised free capacity lives in
+/// [`RemoteStore`](crate::RemoteStore), which is its only writer, and the
+/// read-failover suspects in [`Replicator`](crate::Replicator).
 #[derive(Clone)]
 pub struct ClusterMembership {
     nodes: Arc<Vec<NodeId>>,
     failures: FailureInjector,
-    free: Arc<RwLock<IdMap<NodeId, ByteSize>>>,
-    /// Nodes a failed read had to fail over past: candidates for the
-    /// repair path to probe, repair around, or evict. Populated only
-    /// under fault injection, so fault-free runs never touch it.
-    suspects: Arc<RwLock<BTreeSet<NodeId>>>,
 }
 
 impl ClusterMembership {
@@ -38,33 +33,7 @@ impl ClusterMembership {
         ClusterMembership {
             nodes: Arc::new(nodes),
             failures,
-            free: Arc::new(RwLock::new(IdMap::default())),
-            suspects: Arc::new(RwLock::new(BTreeSet::new())),
         }
-    }
-
-    /// Marks `node` suspect after a read had to fail over past it.
-    /// Returns `true` if it was not already suspect.
-    pub(crate) fn mark_suspect(&self, node: NodeId) -> bool {
-        self.suspects.write().insert(node)
-    }
-
-    /// Clears a suspicion (the repair path probed the node healthy, or
-    /// repaired its data elsewhere and evicted it from replica sets).
-    /// Returns `true` if the node was suspect.
-    pub fn clear_suspect(&self, node: NodeId) -> bool {
-        self.suspects.write().remove(&node)
-    }
-
-    /// Whether `node` is currently suspect.
-    #[cfg(test)]
-    pub(crate) fn is_suspect(&self, node: NodeId) -> bool {
-        self.suspects.read().contains(&node)
-    }
-
-    /// All currently suspect nodes, sorted.
-    pub fn suspects(&self) -> Vec<NodeId> {
-        self.suspects.read().iter().copied().collect()
     }
 
     /// All configured nodes (alive or not), in configuration order.
@@ -84,21 +53,6 @@ impl ClusterMembership {
     /// `true` if the node is configured and alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.nodes.contains(&node) && self.failures.is_node_up(node)
-    }
-
-    /// Publishes `node`'s free remote-memory capacity (done periodically
-    /// by each node's agent in the paper; here by the remote store).
-    pub fn advertise_free(&self, node: NodeId, free: ByteSize) {
-        self.free.write().insert(node, free);
-    }
-
-    /// Last advertised free capacity of `node` (zero if never advertised).
-    pub fn free_of(&self, node: NodeId) -> ByteSize {
-        self.free
-            .read()
-            .get(&node)
-            .copied()
-            .unwrap_or(ByteSize::ZERO)
     }
 
     /// Alive nodes other than `exclude`, the candidate set for remote
@@ -154,28 +108,6 @@ mod tests {
         failures.inject_now(FailureEvent::NodeDown(NodeId::new(2)));
         let c = m.candidates(NodeId::new(0));
         assert_eq!(c, vec![NodeId::new(1), NodeId::new(3)]);
-    }
-
-    #[test]
-    fn free_memory_advertisement() {
-        let (_, m) = membership(2);
-        assert_eq!(m.free_of(NodeId::new(0)), ByteSize::ZERO);
-        m.advertise_free(NodeId::new(0), ByteSize::from_mib(5));
-        assert_eq!(m.free_of(NodeId::new(0)), ByteSize::from_mib(5));
-    }
-
-    #[test]
-    fn suspects_are_shared_sorted_and_idempotent() {
-        let (_, m) = membership(4);
-        let peer = m.clone(); // clones share the suspect set
-        assert!(m.mark_suspect(NodeId::new(2)));
-        assert!(!m.mark_suspect(NodeId::new(2)), "second mark is a no-op");
-        assert!(m.mark_suspect(NodeId::new(1)));
-        assert!(peer.is_suspect(NodeId::new(2)));
-        assert_eq!(peer.suspects(), vec![NodeId::new(1), NodeId::new(2)]);
-        assert!(peer.clear_suspect(NodeId::new(1)));
-        assert!(!peer.clear_suspect(NodeId::new(1)));
-        assert_eq!(m.suspects(), vec![NodeId::new(2)]);
     }
 
     #[test]

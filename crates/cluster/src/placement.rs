@@ -6,7 +6,7 @@
 //! one [`Placer`]; the `ablation_placement` bench compares the imbalance
 //! they produce.
 
-use crate::membership::ClusterMembership;
+use crate::remote::RemoteStore;
 use dmem_sim::shard::{ShardId, ShardMap};
 use dmem_sim::{splitmix64, DetRng};
 use dmem_types::{DmemError, DmemResult, NodeId, PlacementStrategy};
@@ -15,7 +15,6 @@ use std::fmt;
 /// Chooses the nodes that will host a replicated remote write.
 pub struct Placer {
     strategy: PlacementStrategy,
-    membership: ClusterMembership,
     rng: DetRng,
     rr_cursor: usize,
 }
@@ -23,23 +22,28 @@ pub struct Placer {
 impl Placer {
     /// Creates a placer with the given strategy and a deterministic
     /// random stream.
-    pub fn new(strategy: PlacementStrategy, membership: ClusterMembership, rng: DetRng) -> Self {
+    pub fn new(strategy: PlacementStrategy, rng: DetRng) -> Self {
         Placer {
             strategy,
-            membership,
             rng,
             rr_cursor: 0,
         }
     }
 
     /// Picks `count` distinct nodes from `candidates` to host a replica
-    /// set (first pick is the primary).
+    /// set (first pick is the primary). The load-aware strategies weigh
+    /// each candidate by the free capacity `store` last advertised for it.
     ///
     /// # Errors
     ///
     /// Returns [`DmemError::CapacityExhausted`] when fewer than `count`
     /// candidates exist.
-    pub fn pick(&mut self, candidates: &[NodeId], count: usize) -> DmemResult<Vec<NodeId>> {
+    pub fn pick(
+        &mut self,
+        store: &RemoteStore,
+        candidates: &[NodeId],
+        count: usize,
+    ) -> DmemResult<Vec<NodeId>> {
         if candidates.len() < count {
             return Err(DmemError::CapacityExhausted {
                 pool: format!(
@@ -51,15 +55,15 @@ impl Placer {
         let mut picked: Vec<NodeId> = Vec::with_capacity(count);
         let mut remaining: Vec<NodeId> = candidates.to_vec();
         for _ in 0..count {
-            let idx = self.pick_one(&remaining)?;
+            let idx = self.pick_one(store, &remaining);
             picked.push(remaining.swap_remove(idx));
         }
         Ok(picked)
     }
 
-    fn pick_one(&mut self, remaining: &[NodeId]) -> DmemResult<usize> {
+    fn pick_one(&mut self, store: &RemoteStore, remaining: &[NodeId]) -> usize {
         debug_assert!(!remaining.is_empty());
-        let idx = match self.strategy {
+        match self.strategy {
             PlacementStrategy::Random => self.rng.below(remaining.len()),
             PlacementStrategy::RoundRobin => {
                 let idx = self.rr_cursor % remaining.len();
@@ -71,7 +75,7 @@ impl Placer {
                 // proportionally. Falls back to uniform when all zero.
                 let weights: Vec<u64> = remaining
                     .iter()
-                    .map(|&n| self.membership.free_of(n).as_u64().max(1))
+                    .map(|&n| store.free_of(n).as_u64().max(1))
                     .collect();
                 let total: u64 = weights.iter().sum();
                 let mut draw = (self.rng.unit() * total as f64) as u64;
@@ -88,14 +92,13 @@ impl Placer {
             PlacementStrategy::PowerOfTwoChoices => {
                 let a = self.rng.below(remaining.len());
                 let b = self.rng.below(remaining.len());
-                if self.membership.free_of(remaining[a]) >= self.membership.free_of(remaining[b]) {
+                if store.free_of(remaining[a]) >= store.free_of(remaining[b]) {
                     a
                 } else {
                     b
                 }
             }
-        };
-        Ok(idx)
+        }
     }
 }
 
@@ -198,18 +201,33 @@ pub fn spread_replicas_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmem_sim::{FailureInjector, SimClock};
-    use dmem_types::ByteSize;
+    use crate::membership::ClusterMembership;
+    use dmem_net::Fabric;
+    use dmem_sim::{CostModel, FailureInjector, SimClock};
+    use dmem_types::{ByteSize, EntryId, ServerId};
     use std::collections::HashMap;
     use std::collections::HashSet;
 
-    fn membership(n: u32) -> ClusterMembership {
-        let failures = FailureInjector::new(SimClock::new());
-        ClusterMembership::new((0..n).map(NodeId::new).collect(), failures)
+    /// A store over the candidate nodes `0..n` plus a client node `n`
+    /// that writes the fills, each with a `pool` of receive memory.
+    fn store(n: u32, pool: ByteSize) -> RemoteStore {
+        let clock = SimClock::new();
+        let failures = FailureInjector::new(clock.clone());
+        let fabric = Fabric::new(clock, CostModel::paper_default(), failures.clone());
+        let membership = ClusterMembership::new((0..=n).map(NodeId::new).collect(), failures);
+        RemoteStore::new(fabric, membership, pool).unwrap()
     }
 
-    fn placer(strategy: PlacementStrategy, m: &ClusterMembership) -> Placer {
-        Placer::new(strategy, m.clone(), DetRng::new(42))
+    /// Parks `bytes` on `node` from the client node: the store advertises
+    /// that much less free capacity for it.
+    fn fill(store: &mut RemoteStore, node: NodeId, key: u64, bytes: usize) {
+        let client = *store.membership().nodes().last().unwrap();
+        let entry = EntryId::new(ServerId::new(client, 0), key);
+        store.store(client, node, entry, &vec![0u8; bytes]).unwrap();
+    }
+
+    fn placer(strategy: PlacementStrategy) -> Placer {
+        Placer::new(strategy, DetRng::new(42))
     }
 
     fn candidates(n: u32) -> Vec<NodeId> {
@@ -218,16 +236,16 @@ mod tests {
 
     #[test]
     fn picks_are_distinct() {
-        let m = membership(8);
+        let store = store(8, ByteSize::from_kib(64));
         for strategy in [
             PlacementStrategy::Random,
             PlacementStrategy::RoundRobin,
             PlacementStrategy::WeightedRoundRobin,
             PlacementStrategy::PowerOfTwoChoices,
         ] {
-            let mut p = placer(strategy, &m);
+            let mut p = placer(strategy);
             for _ in 0..20 {
-                let picked = p.pick(&candidates(8), 3).unwrap();
+                let picked = p.pick(&store, &candidates(8), 3).unwrap();
                 let set: HashSet<_> = picked.iter().collect();
                 assert_eq!(set.len(), 3, "{strategy}: duplicates in {picked:?}");
             }
@@ -285,20 +303,20 @@ mod tests {
 
     #[test]
     fn insufficient_candidates_rejected() {
-        let m = membership(2);
-        let mut p = placer(PlacementStrategy::Random, &m);
+        let store = store(2, ByteSize::from_kib(64));
+        let mut p = placer(PlacementStrategy::Random);
         assert!(matches!(
-            p.pick(&candidates(2), 3),
+            p.pick(&store, &candidates(2), 3),
             Err(DmemError::CapacityExhausted { .. })
         ));
     }
 
     #[test]
     fn round_robin_cycles() {
-        let m = membership(4);
-        let mut p = placer(PlacementStrategy::RoundRobin, &m);
+        let store = store(4, ByteSize::from_kib(64));
+        let mut p = placer(PlacementStrategy::RoundRobin);
         let firsts: Vec<NodeId> = (0..4)
-            .map(|_| p.pick(&candidates(4), 1).unwrap()[0])
+            .map(|_| p.pick(&store, &candidates(4), 1).unwrap()[0])
             .collect();
         let unique: HashSet<_> = firsts.iter().collect();
         assert_eq!(unique.len(), 4, "RR must visit all nodes: {firsts:?}");
@@ -306,17 +324,16 @@ mod tests {
 
     #[test]
     fn power_of_two_prefers_free_nodes() {
-        let m = membership(4);
         // Node 3 has far more free memory than the rest.
-        m.advertise_free(NodeId::new(3), ByteSize::from_gib(1));
+        let mut store = store(4, ByteSize::from_kib(64));
         for n in 0..3 {
-            m.advertise_free(NodeId::new(n), ByteSize::from_mib(1));
+            fill(&mut store, NodeId::new(n), n.into(), 63 << 10);
         }
-        let mut p = placer(PlacementStrategy::PowerOfTwoChoices, &m);
+        let mut p = placer(PlacementStrategy::PowerOfTwoChoices);
         let mut wins = 0;
         const TRIALS: usize = 200;
         for _ in 0..TRIALS {
-            if p.pick(&candidates(4), 1).unwrap()[0] == NodeId::new(3) {
+            if p.pick(&store, &candidates(4), 1).unwrap()[0] == NodeId::new(3) {
                 wins += 1;
             }
         }
@@ -329,14 +346,14 @@ mod tests {
 
     #[test]
     fn weighted_rr_skews_toward_free() {
-        let m = membership(2);
-        m.advertise_free(NodeId::new(0), ByteSize::from_mib(9));
-        m.advertise_free(NodeId::new(1), ByteSize::from_mib(1));
-        let mut p = placer(PlacementStrategy::WeightedRoundRobin, &m);
+        // 36 KiB free on node 0, 4 KiB on node 1.
+        let mut store = store(2, ByteSize::from_kib(36));
+        fill(&mut store, NodeId::new(1), 0, 32 << 10);
+        let mut p = placer(PlacementStrategy::WeightedRoundRobin);
         let mut zero_wins = 0;
         const TRIALS: usize = 300;
         for _ in 0..TRIALS {
-            if p.pick(&candidates(2), 1).unwrap()[0] == NodeId::new(0) {
+            if p.pick(&store, &candidates(2), 1).unwrap()[0] == NodeId::new(0) {
                 zero_wins += 1;
             }
         }
@@ -349,31 +366,28 @@ mod tests {
 
     /// Replays a skewed allocation stream (a heavy tail of large
     /// allocations) against `strategy` with closed-loop feedback: every
-    /// placement debits the chosen node's advertised free memory, exactly
-    /// like the advertise maintenance task would. Returns the maximum
+    /// placement is a write into the chosen node's pool, which lowers the
+    /// free capacity the store advertises for it. Returns the maximum
     /// bytes loaded onto any single node.
     fn max_load_under_skew(strategy: PlacementStrategy, seed: u64) -> u64 {
         const NODES: u32 = 8;
-        let capacity = ByteSize::from_mib(64).as_u64();
-        let m = membership(NODES);
-        for n in 0..NODES {
-            m.advertise_free(NodeId::new(n), ByteSize::from(capacity));
-        }
-        let mut p = Placer::new(strategy, m.clone(), DetRng::new(seed));
+        let mut store = store(NODES, ByteSize::from_mib(4));
+        let mut p = Placer::new(strategy, DetRng::new(seed));
         let mut stream = DetRng::new(seed ^ 0x5EED);
-        let mut load = vec![0u64; NODES as usize];
-        for _ in 0..600 {
+        for key in 0..600 {
             // 10% of allocations are 64x larger: the skew that load-aware
             // policies exist to absorb (paper §IV-E).
-            let size: u64 = if stream.chance(0.1) { 1 << 20 } else { 16 << 10 };
-            let node = p.pick(&candidates(NODES), 1).unwrap()[0];
-            load[node.index() as usize] += size;
-            m.advertise_free(
-                node,
-                ByteSize::from(capacity.saturating_sub(load[node.index() as usize])),
-            );
+            let size = if stream.chance(0.1) { 64 << 10 } else { 1 << 10 };
+            let node = p.pick(&store, &candidates(NODES), 1).unwrap()[0];
+            fill(&mut store, node, key, size);
         }
-        load.into_iter().max().unwrap()
+        (0..NODES)
+            .map(|n| {
+                let stats = store.stats(NodeId::new(n)).unwrap();
+                (stats.capacity - stats.free).as_u64()
+            })
+            .max()
+            .unwrap()
     }
 
     #[test]
@@ -394,15 +408,14 @@ mod tests {
     fn weighted_rr_share_tracks_advertised_ratio() {
         // Three nodes advertising 6:3:1 free memory should receive picks
         // in roughly that proportion (no feedback: weights held fixed).
-        let m = membership(3);
-        m.advertise_free(NodeId::new(0), ByteSize::from_mib(6));
-        m.advertise_free(NodeId::new(1), ByteSize::from_mib(3));
-        m.advertise_free(NodeId::new(2), ByteSize::from_mib(1));
-        let mut p = placer(PlacementStrategy::WeightedRoundRobin, &m);
+        let mut store = store(3, ByteSize::from_kib(60));
+        fill(&mut store, NodeId::new(1), 1, 30 << 10);
+        fill(&mut store, NodeId::new(2), 2, 50 << 10);
+        let mut p = placer(PlacementStrategy::WeightedRoundRobin);
         let mut counts = [0usize; 3];
         const TRIALS: usize = 1000;
         for _ in 0..TRIALS {
-            counts[p.pick(&candidates(3), 1).unwrap()[0].index() as usize] += 1;
+            counts[p.pick(&store, &candidates(3), 1).unwrap()[0].index() as usize] += 1;
         }
         let share = |i: usize| counts[i] as f64 / TRIALS as f64;
         assert!(
@@ -422,12 +435,12 @@ mod tests {
 
     #[test]
     fn random_is_roughly_uniform() {
-        let m = membership(4);
-        let mut p = placer(PlacementStrategy::Random, &m);
+        let store = store(4, ByteSize::from_kib(64));
+        let mut p = placer(PlacementStrategy::Random);
         let mut counts: HashMap<NodeId, usize> = HashMap::new();
         const TRIALS: usize = 400;
         for _ in 0..TRIALS {
-            *counts.entry(p.pick(&candidates(4), 1).unwrap()[0]).or_default() += 1;
+            *counts.entry(p.pick(&store, &candidates(4), 1).unwrap()[0]).or_default() += 1;
         }
         for (&node, &count) in &counts {
             let share = count as f64 / TRIALS as f64;

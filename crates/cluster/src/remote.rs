@@ -102,6 +102,10 @@ pub struct RemoteStore {
     membership: ClusterMembership,
     pool_size: ByteSize,
     hosts: IdMap<NodeId, HostState>,
+    /// Each node's last advertised free pool capacity, what placement
+    /// weighs. A store that fails after freeing a replaced entry leaves
+    /// it stale until the next [`RemoteStore::advertise_all`].
+    advertised: IdMap<NodeId, ByteSize>,
     clients: IdMap<NodeId, ConnectionManager>,
 }
 
@@ -117,16 +121,18 @@ impl RemoteStore {
         pool_size: ByteSize,
     ) -> DmemResult<Self> {
         let mut hosts = IdMap::default();
+        let mut advertised = IdMap::default();
         for &node in membership.nodes() {
             let region = fabric.register(node, pool_size)?;
             hosts.insert(node, HostState::new(region, pool_size.as_u64()));
-            membership.advertise_free(node, pool_size);
+            advertised.insert(node, pool_size);
         }
         Ok(RemoteStore {
             fabric,
             membership,
             pool_size,
             hosts,
+            advertised,
             clients: IdMap::default(),
         })
     }
@@ -165,11 +171,25 @@ impl RemoteStore {
         Ok(())
     }
 
-    fn advertise(&self, node: NodeId) {
+    /// Publishes `node`'s free pool capacity (done periodically by each
+    /// node's agent in the paper; here after every write that changes it).
+    fn advertise(&mut self, node: NodeId) {
         if let Some(state) = self.hosts.get(&node) {
-            self.membership
-                .advertise_free(node, ByteSize::new(state.free_bytes()));
+            self.advertised.insert(node, ByteSize::new(state.free_bytes()));
         }
+    }
+
+    /// Re-publishes every node's free pool capacity (the periodic
+    /// advertisement refresh).
+    pub fn advertise_all(&mut self) {
+        for (&node, state) in &self.hosts {
+            self.advertised.insert(node, ByteSize::new(state.free_bytes()));
+        }
+    }
+
+    /// Last advertised free capacity of `node` (zero if never advertised).
+    pub fn free_of(&self, node: NodeId) -> ByteSize {
+        self.advertised.get(&node).copied().unwrap_or(ByteSize::ZERO)
     }
 
     /// Parks `data` for `entry` on node `to`, requested by node `from`.
@@ -500,10 +520,27 @@ mod tests {
     fn store_updates_advertised_free() {
         let (_, _, mut store) = setup(2, 64);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let before = store.membership().free_of(b);
+        let before = store.free_of(b);
         store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
-        let after = store.membership().free_of(b);
+        let after = store.free_of(b);
         assert_eq!(before - after, ByteSize::new(4096));
+    }
+
+    #[test]
+    fn free_memory_advertisement() {
+        let (_, _, mut store) = setup(2, 8);
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(store.free_of(b), ByteSize::from_kib(8), "a new pool is all free");
+        assert_eq!(store.free_of(NodeId::new(9)), ByteSize::ZERO, "never advertised");
+        store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
+        assert_eq!(store.free_of(b), ByteSize::from_kib(4));
+        // A rewrite too big for the pool frees the old extent and fails:
+        // the advertisement stays stale until the periodic refresh.
+        assert!(store.store(a, b, entry(1), &[0u8; 16 * 1024]).is_err());
+        assert_eq!(store.stats(b).unwrap().free, ByteSize::from_kib(8));
+        assert_eq!(store.free_of(b), ByteSize::from_kib(4));
+        store.advertise_all();
+        assert_eq!(store.free_of(b), ByteSize::from_kib(8));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::membership::ClusterMembership;
 use crate::placement::Placer;
 use crate::remote::RemoteStore;
 use dmem_types::{DmemError, DmemResult, EntryId, NodeId, ReplicationFactor};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Replicated store/load/delete over the [`RemoteStore`] it owns.
@@ -19,6 +20,10 @@ pub struct Replicator {
     store: RemoteStore,
     placer: Placer,
     factor: ReplicationFactor,
+    /// Nodes a failed read had to fail over past: candidates for the
+    /// repair path to probe, repair around, or evict. Populated only
+    /// under fault injection, so fault-free runs never touch it.
+    suspects: BTreeSet<NodeId>,
 }
 
 impl Replicator {
@@ -28,6 +33,7 @@ impl Replicator {
             store,
             placer,
             factor,
+            suspects: BTreeSet::new(),
         }
     }
 
@@ -49,6 +55,18 @@ impl Replicator {
     /// The membership used for candidate selection.
     fn membership(&self) -> &ClusterMembership {
         self.store.membership()
+    }
+
+    /// All currently suspect nodes, sorted.
+    pub fn suspects(&self) -> Vec<NodeId> {
+        self.suspects.iter().copied().collect()
+    }
+
+    /// Clears a suspicion (the repair path probed the node healthy, or
+    /// repaired its data elsewhere and evicted it from replica sets).
+    /// Returns `true` if the node was suspect.
+    pub fn clear_suspect(&mut self, node: NodeId) -> bool {
+        self.suspects.remove(&node)
     }
 
     /// Stores `data` on `factor` distinct remote nodes chosen from
@@ -103,7 +121,7 @@ impl Replicator {
         let mut remaining: Vec<NodeId> = candidates.to_vec();
         let mut written: Vec<NodeId> = Vec::with_capacity(self.factor.get());
         while written.len() < self.factor.get() && !remaining.is_empty() {
-            let node = self.placer.pick(&remaining, 1)?[0];
+            let node = self.placer.pick(&self.store, &remaining, 1)?[0];
             remaining.retain(|&n| n != node);
             if self.store.store_batch(from, node, batch).is_ok() {
                 written.push(node);
@@ -128,7 +146,7 @@ impl Replicator {
     ///
     /// Under fault injection a successful failover also marks every
     /// skipped replica that *failed to answer* (verb timeout, link down,
-    /// node unreachable) *suspect* in the membership, handing it to the
+    /// node unreachable) *suspect*, handing it to the
     /// repair path to probe healthy, repair around, or evict. A replica
     /// that answers `EntryNotFound` is healthy — it responded, it just
     /// lost the copy (e.g. a restart) — so it is skipped without
@@ -161,7 +179,7 @@ impl Replicator {
                             &[("skipped", skipped as u64)],
                         );
                         for &suspect in &unresponsive {
-                            if self.membership().mark_suspect(suspect) {
+                            if self.suspects.insert(suspect) {
                                 metrics.counter("cluster.suspect.marked").inc();
                             }
                         }
@@ -253,7 +271,7 @@ impl Replicator {
             .into_iter()
             .filter(|n| !survivors.contains(n))
             .collect();
-        let new_hosts = self.placer.pick(&candidates, missing)?;
+        let new_hosts = self.placer.pick(&self.store, &candidates, missing)?;
         let mut nodes = survivors;
         for &node in &new_hosts {
             self.store.store(from, node, entry, &data)?;
@@ -274,9 +292,10 @@ impl fmt::Debug for Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmem_net::Fabric;
+    use dmem_net::{Fabric, FabricFaults, FaultProfile};
     use dmem_sim::{CostModel, DetRng, FailureEvent, FailureInjector, SimClock};
     use dmem_types::{ByteSize, PlacementStrategy, ServerId};
+    use std::sync::Arc;
 
     fn setup(n: u32) -> (FailureInjector, Replicator) {
         let clock = SimClock::new();
@@ -284,12 +303,8 @@ mod tests {
         let fabric = Fabric::new(clock.clone(), CostModel::paper_default(), failures.clone());
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let membership = ClusterMembership::new(nodes, failures.clone());
-        let store = RemoteStore::new(fabric, membership.clone(), ByteSize::from_kib(64)).unwrap();
-        let placer = Placer::new(
-            PlacementStrategy::PowerOfTwoChoices,
-            membership,
-            DetRng::new(1),
-        );
+        let store = RemoteStore::new(fabric, membership, ByteSize::from_kib(64)).unwrap();
+        let placer = Placer::new(PlacementStrategy::PowerOfTwoChoices, DetRng::new(1));
         (failures, Replicator::new(store, placer, ReplicationFactor::TRIPLE))
     }
 
@@ -325,6 +340,33 @@ mod tests {
             vec![5u8; 64]
         );
         assert_eq!(rep.live_degree(entry(1), &set), 1);
+    }
+
+    #[test]
+    fn suspects_are_sorted_and_idempotent() {
+        let (failures, mut rep) = setup(6);
+        let fabric = rep.store().fabric().clone();
+        // Suspects are marked only with a fault layer installed; a silent
+        // one adds no verb noise.
+        fabric.install_faults(Arc::new(FabricFaults::new(DetRng::new(0), FaultProfile::none())));
+        let from = NodeId::new(0);
+        let set = rep.store_replicated(from, entry(1), &[4u8; 64], None).unwrap();
+        failures.inject_now(FailureEvent::NodeDown(set[0]));
+        for _ in 0..2 {
+            assert_eq!(rep.load_replicated(from, entry(1), &set).unwrap(), vec![4u8; 64]);
+        }
+        assert_eq!(rep.suspects(), vec![set[0]]);
+        let marked = || fabric.metrics().counter("cluster.suspect.marked").get();
+        assert_eq!(marked(), 1, "a second failover past the same node is a no-op");
+        failures.inject_now(FailureEvent::NodeDown(set[1]));
+        rep.load_replicated(from, entry(1), &set).unwrap();
+        assert_eq!(marked(), 2);
+        let mut sorted = vec![set[0], set[1]];
+        sorted.sort_unstable();
+        assert_eq!(rep.suspects(), sorted);
+        assert!(rep.clear_suspect(set[0]));
+        assert!(!rep.clear_suspect(set[0]));
+        assert_eq!(rep.suspects(), vec![set[1]]);
     }
 
     #[test]

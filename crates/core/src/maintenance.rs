@@ -162,12 +162,7 @@ impl Maintenance {
                     }
                     Task::Advertise => {
                         report.advertise_refreshes += 1;
-                        let store = self.dm.remote_store();
-                        for &node in self.dm.membership().nodes() {
-                            if let Some(stats) = store.stats(node) {
-                                self.dm.membership().advertise_free(node, stats.free);
-                            }
-                        }
+                        self.dm.remote_store().advertise_all();
                         self.queue
                             .schedule(self.dm.clock().now() + ADVERTISE_INTERVAL, Task::Advertise);
                     }
@@ -235,11 +230,7 @@ mod tests {
 
     fn driver(dm: &Arc<DisaggregatedMemory>, threshold_kib: u64) -> Maintenance {
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(threshold_kib), 16);
-        let placer = Placer::new(
-            PlacementStrategy::WeightedRoundRobin,
-            dm.membership().clone(),
-            DetRng::new(11),
-        );
+        let placer = Placer::new(PlacementStrategy::WeightedRoundRobin, DetRng::new(11));
         Maintenance::new(Arc::clone(dm), evictor, placer)
     }
 

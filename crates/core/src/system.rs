@@ -300,7 +300,7 @@ impl DisaggregatedMemory {
         }
 
         let remote = RemoteStore::new(fabric.clone(), membership.clone(), config.node.recv_pool)?;
-        let placer = Placer::new(config.placement, membership.clone(), rng.fork("placement"));
+        let placer = Placer::new(config.placement, rng.fork("placement"));
         let core = Core {
             maps: servers.iter().map(|&s| (s, MemoryMap::new())).collect(),
             memo: CompressMemo::with_default_capacity(),
@@ -1265,7 +1265,7 @@ impl DisaggregatedMemory {
             }
         }
         span.tag("repaired", repaired);
-        self.settle_suspects(&core.maps);
+        self.settle_suspects(core);
         repaired
     }
 
@@ -1279,16 +1279,17 @@ impl DisaggregatedMemory {
     /// so fault-free runs take the empty early-return and create no
     /// metric keys.
     pub(crate) fn resolve_suspects(&self) {
-        self.settle_suspects(&self.core.lock().maps);
+        self.settle_suspects(&mut self.core.lock());
     }
 
-    /// [`DisaggregatedMemory::resolve_suspects`] over maps the caller holds.
-    fn settle_suspects(&self, maps: &IdMap<ServerId, MemoryMap>) {
-        let suspects = self.membership.suspects();
+    /// [`DisaggregatedMemory::resolve_suspects`] under a lock the caller holds.
+    fn settle_suspects(&self, core: &mut Core) {
+        let suspects = core.replicator.suspects();
         if suspects.is_empty() {
             return;
         }
-        let referenced: IdSet<NodeId> = maps
+        let referenced: IdSet<NodeId> = core
+            .maps
             .values()
             .flat_map(MemoryMap::iter)
             .filter_map(|(_, record)| match &record.location {
@@ -1303,10 +1304,10 @@ impl DisaggregatedMemory {
                 let reachable = alive
                     .iter()
                     .all(|&peer| peer == node || self.fabric.is_path_up(peer, node));
-                if reachable && self.membership.clear_suspect(node) {
+                if reachable && core.replicator.clear_suspect(node) {
                     self.handles.suspect_cleared.inc();
                 }
-            } else if !referenced.contains(&node) && self.membership.clear_suspect(node) {
+            } else if !referenced.contains(&node) && core.replicator.clear_suspect(node) {
                 self.handles.suspect_evicted.inc();
             }
         }
@@ -1361,7 +1362,7 @@ impl DisaggregatedMemory {
             stats.shared_capacity += manager.capacity();
         }
         for &node in self.membership.nodes() {
-            stats.remote_free += self.membership.free_of(node);
+            stats.remote_free += core.replicator.store().free_of(node);
         }
         stats
     }

@@ -139,6 +139,9 @@ fn drive_every_verb() {
     };
     let primary = replicas[0];
     dm.failures().inject_now(FailureEvent::NodeDown(primary));
+    // A single read fails over too, and marks the primary suspect.
+    assert_eq!(dm.get(low, 30).unwrap(), page(30));
+    assert_eq!(dm.replicator().suspects(), vec![primary]);
     let keys = [30, 31, 32];
     assert_eq!(
         dm.get_batch(low, &keys).unwrap(),
@@ -163,6 +166,15 @@ fn drive_every_verb() {
     };
     let factor = dm.replicator().factor().get();
     assert_eq!(dm.replicator().live_degree(EntryId::new(low, 30), &replicas), factor);
+    // The membership is no part of the lock: it reads under a live guard.
+    {
+        let store = dm.remote_store();
+        let hosts = dm.membership().nodes();
+        assert!(hosts.iter().all(|&n| store.stats(n).is_some()));
+    }
+    // Repair settled the suspect the failover above marked: the primary
+    // is back up and reachable from every peer.
+    assert!(dm.replicator().suspects().is_empty());
     let entries = dm.entries_snapshot().len();
     assert_eq!(dm.stats().entries, entries);
     dm.delete(low, 6).unwrap();
@@ -173,13 +185,7 @@ fn drive_every_verb() {
     // Eviction, the control loops and one maintenance window long enough
     // to run every task: Eviction (every 50 ms), Advertise (10 ms), and
     // Balloon, which shares its 200 ms tick with QosTick.
-    let placer = || {
-        Placer::new(
-            PlacementStrategy::PowerOfTwoChoices,
-            dm.membership().clone(),
-            DetRng::new(3),
-        )
-    };
+    let placer = || Placer::new(PlacementStrategy::PowerOfTwoChoices, DetRng::new(3));
     let evictor = || RemoteSlabEvictor::new(ByteSize::from_kib(4), 8);
     let _ = dm.run_eviction(&evictor(), &mut placer());
     dm.qos_tick();

@@ -480,9 +480,9 @@ impl fmt::Debug for PagingEngine {
 mod tests {
     use super::*;
     use dmem_types::{DmemError, EntryId};
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// Test backend recording batch shapes.
     #[derive(Default)]
@@ -492,14 +492,14 @@ mod tests {
         load_batches: Vec<usize>,
     }
 
-    struct RecBackend(Arc<Mutex<Recorder>>);
+    struct RecBackend(Rc<RefCell<Recorder>>);
 
     impl SwapBackend for RecBackend {
         fn name(&self) -> &'static str {
             "recorder"
         }
         fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
-            let mut r = self.0.lock();
+            let mut r = self.0.borrow_mut();
             r.store_batches.push(pages.len());
             for (p, d) in pages {
                 r.pages.insert(*p, d.clone());
@@ -507,7 +507,7 @@ mod tests {
             Ok(())
         }
         fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-            let mut r = self.0.lock();
+            let mut r = self.0.borrow_mut();
             r.load_batches.push(pfns.len());
             pfns.iter()
                 .map(|p| {
@@ -519,20 +519,20 @@ mod tests {
                 .collect()
         }
         fn contains(&self, pfn: u64) -> bool {
-            self.0.lock().pages.contains_key(&pfn)
+            self.0.borrow().pages.contains_key(&pfn)
         }
         fn invalidate(&mut self, pfn: u64) {
-            self.0.lock().pages.remove(&pfn);
+            self.0.borrow_mut().pages.remove(&pfn);
         }
     }
 
-    fn engine(config: EngineConfig) -> (Arc<Mutex<Recorder>>, PagingEngine) {
-        let recorder = Arc::new(Mutex::new(Recorder::default()));
+    fn engine(config: EngineConfig) -> (Rc<RefCell<Recorder>>, PagingEngine) {
+        let recorder = Rc::new(RefCell::new(Recorder::default()));
         let clock = SimClock::new();
         let engine = PagingEngine::new(
             config,
             clock,
-            Box::new(RecBackend(Arc::clone(&recorder))),
+            Box::new(RecBackend(Rc::clone(&recorder))),
             PageSource::new(3.0, 0.5, 42),
         );
         (recorder, engine)
@@ -571,8 +571,8 @@ mod tests {
         e.access(1, true).unwrap();
         e.access(0, false).unwrap(); // 0 now MRU
         e.access(2, true).unwrap(); // must evict 1, not 0
-        assert!(rec.lock().pages.contains_key(&1));
-        assert!(!rec.lock().pages.contains_key(&0));
+        assert!(rec.borrow().pages.contains_key(&1));
+        assert!(!rec.borrow().pages.contains_key(&0));
     }
 
     #[test]
@@ -604,7 +604,7 @@ mod tests {
         e.access(2, true).unwrap(); // evict 0
         e.access(0, true).unwrap(); // fault back AND dirty it
         assert!(
-            !rec.lock().pages.contains_key(&0),
+            !rec.borrow().pages.contains_key(&0),
             "dirtying the page must invalidate the backend copy"
         );
     }
@@ -619,7 +619,7 @@ mod tests {
             e.access(pfn, true).unwrap();
         }
         // 6 evictions buffered in windows of 4: one full flush so far.
-        let batches = rec.lock().store_batches.clone();
+        let batches = rec.borrow().store_batches.clone();
         assert!(batches.iter().all(|&b| b <= 4));
         assert!(batches.contains(&4), "a full window flush must occur: {batches:?}");
     }
@@ -652,12 +652,12 @@ mod tests {
         // proactive restore streams a window of 4 more pages into the
         // free frames.
         e.access(0, false).unwrap();
-        assert_eq!(rec.lock().load_batches, vec![1, 4]);
+        assert_eq!(rec.borrow().load_batches, vec![1, 4]);
         assert_eq!(e.resident_pages(), 5);
         // Next access hits a restored page (prefetch hit, no fault) and
         // the restore finishes the remaining 3 pages.
         e.access(1, false).unwrap();
-        assert_eq!(rec.lock().load_batches, vec![1, 4, 3]);
+        assert_eq!(rec.borrow().load_batches, vec![1, 4, 3]);
         let s = e.stats();
         assert_eq!(s.major_faults, 1);
         assert_eq!(s.swap_ins, 8);
@@ -665,7 +665,7 @@ mod tests {
         assert!(s.prefetch_hits >= 1);
         // Memory now full: no further restore activity.
         e.access(2, false).unwrap();
-        assert_eq!(rec.lock().load_batches.len(), 3);
+        assert_eq!(rec.borrow().load_batches.len(), 3);
         assert_eq!(e.stats().major_faults, 1, "no further faults");
     }
 
@@ -674,7 +674,7 @@ mod tests {
         let (rec, mut e) = engine(EngineConfig::demand(8));
         e.preload_swapped(6).unwrap();
         e.access(0, false).unwrap();
-        assert_eq!(rec.lock().load_batches, vec![1]);
+        assert_eq!(rec.borrow().load_batches, vec![1]);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! NBDX is modelled as a small per-operation CPU overhead.
 
 use crate::backend::SwapBackend;
-use dmem_cluster::RemoteStore;
+use dmem_cluster::{Placer, RemoteStore};
 use dmem_core::DiskTier;
 use dmem_sim::{DetRng, SimDuration};
-use dmem_types::{DmemError, DmemResult, EntryId, IdMap, IdSet, NodeId, ServerId};
+use dmem_types::{
+    DmemError, DmemResult, EntryId, IdMap, IdSet, NodeId, PlacementStrategy, ServerId,
+};
 
 enum Target {
     /// NBDX: one fixed remote peer is the block device.
@@ -22,7 +24,7 @@ enum Target {
     Slabs {
         pages_per_slab: u64,
         placed: IdMap<u64, NodeId>,
-        rng: DetRng,
+        placer: Placer,
     },
 }
 
@@ -73,29 +75,14 @@ impl RemotePaging {
             Target::Slabs {
                 pages_per_slab,
                 placed,
-                rng,
+                placer,
             } => {
                 let slab = pfn / *pages_per_slab;
                 if let Some(&node) = placed.get(&slab) {
                     return Ok(node);
                 }
                 let candidates = self.store.membership().candidates(local);
-                if candidates.is_empty() {
-                    return Err(DmemError::CapacityExhausted {
-                        pool: "no remote peers".into(),
-                    });
-                }
-                // Power of two choices by advertised free memory, as
-                // Infiniswap's slab placement does.
-                let a = candidates[rng.below(candidates.len())];
-                let b = candidates[rng.below(candidates.len())];
-                let node = if self.store.membership().free_of(a)
-                    >= self.store.membership().free_of(b)
-                {
-                    a
-                } else {
-                    b
-                };
+                let node = placer.pick(&self.store, &candidates, 1)?[0];
                 placed.insert(slab, node);
                 Ok(node)
             }
@@ -238,10 +225,15 @@ impl InfiniswapBackend {
         disk: DiskTier,
         seed: u64,
     ) -> RemotePaging {
+        // Power of two choices by advertised free memory, as
+        // Infiniswap's slab placement does.
         let target = Target::Slabs {
             pages_per_slab: Self::PAGES_PER_SLAB,
             placed: IdMap::default(),
-            rng: DetRng::new(seed).fork("infiniswap-placement"),
+            placer: Placer::new(
+                PlacementStrategy::PowerOfTwoChoices,
+                DetRng::new(seed).fork("infiniswap-placement"),
+            ),
         };
         RemotePaging::new("Infiniswap", Self::OVERHEAD, server, store, disk, target)
     }

@@ -26,11 +26,7 @@ fn main() -> DmemResult<()> {
 
     // Start the node agent's timer wheel.
     let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(16), 16);
-    let placer = Placer::new(
-        PlacementStrategy::WeightedRoundRobin,
-        dm.membership().clone(),
-        DetRng::new(3),
-    );
+    let placer = Placer::new(PlacementStrategy::WeightedRoundRobin, DetRng::new(3));
     let mut maintenance = Maintenance::new(Arc::clone(&dm), evictor, placer);
 
     // Crash a replica host; its DRAM contents are gone on restart.

@@ -476,11 +476,7 @@ impl Harness {
         if let Some(resolver) = dm.qos_priority_resolver() {
             evictor = evictor.with_priority(resolver);
         }
-        let placer = Placer::new(
-            placement,
-            dm.membership().clone(),
-            DetRng::new(seed).fork("chaos.maintenance"),
-        );
+        let placer = Placer::new(placement, DetRng::new(seed).fork("chaos.maintenance"));
         let maintenance = Maintenance::new(Arc::clone(&dm), evictor, placer);
         let stats = ChaosStats {
             faults_mode: config.fabric_faults,
@@ -1079,7 +1075,7 @@ impl Harness {
         if !self.quiescent() {
             return Ok(());
         }
-        let suspects = self.dm.membership().suspects();
+        let suspects = self.dm.replicator().suspects();
         if suspects.is_empty() {
             return Ok(());
         }

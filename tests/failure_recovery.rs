@@ -117,11 +117,7 @@ fn eviction_preserves_readability_and_updates_maps() {
         dm.put(server, key, vec![key as u8; 4096]).unwrap();
     }
     let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(40), 16);
-    let mut placer = Placer::new(
-        PlacementStrategy::WeightedRoundRobin,
-        dm.membership().clone(),
-        DetRng::new(5),
-    );
+    let mut placer = Placer::new(PlacementStrategy::WeightedRoundRobin, DetRng::new(5));
     let outcome = dm.run_eviction(&evictor, &mut placer).unwrap();
     assert!(!outcome.moves.is_empty(), "pressure must trigger migration");
     // Every entry still readable after migration + map rewrite.
