@@ -88,10 +88,18 @@ pub struct ArenaMap {
     /// Pages currently carved for a size class, keyed by page index.
     class_pages: BTreeMap<u64, ClassPage>,
     /// Free page runs below the break: `start_page -> run_pages`,
-    /// address-ordered, adjacent runs always merged.
+    /// address-ordered, adjacent runs always merged. Changed only
+    /// through `insert_free` / `remove_free`, which keep `free_pages`.
     free_runs: BTreeMap<u64, u64>,
-    /// Live objects keyed by byte address.
+    /// Live objects keyed by byte address. Changed only through
+    /// `insert_live` / `remove_live` / `set_len`, which keep `live_len`
+    /// and `live_slots`.
     live: BTreeMap<u64, LiveObject>,
+    /// Running sums over `live` and `free_runs`, so the heap's per-op
+    /// footprint gauges read three fields instead of summing two maps.
+    live_len: u64,
+    live_slots: u64,
+    free_pages: u64,
 }
 
 impl ArenaMap {
@@ -104,7 +112,39 @@ impl ArenaMap {
             class_pages: BTreeMap::new(),
             free_runs: BTreeMap::new(),
             live: BTreeMap::new(),
+            live_len: 0,
+            live_slots: 0,
+            free_pages: 0,
         }
+    }
+
+    fn insert_live(&mut self, addr: u64, obj: LiveObject) {
+        self.live_len += obj.len;
+        self.live_slots += obj.kind.capacity();
+        if let Some(old) = self.live.insert(addr, obj) {
+            self.live_len -= old.len;
+            self.live_slots -= old.kind.capacity();
+        }
+    }
+
+    fn remove_live(&mut self, addr: u64) -> Option<LiveObject> {
+        let obj = self.live.remove(&addr)?;
+        self.live_len -= obj.len;
+        self.live_slots -= obj.kind.capacity();
+        Some(obj)
+    }
+
+    fn insert_free(&mut self, start: u64, pages: u64) {
+        self.free_pages += pages;
+        if let Some(old) = self.free_runs.insert(start, pages) {
+            self.free_pages -= old;
+        }
+    }
+
+    fn remove_free(&mut self, start: u64) -> Option<u64> {
+        let pages = self.free_runs.remove(&start)?;
+        self.free_pages -= pages;
+        Some(pages)
     }
 
     /// Reserves a slot for an object whose *stored* footprint is
@@ -122,7 +162,7 @@ impl ArenaMap {
             SlotKind::Class(class) => self.reserve_class_slot(class),
             SlotKind::Run(pages) => self.take_run(pages) * PAGE_BYTES,
         };
-        self.live.insert(addr, LiveObject { kind, len });
+        self.insert_live(addr, LiveObject { kind, len });
         (addr, kind)
     }
 
@@ -140,7 +180,7 @@ impl ArenaMap {
     ///
     /// Returns `None` if no live object sits at `addr`.
     pub fn release(&mut self, addr: u64) -> Option<LiveObject> {
-        let obj = self.live.remove(&addr)?;
+        let obj = self.remove_live(addr)?;
         match obj.kind {
             SlotKind::Class(_) => {
                 let page = addr / PAGE_BYTES;
@@ -184,6 +224,7 @@ impl ArenaMap {
     /// footprint still fits).
     pub(crate) fn set_len(&mut self, addr: u64, len: u64) {
         if let Some(obj) = self.live.get_mut(&addr) {
+            self.live_len = self.live_len - obj.len + len;
             obj.len = len;
         }
     }
@@ -197,14 +238,19 @@ impl ArenaMap {
     /// Total caller-requested bytes across live objects.
     #[must_use]
     pub(crate) fn live_bytes(&self) -> u64 {
-        self.live.values().map(|o| o.len).sum()
+        debug_assert_eq!(self.live_len, self.live.values().map(|o| o.len).sum::<u64>());
+        self.live_len
     }
 
     /// Total slot capacity across live objects — the internal
     /// fragmentation denominator.
     #[must_use]
     pub(crate) fn slot_bytes(&self) -> u64 {
-        self.live.values().map(|o| o.kind.capacity()).sum()
+        debug_assert_eq!(
+            self.live_slots,
+            self.live.values().map(|o| o.kind.capacity()).sum::<u64>()
+        );
+        self.live_slots
     }
 
     /// Bytes of address space currently claimed from the break and not
@@ -213,8 +259,8 @@ impl ArenaMap {
     /// denominator.
     #[must_use]
     pub(crate) fn reserved_bytes(&self) -> u64 {
-        let free: u64 = self.free_runs.values().sum();
-        (self.break_pages - free) * PAGE_BYTES
+        debug_assert_eq!(self.free_pages, self.free_runs.values().sum::<u64>());
+        (self.break_pages - self.free_pages) * PAGE_BYTES
     }
 
     /// Current break, in pages.
@@ -264,7 +310,7 @@ impl ArenaMap {
     pub(crate) fn rebuild(objects: &[(u64, SlotKind, u64)]) -> Self {
         let mut map = ArenaMap::new();
         for &(addr, kind, len) in objects {
-            map.live.insert(addr, LiveObject { kind, len });
+            map.insert_live(addr, LiveObject { kind, len });
             let page = addr / PAGE_BYTES;
             match kind {
                 SlotKind::Class(class) => {
@@ -296,7 +342,7 @@ impl ArenaMap {
         let mut cursor = 0u64;
         for (start, pages) in &claimed {
             if *start > cursor {
-                map.free_runs.insert(cursor, start - cursor);
+                map.insert_free(cursor, start - cursor);
             }
             cursor = start + pages;
         }
@@ -345,9 +391,9 @@ impl ArenaMap {
             .find(|(_, len)| **len >= pages)
             .map(|(start, len)| (*start, *len));
         if let Some((start, len)) = found {
-            self.free_runs.remove(&start);
+            self.remove_free(start);
             if len > pages {
-                self.free_runs.insert(start + pages, len - pages);
+                self.insert_free(start + pages, len - pages);
             }
             return start;
         }
@@ -368,12 +414,12 @@ impl ArenaMap {
             .map(|(s, l)| (*s, *l))
         {
             if prev_start + prev_len == start {
-                self.free_runs.remove(&prev_start);
+                self.remove_free(prev_start);
                 start = prev_start;
                 pages += prev_len;
             }
         }
-        if let Some(next_len) = self.free_runs.remove(&(start + pages)) {
+        if let Some(next_len) = self.remove_free(start + pages) {
             pages += next_len;
         }
         if start + pages == self.break_pages {
@@ -381,7 +427,7 @@ impl ArenaMap {
             // address space back instead of keeping a top-of-heap run.
             self.break_pages = start;
         } else {
-            self.free_runs.insert(start, pages);
+            self.insert_free(start, pages);
         }
     }
 }

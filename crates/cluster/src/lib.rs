@@ -58,5 +58,5 @@ pub use eviction::{EvictionOutcome, PriorityResolver, RemoteSlabEvictor};
 pub use group::{map_overhead_bytes, GroupTable};
 pub use membership::ClusterMembership;
 pub use placement::{spread_replicas, spread_replicas_into, Placer};
-pub use remote::{RemoteStore, RemoteStoreStats};
+pub use remote::{LoadedBatch, RemoteStore, RemoteStoreStats};
 pub use replication::Replicator;

@@ -10,11 +10,40 @@
 use crate::membership::ClusterMembership;
 use dmem_net::{ChannelKind, ConnectionManager, Fabric, QpHandle, RegionHandle};
 use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// Size of a control-plane request/response message (entry id, offsets,
 /// lengths — the "disaggregated memory system channel" traffic).
 const CONTROL_MSG_BYTES: usize = 48;
+
+/// What one [`RemoteStore::load_batch`] read: one buffer per RDMA READ,
+/// each spanning a contiguous run of entries, lent out per entry.
+#[derive(Debug)]
+pub struct LoadedBatch {
+    /// Each read's buffer and how many entries it holds.
+    runs: Vec<(Vec<u8>, usize)>,
+    /// Per requested entry, in request order: its run and its bytes there.
+    slots: Vec<(usize, Range<usize>)>,
+}
+
+impl LoadedBatch {
+    /// The bytes of the `i`-th requested entry. An entry that was read
+    /// alone is handed its read's buffer, moved out, so lend each entry
+    /// once; an entry of a longer run is lent its slice of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of entries requested.
+    pub fn lend(&mut self, i: usize) -> Cow<'_, [u8]> {
+        let (run, range) = self.slots[i].clone();
+        match &mut self.runs[run] {
+            (buf, 1) => Cow::Owned(std::mem::take(buf)),
+            (buf, _) => Cow::Borrowed(&buf[range]),
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Extent {
@@ -312,14 +341,14 @@ impl RemoteStore {
     /// Returns [`DmemError::EntryNotFound`] if the host does not hold the
     /// entry, plus fabric path errors.
     pub fn load(&mut self, from: NodeId, to: NodeId, entry: EntryId) -> DmemResult<Vec<u8>> {
-        let mut out = self.load_batch(from, to, &[entry])?;
-        Ok(out.remove(0))
+        Ok(self.load_batch(from, to, &[entry])?.lend(0).into_owned())
     }
 
     /// Fetches several entries from `to`. Entries stored contiguously
     /// (e.g. by one [`RemoteStore::store_batch`] call) are fetched in a
     /// single RDMA READ spanning them — this is FastSwap's proactive batch
-    /// swap-in; others fall back to per-entry reads.
+    /// swap-in; others fall back to per-entry reads. Each read's buffer is
+    /// kept whole and lent out per entry ([`LoadedBatch::lend`]).
     ///
     /// # Errors
     ///
@@ -330,9 +359,13 @@ impl RemoteStore {
         from: NodeId,
         to: NodeId,
         entries: &[EntryId],
-    ) -> DmemResult<Vec<Vec<u8>>> {
+    ) -> DmemResult<LoadedBatch> {
+        let mut loaded = LoadedBatch {
+            runs: Vec::with_capacity(entries.len()),
+            slots: vec![(0, 0..0); entries.len()],
+        };
         if entries.is_empty() {
-            return Ok(Vec::new());
+            return Ok(loaded);
         }
         let span = self.fabric.clock().tracer().span("cluster", "load_batch");
         span.tag("host", to);
@@ -351,10 +384,9 @@ impl RemoteStore {
         // swap-in usually needs one verb per originating window.
         let mut order: Vec<usize> = (0..extents.len()).collect();
         order.sort_by_key(|&i| extents[i].offset);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); extents.len()];
         let mut run: Vec<usize> = Vec::new();
         let mut run_end = 0u64;
-        let flush_run = |run: &mut Vec<usize>, out: &mut Vec<Vec<u8>>| -> DmemResult<()> {
+        let flush_run = |run: &mut Vec<usize>, loaded: &mut LoadedBatch| -> DmemResult<()> {
             if run.is_empty() {
                 return Ok(());
             }
@@ -363,26 +395,24 @@ impl RemoteStore {
             let span = self
                 .fabric
                 .read(&qp, &region, start, (last.offset + last.len - start) as usize)?;
-            if let [only] = run[..] {
-                out[only] = span;
-            } else {
-                for &i in run.iter() {
-                    let s = (extents[i].offset - start) as usize;
-                    out[i] = span[s..s + extents[i].len as usize].to_vec();
-                }
+            let index = loaded.runs.len();
+            loaded.runs.push((span, run.len()));
+            for &i in run.iter() {
+                let s = (extents[i].offset - start) as usize;
+                loaded.slots[i] = (index, s..s + extents[i].len as usize);
             }
             run.clear();
             Ok(())
         };
         for &i in &order {
             if !run.is_empty() && extents[i].offset != run_end {
-                flush_run(&mut run, &mut out)?;
+                flush_run(&mut run, &mut loaded)?;
             }
             run_end = extents[i].offset + extents[i].len;
             run.push(i);
         }
-        flush_run(&mut run, &mut out)?;
-        Ok(out)
+        flush_run(&mut run, &mut loaded)?;
+        Ok(loaded)
     }
 
     /// Removes `entry` from node `to`, freeing its extent.
@@ -569,10 +599,12 @@ mod tests {
 
         let keys: Vec<EntryId> = (0..16).map(entry).collect();
         let t0 = clock.now();
-        let loaded = store.load_batch(a, b, &keys).unwrap();
+        let mut loaded = store.load_batch(a, b, &keys).unwrap();
         let batched_time = clock.now() - t0;
-        for (k, data) in loaded.iter().enumerate() {
-            assert_eq!(data, &[k as u8; 4096]);
+        for k in 0..16 {
+            let data = loaded.lend(k);
+            assert!(matches!(data, Cow::Borrowed(_)), "one run, lent in slices");
+            assert_eq!(*data, [k as u8; 4096]);
         }
 
         // Compare with 16 singleton loads: batching must win.
@@ -596,10 +628,13 @@ mod tests {
         }
         // Delete one in the middle so remaining extents have a hole.
         store.delete(a, b, entry(1)).unwrap();
-        let loaded = store.load_batch(a, b, &[entry(0), entry(2), entry(3)]).unwrap();
-        assert_eq!(loaded[0], vec![0u8; 1024]);
-        assert_eq!(loaded[1], vec![2u8; 1024]);
-        assert_eq!(loaded[2], vec![3u8; 1024]);
+        let mut loaded = store.load_batch(a, b, &[entry(0), entry(2), entry(3)]).unwrap();
+        // Entry 0 is a read of its own, handed over; 2 and 3 share one.
+        let alone = loaded.lend(0);
+        assert!(matches!(alone, Cow::Owned(_)));
+        assert_eq!(*alone, [0u8; 1024]);
+        assert_eq!(*loaded.lend(1), [2u8; 1024]);
+        assert_eq!(*loaded.lend(2), [3u8; 1024]);
     }
 
     #[test]

@@ -24,6 +24,34 @@ impl CompressedPage {
     pub(crate) fn stored_bytes(&self) -> usize {
         self.class.bytes().as_u64() as usize
     }
+
+    /// This page with its bytes lent, as a tier holds it.
+    pub fn as_stored(&self) -> StoredPage<'_> {
+        StoredPage {
+            data: &self.data,
+            class: self.class,
+            original_len: self.original_len,
+            is_compressed: self.is_compressed,
+            checksum: self.checksum,
+        }
+    }
+}
+
+/// A [`CompressedPage`] whose bytes are borrowed from wherever they lie
+/// (a slab, a disk buffer, a fabric read), so it can be verified and
+/// decoded without first being copied out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredPage<'a> {
+    /// The stored bytes: LZ stream, or the raw page.
+    pub data: &'a [u8],
+    /// Size class the page occupies in slab storage.
+    pub class: SizeClass,
+    /// Original (uncompressed) length.
+    pub original_len: usize,
+    /// `true` if `data` is an LZ stream, `false` if raw.
+    pub is_compressed: bool,
+    /// Integrity checksum ([`dmem_types::checksum`]) of the original page.
+    pub checksum: u64,
 }
 
 std::thread_local! {
@@ -132,11 +160,20 @@ impl PageCodec {
     /// checksum does not match (the entry id in the error is a zero
     /// placeholder; callers with context attach their own).
     pub fn decompress(&self, stored: &CompressedPage) -> DmemResult<Vec<u8>> {
+        self.decode(stored.as_stored())
+    }
+
+    /// [`PageCodec::decompress`] of a page borrowed where it lies.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageCodec::decompress`].
+    pub(crate) fn decode(&self, stored: StoredPage<'_>) -> DmemResult<Vec<u8>> {
         let page = if stored.is_compressed {
-            lz::decompress(&stored.data, stored.original_len)
+            lz::decompress(stored.data, stored.original_len)
                 .map_err(|_| DmemError::Corrupt(EntryId::default()))?
         } else {
-            stored.data.clone()
+            stored.data.to_vec()
         };
         if checksum(&page) != stored.checksum {
             return Err(DmemError::Corrupt(EntryId::default()));

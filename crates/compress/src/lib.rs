@@ -43,6 +43,6 @@ pub mod memo;
 pub mod synth;
 pub mod zswap;
 
-pub use codec::{CompressedPage, PageCodec};
+pub use codec::{CompressedPage, PageCodec, StoredPage};
 pub use memo::{CompressMemo, MemoStats};
 pub use zswap::{ZswapCache, ZswapStats};

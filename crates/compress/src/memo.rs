@@ -15,6 +15,14 @@
 //! loop (fig4) and the RDD get path (fig10), decompression dominated the
 //! real CPU profile before this.
 //!
+//! **A decompress hit lends.** [`CompressMemo::lend_decompressed`] takes
+//! the stored page where it lies ([`StoredPage`]) and, on a hit, lends
+//! the memo's own original instead of copying it; only a miss makes a
+//! buffer, the decoded page. A reader that only verifies or inspects the
+//! page — the swap fault loop, FastSwap's batch swap-in — then copies
+//! nothing, and [`CompressMemo::get_or_decompress`] is the same lookup
+//! plus the one copy an owning caller needs.
+//!
 //! **One entry per page.** An entry holds the page's original bytes and,
 //! when the codec shrank it, the stream. Both directions share it: the
 //! decompress side indexes the entry the compress side made, it does not
@@ -42,8 +50,9 @@
 //! virtual time — so completion times and CSV outputs are bit-identical
 //! with or without it.
 
-use crate::codec::{CompressedPage, PageCodec};
+use crate::codec::{CompressedPage, PageCodec, StoredPage};
 use dmem_types::{DmemResult, IdMap, SizeClass};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -70,13 +79,13 @@ struct MemoEntry {
 }
 
 impl MemoEntry {
-    fn new(original: &[u8], page: &CompressedPage) -> Self {
+    fn new(original: &[u8], page: StoredPage<'_>) -> Self {
         MemoEntry {
             original: original.to_vec(),
             checksum: page.checksum,
             compressed: page
                 .is_compressed
-                .then(|| (page.data.clone(), page.class)),
+                .then(|| (page.data.to_vec(), page.class)),
         }
     }
 
@@ -96,7 +105,7 @@ impl MemoEntry {
     }
 
     /// `true` when `stored` is this entry's compressed form.
-    fn decodes(&self, stored: &CompressedPage) -> bool {
+    fn decodes(&self, stored: StoredPage<'_>) -> bool {
         let Some((stream, class)) = &self.compressed else {
             return false;
         };
@@ -217,7 +226,7 @@ impl CompressMemo {
         }
         self.stats.misses += 1;
         let page = codec.compress(data);
-        let entry = Arc::new(MemoEntry::new(data, &page));
+        let entry = Arc::new(MemoEntry::new(data, page.as_stored()));
         // Same key, new bytes (a versioned overwrite) replaces the entry
         // and keeps its FIFO position; the decompress side keeps the old
         // one, so the old stream still decodes from the memo.
@@ -248,16 +257,35 @@ impl CompressMemo {
         codec: &PageCodec,
         stored: &CompressedPage,
     ) -> DmemResult<Vec<u8>> {
-        if let Some(entry) = self.decomp.get(&stored.checksum) {
-            if entry.decodes(stored) {
-                self.stats.decompress_hits += 1;
-                return Ok(entry.original.clone());
-            }
+        self.lend_decompressed(codec, stored.as_stored())
+            .map(Cow::into_owned)
+    }
+
+    /// [`CompressMemo::get_or_decompress`] of a page borrowed where it
+    /// lies, lending the result: a hit lends the memo's original, a miss
+    /// returns the decoded page it made. The hit takes the same guard —
+    /// the whole stored page equal to one that was produced or decoded
+    /// successfully — so the bytes are the ones `codec.decompress` would
+    /// return.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompressMemo::get_or_decompress`].
+    pub fn lend_decompressed(
+        &mut self,
+        codec: &PageCodec,
+        stored: StoredPage<'_>,
+    ) -> DmemResult<Cow<'_, [u8]>> {
+        // Looked up twice on a hit: a borrow returned from one branch
+        // would hold the memo for the miss branch's insert as well.
+        if self.decomp.get(&stored.checksum).is_some_and(|entry| entry.decodes(stored)) {
+            self.stats.decompress_hits += 1;
+            return Ok(Cow::Borrowed(&self.decomp[&stored.checksum].original));
         }
         self.stats.decompress_misses += 1;
-        let original = codec.decompress(stored)?;
+        let original = codec.decode(stored)?;
         self.remember_decompressed(Arc::new(MemoEntry::new(&original, stored)));
-        Ok(original)
+        Ok(Cow::Owned(original))
     }
 
     /// Indexes a compressed entry on the decompress side; raw entries and
@@ -436,6 +464,23 @@ mod tests {
         }
         assert!(memo.decomp.is_empty());
         assert_eq!(memo.stats().decompress_misses, 2);
+    }
+
+    #[test]
+    fn a_hit_lends_the_original_and_a_miss_owns_its_decode() {
+        let codec = codec();
+        let mut memo = CompressMemo::new(8);
+        let page = vec![6u8; 4096];
+        let stored = memo.get_or_compress((0, 1), &codec, &page);
+        let hit = memo.lend_decompressed(&codec, stored.as_stored()).unwrap();
+        assert!(matches!(hit, Cow::Borrowed(_)));
+        assert_eq!(*hit, page[..]);
+        let other = codec.compress(&vec![7u8; 4096]);
+        let miss = memo.lend_decompressed(&codec, other.as_stored()).unwrap();
+        assert!(matches!(miss, Cow::Owned(_)));
+        assert_eq!(*miss, [7u8; 4096]);
+        assert_eq!(memo.stats().decompress_hits, 1);
+        assert_eq!(memo.stats().decompress_misses, 1);
     }
 
     #[test]

@@ -125,33 +125,46 @@ impl DiskTier {
         }
     }
 
-    /// Reads `entry` back from `node`'s disk.
+    /// Reads `entry` back from `node`'s disk: [`DiskTier::read`] plus a
+    /// copy the caller keeps.
     ///
     /// # Errors
     ///
     /// Returns [`DmemError::EntryNotFound`] if absent.
     pub fn load(&self, node: NodeId, entry: EntryId) -> DmemResult<Vec<u8>> {
-        let data = self.held(node, entry).ok_or(DmemError::EntryNotFound(entry))?.to_vec();
+        self.read(node, entry).map(<[u8]>::to_vec)
+    }
+
+    /// Reads `entry` from `node`'s disk, charging the device as
+    /// [`DiskTier::load`] does, and lends the buffer the tier holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmemError::EntryNotFound`] if absent.
+    pub fn read(&self, node: NodeId, entry: EntryId) -> DmemResult<&[u8]> {
+        let data = self.held(node, entry).ok_or(DmemError::EntryNotFound(entry))?;
         let span = self.clock.tracer().span(self.label, "load");
         span.tag("bytes", data.len());
         self.clock.advance(self.device.transfer(data.len()));
         Ok(data)
     }
 
-    /// Reads a batch; contiguity on a spinning disk is approximated by a
-    /// single seek plus the combined transfer.
+    /// Reads a batch, lending each buffer the tier holds; contiguity on a
+    /// spinning disk is approximated by a single seek plus the combined
+    /// transfer.
     ///
     /// # Errors
     ///
-    /// Returns [`DmemError::EntryNotFound`] if any entry is absent (no
-    /// partial results, matching the remote batch semantics).
-    pub fn load_batch(&self, node: NodeId, entries: &[EntryId]) -> DmemResult<Vec<Vec<u8>>> {
+    /// Returns [`DmemError::EntryNotFound`] if any entry is absent, before
+    /// charging anything (no partial results, matching the remote batch
+    /// semantics).
+    pub fn read_batch(&self, node: NodeId, entries: &[EntryId]) -> DmemResult<Vec<&[u8]>> {
         let mut out = Vec::with_capacity(entries.len());
         let mut total = 0usize;
         for &e in entries {
-            let data = self.held(node, e).ok_or(DmemError::EntryNotFound(e))?.to_vec();
+            let data = self.held(node, e).ok_or(DmemError::EntryNotFound(e))?;
             total += data.len();
-            out.push(data);
+            out.push(data.as_slice());
         }
         let span = self.clock.tracer().span(self.label, "load_batch");
         span.tag("bytes", total);
@@ -242,6 +255,7 @@ mod tests {
         let shared = Arc::new(vec![7u8; 64]);
         tier.store_behind(node, entry(3), Arc::clone(&shared));
         assert!(Arc::ptr_eq(tier.held(node, entry(3)).unwrap(), &shared));
+        assert_eq!(tier.read(node, entry(3)).unwrap().as_ptr(), shared.as_ptr(), "reads lend");
         tier.delete(node, entry(3)).unwrap();
         assert_eq!(Arc::strong_count(&shared), 1);
     }
@@ -262,8 +276,10 @@ mod tests {
         assert!(batched.as_nanos() * 4 < separate.as_nanos());
 
         let keys: Vec<_> = (0..8).map(entry).collect();
-        let loaded = tier.load_batch(NodeId::new(0), &keys).unwrap();
-        assert_eq!(loaded.len(), 8);
+        let t2 = clock.now();
+        let read = tier.read_batch(NodeId::new(0), &keys).unwrap();
+        assert_eq!(read.len(), 8);
+        assert!((clock.now() - t2).as_nanos() * 4 < separate.as_nanos(), "one seek per batch read");
     }
 
     #[test]
@@ -306,7 +322,7 @@ mod tests {
             Err(DmemError::EntryNotFound(_))
         ));
         assert!(matches!(
-            tier.load_batch(NodeId::new(0), &[entry(1)]),
+            tier.read_batch(NodeId::new(0), &[entry(1)]),
             Err(DmemError::EntryNotFound(_))
         ));
     }

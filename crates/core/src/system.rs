@@ -6,7 +6,7 @@ use dmem_cluster::{
     ClusterMembership, EvictionOutcome, GroupTable, Placer, RemoteSlabEvictor, RemoteStore,
     Replicator,
 };
-use dmem_compress::{CompressMemo, CompressedPage, PageCodec};
+use dmem_compress::{CompressMemo, PageCodec, StoredPage};
 use dmem_net::{CxlAddr, CxlPool, Fabric};
 use dmem_node::NodeManager;
 use dmem_qos::{AdmitDecision, ControlAction, QosEngine, ResidentTier, Victim};
@@ -19,6 +19,7 @@ use dmem_types::{
     IdMap, IdSet, NodeId, ServerId, TenantId, PAGE_SIZE,
 };
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -80,9 +81,10 @@ enum Walk {
 }
 
 /// What [`DisaggregatedMemory::fetch`] did with an entry.
-enum Fetch<'a> {
-    /// A local rung served it: the verified payload.
-    Served(Vec<u8>),
+enum Fetch<'t, 'a> {
+    /// A local rung served it: the verified payload, lent where it lies
+    /// when the tier or the memo holds it.
+    Served(Cow<'t, [u8]>),
     /// It is on these replica hosts, primary first; the entry point runs
     /// the remote rung: one failover read per `get`, one window per
     /// primary per `get_batch`.
@@ -167,9 +169,26 @@ struct Core {
     replicator: Replicator,
 }
 
+/// The parts of [`Core`] a read takes bytes from, borrowed apart from the
+/// memory maps, so a read can work through records borrowed from a map
+/// while it reads the tiers, and lend what they hold.
+struct Tiers<'c> {
+    memo: &'c mut CompressMemo,
+    disk: &'c DiskTier,
+    nvm: &'c DiskTier,
+    managers: &'c IdMap<NodeId, NodeManager>,
+    replicator: &'c mut Replicator,
+}
+
 impl Core {
     fn record(&self, server: ServerId, key: u64) -> Option<EntryRecord> {
         self.maps.get(&server).and_then(|m| m.get(key).cloned())
+    }
+
+    /// The memory maps, and the tiers a read takes bytes from.
+    fn split(&mut self) -> (&IdMap<ServerId, MemoryMap>, Tiers<'_>) {
+        let Core { maps, memo, disk, nvm, managers, replicator } = self;
+        (maps, Tiers { memo, disk, nvm, managers, replicator })
     }
 
     /// Records where a put landed: charges fast-tier residency (disk is
@@ -501,7 +520,7 @@ impl DisaggregatedMemory {
         let Some(manager) = core.managers.get_mut(&node) else {
             return false;
         };
-        let Ok(bytes) = manager.get(entry) else {
+        let Ok(bytes) = manager.get(entry).map(<[u8]>::to_vec) else {
             return false;
         };
         if manager.delete(entry).is_err() {
@@ -635,14 +654,16 @@ impl DisaggregatedMemory {
     }
 
     /// Turns the bytes a tier returned back into the payload, verifying
-    /// every byte against the record's checksum.
-    fn recover(
+    /// every byte against the record's checksum where they lie. A raw
+    /// payload is handed back as it came, lent or owned; a compressed one
+    /// is decoded through the memo, which lends its original on a hit.
+    fn recover<'a>(
         &self,
-        memo: &mut CompressMemo,
+        memo: &'a mut CompressMemo,
         entry: EntryId,
         record: &EntryRecord,
-        stored: Vec<u8>,
-    ) -> DmemResult<Vec<u8>> {
+        stored: Cow<'a, [u8]>,
+    ) -> DmemResult<Cow<'a, [u8]>> {
         let Some(class) = record.class else {
             return if checksum(&stored) == record.checksum {
                 Ok(stored)
@@ -654,14 +675,14 @@ impl DisaggregatedMemory {
         span.tag("bytes", record.len);
         self.clock.advance(self.cost.decompress_page);
         drop(span);
-        let page = CompressedPage {
-            data: stored,
+        let page = StoredPage {
+            data: &stored,
             class,
             original_len: record.len as usize,
             is_compressed: true,
             checksum: record.checksum,
         };
-        memo.get_or_decompress(&self.codec, &page)
+        memo.lend_decompressed(&self.codec, page)
             // The codec's only error is `Corrupt` under a placeholder id.
             .map_err(|_| DmemError::Corrupt(entry))
     }
@@ -925,28 +946,33 @@ impl DisaggregatedMemory {
     pub fn get(&self, server: ServerId, key: u64) -> DmemResult<Vec<u8>> {
         let entry = EntryId::new(server, key);
         let core = &mut *self.core.lock();
-        let record = core.record(server, key).ok_or(DmemError::EntryNotFound(entry))?;
-        self.read_entry(core, entry, &record)
+        let (maps, mut tiers) = core.split();
+        let record = maps.get(&server).and_then(|m| m.get(key));
+        let record = record.ok_or(DmemError::EntryNotFound(entry))?;
+        self.read_entry(&mut tiers, entry, record)
     }
 
     /// The body of [`DisaggregatedMemory::get`] past the map lookup: what
     /// `fetch` hands back is read here one entry at a time — a failover
-    /// read across the replicas, or one disk read.
-    fn read_entry(&self, core: &mut Core, entry: EntryId, record: &EntryRecord) -> DmemResult<Vec<u8>> {
+    /// read across the replicas, or one disk read — and the payload is
+    /// copied out once.
+    fn read_entry(&self, tiers: &mut Tiers<'_>, entry: EntryId, record: &EntryRecord) -> DmemResult<Vec<u8>> {
         let node = entry.owner().node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(entry.owner()));
-        match self.fetch(core, qos, tenant, entry, record)? {
-            Fetch::Served(payload) => Ok(payload),
-            Fetch::Remote(replicas) => self.timed_get(core, qos, tenant, entry, record, |core| {
+        let payload = match self.fetch(tiers, qos, tenant, entry, record)? {
+            Fetch::Served(payload) => payload,
+            Fetch::Remote(replicas) => self.timed_get(tiers.memo, qos, tenant, entry, record, || {
                 self.metered(qos, tenant, record.stored_len, || {
-                    core.replicator.load_replicated(node, entry, replicas)
+                    tiers.replicator.load_replicated(node, entry, replicas)
                 })
-            }),
-            Fetch::Disk => self.timed_get(core, qos, tenant, entry, record, |core| {
-                core.disk.load(node, entry)
-            }),
-        }
+                .map(Cow::Owned)
+            })?,
+            Fetch::Disk => self.timed_get(tiers.memo, qos, tenant, entry, record, || {
+                tiers.disk.read(node, entry).map(Cow::Borrowed)
+            })?,
+        };
+        Ok(payload.into_owned())
     }
 
     /// One timed single-entry read: the `core.get` span, `load` for the
@@ -957,20 +983,20 @@ impl DisaggregatedMemory {
     /// `read_entry` was before the split: left to the compiler, `tier_read`
     /// read 3.7 % slower than the parent on 5 of 5 pairs.
     #[inline(always)]
-    fn timed_get(
+    fn timed_get<'m>(
         &self,
-        core: &mut Core,
+        memo: &'m mut CompressMemo,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         entry: EntryId,
         record: &EntryRecord,
-        load: impl FnOnce(&mut Core) -> DmemResult<Vec<u8>>,
-    ) -> DmemResult<Vec<u8>> {
+        load: impl FnOnce() -> DmemResult<Cow<'m, [u8]>>,
+    ) -> DmemResult<Cow<'m, [u8]>> {
         let span = self.clock.tracer().span("core", "get");
         span.tag("tier", Self::tier_name(&record.location));
         let t0 = self.clock.now();
-        let stored = load(core)?;
-        let out = self.recover(&mut core.memo, entry, record, stored);
+        let stored = load()?;
+        let out = self.recover(memo, entry, record, stored);
         let elapsed = (self.clock.now() - t0).as_nanos();
         self.handles.get_ns.record(elapsed);
         if let Some(engine) = qos {
@@ -981,30 +1007,32 @@ impl DisaggregatedMemory {
 
     /// The read side of the ladder: the only place that turns an
     /// [`EntryLocation`] into bytes. A local rung — shared pool, CXL, NVM —
-    /// serves the entry here as one timed read; the remote rung and the
+    /// serves the entry here as one timed read, lending it where the pool
+    /// slab, the NVM buffer or the memo holds it; the remote rung and the
     /// disk go back to the entry point, which reads them per entry
-    /// (`get`) or per window (`get_batch`).
+    /// (`get`) or per window (`get_batch_with`).
     #[inline(always)]
-    fn fetch<'a>(
+    fn fetch<'t, 'a>(
         &self,
-        core: &mut Core,
+        tiers: &'t mut Tiers<'_>,
         qos: Option<&Arc<QosEngine>>,
         tenant: TenantId,
         entry: EntryId,
         record: &'a EntryRecord,
-    ) -> DmemResult<Fetch<'a>> {
+    ) -> DmemResult<Fetch<'t, 'a>> {
         let node = entry.owner().node();
+        let (managers, nvm, disk) = (tiers.managers, tiers.nvm, tiers.disk);
         let served = match &record.location {
             EntryLocation::Remote { replicas } => return Ok(Fetch::Remote(replicas)),
             EntryLocation::Disk => return Ok(Fetch::Disk),
-            EntryLocation::NodeShared { .. } => self.timed_get(core, qos, tenant, entry, record, |core| {
-                let manager = core.managers.get(&node).ok_or(DmemError::NodeUnavailable(node))?;
-                manager.get(entry)
+            EntryLocation::NodeShared { .. } => self.timed_get(tiers.memo, qos, tenant, entry, record, || {
+                let manager = managers.get(&node).ok_or(DmemError::NodeUnavailable(node))?;
+                manager.get(entry).map(Cow::Borrowed)
             }),
-            EntryLocation::Nvm => {
-                self.timed_get(core, qos, tenant, entry, record, |core| core.nvm.load(node, entry))
-            }
-            EntryLocation::Cxl { addr } => self.timed_get(core, qos, tenant, entry, record, |core| {
+            EntryLocation::Nvm => self.timed_get(tiers.memo, qos, tenant, entry, record, || {
+                nvm.read(node, entry).map(Cow::Borrowed)
+            }),
+            EntryLocation::Cxl { addr } => self.timed_get(tiers.memo, qos, tenant, entry, record, || {
                 let pool = self.cxl.as_ref().ok_or(DmemError::Unsupported {
                     op: "cxl tier not configured".into(),
                 })?;
@@ -1019,9 +1047,9 @@ impl DisaggregatedMemory {
                         // payload, so the failover path can never serve
                         // wrong or stale bytes.
                         self.handles.cxl_failover_reads.inc();
-                        core.disk.load(node, entry)
+                        disk.read(node, entry).map(Cow::Borrowed)
                     }
-                    loaded => loaded,
+                    loaded => loaded.map(Cow::Owned),
                 }
             }),
         };
@@ -1029,26 +1057,39 @@ impl DisaggregatedMemory {
     }
 
     /// Reads several entries, batching remote and disk fetches per
-    /// location (this is the data path behind proactive batch swap-in).
-    ///
-    /// Results are returned in `keys` order.
+    /// location (this is the data path behind proactive batch swap-in),
+    /// and hands each verified payload to `sink` with its position in
+    /// `keys`. A payload is lent where it lies — a shared-pool slab, the
+    /// disk or NVM tier's buffer, a slice of one remote read, the
+    /// memo's original — unless its read made a buffer of its own (CXL,
+    /// a memo miss, a failover read). Local rungs reach `sink` in key
+    /// order, then each primary replica's window in node order, then the
+    /// disk batch.
     ///
     /// # Errors
     ///
-    /// Fails on the first unreadable entry, with no partial results.
-    pub fn get_batch(&self, server: ServerId, keys: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
+    /// Fails on the first unreadable entry; `sink` has then seen only
+    /// some of the entries.
+    pub fn get_batch_with(
+        &self,
+        server: ServerId,
+        keys: &[u64],
+        mut sink: impl FnMut(usize, Cow<'_, [u8]>),
+    ) -> DmemResult<()> {
         let span = self.clock.tracer().span("core", "get_batch");
         span.tag("entries", keys.len());
         let core = &mut *self.core.lock();
-        let map = core.maps.get(&server).ok_or(DmemError::ServerUnavailable(server))?;
-        let records = keys
-            .iter()
-            .map(|&key| map.get(key).cloned().ok_or(DmemError::EntryNotFound(EntryId::new(server, key))))
-            .collect::<DmemResult<Vec<_>>>()?;
+        let (maps, mut tiers) = core.split();
+        let map = maps.get(&server).ok_or(DmemError::ServerUnavailable(server))?;
+        // Sized up front: collected through a `Result`, it would grow by
+        // doubling, one allocation per power of two of the window.
+        let mut records = Vec::with_capacity(keys.len());
+        for &key in keys {
+            records.push(map.get(key).ok_or(DmemError::EntryNotFound(EntryId::new(server, key)))?);
+        }
         let node = server.node();
         let qos = self.qos.get();
         let tenant = qos.map_or(TenantId::SYSTEM, |q| q.tenant_of(server));
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         let id = |i: usize| EntryId::new(server, keys[i]);
 
         // Local rungs are served in key order as `fetch` meets them; what
@@ -1059,8 +1100,8 @@ impl DisaggregatedMemory {
         let mut by_primary: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
         let mut disk_idx: Vec<usize> = Vec::new();
         for (i, record) in records.iter().enumerate() {
-            match self.fetch(core, qos, tenant, id(i), record)? {
-                Fetch::Served(payload) => out[i] = Some(payload),
+            match self.fetch(&mut tiers, qos, tenant, id(i), record)? {
+                Fetch::Served(payload) => sink(i, payload),
                 Fetch::Remote(replicas) => {
                     let primary = *replicas.first().ok_or(DmemError::EntryNotFound(id(i)))?;
                     by_primary.entry(primary).or_default().push(i);
@@ -1072,28 +1113,41 @@ impl DisaggregatedMemory {
             let ids: Vec<EntryId> = indices.iter().map(|&i| id(i)).collect();
             let batch_bytes: u64 = indices.iter().map(|&i| records[i].stored_len).sum();
             match self.metered(qos, tenant, batch_bytes, || {
-                core.replicator.store_mut().load_batch(node, primary, &ids)
+                tiers.replicator.store_mut().load_batch(node, primary, &ids)
             }) {
-                Ok(blobs) => {
-                    for (&i, blob) in indices.iter().zip(blobs) {
-                        out[i] = Some(self.recover(&mut core.memo, id(i), &records[i], blob)?);
+                Ok(mut loaded) => {
+                    for (k, &i) in indices.iter().enumerate() {
+                        sink(i, self.recover(tiers.memo, id(i), records[i], loaded.lend(k))?);
                     }
                 }
                 Err(_) => {
                     // Primary unreachable: fall back to per-entry failover.
                     for &i in &indices {
-                        out[i] = Some(self.read_entry(core, id(i), &records[i])?);
+                        sink(i, Cow::Owned(self.read_entry(&mut tiers, id(i), records[i])?));
                     }
                 }
             }
         }
         if !disk_idx.is_empty() {
             let ids: Vec<EntryId> = disk_idx.iter().map(|&i| id(i)).collect();
-            let blobs = core.disk.load_batch(node, &ids)?;
-            for (&i, blob) in disk_idx.iter().zip(blobs) {
-                out[i] = Some(self.recover(&mut core.memo, id(i), &records[i], blob)?);
+            let held = tiers.disk.read_batch(node, &ids)?;
+            for (&i, stored) in disk_idx.iter().zip(held) {
+                sink(i, self.recover(tiers.memo, id(i), records[i], Cow::Borrowed(stored))?);
             }
         }
+        Ok(())
+    }
+
+    /// [`DisaggregatedMemory::get_batch_with`] into owned payloads, in
+    /// `keys` order: each payload is copied once, out of wherever it was
+    /// lent from.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first unreadable entry, with no partial results.
+    pub fn get_batch(&self, server: ServerId, keys: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        self.get_batch_with(server, keys, |i, payload| out[i] = Some(payload.into_owned()))?;
         Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
     }
 

@@ -36,7 +36,7 @@
 //!
 //! let entry = EntryId::new(server, 1);
 //! manager.put(entry, b"swapped page", SizeClass::C512)?;
-//! assert_eq!(manager.get(entry)?, b"swapped page".to_vec());
+//! assert_eq!(manager.get(entry)?, b"swapped page");
 //! # Ok::<(), dmem_types::DmemError>(())
 //! ```
 

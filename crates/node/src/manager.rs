@@ -209,12 +209,13 @@ impl NodeManager {
         }
     }
 
-    /// Reads an entry back from the shared pool.
+    /// Reads an entry back from the shared pool, lending it where it lies
+    /// in its slab; a caller that keeps it copies it.
     ///
     /// # Errors
     ///
     /// Returns [`DmemError::EntryNotFound`] if the entry is not resident.
-    pub fn get(&self, entry: EntryId) -> DmemResult<Vec<u8>> {
+    pub fn get(&self, entry: EntryId) -> DmemResult<&[u8]> {
         let stored = *self
             .page_table
             .get(&entry)

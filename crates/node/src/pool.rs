@@ -158,13 +158,13 @@ impl SharedMemoryPool {
         Ok(id)
     }
 
-    /// Reads `len` bytes from a block.
+    /// Lends the first `len` bytes of a block, where they lie in the slab.
     ///
     /// # Errors
     ///
     /// Returns [`DmemError::RegionNotRegistered`] for an unknown slab and
     /// [`DmemError::RegionOutOfBounds`] for a bad offset/length.
-    pub(crate) fn read(&self, block: BlockRef, len: usize) -> DmemResult<Vec<u8>> {
+    pub(crate) fn read(&self, block: BlockRef, len: usize) -> DmemResult<&[u8]> {
         let slab = self
             .slabs
             .get(&block.slab)
@@ -177,7 +177,7 @@ impl SharedMemoryPool {
                 capacity: slab.buf.len() as u64,
             });
         }
-        Ok(slab.buf[start..start + len].to_vec())
+        Ok(&slab.buf[start..start + len])
     }
 
     /// Frees a block. Fully free slabs are returned to the pool (so a
@@ -246,7 +246,7 @@ mod tests {
         let b = p.alloc(SizeClass::C1K, b"data").unwrap();
         assert_eq!(p.read(b, 4).unwrap(), b"data");
         // Tail of the block is zeroed.
-        assert_eq!(p.read(b, 1024).unwrap()[4..], vec![0u8; 1020]);
+        assert_eq!(p.read(b, 1024).unwrap()[4..], [0u8; 1020]);
     }
 
     #[test]
@@ -352,7 +352,7 @@ mod tests {
                 prop_assert!(p.stats().slab_bytes <= ByteSize::from_kib(256));
             }
             for (b, len) in &live {
-                prop_assert_eq!(p.read(*b, *len).unwrap(), vec![7u8; 64]);
+                prop_assert_eq!(p.read(*b, *len).unwrap(), &[7u8; 64][..]);
             }
         }
     }

@@ -224,22 +224,39 @@ struct DecisionLog {
     capacity: usize,
     count: u64,
     hash: u64,
-    /// The line being written, reused: once `lines` is full a decision
-    /// costs no allocation.
+    /// The line being written while `lines` has room, reused, so each
+    /// kept line is one exact-size copy of it.
     line: String,
+}
+
+/// Folds formatted text into an FNV-1a hash as it is written. FNV-1a
+/// takes one byte at a time, so folding the pieces equals folding the
+/// whole line: no text needs to be built for the digest.
+struct FnvWriter<'a>(&'a mut u64);
+
+impl fmt::Write for FnvWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        *self.0 = fnv1a64_fold(*self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 impl DecisionLog {
     fn push(&mut self, line: fmt::Arguments<'_>) {
-        self.line.clear();
-        self.line
-            .write_fmt(line)
-            .expect("writing to a String cannot fail");
-        self.hash = fnv1a64_fold(fnv1a64_fold(self.hash, self.line.as_bytes()), b"\n");
-        self.count += 1;
         if self.lines.len() < self.capacity {
+            self.line.clear();
+            self.line
+                .write_fmt(line)
+                .expect("writing to a String cannot fail");
+            self.hash = fnv1a64_fold(self.hash, self.line.as_bytes());
             self.lines.push(self.line.clone());
+        } else {
+            FnvWriter(&mut self.hash)
+                .write_fmt(line)
+                .expect("folding into a hash cannot fail");
         }
+        self.hash = fnv1a64_fold(self.hash, b"\n");
+        self.count += 1;
     }
 }
 
@@ -1020,5 +1037,24 @@ mod tests {
             qos.admit_fast(t, 1);
         }
         assert!(qos.decision_digest().starts_with("n=10 "));
+    }
+
+    #[test]
+    fn digest_past_log_capacity_equals_the_kept_lines_digest() {
+        // Decisions past the capacity are folded into the digest without
+        // their text being built; the digest must not tell the difference.
+        let digest = |log_capacity| {
+            let qos = QosEngine::new(QosConfig {
+                log_capacity,
+                ..QosConfig::default()
+            });
+            let t = qos.register_tenant(TenantSpec::new("t", 1, ByteSize::from_kib(4)));
+            for len in [1, 4096, 2, 8192, 3] {
+                qos.admit_fast(t, len);
+            }
+            qos.decision_digest()
+        };
+        assert_eq!(digest(0), digest(64));
+        assert_eq!(digest(2), digest(64));
     }
 }

@@ -21,13 +21,17 @@ pub trait SwapBackend {
     /// persisted and the engine keeps them dirty.
     fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()>;
 
-    /// Loads a window of pages, in `pfns` order.
+    /// Loads a window of pages and hands each to `sink` with its position
+    /// in `pfns`, lent for the call: a backend passes the bytes where
+    /// they lie, and a caller that keeps a page copies it. Every charge a
+    /// load makes is made whether or not `sink` looks at the bytes.
     ///
     /// # Errors
     ///
     /// Fails if any page of the window is absent (the engine only
-    /// requests pages it stored).
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>>;
+    /// requests pages it stored); `sink` may have seen some of the window
+    /// by then.
+    fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()>;
 
     /// `true` if the backend holds a (possibly stale-tolerant) copy of
     /// the page.
@@ -62,7 +66,9 @@ pub(crate) fn store_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64, page
 /// See [`SwapBackend::load_batch`].
 #[cfg(test)]
 pub(crate) fn load_one<B: SwapBackend + ?Sized>(backend: &mut B, pfn: u64) -> DmemResult<Vec<u8>> {
-    Ok(backend.load_batch(&[pfn])?.remove(0))
+    let mut page = None;
+    backend.load_batch(&[pfn], &mut |_, bytes| page = Some(bytes.to_vec()))?;
+    Ok(page.expect("a load that succeeds hands over its page"))
 }
 
 #[cfg(test)]
@@ -87,15 +93,12 @@ mod tests {
             }
             Ok(())
         }
-        fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-            pfns.iter()
-                .map(|p| {
-                    self.pages
-                        .get(p)
-                        .cloned()
-                        .ok_or(DmemError::EntryNotFound(EntryId::default()))
-                })
-                .collect()
+        fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
+            for (i, p) in pfns.iter().enumerate() {
+                let page = self.pages.get(p).ok_or(DmemError::EntryNotFound(EntryId::default()))?;
+                sink(i, page);
+            }
+            Ok(())
         }
         fn contains(&self, pfn: u64) -> bool {
             self.pages.contains_key(&pfn)

@@ -41,9 +41,12 @@ impl SwapBackend for LinuxDiskSwap {
         Ok(())
     }
 
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
+    fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
         let entries: Vec<EntryId> = pfns.iter().map(|p| self.entry(*p)).collect();
-        self.disk.load_batch(self.server.node(), &entries)
+        for (i, page) in self.disk.read_batch(self.server.node(), &entries)?.into_iter().enumerate() {
+            sink(i, page);
+        }
+        Ok(())
     }
 
     fn contains(&self, pfn: u64) -> bool {
@@ -102,7 +105,7 @@ mod tests {
         store_one(&mut b, 5, vec![1]).unwrap();
         b.invalidate(5);
         assert!(!b.contains(5));
-        assert!(b.load_batch(&[5]).is_err());
+        assert!(load_one(&mut b, 5).is_err());
         b.invalidate(5); // idempotent
     }
 

@@ -201,9 +201,10 @@ impl PagingEngine {
 
     fn touch(&mut self, pfn: u64, write: bool, prefetched: bool) {
         lru::touch(&mut self.frames, pfn, write, prefetched);
-        if write {
-            // The swap-cache copy (if any) is now stale.
-            self.in_backend.remove(pfn);
+        // The swap-cache copy, if there is one, is now stale. A page the
+        // backend does not hold is not deleted: every backend's
+        // `invalidate` of an absent page charges and counts nothing.
+        if write && self.in_backend.remove(pfn) {
             self.backend.invalidate(pfn);
         }
     }
@@ -327,7 +328,9 @@ impl PagingEngine {
             span.tag("pages", batch_len);
             span.tag("mode", if sequential { "readahead" } else { "demand" });
             self.ensure_frames(batch_len)?;
-            let _pages = self.backend.load_batch(&self.fault_batch)?;
+            // The engine regenerates page content on eviction, so what
+            // the backend lends is not kept.
+            self.backend.load_batch(&self.fault_batch, &mut |_, _| {})?;
             self.stats.swap_ins += batch_len as u64;
             for i in 0..batch_len {
                 let page = self.fault_batch[i];
@@ -376,7 +379,7 @@ impl PagingEngine {
         let batch_len = self.restore_batch.len();
         let span = self.clock.tracer().span("swap", "restore");
         span.tag("pages", batch_len);
-        let _pages = self.backend.load_batch(&self.restore_batch)?;
+        self.backend.load_batch(&self.restore_batch, &mut |_, _| {})?;
         self.stats.swap_ins += batch_len as u64;
         self.stats.proactive_restores += batch_len as u64;
         for i in 0..batch_len {
@@ -506,17 +509,14 @@ mod tests {
             }
             Ok(())
         }
-        fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
+        fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
             let mut r = self.0.borrow_mut();
             r.load_batches.push(pfns.len());
-            pfns.iter()
-                .map(|p| {
-                    r.pages
-                        .get(p)
-                        .cloned()
-                        .ok_or(DmemError::EntryNotFound(EntryId::default()))
-                })
-                .collect()
+            for (i, p) in pfns.iter().enumerate() {
+                let page = r.pages.get(p).ok_or(DmemError::EntryNotFound(EntryId::default()))?;
+                sink(i, page);
+            }
+            Ok(())
         }
         fn contains(&self, pfn: u64) -> bool {
             self.0.borrow().pages.contains_key(&pfn)

@@ -44,6 +44,13 @@ impl FastSwapBackend {
         }
     }
 
+    /// The hybrid backend for `server`: `ratio` of swap-out traffic to the
+    /// node shared pool (falling through to remote and disk when full),
+    /// the rest straight to remote memory.
+    pub fn hybrid(dm: Arc<DisaggregatedMemory>, server: ServerId, ratio: DistributionRatio) -> Self {
+        FastSwapBackend::new(dm, server, FastSwapMode::Hybrid(ratio))
+    }
+
     /// Deterministic traffic split: returns `true` when the next page
     /// should try the node shared pool.
     fn next_is_shared(&mut self, shared_fraction: f64) -> bool {
@@ -100,8 +107,8 @@ impl SwapBackend for FastSwapBackend {
         }
     }
 
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        self.dm.get_batch(self.server, pfns)
+    fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
+        self.dm.get_batch_with(self.server, pfns, |i, page| sink(i, &page))
     }
 
     fn contains(&self, pfn: u64) -> bool {
@@ -168,10 +175,13 @@ mod tests {
         let stats = dm.stats();
         assert_eq!(stats.remote, 8);
         assert_eq!(stats.shared, 0);
-        let loaded = b.load_batch(&[0, 1, 2, 3]).unwrap();
-        for (i, data) in loaded.iter().enumerate() {
-            assert_eq!(data, &page(i as u64));
-        }
+        let mut seen = Vec::new();
+        b.load_batch(&[0, 1, 2, 3], &mut |i, data| {
+            assert_eq!(data, page(i as u64));
+            seen.push(i);
+        })
+        .unwrap();
+        assert_eq!(seen, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use dmem_sim::{DetRng, SimDuration};
 use dmem_types::{
     DmemError, DmemResult, EntryId, IdMap, IdSet, NodeId, PlacementStrategy, ServerId,
 };
+use std::borrow::Cow;
 
 enum Target {
     /// NBDX: one fixed remote peer is the block device.
@@ -130,12 +131,14 @@ impl RemotePaging {
         }
     }
 
-    fn load_page(&mut self, pfn: u64) -> DmemResult<Vec<u8>> {
+    /// Reads `pfn` back: a remote read is a buffer of its own, a disk
+    /// read is lent where the disk holds it.
+    fn load_page(&mut self, pfn: u64) -> DmemResult<Cow<'_, [u8]>> {
         self.store.fabric().clock().advance(self.per_op_overhead);
         let local = self.server.node();
         if let Some(&host) = self.on_remote.get(&pfn) {
             match self.store.load(local, host, self.entry(pfn)) {
-                Ok(data) => return Ok(data),
+                Ok(data) => return Ok(Cow::Owned(data)),
                 Err(_) => {
                     // Remote lost (node crash): fall through to disk copy
                     // if one exists; otherwise the page is gone.
@@ -153,7 +156,7 @@ impl RemotePaging {
             }
         }
         if self.on_disk.contains(&pfn) {
-            return self.disk.load(local, self.entry(pfn));
+            return self.disk.read(local, self.entry(pfn)).map(Cow::Borrowed);
         }
         Err(DmemError::EntryNotFound(self.entry(pfn)))
     }
@@ -169,8 +172,11 @@ impl SwapBackend for RemotePaging {
         }
         Ok(())
     }
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        pfns.iter().map(|p| self.load_page(*p)).collect()
+    fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
+        for (i, &pfn) in pfns.iter().enumerate() {
+            sink(i, &self.load_page(pfn)?);
+        }
+        Ok(())
     }
     fn contains(&self, pfn: u64) -> bool {
         self.on_remote.contains_key(&pfn) || self.on_disk.contains(&pfn)

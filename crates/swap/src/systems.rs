@@ -262,7 +262,7 @@ pub fn build_system_with_pages(
             let dm = fastswap_cluster(scale, compression)?;
             let server = dm.servers()[0];
             let clock = dm.clock().clone();
-            let backend = FastSwapBackend::new(dm, server, FastSwapMode::Hybrid(ratio));
+            let backend = FastSwapBackend::hybrid(dm, server, ratio);
             let config = EngineConfig {
                 swap_out_window: 8,
                 swap_in: if pbs {

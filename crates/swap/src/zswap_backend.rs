@@ -83,23 +83,21 @@ impl SwapBackend for ZswapBackend {
         Ok(())
     }
 
-    fn load_batch(&mut self, pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(pfns.len());
-        for pfn in pfns {
+    fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
+        for (i, &pfn) in pfns.iter().enumerate() {
             let span = self.clock.tracer().span("swap", "zswap.load");
-            if let Some(stored) = self.cache.get(*pfn) {
+            if let Some(stored) = self.cache.get(pfn) {
                 span.tag("tier", "zswap");
-                let stored = stored.clone();
                 // Pool hit: DRAM access plus decompression.
                 self.clock.advance(self.cost.dram.transfer(stored.data.len()));
                 self.clock.advance(self.cost.decompress_page);
-                out.push(self.memo.get_or_decompress(&self.codec, &stored)?);
+                sink(i, &self.memo.lend_decompressed(&self.codec, stored.as_stored())?);
             } else {
                 span.tag("tier", "disk");
-                out.push(self.disk.load(self.server.node(), self.entry(*pfn))?);
+                sink(i, self.disk.read(self.server.node(), self.entry(pfn))?);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn contains(&self, pfn: u64) -> bool {
@@ -208,6 +206,6 @@ mod tests {
         store_one(&mut b, 1, compressible_page(1)).unwrap();
         b.invalidate(1);
         assert!(!b.contains(1));
-        assert!(b.load_batch(&[1]).is_err());
+        assert!(load_one(&mut b, 1).is_err());
     }
 }

@@ -58,8 +58,8 @@ impl SwapBackend for SinkBackend {
     fn store_batch(&mut self, _pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
         Ok(())
     }
-    fn load_batch(&mut self, _pfns: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        Ok(Vec::new())
+    fn load_batch(&mut self, _pfns: &[u64], _sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
+        Ok(())
     }
     fn contains(&self, _pfn: u64) -> bool {
         true

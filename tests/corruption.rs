@@ -68,7 +68,7 @@ fn same_tier(location: &EntryLocation, pref: TierPreference, len: usize) -> bool
 fn stored_copy(dm: &DisaggregatedMemory, entry: EntryId, record: &EntryRecord) -> Vec<u8> {
     let node = entry.owner().node();
     match &record.location {
-        EntryLocation::NodeShared { .. } => dm.node_manager(node).get(entry),
+        EntryLocation::NodeShared { .. } => dm.node_manager(node).get(entry).map(<[u8]>::to_vec),
         EntryLocation::Cxl { addr } => dm
             .cxl_pool()
             .expect("the matrix cluster has a pool")
