@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: offline build, full test suite, fixed-seed chaos smoke, and a
-# wall-clock perf smoke.
+# CI gate, 13 steps: offline build, full test suite, fixed-seed chaos
+# baselines, the golden figures, and one wall-clock gate against one ledger.
 #
 # The workspace builds with no network access (all external deps are
 # path-shimmed under shims/), so `cargo fetch` is a fast no-op that fails
@@ -154,32 +154,6 @@ rack_smoke() {
 }
 step "fig4_rack smoke + timeline (workers 1, 2, 4 vs golden CSVs)" rack_smoke
 
-# Rack perf smoke: wall-clock at 1 vs 2 workers against the committed
-# ledger results/BENCH_rack.json (3x tolerance; --check writes nothing),
-# plus the per-worker split of a profiled round, which must account for
-# that round's wall time within 2 %. Where each worker has a core the
-# binary additionally enforces ROADMAP [par]'s >= 1.3x parallel speedup
-# (best of up to eight attempts: a busy neighbour only lowers the ratio);
-# on a 1-core machine it prints a skip note and still checks the rest.
-step "fig4_rack perf smoke (speedup gate + 3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin fig4_rack -- --perf --check
-
-# LLM serving perf smoke: wall-clock of the three engines against the
-# committed ledger results/BENCH_llm.json, same gross 3x tolerance.
-step "ext_llm_serving perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_llm_serving -- --perf --check
-
-# Object-allocator perf smoke: wall-clock of both granularities against
-# the committed ledger results/BENCH_alloc.json, same 3x tolerance.
-step "ext_obj_alloc perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_obj_alloc -- --perf --check
-
-# Crossover perf smoke: wall-clock of the page-granularity column on all
-# three transports against the committed ledger results/BENCH_cxl.json,
-# same 3x tolerance.
-step "ext_crossover perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin ext_crossover -- --perf --check
-
 # Traced dmem_top (fig4 (a) at 3.0x; its report is pinned by a test):
 # export the Chrome-trace JSON, then validate the artifact (parses,
 # trace-event shaped, spans from >= 4 simulation layers). Guards the
@@ -191,12 +165,19 @@ traced_dmem_top() {
 }
 step "traced dmem_top + trace check" traced_dmem_top
 
-# Perf smoke: quick variants of the three wall-clock scenarios, compared
-# against the committed quick-mode ledger results/BENCH_perf_quick.json
-# with a 3x tolerance — catches gross algorithmic regressions, not
-# percent-level noise.
-step "perf smoke (3x tolerance)" \
-    cargo run --release --quiet -p dmem-bench --bin perf -- --quick --check
+# The one wall-clock gate: the twelve scenarios of the perf bin (paging,
+# RDD, chaos, LLM serving, object allocator, crossover, and the 256-host
+# rack at 1 and 2 workers) against the one committed ledger
+# results/BENCH_perf.json with a 3x tolerance — catches gross algorithmic
+# regressions, not percent-level noise. A ledger row that no scenario
+# measures fails too, and --check writes nothing. The rack rows also
+# carry the per-worker split of a profiled round, which must account for
+# that round's wall time within 2 %, and, where each worker has a core,
+# ROADMAP [par]'s >= 1.3x parallel speedup at 2 workers (best of up to
+# eight attempts: a busy neighbour only lowers the ratio); on a 1-core
+# machine the speedup gate prints a skip note and the rest still holds.
+step "perf (12 wall-clock scenarios vs one ledger, 3x tolerance + rack speedup gate)" \
+    cargo run --release --quiet -p dmem-bench --bin perf -- --check
 
 # The two-clock benchmark is a package of its own outside the workspace,
 # so nothing above compiles it: an API change in core/net/cluster could
@@ -216,7 +197,7 @@ step "benchmark quick runs (correct, 0 failed)" sh -c '
 
 # Backstop: every step above writes under target/ only (the dmem_top
 # reports are pinned by the dmem_top_golden test inside `cargo test`, and
-# the perf checks write nothing), so results/ is exactly as committed.
+# the perf check writes nothing), so results/ is exactly as committed.
 step "results/ unchanged" git diff --exit-code -- results/
 
 echo "==> ci.sh: all green in $(( $(date +%s) - gate_t0 ))s"

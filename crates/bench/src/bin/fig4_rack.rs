@@ -1,175 +1,30 @@
-//! What the rack sweep's `figures` entry cannot express: the worker axis
-//! and the rack engine's wall time.
+//! What the rack sweep's `figures` entry cannot express: the worker axis.
 //!
-//! * `fig4_rack [--workers N] [--timeline-out FILE]` — the 64-host smoke
-//!   scenario at N worker threads (default `DMEM_BENCH_JOBS`), table +
-//!   `results/fig4_rack_smoke.csv`, and optionally the merged per-window
-//!   metric timeline as CSV. The logical shard partition is fixed by the
-//!   config, so stdout, CSV and timeline must byte-match at every N.
-//! * `fig4_rack --perf [--workers N] [--check]` — wall-clock scaling at 1
-//!   vs N (default 2) workers, recorded as `results/BENCH_rack.json` with
-//!   the core count and, per worker thread, where a round's wall time
-//!   went (setup / `run_epoch` / inbox drain / barrier wait / plan /
-//!   report, also printed to stderr); on a machine with a core per worker
-//!   the N-worker run must be ≥ 1.3x faster (exit 1 otherwise; skipped
-//!   with a note on smaller machines). `--check` instead fails on a > 3x
-//!   wall-clock regression against the committed ledger and writes
-//!   nothing.
+//! `fig4_rack [--workers N] [--timeline-out FILE]` runs the 64-host smoke
+//! scenario at N worker threads (default `DMEM_BENCH_JOBS`), table +
+//! `results/fig4_rack_smoke.csv`, and optionally the merged per-window
+//! metric timeline as CSV. The logical shard partition is fixed by the
+//! config, so stdout, CSV and timeline must byte-match at every N.
 //!
 //! The 256/512/1024-host sweep is the `fig4_rack` entry of the `figures`
-//! binary.
+//! binary; the rack engine's wall time and parallel speedup are the
+//! `rack_fabric_*` rows of the `perf` binary.
 
 use dmem_bench::extensions::rack_table;
-use dmem_bench::perf;
-use memory_disaggregation::rack::{run_rack, run_rack_profiled, RackConfig, RackReport};
+use memory_disaggregation::rack::{run_rack, RackConfig};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
-
-/// Required parallel speedup at two or more workers with a core each:
-/// ROADMAP `[par]`'s bar, which the engine cleared at 2 workers on a
-/// 2-core box in 10 of 10 benchmark pairs (1.37-1.76x).
-const REQUIRED_SPEEDUP: f64 = 1.3;
-
-/// Times the speedup is measured before a shortfall counts. Another
-/// tenant on a core for the length of a run only ever lowers the ratio,
-/// so the best of a few attempts is the estimate.
-const SPEEDUP_ATTEMPTS: usize = 8;
-
-/// How far a worker's timed shares may sum from the wall time of the
-/// round they were taken in.
-const SPLIT_TOLERANCE: f64 = 0.02;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: fig4_rack [--workers N] [--timeline-out FILE]\n       \
-         fig4_rack --perf [--workers N] [--check]"
-    );
+    eprintln!("usage: fig4_rack [--workers N] [--timeline-out FILE]");
     std::process::exit(2);
 }
 
-/// Runs one profiled round at `workers` threads, prints where each
-/// worker's wall time went and returns the split as ledger columns, or
-/// `None` if the shares of some worker miss the round's wall time by more
-/// than [`SPLIT_TOLERANCE`]: then a phase is going untimed.
-fn split(
-    config: &RackConfig,
-    workers: usize,
-    cores: usize,
-    expect: &RackReport,
-) -> Option<Vec<(String, f64)>> {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let (report, profile) = run_rack_profiled(config, workers);
-    let wall_ms = ms(t0.elapsed());
-    assert_eq!(
-        report.csv_row(),
-        expect.csv_row(),
-        "a profiled run must reproduce the plain one"
-    );
-    let (setup, merge) = (ms(profile.setup), ms(profile.report));
-    let mut columns = vec![
-        ("cores".to_owned(), cores as f64),
-        ("split_wall_ms".to_owned(), wall_ms),
-        ("setup_ms".to_owned(), setup),
-        ("report_ms".to_owned(), merge),
-    ];
-    eprintln!(
-        "rack split: {workers} worker(s) on {cores} cores, one round of {wall_ms:.1} ms, in ms"
-    );
-    eprintln!("  worker    setup  run_epoch    drain  barrier     plan   report      sum");
-    let mut complete = true;
-    for (w, lane) in profile.lanes.iter().enumerate() {
-        let shares = [
-            ("run_epoch_ms", ms(lane.run_epoch)),
-            ("drain_ms", ms(lane.drain)),
-            ("barrier_ms", ms(lane.barrier)),
-            ("plan_ms", ms(lane.plan)),
-        ];
-        let sum = setup + shares.iter().map(|(_, v)| v).sum::<f64>() + merge;
-        eprintln!(
-            "  {w:>6} {setup:>8.2} {:>10.2} {:>8.2} {:>8.2} {:>8.2} {merge:>8.2} {sum:>8.2} ({:.1} % of the round)",
-            shares[0].1,
-            shares[1].1,
-            shares[2].1,
-            shares[3].1,
-            100.0 * sum / wall_ms,
-        );
-        complete &= (sum - wall_ms).abs() <= SPLIT_TOLERANCE * wall_ms;
-        columns.extend(shares.map(|(name, v)| (format!("w{w}.{name}"), v)));
-    }
-    complete.then_some(columns)
-}
-
-fn perf_mode(workers_hi: usize, check: bool) -> ExitCode {
-    let config = {
-        let mut c = RackConfig::rack_default(256);
-        c.accesses_per_host = 400;
-        c
-    };
-    let cores = dmem_sim::par::available_parallelism();
-    let gated = workers_hi >= 2 && cores >= workers_hi;
-    let (mut base, mut wall1) = perf::timed(|| run_rack(&config, 1));
-    let (mut hi, mut walln) = perf::timed(|| run_rack(&config, workers_hi));
-    for _ in 1..SPEEDUP_ATTEMPTS {
-        if !gated || wall1 / walln >= REQUIRED_SPEEDUP {
-            break;
-        }
-        let (again1, wall) = perf::timed(|| run_rack(&config, 1));
-        (base, wall1) = (again1, wall1.min(wall));
-        let (againn, wall) = perf::timed(|| run_rack(&config, workers_hi));
-        (hi, walln) = (againn, walln.min(wall));
-    }
-    assert_eq!(
-        base.csv_row(),
-        hi.csv_row(),
-        "perf runs must stay byte-identical across worker counts"
-    );
-    let mut rows = Vec::new();
-    for (workers, report, wall_ms) in [(1, &base, wall1), (workers_hi, &hi, walln)] {
-        let Some(extra) = split(&config, workers, cores, report) else {
-            eprintln!(
-                "rack perf: SPLIT INCOMPLETE — a worker's shares are more than {:.0} % \
-                 off the round they were timed in",
-                SPLIT_TOLERANCE * 100.0
-            );
-            return ExitCode::FAILURE;
-        };
-        rows.push(perf::Row {
-            scenario: format!("rack_fabric_workers{workers}"),
-            wall_ms,
-            metric: ("pages_per_s", perf::per_second(report.accesses, wall_ms)),
-            extra,
-        });
-    }
-    let ledger = perf::record_or_check("rack", &rows, check);
-
-    let ratio = wall1 / walln.max(1e-9);
-    if !gated {
-        eprintln!(
-            "rack perf: {ratio:.2}x at {workers_hi} workers; speedup gate skipped \
-             ({cores} cores available, need 2 or more workers with a core each)"
-        );
-    } else if ratio < REQUIRED_SPEEDUP {
-        eprintln!(
-            "rack perf: SPEEDUP REGRESSION — {ratio:.2}x < required {REQUIRED_SPEEDUP:.1}x \
-             at {workers_hi} workers on {cores} cores"
-        );
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("rack perf: speedup gate ok ({ratio:.2}x >= {REQUIRED_SPEEDUP:.1}x)");
-    }
-    ledger
-}
-
 fn main() -> ExitCode {
-    let mut perf = false;
     let mut workers: Option<usize> = None;
-    let mut check = false;
     let mut timeline_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--perf" => perf = true,
             "--workers" => {
                 workers = Some(
                     args.next()
@@ -178,16 +33,9 @@ fn main() -> ExitCode {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--check" => check = true,
             "--timeline-out" => timeline_out = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
-    }
-    if (perf && timeline_out.is_some()) || (check && !perf) {
-        usage();
-    }
-    if perf {
-        return perf_mode(workers.unwrap_or(2), check);
     }
 
     let report = run_rack(&RackConfig::smoke(), workers.unwrap_or_else(dmem_bench::bench_jobs));

@@ -3,8 +3,8 @@
 //! (§III's killer apps), QoS isolation (§IV-F), Clio's object-granularity
 //! argument, the RDMA / CXL / NVM crossover (§VI) and a DRackSim-scale
 //! rack. Their claims sit in [`claims`](crate::claims) with the figures'.
-//! The `ext_*` bins that remain hold only `--perf` modes over the runs
-//! made `pub` here, and `fig4_rack` its smoke and perf modes.
+//! The `perf` binary times the runs made `pub` here, and the `fig4_rack`
+//! binary runs the rack's smoke at a chosen worker count.
 
 use crate::{bench_jobs, par_map, Table};
 use dmem_alloc::{Granularity, HeapConfig, ObjectHeap};

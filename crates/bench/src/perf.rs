@@ -1,13 +1,12 @@
-//! The one wall-clock ledger behind every `--perf` mode.
+//! The one wall-clock ledger, [`LEDGER`], behind the `perf` binary.
 //!
-//! Each perf-capable binary (`perf`, `fig4_rack`, `ext_llm_serving`,
-//! `ext_obj_alloc`, `ext_crossover`) measures its scenarios with
-//! [`timed`], collects [`Row`]s and hands them to [`record_or_check`]:
+//! `perf` measures its scenarios with [`timed`], collects [`Row`]s and
+//! hands them to [`record_or_check`]:
 //!
-//! * `--perf` *records* `results/BENCH_<ledger>.json`;
-//! * `--perf --check` *compares* against that same committed file and
-//!   writes nothing, so the mode that is checked is by construction the
-//!   mode that was recorded, and a green check leaves the tree clean.
+//! * `perf` *records* the ledger;
+//! * `perf --check` *compares* against that same committed file and
+//!   writes nothing, so what is checked is by construction what was
+//!   recorded, and a green check leaves the tree clean.
 //!
 //! The check is a gross-regression gate ([`TOLERANCE`]× the recorded
 //! wall time): it absorbs host noise and exists to catch an accidental
@@ -17,6 +16,9 @@
 use dmem_sim::jsonlite::{self, Value};
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// The committed ledger, relative to the working directory.
+const LEDGER: &str = "results/BENCH_perf.json";
 
 /// A measured scenario may be this many times slower than its ledger row.
 pub(crate) const TOLERANCE: f64 = 3.0;
@@ -52,21 +54,6 @@ pub fn timed<T>(mut run: impl FnMut() -> T) -> (T, f64) {
     let (_, first) = once();
     let (out, second) = once();
     (out, first.min(second))
-}
-
-/// The arguments of a binary that has only a perf mode, `--perf
-/// [--check]`: whether `--check` was given. Anything else prints `bin`'s
-/// usage and exits 2.
-pub fn perf_args(bin: &str) -> bool {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["--perf"] => false,
-        ["--perf", "--check"] | ["--check", "--perf"] => true,
-        _ => {
-            eprintln!("usage: {bin} --perf [--check]");
-            std::process::exit(2)
-        }
-    }
 }
 
 /// `count` events over `wall_ms`, as a per-second rate for [`Row::metric`].
@@ -114,7 +101,9 @@ fn parse(text: &str) -> Result<Vec<(String, f64)>, String> {
 
 /// Compares every measured row with its ledger row, printing one verdict
 /// line each. A row the ledger does not hold fails like a regression:
-/// a gate that skips what it cannot find checks nothing.
+/// a gate that skips what it cannot find checks nothing. So does a
+/// ledger row that no measured row matches, or a deleted or renamed
+/// scenario's row would stay in the ledger for good.
 fn compare(rows: &[Row], ledger: &str) -> Result<(), String> {
     let baseline = parse(ledger)?;
     let mut failures = Vec::new();
@@ -138,42 +127,44 @@ fn compare(rows: &[Row], ledger: &str) -> Result<(), String> {
             ));
         }
     }
+    for (name, _) in &baseline {
+        if !rows.iter().any(|row| row.scenario == *name) {
+            failures.push(format!("{name}: no scenario measures this ledger row"));
+        }
+    }
     if failures.is_empty() {
         return Ok(());
     }
     Err(failures.join("; "))
 }
 
-/// Prints the rows, then either records them as
-/// `results/BENCH_<ledger>.json` or — with `check` — compares them
-/// against that committed file and writes nothing. Fails (without
-/// panicking) on a regression beyond [`TOLERANCE`], a measured scenario
-/// the ledger lacks, or a ledger that cannot be read or parsed.
-pub fn record_or_check(ledger: &str, rows: &[Row], check: bool) -> ExitCode {
+/// Prints the rows, then either records them as [`LEDGER`] or — with
+/// `check` — compares them against that committed file and writes
+/// nothing. Fails (without panicking) on a regression beyond
+/// [`TOLERANCE`], a measured scenario the ledger lacks, a ledger row no
+/// scenario measures, or a ledger that cannot be read or parsed.
+pub fn record_or_check(rows: &[Row], check: bool) -> ExitCode {
     for row in rows {
         println!(
             "{:>22}: {:>9.1} ms wall  ({} {:.2})",
             row.scenario, row.wall_ms, row.metric.0, row.metric.1
         );
     }
-    let path = format!("results/BENCH_{ledger}.json");
     let outcome = if check {
-        std::fs::read_to_string(&path)
+        std::fs::read_to_string(LEDGER)
             .map_err(|e| format!("cannot read it: {e}"))
             .and_then(|text| compare(rows, &text))
     } else {
         std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&path, render(rows)))
-            .map(|()| println!("[written {path}]"))
+            .and_then(|()| std::fs::write(LEDGER, render(rows)))
+            .map(|()| println!("[written {LEDGER}]"))
             .map_err(|e| format!("cannot write it: {e}"))
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(why) => {
-            eprintln!("perf ledger {path}: FAILED — {why}");
-            // This process's own command line, minus `--check`, records it.
-            let record: Vec<String> = std::env::args().filter(|a| a != "--check").collect();
-            eprintln!("  (to record it afresh: {})", record.join(" "));
+            eprintln!("perf ledger {LEDGER}: FAILED — {why}");
+            eprintln!("  (to record it afresh: cargo run --release -p dmem-bench --bin perf)");
             ExitCode::FAILURE
         }
     }
@@ -216,6 +207,13 @@ mod tests {
         let err = compare(&[row("a", 100.0), row("renamed", 1.0)], &ledger).unwrap_err();
         assert_eq!(err, "renamed: no ledger row");
         assert!(compare(&[row("a", 1.0)], "[]").is_err());
+    }
+
+    #[test]
+    fn unmeasured_row_fails_and_is_named() {
+        let ledger = render(&[row("a", 100.0), row("deleted", 1.0)]);
+        let err = compare(&[row("a", 100.0)], &ledger).unwrap_err();
+        assert_eq!(err, "deleted: no scenario measures this ledger row");
     }
 
     #[test]
