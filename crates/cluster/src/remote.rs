@@ -290,36 +290,27 @@ impl RemoteStore {
         } else {
             for (entry, data) in batch {
                 let len = data.len() as u64;
-                match state.alloc(len) {
-                    Some(offset) => {
-                        placed.push((*entry, Extent { offset, len }));
-                        writes.push((offset, data));
-                    }
-                    None => {
-                        // Roll back this batch's allocations. Entries it
-                        // replaced stay dropped: their space was freed
-                        // above and may be gone after churn, so the
-                        // caller re-stores them elsewhere or on disk.
-                        for (_, extent) in &placed {
-                            state.release(*extent);
-                        }
-                        return Err(DmemError::CapacityExhausted {
-                            pool: format!("remote pool on {to}"),
-                        });
-                    }
-                }
+                let Some(offset) = state.alloc(len) else {
+                    self.abandon(to, &placed);
+                    return Err(DmemError::CapacityExhausted {
+                        pool: format!("remote pool on {to}"),
+                    });
+                };
+                placed.push((*entry, Extent { offset, len }));
+                writes.push((offset, data));
             }
         }
 
-        let qp = self.channel(from, to, ChannelKind::Data)?;
+        let qp = match self.channel(from, to, ChannelKind::Data) {
+            Ok(qp) => qp,
+            Err(e) => {
+                self.abandon(to, &placed);
+                return Err(e);
+            }
+        };
         for &(offset, bytes) in &writes {
             if let Err(e) = self.fabric.write(&qp, bytes, &region, offset) {
-                // Roll back every allocation of this batch.
-                if let Some(state) = self.hosts.get_mut(&to) {
-                    for (_, extent) in &placed {
-                        state.release(*extent);
-                    }
-                }
+                self.abandon(to, &placed);
                 return Err(e);
             }
         }
@@ -332,6 +323,19 @@ impl RemoteStore {
         }
         self.advertise(to);
         Ok(())
+    }
+
+    /// Rolls back a failed [`RemoteStore::store_batch`] on `to`: frees the
+    /// extents it placed and re-advertises the pool. Entries it replaced
+    /// stay dropped: their space was freed first and may be gone after
+    /// churn, so the caller re-stores them elsewhere or on disk.
+    fn abandon(&mut self, to: NodeId, placed: &[(EntryId, Extent)]) {
+        if let Some(state) = self.hosts.get_mut(&to) {
+            for (_, extent) in placed {
+                state.release(*extent);
+            }
+        }
+        self.advertise(to);
     }
 
     /// Fetches `entry` back from node `to`.
@@ -564,11 +568,11 @@ mod tests {
         assert_eq!(store.free_of(NodeId::new(9)), ByteSize::ZERO, "never advertised");
         store.store(a, b, entry(1), &[0u8; 4096]).unwrap();
         assert_eq!(store.free_of(b), ByteSize::from_kib(4));
-        // A rewrite too big for the pool frees the old extent and fails:
-        // the advertisement stays stale until the periodic refresh.
+        // A rewrite too big for the pool frees the old extent and fails;
+        // the advertisement follows at once, not at the periodic refresh.
         assert!(store.store(a, b, entry(1), &[0u8; 16 * 1024]).is_err());
         assert_eq!(store.stats(b).unwrap().free, ByteSize::from_kib(8));
-        assert_eq!(store.free_of(b), ByteSize::from_kib(4));
+        assert_eq!(store.free_of(b), ByteSize::from_kib(8));
         store.advertise_all();
         assert_eq!(store.free_of(b), ByteSize::from_kib(8));
     }

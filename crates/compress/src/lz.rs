@@ -13,6 +13,13 @@
 //! It is deliberately small and allocation-light rather than maximally
 //! tight: the experiments depend on *relative* compressibility across
 //! workloads, which this codec preserves.
+//!
+//! Until a call emits its first match, a bitset of the 4-byte values it
+//! has inserted lets the matcher skip the chain walk at a position whose
+//! value it has not seen: no candidate could pass the walk's 4-byte
+//! probe. Positions a match covers go into the chains unmarked, so the
+//! filter stops at the first match, and streams and accept/reject
+//! decisions are those of walking at every position.
 
 /// Minimum back-reference length; shorter matches are emitted as literals.
 pub(crate) const MIN_MATCH: usize = 4;
@@ -26,10 +33,20 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 12;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
+/// Bits of the no-match filter (4 KiB, on the stack of each call).
+const SEEN_BITS: u32 = 15;
+
 /// Hash of a 4-byte prefix, read as one little-endian `u32`.
 #[inline]
 fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
+/// The no-match filter's bit for a 4-byte prefix: a second hash, with a
+/// multiplier of its own, so its collisions are not `hash4`'s.
+#[inline]
+fn seen_bit(v: u32) -> usize {
+    (v.wrapping_mul(0x85eb_ca77) >> (32 - SEEN_BITS)) as usize
 }
 
 #[inline]
@@ -165,6 +182,10 @@ fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usiz
     let prev = &mut prev[..input.len()];
     let mut literal_start = 0usize;
     let mut i = 0usize;
+    // The no-match filter: until the first match, the bit of every
+    // inserted position's 4-byte value. See the loop for why it is exact.
+    let mut seen = [0u64; 1 << (SEEN_BITS - 6)];
+    let mut filtering = true;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
         let mut start = from;
@@ -186,6 +207,27 @@ fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usiz
         }
         let cur4 = read_u32(input, i);
         let h = hash4(cur4);
+        // Until the call's first match, every position in the chains was
+        // inserted here, with its value's bit set. A clear bit means no
+        // inserted position holds `cur4`, so every candidate of the walk
+        // would fail its 4-byte probe, no match could be found, and the
+        // walk can be skipped: the position goes into the chains exactly
+        // as after a fruitless walk. A set bit (perhaps a collision) walks
+        // as before. A match inserts the positions it covers without
+        // setting their bits, so from the first match on a clear bit
+        // proves nothing and filtering stops. Streams, and the budget
+        // check above, are unchanged.
+        if filtering {
+            let bit = seen_bit(cur4);
+            let (word, mask) = (&mut seen[bit / 64], 1u64 << (bit % 64));
+            if *word & mask == 0 {
+                *word |= mask;
+                prev[i] = head[h];
+                head[h] = i as u32 + base;
+                i += 1;
+                continue;
+            }
+        }
         let limit = (input.len() - i).min(MAX_MATCH);
         // Walk the chain looking for the longest match. Slots below
         // `floor` are stale or farther back than an offset can reach, and
@@ -220,6 +262,7 @@ fn compress_with(input: &[u8], out: &mut Vec<u8>, m: &mut Matcher, max_len: usiz
         prev[i] = head[h];
         head[h] = i as u32 + base;
         if best_len >= MIN_MATCH {
+            filtering = false;
             flush_literals(out, literal_start, i, input);
             let offset = (i - best_pos) as u16;
             out.push(0x80 | (best_len - MIN_MATCH) as u8);
@@ -697,6 +740,47 @@ mod tests {
         input.copy_within(1_000..1_100, 1_000 + MAX_OFFSET);
         input.copy_within(1_100..1_200, 1_101 + MAX_OFFSET);
         assert_matches_reference(&input);
+    }
+
+    fn xorshift_bytes(mut state: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
+    }
+
+    /// The no-match filter's edge (the same inputs as `lz_stream_pin`'s
+    /// second digest): a 4-byte value first inserted inside a match and
+    /// repeated after a literal run, which a filter still on after the
+    /// first match would not look up; and incompressible → motif →
+    /// incompressible pages, which turn the filter off midway.
+    #[test]
+    fn filter_edge_matches_reference() {
+        for seed in 1..=8u64 {
+            // A random block, its copy (one match up to byte 128), fresh
+            // bytes, a literal run, then the bytes from just before the
+            // copy's end on.
+            let block = xorshift_bytes(seed, 64);
+            let mut input = block.clone();
+            input.extend_from_slice(&block);
+            input.extend(xorshift_bytes(seed + 100, 40));
+            input.extend(xorshift_bytes(seed + 200, 300));
+            let back = (seed % 3) as usize;
+            input.extend_from_within(127 - back..168);
+            input.extend(xorshift_bytes(seed + 300, 50));
+            assert_matches_reference(&input);
+
+            let split = 256 * seed as usize;
+            let motif = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes();
+            let mut page = xorshift_bytes(seed + 400, split);
+            page.extend(motif.iter().cycle().take(1024));
+            page.extend(xorshift_bytes(seed + 500, 4096 - split - 1024));
+            assert_matches_reference(&page);
+        }
     }
 
     proptest! {

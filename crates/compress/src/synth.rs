@@ -52,15 +52,19 @@ pub(crate) fn page_with_ratio_into(target_ratio: f64, rng: &mut DetRng, page: &m
     let denominator = LITERAL_COST_PER_BYTE - MATCH_COST_PER_BYTE;
     let random_len = (numerator / denominator).clamp(0.0, PAGE_SIZE as f64) as usize;
 
-    page.clear();
+    // Only a short buffer is grown (with zeros); a page-sized one is
+    // left as it is, since every byte is written below.
     page.resize(PAGE_SIZE, 0);
     rng.fill_bytes(&mut page[..random_len]);
     // Repeated motif for the compressible tail. An 8-byte motif keeps the
     // matcher in long-match territory without degenerate RLE behaviour.
     let motif = rng.next_u64().to_le_bytes();
-    for chunk in page[random_len..].chunks_mut(motif.len()) {
-        chunk.copy_from_slice(&motif[..chunk.len()]);
+    let mut chunks = page[random_len..].chunks_exact_mut(motif.len());
+    for chunk in &mut chunks {
+        chunk.copy_from_slice(&motif);
     }
+    let tail = chunks.into_remainder();
+    tail.copy_from_slice(&motif[..tail.len()]);
 }
 
 /// A fully random, incompressible page.

@@ -95,9 +95,14 @@ impl DetRng {
     /// Fills `dest` with random bytes: one whole draw per started 8-byte
     /// chunk, little-endian.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
+        // Whole words in fixed-size copies; only the tail's length varies.
+        let mut chunks = dest.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            tail.copy_from_slice(&self.next_u64().to_le_bytes()[..tail.len()]);
         }
     }
 
@@ -438,6 +443,27 @@ mod tests {
         let mut rng = DetRng::new(3);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
+    }
+
+    /// `fill_bytes` against a per-chunk reference at every tail length:
+    /// one draw per started 8-byte chunk, its little-endian prefix, and
+    /// no draw more or less (the next draw is the reference's next).
+    #[test]
+    fn fill_bytes_matches_per_chunk_reference() {
+        for len in (0..=17).chain([3_001]) {
+            let mut rng = DetRng::new(0x5EED + len as u64);
+            let mut reference = rng.clone();
+            let mut got = vec![0xAA; len];
+            rng.fill_bytes(&mut got);
+            let mut want = Vec::with_capacity(len);
+            while want.len() < len {
+                let word = reference.next_u64().to_le_bytes();
+                let take = (len - want.len()).min(8);
+                want.extend_from_slice(&word[..take]);
+            }
+            assert_eq!(got, want, "bytes at length {len}");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "stream after length {len}");
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! same-filled and zero pages, short inputs, and one input longer than
 //! the 64 KiB window. A matcher rewrite that changes any stream by one
 //! byte, or flips one decision, changes the digest.
+//!
+//! A second digest covers the edge of the matcher's no-match filter,
+//! which skips the chain walk only until a call emits its first match: a
+//! 4-byte value first inserted inside a match and repeated after a
+//! literal run, and incompressible → motif → incompressible pages.
 
 use dmem_compress::lz;
 use dmem_swap::PageSource;
@@ -14,6 +19,10 @@ use dmem_types::{fnv1a64_fold, FNV1A64_OFFSET, PAGE_SIZE};
 /// Digest of the corpus below, recorded with the hash-chain matcher that
 /// reset its `usize` head table on every call.
 const PINNED_DIGEST: u64 = 0x2cac_3f76_3582_4472;
+
+/// Digest of [`edge_corpus`], recorded with the matcher that walked the
+/// chain at every position.
+const EDGE_DIGEST: u64 = 0xeee5_92cc_5cd4_034d;
 
 const BUDGETS: [usize; 4] = [512, 1024, 2048, usize::MAX];
 const RATIOS: [f64; 6] = [1.0, 1.3, 2.0, 3.0, 4.5, 8.0];
@@ -52,10 +61,38 @@ fn corpus() -> Vec<Vec<u8>> {
     inputs
 }
 
-fn corpus_digest() -> u64 {
+/// Inputs at the edge of the no-match filter, one pair per seed.
+fn edge_corpus() -> Vec<Vec<u8>> {
+    let mut inputs = Vec::new();
+    for seed in 1..=8u64 {
+        // A random block, its copy (one match up to byte 128), fresh
+        // bytes, a literal run, then the bytes from just before the copy's
+        // end on: the 4-byte values that straddle the end were inserted
+        // only by the match.
+        let block = xorshift_bytes(seed, 64);
+        let mut input = block.clone();
+        input.extend_from_slice(&block);
+        input.extend(xorshift_bytes(seed + 100, 40));
+        input.extend(xorshift_bytes(seed + 200, 300));
+        let back = (seed % 3) as usize;
+        input.extend_from_within(127 - back..168);
+        input.extend(xorshift_bytes(seed + 300, 50));
+        inputs.push(input);
+        // Incompressible, an 8-byte motif, incompressible again.
+        let split = 256 * seed as usize;
+        let motif = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes();
+        let mut page = xorshift_bytes(seed + 400, split);
+        page.extend(motif.iter().cycle().take(1024));
+        page.extend(xorshift_bytes(seed + 500, PAGE_SIZE - split - 1024));
+        inputs.push(page);
+    }
+    inputs
+}
+
+fn corpus_digest(corpus: Vec<Vec<u8>>) -> u64 {
     let mut digest = FNV1A64_OFFSET;
     let mut stream = Vec::new();
-    for input in corpus() {
+    for input in corpus {
         for budget in BUDGETS {
             let accepted = lz::compress_within(&input, budget, &mut stream);
             digest = fnv1a64_fold(digest, &[accepted as u8]);
@@ -70,9 +107,18 @@ fn corpus_digest() -> u64 {
 
 #[test]
 fn compress_within_streams_match_the_pinned_digest() {
-    let digest = corpus_digest();
+    let digest = corpus_digest(corpus());
     assert_eq!(
         digest, PINNED_DIGEST,
         "lz streams changed: digest {digest:#018x}, pinned {PINNED_DIGEST:#018x}"
+    );
+}
+
+#[test]
+fn filter_edge_streams_match_the_pinned_digest() {
+    let digest = corpus_digest(edge_corpus());
+    assert_eq!(
+        digest, EDGE_DIGEST,
+        "lz streams at the filter's edge changed: digest {digest:#018x}, pinned {EDGE_DIGEST:#018x}"
     );
 }

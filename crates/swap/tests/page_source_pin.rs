@@ -9,9 +9,9 @@
 use dmem_swap::PageSource;
 use dmem_types::{fnv1a64_fold, FNV1A64_OFFSET};
 
-/// Digest of the pages below, recorded with the byte-at-a-time motif fill
-/// (spread 0.0 from 2.0 up needed `page_around_ratio_into`'s `next_up`
-/// bound first; every combination that ran before gives the same bytes).
+/// Digest of the pages below (spread 0.0 from 2.0 up needed
+/// `page_around_ratio_into`'s `next_up` bound first; every combination
+/// that ran before gives the same bytes).
 const PINNED_DIGEST: u64 = 0x1c73_4a74_77d6_aa1d;
 
 const RATIOS: [f64; 6] = [1.0, 1.3, 2.0, 3.0, 4.5, 8.0];
