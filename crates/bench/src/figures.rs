@@ -16,14 +16,14 @@ use dmem_net::{BatchSender, Fabric};
 use dmem_rdd::job::{run_iterative_job, DatasetSize, JobSpec, SpillTier};
 use dmem_sim::{CostModel, DetRng, FailureEvent, FailureInjector, SimClock, SimDuration};
 use dmem_swap::{
-    build_system, build_system_with_pages, run_kv_throughput, run_ml_workload, PagingEngine,
-    SwapScale, SystemKind,
+    build_system, build_system_with_pages, run_kv_throughput, run_kv_timeline, run_ml_workload,
+    PagingEngine, SwapScale, SystemKind,
 };
 use dmem_types::{
     ByteSize, ClusterConfig, CompressionMode, DistributionRatio, DonationPolicy, EntryId, NodeId,
-    PageId, PlacementStrategy, ReplicationFactor, ServerId,
+    PlacementStrategy, ReplicationFactor, ServerId,
 };
-use dmem_workloads::{catalog, traces::Trace, AppKind, KvWorkload, TraceConfig};
+use dmem_workloads::{catalog, traces::Trace, AppKind, TraceConfig};
 
 /// One table or figure of the evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -166,14 +166,13 @@ fn fig3() -> Vec<Table> {
         let r2 = two.aggregate_ratio(pages.iter().map(Vec::as_slice));
         let r4 = four.aggregate_ratio(pages.iter().map(Vec::as_slice));
 
-        // zswap: insert everything, count frames + rejected pages (which
+        // zswap: pack everything, count frames + rejected pages (which
         // sit uncompressed on the swap device).
-        let mut cache = ZswapCache::new(PAGES_PER_WORKLOAD); // never evicts
-        for (i, page) in pages.iter().enumerate() {
-            let _ = cache.insert(i as u64, four.compress(page));
+        let mut cache = ZswapCache::default();
+        for page in &pages {
+            cache.insert(four.compress(page).data.len());
         }
-        let stats = cache.stats();
-        let stored_frames = stats.frames as f64 + stats.rejected as f64; // rejected = 1 frame each
+        let stored_frames = cache.frames() as f64 + cache.rejected() as f64; // rejected = 1 frame each
         let rz = PAGES_PER_WORKLOAD as f64 / stored_frames.max(1.0);
         (r2, r4, rz)
     });
@@ -440,35 +439,8 @@ fn fig8() -> Vec<Table> {
 /// (EXPERIMENTS.md § Honest deviations 6).
 fn fig9() -> Vec<Table> {
     const BUCKETS: usize = 300;
-    // Runs the recovery and returns ops completed per bucket.
-    let timeline = |kind: SystemKind, scale: &SwapScale, horizon: SimDuration| {
-        let profile = catalog::by_name("Memcached").unwrap();
-        let mut engine =
-            build_system_with_pages(kind, scale, profile.compress_mean, profile.compress_spread)
-                .unwrap();
-        engine.preload_swapped(scale.working_set_pages).unwrap();
-        let mut kv = KvWorkload::from_profile(&profile, scale.working_set_pages, scale.seed);
-        let bucket_len = SimDuration::from_nanos(horizon.as_nanos() / BUCKETS as u64);
-        let mut series = vec![0u64; BUCKETS];
-        let start = engine.clock().now();
-        loop {
-            let elapsed = engine.clock().now() - start;
-            if elapsed >= horizon {
-                break;
-            }
-            let op = kv.next_op();
-            engine
-                .access(PageId::new(op.key()).pfn(), op.is_write())
-                .unwrap();
-            let bucket = (elapsed.as_nanos() / bucket_len.as_nanos().max(1)) as usize;
-            series[bucket.min(BUCKETS - 1)] += 1;
-        }
-        series
-    };
-
     let mut scale = SwapScale::bench();
     scale.memory_fraction = 0.5;
-    scale.compute_per_access = SimDuration::from_micros(1); // KV op cost
     // The store's working set was swapped out to *cluster* memory (the
     // node pool is small), so recovery exercises the remote swap-in path
     // where batched fetches matter.
@@ -484,7 +456,7 @@ fn fig9() -> Vec<Table> {
     ];
 
     let serieses: Vec<(&str, Vec<u64>)> = par_map(systems.to_vec(), |_, (label, kind)| {
-        (label, timeline(kind, &scale, horizon))
+        (label, run_kv_timeline(kind, "Memcached", &scale, horizon, BUCKETS).unwrap())
     });
 
     let mut table = Table::new(

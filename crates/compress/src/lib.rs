@@ -10,8 +10,8 @@
 //! * [`codec`] — the size-class policy layered on the codec
 //!   ([`PageCodec`]), honouring the 2- and 4-granularity modes of
 //!   [`dmem_types::CompressionMode`];
-//! * [`zswap`] — a zswap/zbud-style compressed RAM cache used as the
-//!   baseline in Fig. 3;
+//! * [`zswap`] — the zbud frame count of a zswap pool, Fig. 3's
+//!   compression-ratio baseline;
 //! * [`synth`] — a synthetic page generator with calibrated
 //!   compressibility, standing in for the paper's ML workload pages;
 //! * [`memo`] — a byte-guarded compressed-page memo ([`CompressMemo`])
@@ -45,4 +45,4 @@ pub mod zswap;
 
 pub use codec::{CompressedPage, PageCodec, StoredPage};
 pub use memo::{CompressMemo, MemoStats};
-pub use zswap::{ZswapCache, ZswapStats};
+pub use zswap::ZswapCache;

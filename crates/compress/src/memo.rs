@@ -7,7 +7,7 @@
 //! [`CompressMemo`] caches the compressed form per key so steady-state
 //! swap-outs skip the LZ matcher entirely.
 //!
-//! The read path is memoized too: [`CompressMemo::get_or_decompress`]
+//! The read path is memoized too: [`CompressMemo::lend_decompressed`]
 //! maps a stored [`CompressedPage`] back to its original bytes with a
 //! `memcmp` of the (small) compressed stream instead of an LZ decode plus
 //! a full-page checksum pass. Compressing a page seeds the decompress
@@ -20,8 +20,7 @@
 //! the memo's own original instead of copying it; only a miss makes a
 //! buffer, the decoded page. A reader that only verifies or inspects the
 //! page — the swap fault loop, FastSwap's batch swap-in — then copies
-//! nothing, and [`CompressMemo::get_or_decompress`] is the same lookup
-//! plus the one copy an owning caller needs.
+//! nothing; an owning caller makes the one copy it needs.
 //!
 //! **One entry per page.** An entry holds the page's original bytes and,
 //! when the codec shrank it, the stream. Both directions share it: the
@@ -241,36 +240,18 @@ impl CompressMemo {
         page
     }
 
-    /// Returns the original bytes of `stored`, reusing the cached result
-    /// when an identical `CompressedPage` was compressed or decoded
-    /// before, and running `codec.decompress` otherwise. Decompression is
-    /// a pure function, so the result (including checksum verification)
-    /// is identical to `codec.decompress(stored)` in every case.
+    /// Returns the original bytes of a page borrowed where it lies,
+    /// lending them: a hit — the whole stored page equal to one that was
+    /// produced or decoded successfully — lends the memo's original, a
+    /// miss returns the page `codec.decompress` decodes. Decompression is
+    /// a pure function, so the bytes (including checksum verification)
+    /// are the ones `codec.decompress(stored)` returns in every case.
     ///
     /// # Errors
     ///
     /// Propagates [`codec.decompress`](PageCodec::decompress) errors on a
     /// miss; a corrupted page can never equal a cached good one, so it
     /// always takes the miss path and fails exactly as without the memo.
-    pub fn get_or_decompress(
-        &mut self,
-        codec: &PageCodec,
-        stored: &CompressedPage,
-    ) -> DmemResult<Vec<u8>> {
-        self.lend_decompressed(codec, stored.as_stored())
-            .map(Cow::into_owned)
-    }
-
-    /// [`CompressMemo::get_or_decompress`] of a page borrowed where it
-    /// lies, lending the result: a hit lends the memo's original, a miss
-    /// returns the decoded page it made. The hit takes the same guard —
-    /// the whole stored page equal to one that was produced or decoded
-    /// successfully — so the bytes are the ones `codec.decompress` would
-    /// return.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompressMemo::get_or_decompress`].
     pub fn lend_decompressed(
         &mut self,
         codec: &PageCodec,
@@ -409,7 +390,7 @@ mod tests {
             let page = synth::page_around_ratio(3.0, 0.5, &mut rng);
             let stored = codec.compress(&page);
             for _ in 0..3 {
-                assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+                assert_eq!(memo.lend_decompressed(&codec, stored.as_stored()).unwrap(), page);
             }
         }
         let stats = memo.stats();
@@ -423,7 +404,7 @@ mod tests {
         let mut memo = CompressMemo::new(8);
         let page = vec![6u8; 4096];
         let stored = memo.get_or_compress((0, 1), &codec, &page);
-        assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+        assert_eq!(memo.lend_decompressed(&codec, stored.as_stored()).unwrap(), page);
         assert_eq!(memo.stats().decompress_hits, 1, "first read must hit");
         assert_eq!(memo.stats().decompress_misses, 0);
     }
@@ -460,7 +441,7 @@ mod tests {
         assert!(memo.decomp.is_empty());
         // Decoding it still works, and still leaves the side empty.
         for _ in 0..2 {
-            assert_eq!(memo.get_or_decompress(&codec, &stored).unwrap(), page);
+            assert_eq!(memo.lend_decompressed(&codec, stored.as_stored()).unwrap(), page);
         }
         assert!(memo.decomp.is_empty());
         assert_eq!(memo.stats().decompress_misses, 2);
@@ -493,8 +474,8 @@ mod tests {
         let old_stored = memo.get_or_compress((0, 1), &codec, &old);
         let new_stored = memo.get_or_compress((0, 1), &codec, &new);
         assert!(old_stored.is_compressed && new_stored.is_compressed);
-        assert_eq!(memo.get_or_decompress(&codec, &old_stored).unwrap(), old);
-        assert_eq!(memo.get_or_decompress(&codec, &new_stored).unwrap(), new);
+        assert_eq!(memo.lend_decompressed(&codec, old_stored.as_stored()).unwrap(), old);
+        assert_eq!(memo.lend_decompressed(&codec, new_stored.as_stored()).unwrap(), new);
         assert_eq!(memo.stats().decompress_hits, 2);
     }
 
@@ -506,7 +487,7 @@ mod tests {
         let mut stored = memo.get_or_compress((0, 1), &codec, &page);
         assert!(stored.is_compressed);
         stored.data[0] ^= 0xFF;
-        assert!(memo.get_or_decompress(&codec, &stored).is_err());
+        assert!(memo.lend_decompressed(&codec, stored.as_stored()).is_err());
     }
 
     #[test]
@@ -514,8 +495,8 @@ mod tests {
         let codec = codec();
         let mut memo = CompressMemo::new(0);
         let stored = codec.compress(&vec![4u8; 4096]);
-        memo.get_or_decompress(&codec, &stored).unwrap();
-        memo.get_or_decompress(&codec, &stored).unwrap();
+        memo.lend_decompressed(&codec, stored.as_stored()).unwrap();
+        memo.lend_decompressed(&codec, stored.as_stored()).unwrap();
         assert_eq!(memo.stats().decompress_hits, 0);
         assert_eq!(memo.stats().decompress_misses, 2);
     }

@@ -211,7 +211,7 @@ fn build_manager(spec: &JobSpec, tier: SpillTier) -> DmemResult<(SimClock, Block
     }
 }
 
-fn dataset_rdd(spec: &JobSpec, size: DatasetSize) -> Arc<Rdd> {
+fn dataset_rdd(spec: &JobSpec, size: DatasetSize) -> Rdd {
     let records = spec.base_records * size.scale();
     let width = spec.values_per_record;
     Rdd::source(spec.partitions, spec.seed, move |p, rng| {
@@ -237,17 +237,16 @@ pub fn run_iterative_job(
     let (clock, mut bm) = build_manager(spec, tier)?;
     let dataset = dataset_rdd(spec, size);
     let start = clock.now();
-    let no_cache = |_: u64, _: usize| None;
 
     // Materialize & cache the dataset (the first pass computes from
-    // lineage and caches; Spark does the same on the first action).
+    // its source and caches; Spark does the same on the first action).
     {
         let stage = clock.tracer().span("rdd", "materialize");
         stage.tag("partitions", spec.partitions);
         for p in 0..spec.partitions {
             let task = clock.tracer().span("rdd", "task");
             task.tag("partition", p);
-            let records = dataset.compute(p, &no_cache);
+            let records = dataset.compute(p);
             clock.advance(spec.compute_per_record * records.len() as u64);
             bm.put(BlockId::new(dataset.id(), p), records)?;
         }
@@ -265,8 +264,8 @@ pub fn run_iterative_job(
                 Some(r) => r,
                 None => {
                     // Lost block (MEMORY_ONLY semantics would land here):
-                    // recompute from lineage and re-cache.
-                    let r = dataset.compute(p, &no_cache);
+                    // recompute from the source and re-cache.
+                    let r = dataset.compute(p);
                     clock.advance(spec.compute_per_record * r.len() as u64);
                     bm.put(BlockId::new(dataset.id(), p), r)?
                 }

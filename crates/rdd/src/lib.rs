@@ -7,9 +7,8 @@
 //! memory instead of recomputing or hitting disk. To reproduce Fig. 10 we
 //! need the Spark mechanics that produce its numbers — no more, no less:
 //!
-//! * immutable, partitioned [`Rdd`]s with lineage-based recomputation
-//!   ([`rdd`]);
-//! * narrow (map/filter) and wide (reduce-by-key) transformations;
+//! * immutable, partitioned source [`Rdd`]s whose lost partitions are
+//!   recomputed ([`rdd`]);
 //! * an executor [`BlockManager`] with a bounded memory store, LRU
 //!   eviction and a pluggable spill tier ([`executor`]): vanilla Spark
 //!   spills to local disk, DAHI spills to a [`DisaggregatedMemory`]

@@ -407,34 +407,6 @@ impl PagingEngine {
         Ok((self.stats, self.clock.now() - start))
     }
 
-    /// Runs the trace while sampling throughput: returns `(stats, series)`
-    /// where `series[i]` is the number of accesses completed in virtual
-    /// second `i` (the Fig. 9 timeline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first backend failure.
-    pub(crate) fn run_with_timeline<I: IntoIterator<Item = PageAccess>>(
-        &mut self,
-        trace: I,
-        horizon: SimDuration,
-    ) -> DmemResult<(EngineStats, Vec<u64>)> {
-        let start = self.clock.now();
-        let buckets = horizon.as_secs_f64().ceil() as usize;
-        let mut series = vec![0u64; buckets.max(1)];
-        for access in trace {
-            if self.clock.now() - start >= horizon {
-                break;
-            }
-            self.access(access.page.pfn(), access.write)?;
-            let elapsed = self.clock.now() - start;
-            let bucket = (elapsed.as_secs_f64() as usize).min(series.len() - 1);
-            series[bucket] += 1;
-        }
-        self.flush_writeback()?;
-        Ok((self.stats, series))
-    }
-
     /// Pre-faults the first `n` pages and then swaps them all out, so a
     /// run starts from full memory pressure (the Fig. 9 "cold" start where
     /// the store's working set begins on the swap device).
@@ -692,22 +664,6 @@ mod tests {
             elapsed >= SimDuration::from_micros(128),
             "compute cost alone is 64 × 2us"
         );
-    }
-
-    #[test]
-    fn timeline_buckets_sum_to_accesses() {
-        let (_, mut e) = engine(EngineConfig::demand(8));
-        let accesses: Vec<PageAccess> = (0..100)
-            .map(|i| PageAccess {
-                page: dmem_types::PageId::new(i % 16),
-                write: false,
-            })
-            .collect();
-        let (stats, series) = e
-            .run_with_timeline(accesses, SimDuration::from_secs(10))
-            .unwrap();
-        assert_eq!(series.iter().sum::<u64>(), stats.accesses);
-        assert_eq!(series.len(), 10);
     }
 
     #[test]

@@ -13,42 +13,25 @@ use dmem_core::{DisaggregatedMemory, TierPreference};
 use dmem_types::{DistributionRatio, DmemResult, ServerId};
 use std::sync::Arc;
 
-/// How the backend routes swap-out traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FastSwapMode {
-    /// The hybrid system: `ratio` of traffic to the node shared pool
-    /// (falling through to remote/disk when full), the rest directly to
-    /// remote memory.
-    Hybrid(DistributionRatio),
-    /// Compressed swapping straight to disk (the Fig. 4(b) configuration:
-    /// FastSwap's compression with a disk swap device).
-    DiskCompressed,
-}
-
 /// The FastSwap backend over a [`DisaggregatedMemory`] cluster.
 pub struct FastSwapBackend {
     dm: Arc<DisaggregatedMemory>,
     server: ServerId,
-    mode: FastSwapMode,
+    ratio: DistributionRatio,
     accumulator: f64,
 }
 
 impl FastSwapBackend {
-    /// Creates the backend for `server` on an assembled cluster.
-    pub(crate) fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, mode: FastSwapMode) -> Self {
+    /// The backend for `server` on an assembled cluster: `ratio` of
+    /// swap-out traffic to the node shared pool (falling through to
+    /// remote and disk when full), the rest straight to remote memory.
+    pub fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, ratio: DistributionRatio) -> Self {
         FastSwapBackend {
             dm,
             server,
-            mode,
+            ratio,
             accumulator: 0.0,
         }
-    }
-
-    /// The hybrid backend for `server`: `ratio` of swap-out traffic to the
-    /// node shared pool (falling through to remote and disk when full),
-    /// the rest straight to remote memory.
-    pub fn hybrid(dm: Arc<DisaggregatedMemory>, server: ServerId, ratio: DistributionRatio) -> Self {
-        FastSwapBackend::new(dm, server, FastSwapMode::Hybrid(ratio))
     }
 
     /// Deterministic traffic split: returns `true` when the next page
@@ -70,41 +53,30 @@ impl SwapBackend for FastSwapBackend {
     }
 
     fn store_batch(&mut self, pages: &[(u64, Vec<u8>)]) -> DmemResult<()> {
-        match self.mode {
-            FastSwapMode::DiskCompressed => {
-                let span = self.dm.clock().tracer().span("swap", "fs.store");
-                span.tag("route", "disk");
-                span.tag("pages", pages.len());
-                let batch: Vec<(u64, Vec<u8>)> = pages.to_vec();
-                self.dm.put_batch(self.server, batch, TierPreference::Disk)
-            }
-            FastSwapMode::Hybrid(ratio) => {
-                let mut shared_batch: Vec<(u64, Vec<u8>)> = Vec::new();
-                let mut remote_batch: Vec<(u64, Vec<u8>)> = Vec::new();
-                for (pfn, data) in pages {
-                    if self.next_is_shared(ratio.shared_fraction()) {
-                        shared_batch.push((*pfn, data.clone()));
-                    } else {
-                        remote_batch.push((*pfn, data.clone()));
-                    }
-                }
-                let span = self.dm.clock().tracer().span("swap", "fs.store");
-                span.tag("shared", shared_batch.len());
-                span.tag("remote", remote_batch.len());
-                if !shared_batch.is_empty() {
-                    // Auto tiers shared -> remote -> disk, with the
-                    // overflow legs batched (one replica set per window,
-                    // one seek per disk window).
-                    self.dm
-                        .put_batch(self.server, shared_batch, TierPreference::Auto)?;
-                }
-                if !remote_batch.is_empty() {
-                    self.dm
-                        .put_batch(self.server, remote_batch, TierPreference::Remote)?;
-                }
-                Ok(())
+        let mut shared_batch: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut remote_batch: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (pfn, data) in pages {
+            if self.next_is_shared(self.ratio.shared_fraction()) {
+                shared_batch.push((*pfn, data.clone()));
+            } else {
+                remote_batch.push((*pfn, data.clone()));
             }
         }
+        let span = self.dm.clock().tracer().span("swap", "fs.store");
+        span.tag("shared", shared_batch.len());
+        span.tag("remote", remote_batch.len());
+        if !shared_batch.is_empty() {
+            // Auto tiers shared -> remote -> disk, with the overflow legs
+            // batched (one replica set per window, one seek per disk
+            // window).
+            self.dm
+                .put_batch(self.server, shared_batch, TierPreference::Auto)?;
+        }
+        if !remote_batch.is_empty() {
+            self.dm
+                .put_batch(self.server, remote_batch, TierPreference::Remote)?;
+        }
+        Ok(())
     }
 
     fn load_batch(&mut self, pfns: &[u64], sink: &mut dyn FnMut(usize, &[u8])) -> DmemResult<()> {
@@ -145,11 +117,7 @@ mod tests {
     fn fs_sm_prefers_shared_pool() {
         let dm = cluster();
         let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(
-            Arc::clone(&dm),
-            server,
-            FastSwapMode::Hybrid(DistributionRatio::FS_SM),
-        );
+        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_SM);
         for pfn in 0..8 {
             store_one(&mut b, pfn, page(pfn)).unwrap();
         }
@@ -165,11 +133,7 @@ mod tests {
     fn fs_rdma_sends_everything_remote() {
         let dm = cluster();
         let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(
-            Arc::clone(&dm),
-            server,
-            FastSwapMode::Hybrid(DistributionRatio::FS_RDMA),
-        );
+        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_RDMA);
         let batch: Vec<(u64, Vec<u8>)> = (0..8).map(|p| (p, page(p))).collect();
         b.store_batch(&batch).unwrap();
         let stats = dm.stats();
@@ -188,11 +152,7 @@ mod tests {
     fn ratio_splits_traffic_deterministically() {
         let dm = cluster();
         let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(
-            Arc::clone(&dm),
-            server,
-            FastSwapMode::Hybrid(DistributionRatio::FS_7_3),
-        );
+        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_7_3);
         let batch: Vec<(u64, Vec<u8>)> = (0..100).map(|p| (p, page(p))).collect();
         b.store_batch(&batch).unwrap();
         let stats = dm.stats();
@@ -206,11 +166,7 @@ mod tests {
         config.server.donation = DonationPolicy::fixed(0.0); // zero shared pool
         let dm = Arc::new(DisaggregatedMemory::new(config).unwrap());
         let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(
-            Arc::clone(&dm),
-            server,
-            FastSwapMode::Hybrid(DistributionRatio::FS_SM),
-        );
+        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_SM);
         store_one(&mut b, 1, page(1)).unwrap();
         let stats = dm.stats();
         assert_eq!(stats.shared, 0);
@@ -219,27 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_compressed_mode() {
-        let dm = cluster();
-        let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, FastSwapMode::DiskCompressed);
-        store_one(&mut b, 1, vec![0u8; 4096]).unwrap();
-        let record = dm.record(server, 1).unwrap();
-        assert!(record.location.is_disk());
-        assert!(record.class.is_some(), "disk path still compresses");
-        assert!(record.stored_len < 4096);
-        assert_eq!(load_one(&mut b, 1).unwrap(), vec![0u8; 4096]);
-    }
-
-    #[test]
     fn invalidate_and_contains() {
         let dm = cluster();
         let server = dm.servers()[0];
-        let mut b = FastSwapBackend::new(
-            Arc::clone(&dm),
-            server,
-            FastSwapMode::Hybrid(DistributionRatio::FS_SM),
-        );
+        let mut b = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_SM);
         store_one(&mut b, 9, page(9)).unwrap();
         assert!(b.contains(9));
         b.invalidate(9);

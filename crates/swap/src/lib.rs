@@ -3,12 +3,10 @@
 //! This crate reproduces the paper's §V-A experiments: a paging engine
 //! drives workload page-reference strings through pluggable swap backends,
 //! charging every device operation to the shared virtual clock. The
-//! backends are the four systems the paper compares plus zswap:
+//! backends are the four systems the paper compares:
 //!
 //! * [`LinuxDiskSwap`] — the Linux baseline: pages swap to the node's
 //!   7.2K rpm disk;
-//! * [`ZswapBackend`] — zswap: a compressed RAM cache (zbud) in front of
-//!   the disk;
 //! * [`NbdxBackend`] — NBDX: a remote block device over RDMA, one fixed
 //!   remote peer, per-page 4 KiB messages;
 //! * [`InfiniswapBackend`] — Infiniswap: remote memory paging built on the
@@ -48,7 +46,6 @@ pub mod fastswap;
 pub mod lru;
 pub mod remote_paging;
 pub mod systems;
-pub mod zswap_backend;
 
 pub use backend::SwapBackend;
 pub use disk::LinuxDiskSwap;
@@ -57,4 +54,3 @@ pub use fastswap::FastSwapBackend;
 pub use lru::{FrameFlags, PfnSet};
 pub use remote_paging::{InfiniswapBackend, NbdxBackend, RemotePaging};
 pub use systems::{build_system, build_system_with_pages, run_kv_throughput, run_kv_timeline, run_ml_workload, RunResult, SwapScale, SystemKind};
-pub use zswap_backend::ZswapBackend;

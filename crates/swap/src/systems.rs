@@ -7,9 +7,8 @@
 
 use crate::disk::LinuxDiskSwap;
 use crate::engine::{EngineConfig, EngineStats, PageSource, PagingEngine};
-use crate::fastswap::{FastSwapBackend, FastSwapMode};
+use crate::fastswap::FastSwapBackend;
 use crate::remote_paging::{InfiniswapBackend, NbdxBackend};
-use crate::zswap_backend::ZswapBackend;
 use dmem_cluster::{ClusterMembership, RemoteStore};
 use dmem_core::{DiskTier, DisaggregatedMemory};
 use dmem_net::Fabric;
@@ -18,7 +17,7 @@ use dmem_types::{
     ByteSize, ClusterConfig, CompressionMode, DistributionRatio, DmemError, DmemResult,
     DonationPolicy, NodeConfig, NodeId, ServerConfig, SwapInMode,
 };
-use dmem_workloads::{catalog, KvWorkload, PageAccess, TraceConfig};
+use dmem_workloads::{catalog, AppProfile, KvWorkload, PageAccess, TraceConfig};
 use std::sync::Arc;
 
 /// Which system to build.
@@ -26,8 +25,6 @@ use std::sync::Arc;
 pub enum SystemKind {
     /// Linux disk swapping (the paper's worst baseline).
     Linux,
-    /// zswap compressed RAM cache in front of the disk.
-    Zswap,
     /// NBDX remote block device.
     Nbdx,
     /// Infiniswap remote paging.
@@ -41,9 +38,6 @@ pub enum SystemKind {
         /// Proactive batch swap-in on/off (Figs. 6, 9).
         pbs: bool,
     },
-    /// FastSwap's compression applied to a plain disk swap device
-    /// (Fig. 4(b)).
-    FastSwapDiskCompressed,
 }
 
 impl SystemKind {
@@ -61,7 +55,6 @@ impl SystemKind {
     pub(crate) fn label(&self) -> String {
         match self {
             SystemKind::Linux => "Linux".into(),
-            SystemKind::Zswap => "zswap".into(),
             SystemKind::Nbdx => "NBDX".into(),
             SystemKind::Infiniswap => "Infiniswap".into(),
             SystemKind::FastSwap { ratio, pbs, .. } => {
@@ -71,7 +64,6 @@ impl SystemKind {
                     format!("FastSwap({ratio}, w/o PBS)")
                 }
             }
-            SystemKind::FastSwapDiskCompressed => "FastSwap-disk".into(),
         }
     }
 }
@@ -232,16 +224,6 @@ pub fn build_system_with_pages(
             };
             Ok(PagingEngine::new(config, clock, Box::new(backend), source))
         }
-        SystemKind::Zswap => {
-            let clock = SimClock::new();
-            let server = dmem_types::ServerId::new(NodeId::new(0), 0);
-            // zswap pool sized at 20% of the working set, as commonly
-            // configured.
-            let pool_frames = (scale.working_set_pages / 5).max(2) as usize;
-            let backend =
-                ZswapBackend::new(server, pool_frames, clock.clone(), CostModel::paper_default());
-            Ok(PagingEngine::new(base, clock, Box::new(backend), source))
-        }
         SystemKind::Nbdx => {
             let (clock, store, disk) = remote_env(scale)?;
             let server = dmem_types::ServerId::new(NodeId::new(0), 0);
@@ -262,7 +244,7 @@ pub fn build_system_with_pages(
             let dm = fastswap_cluster(scale, compression)?;
             let server = dm.servers()[0];
             let clock = dm.clock().clone();
-            let backend = FastSwapBackend::hybrid(dm, server, ratio);
+            let backend = FastSwapBackend::new(dm, server, ratio);
             let config = EngineConfig {
                 swap_out_window: 8,
                 swap_in: if pbs {
@@ -279,18 +261,6 @@ pub fn build_system_with_pages(
             };
             Ok(PagingEngine::new(config, clock, Box::new(backend), source))
         }
-        SystemKind::FastSwapDiskCompressed => {
-            let dm = fastswap_cluster(scale, CompressionMode::FourGranularity)?;
-            let server = dm.servers()[0];
-            let clock = dm.clock().clone();
-            let backend = FastSwapBackend::new(dm, server, FastSwapMode::DiskCompressed);
-            let config = EngineConfig {
-                swap_out_window: 8,
-                swap_in: SwapInMode::ProactiveBatch { window: 8 },
-                ..base
-            };
-            Ok(PagingEngine::new(config, clock, Box::new(backend), source))
-        }
     }
 }
 
@@ -303,6 +273,12 @@ pub fn build_system(kind: SystemKind, scale: &SwapScale) -> DmemResult<PagingEng
     build_system_with_pages(kind, scale, 2.8, 0.8)
 }
 
+fn profile(workload: &str) -> DmemResult<AppProfile> {
+    catalog::by_name(workload).ok_or_else(|| DmemError::InvalidConfig {
+        reason: format!("unknown workload {workload}"),
+    })
+}
+
 /// Runs one of the Table-3 ML workloads through `kind` and returns the
 /// completion-time result (the Fig. 5-7 measurement).
 ///
@@ -311,9 +287,7 @@ pub fn build_system(kind: SystemKind, scale: &SwapScale) -> DmemResult<PagingEng
 /// Returns [`DmemError::InvalidConfig`] for unknown workloads plus any
 /// construction failure.
 pub fn run_ml_workload(kind: SystemKind, workload: &str, scale: &SwapScale) -> DmemResult<RunResult> {
-    let profile = catalog::by_name(workload).ok_or_else(|| DmemError::InvalidConfig {
-        reason: format!("unknown workload {workload}"),
-    })?;
+    let profile = profile(workload)?;
     let mut engine = build_system_with_pages(
         kind,
         scale,
@@ -330,6 +304,31 @@ pub fn run_ml_workload(kind: SystemKind, workload: &str, scale: &SwapScale) -> D
     })
 }
 
+/// A key-value store under full memory pressure: `kind`'s engine with the
+/// whole working set swapped out, and `workload`'s op stream.
+fn cold_kv_store(
+    kind: SystemKind,
+    workload: &str,
+    scale: &SwapScale,
+) -> DmemResult<(PagingEngine, KvWorkload)> {
+    let profile = profile(workload)?;
+    // A KV store op costs ~1 us of CPU, far less than the ML workloads'
+    // per-page compute.
+    let scale = SwapScale {
+        compute_per_access: SimDuration::from_micros(1),
+        ..scale.clone()
+    };
+    let mut engine = build_system_with_pages(
+        kind,
+        &scale,
+        profile.compress_mean,
+        profile.compress_spread,
+    )?;
+    engine.preload_swapped(scale.working_set_pages)?;
+    let kv = KvWorkload::from_profile(&profile, scale.working_set_pages, scale.seed);
+    Ok((engine, kv))
+}
+
 /// Runs a key-value workload for `ops` operations and returns
 /// `(throughput_ops_per_sec, result)` — the Fig. 8 measurement. The store
 /// starts under full memory pressure (working set swapped out).
@@ -343,22 +342,7 @@ pub fn run_kv_throughput(
     scale: &SwapScale,
     ops: usize,
 ) -> DmemResult<(f64, RunResult)> {
-    let profile = catalog::by_name(workload).ok_or_else(|| DmemError::InvalidConfig {
-        reason: format!("unknown workload {workload}"),
-    })?;
-    // A KV store op costs ~1 us of CPU, far less than the ML workloads'
-    // per-page compute.
-    let mut scale = scale.clone();
-    scale.compute_per_access = SimDuration::from_micros(1);
-    let scale = &scale;
-    let mut engine = build_system_with_pages(
-        kind,
-        scale,
-        profile.compress_mean,
-        profile.compress_spread,
-    )?;
-    engine.preload_swapped(scale.working_set_pages)?;
-    let mut kv = KvWorkload::from_profile(&profile, scale.working_set_pages, scale.seed);
+    let (mut engine, mut kv) = cold_kv_store(kind, workload, scale)?;
     let trace = std::iter::from_fn(move || {
         let op = kv.next_op();
         Some(PageAccess {
@@ -383,40 +367,41 @@ pub fn run_kv_throughput(
 }
 
 /// Runs a key-value workload against a cold (fully swapped-out) store for
-/// `horizon` of virtual time, returning ops completed per virtual second —
-/// the Fig. 9 recovery timeline.
+/// `horizon` of virtual time and returns the ops per bucket — the Fig. 9
+/// recovery timeline. The horizon is cut into `buckets` buckets of
+/// `horizon / buckets` whole nanoseconds (a remainder joins the last);
+/// an op counts in the bucket of the instant it starts, and no op starts
+/// at or after `horizon`.
 ///
 /// # Errors
 ///
 /// Same as [`run_ml_workload`].
+///
+/// # Panics
+///
+/// Panics if `buckets` is zero.
 pub fn run_kv_timeline(
     kind: SystemKind,
     workload: &str,
     scale: &SwapScale,
     horizon: SimDuration,
+    buckets: usize,
 ) -> DmemResult<Vec<u64>> {
-    let profile = catalog::by_name(workload).ok_or_else(|| DmemError::InvalidConfig {
-        reason: format!("unknown workload {workload}"),
-    })?;
-    let mut scale = scale.clone();
-    scale.compute_per_access = SimDuration::from_micros(1);
-    let scale = &scale;
-    let mut engine = build_system_with_pages(
-        kind,
-        scale,
-        profile.compress_mean,
-        profile.compress_spread,
-    )?;
-    engine.preload_swapped(scale.working_set_pages)?;
-    let mut kv = KvWorkload::from_profile(&profile, scale.working_set_pages, scale.seed);
-    let trace = std::iter::from_fn(move || {
+    assert!(buckets > 0, "a timeline needs at least one bucket");
+    let (mut engine, mut kv) = cold_kv_store(kind, workload, scale)?;
+    let bucket_ns = (horizon.as_nanos() / buckets as u64).max(1);
+    let mut series = vec![0u64; buckets];
+    let start = engine.clock().now();
+    loop {
+        let elapsed = engine.clock().now() - start;
+        if elapsed >= horizon {
+            break;
+        }
         let op = kv.next_op();
-        Some(PageAccess {
-            page: dmem_types::PageId::new(op.key()),
-            write: op.is_write(),
-        })
-    });
-    let (_, series) = engine.run_with_timeline(trace, horizon)?;
+        engine.access(dmem_types::PageId::new(op.key()).pfn(), op.is_write())?;
+        let bucket = (elapsed.as_nanos() / bucket_ns) as usize;
+        series[bucket.min(buckets - 1)] += 1;
+    }
     Ok(series)
 }
 
@@ -429,11 +414,9 @@ mod tests {
         let scale = SwapScale::small();
         for kind in [
             SystemKind::Linux,
-            SystemKind::Zswap,
             SystemKind::Nbdx,
             SystemKind::Infiniswap,
             SystemKind::fastswap_default(),
-            SystemKind::FastSwapDiskCompressed,
         ] {
             let result = run_ml_workload(kind, "KMeans", &scale).unwrap();
             assert!(result.completion > SimDuration::ZERO, "{}", result.system);
@@ -529,10 +512,46 @@ mod tests {
             "Memcached",
             &scale,
             SimDuration::from_secs(5),
+            5,
         )
         .unwrap();
         assert_eq!(series.len(), 5);
         assert!(series.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn timeline_buckets_sum_to_accesses() {
+        // A cold Linux store: its first op is a disk fault that spans many
+        // 100 us buckets, so the bucket it lands in shows which of its
+        // instants counts.
+        let scale = SwapScale::small();
+        let (horizon, buckets) = (SimDuration::from_millis(100), 1000);
+        let series =
+            run_kv_timeline(SystemKind::Linux, "Memcached", &scale, horizon, buckets).unwrap();
+        assert_eq!(series.len(), buckets);
+
+        // Replay the same ops by hand, noting the instant each one starts.
+        let (mut engine, mut kv) = cold_kv_store(SystemKind::Linux, "Memcached", &scale).unwrap();
+        let start = engine.clock().now();
+        let mut starts = Vec::new();
+        while engine.clock().now() - start < horizon {
+            starts.push((engine.clock().now() - start).as_nanos());
+            let op = kv.next_op();
+            engine
+                .access(dmem_types::PageId::new(op.key()).pfn(), op.is_write())
+                .unwrap();
+        }
+        assert_eq!(series.iter().sum::<u64>(), starts.len() as u64);
+
+        let width = horizon.as_nanos() / buckets as u64;
+        let mut by_start = vec![0u64; buckets];
+        for start in &starts {
+            by_start[(start / width) as usize] += 1;
+        }
+        assert_eq!(series, by_start);
+        // The first op starts at 0 and ends past bucket 0, yet counts there.
+        assert!(starts[1] > width, "first op took only {} ns", starts[1]);
+        assert_eq!(series[0], 1);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn page(pfn: u64) -> Vec<u8> {
 fn warm_shared_pool_batch_read_allocates_per_call_not_per_page() {
     let dm = Arc::new(DisaggregatedMemory::new(ClusterConfig::small()).unwrap());
     let server = dm.servers()[0];
-    let mut backend = FastSwapBackend::hybrid(Arc::clone(&dm), server, DistributionRatio::FS_SM);
+    let mut backend = FastSwapBackend::new(Arc::clone(&dm), server, DistributionRatio::FS_SM);
     let pages: Vec<Vec<u8>> = (0..PAGES).map(page).collect();
     let batch: Vec<(u64, Vec<u8>)> = (0..PAGES).map(|pfn| (pfn, pages[pfn as usize].clone())).collect();
     backend.store_batch(&batch).unwrap();

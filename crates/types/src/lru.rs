@@ -2,7 +2,7 @@
 //! recently used, with O(1) touch, insert, remove and evict.
 //!
 //! Every bounded hot set in the workspace (resident page frames, KV hot
-//! entries, cached RDD blocks, zswap entries) is an [`Lru`]. It has no
+//! entries, cached RDD blocks) is an [`Lru`]. It has no
 //! capacity, weight or policy: byte budgets, pins and where a victim
 //! spills to stay with each owner. Its order is that of a per-access tick
 //! counter with a `BTreeMap<tick, key>` beside the table — ticks are

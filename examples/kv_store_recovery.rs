@@ -12,7 +12,8 @@ use memory_disaggregation::swap::{run_kv_timeline, SystemKind};
 fn main() -> DmemResult<()> {
     let mut scale = SwapScale::bench();
     scale.memory_fraction = 0.5;
-    let horizon = SimDuration::from_secs(30);
+    // Thirty one-second buckets.
+    let (horizon, seconds) = (SimDuration::from_secs(30), 30);
 
     let systems = [
         ("FastSwap + PBS", SystemKind::fastswap_default()),
@@ -28,10 +29,10 @@ fn main() -> DmemResult<()> {
     ];
 
     println!("Memcached ETC at 50% memory, cold start (working set on the swap device).");
-    println!("Ops completed per virtual second:\n");
+    println!("Ops started per virtual second:\n");
     let mut serieses = Vec::new();
     for (label, kind) in systems {
-        let series = run_kv_timeline(kind, "Memcached", &scale, horizon)?;
+        let series = run_kv_timeline(kind, "Memcached", &scale, horizon, seconds)?;
         serieses.push((label, series));
     }
 
@@ -40,10 +41,10 @@ fn main() -> DmemResult<()> {
         print!("{label:>20}");
     }
     println!();
-    for second in 0..horizon.as_secs_f64() as usize {
+    for second in 0..seconds {
         print!("{second:>6}");
         for (_, series) in &serieses {
-            print!("{:>20}", series.get(second).copied().unwrap_or(0));
+            print!("{:>20}", series[second]);
         }
         println!();
     }

@@ -6,8 +6,9 @@
 //! cluster-level remote memory over a simulated RDMA fabric — together
 //! with the paper's two prototype applications, **FastSwap** (hybrid
 //! disaggregated swapping) and **DAHI** (off-heap RDD caching), their
-//! baselines (Linux disk swap, zswap, NBDX, Infiniswap, vanilla Spark),
-//! and a bench harness regenerating every table and figure of the paper's
+//! baselines (Linux disk swap, NBDX, Infiniswap, vanilla Spark, and
+//! zswap's zbud packing for Fig. 3's compression ratios), and a bench
+//! harness regenerating every table and figure of the paper's
 //! evaluation.
 //!
 //! This crate is the umbrella: it re-exports the public APIs of the
@@ -36,7 +37,7 @@
 //! | [`alloc`] | object-granularity far-memory heap (size-class allocator) |
 //! | [`sim`] | virtual clock, device cost models, failure injection |
 //! | [`net`] | simulated RDMA verbs, connection management, batching |
-//! | [`compress`] | LZ page codec, size classes, zswap baseline |
+//! | [`compress`] | LZ page codec, size classes, zswap's zbud frame count |
 //! | [`kv`] | Memcached-style cache with a disaggregated overflow tier |
 //! | [`node`] | node-level shared memory pool (LDMC/LDMS) |
 //! | [`qos`] | multi-tenant QoS: quotas, priority eviction, rate limits |

@@ -9,7 +9,6 @@ use proptest::prelude::*;
 fn all_systems() -> Vec<SystemKind> {
     vec![
         SystemKind::Linux,
-        SystemKind::Zswap,
         SystemKind::Nbdx,
         SystemKind::Infiniswap,
         SystemKind::fastswap_default(),
@@ -27,7 +26,7 @@ proptest! {
     #[test]
     fn resident_set_never_exceeds_frames(
         accesses in proptest::collection::vec((0u64..96, any::<bool>()), 1..300),
-        system_idx in 0usize..6,
+        system_idx in 0usize..all_systems().len(),
     ) {
         let mut scale = SwapScale::small();
         scale.working_set_pages = 96;

@@ -4,9 +4,12 @@
 #
 #   tools/bench_pairs.sh <workload>[,<workload>...] <pairs> <base-checkout>
 #                        <change-checkout> [--seconds S] [--layers a,b,c]
+#                        [--first-seed N]
 #
-# Pair i runs seed 13+i on both sides, each through its own
-# benchmark/run.sh, and the side that goes first alternates. Prints every
+# Pair i runs seed N+i on both sides, each through its own
+# benchmark/run.sh, and the side that goes first alternates. N is 13
+# unless --first-seed says otherwise, so a claim can be re-checked on
+# seeds that were not used while writing it. Prints every
 # run, then for each end-to-end metric of the change's BENCHMARK.json each
 # side's quartiles and median, the change of the median, the base's own
 # spread (q3 - q1), the benchmark's bound, how many pairs the change won
@@ -39,7 +42,7 @@ unset CARGO_TARGET_DIR
 
 usage() {
     echo "usage: $0 <workload>[,<workload>...] <pairs> <base-checkout>" \
-        "<change-checkout> [--seconds S] [--layers a,b,c]" >&2
+        "<change-checkout> [--seconds S] [--layers a,b,c] [--first-seed N]" >&2
     exit 2
 }
 
@@ -51,23 +54,24 @@ change=$4
 shift 4
 extra=()
 layers=
+FIRST_SEED=13
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case $1 in
     --seconds) extra+=(--seconds "$2") ;;
     --layers) layers=$2 ;;
+    --first-seed) FIRST_SEED=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
 [ -z "$layers" ] || extra+=(--trace 1)
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+case $FIRST_SEED in '' | *[!0-9]*) usage ;; esac
 case ,$workloads, in *,,*) usage ;; esac
 for side in "$base" "$change"; do
     [ -f "$side/benchmark/run.sh" ] || { echo "$side: no benchmark/run.sh" >&2; exit 2; }
 done
-
-FIRST_SEED=13
 
 # The metrics of the table with their direction and bound, as the
 # change's benchmark declares them: the end-to-end ones, which are the
