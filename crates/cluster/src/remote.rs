@@ -13,6 +13,7 @@ use dmem_types::{ByteSize, DmemError, DmemResult, EntryId, IdMap, NodeId};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Size of a control-plane request/response message (entry id, offsets,
 /// lengths — the "disaggregated memory system channel" traffic).
@@ -90,8 +91,10 @@ impl HostState {
         Some(offset)
     }
 
-    /// Returns an extent to the free list, coalescing neighbours.
-    fn release(&mut self, extent: Extent) {
+    /// Returns an extent to the free list, coalescing neighbours, and
+    /// has the region forget its bytes.
+    fn release(&mut self, fabric: &Fabric, extent: Extent) {
+        fabric.discard(&self.region, extent.offset, extent.len);
         let pos = self
             .free
             .partition_point(|e| e.offset < extent.offset);
@@ -228,11 +231,13 @@ impl RemoteStore {
     /// Returns [`DmemError::CapacityExhausted`] when the host pool cannot
     /// fit the entry, plus any fabric path errors.
     pub fn store(&mut self, from: NodeId, to: NodeId, entry: EntryId, data: &[u8]) -> DmemResult<()> {
-        self.store_batch(from, to, &[(entry, data)])
+        self.store_batch(from, to, &[(entry, Arc::from(data))])
     }
 
     /// Parks a whole window of entries on `to` in one control message and
     /// one RDMA WRITE over a contiguous extent (the §IV-H batching win).
+    /// The host's region holds the entries' buffers, not copies, so the
+    /// replicas of one window share them.
     ///
     /// All-or-nothing: on any failure no entry of the batch is stored.
     ///
@@ -243,7 +248,7 @@ impl RemoteStore {
         &mut self,
         from: NodeId,
         to: NodeId,
-        batch: &[(EntryId, &[u8])],
+        batch: &[(EntryId, Arc<[u8]>)],
     ) -> DmemResult<()> {
         if batch.is_empty() {
             return Ok(());
@@ -259,7 +264,7 @@ impl RemoteStore {
         let state = self.hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
         for (entry, _) in batch {
             if let Some(old) = state.entries.remove(entry) {
-                state.release(old);
+                state.release(&self.fabric, old);
             }
         }
         let region = state.region;
@@ -267,8 +272,8 @@ impl RemoteStore {
         // (one RDMA write, batch-loadable in one span read). Fragmented
         // pools fall back to scattered per-entry extents.
         let mut placed: Vec<(EntryId, Extent)> = Vec::with_capacity(batch.len());
-        let mut writes: Vec<(u64, &[u8])> = Vec::with_capacity(batch.len()); // (offset, bytes)
-        let mut window = Vec::new();
+        // (offset, the batch's buffers written there)
+        let mut writes: Vec<(u64, Range<usize>)> = Vec::with_capacity(batch.len());
         if let Some(base) = state.alloc(total) {
             let mut cursor = base;
             for (entry, data) in batch {
@@ -276,19 +281,9 @@ impl RemoteStore {
                 placed.push((*entry, Extent { offset: cursor, len }));
                 cursor += len;
             }
-            // A window of one is written from the caller's buffer; only a
-            // real window is gathered into one send buffer.
-            if let [(_, only)] = batch {
-                writes.push((base, only));
-            } else {
-                window.reserve_exact(total as usize);
-                for (_, data) in batch {
-                    window.extend_from_slice(data);
-                }
-                writes.push((base, &window));
-            }
+            writes.push((base, 0..batch.len()));
         } else {
-            for (entry, data) in batch {
+            for (i, (entry, data)) in batch.iter().enumerate() {
                 let len = data.len() as u64;
                 let Some(offset) = state.alloc(len) else {
                     self.abandon(to, &placed);
@@ -297,7 +292,7 @@ impl RemoteStore {
                     });
                 };
                 placed.push((*entry, Extent { offset, len }));
-                writes.push((offset, data));
+                writes.push((offset, i..i + 1));
             }
         }
 
@@ -308,8 +303,9 @@ impl RemoteStore {
                 return Err(e);
             }
         };
-        for &(offset, bytes) in &writes {
-            if let Err(e) = self.fabric.write(&qp, bytes, &region, offset) {
+        let bufs: Vec<Arc<[u8]>> = batch.iter().map(|(_, d)| Arc::clone(d)).collect();
+        for (offset, range) in writes {
+            if let Err(e) = self.fabric.write_shared(&qp, &bufs[range], &region, offset) {
                 self.abandon(to, &placed);
                 return Err(e);
             }
@@ -318,10 +314,11 @@ impl RemoteStore {
         let state = self.hosts.get_mut(&to).ok_or(DmemError::NodeUnavailable(to))?;
         for (entry, extent) in placed {
             if let Some(old) = state.entries.insert(entry, extent) {
-                state.release(old);
+                state.release(&self.fabric, old);
             }
         }
         self.advertise(to);
+        debug_assert!(self.holds_only_live(to), "{to} holds freed bytes after a store");
         Ok(())
     }
 
@@ -332,10 +329,27 @@ impl RemoteStore {
     fn abandon(&mut self, to: NodeId, placed: &[(EntryId, Extent)]) {
         if let Some(state) = self.hosts.get_mut(&to) {
             for (_, extent) in placed {
-                state.release(*extent);
+                state.release(&self.fabric, *extent);
             }
         }
         self.advertise(to);
+        debug_assert!(self.holds_only_live(to), "{to} holds freed bytes after a rollback");
+    }
+
+    /// Whether `to`'s region holds exactly the bytes of its live extents:
+    /// every path that frees an extent (a replace, a rollback, a delete)
+    /// has the region forget it, so freed far memory costs no host RAM.
+    ///
+    /// The one known exception is the `LinkDown` orphan (ROADMAP B1): a
+    /// replicated delete that fails with `LinkDown` leaves its copy
+    /// listed here though no cluster record names it any more, so its
+    /// bytes stay held until the host resets, and this check, which
+    /// trusts the listing, counts them as live.
+    fn holds_only_live(&self, to: NodeId) -> bool {
+        self.hosts.get(&to).is_none_or(|state| {
+            let live: u64 = state.entries.values().map(|e| e.len).sum();
+            self.fabric.held_bytes(&state.region) == live
+        })
     }
 
     /// Fetches `entry` back from node `to`.
@@ -431,8 +445,9 @@ impl RemoteStore {
             .entries
             .remove(&entry)
             .ok_or(DmemError::EntryNotFound(entry))?;
-        state.release(extent);
+        state.release(&self.fabric, extent);
         self.advertise(to);
+        debug_assert!(self.holds_only_live(to), "{to} holds freed bytes after a delete");
         Ok(())
     }
 
@@ -456,6 +471,14 @@ impl RemoteStore {
             .unwrap_or_default();
         entries.sort_unstable();
         entries
+    }
+
+    /// Bytes `node`'s region holds (zero for an unknown node).
+    #[cfg(test)]
+    pub(crate) fn held_on(&self, node: NodeId) -> u64 {
+        self.hosts
+            .get(&node)
+            .map_or(0, |s| self.fabric.held_bytes(&s.region))
     }
 
     /// Pool statistics for `node`.
@@ -595,9 +618,8 @@ mod tests {
     fn batch_store_and_contiguous_batch_load() {
         let (clock, _, mut store) = setup(2, 256);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let pages: Vec<Vec<u8>> = (0..16).map(|k| vec![k as u8; 4096]).collect();
-        let batch: Vec<(EntryId, &[u8])> = (0..16)
-            .map(|k| (entry(k), pages[k as usize].as_slice()))
+        let batch: Vec<(EntryId, Arc<[u8]>)> = (0..16)
+            .map(|k| (entry(k), Arc::from(vec![k as u8; 4096])))
             .collect();
         store.store_batch(a, b, &batch).unwrap();
 
@@ -705,6 +727,49 @@ mod tests {
         let stats = store.stats(b).unwrap();
         assert_eq!(stats.capacity, ByteSize::new(4096));
         assert_eq!(stats.free, ByteSize::ZERO);
+    }
+
+    #[test]
+    fn freed_extent_is_forgotten() {
+        let (_, _, mut store) = setup(2, 64);
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        store.store(a, b, entry(1), &[1u8; 4096]).unwrap();
+        store.store(a, b, entry(2), &[2u8; 1000]).unwrap();
+        assert_eq!(store.held_on(b), 5096);
+        store.delete(a, b, entry(1)).unwrap();
+        assert_eq!(store.held_on(b), 1000, "the deleted extent's 4096 bytes");
+        // A replace forgets the old extent; so does a failed store's
+        // rollback.
+        store.store(a, b, entry(2), &[3u8; 500]).unwrap();
+        assert_eq!(store.held_on(b), 500);
+        assert!(store.store(a, b, entry(2), &[0u8; 128 * 1024]).is_err());
+        assert_eq!(store.held_on(b), 0);
+        // Freed far memory reads as zeros.
+        let region = store.hosts[&b].region;
+        let qp = store.channel(a, b, ChannelKind::Data).unwrap();
+        assert_eq!(store.fabric.read(&qp, &region, 0, 4096).unwrap(), vec![0; 4096]);
+    }
+
+    #[test]
+    fn failed_fragmented_store_forgets_what_it_wrote() {
+        let (_, _, mut store) = setup(2, 16);
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        for k in 0..4 {
+            store.store(a, b, entry(k), &[k as u8; 4096]).unwrap();
+        }
+        store.delete(a, b, entry(0)).unwrap();
+        store.delete(a, b, entry(2)).unwrap();
+        // Two 4 KiB holes, no 8 KiB run: the window goes per entry, and
+        // its third entry does not fit.
+        let batch: Vec<(EntryId, Arc<[u8]>)> = (10..13)
+            .map(|k| (entry(k), Arc::from(vec![9u8; 4096])))
+            .collect();
+        assert!(matches!(
+            store.store_batch(a, b, &batch),
+            Err(DmemError::CapacityExhausted { .. })
+        ));
+        assert_eq!(store.held_on(b), 2 * 4096, "entries 1 and 3 only");
+        assert_eq!(store.stats(b).unwrap().entries, 2);
     }
 
     #[test]

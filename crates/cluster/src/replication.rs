@@ -14,6 +14,7 @@ use crate::remote::RemoteStore;
 use dmem_types::{DmemError, DmemResult, EntryId, NodeId, ReplicationFactor};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Replicated store/load/delete over the [`RemoteStore`] it owns.
 pub struct Replicator {
@@ -98,6 +99,7 @@ impl Replicator {
     /// Stores a whole window of entries on one freshly placed replica set,
     /// using one batched RDMA write per replica (§IV-H batching combined
     /// with §IV-D replication), and returns the set, primary first.
+    /// Each entry is copied once, into a buffer every replica holds.
     /// All-or-nothing across the entire batch and every replica: if the
     /// full degree cannot be committed, every already-written copy is
     /// deleted and an error is returned.
@@ -118,12 +120,16 @@ impl Replicator {
         // "identif[ies] a subset of remote nodes that are candidates",
         // §IV-E); only when the whole candidate set cannot host the
         // required degree does the write roll back.
+        let shared: Vec<(EntryId, Arc<[u8]>)> = batch
+            .iter()
+            .map(|&(entry, data)| (entry, Arc::from(data)))
+            .collect();
         let mut remaining: Vec<NodeId> = candidates.to_vec();
         let mut written: Vec<NodeId> = Vec::with_capacity(self.factor.get());
         while written.len() < self.factor.get() && !remaining.is_empty() {
             let node = self.placer.pick(&self.store, &remaining, 1)?[0];
             remaining.retain(|&n| n != node);
-            if self.store.store_batch(from, node, batch).is_ok() {
+            if self.store.store_batch(from, node, &shared).is_ok() {
                 written.push(node);
             }
         }
@@ -232,8 +238,8 @@ impl Replicator {
     }
 
     /// Restores a degraded replica set back to full degree: reads the
-    /// payload from a surviving replica and stores fresh copies on newly
-    /// placed nodes. Returns the repaired set.
+    /// payload from a surviving replica and stores it on newly placed
+    /// nodes, which all hold that one buffer. Returns the repaired set.
     ///
     /// # Errors
     ///
@@ -264,7 +270,7 @@ impl Replicator {
         if missing == 0 {
             return Ok(survivors);
         }
-        let data = self.store.load(from, survivors[0], entry)?;
+        let data = [(entry, Arc::from(self.store.load(from, survivors[0], entry)?))];
         let candidates: Vec<NodeId> = self
             .membership()
             .candidates(from)
@@ -274,7 +280,7 @@ impl Replicator {
         let new_hosts = self.placer.pick(&self.store, &candidates, missing)?;
         let mut nodes = survivors;
         for &node in &new_hosts {
-            self.store.store(from, node, entry, &data)?;
+            self.store.store_batch(from, node, &data)?;
             nodes.push(node);
         }
         Ok(nodes)
@@ -295,7 +301,6 @@ mod tests {
     use dmem_net::{Fabric, FabricFaults, FaultProfile};
     use dmem_sim::{CostModel, DetRng, FailureEvent, FailureInjector, SimClock};
     use dmem_types::{ByteSize, PlacementStrategy, ServerId};
-    use std::sync::Arc;
 
     fn setup(n: u32) -> (FailureInjector, Replicator) {
         let clock = SimClock::new();
@@ -324,6 +329,24 @@ mod tests {
             assert!(rep.store().hosts_entry(n, entry(1)));
         }
         assert_eq!(rep.live_degree(entry(1), &set), 3);
+    }
+
+    #[test]
+    fn replicas_share_one_buffer() {
+        let (_, mut rep) = setup(5);
+        let window: Vec<Vec<u8>> = (0..4u8).map(|k| vec![k; 1024]).collect();
+        let batch: Vec<(EntryId, &[u8])> = (0..4)
+            .map(|k| (entry(k), window[k as usize].as_slice()))
+            .collect();
+        let candidates = rep.membership().candidates(NodeId::new(0));
+        let set = rep
+            .store_batch_replicated(NodeId::new(0), &batch, &candidates)
+            .unwrap();
+        assert_eq!(set.len(), 3);
+        for &n in &set {
+            assert_eq!(rep.store().held_on(n), 4096, "{n} holds the window");
+        }
+        assert_eq!(rep.store().fabric().buffer_bytes(), 4096, "three replicas, one copy");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::fabric::{Fabric, QpHandle, RegionHandle};
 use dmem_types::{DmemError, DmemResult};
+use std::sync::Arc;
 
 /// Accumulates fixed-size messages and flushes them to a remote region in
 /// one RDMA WRITE per full window.
@@ -123,7 +124,8 @@ impl BatchSender {
     }
 
     /// Flushes pending messages (padding each to the fixed message size)
-    /// in a single RDMA WRITE. No-op on an empty window.
+    /// in a single RDMA WRITE, handing the padded window to the region
+    /// as it is. No-op on an empty window.
     ///
     /// # Errors
     ///
@@ -132,16 +134,17 @@ impl BatchSender {
         if self.pending.is_empty() {
             return Ok((self.next_offset, 0));
         }
-        let mut buf = Vec::with_capacity(self.pending.len() * self.message_size);
-        for msg in &self.pending {
-            buf.extend_from_slice(msg);
-            buf.resize(buf.len() + (self.message_size - msg.len()), 0);
+        let len = self.pending.len() * self.message_size;
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let slots = Arc::get_mut(&mut buf).expect("a buffer no one else holds yet");
+        for (slot, msg) in slots.chunks_mut(self.message_size).zip(&self.pending) {
+            slot[..msg.len()].copy_from_slice(msg);
         }
         let start = self.next_offset;
-        fabric.write(&self.qp, &buf, &self.region, start)?;
+        fabric.write_shared(&self.qp, &[buf], &self.region, start)?;
         let count = self.pending.len();
         self.pending.clear();
-        self.next_offset = start + buf.len() as u64;
+        self.next_offset = start + len as u64;
         self.flushed_windows += 1;
         self.messages_sent += count as u64;
         // Wrap to the start when the next window would not fit; the
@@ -151,7 +154,7 @@ impl BatchSender {
                 self.next_offset = 0;
             }
         }
-        Ok((start, buf.len()))
+        Ok((start, len))
     }
 
     /// Declares the remote region capacity so the sender wraps its write

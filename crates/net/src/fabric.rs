@@ -7,7 +7,7 @@ use dmem_sim::{
 };
 use dmem_types::{ByteSize, DmemError, DmemResult, IdMap, MrId, NodeId, QpId, TenantId};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -35,19 +35,35 @@ pub struct QpHandle {
     pub peer: NodeId,
 }
 
-/// Bytes per backing chunk of a region. A chunk is allocated on the
-/// first write that touches it; until then its range reads as zeros.
-const CHUNK: usize = 64 * 1024;
+/// A run of a region's written bytes: `len` bytes of `buf` from `at`.
+/// The buffer is shared and never changed, so every replica written
+/// from it holds the same bytes once.
+struct Piece {
+    buf: Arc<[u8]>,
+    at: usize,
+    len: usize,
+}
+
+impl Piece {
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.at..self.at + self.len]
+    }
+}
 
 /// A registered region. Registered memory costs physical pages only
-/// where it has been written, so the bytes live in [`CHUNK`]-sized
-/// pieces allocated on first write: a receive pool that peers have
-/// filled a third of holds a third of its length in host RAM.
+/// where it has been written, so a region keeps just its written bytes,
+/// as pieces of the writers' buffers keyed by region offset; the rest
+/// reads as zeros. A receive pool that peers have filled a third of
+/// holds a third of its length, and three replicas of one window hold
+/// its buffers once between them.
 struct Region {
     node: NodeId,
     rkey: u64,
     len: usize,
-    chunks: Vec<Option<Box<[u8]>>>,
+    /// Written bytes by region offset; no two pieces overlap.
+    pieces: BTreeMap<usize, Piece>,
+    /// The pieces' total length.
+    held: usize,
 }
 
 impl Region {
@@ -56,42 +72,89 @@ impl Region {
             node,
             rkey,
             len,
-            chunks: (0..len.div_ceil(CHUNK)).map(|_| None).collect(),
+            pieces: BTreeMap::new(),
+            held: 0,
         }
     }
 
-    /// Copies `data` in at `start`, allocating each chunk it touches
-    /// that was never written. The caller has checked the bounds.
-    fn write(&mut self, start: usize, data: &[u8]) {
+    /// Places `bufs` end to end from `start`, over whatever was there.
+    /// The caller has checked the bounds.
+    fn write(&mut self, start: usize, bufs: &[Arc<[u8]>]) {
+        let total = bufs.iter().map(|b| b.len()).sum::<usize>();
+        self.forget(start, start + total);
         let mut at = start;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let (index, offset) = (at / CHUNK, at % CHUNK);
-            let take = rest.len().min(CHUNK - offset);
-            // The last chunk covers only what is left of the region.
-            let size = CHUNK.min(self.len - index * CHUNK);
-            let chunk = self.chunks[index].get_or_insert_with(|| vec![0; size].into_boxed_slice());
-            chunk[offset..offset + take].copy_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            at += take;
+        for buf in bufs.iter().filter(|b| !b.is_empty()) {
+            let len = buf.len();
+            self.pieces.insert(at, Piece { buf: Arc::clone(buf), at: 0, len });
+            self.held += len;
+            at += len;
         }
     }
 
-    /// The `len` bytes at `start`, zeros where nothing was written. The
-    /// caller has checked the bounds.
-    fn read(&self, start: usize, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let end = start + len;
-        let mut at = start;
-        while at < end {
-            let (index, offset) = (at / CHUNK, at % CHUNK);
-            let take = (end - at).min(CHUNK - offset);
-            match &self.chunks[index] {
-                Some(chunk) => out.extend_from_slice(&chunk[offset..offset + take]),
-                None => out.resize(out.len() + take, 0),
+    /// Drops the bytes of `start..end`, trimming the pieces that reach
+    /// into it: from then on the range reads as zeros. Walks the pieces
+    /// from the right, so a range nothing overlaps costs one lookup.
+    fn forget(&mut self, start: usize, end: usize) {
+        if start >= end {
+            return;
+        }
+        while let Some((&at, piece)) = self.pieces.range_mut(..end).next_back() {
+            let piece_end = at + piece.len;
+            if piece_end <= start {
+                return;
             }
-            at += take;
+            if at < start {
+                // It begins before the range: it keeps its head, and its
+                // tail too if it runs past the range. Nothing further
+                // left reaches the range.
+                piece.len = start - at;
+                self.held -= piece_end.min(end) - start;
+                if piece_end > end {
+                    let tail = Piece {
+                        buf: Arc::clone(&piece.buf),
+                        at: piece.at + (end - at),
+                        len: piece_end - end,
+                    };
+                    self.pieces.insert(end, tail);
+                }
+                return;
+            }
+            // It begins inside the range: it goes, but for what runs past
+            // the range's end.
+            let mut piece = self.pieces.remove(&at).expect("piece just seen");
+            if piece_end > end {
+                let cut = end - at;
+                piece.at += cut;
+                piece.len -= cut;
+                self.held -= cut;
+                self.pieces.insert(end, piece);
+            } else {
+                self.held -= piece.len;
+            }
         }
+    }
+
+    /// The `len` bytes at `start`, zeros where nothing is held. A read
+    /// inside one piece is one lookup and one copy. The caller has
+    /// checked the bounds.
+    fn read(&self, start: usize, len: usize) -> Vec<u8> {
+        let end = start + len;
+        let before = self.pieces.range(..=start).next_back();
+        if let Some((&at, piece)) = before {
+            if at + piece.len >= end {
+                return piece.bytes()[start - at..end - at].to_vec();
+            }
+        }
+        let mut out = Vec::with_capacity(len);
+        let from = before.map_or(start, |(&at, _)| at);
+        for (&at, piece) in self.pieces.range(from..end) {
+            let (lo, hi) = (at.max(start), (at + piece.len).min(end));
+            if lo < hi {
+                out.resize(lo - start, 0);
+                out.extend_from_slice(&piece.bytes()[lo - at..hi - at]);
+            }
+        }
+        out.resize(len, 0);
         out
     }
 }
@@ -596,7 +659,9 @@ impl Fabric {
     }
 
     /// One-sided RDMA WRITE: places `data` into the remote region at
-    /// `offset` without involving the remote CPU.
+    /// `offset` without involving the remote CPU. The region keeps one
+    /// copy of `data`; [`Fabric::write_shared`] writes a caller's buffers
+    /// without one.
     ///
     /// # Errors
     ///
@@ -607,34 +672,92 @@ impl Fabric {
     /// ([`DmemError::RegionOutOfBounds`]), or the region is not on the
     /// peer node ([`DmemError::AccessDenied`]).
     pub fn write(&self, qp: &QpHandle, data: &[u8], region: &RegionHandle, offset: u64) -> DmemResult<()> {
-        self.with_retry("write", || self.write_attempt(qp, data, region, offset))
+        self.write_shared(qp, &[Arc::from(data)], region, offset)
+    }
+
+    /// One-sided RDMA WRITE with a gather list: places `bufs` end to end
+    /// into the remote region from `offset`, as one verb that moves
+    /// their total length. The region holds the buffers themselves, not
+    /// copies, so regions written from the same buffers share them.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Fabric::write`].
+    pub fn write_shared(
+        &self,
+        qp: &QpHandle,
+        bufs: &[Arc<[u8]>],
+        region: &RegionHandle,
+        offset: u64,
+    ) -> DmemResult<()> {
+        let total = bufs.iter().map(|b| b.len()).sum::<usize>();
+        self.with_retry("write", || self.write_attempt(qp, bufs, total, region, offset))
     }
 
     fn write_attempt(
         &self,
         qp: &QpHandle,
-        data: &[u8],
+        bufs: &[Arc<[u8]>],
+        total: usize,
         region: &RegionHandle,
         offset: u64,
     ) -> DmemResult<()> {
         let span = self.clock.tracer().span("net", "write");
-        span.tag("bytes", data.len());
-        self.one_sided_access(qp, region, offset, data.len())?;
-        self.inject_verb_fault("write", data.len())?;
+        span.tag("bytes", total);
+        self.one_sided_access(qp, region, offset, total)?;
+        self.inject_verb_fault("write", total)?;
         let t0 = self.clock.now();
-        self.clock.advance(self.cost.rdma.transfer(data.len()));
+        self.clock.advance(self.cost.rdma.transfer(total));
         let elapsed = self.clock.now() - t0;
         let mut inner = self.inner.lock();
         let r = inner
             .regions
             .get_mut(&region.mr)
             .ok_or(DmemError::RegionNotRegistered)?;
-        r.write(offset as usize, data);
+        r.write(offset as usize, bufs);
         self.handles.write_ops.inc();
-        self.handles.write_bytes.add(data.len() as u64);
+        self.handles.write_bytes.add(total as u64);
         self.handles.write_ns.record(elapsed.as_nanos());
-        self.charge_tenant(data.len() as u64);
+        self.charge_tenant(total as u64);
         Ok(())
+    }
+
+    /// Forgets `len` bytes of `region` from `offset`: the host freed
+    /// them, so they read as zeros from now on and hold no memory. A
+    /// local act of the owner: no verb, no virtual time, no metric. A
+    /// region that is gone, or a range past its end, is ignored.
+    pub fn discard(&self, region: &RegionHandle, offset: u64, len: u64) {
+        let mut inner = self.inner.lock();
+        if let Some(r) = inner.regions.get_mut(&region.mr) {
+            let start = (offset as usize).min(r.len);
+            let end = (offset.saturating_add(len) as usize).min(r.len);
+            r.forget(start, end);
+        }
+    }
+
+    /// Bytes `region` holds written: what it keeps in host memory (zero
+    /// for a region that is gone).
+    pub fn held_bytes(&self, region: &RegionHandle) -> u64 {
+        self.inner
+            .lock()
+            .regions
+            .get(&region.mr)
+            .map_or(0, |r| r.held as u64)
+    }
+
+    /// Bytes of the distinct buffers every region's pieces keep alive:
+    /// a buffer several regions share counts once, and one a later
+    /// write trimmed counts whole.
+    pub fn buffer_bytes(&self) -> u64 {
+        let inner = self.inner.lock();
+        let mut seen = std::collections::BTreeSet::new();
+        inner
+            .regions
+            .values()
+            .flat_map(|r| r.pieces.values())
+            .filter(|p| seen.insert(Arc::as_ptr(&p.buf).cast::<u8>()))
+            .map(|p| p.buf.len() as u64)
+            .sum()
     }
 
     /// One-sided RDMA READ: fetches `len` bytes from the remote region.
@@ -1028,40 +1151,12 @@ mod tests {
         assert_eq!(f.metrics().counter("net.send.bytes").get(), 16);
     }
 
-    /// A region whose length is not a whole number of chunks, on node 1,
-    /// with a queue pair from node 0.
+    /// A 200 KiB region on node 1, with a queue pair from node 0.
     fn sparse_region(f: &Fabric) -> (RegionHandle, QpHandle, usize) {
-        let len = 3 * CHUNK + 100;
+        let len = 200 * 1024 + 100;
         let mr = f.register(NodeId::new(1), ByteSize::from(len)).unwrap();
         let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         (mr, qp, len)
-    }
-
-    /// How many of `mr`'s chunks hold bytes.
-    fn backed_chunks(f: &Fabric, mr: &RegionHandle) -> usize {
-        let inner = f.inner.lock();
-        inner.regions[&mr.mr]
-            .chunks
-            .iter()
-            .filter(|c| c.is_some())
-            .count()
-    }
-
-    #[test]
-    fn write_straddling_a_chunk_boundary_round_trips() {
-        let (_, _, f) = fabric();
-        let (mr, qp, _) = sparse_region(&f);
-        let data: Vec<u8> = (0..300u16).map(|i| (i % 251) as u8 + 1).collect();
-        let at = (CHUNK - 100) as u64;
-        f.write(&qp, &data, &mr, at).unwrap();
-        assert_eq!(f.read(&qp, &mr, at, data.len()).unwrap(), data);
-        // Both chunks the write touched are backed, and only those.
-        assert_eq!(backed_chunks(&f, &mr), 2);
-        // A read wider than the write sees zeros on either side.
-        let wide = f.read(&qp, &mr, at - 8, data.len() + 16).unwrap();
-        assert_eq!(&wide[..8], &[0; 8]);
-        assert_eq!(&wide[8..8 + data.len()], &data[..]);
-        assert_eq!(&wide[8 + data.len()..], &[0; 8]);
     }
 
     #[test]
@@ -1069,33 +1164,28 @@ mod tests {
         let (_, _, f) = fabric();
         let (mr, qp, len) = sparse_region(&f);
         assert_eq!(f.read(&qp, &mr, 0, len).unwrap(), vec![0; len]);
-        assert_eq!(backed_chunks(&f, &mr), 0, "reads back nothing");
-        // Chunks 0 and 2 written, chunk 1 between them never touched.
+        assert_eq!(f.held_bytes(&mr), 0, "reads hold nothing");
+        // Two writes far apart, the range between them never touched.
+        let far = 150 * 1024;
         f.write(&qp, &[0xAA; 16], &mr, 8).unwrap();
-        f.write(&qp, &[0xBB; 16], &mr, (2 * CHUNK + 8) as u64)
-            .unwrap();
-        assert_eq!(backed_chunks(&f, &mr), 2);
+        f.write(&qp, &[0xBB; 16], &mr, far as u64 + 8).unwrap();
+        assert_eq!(f.held_bytes(&mr), 32);
         let all = f.read(&qp, &mr, 0, len).unwrap();
         assert_eq!(all.len(), len);
         for (i, &b) in all.iter().enumerate() {
             let want = match i {
                 8..24 => 0xAA,
-                i if (2 * CHUNK + 8..2 * CHUNK + 24).contains(&i) => 0xBB,
+                i if (far + 8..far + 24).contains(&i) => 0xBB,
                 _ => 0,
             };
             assert_eq!(b, want, "byte {i}");
         }
-        assert_eq!(
-            f.read(&qp, &mr, CHUNK as u64, CHUNK).unwrap(),
-            vec![0; CHUNK]
-        );
     }
 
     #[test]
     fn write_ending_on_the_last_byte_works() {
         let (_, _, f) = fabric();
         let (mr, qp, len) = sparse_region(&f);
-        // The tail chunk is only 100 bytes long; fill it to the end.
         let at = (len - 150) as u64;
         f.write(&qp, &[7; 150], &mr, at).unwrap();
         assert_eq!(f.read(&qp, &mr, at, 150).unwrap(), vec![7; 150]);
@@ -1122,14 +1212,125 @@ mod tests {
                 Err(DmemError::RegionOutOfBounds { .. })
             ));
         }
-        // Rejected writes back nothing; accepted ones leave the
+        // Rejected writes hold nothing; accepted ones leave the
         // registered total where registration put it.
-        assert_eq!(backed_chunks(&f, &mr), 0);
+        assert_eq!(f.held_bytes(&mr), 0);
         f.write(&qp, &vec![1; len], &mr, 0).unwrap();
-        assert_eq!(backed_chunks(&f, &mr), 4);
+        assert_eq!(f.held_bytes(&mr), len as u64);
         assert_eq!(f.registered_bytes(NodeId::new(1)), ByteSize::from(len));
         f.deregister(&mr).unwrap();
         assert_eq!(f.registered_bytes(NodeId::new(1)), ByteSize::ZERO);
+        assert_eq!(f.held_bytes(&mr), 0);
+    }
+
+    #[test]
+    fn gather_write_is_one_verb_over_shared_buffers() {
+        let (clock, _, f) = fabric();
+        let a = f.register(NodeId::new(1), ByteSize::from_kib(64)).unwrap();
+        let b = f.register(NodeId::new(1), ByteSize::from_kib(64)).unwrap();
+        let qp = f.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        let bufs: Vec<Arc<[u8]>> = (1..=3u8).map(|k| Arc::from(vec![k; 1000])).collect();
+        let t0 = clock.now();
+        f.write_shared(&qp, &bufs, &a, 24).unwrap();
+        let gathered = clock.now() - t0;
+        let t1 = clock.now();
+        f.write(&qp, &[0; 3000], &b, 24).unwrap();
+        assert_eq!(gathered, clock.now() - t1, "one transfer of the total");
+        assert_eq!(f.metrics().counter("net.write.ops").get(), 2);
+        assert_eq!(f.metrics().counter("net.write.bytes").get(), 6000);
+        f.write_shared(&qp, &bufs, &b, 24).unwrap();
+        // Both regions hold the three buffers themselves: no copies.
+        assert!(bufs.iter().all(|buf| Arc::strong_count(buf) == 3));
+        assert_eq!(f.buffer_bytes(), 3000);
+        let back = f.read(&qp, &b, 24, 3000).unwrap();
+        assert_eq!(back, [[1u8; 1000], [2; 1000], [3; 1000]].concat());
+    }
+
+    #[test]
+    fn discard_forgets_bytes_locally() {
+        let (clock, _, f) = fabric();
+        let (mr, qp, len) = sparse_region(&f);
+        f.write(&qp, &[5; 4096], &mr, 0).unwrap();
+        let (now, counters) = (clock.now(), f.metrics().counter_snapshot());
+        f.discard(&mr, 1024, 2048);
+        assert_eq!(clock.now(), now, "no virtual time");
+        assert_eq!(f.metrics().counter_snapshot(), counters, "no metric");
+        assert_eq!(f.held_bytes(&mr), 2048);
+        let back = f.read(&qp, &mr, 0, 4096).unwrap();
+        assert_eq!(back, [[5u8; 1024], [0; 1024], [0; 1024], [5; 1024]].concat());
+        // Past the end, or on a region that is gone: nothing to forget.
+        f.discard(&mr, len as u64 - 10, u64::MAX);
+        f.deregister(&mr).unwrap();
+        f.discard(&mr, 0, 4096);
+    }
+
+    /// One step of the [`Region`] model check.
+    #[derive(Debug, Clone)]
+    enum RegionOp {
+        /// A gather list of `(length, fill byte)` buffers at an offset.
+        Write(usize, Vec<(usize, u8)>),
+        Discard(usize, usize),
+        Read(usize, usize),
+    }
+
+    const MODEL_LEN: usize = 600;
+
+    fn region_op() -> impl proptest::Strategy<Value = RegionOp> {
+        use proptest::prelude::*;
+        let at = 0..MODEL_LEN;
+        let span = 0usize..160;
+        let buf = (0usize..90, 1u8..=255);
+        prop_oneof![
+            (at.clone(), proptest::collection::vec(buf, 0..4))
+                .prop_map(|(at, bufs)| RegionOp::Write(at, bufs)),
+            (at.clone(), span.clone()).prop_map(|(at, n)| RegionOp::Discard(at, n)),
+            (at, span).prop_map(|(at, n)| RegionOp::Read(at, n)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// A region reads like a flat byte array whose freed and
+        /// never-written bytes are zeros, and holds exactly the bytes
+        /// written and not since discarded, in pieces that never overlap.
+        #[test]
+        fn prop_region_matches_a_flat_array(
+            ops in proptest::collection::vec(region_op(), 1..40),
+        ) {
+            let mut region = Region::new(NodeId::new(1), 0, MODEL_LEN);
+            let mut bytes = vec![0u8; MODEL_LEN];
+            let mut held = vec![false; MODEL_LEN];
+            for op in ops {
+                match op {
+                    RegionOp::Write(at, spec) => {
+                        let total: usize = spec.iter().map(|&(n, _)| n).sum();
+                        let at = at.min(MODEL_LEN - total);
+                        let bufs: Vec<Arc<[u8]>> =
+                            spec.iter().map(|&(n, fill)| Arc::from(vec![fill; n])).collect();
+                        region.write(at, &bufs);
+                        let flat: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+                        bytes[at..at + total].copy_from_slice(&flat);
+                        held[at..at + total].fill(true);
+                    }
+                    RegionOp::Discard(at, n) => {
+                        let end = (at + n).min(MODEL_LEN);
+                        region.forget(at, end);
+                        bytes[at..end].fill(0);
+                        held[at..end].fill(false);
+                    }
+                    RegionOp::Read(at, n) => {
+                        let n = n.min(MODEL_LEN - at);
+                        proptest::prop_assert_eq!(region.read(at, n), bytes[at..at + n].to_vec());
+                    }
+                }
+                proptest::prop_assert_eq!(region.held, held.iter().filter(|&&h| h).count());
+                let mut end = 0;
+                for (&at, piece) in &region.pieces {
+                    proptest::prop_assert!(at >= end && piece.len > 0, "pieces overlap at {at}");
+                    end = at + piece.len;
+                }
+            }
+            proptest::prop_assert_eq!(region.read(0, MODEL_LEN), bytes);
+        }
     }
 
     #[test]
