@@ -20,7 +20,7 @@
 //! advances and creates zero extra metric keys, keeping fault-free runs
 //! byte-identical to builds that predate this module.
 
-use dmem_sim::{DetRng, SimDuration, SimInstant};
+use dmem_sim::{DetRng, SimDuration};
 use parking_lot::Mutex;
 use std::fmt;
 
@@ -165,150 +165,9 @@ impl fmt::Debug for FabricFaults {
     }
 }
 
-/// One host outage window in a sharded rack simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostOutage {
-    /// The host that goes down.
-    pub host: usize,
-    /// When the host stops answering.
-    pub from: SimInstant,
-    /// When the host is back (exclusive: answering again at this time).
-    pub until: SimInstant,
-}
-
-/// A deterministic host-outage schedule for the sharded rack model.
-///
-/// The sharded engine cannot share one [`FabricFaults`] stream across
-/// shards (a shared RNG would couple shard execution order to draw
-/// order), so rack-scale fault schedules are generated *up front* from
-/// the root seed and dealt to each host's owning shard — every shard
-/// sees exactly the outages of its own hosts, no cross-shard draws ever
-/// happen, and the schedule is identical at every worker count.
-///
-/// # Examples
-///
-/// ```
-/// use dmem_net::ShardFaultSchedule;
-/// use dmem_sim::SimDuration;
-///
-/// let horizon = SimDuration::from_millis(1);
-/// let schedule = ShardFaultSchedule::generate(7, 64, horizon, 0.25);
-/// let again = ShardFaultSchedule::generate(7, 64, horizon, 0.25);
-/// assert_eq!(schedule.outages(), again.outages());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFaultSchedule {
-    outages: Vec<HostOutage>,
-}
-
-impl ShardFaultSchedule {
-    /// Generates the outage schedule: each host independently suffers at
-    /// most one outage with probability `outage_fraction`, starting
-    /// uniformly inside the first half of `horizon` and lasting a
-    /// uniform 5–20% of `horizon` (clamped to end before `horizon`, so
-    /// runs always finish with every host back up and suspects can
-    /// resolve). Outages are listed in host order.
-    pub fn generate(
-        root_seed: u64,
-        hosts: usize,
-        horizon: SimDuration,
-        outage_fraction: f64,
-    ) -> Self {
-        let root = DetRng::new(root_seed);
-        let mut outages = Vec::new();
-        for host in 0..hosts {
-            let mut rng = root.fork_indexed("rack.outage", host as u64);
-            if !rng.chance(outage_fraction) {
-                continue;
-            }
-            let h = horizon.as_nanos();
-            let from = rng.below((h / 2).max(1) as usize) as u64;
-            let len = h / 20 + rng.below((h * 3 / 20).max(1) as usize) as u64;
-            let until = (from + len).min(h.saturating_sub(1));
-            if until <= from {
-                continue;
-            }
-            outages.push(HostOutage {
-                host,
-                from: SimInstant::from_nanos(from),
-                until: SimInstant::from_nanos(until),
-            });
-        }
-        ShardFaultSchedule { outages }
-    }
-
-    /// All outage windows, in host order.
-    pub fn outages(&self) -> &[HostOutage] {
-        &self.outages
-    }
-
-    /// The outage windows of hosts in `[range.start, range.end)` — the
-    /// deal handed to the shard owning that host group.
-    pub fn for_hosts(&self, range: std::ops::Range<usize>) -> Vec<HostOutage> {
-        self.outages
-            .iter()
-            .filter(|o| range.contains(&o.host))
-            .copied()
-            .collect()
-    }
-
-    /// Number of scheduled outages.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.outages.len()
-    }
-
-    /// `true` when no outages are scheduled.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.outages.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outage_schedule_is_deterministic_and_bounded() {
-        let horizon = SimDuration::from_millis(2);
-        let s = ShardFaultSchedule::generate(11, 100, horizon, 0.3);
-        assert_eq!(s, ShardFaultSchedule::generate(11, 100, horizon, 0.3));
-        assert!(!s.is_empty(), "30% of 100 hosts should fault");
-        assert!(s.len() < 60, "should stay near the configured fraction");
-        let end = SimInstant::from_nanos(horizon.as_nanos());
-        for o in s.outages() {
-            assert!(o.from < o.until, "window must be non-empty");
-            assert!(o.until < end, "every host must be back up before the horizon");
-        }
-        // Host order, one outage per host.
-        for w in s.outages().windows(2) {
-            assert!(w[0].host < w[1].host);
-        }
-    }
-
-    #[test]
-    fn outage_schedule_deals_by_host_group() {
-        let horizon = SimDuration::from_millis(1);
-        let s = ShardFaultSchedule::generate(3, 64, horizon, 0.5);
-        let mut dealt = 0;
-        for group in [0..16, 16..32, 32..48, 48..64] {
-            let part = s.for_hosts(group.clone());
-            assert!(part.iter().all(|o| group.contains(&o.host)));
-            dealt += part.len();
-        }
-        assert_eq!(dealt, s.len(), "the deal partitions the schedule");
-    }
-
-    #[test]
-    fn outage_schedule_independent_of_host_count_prefix() {
-        // Per-host forked streams: host h's outage is the same whether
-        // the rack has 32 or 64 hosts — growth doesn't reshuffle faults.
-        let horizon = SimDuration::from_millis(1);
-        let small = ShardFaultSchedule::generate(9, 32, horizon, 0.4);
-        let large = ShardFaultSchedule::generate(9, 64, horizon, 0.4);
-        assert_eq!(small.outages(), large.for_hosts(0..32).as_slice());
-    }
 
     #[test]
     fn backoff_sequence_doubles_then_caps() {

@@ -44,14 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cm;
 pub mod cxl;
 pub mod fabric;
 pub mod faults;
 
-pub use batch::BatchSender;
 pub use cm::{ChannelKind, ConnectionManager};
 pub use cxl::{CxlAddr, CxlCostModel, CxlPool, CxlRing};
 pub use fabric::{Fabric, QpHandle, RegionHandle};
-pub use faults::{FabricFaults, FaultProfile, HostOutage, ShardFaultSchedule, VerbOutcome};
+pub use faults::{FabricFaults, FaultProfile, VerbOutcome};

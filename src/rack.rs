@@ -26,15 +26,14 @@
 //! suspected-but-live memory server would.
 
 use dmem_cluster::spread_replicas_into;
-use dmem_net::{HostOutage, ShardFaultSchedule};
 use dmem_sim::shard::{EngineReport, EpochCtx, LaneProfile, ShardWorker, ShardedEngine};
 use dmem_sim::{
     digest, splitmix64, CostModel, DetRng, EventQueue, FlightRecorder, LazyCounter, LazyHistogram,
     MetricWindow, MetricsRegistry, MetricsSnapshot, ShardEventLog, ShardId, ShardMap,
     SimDuration, SimInstant, Timeline, WindowSampler,
 };
-use dmem_types::IdMap;
-use std::collections::VecDeque;
+use dmem_types::{IdMap, Lru};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Replica copies per page.
@@ -198,6 +197,46 @@ struct InflightFault {
     floor: u32,
 }
 
+/// One host outage window: `host` stops answering at `from` and answers
+/// again at `until`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HostOutage {
+    host: usize,
+    from: SimInstant,
+    until: SimInstant,
+}
+
+/// The outage windows of `hosts`, in host order: each host independently
+/// suffers at most one outage with probability `fraction`, starting
+/// uniformly inside the first half of `horizon` and lasting a uniform
+/// 5-20 % of it (clamped to end before `horizon`, so every host is back
+/// up and suspects can resolve before the run ends).
+///
+/// Each host draws from its own stream forked off `seed`, so a shard
+/// computes exactly its own hosts' windows up front: no stream is shared
+/// across shards, and host h's window is the same whatever the host
+/// count, the partition or the worker count.
+fn outages(seed: u64, hosts: Range<usize>, horizon: SimDuration, fraction: f64) -> Vec<HostOutage> {
+    let root = DetRng::new(seed);
+    let h = horizon.as_nanos();
+    hosts
+        .filter_map(|host| {
+            let mut rng = root.fork_indexed("rack.outage", host as u64);
+            if !rng.chance(fraction) {
+                return None;
+            }
+            let from = rng.below((h / 2).max(1) as usize) as u64;
+            let len = h / 20 + rng.below((h * 3 / 20).max(1) as usize) as u64;
+            let until = (from + len).min(h.saturating_sub(1));
+            (from < until).then(|| HostOutage {
+                host,
+                from: SimInstant::from_nanos(from),
+                until: SimInstant::from_nanos(until),
+            })
+        })
+        .collect()
+}
+
 /// One cached frame.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -208,10 +247,10 @@ struct Frame {
 /// Per-host state, owned by the host's shard.
 struct HostState {
     rng: DetRng,
-    /// Resident pages (global ids) with their version + dirty bit.
-    frames: IdMap<u64, Frame>,
-    /// FIFO eviction order of resident pages.
-    fifo: VecDeque<u64>,
+    /// Resident pages (global ids) with their version + dirty bit, in
+    /// install order: a hit reads its frame with `get_mut`, which leaves
+    /// the order alone, so `pop_lru` evicts first in, first out.
+    frames: Lru<u64, Frame>,
     /// Lower bound a read of each page must satisfy (raised only after
     /// all replicas acked the writeback).
     expected: IdMap<u64, u32>,
@@ -303,11 +342,10 @@ struct RackShard {
 }
 
 impl RackShard {
-    fn new(shard: ShardId, cfg: &RackConfig, map: &ShardMap, outages: Vec<HostOutage>) -> Self {
+    fn new(shard: ShardId, cfg: &RackConfig, map: &ShardMap, cost: &CostModel) -> Self {
         let registry = MetricsRegistry::new();
         let mut sampler = WindowSampler::new(TIMELINE_WINDOW);
         sampler.add_registry(registry.clone());
-        let cost = CostModel::paper_default();
         let owned = map.hosts_of(shard);
         let mut rack = RackShard {
             shard,
@@ -322,7 +360,12 @@ impl RackShard {
             store: IdMap::default(),
             replicas: Vec::new(),
             used_shards: Vec::new(),
-            outages,
+            outages: outages(
+                cfg.seed ^ 0xfa,
+                owned.clone(),
+                cfg.outage_horizon(),
+                OUTAGE_FRACTION,
+            ),
             metrics: RackMetrics::new(&registry),
             registry,
             log: ShardEventLog::new(shard.0, cfg.trace_sample),
@@ -339,8 +382,7 @@ impl RackShard {
             let kickoff = SimInstant::from_nanos(rng.below(2_000) as u64);
             rack.hosts.push(HostState {
                 rng,
-                frames: IdMap::with_capacity_and_hasher(frames, Default::default()),
-                fifo: VecDeque::with_capacity(frames),
+                frames: Lru::with_capacity(frames),
                 expected: IdMap::default(),
                 pending_writes: IdMap::default(),
                 suspects: Vec::new(),
@@ -515,10 +557,8 @@ impl RackShard {
         let victim = {
             let state = self.host(host);
             state.frames.insert(page, Frame { version, dirty });
-            state.fifo.push_back(page);
             if state.frames.len() > frames_cap {
-                let victim = state.fifo.pop_front().expect("fifo tracks frames");
-                state.frames.remove(&victim).map(|f| (victim, f))
+                state.frames.pop_lru()
             } else {
                 None
             }
@@ -880,7 +920,7 @@ impl RackReport {
 /// shares + `report` is the call's wall time.
 #[derive(Debug, Clone)]
 pub struct RackProfile {
-    /// Building the fault schedule and the shards.
+    /// Building the shards and their hosts' outage windows.
     pub setup: Duration,
     /// One entry per worker thread the engine used.
     pub lanes: Vec<LaneProfile>,
@@ -927,22 +967,14 @@ pub fn run_rack_profiled(config: &RackConfig, workers: usize) -> (RackReport, Ra
 /// The shards of `config`, ready to run, and the epoch length.
 fn build_shards(config: &RackConfig) -> (Vec<RackShard>, SimDuration) {
     let map = config.shard_map();
-    let schedule = ShardFaultSchedule::generate(
-        config.seed ^ 0xfau64,
-        config.hosts,
-        config.outage_horizon(),
-        OUTAGE_FRACTION,
-    );
+    let cost = CostModel::paper_default();
     let shards = (0..map.shards())
-        .map(|s| {
-            let shard = ShardId(s);
-            RackShard::new(shard, config, &map, schedule.for_hosts(map.hosts_of(shard)))
-        })
+        .map(|s| RackShard::new(ShardId(s), config, &map, &cost))
         .collect();
     // Conservative lookahead: every rack message rides the RDMA fabric,
     // so the minimum cross-shard latency is one small-message transfer,
     // and the epoch is as long as that allows.
-    (shards, CostModel::paper_default().rdma.transfer(64))
+    (shards, cost.rdma.transfer(64))
 }
 
 /// Deterministic post-run: checks quiescence and merges shard-local
@@ -1088,6 +1120,55 @@ mod tests {
         assert!(report.failovers > 0, "outages must force failovers");
         assert!(report.probes > 0, "failovers must arm probes");
         // run_rack asserted quiescence: suspects resolved, writes acked.
+    }
+
+    #[test]
+    fn outage_schedule_repeats_for_a_seed() {
+        let horizon = SimDuration::from_millis(1);
+        assert_eq!(outages(7, 0..64, horizon, 0.25), outages(7, 0..64, horizon, 0.25));
+    }
+
+    #[test]
+    fn outage_schedule_is_deterministic_and_bounded() {
+        let horizon = SimDuration::from_millis(2);
+        let s = outages(11, 0..100, horizon, 0.3);
+        assert_eq!(s, outages(11, 0..100, horizon, 0.3));
+        assert!(!s.is_empty(), "30% of 100 hosts should fault");
+        assert!(s.len() < 60, "should stay near the configured fraction");
+        let end = SimInstant::from_nanos(horizon.as_nanos());
+        for o in &s {
+            assert!(o.from < o.until, "window must be non-empty");
+            assert!(o.until < end, "every host must be back up before the horizon");
+        }
+        // Host order, one outage per host.
+        for w in s.windows(2) {
+            assert!(w[0].host < w[1].host);
+        }
+    }
+
+    #[test]
+    fn outage_schedule_deals_by_host_group() {
+        let horizon = SimDuration::from_millis(1);
+        let whole = outages(3, 0..64, horizon, 0.5);
+        let mut dealt = Vec::new();
+        for group in [0..16, 16..32, 32..48, 48..64] {
+            let part = outages(3, group.clone(), horizon, 0.5);
+            assert!(part.iter().all(|o| group.contains(&o.host)));
+            dealt.extend(part);
+        }
+        assert_eq!(dealt, whole, "the groups' windows partition the rack's");
+    }
+
+    #[test]
+    fn outage_schedule_independent_of_host_count_prefix() {
+        // Per-host forked streams: host h's outage is the same whether
+        // the rack has 32 or 64 hosts — growth doesn't reshuffle faults.
+        let horizon = SimDuration::from_millis(1);
+        let small = outages(9, 0..32, horizon, 0.4);
+        let large = outages(9, 0..64, horizon, 0.4);
+        assert!(!small.is_empty(), "vacuous: no outage among 32 hosts");
+        assert_eq!(small, large[..small.len()]);
+        assert!(large[small.len()..].iter().all(|o| o.host >= 32));
     }
 
     #[test]
