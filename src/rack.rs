@@ -189,11 +189,10 @@ struct InflightFault {
     /// The triggering access wants the page dirty once it lands.
     dirty: bool,
     started: SimInstant,
-    /// `expected[page]` when the *current* read was issued: every
-    /// writeback fully acknowledged before the read left must be
-    /// visible at whichever replica answers — the no-stale-read
-    /// invariant. (A writeback still in flight at issue time may
-    /// legitimately be missed.)
+    /// `expected[page]` when the *current* read left: every writeback
+    /// fully acknowledged before then must be visible at whichever
+    /// replica answers — the no-stale-read invariant. (A writeback still
+    /// in flight at issue time may legitimately be missed.)
     floor: u32,
 }
 
@@ -260,7 +259,9 @@ struct HostState {
     suspects: Vec<usize>,
     /// The fault currently in flight (one outstanding per host).
     inflight: Option<InflightFault>,
-    issued: u64,
+    /// Accesses that ended, as a hit or as a remote read. A stalled
+    /// access ends only when its retry does, so it counts once.
+    completed: u64,
     done: bool,
 }
 
@@ -269,7 +270,6 @@ struct HostState {
 struct RackMetrics {
     access_total: LazyCounter,
     access_hit: LazyCounter,
-    access_miss: LazyCounter,
     read_served: LazyCounter,
     read_remote: LazyCounter,
     read_nacked: LazyCounter,
@@ -289,7 +289,6 @@ impl RackMetrics {
         RackMetrics {
             access_total: counter("rack.access.total"),
             access_hit: counter("rack.access.hit"),
-            access_miss: counter("rack.access.miss"),
             read_served: counter("rack.read.served"),
             read_remote: counter("rack.read.remote"),
             read_nacked: counter("rack.read.nacked"),
@@ -387,7 +386,7 @@ impl RackShard {
                 pending_writes: IdMap::default(),
                 suspects: Vec::new(),
                 inflight: None,
-                issued: 0,
+                completed: 0,
                 done: false,
             });
             rack.queue.schedule(kickoff, host);
@@ -486,16 +485,16 @@ impl RackShard {
         true
     }
 
-    /// One access of `host`'s workload loop.
+    /// One access of `host`'s workload loop. No fault of `host` is in
+    /// flight here: the next access is queued only once this one ends.
     fn access(&mut self, ctx: &mut EpochCtx<RackMsg>, now: SimInstant, host: usize) {
         let cfg_pages = self.cfg.pages_per_host;
         let hit_cost = self.dram_lat;
         let state = &mut self.hosts[host - self.base];
-        if state.issued >= self.cfg.accesses_per_host {
+        if state.completed >= self.cfg.accesses_per_host {
             state.done = true;
             return;
         }
-        state.issued += 1;
         // Hot-set skew: a small set of pages absorbs most accesses.
         let hot_pages = ((cfg_pages as f64 * HOT_FRACTION) as u64).max(1);
         let local = if state.rng.chance(HOT_WEIGHT) {
@@ -509,6 +508,7 @@ impl RackShard {
         let hit = match state.frames.get_mut(&page) {
             Some(frame) => {
                 frame.dirty |= dirty;
+                state.completed += 1;
                 true
             }
             None => {
@@ -524,23 +524,25 @@ impl RackShard {
                 false
             }
         };
-        self.metrics.access_total.inc();
         if hit {
+            self.metrics.access_total.inc();
             self.metrics.access_hit.inc();
             self.queue.schedule(now + hit_cost + think, host);
             return;
         }
         // Miss: remote fault.
-        self.metrics.access_miss.inc();
         self.log.push(now.nanos(), "fault", host as u64, page);
         if !self.issue_read(ctx, now, host, page, 0) {
-            // Every replica suspect: stall and retry the whole access.
-            self.metrics.read_stalled.inc();
-            let state = self.host(host);
-            state.inflight = None;
-            state.issued -= 1;
-            self.queue.schedule(now + STALL_RETRY, host);
+            self.stall(now, host);
         }
+    }
+
+    /// Every replica of `host`'s fault is suspect: drops the fault and
+    /// retries the whole access after [`STALL_RETRY`].
+    fn stall(&mut self, now: SimInstant, host: usize) {
+        self.metrics.read_stalled.inc();
+        self.host(host).inflight = None;
+        self.queue.schedule(now + STALL_RETRY, host);
     }
 
     /// Installs a faulted-in page, evicting (and writing back) if full.
@@ -672,6 +674,8 @@ impl RackShard {
                     "host {requester} page {page}: stale read (v{version} < acked floor v{})",
                     fault.floor
                 );
+                state.completed += 1;
+                self.metrics.access_total.inc();
                 self.metrics.read_remote.inc();
                 self.metrics
                     .fault_ns
@@ -704,11 +708,7 @@ impl RackShard {
                 );
                 // Fail the read over to the next replica.
                 if !self.issue_read(ctx, now, requester, page, replica_idx + 1) {
-                    self.metrics.read_stalled.inc();
-                    let state = self.host(requester);
-                    state.inflight = None;
-                    state.issued -= 1;
-                    self.queue.schedule(now + STALL_RETRY, requester);
+                    self.stall(now, requester);
                 }
             }
             RackMsg::WriteReq {
@@ -849,7 +849,8 @@ pub struct RackReport {
     pub hosts: usize,
     /// Logical shards (host-groups).
     pub shards: u32,
-    /// Total accesses issued.
+    /// Accesses completed, each counted once, where it ends: as a hit or
+    /// as a remote read.
     pub accesses: u64,
     /// Frame-cache hits.
     pub hits: u64,
@@ -996,10 +997,10 @@ fn merge_shards(
         // of asserted inline so a broken run can dump the flight recorder
         // (recent trace events + metric windows) before panicking.
         for (host, state) in (shard.base..).zip(&shard.hosts) {
-            if !(state.done && state.issued == config.accesses_per_host) {
+            if !(state.done && state.completed == config.accesses_per_host) {
                 quiescence_failures.push(format!(
                     "host {host} finished {}/{} accesses",
-                    state.issued, config.accesses_per_host
+                    state.completed, config.accesses_per_host
                 ));
             }
             if !state.pending_writes.is_empty() {
@@ -1015,6 +1016,18 @@ fn merge_shards(
                 quiescence_failures.push(format!("host {host} ended mid-fault"));
             }
         }
+    }
+    let registries: Vec<_> = shards.iter().map(|s| s.registry.clone()).collect();
+    let merged = MetricsSnapshot::of(&registries);
+    let accesses = merged.counter("rack.access.total");
+    let hits = merged.counter("rack.access.hit");
+    let remote_reads = merged.counter("rack.read.remote");
+    let planned = config.hosts as u64 * config.accesses_per_host;
+    if !(accesses == planned && hits + remote_reads == accesses) {
+        quiescence_failures.push(format!(
+            "{accesses} accesses counted for {planned} planned, \
+             {hits} hits + {remote_reads} remote reads"
+        ));
     }
     let timeline = Timeline::merge_shards(TIMELINE_WINDOW.as_nanos(), shard_windows);
     if !quiescence_failures.is_empty() {
@@ -1045,8 +1058,6 @@ fn merge_shards(
         );
     }
 
-    let registries: Vec<_> = shards.iter().map(|s| s.registry.clone()).collect();
-    let merged = MetricsSnapshot::of(&registries);
     let metrics_line = merged
         .counters
         .iter()
@@ -1058,9 +1069,9 @@ fn merge_shards(
     RackReport {
         hosts: config.hosts,
         shards: shards.len() as u32,
-        accesses: merged.counter("rack.access.total"),
-        hits: merged.counter("rack.access.hit"),
-        remote_reads: merged.counter("rack.read.remote"),
+        accesses,
+        hits,
+        remote_reads,
         writebacks: merged.counter("rack.writeback.pages"),
         failovers: merged.counter("rack.read.failover"),
         probes: merged.counter("rack.probe.sent"),

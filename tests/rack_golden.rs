@@ -14,10 +14,13 @@ const SMOKE_CSV: &str = include_str!("../results/fig4_rack_smoke.csv");
 const TIMELINE_CSV: &str = include_str!("../results/fig4_rack_timeline.csv");
 
 /// `digest::fold` of `RackReport::metrics_line` and `trace_jsonl` for
-/// `RackConfig::smoke()`, captured at a9c2ce6 — while the shards still
-/// recorded into string-keyed buffers of their own — before any code
-/// changed.
-const METRICS_LINE_FNV: u64 = 0xe96d_4fc4_fcd8_75d4;
+/// `RackConfig::smoke()`. The trace digest was captured at a9c2ce6 —
+/// while the shards still recorded into string-keyed buffers of their
+/// own — before any code changed. The metrics digest was re-recorded
+/// when accesses began to count once, where they end (`rack.access.miss`,
+/// a second name for `rack.read.remote`, went then); every counter else
+/// in the line kept its value.
+const METRICS_LINE_FNV: u64 = 0x55aa_471b_89cb_6c0c;
 const TRACE_JSONL_FNV: u64 = 0xd2ce_a4a9_29d6_9d51;
 
 fn fnv(text: &str) -> u64 {
@@ -47,6 +50,7 @@ fn smoke_run_reproduces_the_committed_goldens() {
         .expect("a header and one data row");
     for workers in [1, 2, 4] {
         let report = run_rack(&RackConfig::smoke(), workers);
+        assert_counted_once(&RackConfig::smoke(), &report);
         assert_eq!(row_for(header, &report), golden_row, "workers={workers}");
         assert_eq!(report.timeline.to_csv(), TIMELINE_CSV, "workers={workers}");
         assert_eq!(
@@ -63,20 +67,41 @@ fn smoke_run_reproduces_the_committed_goldens() {
     }
 }
 
-/// Asserts the full `csv_row()` of `config` at each worker count.
+/// Every host issues its accesses, and each ends once, as a hit or as a
+/// remote read: an access that stalls and is retried still counts once.
+fn assert_counted_once(config: &RackConfig, report: &RackReport) {
+    let issued = config.hosts as u64 * config.accesses_per_host;
+    assert_eq!(report.accesses, issued, "accesses counted once each");
+    assert_eq!(
+        report.hits + report.remote_reads,
+        issued,
+        "each access ends as a hit or a remote read"
+    );
+}
+
+/// Asserts the counts and the full `csv_row()` of `config` at each
+/// worker count.
 fn assert_row(config: &RackConfig, worker_counts: [usize; 3], row: &str) {
     for workers in worker_counts {
-        assert_eq!(
-            run_rack(config, workers).csv_row(),
-            row,
-            "workers={workers}"
-        );
+        let report = run_rack(config, workers);
+        assert_counted_once(config, &report);
+        assert_eq!(report.csv_row(), row, "workers={workers}");
     }
+}
+
+/// The `fig4_rack` sweep's first point, whose stalls the smoke run does
+/// not reach.
+#[test]
+fn rack_default_counts_each_access_once() {
+    let config = RackConfig::rack_default(256);
+    assert_counted_once(&config, &run_rack(&config, 2));
 }
 
 /// The benchmark's round — 256 hosts, 400 accesses each, seed 13 as
 /// `benchmark/` derives it — which `smoke()` (64 hosts, 60 accesses) does
-/// not reach. Row captured at d2454ec before any code changed.
+/// not reach. Row captured at d2454ec before any code changed; its
+/// `accesses` (102 401 then: a stalled access counted twice) and `digest`
+/// re-recorded when accesses began to count once.
 #[test]
 fn benchmark_shaped_run_reproduces_its_pinned_row() {
     let config = RackConfig {
@@ -87,13 +112,14 @@ fn benchmark_shaped_run_reproduces_its_pinned_row() {
     assert_row(
         &config,
         [1, 2, 4],
-        "256,8,102401,40093,62307,19835,75,81,204266,0,824,8192,8192,b1f44d9d14ab2826",
+        "256,8,102400,40093,62307,19835,75,81,204266,0,824,8192,8192,6cf7afc01fbc8c4a",
     );
 }
 
 /// A partition that does not divide evenly, so a host's index inside its
 /// shard is not its id modulo anything round. Row captured at d2454ec
-/// before any code changed.
+/// before any code changed; its `digest` re-recorded when accesses began
+/// to count once.
 #[test]
 fn uneven_partition_reproduces_its_pinned_row() {
     let config = RackConfig {
@@ -109,6 +135,6 @@ fn uneven_partition_reproduces_its_pinned_row() {
     assert_row(
         &config,
         [1, 2, 3],
-        "70,3,8400,2665,5735,524,4,4,13582,0,279,8192,8192,3c1922f1cfa067b3",
+        "70,3,8400,2665,5735,524,4,4,13582,0,279,8192,8192,8aae866b01abc4ef",
     );
 }
