@@ -1136,7 +1136,10 @@ mod tests {
     #[test]
     fn outage_schedule_repeats_for_a_seed() {
         let horizon = SimDuration::from_millis(1);
-        assert_eq!(outages(7, 0..64, horizon, 0.25), outages(7, 0..64, horizon, 0.25));
+        assert_eq!(
+            outages(7, 0..64, horizon, 0.25),
+            outages(7, 0..64, horizon, 0.25)
+        );
     }
 
     #[test]
@@ -1149,7 +1152,10 @@ mod tests {
         let end = SimInstant::from_nanos(horizon.as_nanos());
         for o in &s {
             assert!(o.from < o.until, "window must be non-empty");
-            assert!(o.until < end, "every host must be back up before the horizon");
+            assert!(
+                o.until < end,
+                "every host must be back up before the horizon"
+            );
         }
         // Host order, one outage per host.
         for w in s.windows(2) {
