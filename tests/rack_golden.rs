@@ -17,9 +17,7 @@ const TIMELINE_CSV: &str = include_str!("../results/fig4_rack_timeline.csv");
 /// `RackConfig::smoke()`. The trace digest was captured at a9c2ce6 —
 /// while the shards still recorded into string-keyed buffers of their
 /// own — before any code changed. The metrics digest was re-recorded
-/// when accesses began to count once, where they end (`rack.access.miss`,
-/// a second name for `rack.read.remote`, went then); every counter else
-/// in the line kept its value.
+/// when accesses began to count once, where they end.
 const METRICS_LINE_FNV: u64 = 0x55aa_471b_89cb_6c0c;
 const TRACE_JSONL_FNV: u64 = 0xd2ce_a4a9_29d6_9d51;
 
@@ -70,11 +68,11 @@ fn smoke_run_reproduces_the_committed_goldens() {
 /// Every host issues its accesses, and each ends once, as a hit or as a
 /// remote read: an access that stalls and is retried still counts once.
 fn assert_counted_once(config: &RackConfig, report: &RackReport) {
-    let issued = config.hosts as u64 * config.accesses_per_host;
-    assert_eq!(report.accesses, issued, "accesses counted once each");
+    let planned = config.hosts as u64 * config.accesses_per_host;
+    assert_eq!(report.accesses, planned, "accesses counted once each");
     assert_eq!(
         report.hits + report.remote_reads,
-        issued,
+        planned,
         "each access ends as a hit or a remote read"
     );
 }
@@ -100,8 +98,7 @@ fn rack_default_counts_each_access_once() {
 /// The benchmark's round — 256 hosts, 400 accesses each, seed 13 as
 /// `benchmark/` derives it — which `smoke()` (64 hosts, 60 accesses) does
 /// not reach. Row captured at d2454ec before any code changed; its
-/// `accesses` (102 401 then: a stalled access counted twice) and `digest`
-/// re-recorded when accesses began to count once.
+/// `accesses` and `digest` re-recorded when accesses began to count once.
 #[test]
 fn benchmark_shaped_run_reproduces_its_pinned_row() {
     let config = RackConfig {
