@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# CI gate, 13 steps: offline build, full test suite, fixed-seed chaos
-# baselines, the golden figures, and one wall-clock gate against one ledger.
+# CI gate, 14 steps: offline build, full test suite, the reach census's
+# self-check, fixed-seed chaos baselines, the golden figures, and one
+# wall-clock gate against one ledger.
 #
 # The workspace builds with no network access (all external deps are
 # path-shimmed under shims/), so `cargo fetch` is a fast no-op that fails
@@ -80,6 +81,12 @@ step "cargo fetch" cargo fetch
 step "cargo build --release (no warnings)" no_warnings cargo build --release
 
 step "cargo test -q (no warnings)" no_warnings cargo test -q
+
+# The function-level reachability census (tools/reach.sh, ROADMAP [reach])
+# runs dev-profile `figures` and takes too long for the gate; its
+# self-check builds a toy crate with the same instrumentation and fails
+# unless the used function reads reached and the unused one unreached.
+step "reach census self-check (toy crate)" tools/reach.sh check
 
 # The chaos smoke: every seed passes, and its fault-free output is pinned
 # byte-for-byte against the committed baseline: the fault-injection layer

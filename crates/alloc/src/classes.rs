@@ -263,13 +263,6 @@ impl ArenaMap {
         (self.break_pages - self.free_pages) * PAGE_BYTES
     }
 
-    /// Current break, in pages.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn break_pages(&self) -> u64 {
-        self.break_pages
-    }
-
     /// FNV-1a digest of the structural state: every live object, the
     /// break, and the free-run map. Bin order is deliberately excluded —
     /// it is history-dependent LIFO, while this digest must also match a
@@ -469,10 +462,10 @@ mod tests {
         let mut map = ArenaMap::new();
         let (a, _) = map.reserve(128, 128);
         let (b, _) = map.reserve(128, 128);
-        assert_eq!(map.break_pages(), 1);
+        assert_eq!(map.break_pages, 1);
         map.release(a).unwrap();
         map.release(b).unwrap();
-        assert_eq!(map.break_pages(), 0, "empty page must coalesce + trim");
+        assert_eq!(map.break_pages, 0, "empty page must coalesce + trim");
         assert_eq!(map.reserved_bytes(), 0);
     }
 
@@ -482,7 +475,7 @@ mod tests {
         let (a, _) = map.reserve(2 * PAGE_SIZE, 2 * PAGE_BYTES);
         let (b, _) = map.reserve(3 * PAGE_SIZE, 3 * PAGE_BYTES);
         let (c, _) = map.reserve(PAGE_SIZE + 1, PAGE_BYTES + 1);
-        assert_eq!(map.break_pages(), 7);
+        assert_eq!(map.break_pages, 7);
         // Free the middle run, then the first: they must merge into one
         // 5-page run, then trimming kicks in when the last run frees.
         map.release(b).unwrap();
@@ -491,7 +484,7 @@ mod tests {
         assert_eq!(d, 0, "coalesced 5-page hole must satisfy a 5-page run");
         map.release(d).unwrap();
         map.release(c).unwrap();
-        assert_eq!(map.break_pages(), 0);
+        assert_eq!(map.break_pages, 0);
     }
 
     #[test]

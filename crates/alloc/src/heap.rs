@@ -342,40 +342,6 @@ impl ObjectHeap {
         Ok(data)
     }
 
-    /// Batched read; uses the cluster's batched get verb in object mode.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first missing address or backing failure.
-    pub fn get_many(&mut self, addrs: &[u64]) -> DmemResult<Vec<Vec<u8>>> {
-        match self.config.granularity {
-            Granularity::Page => addrs.iter().map(|a| self.get(*a)).collect(),
-            Granularity::Object => {
-                let mut objs = Vec::with_capacity(addrs.len());
-                for addr in addrs {
-                    objs.push(*self.arena.lookup(*addr).ok_or_else(|| self.not_found(*addr))?);
-                }
-                let keys: Vec<u64> = addrs.iter().map(|a| self.object_key(*a)).collect();
-                let framed = self.dm.get_batch(self.server, &keys)?;
-                let mut out = Vec::with_capacity(addrs.len());
-                let mut stored = 0u64;
-                let mut useful = 0u64;
-                for ((bytes, obj), addr) in framed.into_iter().zip(objs.iter()).zip(addrs) {
-                    let stored_len = obj.len as usize + HEADER_BYTES;
-                    stored += bytes.len() as u64;
-                    useful += obj.len;
-                    let entry = EntryId::new(self.server, self.object_key(*addr));
-                    out.push(unframe(&bytes, obj.kind, stored_len, entry)?);
-                }
-                self.fetched_bytes += stored;
-                self.useful_bytes += useful;
-                self.ops.get += addrs.len() as u64;
-                self.note_op(2, stored, useful);
-                Ok(out)
-            }
-        }
-    }
-
     /// Overwrites the object at `addr` in place. The new payload must
     /// still fit the slot reserved at alloc time; in object mode this
     /// is a pure write (no read-modify-write).

@@ -158,12 +158,9 @@ fn prop_roundtrips_and_accounting_exact_both_granularities() {
                     prop_assert!(stats.slot_bytes >= stats.live_bytes);
                     prop_assert!(stats.reserved_bytes >= stats.slot_bytes);
                 }
-                // Closing audit: every live object reads back byte-exact
-                // (batched verb in object mode, page walks otherwise).
-                let addrs: Vec<u64> = model.keys().copied().collect();
-                let got = heap.get_many(&addrs).unwrap();
-                for (addr, bytes) in addrs.iter().zip(got) {
-                    prop_assert_eq!(&bytes, &model[addr]);
+                // Closing audit: every live object reads back byte-exact.
+                for (addr, bytes) in &model {
+                    prop_assert_eq!(&heap.get(*addr).unwrap(), bytes);
                 }
                 Ok(())
             })

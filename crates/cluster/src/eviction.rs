@@ -34,11 +34,6 @@ pub struct EvictionOutcome {
 }
 
 impl EvictionOutcome {
-    /// `true` if the scan found nothing to do.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.moves.is_empty() && self.reclaimed.is_zero()
-    }
 }
 
 /// Periodic eviction policy for over-committed remote pools.
@@ -190,7 +185,7 @@ mod tests {
         let (mut store, mut placer) = setup(3, 64);
         let evictor = RemoteSlabEvictor::new(ByteSize::from_kib(4), 8);
         let outcome = evictor.scan(&mut store, &mut placer).unwrap();
-        assert!(outcome.is_empty());
+        assert!(outcome.moves.is_empty() && outcome.reclaimed.is_zero());
     }
 
     #[test]

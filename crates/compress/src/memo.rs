@@ -192,12 +192,6 @@ impl CompressMemo {
         self.stats
     }
 
-    /// Entries currently cached.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
@@ -364,7 +358,7 @@ mod tests {
         let mut memo = CompressMemo::new(4);
         for pfn in 0..32u64 {
             memo.get_or_compress((0, pfn), &codec, &vec![pfn as u8; 4096]);
-            assert!(memo.len() <= 4);
+            assert!(memo.map.len() <= 4);
             assert!(memo.decomp.len() <= 4);
         }
     }

@@ -107,12 +107,6 @@ impl Maintenance {
         }
     }
 
-    /// Virtual time of the next pending task, if any.
-    #[cfg(test)]
-    pub(crate) fn next_task_at(&self) -> Option<SimInstant> {
-        self.queue.next_at()
-    }
-
     /// Runs every task due up to `until`, advancing the clock to each
     /// task's scheduled time (like an idle node agent waking on timers).
     ///
@@ -237,8 +231,13 @@ mod tests {
     #[test]
     fn schedules_initial_tasks() {
         let dm = remote_cluster();
-        let m = driver(&dm, 1);
-        assert!(m.next_task_at().is_some());
+        let mut m = driver(&dm, 1);
+        // Construction queues every periodic task: the first window as
+        // long as the repair interval runs one interval repair scan (plus
+        // the closing one) and the shorter-period tasks too.
+        let report = m.run_until(dm.clock().now() + REPAIR_INTERVAL).unwrap();
+        assert_eq!(report.repair_scans, 2, "{report:?}");
+        assert!(report.eviction_scans >= 1 && report.advertise_refreshes >= 1, "{report:?}");
     }
 
     #[test]
@@ -350,8 +349,6 @@ mod tests {
         let horizon = start + SimDuration::from_millis(25);
         m.run_until(horizon).unwrap();
         assert!(dm.clock().now() <= horizon + SimDuration::from_millis(1));
-        let next = m.next_task_at().expect("tasks rescheduled");
-        assert!(next + SimDuration::from_millis(10) > horizon);
     }
 
     #[test]
@@ -365,17 +362,19 @@ mod tests {
         config.node.dram = ByteSize::from_mib(16);
         let dm = Arc::new(DisaggregatedMemory::new(config).unwrap());
         let server = dm.servers()[0];
-        // Overflows spread across disk-speed fallbacks; widen the advice
-        // window so the pressure signal accumulates. Each guard holds the
-        // cluster lock, so none outlives its statement.
-        dm.node_manager(server.node()).set_advice_policy(SimDuration::from_secs(10), 16);
+        // Each guard holds the cluster lock, so none outlives its statement.
         let before = dm.node_manager(server.node()).capacity();
 
-        // Hammer the shared pool until it overflows repeatedly.
-        for key in 0..128 {
-            let _ = dm.put_pref(server, key, vec![1u8; 4096], TierPreference::NodeShared);
-        }
+        // The balloon task first runs BALLOON_INTERVAL (200 ms) after the
+        // driver starts, and the advice only counts overflows of its last
+        // window: hammer the shared pool just before that run, overflowing
+        // to remote memory (microseconds each, so they bunch up in time).
         let mut m = driver(&dm, 1);
+        m.run_until(dm.clock().now() + SimDuration::from_millis(150))
+            .unwrap();
+        for key in 0..128 {
+            let _ = dm.put_pref(server, key, vec![1u8; 4096], TierPreference::Auto);
+        }
         let report = m
             .run_until(dm.clock().now() + SimDuration::from_secs(1))
             .unwrap();

@@ -59,12 +59,6 @@ impl MemoryMap {
         self.entries.len()
     }
 
-    /// `true` when no entries are tracked.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterates over `(key, record)` pairs in unspecified order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &EntryRecord)> {
         self.entries.iter().map(|(k, r)| (*k, r))
@@ -217,11 +211,11 @@ mod tests {
     #[test]
     fn remove_and_empty() {
         let mut map = MemoryMap::new();
-        assert!(map.is_empty());
+        assert!(map.entries.is_empty());
         map.upsert(1, record(EntryLocation::Disk));
         assert_eq!(map.len(), 1);
         assert!(map.remove(1).is_some());
         assert!(map.remove(1).is_none());
-        assert!(map.is_empty());
+        assert!(map.entries.is_empty());
     }
 }

@@ -2038,8 +2038,14 @@ mod tests {
         let net = dm.fabric().metrics();
         assert!(net.counter(&format!("net.tenant-{raw}.ops")).get() > 0);
         assert!(net.counter(&format!("net.tenant-{raw}.bytes")).get() > 0);
-        // Scope never leaks past the metered section.
-        assert!(dm.fabric().tenant_scope().is_none());
+        // Scope never leaks past the metered section: a verb after it
+        // charges no tenant.
+        let ops = net.counter(&format!("net.tenant-{raw}.ops")).get();
+        let fabric = dm.fabric();
+        let mr = fabric.register(NodeId::new(1), ByteSize::from_kib(4)).unwrap();
+        let qp = fabric.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        fabric.write(&qp, &[0u8; 8], &mr, 0).unwrap();
+        assert_eq!(net.counter(&format!("net.tenant-{raw}.ops")).get(), ops);
     }
 
     #[test]

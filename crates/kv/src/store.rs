@@ -2,7 +2,7 @@
 
 use dmem_core::{chunked, DisaggregatedMemory, TierPreference};
 use dmem_types::{fnv1a64, ByteSize, DmemResult, Lru, ServerId};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -13,14 +13,12 @@ pub struct KvCacheStats {
     pub hot_hits: u64,
     /// Gets served from disaggregated memory (promoted back to hot).
     pub dm_hits: u64,
-    /// Gets that found nothing (or an expired entry).
+    /// Gets that found nothing.
     pub misses: u64,
     /// Set operations.
     pub sets: u64,
     /// Hot entries demoted to disaggregated memory.
     pub demotions: u64,
-    /// Entries dropped because they expired.
-    pub expirations: u64,
 }
 
 impl KvCacheStats {
@@ -35,11 +33,6 @@ impl KvCacheStats {
     }
 }
 
-struct HotEntry {
-    value: Vec<u8>,
-    expires_at_ns: u64, // 0 = never
-}
-
 /// A Memcached-style cache with a bounded in-heap hot set and a
 /// disaggregated-memory overflow tier.
 ///
@@ -52,8 +45,8 @@ pub struct KvCache {
     server: ServerId,
     capacity: ByteSize,
     used: ByteSize,
-    hot: Lru<String, HotEntry>,
-    demoted: HashMap<String, ()>,
+    hot: Lru<String, Vec<u8>>,
+    demoted: HashSet<String>,
     stats: KvCacheStats,
 }
 
@@ -67,7 +60,7 @@ impl KvCache {
             capacity: hot_capacity,
             used: ByteSize::ZERO,
             hot: Lru::with_capacity(0),
-            demoted: HashMap::new(),
+            demoted: HashSet::new(),
             stats: KvCacheStats::default(),
         }
     }
@@ -91,32 +84,20 @@ impl KvCache {
         fnv1a64(key.as_bytes()) >> chunked::CHUNK_BITS
     }
 
-    fn frame(key: &str, value: &[u8], expires_at_ns: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + key.len() + value.len());
-        out.extend_from_slice(&expires_at_ns.to_le_bytes());
+    fn frame(key: &str, value: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + key.len() + value.len());
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
         out.extend_from_slice(value);
         out
     }
 
-    fn unframe<'a>(frame: &'a [u8], key: &str) -> Option<(u64, &'a [u8])> {
-        if frame.len() < 12 {
-            return None;
-        }
-        let expires = u64::from_le_bytes(frame[..8].try_into().ok()?);
-        let key_len = u32::from_le_bytes(frame[8..12].try_into().ok()?) as usize;
-        if frame.len() < 12 + key_len {
-            return None;
-        }
-        if &frame[12..12 + key_len] != key.as_bytes() {
+    fn unframe<'a>(frame: &'a [u8], key: &str) -> Option<&'a [u8]> {
+        let key_len = u32::from_le_bytes(frame.get(..4)?.try_into().ok()?) as usize;
+        if frame.get(4..4 + key_len)? != key.as_bytes() {
             return None; // hash collision: treat as miss
         }
-        Some((expires, &frame[12 + key_len..]))
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.dm.clock().now().nanos()
+        Some(&frame[4 + key_len..])
     }
 
     fn demote_until(&mut self, needed: ByteSize) -> DmemResult<()> {
@@ -125,13 +106,12 @@ impl KvCache {
         // whole eviction burst instead of paid per value.
         let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
         while self.used + needed > self.capacity {
-            let Some((victim, entry)) = self.hot.pop_lru() else {
+            let Some((victim, value)) = self.hot.pop_lru() else {
                 break;
             };
-            self.used -= ByteSize::from(entry.value.len());
-            let frame = Self::frame(&victim, &entry.value, entry.expires_at_ns);
-            frames.push((Self::base_of(&victim), frame));
-            self.demoted.insert(victim, ());
+            self.used -= ByteSize::from(value.len());
+            frames.push((Self::base_of(&victim), Self::frame(&victim, &value)));
+            self.demoted.insert(victim);
             self.stats.demotions += 1;
         }
         if !frames.is_empty() {
@@ -142,103 +122,64 @@ impl KvCache {
         Ok(())
     }
 
-    fn insert_hot(&mut self, key: &str, value: Vec<u8>, expires_at_ns: u64) -> DmemResult<()> {
+    fn insert_hot(&mut self, key: &str, value: Vec<u8>) -> DmemResult<()> {
         // The old value leaves first, so it is neither a victim of the
         // demotion below nor counted against the room the new one needs.
         self.remove_hot(key);
         let size = ByteSize::from(value.len());
         if size > self.capacity {
             // Larger than the whole hot set: straight to the overflow tier.
-            let frame = Self::frame(key, &value, expires_at_ns);
             chunked::store_chunked(
                 &self.dm,
                 self.server,
                 Self::base_of(key),
-                &frame,
+                &Self::frame(key, &value),
                 TierPreference::Auto,
             )?;
-            self.demoted.insert(key.to_owned(), ());
+            self.demoted.insert(key.to_owned());
             self.stats.demotions += 1;
             return Ok(());
         }
         self.demote_until(size)?;
         self.used += size;
-        let entry = HotEntry {
-            value,
-            expires_at_ns,
-        };
-        self.hot.insert(key.to_owned(), entry);
+        self.hot.insert(key.to_owned(), value);
         Ok(())
     }
 
-    /// Stores `value` under `key` with no expiry.
+    /// Stores `value` under `key`.
     ///
     /// # Errors
     ///
     /// Propagates disaggregated-memory failures from demotions.
     pub fn set(&mut self, key: &str, value: Vec<u8>) -> DmemResult<()> {
-        self.set_inner(key, value, 0)
-    }
-
-    /// Stores `value` under `key`, expiring after `ttl` of virtual time.
-    ///
-    /// # Errors
-    ///
-    /// See [`KvCache::set`].
-    #[cfg(test)]
-    pub(crate) fn set_with_ttl(
-        &mut self,
-        key: &str,
-        value: Vec<u8>,
-        ttl: dmem_sim::SimDuration,
-    ) -> DmemResult<()> {
-        let expires = self.now_ns() + ttl.as_nanos();
-        self.set_inner(key, value, expires)
-    }
-
-    fn set_inner(&mut self, key: &str, value: Vec<u8>, expires_at_ns: u64) -> DmemResult<()> {
         self.stats.sets += 1;
         // A fresh set supersedes any demoted copy.
-        if self.demoted.remove(key).is_some() {
+        if self.demoted.remove(key) {
             chunked::delete_chunked(&self.dm, self.server, Self::base_of(key));
         }
-        self.insert_hot(key, value, expires_at_ns)
+        self.insert_hot(key, value)
     }
 
     /// Fetches `key`: hot set first, then disaggregated memory (promoting
-    /// the entry back to hot). Expired entries read as misses.
+    /// the entry back to hot).
     ///
     /// # Errors
     ///
     /// Propagates disaggregated-memory failures other than not-found.
     pub fn get(&mut self, key: &str) -> DmemResult<Option<Vec<u8>>> {
-        let now = self.now_ns();
-        if let Some(entry) = self.hot.touch(key) {
-            if entry.expires_at_ns != 0 && entry.expires_at_ns <= now {
-                self.remove_hot(key);
-                self.stats.expirations += 1;
-                self.stats.misses += 1;
-                return Ok(None);
-            }
+        if let Some(value) = self.hot.touch(key) {
             self.stats.hot_hits += 1;
-            return Ok(Some(entry.value.clone()));
+            return Ok(Some(value.clone()));
         }
-        if self.demoted.contains_key(key) {
+        if self.demoted.contains(key) {
             let base = Self::base_of(key);
             match chunked::load_chunked(&self.dm, self.server, base) {
                 Ok(frame) => {
-                    if let Some((expires, value)) = Self::unframe(&frame, key) {
-                        if expires != 0 && expires <= now {
-                            self.demoted.remove(key);
-                            chunked::delete_chunked(&self.dm, self.server, base);
-                            self.stats.expirations += 1;
-                            self.stats.misses += 1;
-                            return Ok(None);
-                        }
+                    if let Some(value) = Self::unframe(&frame, key) {
                         let value = value.to_vec();
                         self.demoted.remove(key);
                         chunked::delete_chunked(&self.dm, self.server, base);
-                        self.insert_hot(key, value.clone(), expires)?;
+                        self.insert_hot(key, value.clone())?;
                         self.stats.dm_hits += 1;
                         return Ok(Some(value));
                     }
@@ -260,8 +201,8 @@ impl KvCache {
     }
 
     fn remove_hot(&mut self, key: &str) {
-        if let Some(entry) = self.hot.remove(key) {
-            self.used -= ByteSize::from(entry.value.len());
+        if let Some(value) = self.hot.remove(key) {
+            self.used -= ByteSize::from(value.len());
         }
     }
 
@@ -270,17 +211,11 @@ impl KvCache {
     pub(crate) fn delete(&mut self, key: &str) -> bool {
         let was_hot = self.hot.contains(key);
         self.remove_hot(key);
-        let was_demoted = self.demoted.remove(key).is_some();
+        let was_demoted = self.demoted.remove(key);
         if was_demoted {
             chunked::delete_chunked(&self.dm, self.server, Self::base_of(key));
         }
         was_hot || was_demoted
-    }
-
-    /// `true` if `key` exists in any tier (ignoring expiry).
-    #[cfg(test)]
-    pub(crate) fn contains(&self, key: &str) -> bool {
-        self.hot.contains(key) || self.demoted.contains_key(key)
     }
 }
 
@@ -298,7 +233,6 @@ impl fmt::Debug for KvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmem_sim::SimDuration;
     use dmem_types::ClusterConfig;
 
     fn cache(hot_kib: u64) -> KvCache {
@@ -354,42 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_in_hot_set() {
-        let mut c = cache(64);
-        let clock = c.dm.clock().clone();
-        c.set_with_ttl("t", b"temp".to_vec(), SimDuration::from_millis(5))
-            .unwrap();
-        assert_eq!(c.get("t").unwrap(), Some(b"temp".to_vec()));
-        clock.advance(SimDuration::from_millis(6));
-        assert_eq!(c.get("t").unwrap(), None);
-        assert_eq!(c.stats().expirations, 1);
-    }
-
-    #[test]
-    fn ttl_expiry_survives_demotion() {
-        let mut c = cache(4);
-        let clock = c.dm.clock().clone();
-        c.set_with_ttl("t", vec![1u8; 2048], SimDuration::from_millis(5))
-            .unwrap();
-        // Push it out of the hot set.
-        c.set("filler1", vec![2u8; 2048]).unwrap();
-        c.set("filler2", vec![3u8; 2048]).unwrap();
-        assert!(c.demoted.contains_key("t"));
-        clock.advance(SimDuration::from_millis(6));
-        assert_eq!(c.get("t").unwrap(), None, "expired in the overflow tier");
-        assert!(!c.contains("t"));
-    }
-
-    #[test]
     fn overwrite_supersedes_demoted_copy() {
         let mut c = cache(4);
         c.set("k", vec![1u8; 2048]).unwrap();
         c.set("f1", vec![2u8; 2048]).unwrap();
         c.set("f2", vec![2u8; 2048]).unwrap(); // k demoted
-        assert!(c.demoted.contains_key("k"));
+        assert!(c.demoted.contains("k"));
         c.set("k", b"new".to_vec()).unwrap();
         assert_eq!(c.get("k").unwrap(), Some(b"new".to_vec()));
-        assert!(!c.demoted.contains_key("k"));
+        assert!(!c.demoted.contains("k"));
     }
 
     #[test]
@@ -409,11 +316,11 @@ mod tests {
         c.set("victim", vec![9u8; 2048]).unwrap();
         c.set("f1", vec![0u8; 2048]).unwrap();
         c.set("f2", vec![0u8; 2048]).unwrap(); // victim demoted
-        assert!(c.demoted.contains_key("victim"));
+        assert!(c.demoted.contains("victim"));
         // Forge a colliding frame: overwrite victim's chunk base with a
         // frame carrying a different key.
         let base = KvCache::base_of("victim");
-        let forged = KvCache::frame("attacker", b"evil", 0);
+        let forged = KvCache::frame("attacker", b"evil");
         chunked::store_chunked(&c.dm, c.server, base, &forged, TierPreference::Auto).unwrap();
         assert_eq!(c.get("victim").unwrap(), None, "collision must read as miss");
     }
@@ -510,7 +417,7 @@ mod tests {
                 }
             }
             for (key, was) in keys.iter().zip(&mut was_demoted) {
-                let now = c.demoted.contains_key(key);
+                let now = c.demoted.contains(key);
                 if now && !*was {
                     fnv = digest::fold(fnv, &op.to_le_bytes());
                     fnv = digest::fold(fnv, key.as_bytes());

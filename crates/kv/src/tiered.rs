@@ -256,12 +256,6 @@ pub struct TieredKvEngine {
 }
 
 impl TieredKvEngine {
-    /// Creates an engine storing every conversation under one server.
-    #[cfg(test)]
-    pub(crate) fn new(dm: Arc<DisaggregatedMemory>, server: ServerId, config: TieredKvConfig) -> Self {
-        Self::with_servers(dm, server, server, config)
-    }
-
     /// Mirrors a serving-path event into the cluster metrics registry as
     /// a `kv.*` counter: the [`TieredKvStats`] totals only tell
     /// end-of-run, while these let the timeline sampler and the
@@ -782,7 +776,7 @@ mod tests {
     fn engine(config: TieredKvConfig) -> TieredKvEngine {
         let dm = Arc::new(DisaggregatedMemory::new(ClusterConfig::small()).unwrap());
         let server = dm.servers()[0];
-        TieredKvEngine::new(dm, server, config)
+        TieredKvEngine::with_servers(dm, server, server, config)
     }
 
     fn tight() -> TieredKvConfig {

@@ -350,12 +350,6 @@ impl CxlPool {
         }
     }
 
-    /// The cost model in force.
-    #[cfg(test)]
-    pub(crate) fn cost_model(&self) -> &CxlCostModel {
-        &self.cost
-    }
-
     /// Number of pool nodes.
     pub fn pool_nodes(&self) -> u16 {
         self.ring.nodes()
@@ -364,12 +358,6 @@ impl CxlPool {
     /// Usable capacity per pool node.
     pub fn capacity_per_node(&self) -> ByteSize {
         ByteSize::new(self.capacity_per_node)
-    }
-
-    /// The metrics registry the `cxl.*` family counts into.
-    #[cfg(test)]
-    pub(crate) fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Allocates `len` bytes for `key` on the ring-placed pool node.
@@ -743,8 +731,8 @@ mod tests {
         // Two sub-microsecond accesses: far below one RDMA verb base.
         assert!(elapsed.as_nanos() > 0);
         assert!(elapsed.as_micros_f64() < 1.5, "cost {elapsed}");
-        assert_eq!(pool.metrics().counter("cxl.load.ops").get(), 1);
-        assert_eq!(pool.metrics().counter("cxl.store.bytes").get(), 200);
+        assert_eq!(pool.metrics.counter("cxl.load.ops").get(), 1);
+        assert_eq!(pool.metrics.counter("cxl.store.bytes").get(), 200);
     }
 
     #[test]
@@ -752,7 +740,7 @@ mod tests {
         let (_, pool) = pool(2, 64);
         let addr = pool.alloc(1, 200).unwrap();
         assert_eq!(pool.load(addr).unwrap(), vec![0u8; 200]);
-        assert_eq!(pool.metrics().counter("cxl.load.bytes").get(), 200);
+        assert_eq!(pool.metrics.counter("cxl.load.bytes").get(), 200);
     }
 
     #[test]
@@ -828,14 +816,14 @@ mod tests {
         ));
         p.set_pool_node_up(0);
         assert_eq!(p.load(addr).unwrap(), vec![9u8; 64]);
-        assert_eq!(p.metrics().counter("cxl.node.down.events").get(), 1);
+        assert_eq!(p.metrics.counter("cxl.node.down.events").get(), 1);
     }
 
     #[test]
     fn atomics_serialize_per_address_in_time_order() {
         let (clock, p) = pool(1, 64);
         let cell = p.alloc_counter(1).unwrap();
-        let atomic = p.cost_model().atomic;
+        let atomic = p.cost.atomic;
         let t0 = clock.now();
         assert_eq!(p.fetch_add(cell, 3).unwrap(), 0);
         assert_eq!(p.fetch_add(cell, 4).unwrap(), 3);

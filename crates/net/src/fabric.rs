@@ -316,14 +316,6 @@ impl Fabric {
         self.tenant_scope.store(raw, Ordering::Relaxed);
     }
 
-    /// The tenant currently charged for verbs, if any.
-    pub fn tenant_scope(&self) -> Option<TenantId> {
-        match self.tenant_scope.load(Ordering::Relaxed) {
-            NO_TENANT => None,
-            raw => Some(TenantId::new(raw as u32)),
-        }
-    }
-
     /// Attributes `bytes` of verb traffic to the scoped tenant, if one is
     /// set. No-op (and no metric keys created) otherwise.
     fn charge_tenant(&self, bytes: u64) {
@@ -1120,11 +1112,9 @@ mod tests {
             .all(|(k, _)| !k.starts_with("net.tenant-")));
 
         f.set_tenant_scope(Some(TenantId::new(3)));
-        assert_eq!(f.tenant_scope(), Some(TenantId::new(3)));
         f.write(&qp, &[0u8; 64], &mr, 0).unwrap();
         f.read(&qp, &mr, 0, 36).unwrap();
         f.set_tenant_scope(None);
-        assert_eq!(f.tenant_scope(), None);
         f.write(&qp, &[0u8; 500], &mr, 0).unwrap();
 
         assert_eq!(f.metrics().counter("net.tenant-3.ops").get(), 2);
@@ -1132,7 +1122,8 @@ mod tests {
         // Clones share the scope.
         let clone = f.clone();
         clone.set_tenant_scope(Some(TenantId::new(7)));
-        assert_eq!(f.tenant_scope(), Some(TenantId::new(7)));
+        f.write(&qp, &[0u8; 10], &mr, 0).unwrap();
+        assert_eq!(f.metrics().counter("net.tenant-7.bytes").get(), 10);
     }
 
     #[test]

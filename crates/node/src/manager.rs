@@ -56,6 +56,13 @@ pub struct NodeStats {
     pub overflows: u64,
 }
 
+/// How far back [`NodeManager::balloon_advice`] counts overflows and
+/// remote escalations.
+const ADVICE_WINDOW: SimDuration = SimDuration::from_millis(100);
+/// Overflows of one server, or remote escalations of the node, within
+/// [`ADVICE_WINDOW`] at which [`NodeManager::balloon_advice`] fires.
+const ADVICE_THRESHOLD: usize = 32;
+
 #[derive(Debug, Clone, Copy)]
 struct StoredEntry {
     block: BlockRef,
@@ -78,8 +85,6 @@ pub struct NodeManager {
     overflow_log: IdMap<ServerId, VecDeque<SimInstant>>,
     /// Recent node-level remote escalations.
     remote_log: VecDeque<SimInstant>,
-    advice_window: SimDuration,
-    advice_threshold: usize,
     shared_puts: u64,
     overflows: u64,
 }
@@ -111,8 +116,6 @@ impl NodeManager {
             by_server: IdMap::default(),
             overflow_log: IdMap::default(),
             remote_log: VecDeque::new(),
-            advice_window: SimDuration::from_millis(100),
-            advice_threshold: 32,
             shared_puts: 0,
             overflows: 0,
         }
@@ -121,13 +124,6 @@ impl NodeManager {
     /// The manager's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Configures the sliding window and count threshold used by
-    /// [`NodeManager::balloon_advice`].
-    pub fn set_advice_policy(&mut self, window: SimDuration, threshold: usize) {
-        self.advice_window = window;
-        self.advice_threshold = threshold.max(1);
     }
 
     /// Registers a virtual server; its donation immediately grows the pool.
@@ -249,12 +245,6 @@ impl NodeManager {
         Ok(())
     }
 
-    /// `true` if the entry is resident in this node's shared pool.
-    #[cfg(test)]
-    pub(crate) fn contains(&self, entry: EntryId) -> bool {
-        self.page_table.contains_key(&entry)
-    }
-
     /// Records that this node escalated a put to remote memory (used by
     /// the §IV-F policy (1) signal).
     pub fn record_remote_escalation(&mut self) {
@@ -279,10 +269,9 @@ impl NodeManager {
     /// frequent node-level remote escalations → shrink the receive pool.
     pub(crate) fn balloon_advice(&mut self, server: ServerId) -> BalloonAdvice {
         let now = self.clock.now();
-        let window = self.advice_window;
         let horizon = |log: &mut VecDeque<SimInstant>| {
             while let Some(&front) = log.front() {
-                if now - front > window {
+                if now - front > ADVICE_WINDOW {
                     log.pop_front();
                 } else {
                     break;
@@ -295,9 +284,9 @@ impl NodeManager {
             .get_mut(&server)
             .map(&horizon)
             .unwrap_or(0);
-        if server_overflows >= self.advice_threshold {
+        if server_overflows >= ADVICE_THRESHOLD {
             BalloonAdvice::BalloonToServer
-        } else if horizon(&mut self.remote_log) >= self.advice_threshold {
+        } else if horizon(&mut self.remote_log) >= ADVICE_THRESHOLD {
             BalloonAdvice::ShrinkRecvPool
         } else {
             BalloonAdvice::Steady
@@ -388,7 +377,7 @@ mod tests {
         m.put(e, &[9u8; 100], SizeClass::C512).unwrap();
         assert!(m.clock.now() > t0, "put charges shared-memory time");
         assert_eq!(m.get(e).unwrap(), vec![9u8; 100]);
-        assert!(m.contains(e));
+        assert!(m.page_table.contains_key(&e));
         assert_eq!(m.class_of(e), Some(SizeClass::C512));
     }
 
@@ -426,7 +415,7 @@ mod tests {
         let e = entry(server(0), 1);
         m.put(e, &[1u8; 4096], SizeClass::C4K).unwrap();
         m.delete(e).unwrap();
-        assert!(!m.contains(e));
+        assert!(!m.page_table.contains_key(&e));
         assert!(matches!(m.get(e), Err(DmemError::EntryNotFound(_))));
         assert!(matches!(m.delete(e), Err(DmemError::EntryNotFound(_))));
     }
@@ -443,8 +432,8 @@ mod tests {
         m.put(entry(server(1), 0), &[1u8; 64], SizeClass::C512)
             .unwrap();
         assert_eq!(m.deregister_server(server(0)), 3);
-        assert!(!m.contains(entry(server(0), 0)));
-        assert!(m.contains(entry(server(1), 0)), "other servers unaffected");
+        assert!(!m.page_table.contains_key(&entry(server(0), 0)));
+        assert!(m.page_table.contains_key(&entry(server(1), 0)), "other servers unaffected");
         // Capacity shrank to server 1's donation alone.
         assert_eq!(m.capacity(), ByteSize::from_mib(1).scaled(0.5));
     }
@@ -462,32 +451,33 @@ mod tests {
     #[test]
     fn balloon_advice_fires_on_repeated_overflow() {
         let mut m = manager();
-        m.set_advice_policy(SimDuration::from_secs(10), 4);
         m.register_server(server(0), ByteSize::from_kib(160), DonationPolicy::fixed(0.1));
-        // Fill the pool, then overflow repeatedly.
+        // Fill the pool, then overflow repeatedly: one overflow short of
+        // the threshold is still steady, the next one fires.
         for k in 0..4 {
             m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K)
                 .unwrap();
         }
         assert_eq!(m.balloon_advice(server(0)), BalloonAdvice::Steady);
-        for k in 100..104 {
-            let _ = m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K);
+        for k in 1..ADVICE_THRESHOLD as u64 {
+            let _ = m.put(entry(server(0), 100 + k), &[0u8; 4096], SizeClass::C4K);
         }
+        assert_eq!(m.balloon_advice(server(0)), BalloonAdvice::Steady);
+        let _ = m.put(entry(server(0), 100), &[0u8; 4096], SizeClass::C4K);
         assert_eq!(
             m.balloon_advice(server(0)),
             BalloonAdvice::BalloonToServer
         );
         // Outside the window the signal decays.
-        m.clock.advance(SimDuration::from_secs(60));
+        m.clock.advance(ADVICE_WINDOW * 2);
         assert_eq!(m.balloon_advice(server(0)), BalloonAdvice::Steady);
     }
 
     #[test]
     fn remote_escalations_advise_shrinking_recv_pool() {
         let mut m = manager();
-        m.set_advice_policy(SimDuration::from_secs(10), 3);
         m.register_server(server(0), ByteSize::from_mib(1), DonationPolicy::fixed(0.5));
-        for _ in 0..3 {
+        for _ in 0..ADVICE_THRESHOLD {
             m.record_remote_escalation();
         }
         assert_eq!(m.balloon_advice(server(0)), BalloonAdvice::ShrinkRecvPool);
@@ -496,7 +486,6 @@ mod tests {
     #[test]
     fn apply_recommendation_shrinks_donation_under_pressure() {
         let mut m = manager();
-        m.set_advice_policy(SimDuration::from_secs(10), 4);
         m.register_server(
             server(0),
             ByteSize::from_kib(160),
@@ -517,8 +506,8 @@ mod tests {
             m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K)
                 .unwrap();
         }
-        for k in 100..104 {
-            let _ = m.put(entry(server(0), k), &[0u8; 4096], SizeClass::C4K);
+        for k in 0..ADVICE_THRESHOLD as u64 {
+            let _ = m.put(entry(server(0), 100 + k), &[0u8; 4096], SizeClass::C4K);
         }
         let before = m.capacity();
         let outcome = m.apply_recommendation(server(0), 0.05);

@@ -40,8 +40,6 @@ pub struct QosConfig {
     pub burst: ByteSize,
     /// Minimum windowed get samples before the controller judges an SLO.
     pub min_slo_samples: u64,
-    /// Decision-log line cap (the digest always covers every decision).
-    pub log_capacity: usize,
 }
 
 impl Default for QosConfig {
@@ -49,7 +47,6 @@ impl Default for QosConfig {
         QosConfig {
             burst: ByteSize::from_kib(256),
             min_slo_samples: 8,
-            log_capacity: 1 << 16,
         }
     }
 }
@@ -217,16 +214,11 @@ struct Inner {
     registry: Option<MetricsRegistry>,
 }
 
-/// Every decision, folded into a running FNV-1a digest; the first
-/// `capacity` of them are also kept as text.
+/// Every decision, folded into a running FNV-1a digest of its text
+/// line; the text itself is never built.
 struct DecisionLog {
-    lines: Vec<String>,
-    capacity: usize,
     count: u64,
     hash: u64,
-    /// The line being written while `lines` has room, reused, so each
-    /// kept line is one exact-size copy of it.
-    line: String,
 }
 
 /// Folds formatted text into an FNV-1a hash as it is written. FNV-1a
@@ -243,18 +235,9 @@ impl fmt::Write for FnvWriter<'_> {
 
 impl DecisionLog {
     fn push(&mut self, line: fmt::Arguments<'_>) {
-        if self.lines.len() < self.capacity {
-            self.line.clear();
-            self.line
-                .write_fmt(line)
-                .expect("writing to a String cannot fail");
-            self.hash = fnv1a64_fold(self.hash, self.line.as_bytes());
-            self.lines.push(self.line.clone());
-        } else {
-            FnvWriter(&mut self.hash)
-                .write_fmt(line)
-                .expect("folding into a hash cannot fail");
-        }
+        FnvWriter(&mut self.hash)
+            .write_fmt(line)
+            .expect("folding into a hash cannot fail");
         self.hash = fnv1a64_fold(self.hash, b"\n");
         self.count += 1;
     }
@@ -310,11 +293,8 @@ impl QosEngine {
     pub fn new(config: QosConfig) -> Self {
         let burst = config.burst.as_u64();
         let log = DecisionLog {
-            lines: Vec::new(),
-            capacity: config.log_capacity,
             count: 0,
             hash: FNV1A64_OFFSET,
-            line: String::new(),
         };
         QosEngine {
             config,
@@ -717,12 +697,6 @@ impl QosEngine {
         self.inner.lock().evictions.clone()
     }
 
-    /// The decision log (up to [`QosConfig::log_capacity`] lines).
-    #[cfg(test)]
-    pub(crate) fn decision_log(&self) -> Vec<String> {
-        self.inner.lock().log.lines.clone()
-    }
-
     /// Digest over *every* decision ever made: `n=<count> fnv=<hash>`.
     /// Byte-identical across runs of the same seed — the chaos harness
     /// compares these across processes and across `--jobs` threads.
@@ -878,13 +852,12 @@ mod tests {
                 let now = SimInstant::from_nanos(i * 10_000);
                 waits.push(qos.fabric_acquire(t, 60_000, now).as_nanos());
             }
-            (waits, qos.decision_digest(), qos.decision_log())
+            (waits, qos.decision_digest())
         };
-        let (w1, d1, l1) = run();
-        let (w2, d2, l2) = run();
+        let (w1, d1) = run();
+        let (w2, d2) = run();
         assert_eq!(w1, w2);
         assert_eq!(d1, d2);
-        assert_eq!(l1, l2);
         assert!(w1.iter().any(|&w| w > 0), "rate must actually bite");
     }
 
@@ -1005,15 +978,19 @@ mod tests {
         assert_eq!(histograms.len(), 1);
         assert_eq!(histograms[0].0, "qos.late.get.ns");
         assert_eq!(histograms[0].1.count, 1);
-        assert_eq!(
-            qos.decision_log(),
-            [
-                "admit hi bytes=4096",
-                "admit hi bytes=0",
-                "admit hi bytes=100",
-                "reject late bytes=8192 resident=0 quota=4096",
-            ]
-        );
+        // The digest folds exactly these decision lines, each ended by
+        // a newline, and counts every one of them.
+        let hash = [
+            "admit hi bytes=4096",
+            "admit hi bytes=0",
+            "admit hi bytes=100",
+            "reject late bytes=8192 resident=0 quota=4096",
+        ]
+        .iter()
+        .fold(FNV1A64_OFFSET, |h, line| {
+            fnv1a64_fold(fnv1a64_fold(h, line.as_bytes()), b"\n")
+        });
+        assert_eq!(qos.decision_digest(), format!("n=4 fnv={hash:#018x}"));
     }
 
     #[test]
@@ -1024,37 +1001,5 @@ mod tests {
         assert!(report.contains("hi"));
         assert!(report.contains("lo"));
         assert!(report.contains("unlimited"));
-    }
-
-    #[test]
-    fn digest_counts_every_decision_past_log_capacity() {
-        let qos = QosEngine::new(QosConfig {
-            log_capacity: 4,
-            ..QosConfig::default()
-        });
-        let t = qos.register_tenant(TenantSpec::new("t", 1, ByteSize::from_kib(4)));
-        for _ in 0..10 {
-            qos.admit_fast(t, 1);
-        }
-        assert!(qos.decision_digest().starts_with("n=10 "));
-    }
-
-    #[test]
-    fn digest_past_log_capacity_equals_the_kept_lines_digest() {
-        // Decisions past the capacity are folded into the digest without
-        // their text being built; the digest must not tell the difference.
-        let digest = |log_capacity| {
-            let qos = QosEngine::new(QosConfig {
-                log_capacity,
-                ..QosConfig::default()
-            });
-            let t = qos.register_tenant(TenantSpec::new("t", 1, ByteSize::from_kib(4)));
-            for len in [1, 4096, 2, 8192, 3] {
-                qos.admit_fast(t, len);
-            }
-            qos.decision_digest()
-        };
-        assert_eq!(digest(0), digest(64));
-        assert_eq!(digest(2), digest(64));
     }
 }

@@ -124,12 +124,6 @@ impl BlockManager {
         self.stats
     }
 
-    /// Bytes currently cached in executor memory.
-    #[cfg(test)]
-    pub(crate) fn memory_used(&self) -> ByteSize {
-        self.used
-    }
-
     fn spill_out(&mut self, id: BlockId, bytes: Vec<u8>) -> DmemResult<()> {
         let len = bytes.len();
         let span = self.clock.tracer().span("rdd", "spill.out");
@@ -438,15 +432,15 @@ mod tests {
         let (_, mut bm) = disk_bm(ByteSize::from_kib(16));
         let id = BlockId::new(1, 0);
         bm.put(id, records(100, 0.0)).unwrap();
-        let one_block = bm.memory_used();
+        let one_block = bm.used;
         bm.put(id, records(100, 0.0)).unwrap();
-        assert_eq!(bm.memory_used(), one_block, "the displaced copy's bytes are taken back");
+        assert_eq!(bm.used, one_block, "the displaced copy's bytes are taken back");
         // Evicting past the doubled block used to find its id twice in
         // the recency index and panic on the second.
         for p in 1..6 {
             bm.put(BlockId::new(1, p), records(100, p as f64)).unwrap();
         }
-        assert!(bm.memory_used() <= ByteSize::from_kib(16));
+        assert!(bm.used <= ByteSize::from_kib(16));
         assert_eq!(*bm.get(id).unwrap().unwrap(), records(100, 0.0));
     }
 

@@ -53,12 +53,6 @@ impl DeviceCost {
         self.base + SimDuration::from_nanos((bytes as f64 / self.bytes_per_sec * 1e9) as u64)
     }
 
-    /// Cost of `n` separate operations of `bytes` each (pays base `n` times).
-    #[cfg(test)]
-    pub(crate) fn transfer_each(&self, n: usize, bytes: usize) -> SimDuration {
-        self.transfer(bytes) * n as u64
-    }
-
     /// Returns this model with base latency scaled by `factor`.
     pub fn with_base_scaled(self, factor: f64) -> Self {
         DeviceCost {
@@ -206,7 +200,7 @@ mod tests {
     fn batching_amortizes_base() {
         let rdma = CostModel::paper_default().rdma;
         let batched = rdma.transfer(64 * 4096);
-        let separate = rdma.transfer_each(64, 4096);
+        let separate = rdma.transfer(4096) * 64;
         assert!(batched < separate);
         // The saving is 63 base latencies, up to per-op rounding (< 1 ns each).
         let saving = (separate - batched).as_nanos() as i128;

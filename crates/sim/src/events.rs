@@ -124,12 +124,6 @@ impl<T> EventQueue<T> {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    /// `true` when no events are pending.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -164,7 +158,7 @@ mod tests {
             .map(|(_, p)| p)
             .collect();
         assert_eq!(due, vec![1, 2, 3]);
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -219,7 +213,7 @@ mod tests {
     #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         assert_eq!(q.next_at(), None);
         assert!(q.pop_due(SimInstant::from_nanos(1)).is_empty());
     }

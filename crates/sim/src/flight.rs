@@ -71,18 +71,6 @@ impl FlightRecorder {
         self.windows.push_back(window.brief());
     }
 
-    /// Number of notes currently held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.windows.is_empty()
-    }
-
     /// Renders the deterministic dump: a reason header, the retained
     /// metric windows (oldest first), then the retained events.
     pub fn dump(&self, reason: &str) -> String {
@@ -124,7 +112,7 @@ mod tests {
         for i in 0..(FlightRecorder::EVENT_CAPACITY as u64 + 10) {
             fr.note(i, "step", format!("event {i}"));
         }
-        assert_eq!(fr.len(), FlightRecorder::EVENT_CAPACITY);
+        assert_eq!(fr.events.len(), FlightRecorder::EVENT_CAPACITY);
         let dump = fr.dump("test");
         assert!(dump.contains("10 dropped"), "{dump}");
         assert!(!dump.contains("event 9\n"), "oldest should be gone: {dump}");
@@ -152,7 +140,7 @@ mod tests {
     #[test]
     fn empty_dump_still_renders_header() {
         let fr = FlightRecorder::new();
-        assert!(fr.is_empty());
+        assert!(fr.events.is_empty() && fr.windows.is_empty());
         let dump = fr.dump("nothing");
         assert!(dump.contains("0 kept"));
     }

@@ -33,12 +33,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Adds `delta` (may be negative).
-    #[cfg(test)]
-    pub(crate) fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Sets the gauge.
     pub fn set(&self, value: i64) {
         self.0.store(value, Ordering::Relaxed);
@@ -540,8 +534,7 @@ mod tests {
     #[test]
     fn gauge_moves_both_ways() {
         let g = Gauge::default();
-        g.add(10);
-        g.add(-4);
+        g.set(6);
         assert_eq!(g.get(), 6);
         g.set(-1);
         assert_eq!(g.get(), -1);

@@ -178,12 +178,6 @@ impl<M> EpochCtx<M> {
         self.shard
     }
 
-    /// Inclusive start of the epoch window.
-    #[cfg(test)]
-    pub(crate) fn epoch_start(&self) -> SimInstant {
-        self.epoch_start
-    }
-
     /// Exclusive end of the epoch window: local events at or past this
     /// instant belong to a later epoch.
     pub fn epoch_end(&self) -> SimInstant {
@@ -275,7 +269,7 @@ pub trait ShardWorker: Send {
     /// The cross-shard message type.
     type Msg: Send;
 
-    /// Advances this shard through `[ctx.epoch_start(), ctx.epoch_end())`.
+    /// Advances this shard through the epoch, up to `ctx.epoch_end()`.
     fn run_epoch(&mut self, ctx: &mut EpochCtx<Self::Msg>);
 
     /// The time of this shard's next pending *local* event, if any.
@@ -841,7 +835,7 @@ mod tests {
             }
             for env in ctx.take_inbox() {
                 assert!(env.deliver_at >= env.sent_at);
-                assert!(env.sent_at < ctx.epoch_start(), "sent in a strictly earlier epoch");
+                assert!(env.sent_at < ctx.epoch_start, "sent in a strictly earlier epoch");
                 self.log
                     .push((env.deliver_at.nanos(), env.src.0, env.seq, env.msg));
                 if self.sends_left > 0 {

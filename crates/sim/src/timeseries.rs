@@ -14,10 +14,9 @@
 //!
 //! Everything is integer math on the virtual clock: window boundaries
 //! are multiples of the window width, quantiles are log₂ bucket upper
-//! bounds, and exports ([`Timeline::to_csv`], [`Timeline::to_jsonl`])
-//! are deterministic text. The disabled path of [`TelemetryHub::tick`]
-//! is a single relaxed atomic load, mirroring the tracer's
-//! zero-cost-when-off contract.
+//! bounds, and the export ([`Timeline::to_csv`]) is deterministic text.
+//! A disabled hub is one not installed, so a run without telemetry
+//! never ticks one.
 //!
 //! [`MetricsRegistry`]: crate::metrics::MetricsRegistry
 
@@ -28,7 +27,6 @@ use crate::time::{SimDuration, SimInstant};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-window summary of one histogram: observation count inside the
 /// window plus log₂-bucket quantile bounds of just those observations.
@@ -46,7 +44,7 @@ pub struct WindowHistogram {
     pub max: u64,
     /// Raw per-window bucket counts — kept for the alerting engine's
     /// burn-rate rules (fraction of observations over an SLO bound);
-    /// not exported to CSV/JSONL.
+    /// not exported to CSV.
     pub buckets: Box<[u64; 65]>,
 }
 
@@ -128,8 +126,8 @@ impl MetricWindow {
     }
 }
 
-/// An ordered sequence of [`MetricWindow`]s with deterministic CSV and
-/// JSONL exports.
+/// An ordered sequence of [`MetricWindow`]s with a deterministic CSV
+/// export.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     /// Captured windows, in increasing `index` order.
@@ -235,40 +233,6 @@ impl Timeline {
                 )
                 .unwrap();
             }
-        }
-        out
-    }
-
-    /// Deterministic JSONL export: one JSON object per window, keys
-    /// sorted, parseable back through [`crate::jsonlite`].
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for w in &self.windows {
-            write!(
-                out,
-                "{{\"window\":{},\"start_ns\":{},\"end_ns\":{},\"counters\":{{",
-                w.index, w.start_ns, w.end_ns
-            )
-            .unwrap();
-            for (i, (name, v)) in w.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(out, "\"{name}\":{v}").unwrap();
-            }
-            out.push_str("},\"histograms\":{");
-            for (i, h) in w.histograms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(
-                    out,
-                    "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                    h.name, h.count, h.p50, h.p99, h.max
-                )
-                .unwrap();
-            }
-            out.push_str("}}\n");
         }
         out
     }
@@ -409,18 +373,17 @@ impl HubInner {
 ///
 /// Installed on a `DisaggregatedMemory` (which gives the maintenance
 /// loop a tick source) or driven directly by a benchmark loop. Strictly
-/// opt-in: [`TelemetryHub::tick`] on a disarmed hub is a single relaxed
-/// atomic load, and nothing installs one by default — so untraced runs
-/// execute byte-identical event sequences.
+/// opt-in: nothing installs one by default, and a run with no hub
+/// installed never ticks one — so untraced runs execute byte-identical
+/// event sequences.
 #[derive(Debug)]
 pub struct TelemetryHub {
-    armed: AtomicBool,
     window: SimDuration,
     inner: Mutex<HubInner>,
 }
 
 impl TelemetryHub {
-    /// Creates an armed hub capturing every `window` of virtual time.
+    /// Creates a hub capturing every `window` of virtual time.
     ///
     /// # Panics
     ///
@@ -432,7 +395,6 @@ impl TelemetryHub {
             "telemetry window must be nonzero (leave the hub uninstalled to disable)"
         );
         TelemetryHub {
-            armed: AtomicBool::new(true),
             window,
             inner: Mutex::new(HubInner {
                 sampler: WindowSampler::new(window),
@@ -458,20 +420,10 @@ impl TelemetryHub {
         self.inner.lock().alerts = AlertEngine::new(rules);
     }
 
-    /// Pauses/resumes sampling. While disarmed, `tick` costs exactly
-    /// one relaxed atomic load.
-    #[cfg(test)]
-    pub(crate) fn arm(&self, on: bool) {
-        self.armed.store(on, Ordering::Relaxed);
-    }
-
     /// Offers the current virtual time; captures one window (and
     /// evaluates alert rules on it) when a grid boundary has been
     /// crossed. Returns the number of windows captured (0 or 1).
     pub fn tick(&self, now: SimInstant) -> usize {
-        if !self.armed.load(Ordering::Relaxed) {
-            return 0;
-        }
         let mut inner = self.inner.lock();
         let captured = inner.sampler.tick(now.nanos());
         captured.map_or(0, |window| {
@@ -483,9 +435,6 @@ impl TelemetryHub {
     /// Closes the final (possibly partial) window, rounding the end
     /// boundary up to the grid. Call once at the end of the run.
     pub fn flush(&self, now: SimInstant) {
-        if !self.armed.load(Ordering::Relaxed) {
-            return;
-        }
         let mut inner = self.inner.lock();
         if let Some(window) = inner.sampler.finish(now.nanos()) {
             inner.keep(window);
@@ -562,14 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_tick_is_inert() {
-        let hub = TelemetryHub::new(SimDuration::from_nanos(100));
-        hub.arm(false);
-        assert_eq!(hub.tick(instant(10_000)), 0);
-        assert!(hub.timeline().windows.is_empty());
-    }
-
-    #[test]
     fn shard_merge_is_input_order_independent() {
         let mut shard_windows = Vec::new();
         for shard in [2u64, 0, 1] {
@@ -592,7 +533,6 @@ mod tests {
         assert_eq!(forward.windows[0].histogram("lat").unwrap().count, 3);
         assert_eq!(forward.windows[1].counter("ops"), 3);
         assert_eq!(forward.to_csv(), backward.to_csv());
-        assert_eq!(forward.to_jsonl(), backward.to_jsonl());
     }
 
     #[test]
@@ -641,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_jsonl_round_trip_shapes() {
+    fn csv_export_shape() {
         let reg = MetricsRegistry::new();
         let hub = TelemetryHub::new(SimDuration::from_nanos(10));
         hub.add_registry(reg.clone());
@@ -653,13 +593,6 @@ mod tests {
         assert!(csv.starts_with("window,start_ns,end_ns,kind,name,value,"));
         assert!(csv.contains("0,0,10,counter,a,7,,,"));
         assert!(csv.contains("0,0,10,histogram,h,1,"));
-        let jsonl = t.to_jsonl();
-        let doc = crate::jsonlite::parse(jsonl.lines().next().unwrap()).unwrap();
-        assert_eq!(doc.get("window").and_then(|v| v.as_f64()), Some(0.0));
-        assert_eq!(
-            doc.get("counters").and_then(|c| c.get("a")).and_then(|v| v.as_f64()),
-            Some(7.0)
-        );
     }
 
     #[test]

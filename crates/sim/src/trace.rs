@@ -196,12 +196,6 @@ impl Tracer {
         self.inner.state.lock().spans.len()
     }
 
-    /// `true` if no spans have been collected.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drains every collected span into a [`Trace`]. Open spans are kept
     /// open (they will close into the *next* trace), so call this between
     /// operations, not inside one.
@@ -330,24 +324,6 @@ impl ShardEventLog {
             seen: 0,
             events: Vec::new(),
         }
-    }
-
-    /// The shard this log belongs to.
-    #[cfg(test)]
-    pub(crate) fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Number of events kept (after sampling).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events were kept.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The kept events, in shard-local offer order.
@@ -628,7 +604,7 @@ mod tests {
             span.tag("bytes", 1);
             clock.advance(SimDuration::from_micros(1));
         }
-        assert!(clock.tracer().is_empty());
+        assert_eq!(clock.tracer().len(), 0);
         assert!(!clock.tracer().is_enabled());
     }
 
@@ -738,10 +714,10 @@ mod tests {
         for i in 0..16 {
             log.push(i, "e", i, 0);
         }
-        assert_eq!(log.len(), 4, "one in four kept");
+        assert_eq!(log.events.len(), 4, "one in four kept");
         let off = ShardEventLog::new(0, 0);
-        assert!(off.is_empty());
-        assert_eq!(log.shard(), 2);
+        assert!(off.events.is_empty());
+        assert_eq!(log.shard, 2);
     }
 
     #[test]
@@ -773,7 +749,7 @@ mod tests {
             let _s = clock.tracer().span("a", "b");
         }
         assert_eq!(clock.tracer().finish().spans.len(), 1);
-        assert!(clock.tracer().is_empty());
+        assert_eq!(clock.tracer().len(), 0);
         assert_eq!(clock.tracer().finish().spans.len(), 0);
     }
 

@@ -61,12 +61,6 @@ impl PfnSet {
         PfnSet::default()
     }
 
-    /// Members.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     /// `true` when no pfn is present.
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
@@ -225,7 +219,7 @@ mod tests {
             } else {
                 assert_eq!(set.insert(pfn), reference.insert(pfn));
             }
-            assert_eq!(set.len(), reference.len());
+            assert_eq!(set.len, reference.len());
         }
         let scan: Vec<u64> = set.iter().collect();
         let want: Vec<u64> = reference.iter().copied().collect();
@@ -246,6 +240,6 @@ mod tests {
         assert!(set.remove(64));
         assert!(!set.remove(64));
         assert!(!set.contains(64));
-        assert_eq!(set.len(), 5);
+        assert_eq!(set.len, 5);
     }
 }

@@ -467,22 +467,6 @@ impl ClusterConfig {
         }
     }
 
-    /// A scaled-down analogue of the paper's 32-node testbed.
-    pub fn paper_testbed() -> Self {
-        ClusterConfig {
-            nodes: 32,
-            servers_per_node: 3, // 96 ≈ the paper's 80 VMs, uniform per node
-            node: NodeConfig::default(),
-            server: ServerConfig::new(ByteSize::from_mib(16)),
-            group_size: 8,
-            replication: ReplicationFactor::TRIPLE,
-            placement: PlacementStrategy::PowerOfTwoChoices,
-            compression: CompressionMode::FourGranularity,
-            cxl: CxlPoolConfig::DISABLED,
-            seed: 0x00D1_5A66,
-        }
-    }
-
     /// Validates every nested configuration plus cross-field invariants.
     ///
     /// # Errors
@@ -539,7 +523,6 @@ mod tests {
     #[test]
     fn default_configs_validate() {
         ClusterConfig::small().validate().unwrap();
-        ClusterConfig::paper_testbed().validate().unwrap();
     }
 
     #[test]

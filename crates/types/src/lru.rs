@@ -72,12 +72,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.index.len()
     }
 
-    /// `true` when nothing is held.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Whether `key` is held. No recency change.
     pub fn contains<Q>(&self, key: &Q) -> bool
     where
@@ -292,7 +286,7 @@ mod tests {
                 }
             }
             assert_eq!(new.len(), old.entries.len());
-            assert_eq!(new.is_empty(), old.entries.is_empty());
+            assert_eq!(new.index.is_empty(), old.entries.is_empty());
             if op % 64 == 0 {
                 assert!(new.iter().eq(old.iter()), "iter order at op {op}");
             }

@@ -38,12 +38,6 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// `true` if the sampler has exactly one rank (always returns 0).
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        false // construction guarantees n > 0
-    }
-
     /// Draws one rank.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
         let u = rng.unit();
@@ -93,7 +87,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(sampler.sample(&mut rng), 0);
         }
-        assert!(!sampler.is_empty());
     }
 
     #[test]

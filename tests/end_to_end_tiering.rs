@@ -141,8 +141,11 @@ fn deleting_everything_leaves_no_residue() {
 
 #[test]
 fn group_leadership_and_map_arithmetic() {
-    let mut config = ClusterConfig::paper_testbed();
-    config.group_size = 8;
+    let config = ClusterConfig {
+        nodes: 32,
+        group_size: 8,
+        ..ClusterConfig::small()
+    };
     let dm = DisaggregatedMemory::new(config).unwrap();
     // 32 nodes in groups of 8: a node's peers are the rest of its group.
     let peers = dm.group_peers(NodeId::new(9)).unwrap();
